@@ -16,8 +16,8 @@ import numpy as np
 from .errors import InvalidMoveError
 from .metrics import CostBreakdown, CostWeights, cost, floorplan_area, wirelength
 from .model import Design, move_farm, reshape_farm
-from .thermal import (FieldStats, GridSpec, couple_leakage, field_stats, grid_for,
-                      layer_averages, solve_design)
+from .thermal import (FieldStats, GridSpec, TemperatureField, couple_leakage,
+                      field_stats, grid_for, layer_averages, solve_design)
 
 RNG_KIND = "numpy-PCG64"  # echoed into reports so traces are replayable
 
@@ -247,14 +247,17 @@ class DesignSummary:
 
 
 def summarize(design: Design, grid: GridSpec, leakage_coeff: float = 0.0,
-              leakage_tref: float | None = None) -> DesignSummary:
-    """Cold solve plus metrics; the report path, reproducible by cmd_analyze."""
+              leakage_tref: float | None = None) -> tuple[DesignSummary, TemperatureField]:
+    """Cold solve plus metrics; the report path, reproducible by cmd_analyze.
+
+    Returns the summary and the solved field it was computed from.
+    """
     if leakage_coeff > 0:
         field = couple_leakage(design, grid, leakage_coeff, leakage_tref).field
     else:
         field = solve_design(design, grid)
     stats: FieldStats = field_stats(field, design, grid)
-    return DesignSummary(
+    summary = DesignSummary(
         wirelength=wirelength(design),
         area=floorplan_area(design.floorplan),
         average=stats.average,
@@ -264,6 +267,7 @@ def summarize(design: Design, grid: GridSpec, leakage_coeff: float = 0.0,
         per_layer_average=tuple(layer_averages(field)),
         layer_peaks=tuple(float(field.t[i].max()) for i in range(field.t.shape[0])),
     )
+    return summary, field
 
 
 @dataclass
@@ -275,6 +279,8 @@ class OptimizeResult:
     before: DesignSummary
     after: DesignSummary
     evaluations: int
+    before_field: TemperatureField   # the cold solves behind before/after
+    after_field: TemperatureField
 
 
 def layer_pass(design: Design, layer: int, evaluator: Evaluator,
@@ -321,7 +327,7 @@ def optimize_stack(design: Design, anneal: AnnealConfig = AnnealConfig(),
     lam = tech.leakage_coeff if flow.leakage_coeff is None else flow.leakage_coeff
     tref = tech.leakage_tref if flow.leakage_tref is None else flow.leakage_tref
 
-    before = summarize(design, grid, lam, tref)
+    before, before_field = summarize(design, grid, lam, tref)
     evaluator = Evaluator(grid, weights, lam, tref)
     if weights is None:
         field0 = evaluator.solve(design, warm=False)
@@ -340,12 +346,12 @@ def optimize_stack(design: Design, anneal: AnnealConfig = AnnealConfig(),
             current, current_cost = layer_pass(current, layer, evaluator,
                                                anneal, rng, trace, outer,
                                                current_cost)
-        snapshot = summarize(current, grid, lam, tref)
+        snapshot, _ = summarize(current, grid, lam, tref)
         if snapshot.average < best_average:
             best_average = snapshot.average
             best_design = current
         trace.outers.append(OuterRecord(outer, snapshot.average, best_average))
 
-    after = summarize(best_design, grid, lam, tref)
+    after, after_field = summarize(best_design, grid, lam, tref)
     return OptimizeResult(best_design, trace, weights, grid, before, after,
-                          evaluator.evaluations)
+                          evaluator.evaluations, before_field, after_field)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import click
 
-from .anneal import AnnealConfig, FlowConfig, optimize_stack
+from .anneal import RNG_KIND, AnnealConfig, FlowConfig, optimize_stack
 from .design_io import (RunReport, format_trace, parse_design, write_design,
                         write_report, write_thermal_maps)
 from .errors import DesignError, SolverError
@@ -68,7 +68,7 @@ def _parse_weights(spec_str, preset_ratio):
 
 def _config_echo(design, grid, anneal, flow, weights):
     return {
-        "rng": "numpy-PCG64",
+        "rng": RNG_KIND,
         "seed": anneal.seed,
         "grid": {"cells_x": grid.cells_x, "cells_y": grid.cells_y,
                  "cell_size_m": grid.cell_size, "layers": grid.num_layers},
@@ -172,16 +172,8 @@ def optimize(design_path, seed, grid_cell, outer_iters, weights_spec, preset_rat
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_design(result.best, out / "optimized.design")
-    lam = (design.stack.tech.leakage_coeff if flow.leakage_coeff is None
-           else flow.leakage_coeff)
-    if lam > 0:
-        before_field = couple_leakage(design, grid, lam).field
-        after_field = couple_leakage(result.best, grid, lam).field
-    else:
-        before_field = solve_design(design, grid)
-        after_field = solve_design(result.best, grid)
-    write_thermal_maps(before_field, grid, out, prefix="before_")
-    write_thermal_maps(after_field, grid, out, prefix="after_")
+    write_thermal_maps(result.before_field, grid, out, prefix="before_")
+    write_thermal_maps(result.after_field, grid, out, prefix="after_")
     (out / "trace.log").write_text(format_trace(result.trace))
 
     report = RunReport(result.before, result.after, runtime,

@@ -16,8 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DesignError
-from .model import Block, Design, Floorplan
+from .model import (Block, Design, Floorplan, Stack, TechnologyParams, TsvFarm,
+                    cache_by_identity)
 from .thermal import GridSpec, TemperatureField, block_average_temperature
 
 
@@ -71,29 +74,19 @@ class CostBreakdown:
     total: float
 
 
-def heat_conduction(conductivity: float, area: float, delta_t: float,
-                    distance: float) -> float:
-    """Heat flow rate k*A*dT/x in watts between two regions a distance x apart."""
-    if distance <= 0:
-        raise ValueError(f"distance must be > 0, got {distance}")
-    return conductivity * area * delta_t / distance
+def conduction_efficiency(conductivity, area, distance):
+    """Heat flow per unit temperature difference, k*A/x in W/K, elementwise.
 
-
-def conduction_efficiency(conductivity: float, area: float, distance: float) -> float:
-    """Heat flow per unit temperature difference, k*A/x in W/K; 0 without a shared face."""
-    if area == 0:
-        return 0.0
-    if distance <= 0:
-        raise ValueError(f"distance must be > 0, got {distance}")
+    distance must be > 0; a zero area (no shared face) gives 0.
+    """
     return conductivity * area / distance
 
 
-def adjacent_block_pairs(design: Design) -> list[tuple[Block, Block, str]]:
+def adjacent_block_pairs(blocks: tuple[Block, ...],
+                         tech: TechnologyParams) -> list[tuple[Block, Block, str]]:
     """Same-layer block pairs whose projections overlap on one axis and whose
     facing gap on the other axis is below the adjacency window."""
-    tech = design.stack.tech
     window = tech.adjacency_window if tech.adjacency_window is not None else tech.grid_cell
-    blocks = design.floorplan.blocks
     pairs = []
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
@@ -113,81 +106,109 @@ def adjacent_block_pairs(design: Design) -> list[tuple[Block, Block, str]]:
     return pairs
 
 
-def path_conductivity(design: Design, a: Block, b: Block, axis: str,
-                      offset: float | None = None) -> tuple[float, float, float]:
-    """Composite conductivity, shared area, and distance for the a->b corridor.
+# Farm-rect columns (x0, y0, x1, y1) that bound a farm across and along a
+# path, for x-paths and y-paths: an x-path is crossed by the farm's y extent
+# and cut by its x extent.
+_PATH_COLUMNS = np.array([[1, 3, 0, 2], [0, 2, 1, 3]])
 
-    Conductivity is the series (harmonic) combination along the straight
-    segment between block center coordinates, taken at `offset` across the
-    shared projection (its middle by default). Farms crossed by the segment
-    contribute their lateral conductivity, except on their landing layer
-    where the blockage is gone.
+
+@dataclass(frozen=True, eq=False)
+class StripTable:
+    """The f_H strips of a design: everything the fixed blocks determine.
+
+    Each adjacent pair's shared face is split into grid-cell-wide strips; a
+    strip's path runs between the two block centres along its centre line.
+    Arrays are per strip, x-paths first; `slot` places each strip in its
+    pair's row, in face order.
     """
-    layer = design.stack.layers[a.layer]
-    k_si = layer.material.conductivity
-    ax0, ay0, ax1, ay1 = a.rect
-    bx0, by0, bx1, by1 = b.rect
-    if axis == "x":
-        shared = min(ay1, by1) - max(ay0, by0)
-        line = (max(ay0, by0) + min(ay1, by1)) / 2 if offset is None else offset
-        lo, hi = sorted((a.center[0], b.center[0]))
-    else:
-        shared = min(ax1, bx1) - max(ax0, bx0)
-        line = (max(ax0, bx0) + min(ax1, bx1)) / 2 if offset is None else offset
-        lo, hi = sorted((a.center[1], b.center[1]))
-    distance = hi - lo
-    area = shared * layer.thickness
-    if distance <= 0 or shared <= 0:
-        return k_si, 0.0, max(distance, 0.0)
 
-    crossing = 0.0  # sum of length/k over farm segments on the path
-    farm_length = 0.0
-    for farm in design.floorplan.farms:
-        if not farm.blocks_laterally(a.layer):
-            continue
-        fx0, fy0, fx1, fy1 = farm.rect
+    pairs: tuple[tuple[Block, Block, str], ...]
+    axis_counts: np.ndarray  # [2] number of x-path and y-path strips
+    layer: np.ndarray      # [S] layer the strip lies in (as a float)
+    line: np.ndarray       # [S] strip centre line, across the path
+    lo: np.ndarray         # [S] path start, the lower block-centre coordinate
+    hi: np.ndarray         # [S] path end
+    distance: np.ndarray   # [S] path length hi - lo
+    area: np.ndarray       # [S] strip width * layer thickness
+    k_si: np.ndarray       # [S] layer conductivity
+    slot: np.ndarray       # [S] flat index into a [pairs, max_strips] grid
+    max_strips: int
+
+
+@cache_by_identity
+def strip_table(blocks: tuple[Block, ...], stack: Stack) -> StripTable:
+    """Build the strip table once per (blocks, stack); farms do not enter it."""
+    pairs = adjacent_block_pairs(blocks, stack.tech)
+    strip = stack.tech.grid_cell
+    rows = {"x": [], "y": []}   # (layer, line, lo, hi, distance, area, k_si, pair, index)
+    for p, (a, b, axis) in enumerate(pairs):
+        layer = stack.layers[a.layer]
+        ax0, ay0, ax1, ay1 = a.rect
+        bx0, by0, bx1, by1 = b.rect
         if axis == "x":
-            if not (fy0 <= line <= fy1):
-                continue
-            seg = min(hi, fx1) - max(lo, fx0)
+            span_lo, span_hi = max(ay0, by0), min(ay1, by1)
+            lo, hi = sorted((a.center[0], b.center[0]))
         else:
-            if not (fx0 <= line <= fx1):
-                continue
-            seg = min(hi, fy1) - max(lo, fy0)
-        if seg > 0:
-            crossing += seg / farm.k_lateral
-            farm_length += seg
-    k_eff = distance / (crossing + (distance - farm_length) / k_si)
-    return k_eff, area, distance
+            span_lo, span_hi = max(ax0, bx0), min(ax1, bx1)
+            lo, hi = sorted((a.center[1], b.center[1]))
+        distance = hi - lo
+        if distance <= 0:
+            raise ValueError(f"distance must be > 0, got {distance}")
+        shared = span_hi - span_lo
+        count = max(1, int(math.ceil(shared / strip - 1e-9)))
+        width = shared / count
+        rows[axis] += [(a.layer, span_lo + (i + 0.5) * width, lo, hi, distance,
+                        width * layer.thickness, layer.material.conductivity, p, i)
+                       for i in range(count)]
+    cols = np.array(rows["x"] + rows["y"], dtype=float).reshape(-1, 9).T
+    pair, index = cols[7].astype(int), cols[8].astype(int)
+    max_strips = int(index.max()) + 1 if index.size else 1
+    slot = pair * max_strips + index
+    counts = np.array([len(rows["x"]), len(rows["y"])])
+    for shared in (cols, slot, counts):   # every caller gets these same arrays
+        shared.flags.writeable = False
+    return StripTable(
+        pairs=tuple(pairs), axis_counts=counts,
+        layer=cols[0], line=cols[1], lo=cols[2], hi=cols[3],
+        distance=cols[4], area=cols[5], k_si=cols[6],
+        slot=slot, max_strips=max_strips)
 
 
-def pair_efficiency(design: Design, a: Block, b: Block, axis: str) -> float:
-    """Conduction efficiency of one adjacent pair, integrated across the face.
+def path_conductivity(table: StripTable, farms: tuple[TsvFarm, ...]) -> np.ndarray:
+    """Composite conductivity of every strip's path, [S] W/(m K).
 
-    The shared projection is split into grid-cell-wide strips and the series
-    composite is evaluated on each strip's center line, so a farm covering
-    part of the face blocks exactly that part. Uniform material collapses to
-    the single-path k*A/x of the whole face.
+    The series (harmonic) combination along the path: farms crossed by the
+    strip's centre line contribute their lateral conductivity over the
+    crossed length, silicon the rest. A farm does not block on its landing
+    layer. Farm segments accumulate in floorplan order, so every strip sees
+    the same additions as a scalar walk over the farms would make.
     """
-    layer = design.stack.layers[a.layer]
-    ax0, ay0, ax1, ay1 = a.rect
-    bx0, by0, bx1, by1 = b.rect
-    if axis == "x":
-        span_lo, span_hi = max(ay0, by0), min(ay1, by1)
-    else:
-        span_lo, span_hi = max(ax0, bx0), min(ax1, bx1)
-    shared = span_hi - span_lo
-    if shared <= 0:
-        return 0.0
-    strip = design.stack.tech.grid_cell
-    count = max(1, int(math.ceil(shared / strip - 1e-9)))
-    width = shared / count
-    total = 0.0
-    for i in range(count):
-        line = span_lo + (i + 0.5) * width
-        k_eff, _, distance = path_conductivity(design, a, b, axis, offset=line)
-        total += conduction_efficiency(k_eff, width * layer.thickness, distance)
-    return total
+    crossing = np.zeros(len(table.line))
+    farm_length = np.zeros(len(table.line))
+    if farms:
+        farm = np.array([(*f.rect, f.start_layer, f.end_layer, f.k_lateral) for f in farms])
+        across_lo, across_hi, along_lo, along_hi = np.repeat(
+            farm[:, _PATH_COLUMNS].transpose(2, 0, 1), table.axis_counts, axis=2)
+        seg = np.minimum(table.hi, along_hi) - np.maximum(table.lo, along_lo)
+        hit = ((farm[:, 4:5] <= table.layer) & (table.layer < farm[:, 5:6])
+               & (across_lo <= table.line) & (table.line <= across_hi) & (seg > 0))
+        seg = np.where(hit, seg, 0.0)
+        for resistive, length in zip(seg / farm[:, 6:7], seg):
+            crossing += resistive
+            farm_length += length
+    return table.distance / (crossing + (table.distance - farm_length) / table.k_si)
+
+
+def pair_efficiency(table: StripTable, k_eff: np.ndarray) -> np.ndarray:
+    """Conduction efficiency of every adjacent pair, integrated across its face.
+
+    Strip efficiencies k*A/x are summed sequentially in face order, so a farm
+    covering part of a face blocks exactly that part and uniform material
+    collapses to the single-path k*A/x of the whole face.
+    """
+    grid = np.zeros(len(table.pairs) * table.max_strips)
+    grid[table.slot] = conduction_efficiency(k_eff, table.area, table.distance)
+    return np.cumsum(grid.reshape(len(table.pairs), table.max_strips), axis=1)[:, -1]
 
 
 def total_efficiency(design: Design, field: TemperatureField | None = None,
@@ -198,39 +219,44 @@ def total_efficiency(design: Design, field: TemperatureField | None = None,
     temperature difference so the hottest gradients dominate the objective
     (disable via tech.gradient_weighting).
     """
-    pairs = adjacent_block_pairs(design)
-    if not pairs:
+    table = strip_table(design.floorplan.blocks, design.stack)
+    if not table.pairs:
         return 0.0
-    terms = [pair_efficiency(design, a, b, axis) for a, b, axis in pairs]
+    terms = pair_efficiency(table, path_conductivity(table, design.floorplan.farms))
 
     use_gradients = (design.stack.tech.gradient_weighting
                      and field is not None and grid is not None)
+    # Python's sum over the pairs, in pair order, keeps f_H bit-stable
     if not use_gradients:
-        return float(sum(terms))
+        return float(sum(terms.tolist()))
     deltas = [abs(block_average_temperature(field, a, grid)
                   - block_average_temperature(field, b, grid))
-              for a, b, _ in pairs]
+              for a, b, _ in table.pairs]
     # the denominator is floored at 1 K: normalizing by a noise-scale
     # maximum would let renormalization dwarf the conduction terms
     top = max(max(deltas), 1.0)
-    return float(sum(t * d / top for t, d in zip(terms, deltas)))
+    return float(sum((terms * np.array(deltas) / top).tolist()))
+
+
+@cache_by_identity
+def _block_centers(blocks: tuple[Block, ...]) -> dict[str, tuple[float, float]]:
+    centers: dict[str, tuple[float, float]] = {}
+    for b in blocks:
+        centers.setdefault(b.name, b.center)
+    return centers
 
 
 def wirelength(design: Design) -> float:
     """Total Manhattan distance from each farm center to its client block centers."""
+    centers = _block_centers(design.floorplan.blocks)
     total = 0.0
-    for net in design.nets:
-        try:
-            farm = design.floorplan.farm(net.farm)
-        except KeyError:
-            raise DesignError(f"net references unknown farm {net.farm!r}")
+    for farm in design.floorplan.farms:
         fx, fy = farm.center
-        for client in net.clients:
+        for client in farm.clients:
             try:
-                block = design.floorplan.block(client)
+                cx, cy = centers[client]
             except KeyError:
-                raise DesignError(f"net {net.farm!r} references unknown block {client!r}")
-            cx, cy = block.center
+                raise DesignError(f"net {farm.name!r} references unknown block {client!r}")
             total += abs(fx - cx) + abs(fy - cy)
     return total
 

@@ -9,6 +9,7 @@ All values carried here are SI (m, W, K).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -129,6 +130,44 @@ class Net:
     clients: tuple[str, ...]
 
 
+def cache_by_identity(fn):
+    """Memoize fn on the identity of its arguments, which must be immutable.
+
+    A candidate floorplan shares its blocks tuple and stack with the design
+    it was derived from, so looking them up by id costs far less than
+    hashing the frozen dataclasses. Each entry keeps its arguments alive, so
+    an id cannot be reused while it is cached.
+    """
+    cache: dict = {}
+
+    @functools.wraps(fn)
+    def cached(*args):
+        key = tuple(map(id, args))
+        entry = cache.get(key)
+        if entry is None:
+            if len(cache) >= 16:
+                cache.clear()
+            entry = cache[key] = (args, fn(*args))
+        return entry[1]
+    return cached
+
+
+def _bounding_box_of(rects) -> tuple[float, float, float, float]:
+    return (
+        min(r[0] for r in rects),
+        min(r[1] for r in rects),
+        max(r[2] for r in rects),
+        max(r[3] for r in rects),
+    )
+
+
+@cache_by_identity
+def _bounding_box(blocks: tuple[Block, ...]) -> tuple[float, float, float, float]:
+    """Bounding box of the fixed blocks; min/max are exact, so folding it into
+    the farms' box gives the same floats as one pass over every rect."""
+    return _bounding_box_of([b.rect for b in blocks])
+
+
 @dataclass(frozen=True)
 class Floorplan:
     """Placement state: fixed blocks plus movable farms. Immutable snapshot."""
@@ -145,26 +184,17 @@ class Floorplan:
     def farm(self, name: str) -> TsvFarm:
         return self.farms[self.farm_index(name)]
 
-    def block(self, name: str) -> Block:
-        for b in self.blocks:
-            if b.name == name:
-                return b
-        raise KeyError(name)
-
     def replace_farm(self, index: int, farm: TsvFarm) -> "Floorplan":
         farms = self.farms[:index] + (farm,) + self.farms[index + 1:]
         return dataclasses.replace(self, farms=farms)
 
     def bounding_box(self) -> tuple[float, float, float, float]:
-        rects = [e.rect for e in self.blocks] + [e.rect for e in self.farms]
+        rects = [f.rect for f in self.farms]
+        if self.blocks:
+            rects.append(_bounding_box(self.blocks))
         if not rects:
             return (0.0, 0.0, 0.0, 0.0)
-        return (
-            min(r[0] for r in rects),
-            min(r[1] for r in rects),
-            max(r[2] for r in rects),
-            max(r[3] for r in rects),
-        )
+        return _bounding_box_of(rects)
 
     def total_farm_area(self) -> float:
         return sum(f.area for f in self.farms)
@@ -330,21 +360,40 @@ def validate(design: Design) -> list[Violation]:
     return v
 
 
-def _check_farm_placement(design: Design, index: int, candidate: TsvFarm) -> None:
-    """Raise InvalidMoveError if the candidate rectangle is illegal anywhere."""
+@cache_by_identity
+def _block_rects_by_layer(blocks: tuple[Block, ...]) -> dict[int, list[tuple[str, tuple]]]:
+    """(name, rect) of the fixed blocks on each layer, in floorplan order."""
+    out: dict[int, list[tuple[str, tuple]]] = {}
+    for b in blocks:
+        out.setdefault(b.layer, []).append((b.name, b.rect))
+    return out
+
+
+def _place_farm(design: Design, index: int, x: float, y: float,
+                width: float, height: float) -> Design:
+    """Give farm `index` a new rectangle on all its layers.
+
+    Raises InvalidMoveError if the rectangle leaves the footprint or
+    collides on any spanned layer; the farm is only rebuilt once legal.
+    """
     stack, fp = design.stack, design.floorplan
+    farm = fp.farms[index]
+    rect = (x, y, x + width, y + height)
     tol = 1e-12 * max(stack.footprint)
-    if not _inside_footprint(candidate.rect, stack, tol):
-        raise InvalidMoveError(f"{candidate.name}: leaves footprint")
-    for layer in range(candidate.start_layer, candidate.end_layer + 1):
-        for b in fp.blocks:
-            if b.layer == layer and rects_overlap(candidate.rect, b.rect):
+    if not _inside_footprint(rect, stack, tol):
+        raise InvalidMoveError(f"{farm.name}: leaves footprint")
+    blocks = _block_rects_by_layer(fp.blocks)
+    for layer in range(farm.start_layer, farm.end_layer + 1):
+        for name, block_rect in blocks.get(layer, ()):
+            if rects_overlap(rect, block_rect):
                 raise InvalidMoveError(
-                    f"{candidate.name}: overlaps {b.name} on layer {layer}")
+                    f"{farm.name}: overlaps {name} on layer {layer}")
         for k, other in enumerate(fp.farms):
-            if k != index and other.spans(layer) and rects_overlap(candidate.rect, other.rect):
+            if k != index and other.spans(layer) and rects_overlap(rect, other.rect):
                 raise InvalidMoveError(
-                    f"{candidate.name}: overlaps {other.name} on layer {layer}")
+                    f"{farm.name}: overlaps {other.name} on layer {layer}")
+    candidate = dataclasses.replace(farm, x=x, y=y, width=width, height=height)
+    return design.with_floorplan(fp.replace_farm(index, candidate))
 
 
 def reshape_farm(design: Design, name: str, ratio: float) -> Design:
@@ -360,9 +409,7 @@ def reshape_farm(design: Design, name: str, ratio: float) -> Design:
         raise InvalidMoveError(f"{name}: ratio {ratio} not a configured candidate")
     width = math.sqrt(farm.area * ratio)
     height = math.sqrt(farm.area / ratio)
-    candidate = dataclasses.replace(farm, width=width, height=height)
-    _check_farm_placement(design, index, candidate)
-    return design.with_floorplan(fp.replace_farm(index, candidate))
+    return _place_farm(design, index, farm.x, farm.y, width, height)
 
 
 def move_farm(design: Design, name: str, origin: tuple[float, float]) -> Design:
@@ -372,6 +419,5 @@ def move_farm(design: Design, name: str, origin: tuple[float, float]) -> Design:
     """
     fp = design.floorplan
     index = fp.farm_index(name)
-    candidate = dataclasses.replace(fp.farms[index], x=origin[0], y=origin[1])
-    _check_farm_placement(design, index, candidate)
-    return design.with_floorplan(fp.replace_farm(index, candidate))
+    farm = fp.farms[index]
+    return _place_farm(design, index, origin[0], origin[1], farm.width, farm.height)

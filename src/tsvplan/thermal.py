@@ -66,7 +66,6 @@ class CellOccupancy:
     lateral_fraction: np.ndarray  # [L, ny, nx] in [0, 1]
     k_farm: np.ndarray            # [L, ny, nx] lateral conductivity of the farm share
     k_metal: np.ndarray           # [L, ny, nx] vertical conductivity of the farm share
-    governing_farm: np.ndarray    # [L, ny, nx] farm index, -1 where none
     power: np.ndarray             # [L, ny, nx] W at reference temperature
 
     @property
@@ -99,12 +98,11 @@ def rasterize(design: Design, grid: GridSpec) -> CellOccupancy:
     lateral_fraction = np.zeros(shape)
     k_farm = np.zeros(shape)
     k_metal = np.zeros(shape)
-    governing = np.full(shape, -1, dtype=np.int32)
     best_area = np.zeros(shape)
     power = np.zeros(shape)
     cell_area = grid.cell_size ** 2
 
-    for idx, farm in enumerate(design.floorplan.farms):
+    for farm in design.floorplan.farms:
         areas = rect_cell_areas(farm.rect, grid)
         frac = areas / cell_area
         for layer in range(farm.start_layer, farm.end_layer + 1):
@@ -112,7 +110,6 @@ def rasterize(design: Design, grid: GridSpec) -> CellOccupancy:
             if farm.blocks_laterally(layer):
                 lateral_fraction[layer] += frac
             take = areas > best_area[layer]
-            governing[layer][take] = idx
             best_area[layer][take] = areas[take]
             k_farm[layer][take] = farm.k_lateral
             k_metal[layer][take] = farm.k_metal
@@ -131,8 +128,7 @@ def rasterize(design: Design, grid: GridSpec) -> CellOccupancy:
     lateral_fraction[lateral_fraction < 1e-12] = 0.0
     lateral_fraction[lateral_fraction > 1 - 1e-12] = 1.0
     lateral_fraction = np.minimum(lateral_fraction, farm_fraction)
-    return CellOccupancy(farm_fraction, lateral_fraction, k_farm, k_metal,
-                         governing, power)
+    return CellOccupancy(farm_fraction, lateral_fraction, k_farm, k_metal, power)
 
 
 def resistance(thickness: float, conductivity: float, area: float) -> float:

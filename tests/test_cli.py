@@ -148,7 +148,7 @@ class TestOptimize:
         from tsvplan.anneal import summarize
         from tsvplan.thermal import grid_for
         best = parse_design(out / "optimized.design")
-        redo = summarize(best, grid_for(best.stack),
+        redo, _ = summarize(best, grid_for(best.stack),
                          best.stack.tech.leakage_coeff, best.stack.tech.leakage_tref)
         assert redo.average == pytest.approx(report["after"]["average"], rel=1e-9)
         assert redo.peak == pytest.approx(report["after"]["peak"], rel=1e-9)

@@ -4,30 +4,13 @@ from hypothesis import strategies as st
 
 from tsvplan.metrics import (CostWeights, adjacent_block_pairs, combine,
                              conduction_efficiency, cost, floorplan_area,
-                             heat_conduction, path_conductivity, ratio_penalty,
+                             path_conductivity, ratio_penalty, strip_table,
                              total_efficiency, wirelength)
 from tsvplan.model import move_farm
 from tsvplan.thermal import grid_for, resistance, solve_design
 from tsvplan.errors import DesignError
 
 from conftest import MM, block, farm, make_design, make_tech
-
-
-class TestHeatConduction:
-    def test_zero_gradient(self):
-        assert heat_conduction(149.0, 1e-9, 0.0, 1e-4) == 0.0
-
-    def test_silicon_example(self):
-        assert heat_conduction(149.0, 1e-9, 10.0, 1e-4) == pytest.approx(1.49e-2)
-
-    def test_linear_in_delta_t(self):
-        one = heat_conduction(149.0, 1e-9, 5.0, 1e-4)
-        two = heat_conduction(149.0, 1e-9, 10.0, 1e-4)
-        assert two == pytest.approx(2 * one)
-
-    def test_zero_distance_rejected(self):
-        with pytest.raises(ValueError):
-            heat_conduction(149.0, 1e-9, 1.0, 0.0)
 
 
 class TestConductionEfficiency:
@@ -147,7 +130,7 @@ class TestTotalEfficiency:
     def test_two_abutting_blocks_single_pair(self):
         d = make_design(blocks=(block("a", 0, 0.4, 0.4, 0.4, 0.4),
                                 block("b", 0, 0.8, 0.4, 0.4, 0.4)))
-        pairs = adjacent_block_pairs(d)
+        pairs = adjacent_block_pairs(d.floorplan.blocks, d.stack.tech)
         assert len(pairs) == 1
         # shared face 0.4 mm x 10 um thick silicon, centers 0.4 mm apart
         expected = 149.0 * (0.4 * MM * 10e-6) / (0.4 * MM)
@@ -162,12 +145,14 @@ class TestTotalEfficiency:
             farms=(farm("f", 0.7, 0.8, 0.4, 0.4, start=0, end=1),))
         open_corridor = move_farm(blocked, "f", (0.7 * MM, 1.5 * MM))
         assert total_efficiency(open_corridor) > total_efficiency(blocked)
-        # series oracle for the blocked value
-        a, b, _ = adjacent_block_pairs(blocked)[0][:3]
-        k_eff, area, x = path_conductivity(blocked, a, b, "x")
-        crossing = 0.4 * MM
+        # series oracle for the blocked value: the farm covers the whole
+        # shared face, so every strip crosses 0.4 mm of it
+        table = strip_table(blocked.floorplan.blocks, blocked.stack)
+        k_eff = path_conductivity(table, blocked.floorplan.farms)
+        assert len(table.pairs) == 1 and len(k_eff) == 4
+        x, crossing = 1.2 * MM, 0.4 * MM
         k_oracle = x / (crossing / 0.5 + (x - crossing) / 149.0)
-        assert k_eff == pytest.approx(k_oracle, rel=1e-12)
+        assert k_eff == pytest.approx([k_oracle] * 4, rel=1e-12)
 
     def test_landing_layer_farm_does_not_block(self):
         blocks = (block("a", 1, 0.2, 0.8, 0.4, 0.4),

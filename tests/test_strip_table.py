@@ -1,0 +1,201 @@
+"""The table-based f_H must equal a plain per-strip scalar walk bit for bit,
+and a fixed-seed optimization must replay the trace recorded before the
+strip table existed."""
+
+import dataclasses
+import functools
+import hashlib
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tsvplan.anneal import AnnealConfig, FlowConfig, optimize_stack
+from tsvplan.benchmarks import blockage_design, corememory_design, multicore_design
+from tsvplan.design_io import format_trace
+from tsvplan.errors import InvalidMoveError
+from tsvplan.metrics import total_efficiency
+from tsvplan.model import move_farm, reshape_farm
+from tsvplan.thermal import block_average_temperature, grid_for, solve_design
+
+BUILDERS = {"blockage": blockage_design, "multicore": multicore_design,
+            "corememory": corememory_design}
+
+
+def oracle_pairs(design):
+    tech = design.stack.tech
+    window = tech.adjacency_window if tech.adjacency_window is not None else tech.grid_cell
+    blocks = design.floorplan.blocks
+    pairs = []
+    for i in range(len(blocks)):
+        for j in range(i + 1, len(blocks)):
+            a, b = blocks[i], blocks[j]
+            if a.layer != b.layer:
+                continue
+            ax0, ay0, ax1, ay1 = a.rect
+            bx0, by0, bx1, by1 = b.rect
+            overlap_x = min(ax1, bx1) - max(ax0, bx0)
+            overlap_y = min(ay1, by1) - max(ay0, by0)
+            gap_x = max(ax0 - bx1, bx0 - ax1)
+            gap_y = max(ay0 - by1, by0 - ay1)
+            if overlap_y > 0 and 0 <= gap_x < window:
+                pairs.append((a, b, "x"))
+            elif overlap_x > 0 and 0 <= gap_y < window:
+                pairs.append((a, b, "y"))
+    return pairs
+
+
+def oracle_strip_k(design, a, b, axis, line):
+    """Series conductivity of one strip, walking the farms one by one."""
+    k_si = design.stack.layers[a.layer].material.conductivity
+    if axis == "x":
+        lo, hi = sorted((a.center[0], b.center[0]))
+    else:
+        lo, hi = sorted((a.center[1], b.center[1]))
+    distance = hi - lo
+    crossing = farm_length = 0.0
+    for farm in design.floorplan.farms:
+        if not farm.blocks_laterally(a.layer):
+            continue
+        fx0, fy0, fx1, fy1 = farm.rect
+        if axis == "x":
+            if not (fy0 <= line <= fy1):
+                continue
+            seg = min(hi, fx1) - max(lo, fx0)
+        else:
+            if not (fx0 <= line <= fx1):
+                continue
+            seg = min(hi, fy1) - max(lo, fy0)
+        if seg > 0:
+            crossing += seg / farm.k_lateral
+            farm_length += seg
+    return distance / (crossing + (distance - farm_length) / k_si), distance
+
+
+def oracle_pair(design, a, b, axis):
+    thickness = design.stack.layers[a.layer].thickness
+    ax0, ay0, ax1, ay1 = a.rect
+    bx0, by0, bx1, by1 = b.rect
+    if axis == "x":
+        span_lo, span_hi = max(ay0, by0), min(ay1, by1)
+    else:
+        span_lo, span_hi = max(ax0, bx0), min(ax1, bx1)
+    shared = span_hi - span_lo
+    count = max(1, int(math.ceil(shared / design.stack.tech.grid_cell - 1e-9)))
+    width = shared / count
+    total = 0.0
+    for i in range(count):
+        k_eff, distance = oracle_strip_k(design, a, b, axis, span_lo + (i + 0.5) * width)
+        total += k_eff * (width * thickness) / distance
+    return total
+
+
+def oracle_total(design, field=None, grid=None):
+    pairs = oracle_pairs(design)
+    if not pairs:
+        return 0.0
+    terms = [oracle_pair(design, a, b, axis) for a, b, axis in pairs]
+    if field is None:
+        return float(sum(terms))
+    deltas = [abs(block_average_temperature(field, a, grid)
+                  - block_average_temperature(field, b, grid)) for a, b, _ in pairs]
+    top = max(max(deltas), 1.0)
+    return float(sum(t * d / top for t, d in zip(terms, deltas)))
+
+
+@functools.lru_cache(maxsize=None)
+def weighted_start(name):
+    """The builder's design with gradient weighting on, plus its solved field."""
+    design = BUILDERS[name]()
+    tech = dataclasses.replace(design.stack.tech, gradient_weighting=True)
+    design = dataclasses.replace(design, stack=dataclasses.replace(design.stack, tech=tech))
+    grid = grid_for(design.stack)
+    return design, solve_design(design, grid), grid
+
+
+def strip_lines(design, a, b, axis):
+    ax0, ay0, ax1, ay1 = a.rect
+    bx0, by0, bx1, by1 = b.rect
+    if axis == "x":
+        span_lo, span_hi = max(ay0, by0), min(ay1, by1)
+    else:
+        span_lo, span_hi = max(ax0, bx0), min(ax1, bx1)
+    count = max(1, int(math.ceil((span_hi - span_lo) / design.stack.tech.grid_cell - 1e-9)))
+    width = (span_hi - span_lo) / count
+    return [span_lo + (i + 0.5) * width for i in range(count)]
+
+
+def ending_at(line, size):
+    """A start whose start + size lands exactly on line, if an ulp step finds one."""
+    start = line - size
+    for _ in range(4):
+        if start + size == line:
+            break
+        start = math.nextafter(start, math.inf if start + size < line else -math.inf)
+    return start
+
+
+def drawn_origin(design, farm, kind, pick, fx, fy):
+    """A random origin (kind 1, snapped to half cells when pick is odd) or one
+    that puts the farm's near (pick even) or far edge exactly on a strip's
+    centre line (kind 2)."""
+    fw, fh = design.stack.footprint
+    if kind == 1:
+        x, y = fx * (fw - farm.width), fy * (fh - farm.height)
+        if pick % 2:
+            half = design.stack.tech.grid_cell / 2
+            x, y = math.floor(x / half) * half, math.floor(y / half) * half
+        return x, y
+    pairs = oracle_pairs(design)
+    a, b, axis = pairs[pick % len(pairs)]
+    lines = strip_lines(design, a, b, axis)
+    line = lines[min(int(fx * len(lines)), len(lines) - 1)]
+    if axis == "x":
+        lo, hi = sorted((a.center[0], b.center[0]))
+        y = ending_at(line, farm.height) if pick % 2 else line
+        return lo + fy * (hi - lo) - farm.width / 2, y
+    lo, hi = sorted((a.center[1], b.center[1]))
+    x = ending_at(line, farm.width) if pick % 2 else line
+    return x, lo + fy * (hi - lo) - farm.height / 2
+
+
+# (farm draw, kind: 0 reshape / 1 random move / 2 move onto a strip line,
+#  ratio or pair draw, x fraction, y fraction)
+steps = st.lists(st.tuples(st.integers(0, 63), st.integers(0, 2), st.integers(0, 63),
+                           st.floats(0, 1), st.floats(0, 1)),
+                 min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(BUILDERS)), moves=steps)
+def test_table_matches_scalar_walk_over_random_moves(name, moves):
+    design, field, grid = weighted_start(name)
+    for pick, kind, draw, fx, fy in moves:
+        farms = design.floorplan.farms
+        farm = farms[pick % len(farms)]
+        try:
+            if kind == 0:
+                ratios = design.stack.tech.aspect_ratios
+                design = reshape_farm(design, farm.name, ratios[draw % len(ratios)])
+            else:
+                design = move_farm(design, farm.name,
+                                   drawn_origin(design, farm, kind, draw, fx, fy))
+        except InvalidMoveError:
+            continue
+        assert total_efficiency(design, field, grid) == oracle_total(design, field, grid)
+        proxy = dataclasses.replace(design.stack.tech, gradient_weighting=False)
+        unweighted = dataclasses.replace(
+            design, stack=dataclasses.replace(design.stack, tech=proxy))
+        assert total_efficiency(unweighted, field, grid) == oracle_total(unweighted)
+
+
+# SHA-256 of format_trace for the run below, recorded with the scalar f_H
+# that predates the strip table.
+GOLDEN_TRACE_SHA256 = "6d5e54307cf2ed036cee3c3d9beb9bde60d15784e82fc031093212c90c09804d"
+
+
+def test_golden_trace_replays():
+    result = optimize_stack(blockage_design(), AnnealConfig(seed=1, max_moves=10),
+                            FlowConfig(outer_iterations=1))
+    digest = hashlib.sha256(format_trace(result.trace).encode()).hexdigest()
+    assert digest == GOLDEN_TRACE_SHA256

@@ -165,8 +165,8 @@ def strip_table(blocks: tuple[Block, ...], stack: Stack) -> StripTable:
     max_strips = int(index.max()) + 1 if index.size else 1
     slot = pair * max_strips + index
     counts = np.array([len(rows["x"]), len(rows["y"])])
-    for shared in (cols, slot, counts):   # every caller gets these same arrays
-        shared.flags.writeable = False
+    for array in (cols, slot, counts):   # every caller gets these same arrays
+        array.flags.writeable = False
     return StripTable(
         pairs=tuple(pairs), axis_counts=counts,
         layer=cols[0], line=cols[1], lo=cols[2], hi=cols[3],

@@ -16,8 +16,8 @@ import numpy as np
 from .errors import InvalidMoveError
 from .metrics import CostBreakdown, CostWeights, cost, floorplan_area, wirelength
 from .model import Design, move_farm, reshape_farm
-from .thermal import (FieldStats, GridSpec, TemperatureField, couple_leakage,
-                      field_stats, grid_for, layer_averages, solve_design)
+from .thermal import (FieldStats, GridSpec, TemperatureField, field_stats,
+                      grid_for, layer_averages, solve_field)
 
 RNG_KIND = "numpy-PCG64"  # echoed into reports so traces are replayable
 
@@ -44,7 +44,7 @@ class AnnealConfig:
 
 @dataclass(frozen=True)
 class FlowConfig:
-    outer_iterations: int = 3
+    outer_iterations: int = 2
     cell_size: float | None = None       # None: tech.grid_cell
     leakage_coeff: float | None = None   # None: tech.leakage_coeff
     leakage_tref: float | None = None
@@ -211,13 +211,8 @@ class Evaluator:
         self._warm = None
 
     def solve(self, design: Design, warm: bool = True):
-        x0 = self._warm if warm else None
-        if self.leakage_coeff > 0:
-            result = couple_leakage(design, self.grid, self.leakage_coeff,
-                                    self.leakage_tref, x0=x0)
-            field = result.field
-        else:
-            field = solve_design(design, self.grid, x0=x0)
+        field = solve_field(design, self.grid, self.leakage_coeff, self.leakage_tref,
+                            x0=self._warm if warm else None)
         self._warm = field.t
         return field
 
@@ -252,10 +247,7 @@ def summarize(design: Design, grid: GridSpec, leakage_coeff: float = 0.0,
 
     Returns the summary and the solved field it was computed from.
     """
-    if leakage_coeff > 0:
-        field = couple_leakage(design, grid, leakage_coeff, leakage_tref).field
-    else:
-        field = solve_design(design, grid)
+    field = solve_field(design, grid, leakage_coeff, leakage_tref)
     stats: FieldStats = field_stats(field, design, grid)
     summary = DesignSummary(
         wirelength=wirelength(design),
@@ -330,6 +322,7 @@ def optimize_stack(design: Design, anneal: AnnealConfig = AnnealConfig(),
     before, before_field = summarize(design, grid, lam, tref)
     evaluator = Evaluator(grid, weights, lam, tref)
     if weights is None:
+        # the cold field of `before`, which also seeds the warm chain
         field0 = evaluator.solve(design, warm=False)
         weights = CostWeights.calibrated(design, field0, grid)
     evaluator.weights = weights
@@ -338,20 +331,18 @@ def optimize_stack(design: Design, anneal: AnnealConfig = AnnealConfig(),
     trace = RunTrace()
     current = design
     current_cost = evaluator.cost(current)
-    best_design = design
-    best_average = before.average
+    best_design, best = design, (before, before_field)
 
     for outer in range(1, flow.outer_iterations + 1):
         for layer in range(design.stack.num_layers):
             current, current_cost = layer_pass(current, layer, evaluator,
                                                anneal, rng, trace, outer,
                                                current_cost)
-        snapshot, _ = summarize(current, grid, lam, tref)
-        if snapshot.average < best_average:
-            best_average = snapshot.average
-            best_design = current
-        trace.outers.append(OuterRecord(outer, snapshot.average, best_average))
+        snapshot = summarize(current, grid, lam, tref)
+        if snapshot[0].average < best[0].average:
+            best_design, best = current, snapshot
+        trace.outers.append(OuterRecord(outer, snapshot[0].average, best[0].average))
 
-    after, after_field = summarize(best_design, grid, lam, tref)
+    after, after_field = best
     return OptimizeResult(best_design, trace, weights, grid, before, after,
                           evaluator.evaluations, before_field, after_field)

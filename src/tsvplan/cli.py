@@ -21,7 +21,7 @@ from .errors import DesignError, SolverError
 from .metrics import CostWeights
 from .model import validate
 from .sweeps import default_values, format_sweep_table, run_sweep
-from .thermal import couple_leakage, field_stats, grid_for, solve_design
+from .thermal import field_stats, grid_for, solve_field
 from .units import parse_length
 
 
@@ -90,12 +90,7 @@ def _config_echo(design, grid, anneal, flow, weights):
 def analyze(design_path, grid_cell, leakage_lambda, out_dir):
     """Solve the thermal field of a design and write per-layer map files."""
     design, grid = _load(design_path, grid_cell)
-    tech = design.stack.tech
-    lam = tech.leakage_coeff if leakage_lambda is None else leakage_lambda
-    if lam > 0:
-        field = couple_leakage(design, grid, lam).field
-    else:
-        field = solve_design(design, grid)
+    field = solve_field(design, grid, leakage_lambda)
     paths = write_thermal_maps(field, grid, out_dir)
     stats = field_stats(field, design, grid)
     line = f"peakT {stats.peak:.4f} K  avgT {stats.average:.4f} K"
@@ -110,16 +105,21 @@ def analyze(design_path, grid_cell, leakage_lambda, out_dir):
 
 
 def _anneal_flow_options(fn):
-    fn = click.option("--seed", type=int, default=0, show_default=True)(fn)
+    fn = click.option("--seed", type=int, default=AnnealConfig.seed, show_default=True)(fn)
     fn = click.option("--grid-cell", default=None)(fn)
-    fn = click.option("--outer-iters", type=int, default=2, show_default=True)(fn)
+    fn = click.option("--outer-iters", type=int, default=FlowConfig.outer_iterations,
+                      show_default=True)(fn)
     fn = click.option("--weights", "weights_spec", default=None,
                       help="area,efficiency,ratio,wirelength (default: calibrated).")(fn)
     fn = click.option("--preset-ratio", type=float, default=None,
-                      help="Target bounding-box aspect ratio.")(fn)
+                      help="Target bounding-box aspect ratio. A sweep accepts it "
+                           "only with --weights: calibrated sweeps use each "
+                           "point's own bounding ratio.")(fn)
     fn = click.option("--leakage-lambda", type=float, default=None)(fn)
-    fn = click.option("--max-moves", type=int, default=40, show_default=True)(fn)
-    fn = click.option("--cooling", type=float, default=0.85, show_default=True)(fn)
+    fn = click.option("--max-moves", type=int, default=AnnealConfig.max_moves,
+                      show_default=True)(fn)
+    fn = click.option("--cooling", type=float, default=AnnealConfig.cooling,
+                      show_default=True)(fn)
     fn = click.option("--t-initial", type=float, default=None)(fn)
     fn = click.option("--t-threshold", type=float, default=None)(fn)
     fn = click.option("--out-dir", default="out", show_default=True)(fn)
@@ -139,12 +139,8 @@ def _build_configs(seed, outer_iters, max_moves, cooling, t_initial, t_threshold
 def _resolve_weights(design, grid, flow, weights_spec, preset_ratio):
     if weights_spec:
         return _parse_weights(weights_spec, preset_ratio)
-    lam = (design.stack.tech.leakage_coeff if flow.leakage_coeff is None
-           else flow.leakage_coeff)
-    if lam > 0:
-        field0 = couple_leakage(design, grid, lam).field
-    else:
-        field0 = solve_design(design, grid)
+    # the same cold solve optimize_stack summarizes as `before`, done once
+    field0 = solve_field(design, grid, flow.leakage_coeff, flow.leakage_tref)
     weights = CostWeights.calibrated(design, field0, grid)
     if preset_ratio is not None:
         weights = dataclasses.replace(weights, ratio_target=preset_ratio)
@@ -205,6 +201,9 @@ def sweep(design_path, axis, values, seed, grid_cell, outer_iters, weights_spec,
     weights = None
     if weights_spec:
         weights = _parse_weights(weights_spec, preset_ratio)
+    elif preset_ratio is not None:
+        raise DesignError("--preset-ratio needs --weights in a sweep: calibrated "
+                          "sweeps use each point's own bounding ratio")
 
     points = run_sweep(design, axis, axis_values, anneal, flow, weights=weights)
     table = format_sweep_table(axis, points)

@@ -18,7 +18,8 @@ from .errors import DesignError, ParseError
 from .model import (DEFAULT_MATERIALS, Block, Design, Floorplan, Layer,
                     Material, Stack, TechnologyParams, TsvFarm, validate)
 from .thermal import GridSpec, TemperatureField
-from .units import format_length, format_temperature, parse_length, parse_temperature
+from .units import (format_length, format_temperature, parse_float, parse_length,
+                    parse_temperature)
 
 SECTIONS = ("materials", "tech", "layers", "blocks", "farms", "nets", "power")
 
@@ -85,14 +86,14 @@ def parse_design(source: str | Path, text: str | None = None,
             errors.append((lineno, "material row needs: name conductivity"))
             continue
         try:
-            mat = Material(tok[0], float(tok[1]))
-        except ValueError:
-            errors.append((lineno, f"bad conductivity {tok[1]!r}"))
+            mat = Material(tok[0], parse_float(tok[1]))
+        except DesignError as exc:
+            errors.append((lineno, f"bad conductivity: {exc}"))
             continue
         materials[mat.name] = mat
         declared.append(mat)
 
-    tech_kv: dict[str, str] = {}
+    tech_kv: dict[str, tuple[int, str]] = {}
     for lineno, tok in rows["tech"]:
         if "=" not in tok:
             errors.append((lineno, "tech line needs: key = value"))
@@ -105,27 +106,27 @@ def parse_design(source: str | Path, text: str | None = None,
             continue
         if key in tech_kv:
             errors.append((lineno, f"duplicate tech key {key!r}"))
-        tech_kv[key] = value
+        tech_kv[key] = (lineno, value)
 
     tech_args: dict = {}
-    for key, value in tech_kv.items():
+    for key, (lineno, value) in tech_kv.items():
         try:
             if key in _TECH_LENGTHS:
                 tech_args[key if key != "adjacency_window" else key] = parse_length(value)
             elif key == "ambient" or key == "leakage_tref":
                 tech_args[key] = parse_temperature(value)
             elif key in _TECH_FLOATS:
-                tech_args[key] = float(value)
+                tech_args[key] = parse_float(value)
             elif key in _TECH_BOOLS:
                 tech_args[key] = _parse_bool(value)
             elif key == "aspect_ratios":
-                tech_args[key] = tuple(float(v) for v in value.split())
+                tech_args[key] = tuple(parse_float(v) for v in value.split())
             else:
-                errors.append((0, f"unknown tech key {key!r}"))
-        except (ValueError, DesignError) as exc:
-            errors.append((0, f"tech key {key!r}: {exc}"))
+                errors.append((lineno, f"unknown tech key {key!r}"))
+        except DesignError as exc:
+            errors.append((lineno, f"tech key {key!r}: {exc}"))
     for key in _TECH_REQUIRED:
-        if key not in tech_args:
+        if key not in tech_kv:
             errors.append((0, f"missing required tech key {key!r}"))
     if errors:
         raise ParseError(errors)
@@ -178,7 +179,7 @@ def parse_design(source: str | Path, text: str | None = None,
             w, h = parse_length(tok[3]), parse_length(tok[4])
             farms.append(TsvFarm(tok[0], parse_length(tok[1]), parse_length(tok[2]),
                                  w, h, int(tok[5]), int(tok[6]),
-                                 float(tok[7]), float(tok[8]), area=w * h))
+                                 parse_float(tok[7]), parse_float(tok[8]), area=w * h))
         except (ValueError, DesignError) as exc:
             errors.append((lineno, str(exc)))
 
@@ -206,10 +207,10 @@ def parse_design(source: str | Path, text: str | None = None,
             errors.append((lineno, f"power references unknown block {tok[0]!r}"))
             continue
         try:
-            watts = float(tok[1])
-            leak = float(tok[2]) if len(tok) == 3 else 0.0
-        except ValueError:
-            errors.append((lineno, "bad power value"))
+            watts = parse_float(tok[1])
+            leak = parse_float(tok[2]) if len(tok) == 3 else 0.0
+        except DesignError as exc:
+            errors.append((lineno, f"bad power value: {exc}"))
             continue
         i = block_by_name[tok[0]]
         blocks[i] = dataclasses.replace(blocks[i], power=watts, leakage_ref=leak)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anneal import AnnealConfig, FlowConfig, optimize_stack
-from .errors import DesignError
+from .errors import DesignError, SolverError
 from .model import Design, Floorplan, Layer, Stack
 
 
@@ -128,7 +128,7 @@ def run_sweep(design: Design, axis: str, values, anneal: AnnealConfig,
             point.after_core_avg = result.after.per_layer_average[0]
             point.before_stack_avg = result.before.average
             point.after_stack_avg = result.after.average
-        except Exception as exc:  # record and continue with the next point
+        except (DesignError, SolverError) as exc:  # record it, go on to the next point
             point.status = f"error: {exc}"
         points.append(point)
     return points

@@ -10,11 +10,11 @@ shared equally by its cells. Lateral faces and the top are adiabatic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg
 
 from .errors import GridError, SingularNetworkError, SolverError, ThermalRunawayError
 from .model import Design, Stack
@@ -116,7 +116,7 @@ def rasterize(design: Design, grid: GridSpec) -> CellOccupancy:
 
     for block in design.floorplan.blocks:
         watts = block.power + block.leakage_ref
-        if watts > 0:
+        if watts != 0:  # a NaN power must reach the solver, which rejects it
             power[block.layer] += watts * block_cell_weights(block, grid)
 
     np.clip(farm_fraction, 0.0, 1.0, out=farm_fraction)
@@ -281,6 +281,41 @@ def system_matrix(network: ConductanceNetwork):
     return matrix
 
 
+def _jacobi_pcg(matrix, b: np.ndarray, x: np.ndarray, inv_diag: np.ndarray,
+                atol: float, maxiter: int) -> np.ndarray:
+    """Jacobi-preconditioned conjugate gradients, updating x in place.
+
+    Performs scipy.sparse.linalg.cg's arithmetic (scipy 1.17, rtol=0,
+    M = diag(inv_diag)) operation for operation, so the result is bit-identical
+    to it, without the LinearOperator dispatch. A NaN or inf residual norm or
+    rho raises SolverError at once instead of running out the budget.
+    """
+    if np.linalg.norm(b) == 0:
+        return b
+    r = b - matrix @ x if x.any() else b.copy()
+    rho_prev = p = None
+    for _ in range(maxiter):
+        norm = np.linalg.norm(r)
+        if norm < atol:
+            return x
+        z = inv_diag * r
+        rho = np.dot(r, z)
+        if not (math.isfinite(norm) and math.isfinite(rho)):
+            raise SolverError("non-finite residual in the steady-state solve",
+                              residual=float(norm))
+        if p is None:
+            p = z
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = matrix @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x
+
+
 def solve_steady_state(network: ConductanceNetwork, power: np.ndarray,
                        ambient: float, x0: np.ndarray | None = None,
                        matrix=None) -> TemperatureField:
@@ -303,13 +338,10 @@ def solve_steady_state(network: ConductanceNetwork, power: np.ndarray,
 
     target = RESIDUAL_RTOL * max(float(power.max(initial=0.0)), 1.0)
     start = np.full(n, ambient) if x0 is None else x0.ravel().copy()
-    diag = matrix.diagonal()
-    precond = sp.diags(1.0 / diag)
-
-    x, _ = cg(matrix, rhs, x0=start, rtol=0.0, atol=target * 1e-4,
-              maxiter=100 * n, M=precond)
+    x = _jacobi_pcg(matrix, rhs, start, 1.0 / matrix.diagonal(),
+                    atol=target * 1e-4, maxiter=100 * n)
     residual = float(np.abs(rhs - matrix @ x).max())
-    if residual > target:
+    if not residual <= target:
         raise SolverError(
             f"steady-state solve did not reach residual {target:g}", residual=residual)
     return TemperatureField(x.reshape(grid.num_layers, grid.cells_y, grid.cells_x),
@@ -383,6 +415,41 @@ def couple_leakage(design: Design, grid: GridSpec,
             last_delta = delta
         t_prev = field.t
     raise SolverError("leakage iteration did not converge within 50 solves")
+
+
+COLD_FIELDS_KEPT = 8
+_cold_fields: dict = {}  # (id(design), id(grid), coeff, t_ref) -> (design, grid, field)
+
+
+def solve_field(design: Design, grid: GridSpec, leakage_coeff: float | None = None,
+                t_ref: float | None = None,
+                x0: np.ndarray | None = None) -> TemperatureField:
+    """Solve a design: the leakage fixed point when the coefficient (default:
+    the design's) is positive, else one solve at reference leakage.
+
+    A cold solve (no x0) depends only on its arguments, so its field is kept
+    for the last COLD_FIELDS_KEPT (design, grid) objects and coefficient
+    values, and returned read-only to every later caller. Each entry keeps
+    its design and grid alive, so their ids cannot be reused while cached.
+    """
+    tech = design.stack.tech
+    lam = tech.leakage_coeff if leakage_coeff is None else leakage_coeff
+    ref = tech.leakage_tref if t_ref is None else t_ref
+    if x0 is None:
+        key = (id(design), id(grid), lam, ref)
+        entry = _cold_fields.get(key)
+        if entry is not None:
+            return entry[2]
+    if lam > 0:
+        field = couple_leakage(design, grid, lam, ref, x0=x0).field
+    else:
+        field = solve_design(design, grid, x0=x0)
+    if x0 is None:
+        field.t.flags.writeable = False
+        if len(_cold_fields) >= COLD_FIELDS_KEPT:
+            del _cold_fields[next(iter(_cold_fields))]
+        _cold_fields[key] = (design, grid, field)
+    return field
 
 
 def block_average_temperature(field: TemperatureField, block, grid: GridSpec) -> float:

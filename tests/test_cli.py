@@ -1,11 +1,14 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from tsvplan.anneal import AnnealConfig, FlowConfig
 from tsvplan.cli import main
 from tsvplan.design_io import emit_design, parse_design
+from tsvplan.errors import SolverError
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -95,11 +98,28 @@ class TestAnalyze:
         assert result.exit_code == 1
 
     def test_solver_error_exits_2(self, runner, tmp_path):
-        # infinite package resistance -> floating network
-        path = _write(tmp_path, ZERO_POWER.replace(
-            "package_resistance = 10.0", "package_resistance = inf"))
-        result = runner.invoke(main, ["analyze", str(path)])
+        # a leakage slope this steep runs away
+        path = _write(tmp_path, TINY_OPT)
+        result = runner.invoke(main, ["analyze", str(path), "--leakage-lambda", "5",
+                                      "--out-dir", str(tmp_path / "out")])
         assert result.exit_code == 2
+        assert "diverging" in result.output
+
+    @pytest.mark.parametrize("old, new", [
+        ("silicon 149.0", "silicon nan"),
+        ("package_resistance = 15.0", "package_resistance = inf"),
+    ])
+    def test_non_finite_input_exits_1_at_once(self, runner, tmp_path, old, new):
+        text = (REPO / "designs" / "blockage.design").read_text()
+        assert old in text
+        path = _write(tmp_path, text.replace(old, new))
+        started = time.perf_counter()
+        for args in (["check", str(path)],
+                     ["analyze", str(path), "--out-dir", str(tmp_path / "out")]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 1, result.output
+            assert "non-finite" in result.output
+        assert time.perf_counter() - started < 5.0
 
     def test_grid_cell_override(self, runner, tmp_path):
         path = _write(tmp_path, ZERO_POWER)
@@ -205,6 +225,47 @@ class TestSweep:
         assert statuses[0].startswith("error")
         assert statuses[1] == "ok"
         assert result.exit_code == 2
+
+    def _sweep_with(self, runner, tmp_path, monkeypatch, exc):
+        import tsvplan.sweeps as sweeps
+
+        def failing(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(sweeps, "optimize_stack", failing)
+        return runner.invoke(main, [
+            "sweep", str(_write(tmp_path, TINY_OPT)), "--axis", "k_farm",
+            "--values", "0.5", "--out-dir", str(tmp_path / "sweep")])
+
+    def test_solver_error_marks_the_point(self, runner, tmp_path, monkeypatch):
+        result = self._sweep_with(runner, tmp_path, monkeypatch,
+                                  SolverError("no convergence"))
+        assert result.exit_code == 2
+        sweep = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
+        assert sweep["points"][0]["status"] == "error: no convergence"
+
+    def test_internal_error_is_not_a_point_error(self, runner, tmp_path, monkeypatch):
+        result = self._sweep_with(runner, tmp_path, monkeypatch, RuntimeError("bug"))
+        assert result.exit_code == 3
+        assert "internal error: bug" in result.output
+        assert not (tmp_path / "sweep").exists()
+
+    def test_preset_ratio_needs_explicit_weights(self, runner, tmp_path):
+        path = _write(tmp_path, TINY_OPT)
+        result = runner.invoke(main, [
+            "sweep", str(path), "--axis", "k_farm", "--values", "0.5",
+            "--preset-ratio", "2", "--out-dir", str(tmp_path / "sweep")])
+        assert result.exit_code == 1
+        assert "own bounding ratio" in result.output
+        assert not (tmp_path / "sweep").exists()
+
+
+def test_option_defaults_come_from_the_configs():
+    defaults = {p.name: p.default for p in main.commands["optimize"].params}
+    assert defaults["seed"] == AnnealConfig().seed
+    assert defaults["max_moves"] == AnnealConfig().max_moves
+    assert defaults["cooling"] == AnnealConfig().cooling
+    assert defaults["outer_iters"] == FlowConfig().outer_iterations == 2
+    assert {p.name: p.default for p in main.commands["sweep"].params}["outer_iters"] == 2
 
 
 class TestCheck:

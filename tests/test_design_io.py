@@ -26,6 +26,12 @@ heater 0 100um 100um 400um 400um macro
 heater 0.5
 """
 
+FULL = MINIMAL.replace("[tech]", "[materials]\nsilicon 149.0\n\n[tech]").replace(
+    "package_resistance = 10.0", "package_resistance = 10.0\naspect_ratios = 1.0") + """
+[farms]
+bus 600um 600um 200um 200um 0 0 0.5 173
+"""
+
 
 class TestUnits:
     def test_length_forms(self):
@@ -97,6 +103,29 @@ bus 50um 50um 200um 200um 0 0 0.5 173
 """
         with pytest.raises(DesignError):
             parse_design("<inline>", text=text)  # farm overlaps heater
+
+    @pytest.mark.parametrize("old, new", [
+        ("silicon 149.0", "silicon nan"),                          # material
+        ("package_resistance = 10.0", "package_resistance = inf"),  # tech float
+        ("ambient = 25 C", "ambient = 1e999 C"),                   # tech temperature
+        ("grid_cell = 100 um", "grid_cell = 1e999 um"),            # tech length
+        ("aspect_ratios = 1.0", "aspect_ratios = 1.0 -inf"),       # tech list
+        ("0 10um silicon", "0 1e400um silicon"),                   # layer
+        ("heater 0 100um 100um 400um", "heater 0 100um 100um 1e999um"),  # block
+        ("0 0 0.5 173", "0 0 nan 173"),                            # farm k_lateral
+        ("0 0 0.5 173", "0 0 0.5 inf"),                            # farm k_metal
+        ("heater 0.5", "heater NaN"),                              # power
+        ("heater 0.5", "heater 0.5 infinity"),                     # leakage power
+    ])
+    def test_non_finite_value_rejected_with_line(self, old, new):
+        text = FULL.replace(old, new)
+        assert text != FULL
+        line = next(i for i, row in enumerate(text.splitlines(), start=1)
+                    if new.split("\n")[-1] in row)
+        with pytest.raises(ParseError) as err:
+            parse_design("<inline>", text=text)
+        assert any(n == line and "non-finite" in message
+                   for n, message in err.value.errors)
 
     def test_power_row_requires_known_block(self):
         bad = MINIMAL.replace("heater 0.5", "phantom 0.5")

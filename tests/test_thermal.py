@@ -1,13 +1,19 @@
+import time
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import cg
 
-from tsvplan.errors import SingularNetworkError, ThermalRunawayError
-from tsvplan.thermal import (ConductanceNetwork, GridSpec, block_cell_weights,
-                             build_network, composite_lateral_resistance,
-                             composite_resistance, composite_vertical_resistance,
-                             couple_leakage, field_stats, grid_for, rasterize,
-                             resistance, solve_design, solve_steady_state,
-                             system_matrix)
+from tsvplan.errors import SingularNetworkError, SolverError, ThermalRunawayError
+from tsvplan.thermal import (RESIDUAL_RTOL, ConductanceNetwork, GridSpec,
+                             block_cell_weights, build_network,
+                             composite_lateral_resistance, composite_resistance,
+                             composite_vertical_resistance, couple_leakage,
+                             field_stats, grid_for, rasterize, resistance,
+                             solve_design, solve_steady_state, system_matrix)
 from conftest import MM, UM, block, farm, make_design, make_tech
 
 AMBIENT = 298.15
@@ -257,6 +263,68 @@ class TestSolve:
         bare = ringed.with_floorplan(
             dataclasses.replace(ringed.floorplan, farms=()))
         assert solve_design(ringed).peak > solve_design(bare).peak + 1.0
+
+
+@st.composite
+def rasterized_designs(draw):
+    """A random design on the 2 x 2 mm fixture footprint, its grid and a start."""
+    layers = draw(st.integers(1, 3))
+    cell = draw(st.sampled_from([1e-4, 2e-4, 2.5e-4]))
+    size = st.floats(0.05, 0.9)
+    blocks = []
+    for i in range(draw(st.integers(0, 3))):
+        w, h = draw(size), draw(size)
+        blocks.append(block(f"b{i}", draw(st.integers(0, layers - 1)),
+                            draw(st.floats(0, 2 - w)), draw(st.floats(0, 2 - h)),
+                            w, h, power=draw(st.floats(0, 3))))
+    farms = []
+    if draw(st.booleans()):
+        w, h = draw(size), draw(size)
+        farms.append(farm("f", draw(st.floats(0, 2 - w)), draw(st.floats(0, 2 - h)),
+                          w, h, start=0, end=layers - 1,
+                          k_lat=draw(st.floats(0.5, 149.0))))
+    design = make_design(blocks=blocks, farms=farms, num_layers=layers)
+    return design, grid_for(design.stack, cell), draw(
+        st.sampled_from(["ambient", "zeros", "warm"]))
+
+
+class TestInlineConjugateGradients:
+    @settings(max_examples=40, deadline=None)
+    @given(case=rasterized_designs())
+    def test_bit_identical_to_scipy_cg(self, case):
+        design, grid, start_kind = case
+        occ = rasterize(design, grid)
+        net = build_network(occ, grid, design.stack)
+        matrix = system_matrix(net)
+        x0 = None
+        if start_kind == "zeros":
+            x0 = np.zeros(occ.power.shape)
+        elif start_kind == "warm":
+            noise = np.random.default_rng(grid.num_cells).uniform(-2, 2, occ.power.shape)
+            x0 = solve_steady_state(net, occ.power, AMBIENT).t + noise
+        field = solve_steady_state(net, occ.power, AMBIENT, x0=x0)
+
+        n = grid.num_cells
+        rhs = occ.power.ravel().copy()
+        rhs[:grid.cells_per_layer] += net.g_ambient.ravel() * AMBIENT
+        start = np.full(n, AMBIENT) if x0 is None else x0.ravel()
+        atol = RESIDUAL_RTOL * max(float(occ.power.max()), 1.0) * 1e-4
+        expected, info = cg(matrix, rhs, x0=start, rtol=0.0, atol=atol,
+                            maxiter=100 * n, M=sp.diags(1.0 / matrix.diagonal()))
+        assert info == 0
+        assert np.array_equal(field.t.ravel(), expected)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0
+    @pytest.mark.parametrize("watts", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("leakage", [0.0, 0.02])
+    def test_non_finite_power_fails_at_once(self, watts, leakage):
+        d = make_design(blocks=(block("b", 0, 0.5, 0.5, 0.6, 0.6, power=watts,
+                                      leakage=0.1),))
+        grid = grid_for(d.stack, 5e-5)   # 3,200 unknowns: a 320,000-step budget
+        started = time.perf_counter()
+        with pytest.raises(SolverError, match="non-finite"):
+            couple_leakage(d, grid, leakage)
+        assert time.perf_counter() - started < 2.0
 
 
 # ---------------------------------------------------------- leakage coupling

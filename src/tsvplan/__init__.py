@@ -10,9 +10,8 @@ from .metrics import (CostBreakdown, CostWeights, conduction_efficiency, cost,
 from .model import (Block, Design, Floorplan, Layer, Material, Net, Stack,
                     TechnologyParams, TsvFarm, move_farm, reshape_farm, validate)
 from .thermal import (CellOccupancy, ConductanceNetwork, GridSpec,
-                      TemperatureField, build_network, composite_lateral_resistance,
-                      composite_vertical_resistance, couple_leakage, field_stats,
-                      grid_for, rasterize, resistance, solve_design,
+                      TemperatureField, build_network, couple_leakage,
+                      field_stats, grid_for, rasterize, solve_design,
                       solve_steady_state)
 
 __version__ = "0.1.0"

@@ -16,10 +16,11 @@ import numpy as np
 from .errors import InvalidMoveError
 from .metrics import CostBreakdown, CostWeights, cost, floorplan_area, wirelength
 from .model import Design, move_farm, reshape_farm
-from .thermal import (FieldStats, GridSpec, TemperatureField, field_stats,
-                      grid_for, layer_averages, solve_field)
+from .thermal import GridSpec, TemperatureField, field_stats, grid_for, solve_field
 
 RNG_KIND = "numpy-PCG64"  # echoed into reports so traces are replayable
+PROBE_MOVES = 100  # candidates drawn to calibrate an unset t_initial
+RETRY_CAP = 50     # illegal draws before gen_move returns a null move
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,6 @@ class AnnealConfig:
     cooling: float = 0.85
     max_moves: int = 40
     seed: int = 0
-    probe_moves: int = 100
-    retry_cap: int = 50
 
     def __post_init__(self):
         if not (0 < self.cooling < 1):
@@ -46,8 +45,6 @@ class AnnealConfig:
 class FlowConfig:
     outer_iterations: int = 2
     cell_size: float | None = None       # None: tech.grid_cell
-    leakage_coeff: float | None = None   # None: tech.leakage_coeff
-    leakage_tref: float | None = None
 
     def __post_init__(self):
         if self.outer_iterations < 1:
@@ -103,12 +100,12 @@ def accept(delta_cost: float, temperature: float, rng) -> tuple[bool, float | No
     return draw < math.exp(-delta_cost / temperature), draw
 
 
-def gen_move(design: Design, eligible: list[str], rng, grid: GridSpec,
-             retry_cap: int = 50) -> tuple[Design, str, str | None]:
+def gen_move(design: Design, eligible: list[str], rng,
+             grid: GridSpec) -> tuple[Design, str, str | None]:
     """Draw one candidate: pick a farm, then reshape (draw < 1/2) or relocate.
 
     Relocation targets a uniformly drawn grid-aligned origin. An illegal
-    candidate discards the whole draw and retries; after retry_cap illegal
+    candidate discards the whole draw and retries; after RETRY_CAP illegal
     draws the unmodified floorplan is returned as a null move.
     """
     if not eligible:
@@ -116,7 +113,7 @@ def gen_move(design: Design, eligible: list[str], rng, grid: GridSpec,
     tech = design.stack.tech
     cell = grid.cell_size
     fw, fh = design.stack.footprint
-    for _ in range(retry_cap):
+    for _ in range(RETRY_CAP):
         name = eligible[int(rng.integers(len(eligible)))]
         farm = design.floorplan.farm(name)
         branch = float(rng.random())
@@ -143,10 +140,10 @@ def gen_move(design: Design, eligible: list[str], rng, grid: GridSpec,
 
 
 def calibrate_t_initial(state: Design, cost_fn, propose, rng,
-                        probe_moves: int, current_cost: float) -> float:
+                        current_cost: float) -> float:
     """Pick T0 so a median uphill step is accepted with probability 0.8."""
     uphill = []
-    for _ in range(probe_moves):
+    for _ in range(PROBE_MOVES):
         candidate, kind, _ = propose(state, rng)
         if kind == "null":
             continue
@@ -170,8 +167,7 @@ def sa_placement(state: Design, cost_fn, propose, config: AnnealConfig, rng,
     current_cost = cost_fn(state)
     t0 = config.t_initial
     if t0 is None:
-        t0 = calibrate_t_initial(state, cost_fn, propose, rng,
-                                 config.probe_moves, current_cost)
+        t0 = calibrate_t_initial(state, cost_fn, propose, rng, current_cost)
     threshold = config.t_threshold if config.t_threshold is not None else t0 * 1e-3
     if not (t0 > threshold > 0):
         raise ValueError(f"resolved t_initial {t0} must exceed threshold {threshold} > 0")
@@ -201,18 +197,14 @@ class Evaluator:
     the previous temperature field (moves are local, so the previous field is
     an excellent initial guess)."""
 
-    def __init__(self, grid: GridSpec, weights: CostWeights | None,
-                 leakage_coeff: float, leakage_tref: float | None):
+    def __init__(self, grid: GridSpec, weights: CostWeights | None):
         self.grid = grid
         self.weights = weights
-        self.leakage_coeff = leakage_coeff
-        self.leakage_tref = leakage_tref
         self.evaluations = 0
         self._warm = None
 
     def solve(self, design: Design, warm: bool = True):
-        field = solve_field(design, self.grid, self.leakage_coeff, self.leakage_tref,
-                            x0=self._warm if warm else None)
+        field = solve_field(design, self.grid, x0=self._warm if warm else None)
         self._warm = field.t
         return field
 
@@ -241,14 +233,13 @@ class DesignSummary:
     layer_peaks: tuple[float, ...]
 
 
-def summarize(design: Design, grid: GridSpec, leakage_coeff: float = 0.0,
-              leakage_tref: float | None = None) -> tuple[DesignSummary, TemperatureField]:
-    """Cold solve plus metrics; the report path, reproducible by cmd_analyze.
+def summarize(design: Design, grid: GridSpec) -> tuple[DesignSummary, TemperatureField]:
+    """Cold solve plus metrics; the report path, and what `analyze` prints.
 
     Returns the summary and the solved field it was computed from.
     """
-    field = solve_field(design, grid, leakage_coeff, leakage_tref)
-    stats: FieldStats = field_stats(field, design, grid)
+    field = solve_field(design, grid)
+    stats = field_stats(field, design, grid)
     summary = DesignSummary(
         wirelength=wirelength(design),
         area=floorplan_area(design.floorplan),
@@ -256,8 +247,8 @@ def summarize(design: Design, grid: GridSpec, leakage_coeff: float = 0.0,
         peak=stats.peak,
         hottest_block=stats.hottest_block,
         hottest_block_avg=stats.hottest_block_avg,
-        per_layer_average=tuple(layer_averages(field)),
-        layer_peaks=tuple(float(field.t[i].max()) for i in range(field.t.shape[0])),
+        per_layer_average=tuple(float(layer.mean()) for layer in field.t),
+        layer_peaks=tuple(float(layer.max()) for layer in field.t),
     )
     return summary, field
 
@@ -292,7 +283,7 @@ def layer_pass(design: Design, layer: int, evaluator: Evaluator,
         return design, current_cost
 
     def propose(state, r):
-        return gen_move(state, eligible, r, evaluator.grid, config.retry_cap)
+        return gen_move(state, eligible, r, evaluator.grid)
 
     moves_before = len(trace.moves)
     best, best_cost = sa_placement(design, evaluator.cost, propose, config, rng,
@@ -313,14 +304,11 @@ def optimize_stack(design: Design, anneal: AnnealConfig = AnnealConfig(),
                    grid: GridSpec | None = None) -> OptimizeResult:
     """Run the full two-loop flow and return the floorplan with the largest
     whole-stack average-temperature reduction (the input if nothing improves)."""
-    tech = design.stack.tech
     if grid is None:
         grid = grid_for(design.stack, flow.cell_size)
-    lam = tech.leakage_coeff if flow.leakage_coeff is None else flow.leakage_coeff
-    tref = tech.leakage_tref if flow.leakage_tref is None else flow.leakage_tref
 
-    before, before_field = summarize(design, grid, lam, tref)
-    evaluator = Evaluator(grid, weights, lam, tref)
+    before, before_field = summarize(design, grid)
+    evaluator = Evaluator(grid, weights)
     if weights is None:
         # the cold field of `before`, which also seeds the warm chain
         field0 = evaluator.solve(design, warm=False)
@@ -338,7 +326,7 @@ def optimize_stack(design: Design, anneal: AnnealConfig = AnnealConfig(),
             current, current_cost = layer_pass(current, layer, evaluator,
                                                anneal, rng, trace, outer,
                                                current_cost)
-        snapshot = summarize(current, grid, lam, tref)
+        snapshot = summarize(current, grid)
         if snapshot[0].average < best[0].average:
             best_design, best = current, snapshot
         trace.outers.append(OuterRecord(outer, snapshot[0].average, best[0].average))

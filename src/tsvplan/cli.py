@@ -14,15 +14,15 @@ from pathlib import Path
 
 import click
 
-from .anneal import RNG_KIND, AnnealConfig, FlowConfig, optimize_stack
+from .anneal import RNG_KIND, AnnealConfig, FlowConfig, optimize_stack, summarize
 from .design_io import (RunReport, format_trace, parse_design, write_design,
                         write_report, write_thermal_maps)
 from .errors import DesignError, SolverError
 from .metrics import CostWeights
-from .model import validate
+from .model import require_valid, validate
 from .sweeps import default_values, format_sweep_table, run_sweep
-from .thermal import field_stats, grid_for, solve_field
-from .units import parse_length
+from .thermal import grid_for, solve_field
+from .units import parse_float, parse_length
 
 
 def guarded(fn):
@@ -49,21 +49,27 @@ def main():
     """Thermal analysis and blockage-aware farm placement for 3-D stacks."""
 
 
-def _load(design_path, grid_cell):
-    design = parse_design(design_path)
-    cell = parse_length(grid_cell) if grid_cell else None
-    grid = grid_for(design.stack, cell)
-    return design, grid
+def _with_leakage(design, leakage_lambda):
+    """The design the run solves: --leakage-lambda, when given, replaces the
+    design's leakage coefficient, and the result is validated again."""
+    if leakage_lambda is None:
+        return design
+    tech = dataclasses.replace(design.stack.tech, leakage_coeff=leakage_lambda)
+    stack = dataclasses.replace(design.stack, tech=tech)
+    return require_valid(dataclasses.replace(design, stack=stack))
 
 
 def _parse_weights(spec_str, preset_ratio):
-    parts = [float(v) for v in spec_str.split(",")]
+    parts = [parse_float(v) for v in spec_str.split(",")]
     if len(parts) != 4:
         raise DesignError("--weights needs four comma-separated values: "
                           "area,efficiency,ratio,wirelength")
-    return CostWeights(area=parts[0], efficiency=parts[1], ratio=parts[2],
-                       wirelength=parts[3],
-                       ratio_target=preset_ratio if preset_ratio is not None else 1.0)
+    try:
+        return CostWeights(area=parts[0], efficiency=parts[1], ratio=parts[2],
+                           wirelength=parts[3],
+                           ratio_target=preset_ratio if preset_ratio is not None else 1.0)
+    except ValueError as exc:
+        raise DesignError(f"--weights: {exc}") from None
 
 
 def _config_echo(design, grid, anneal, flow, weights):
@@ -77,6 +83,7 @@ def _config_echo(design, grid, anneal, flow, weights):
         "weights": dataclasses.asdict(weights) if weights else None,
         "ambient_K": design.stack.tech.ambient,
         "package_resistance_K_per_W": design.stack.tech.package_resistance,
+        "leakage_coeff_per_K": design.stack.tech.leakage_coeff,
     }
 
 
@@ -89,17 +96,17 @@ def _config_echo(design, grid, anneal, flow, weights):
 @guarded
 def analyze(design_path, grid_cell, leakage_lambda, out_dir):
     """Solve the thermal field of a design and write per-layer map files."""
-    design, grid = _load(design_path, grid_cell)
-    field = solve_field(design, grid, leakage_lambda)
+    design = _with_leakage(parse_design(design_path), leakage_lambda)
+    grid = grid_for(design.stack, parse_length(grid_cell) if grid_cell else None)
+    summary, field = summarize(design, grid)
     paths = write_thermal_maps(field, grid, out_dir)
-    stats = field_stats(field, design, grid)
-    line = f"peakT {stats.peak:.4f} K  avgT {stats.average:.4f} K"
-    if stats.hottest_block:
-        line += f"  hottest {stats.hottest_block} ({stats.hottest_block_avg:.4f} K)"
+    line = f"peakT {summary.peak:.4f} K  avgT {summary.average:.4f} K"
+    if summary.hottest_block:
+        line += f"  hottest {summary.hottest_block} ({summary.hottest_block_avg:.4f} K)"
     click.echo(line)
-    for layer in range(grid.num_layers):
-        s = field_stats(field, layer=layer)
-        click.echo(f"layer {layer}: avg {s.average:.4f} K  peak {s.peak:.4f} K")
+    for layer, (avg, peak) in enumerate(zip(summary.per_layer_average,
+                                            summary.layer_peaks)):
+        click.echo(f"layer {layer}: avg {avg:.4f} K  peak {peak:.4f} K")
     for p in paths:
         click.echo(f"wrote {p}")
 
@@ -127,20 +134,18 @@ def _anneal_flow_options(fn):
 
 
 def _build_configs(seed, outer_iters, max_moves, cooling, t_initial, t_threshold,
-                   leakage_lambda, grid_cell):
+                   grid_cell):
     anneal = AnnealConfig(t_initial=t_initial, t_threshold=t_threshold,
                           cooling=cooling, max_moves=max_moves, seed=seed)
     cell = parse_length(grid_cell) if grid_cell else None
-    flow = FlowConfig(outer_iterations=outer_iters, cell_size=cell,
-                      leakage_coeff=leakage_lambda)
-    return anneal, flow
+    return anneal, FlowConfig(outer_iterations=outer_iters, cell_size=cell)
 
 
-def _resolve_weights(design, grid, flow, weights_spec, preset_ratio):
+def _resolve_weights(design, grid, weights_spec, preset_ratio):
     if weights_spec:
         return _parse_weights(weights_spec, preset_ratio)
     # the same cold solve optimize_stack summarizes as `before`, done once
-    field0 = solve_field(design, grid, flow.leakage_coeff, flow.leakage_tref)
+    field0 = solve_field(design, grid)
     weights = CostWeights.calibrated(design, field0, grid)
     if preset_ratio is not None:
         weights = dataclasses.replace(weights, ratio_target=preset_ratio)
@@ -155,11 +160,12 @@ def optimize(design_path, seed, grid_cell, outer_iters, weights_spec, preset_rat
              leakage_lambda, max_moves, cooling, t_initial, t_threshold, out_dir):
     """Run the two-loop farm placement flow and write the optimized design,
     before/after maps, trace log, and report."""
-    design = parse_design(design_path)
+    source = parse_design(design_path)
+    design = _with_leakage(source, leakage_lambda)
     anneal, flow = _build_configs(seed, outer_iters, max_moves, cooling,
-                                  t_initial, t_threshold, leakage_lambda, grid_cell)
+                                  t_initial, t_threshold, grid_cell)
     grid = grid_for(design.stack, flow.cell_size)
-    weights = _resolve_weights(design, grid, flow, weights_spec, preset_ratio)
+    weights = _resolve_weights(design, grid, weights_spec, preset_ratio)
 
     started = time.perf_counter()
     result = optimize_stack(design, anneal, flow, weights=weights, grid=grid)
@@ -167,7 +173,8 @@ def optimize(design_path, seed, grid_cell, outer_iters, weights_spec, preset_rat
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_design(result.best, out / "optimized.design")
+    # the input's own tech, not the --leakage-lambda the run used
+    write_design(source.with_floorplan(result.best.floorplan), out / "optimized.design")
     write_thermal_maps(result.before_field, grid, out, prefix="before_")
     write_thermal_maps(result.after_field, grid, out, prefix="after_")
     (out / "trace.log").write_text(format_trace(result.trace))
@@ -191,11 +198,11 @@ def sweep(design_path, axis, values, seed, grid_cell, outer_iters, weights_spec,
           preset_ratio, leakage_lambda, max_moves, cooling, t_initial,
           t_threshold, out_dir):
     """Optimize across an axis and tabulate before/after temperatures."""
-    design = parse_design(design_path)
+    design = _with_leakage(parse_design(design_path), leakage_lambda)
     anneal, flow = _build_configs(seed, outer_iters, max_moves, cooling,
-                                  t_initial, t_threshold, leakage_lambda, grid_cell)
+                                  t_initial, t_threshold, grid_cell)
     if values:
-        axis_values = [float(v) for v in values.split(",")]
+        axis_values = [parse_float(v) for v in values.split(",")]
     else:
         axis_values = default_values(design, axis)
     weights = None

@@ -16,7 +16,7 @@ from pathlib import Path
 from .anneal import DesignSummary
 from .errors import DesignError, ParseError
 from .model import (DEFAULT_MATERIALS, Block, Design, Floorplan, Layer,
-                    Material, Stack, TechnologyParams, TsvFarm, validate)
+                    Material, Stack, TechnologyParams, TsvFarm, require_valid)
 from .thermal import GridSpec, TemperatureField
 from .units import (format_length, format_temperature, parse_float, parse_length,
                     parse_temperature)
@@ -26,10 +26,12 @@ SECTIONS = ("materials", "tech", "layers", "blocks", "farms", "nets", "power")
 _TECH_REQUIRED = ("footprint_width", "footprint_height", "grid_cell",
                   "ambient", "package_resistance")
 _TECH_LENGTHS = {"footprint_width", "footprint_height", "grid_cell",
-                 "tsv_pitch", "tsv_size", "adjacency_window", "bond_thickness"}
+                 "adjacency_window", "bond_thickness"}
 _TECH_FLOATS = {"package_resistance", "k_farm_min", "k_farm_max",
                 "leakage_coeff", "bond_conductivity"}
-_TECH_BOOLS = {"vertical_parallel", "gradient_weighting"}
+# Keys that older files carry and that no longer set anything: the lengths
+# are still checked, and vertical_parallel may only be false.
+_TECH_RETIRED_LENGTHS = {"tsv_pitch", "tsv_size"}
 
 
 def _parse_bool(text: str) -> bool:
@@ -112,13 +114,18 @@ def parse_design(source: str | Path, text: str | None = None,
     for key, (lineno, value) in tech_kv.items():
         try:
             if key in _TECH_LENGTHS:
-                tech_args[key if key != "adjacency_window" else key] = parse_length(value)
+                tech_args[key] = parse_length(value)
             elif key == "ambient" or key == "leakage_tref":
                 tech_args[key] = parse_temperature(value)
             elif key in _TECH_FLOATS:
                 tech_args[key] = parse_float(value)
-            elif key in _TECH_BOOLS:
+            elif key == "gradient_weighting":
                 tech_args[key] = _parse_bool(value)
+            elif key in _TECH_RETIRED_LENGTHS:
+                parse_length(value)
+            elif key == "vertical_parallel":
+                if _parse_bool(value):
+                    errors.append((lineno, "vertical_parallel = true is no longer supported"))
             elif key == "aspect_ratios":
                 tech_args[key] = tuple(parse_float(v) for v in value.split())
             else:
@@ -221,12 +228,7 @@ def parse_design(source: str | Path, text: str | None = None,
     design = Design(Stack(tuple(layers), tech),
                     Floorplan(tuple(blocks), tuple(farms)),
                     materials=tuple(declared))
-    if check:
-        violations = validate(design)
-        if violations:
-            raise DesignError(
-                "invalid design: " + "; ".join(str(v) for v in violations))
-    return design
+    return require_valid(design) if check else design
 
 
 def _fmt(value: float) -> str:
@@ -250,8 +252,6 @@ def emit_design(design: Design) -> str:
     out.append(f"package_resistance = {_fmt(tech.package_resistance)}")
     out.append(f"k_farm_min = {_fmt(tech.k_farm_min)}")
     out.append(f"k_farm_max = {_fmt(tech.k_farm_max)}")
-    out.append(f"tsv_pitch = {format_length(tech.tsv_pitch)}")
-    out.append(f"tsv_size = {format_length(tech.tsv_size)}")
     out.append("aspect_ratios = " + " ".join(_fmt(r) for r in tech.aspect_ratios))
     out.append(f"leakage_coeff = {_fmt(tech.leakage_coeff)}")
     out.append(f"leakage_tref = {format_temperature(tech.leakage_tref)}")
@@ -259,7 +259,6 @@ def emit_design(design: Design) -> str:
         out.append(f"adjacency_window = {format_length(tech.adjacency_window)}")
     out.append(f"bond_thickness = {format_length(tech.bond_thickness)}")
     out.append(f"bond_conductivity = {_fmt(tech.bond_conductivity)}")
-    out.append(f"vertical_parallel = {str(tech.vertical_parallel).lower()}")
     out.append(f"gradient_weighting = {str(tech.gradient_weighting).lower()}")
     out.append("")
     out.append("[layers]")

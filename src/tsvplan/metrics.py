@@ -33,15 +33,16 @@ class CostWeights:
     ratio_target: float = 1.0
 
     def __post_init__(self):
-        # <= 0 rather than < 0 so an all-zero weighting stays constructible
-        if self.efficiency > 0:
+        # <= 0 rather than < 0 so an all-zero weighting stays constructible;
+        # each bound is written so that NaN fails it
+        if not self.efficiency <= 0:
             raise ValueError("efficiency weight must not be positive")
-        if self.area < 0 or self.ratio < 0 or self.wirelength < 0:
+        if not (self.area >= 0 and self.ratio >= 0 and self.wirelength >= 0):
             raise ValueError("area/ratio/wirelength weights must be >= 0")
 
     @classmethod
-    def calibrated(cls, design: Design, field: TemperatureField, grid: GridSpec,
-                   efficiency_per_kelvin: float | None = None) -> "CostWeights":
+    def calibrated(cls, design: Design, field: TemperatureField,
+                   grid: GridSpec) -> "CostWeights":
         """Derive default weights from the initial state.
 
         The anchor is the efficiency equivalent of one kelvin of average
@@ -50,12 +51,9 @@ class CostWeights:
         more than a percent-scale overhead. The ratio weight scales the
         (dimensionless) aspect deviation by the footprint-area cost.
         """
-        ambient = design.stack.tech.ambient
-        if efficiency_per_kelvin is None:
-            f_h = total_efficiency(design, field, grid)
-            rise = max(field.average - ambient, 1.0)
-            efficiency_per_kelvin = f_h / rise if f_h > 0 else 1.0
-        anchor = efficiency_per_kelvin
+        f_h = total_efficiency(design, field, grid)
+        rise = max(field.average - design.stack.tech.ambient, 1.0)
+        anchor = f_h / rise if f_h > 0 else 1.0
         area0 = floorplan_area(design.floorplan)
         wl0 = wirelength(design)
         area_w = anchor / (0.01 * area0) if area0 > 0 else 0.0

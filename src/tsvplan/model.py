@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidMoveError
+from .errors import DesignError, InvalidMoveError
 
 MIN_LAYER_THICKNESS = 10e-6
 MAX_LAYER_THICKNESS = 800e-6
@@ -49,15 +49,12 @@ class TechnologyParams:
     package_resistance: float      # K/W, lumped bottom-layer path to ambient
     k_farm_min: float = 0.5
     k_farm_max: float = 5.0
-    tsv_pitch: float = 4e-6
-    tsv_size: float = 2e-6
     aspect_ratios: tuple[float, ...] = DEFAULT_ASPECT_RATIOS
     leakage_coeff: float = 0.0     # 1/K, slope of leakage vs block temperature
     leakage_tref: float = 298.15   # K
     adjacency_window: float | None = None  # defaults to grid_cell
     bond_thickness: float = 0.0    # >0 adds a series interface resistance
     bond_conductivity: float = 0.29
-    vertical_parallel: bool = False  # alternative parallel-path vertical model
     gradient_weighting: bool = True  # weight pair efficiencies by |dT| of the pair
 
 
@@ -130,6 +127,9 @@ class Net:
     clients: tuple[str, ...]
 
 
+CACHE_ENTRIES = 16  # per cache_by_identity function; a full cache starts over
+
+
 def cache_by_identity(fn):
     """Memoize fn on the identity of its arguments, which must be immutable.
 
@@ -145,7 +145,7 @@ def cache_by_identity(fn):
         key = tuple(map(id, args))
         entry = cache.get(key)
         if entry is None:
-            if len(cache) >= 16:
+            if len(cache) >= CACHE_ENTRIES:
                 cache.clear()
             entry = cache[key] = (args, fn(*args))
         return entry[1]
@@ -195,9 +195,6 @@ class Floorplan:
         if not rects:
             return (0.0, 0.0, 0.0, 0.0)
         return _bounding_box_of(rects)
-
-    def total_farm_area(self) -> float:
-        return sum(f.area for f in self.farms)
 
 
 @dataclass(frozen=True)
@@ -263,23 +260,32 @@ def _layer_rects(fp: Floorplan, layer: int):
 
 
 def validate(design: Design) -> list[Violation]:
-    """Check every structural invariant; an empty list means the design is legal."""
+    """Check every structural invariant; an empty list means the design is legal.
+
+    Each bound is written so that NaN fails it.
+    """
     v: list[Violation] = []
     stack, fp = design.stack, design.floorplan
     tech = stack.tech
     tol = 1e-12 * max(stack.footprint)
 
-    if tech.footprint_width <= 0 or tech.footprint_height <= 0:
+    if not (tech.footprint_width > 0 and tech.footprint_height > 0):
         v.append(Violation("tech", "footprint-positive", "footprint must be > 0"))
-    if tech.grid_cell <= 0:
+    if not tech.grid_cell > 0:
         v.append(Violation("tech", "grid-cell-positive", "grid_cell must be > 0"))
-    if tech.ambient <= 0:
+    if not tech.ambient > 0:
         v.append(Violation("tech", "ambient-positive", "ambient must be > 0 K"))
-    if tech.k_farm_min > tech.k_farm_max:
+    if not tech.package_resistance > 0:
+        v.append(Violation("tech", "package-resistance-positive",
+                           f"package_resistance={tech.package_resistance}"))
+    if not 0 <= tech.leakage_coeff < math.inf:
+        v.append(Violation("tech", "leakage-coeff-range",
+                           f"leakage_coeff={tech.leakage_coeff} must be finite and >= 0"))
+    if not tech.k_farm_min <= tech.k_farm_max:
         v.append(Violation("tech", "k-farm-range", "k_farm_min > k_farm_max"))
 
     for m in design.materials:
-        if m.conductivity <= 0:
+        if not m.conductivity > 0:
             v.append(Violation(m.name, "conductivity-positive", f"k={m.conductivity}"))
     names = [m.name for m in design.materials]
     for name in sorted({n for n in names if names.count(n) > 1}):
@@ -290,10 +296,13 @@ def validate(design: Design) -> list[Violation]:
             v.append(Violation(f"layer{layer.index}", "layer-index-contiguous",
                                f"expected index {i}"))
         # 1e-9 relative slack: unit conversion may land one ulp off the bound
-        if (layer.thickness < MIN_LAYER_THICKNESS * (1 - 1e-9)
-                or layer.thickness > MAX_LAYER_THICKNESS * (1 + 1e-9)):
+        if not (MIN_LAYER_THICKNESS * (1 - 1e-9) <= layer.thickness
+                <= MAX_LAYER_THICKNESS * (1 + 1e-9)):
             v.append(Violation(f"layer{layer.index}", "layer-thickness-range",
                                f"{layer.thickness} m outside [10um, 800um]"))
+        if not layer.material.conductivity > 0:
+            v.append(Violation(f"layer{layer.index}", "conductivity-positive",
+                               f"{layer.material.name} k={layer.material.conductivity}"))
 
     seen: set[str] = set()
     for e in list(fp.blocks) + list(fp.farms):
@@ -302,11 +311,11 @@ def validate(design: Design) -> list[Violation]:
         seen.add(e.name)
 
     for b in fp.blocks:
-        if b.width <= 0 or b.height <= 0:
+        if not (b.width > 0 and b.height > 0):
             v.append(Violation(b.name, "size-positive", f"{b.width}x{b.height}"))
-        if b.power < 0:
+        if not 0 <= b.power < math.inf:
             v.append(Violation(b.name, "power-nonnegative", f"{b.power} W"))
-        if b.leakage_ref < 0:
+        if not 0 <= b.leakage_ref < math.inf:
             v.append(Violation(b.name, "leakage-nonnegative", f"{b.leakage_ref} W"))
         if b.kind not in ("macro", "peripheral"):
             v.append(Violation(b.name, "kind-valid", b.kind))
@@ -316,7 +325,7 @@ def validate(design: Design) -> list[Violation]:
             v.append(Violation(b.name, "inside-footprint", f"rect {b.rect}"))
 
     for f in fp.farms:
-        if f.width <= 0 or f.height <= 0:
+        if not (f.width > 0 and f.height > 0):
             v.append(Violation(f.name, "size-positive", f"{f.width}x{f.height}"))
         if f.start_layer > f.end_layer:
             v.append(Violation(f.name, "layer-span-order",
@@ -324,7 +333,7 @@ def validate(design: Design) -> list[Violation]:
         if not (0 <= f.start_layer < stack.num_layers and 0 <= f.end_layer < stack.num_layers):
             v.append(Violation(f.name, "layer-exists",
                                f"span [{f.start_layer}, {f.end_layer}]"))
-        if f.area <= 0:
+        if not f.area > 0:
             v.append(Violation(f.name, "area-positive", f"{f.area} m^2"))
         elif abs(f.width * f.height - f.area) > 1e-9 * f.area:
             v.append(Violation(f.name, "area-conserved",
@@ -334,7 +343,7 @@ def validate(design: Design) -> list[Violation]:
         ):
             v.append(Violation(f.name, "aspect-ratio-candidate",
                                f"{f.aspect_ratio} not in {tech.aspect_ratios}"))
-        if f.k_lateral <= 0 or f.k_metal <= 0:
+        if not (f.k_lateral > 0 and f.k_metal > 0):
             v.append(Violation(f.name, "conductivity-positive",
                                f"k_lateral={f.k_lateral} k_metal={f.k_metal}"))
         if not _inside_footprint(f.rect, stack, tol):
@@ -358,6 +367,14 @@ def validate(design: Design) -> list[Violation]:
                 v.append(Violation(net.farm, "net-resolves", f"unknown client {c!r}"))
 
     return v
+
+
+def require_valid(design: Design) -> Design:
+    """The design itself if validate finds nothing, else DesignError listing why."""
+    violations = validate(design)
+    if violations:
+        raise DesignError("invalid design: " + "; ".join(str(v) for v in violations))
+    return design
 
 
 @cache_by_identity

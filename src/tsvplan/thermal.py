@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GridError, SingularNetworkError, SolverError, ThermalRunawayError
-from .model import Design, Stack
+from .model import Design, Stack, cache_by_identity
 
 RESIDUAL_RTOL = 1e-8  # on the infinity norm, relative to max(max cell power, 1 W)
 
@@ -67,10 +67,6 @@ class CellOccupancy:
     k_farm: np.ndarray            # [L, ny, nx] lateral conductivity of the farm share
     k_metal: np.ndarray           # [L, ny, nx] vertical conductivity of the farm share
     power: np.ndarray             # [L, ny, nx] W at reference temperature
-
-    @property
-    def silicon_fraction(self) -> np.ndarray:
-        return 1.0 - self.farm_fraction
 
 
 def _overlap_1d(lo: float, hi: float, cell: float, n: int) -> np.ndarray:
@@ -131,47 +127,6 @@ def rasterize(design: Design, grid: GridSpec) -> CellOccupancy:
     return CellOccupancy(farm_fraction, lateral_fraction, k_farm, k_metal, power)
 
 
-def resistance(thickness: float, conductivity: float, area: float) -> float:
-    """Conduction resistance of a slab: thickness / (conductivity * area), K/W."""
-    if conductivity <= 0:
-        raise ValueError(f"conductivity must be > 0, got {conductivity}")
-    if area <= 0:
-        raise ValueError(f"area must be > 0, got {area}")
-    if thickness < 0:
-        raise ValueError(f"thickness must be >= 0, got {thickness}")
-    return thickness / (conductivity * area)
-
-
-def composite_resistance(span, area, farm_fraction, k_farm,
-                         silicon_fraction, k_silicon) -> float:
-    """Series sum of the fraction-scaled farm and silicon terms of a mixed cell.
-
-    A fraction of zero contributes no term; both zero is a domain error.
-    """
-    if farm_fraction <= 0 and silicon_fraction <= 0:
-        raise ValueError("cell has no material")
-    r = 0.0
-    if farm_fraction > 0:
-        r += resistance(span, k_farm * farm_fraction, area)
-    if silicon_fraction > 0:
-        r += resistance(span, k_silicon * silicon_fraction, area)
-    return r
-
-
-def composite_lateral_resistance(cell_size, layer_thickness, farm_fraction,
-                                 k_farm, silicon_fraction, k_silicon) -> float:
-    """In-plane cell resistance: span = cell size, area = cell size * thickness."""
-    return composite_resistance(cell_size, cell_size * layer_thickness,
-                                farm_fraction, k_farm, silicon_fraction, k_silicon)
-
-
-def composite_vertical_resistance(layer_thickness, cell_size, farm_fraction,
-                                  k_metal, silicon_fraction, k_silicon) -> float:
-    """Through-plane cell resistance: span = thickness, area = cell size squared."""
-    return composite_resistance(layer_thickness, cell_size ** 2,
-                                farm_fraction, k_metal, silicon_fraction, k_silicon)
-
-
 @dataclass(frozen=True)
 class ConductanceNetwork:
     """Edge conductances of the grid, all W/K. Symmetric by construction."""
@@ -206,14 +161,10 @@ def cell_resistances(occ: CellOccupancy, grid: GridSpec, stack: Stack):
             _series_terms(eta_l, occ.k_farm[layer.index], cell, a_lat)
             + _series_terms(1.0 - eta_l, k_si, cell, a_lat)
         )
-        if stack.tech.vertical_parallel:
-            k_eff = occ.k_metal[layer.index] * eta_v + k_si * (1.0 - eta_v)
-            r_vert[layer.index] = t / (k_eff * a_vert)
-        else:
-            r_vert[layer.index] = (
-                _series_terms(eta_v, occ.k_metal[layer.index], t, a_vert)
-                + _series_terms(1.0 - eta_v, k_si, t, a_vert)
-            )
+        r_vert[layer.index] = (
+            _series_terms(eta_v, occ.k_metal[layer.index], t, a_vert)
+            + _series_terms(1.0 - eta_v, k_si, t, a_vert)
+        )
     return r_lat, r_vert
 
 
@@ -236,9 +187,6 @@ def build_network(occ: CellOccupancy, grid: GridSpec, stack: Stack) -> Conductan
 class TemperatureField:
     t: np.ndarray        # [L, ny, nx] kelvin
     residual: float      # infinity norm of the final solve residual
-
-    def layer(self, index: int) -> np.ndarray:
-        return self.t[index]
 
     @property
     def peak(self) -> float:
@@ -364,20 +312,18 @@ class LeakageSolve:
 
 
 def couple_leakage(design: Design, grid: GridSpec,
-                   leakage_coeff: float | None = None,
-                   t_ref: float | None = None,
                    x0: np.ndarray | None = None) -> LeakageSolve:
     """Fixed-point iteration of the solve with temperature-dependent leakage.
 
-    Block leakage is leakage_ref * (1 + coeff * (block average T - t_ref)),
-    distributed over the block footprint like its dynamic power. Converges
-    when the largest cell temperature change drops below 0.01 K; five
-    consecutive growing updates raise ThermalRunawayError.
+    Block leakage is leakage_ref * (1 + leakage_coeff * (block average T -
+    leakage_tref)), with both values from the design's tech, distributed over
+    the block footprint like its dynamic power. Converges when the largest
+    cell temperature change drops below 0.01 K; five consecutive growing
+    updates raise ThermalRunawayError.
     """
     tech = design.stack.tech
-    lam = tech.leakage_coeff if leakage_coeff is None else leakage_coeff
-    ref = tech.leakage_tref if t_ref is None else t_ref
-    if lam < 0:
+    lam, ref = tech.leakage_coeff, tech.leakage_tref
+    if not lam >= 0:
         raise ValueError(f"leakage coefficient must be >= 0, got {lam}")
 
     occ = rasterize(design, grid)
@@ -417,39 +363,31 @@ def couple_leakage(design: Design, grid: GridSpec,
     raise SolverError("leakage iteration did not converge within 50 solves")
 
 
-COLD_FIELDS_KEPT = 8
-_cold_fields: dict = {}  # (id(design), id(grid), coeff, t_ref) -> (design, grid, field)
+def _solve(design: Design, grid: GridSpec, x0: np.ndarray | None) -> TemperatureField:
+    if design.stack.tech.leakage_coeff > 0:
+        return couple_leakage(design, grid, x0=x0).field
+    return solve_design(design, grid, x0=x0)
 
 
-def solve_field(design: Design, grid: GridSpec, leakage_coeff: float | None = None,
-                t_ref: float | None = None,
-                x0: np.ndarray | None = None) -> TemperatureField:
-    """Solve a design: the leakage fixed point when the coefficient (default:
-    the design's) is positive, else one solve at reference leakage.
-
-    A cold solve (no x0) depends only on its arguments, so its field is kept
-    for the last COLD_FIELDS_KEPT (design, grid) objects and coefficient
-    values, and returned read-only to every later caller. Each entry keeps
-    its design and grid alive, so their ids cannot be reused while cached.
-    """
-    tech = design.stack.tech
-    lam = tech.leakage_coeff if leakage_coeff is None else leakage_coeff
-    ref = tech.leakage_tref if t_ref is None else t_ref
-    if x0 is None:
-        key = (id(design), id(grid), lam, ref)
-        entry = _cold_fields.get(key)
-        if entry is not None:
-            return entry[2]
-    if lam > 0:
-        field = couple_leakage(design, grid, lam, ref, x0=x0).field
-    else:
-        field = solve_design(design, grid, x0=x0)
-    if x0 is None:
-        field.t.flags.writeable = False
-        if len(_cold_fields) >= COLD_FIELDS_KEPT:
-            del _cold_fields[next(iter(_cold_fields))]
-        _cold_fields[key] = (design, grid, field)
+@cache_by_identity
+def _cold_field(design: Design, grid: GridSpec) -> TemperatureField:
+    field = _solve(design, grid, None)
+    field.t.flags.writeable = False
     return field
+
+
+def solve_field(design: Design, grid: GridSpec,
+                x0: np.ndarray | None = None) -> TemperatureField:
+    """Solve a design: the leakage fixed point when its leakage coefficient is
+    positive, else one solve at reference leakage.
+
+    A cold solve (no x0) depends only on the design and the grid, so its
+    field is kept per (design, grid) object pair, by cache_by_identity, and
+    returned read-only to every later caller.
+    """
+    if x0 is None:
+        return _cold_field(design, grid)
+    return _solve(design, grid, x0)
 
 
 def block_average_temperature(field: TemperatureField, block, grid: GridSpec) -> float:
@@ -467,31 +405,16 @@ class FieldStats:
 
 
 def field_stats(field: TemperatureField, design: Design | None = None,
-                grid: GridSpec | None = None, layer: int | None = None) -> FieldStats:
+                grid: GridSpec | None = None) -> FieldStats:
     """Peak and average of the field; hottest block when a design is given.
 
     Ties on the hottest block break toward the lexicographically smallest name.
     """
-    if layer is not None:
-        if not (0 <= layer < field.t.shape[0]):
-            raise ValueError(f"layer {layer} out of range")
-        values = field.t[layer]
-    else:
-        values = field.t
-    if values.size == 0:
-        raise ValueError("empty region")
-
     hottest = None
     hottest_avg = None
     if design is not None and grid is not None:
-        blocks = [b for b in design.floorplan.blocks
-                  if layer is None or b.layer == layer]
-        for block in sorted(blocks, key=lambda b: b.name):
+        for block in sorted(design.floorplan.blocks, key=lambda b: b.name):
             avg = block_average_temperature(field, block, grid)
             if hottest_avg is None or avg > hottest_avg:
                 hottest, hottest_avg = block.name, avg
-    return FieldStats(float(values.max()), float(values.mean()), hottest, hottest_avg)
-
-
-def layer_averages(field: TemperatureField) -> list[float]:
-    return [float(field.t[i].mean()) for i in range(field.t.shape[0])]
+    return FieldStats(field.peak, field.average, hottest, hottest_avg)

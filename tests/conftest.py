@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from tsvplan.model import (Block, Design, Floorplan, Layer, Material, Stack,
                            TechnologyParams, TsvFarm)
+from tsvplan.thermal import CellOccupancy, GridSpec, cell_resistances
 
 MM = 1e-3
 UM = 1e-6
@@ -30,6 +32,25 @@ def block(name, layer, x, y, w, h, power=0.0, kind="macro", leakage=0.0):
 def farm(name, x, y, w, h, start=0, end=1, k_lat=0.5, k_met=173.0, clients=()):
     return TsvFarm(name, x * MM, y * MM, w * MM, h * MM, start, end,
                    k_lat, k_met, area=w * h * MM * MM, clients=tuple(clients))
+
+
+def one_cell_resistances(cell, thickness, k_silicon, farm_fraction=0.0,
+                         k_farm=None, k_metal=None):
+    """(lateral, vertical) resistance in K/W of the one cell of a one-layer grid.
+
+    farm_fraction is the cell's farm share, both in-plane (k_farm) and
+    through-plane (k_metal); an unset farm conductivity is the silicon's.
+    """
+    full = lambda value: np.full((1, 1, 1), float(value))
+    k_farm = k_silicon if k_farm is None else k_farm
+    k_metal = k_silicon if k_metal is None else k_metal
+    occ = CellOccupancy(farm_fraction=full(farm_fraction),
+                        lateral_fraction=full(farm_fraction), k_farm=full(k_farm),
+                        k_metal=full(k_metal), power=full(0.0))
+    stack = Stack((Layer(0, thickness, Material("silicon", k_silicon)),),
+                  make_tech(footprint_width=cell, footprint_height=cell, grid_cell=cell))
+    r_lat, r_vert = cell_resistances(occ, GridSpec(1, 1, cell, 1), stack)
+    return float(r_lat[0, 0, 0]), float(r_vert[0, 0, 0])
 
 
 @pytest.fixture

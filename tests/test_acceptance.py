@@ -237,8 +237,7 @@ def test_criterion_8_exhaustive_oracle():
 
     field0 = couple_leakage(coarse, grid).field
     weights = CostWeights.calibrated(coarse, field0, grid)
-    evaluator = Evaluator(grid, weights, coarse.stack.tech.leakage_coeff,
-                          coarse.stack.tech.leakage_tref)
+    evaluator = Evaluator(grid, weights)
 
     farm0 = coarse.floorplan.farm("bus_e")
     cell = grid.cell_size

@@ -121,6 +121,15 @@ class TestAnalyze:
             assert "non-finite" in result.output
         assert time.perf_counter() - started < 5.0
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_leakage_lambda_exits_1(self, runner, tmp_path, value):
+        path = REPO / "designs" / "blockage.design"
+        result = runner.invoke(main, ["analyze", str(path), "--leakage-lambda", value,
+                                      "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 1, result.output
+        assert "leakage-coeff-range" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_grid_cell_override(self, runner, tmp_path):
         path = _write(tmp_path, ZERO_POWER)
         out = tmp_path / "out"
@@ -168,12 +177,25 @@ class TestOptimize:
         from tsvplan.anneal import summarize
         from tsvplan.thermal import grid_for
         best = parse_design(out / "optimized.design")
-        redo, _ = summarize(best, grid_for(best.stack),
-                         best.stack.tech.leakage_coeff, best.stack.tech.leakage_tref)
+        redo, _ = summarize(best, grid_for(best.stack))
         assert redo.average == pytest.approx(report["after"]["average"], rel=1e-9)
         assert redo.peak == pytest.approx(report["after"]["peak"], rel=1e-9)
         assert redo.wirelength == pytest.approx(report["after"]["wirelength"], rel=1e-9)
         assert redo.area == pytest.approx(report["after"]["area"], rel=1e-9)
+
+    def test_leakage_lambda_leaves_the_written_design_alone(self, runner, tmp_path):
+        path = _write(tmp_path, TINY_OPT)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "optimize", str(path), "--seed", "1", "--max-moves", "5",
+            "--outer-iters", "1", "--leakage-lambda", "0", "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        # the run solved without leakage, the optimized design keeps the input's
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["leakage_coeff_per_K"] == 0.0
+        assert parse_design(out / "optimized.design").stack.tech.leakage_coeff == 0.02
+        assert "leakage_coeff" not in report["config"]["flow"]
+        assert "probe_moves" not in report["config"]["anneal"]
 
     def test_explicit_weights_accepted(self, runner, tmp_path):
         path = _write(tmp_path, TINY_OPT)
@@ -257,6 +279,21 @@ class TestSweep:
         assert result.exit_code == 1
         assert "own bounding ratio" in result.output
         assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["optimize", "--weights", "a,b,c,d"], "bad number 'a'"),
+    (["optimize", "--weights", "nan,-1,1,1"], "non-finite number 'nan'"),
+    (["optimize", "--weights", "1,1,1,1"], "efficiency weight must not be positive"),
+    (["sweep", "--axis", "layers", "--values", "x"], "bad number 'x'"),
+], ids=["weights-word", "weights-nan", "weights-sign", "sweep-values-word"])
+def test_bad_cli_numbers_are_data_errors(runner, tmp_path, args, message):
+    command, *options = args
+    result = runner.invoke(main, [command, str(_write(tmp_path, TINY_OPT)), *options,
+                                  "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert "data error: " in result.output and message in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_option_defaults_come_from_the_configs():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from tsvplan.errors import DesignError, ParseError
 from tsvplan.model import validate
 from tsvplan.thermal import TemperatureField, GridSpec
 from tsvplan.units import parse_length, parse_temperature
+
+REPO = Path(__file__).resolve().parents[1]
 
 MINIMAL = """
 [tech]
@@ -126,6 +130,30 @@ bus 50um 50um 200um 200um 0 0 0.5 173
             parse_design("<inline>", text=text)
         assert any(n == line and "non-finite" in message
                    for n, message in err.value.errors)
+
+    def test_retired_tech_keys_are_accepted_and_not_emitted(self):
+        # the shipped design files still carry the three retired keys
+        text = (REPO / "designs" / "blockage.design").read_text()
+        retired = ("tsv_pitch = 4e-06m\n", "tsv_size = 2e-06m\n",
+                   "vertical_parallel = false\n")
+        stripped = text
+        for line in retired:
+            assert line in text
+            stripped = stripped.replace(line, "")
+        design = parse_design("<shipped>", text=text)
+        assert design == parse_design("<stripped>", text=stripped)
+        emitted = emit_design(design)
+        assert not any(line.split(" = ")[0] in emitted for line in retired)
+
+    @pytest.mark.parametrize("row", ["vertical_parallel = true", "tsv_pitch = banana"])
+    def test_bad_retired_tech_key_rejected_with_line(self, row):
+        text = MINIMAL.replace("package_resistance = 10.0",
+                               f"package_resistance = 10.0\n{row}")
+        line = text.splitlines().index(row) + 1
+        with pytest.raises(ParseError) as err:
+            parse_design("<inline>", text=text)
+        assert [n for n, message in err.value.errors
+                if row.split(" = ")[0] in message] == [line]
 
     def test_power_row_requires_known_block(self):
         bad = MINIMAL.replace("heater 0.5", "phantom 0.5")

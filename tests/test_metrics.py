@@ -7,10 +7,10 @@ from tsvplan.metrics import (CostWeights, adjacent_block_pairs, combine,
                              path_conductivity, ratio_penalty, strip_table,
                              total_efficiency, wirelength)
 from tsvplan.model import move_farm
-from tsvplan.thermal import grid_for, resistance, solve_design
+from tsvplan.thermal import grid_for, solve_design
 from tsvplan.errors import DesignError
 
-from conftest import MM, block, farm, make_design, make_tech
+from conftest import MM, block, farm, make_design, make_tech, one_cell_resistances
 
 
 class TestConductionEfficiency:
@@ -23,7 +23,10 @@ class TestConductionEfficiency:
     @given(st.floats(0.1, 500.0), st.floats(1e-12, 1e-6), st.floats(1e-6, 1e-2))
     def test_reciprocal_of_resistance(self, k, area, distance):
         eff = conduction_efficiency(k, area, distance)
-        assert eff == pytest.approx(1.0 / resistance(distance, k, area), rel=1e-12)
+        # the in-plane resistance of a silicon cell `distance` wide with an
+        # `area` section
+        r_lat, _ = one_cell_resistances(distance, area / distance, k)
+        assert eff == pytest.approx(1.0 / r_lat, rel=1e-12)
 
     def test_farm_segment_lowers_efficiency_vs_series_oracle(self):
         # 40% of the path crossing k=2.75 material, the rest silicon

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsvplan.benchmarks import blockage_design
 from tsvplan.errors import InvalidMoveError
-from tsvplan.model import move_farm, rects_overlap, reshape_farm, validate
+from tsvplan.model import Material, move_farm, rects_overlap, reshape_farm, validate
 
 from conftest import MM, block, farm, make_design, make_tech
 
@@ -17,7 +18,71 @@ def rect_intersects(a, b):
     return ix > 1e-12 and iy > 1e-12
 
 
+NAN = float("nan")
+
+
+def _tech(**kw):
+    return lambda d: dataclasses.replace(d, stack=dataclasses.replace(
+        d.stack, tech=dataclasses.replace(d.stack.tech, **kw)))
+
+
+def _layers(**kw):
+    return lambda d: dataclasses.replace(d, stack=dataclasses.replace(
+        d.stack, layers=tuple(dataclasses.replace(l, **kw) for l in d.stack.layers)))
+
+
+def _block(**kw):
+    return lambda d: d.with_floorplan(dataclasses.replace(
+        d.floorplan, blocks=(dataclasses.replace(d.floorplan.blocks[0], **kw),)))
+
+
+def _farm(**kw):
+    return lambda d: d.with_floorplan(dataclasses.replace(
+        d.floorplan, farms=(dataclasses.replace(d.floorplan.farms[0], **kw),)))
+
+
+BAD_NUMBERS = {
+    "footprint-nan": (_tech(footprint_width=NAN), "footprint-positive"),
+    "grid-cell-nan": (_tech(grid_cell=NAN), "grid-cell-positive"),
+    "ambient-nan": (_tech(ambient=NAN), "ambient-positive"),
+    "package-resistance-nan": (_tech(package_resistance=NAN), "package-resistance-positive"),
+    "package-resistance-zero": (_tech(package_resistance=0.0), "package-resistance-positive"),
+    "leakage-coeff-nan": (_tech(leakage_coeff=NAN), "leakage-coeff-range"),
+    "leakage-coeff-negative": (_tech(leakage_coeff=-1.0), "leakage-coeff-range"),
+    "leakage-coeff-inf": (_tech(leakage_coeff=float("inf")), "leakage-coeff-range"),
+    "k-farm-range-nan": (_tech(k_farm_min=NAN), "k-farm-range"),
+    "material-nan": (lambda d: dataclasses.replace(d, materials=(Material("silicon", NAN),)),
+                     "conductivity-positive"),
+    "layer-material-nan": (_layers(material=Material("silicon", NAN)), "conductivity-positive"),
+    "layer-thickness-nan": (_layers(thickness=NAN), "layer-thickness-range"),
+    "block-width-nan": (_block(width=NAN), "size-positive"),
+    "block-power-nan": (_block(power=NAN), "power-nonnegative"),
+    "block-power-inf": (_block(power=float("inf")), "power-nonnegative"),
+    "block-leakage-nan": (_block(leakage_ref=NAN), "leakage-nonnegative"),
+    "farm-height-nan": (_farm(height=NAN), "size-positive"),
+    "farm-area-nan": (_farm(area=NAN), "area-positive"),
+    "farm-k-metal-nan": (_farm(k_metal=NAN), "conductivity-positive"),
+}
+
+
 class TestValidate:
+    @pytest.mark.parametrize("case", list(BAD_NUMBERS))
+    def test_nan_and_out_of_range_numbers_flagged(self, case):
+        change, rule = BAD_NUMBERS[case]
+        d = make_design(blocks=(block("a", 0, 0.0, 0.0, 0.5, 0.5, power=1.0, leakage=0.1),),
+                        farms=(farm("f", 1.0, 1.0, 0.4, 0.4),))
+        assert validate(d) == []
+        assert rule in [v.rule for v in validate(change(d))]
+
+    def test_nan_silicon_in_a_built_design_flagged(self):
+        # a design built in code never meets the parser's non-finite check
+        base = blockage_design()
+        silicon = Material("silicon", NAN)
+        layers = tuple(dataclasses.replace(l, material=silicon) for l in base.stack.layers)
+        d = dataclasses.replace(base, stack=dataclasses.replace(base.stack, layers=layers))
+        assert validate(base) == []
+        assert [v.rule for v in validate(d)] == ["conductivity-positive"] * len(layers)
+
     def test_overlapping_blocks_flagged(self):
         d = make_design(blocks=(block("a", 0, 0.0, 0.0, 1.0, 1.0),
                                 block("b", 0, 0.5, 0.0, 1.0, 1.0)))
@@ -152,7 +217,7 @@ def test_accepted_operations_keep_design_valid(ops):
         blocks=(block("m", 0, 1.2, 1.2, 0.5, 0.5), block("n", 1, 0.0, 0.0, 0.5, 0.5)),
         farms=(farm("f", 0.6, 0.6, 0.4, 0.4), farm("g", 0.0, 1.4, 0.4, 0.4)),
     )
-    total_area = d.floorplan.total_farm_area()
+    total_area = sum(f.area for f in d.floorplan.farms)
     cell = d.stack.tech.grid_cell
     for kind, ix, iy, ratio in ops:
         name = "f" if ix % 2 == 0 else "g"
@@ -164,7 +229,7 @@ def test_accepted_operations_keep_design_valid(ops):
         except InvalidMoveError:
             continue
         assert validate(d) == []
-    assert d.floorplan.total_farm_area() == pytest.approx(total_area, rel=1e-12)
+    assert sum(f.area for f in d.floorplan.farms) == pytest.approx(total_area, rel=1e-12)
     # prism property: every spanned layer sees the identical rectangle
     for f in d.floorplan.farms:
         rects = {f.rect for layer in range(f.start_layer, f.end_layer + 1)}

@@ -9,7 +9,7 @@ numpy PCG64 generator seeded from the config so traces replay exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -32,13 +32,20 @@ class AnnealConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # each bound is written so that NaN fails it
         if not (0 < self.cooling < 1):
             raise ValueError("cooling factor must be in (0, 1)")
-        if self.max_moves < 1:
+        if not self.max_moves >= 1:
             raise ValueError("max_moves must be >= 1")
+        if not self.seed >= 0:
+            raise ValueError("seed must be >= 0")
+        for name in ("t_initial", "t_threshold"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if self.t_initial is not None and self.t_threshold is not None:
-            if not (self.t_initial > self.t_threshold > 0):
-                raise ValueError("need t_initial > t_threshold > 0")
+            if not self.t_initial > self.t_threshold:
+                raise ValueError("need t_initial > t_threshold")
 
 
 @dataclass(frozen=True)
@@ -47,7 +54,7 @@ class FlowConfig:
     cell_size: float | None = None       # None: tech.grid_cell
 
     def __post_init__(self):
-        if self.outer_iterations < 1:
+        if not self.outer_iterations >= 1:
             raise ValueError("outer_iterations must be >= 1")
 
 
@@ -195,17 +202,18 @@ def sa_placement(state: Design, cost_fn, propose, config: AnnealConfig, rng,
 class Evaluator:
     """Solves and prices candidate floorplans, warm-starting each solve from
     the previous temperature field (moves are local, so the previous field is
-    an excellent initial guess)."""
+    an excellent initial guess). A layer pass starts the chain at the cold
+    field of its input."""
 
-    def __init__(self, grid: GridSpec, weights: CostWeights | None):
+    def __init__(self, grid: GridSpec, weights: CostWeights):
         self.grid = grid
         self.weights = weights
         self.evaluations = 0
-        self._warm = None
+        self.warm = None   # the field the next solve starts from
 
-    def solve(self, design: Design, warm: bool = True):
-        field = solve_field(design, self.grid, x0=self._warm if warm else None)
-        self._warm = field.t
+    def solve(self, design: Design):
+        field = solve_field(design, self.grid, x0=self.warm)
+        self.warm = field.t
         return field
 
     def breakdown(self, design: Design) -> CostBreakdown:
@@ -267,65 +275,55 @@ class OptimizeResult:
 
 
 def layer_pass(design: Design, layer: int, evaluator: Evaluator,
-               config: AnnealConfig, rng, trace: RunTrace,
-               outer: int, current_cost: float | None = None) -> tuple[Design, float]:
-    """Anneal the farms that start on one layer; identity pass when none do."""
+               config: AnnealConfig, rng, trace: RunTrace, outer: int) -> Design:
+    """Anneal the farms that start on one layer; identity pass when none do.
+    The record reads the cold fields of the input and of the best floorplan."""
+    grid = evaluator.grid
     eligible = [f.name for f in design.floorplan.farms if f.start_layer == layer]
-    pre_field = evaluator.solve(design)
-    pre_avg = float(pre_field.t[layer].mean())
-    pre_peak = float(pre_field.t[layer].max())
-
-    if not eligible:
-        trace.passes.append(PassRecord(outer, layer, 0, 0, 0,
-                                       pre_avg, pre_peak, pre_avg, pre_peak))
-        if current_cost is None:
-            current_cost = evaluator.cost(design)
-        return design, current_cost
-
-    def propose(state, r):
-        return gen_move(state, eligible, r, evaluator.grid)
-
+    pre = solve_field(design, grid)
+    evaluator.warm = pre.t
+    best = design
     moves_before = len(trace.moves)
-    best, best_cost = sa_placement(design, evaluator.cost, propose, config, rng,
-                                   trace, outer=outer, layer=layer)
+    if eligible:
+        def propose(state, r):
+            return gen_move(state, eligible, r, grid)
+
+        best, _ = sa_placement(design, evaluator.cost, propose, config, rng,
+                               trace, outer=outer, layer=layer)
     new_moves = trace.moves[moves_before:]
-    post_field = evaluator.solve(best)
+    post = solve_field(best, grid)
     trace.passes.append(PassRecord(
         outer, layer, len(eligible), len(new_moves),
         sum(1 for m in new_moves if m.accepted),
-        pre_avg, pre_peak,
-        float(post_field.t[layer].mean()), float(post_field.t[layer].max())))
-    return best, best_cost
+        float(pre.t[layer].mean()), float(pre.t[layer].max()),
+        float(post.t[layer].mean()), float(post.t[layer].max())))
+    return best
 
 
 def optimize_stack(design: Design, anneal: AnnealConfig = AnnealConfig(),
                    flow: FlowConfig = FlowConfig(),
                    weights: CostWeights | None = None,
-                   grid: GridSpec | None = None) -> OptimizeResult:
+                   ratio_target: float | None = None) -> OptimizeResult:
     """Run the full two-loop flow and return the floorplan with the largest
-    whole-stack average-temperature reduction (the input if nothing improves)."""
-    if grid is None:
-        grid = grid_for(design.stack, flow.cell_size)
-
+    whole-stack average-temperature reduction (the input if nothing improves).
+    Unset weights are calibrated from the input's cold field; ratio_target,
+    when set, replaces the weights' target bounding ratio."""
+    grid = grid_for(design.stack, flow.cell_size)
     before, before_field = summarize(design, grid)
-    evaluator = Evaluator(grid, weights)
     if weights is None:
-        # the cold field of `before`, which also seeds the warm chain
-        field0 = evaluator.solve(design, warm=False)
-        weights = CostWeights.calibrated(design, field0, grid)
-    evaluator.weights = weights
+        weights = CostWeights.calibrated(design, before_field, grid)
+    if ratio_target is not None:
+        weights = replace(weights, ratio_target=ratio_target)
+    evaluator = Evaluator(grid, weights)
 
     rng = np.random.default_rng(anneal.seed)
     trace = RunTrace()
     current = design
-    current_cost = evaluator.cost(current)
     best_design, best = design, (before, before_field)
 
     for outer in range(1, flow.outer_iterations + 1):
         for layer in range(design.stack.num_layers):
-            current, current_cost = layer_pass(current, layer, evaluator,
-                                               anneal, rng, trace, outer,
-                                               current_cost)
+            current = layer_pass(current, layer, evaluator, anneal, rng, trace, outer)
         snapshot = summarize(current, grid)
         if snapshot[0].average < best[0].average:
             best_design, best = current, snapshot

@@ -21,7 +21,7 @@ from .errors import DesignError, SolverError
 from .metrics import CostWeights
 from .model import require_valid, validate
 from .sweeps import default_values, format_sweep_table, run_sweep
-from .thermal import grid_for, solve_field
+from .thermal import grid_for
 from .units import parse_float, parse_length
 
 
@@ -60,16 +60,19 @@ def _with_leakage(design, leakage_lambda):
 
 
 def _parse_weights(spec_str, preset_ratio):
-    parts = [parse_float(v) for v in spec_str.split(",")]
+    """--weights aimed at --preset-ratio, or None without --weights (then
+    optimize_stack calibrates them); either way both are checked here."""
+    # without --weights the all-zero weighting checks --preset-ratio alone
+    parts = [parse_float(v) for v in spec_str.split(",")] if spec_str else [0.0] * 4
     if len(parts) != 4:
         raise DesignError("--weights needs four comma-separated values: "
                           "area,efficiency,ratio,wirelength")
     try:
-        return CostWeights(area=parts[0], efficiency=parts[1], ratio=parts[2],
-                           wirelength=parts[3],
-                           ratio_target=preset_ratio if preset_ratio is not None else 1.0)
+        weights = CostWeights(*parts, ratio_target=1.0 if preset_ratio is None
+                              else preset_ratio)
     except ValueError as exc:
-        raise DesignError(f"--weights: {exc}") from None
+        raise DesignError(f"--weights/--preset-ratio: {exc}") from None
+    return weights if spec_str else None
 
 
 def _config_echo(design, grid, anneal, flow, weights):
@@ -135,21 +138,13 @@ def _anneal_flow_options(fn):
 
 def _build_configs(seed, outer_iters, max_moves, cooling, t_initial, t_threshold,
                    grid_cell):
-    anneal = AnnealConfig(t_initial=t_initial, t_threshold=t_threshold,
-                          cooling=cooling, max_moves=max_moves, seed=seed)
     cell = parse_length(grid_cell) if grid_cell else None
-    return anneal, FlowConfig(outer_iterations=outer_iters, cell_size=cell)
-
-
-def _resolve_weights(design, grid, weights_spec, preset_ratio):
-    if weights_spec:
-        return _parse_weights(weights_spec, preset_ratio)
-    # the same cold solve optimize_stack summarizes as `before`, done once
-    field0 = solve_field(design, grid)
-    weights = CostWeights.calibrated(design, field0, grid)
-    if preset_ratio is not None:
-        weights = dataclasses.replace(weights, ratio_target=preset_ratio)
-    return weights
+    try:
+        return (AnnealConfig(t_initial=t_initial, t_threshold=t_threshold,
+                             cooling=cooling, max_moves=max_moves, seed=seed),
+                FlowConfig(outer_iterations=outer_iters, cell_size=cell))
+    except ValueError as exc:
+        raise DesignError(str(exc)) from None
 
 
 @main.command()
@@ -164,23 +159,23 @@ def optimize(design_path, seed, grid_cell, outer_iters, weights_spec, preset_rat
     design = _with_leakage(source, leakage_lambda)
     anneal, flow = _build_configs(seed, outer_iters, max_moves, cooling,
                                   t_initial, t_threshold, grid_cell)
-    grid = grid_for(design.stack, flow.cell_size)
-    weights = _resolve_weights(design, grid, weights_spec, preset_ratio)
+    weights = _parse_weights(weights_spec, preset_ratio)
 
     started = time.perf_counter()
-    result = optimize_stack(design, anneal, flow, weights=weights, grid=grid)
+    result = optimize_stack(design, anneal, flow, weights=weights,
+                            ratio_target=preset_ratio)
     runtime = time.perf_counter() - started
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # the input's own tech, not the --leakage-lambda the run used
     write_design(source.with_floorplan(result.best.floorplan), out / "optimized.design")
-    write_thermal_maps(result.before_field, grid, out, prefix="before_")
-    write_thermal_maps(result.after_field, grid, out, prefix="after_")
+    write_thermal_maps(result.before_field, result.grid, out, prefix="before_")
+    write_thermal_maps(result.after_field, result.grid, out, prefix="after_")
     (out / "trace.log").write_text(format_trace(result.trace))
 
     report = RunReport(result.before, result.after, runtime,
-                       _config_echo(design, grid, anneal, flow, result.weights))
+                       _config_echo(design, result.grid, anneal, flow, result.weights))
     write_report(report, out)
     click.echo(report.format_table())
     click.echo(f"wrote {out / 'optimized.design'}, {out / 'report.json'}")
@@ -205,12 +200,10 @@ def sweep(design_path, axis, values, seed, grid_cell, outer_iters, weights_spec,
         axis_values = [parse_float(v) for v in values.split(",")]
     else:
         axis_values = default_values(design, axis)
-    weights = None
-    if weights_spec:
-        weights = _parse_weights(weights_spec, preset_ratio)
-    elif preset_ratio is not None:
+    if preset_ratio is not None and not weights_spec:
         raise DesignError("--preset-ratio needs --weights in a sweep: calibrated "
                           "sweeps use each point's own bounding ratio")
+    weights = _parse_weights(weights_spec, preset_ratio)
 
     points = run_sweep(design, axis, axis_values, anneal, flow, weights=weights)
     table = format_sweep_table(axis, points)

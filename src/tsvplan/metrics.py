@@ -39,6 +39,8 @@ class CostWeights:
             raise ValueError("efficiency weight must not be positive")
         if not (self.area >= 0 and self.ratio >= 0 and self.wirelength >= 0):
             raise ValueError("area/ratio/wirelength weights must be >= 0")
+        if not 0 < self.ratio_target < math.inf:
+            raise ValueError("ratio target must be finite and > 0")
 
     @classmethod
     def calibrated(cls, design: Design, field: TemperatureField,

@@ -27,14 +27,17 @@ def set_farm_conductivity(design: Design, k_lateral: float) -> Design:
         dataclasses.replace(design.floorplan, farms=farms))
 
 
-def with_memory_layers(design: Design, count: int) -> Design:
+def with_memory_layers(design: Design, count: float) -> Design:
     """Resize the stack to `count` stacked layers above the base layer.
 
     Layer 0 is the core layer; the current top layer is the template that
     gets cloned upward (blocks renamed name_m<i>). Farms landing on the old
     top extend to the new top; shrinking truncates spans and drops blocks
-    on removed layers.
+    on removed layers. A count that is not a whole number is a DesignError.
     """
+    if not float(count).is_integer():
+        raise DesignError(f"layer count must be a whole number, got {count}")
+    count = int(count)
     if count < 1:
         raise DesignError("need at least one stacked layer")
     current = design.stack.num_layers - 1
@@ -117,7 +120,7 @@ def run_sweep(design: Design, axis: str, values, anneal: AnnealConfig,
         point = SweepPoint(value=float(value), status="ok")
         try:
             if axis == "layers":
-                variant = with_memory_layers(design, int(value))
+                variant = with_memory_layers(design, value)
             else:
                 variant = set_farm_conductivity(design, float(value))
             cfg = dataclasses.replace(anneal, seed=anneal.seed + index)

@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+
+from tsvplan.design_io import format_trace
 
 from tsvplan.model import (Block, Design, Floorplan, Layer, Material, Stack,
                            TechnologyParams, TsvFarm)
@@ -51,6 +55,22 @@ def one_cell_resistances(cell, thickness, k_silicon, farm_fraction=0.0,
                   make_tech(footprint_width=cell, footprint_height=cell, grid_cell=cell))
     r_lat, r_vert = cell_resistances(occ, GridSpec(1, 1, cell, 1), stack)
     return float(r_lat[0, 0, 0]), float(r_vert[0, 0, 0])
+
+
+def split_digests(results):
+    """SHA-256 pair over OptimizeResults: (every format_trace line but the
+    pass lines, plus the before/after summary reprs; the pass lines).
+
+    The pass lines hold the per-layer temperatures of each layer pass; the
+    rest is the annealing trajectory and its outcome.
+    """
+    rest, passes = hashlib.sha256(), hashlib.sha256()
+    for result in results:
+        for line in format_trace(result.trace).splitlines(keepends=True):
+            (passes if line.startswith("pass ") else rest).update(line.encode())
+        rest.update(repr(result.before).encode())
+        rest.update(repr(result.after).encode())
+    return rest.hexdigest(), passes.hexdigest()
 
 
 @pytest.fixture

@@ -198,8 +198,8 @@ class TestLayerPass:
         grid = grid_for(d.stack)
         ev = Evaluator(grid, CostWeights(0.0, -1.0, 0.0, 0.0))
         trace = RunTrace()
-        out, _ = layer_pass(d, 1, ev, AnnealConfig(seed=0), np.random.default_rng(0),
-                            trace, outer=1)
+        out = layer_pass(d, 1, ev, AnnealConfig(seed=0), np.random.default_rng(0),
+                         trace, outer=1)
         assert out is d
         assert trace.passes[-1].eligible == 0 and trace.passes[-1].moves == 0
 

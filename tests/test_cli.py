@@ -286,7 +286,23 @@ class TestSweep:
     (["optimize", "--weights", "nan,-1,1,1"], "non-finite number 'nan'"),
     (["optimize", "--weights", "1,1,1,1"], "efficiency weight must not be positive"),
     (["sweep", "--axis", "layers", "--values", "x"], "bad number 'x'"),
-], ids=["weights-word", "weights-nan", "weights-sign", "sweep-values-word"])
+    (["optimize", "--cooling", "2"], "cooling factor must be in (0, 1)"),
+    (["optimize", "--max-moves", "0"], "max_moves must be >= 1"),
+    (["optimize", "--outer-iters", "0"], "outer_iterations must be >= 1"),
+    (["optimize", "--seed", "-1"], "seed must be >= 0"),
+    (["optimize", "--t-initial", "1", "--t-threshold", "2"], "need t_initial > t_threshold"),
+    (["optimize", "--t-initial", "nan"], "t_initial must be finite and > 0"),
+    (["optimize", "--t-threshold", "nan"], "t_threshold must be finite and > 0"),
+    (["optimize", "--preset-ratio", "nan"], "ratio target must be finite and > 0"),
+    (["optimize", "--preset-ratio", "-1"], "ratio target must be finite and > 0"),
+    (["sweep", "--axis", "k_farm", "--values", "0.5", "--cooling", "nan"],
+     "cooling factor must be in (0, 1)"),
+    (["sweep", "--axis", "k_farm", "--values", "0.5", "--weights", "1,-1,1,1",
+      "--preset-ratio", "inf"], "ratio target must be finite and > 0"),
+], ids=["weights-word", "weights-nan", "weights-sign", "sweep-values-word",
+        "cooling", "max-moves", "outer-iters", "seed", "t-order", "t-initial-nan",
+        "t-threshold-nan", "preset-ratio-nan", "preset-ratio-negative",
+        "sweep-cooling-nan", "sweep-preset-ratio-inf"])
 def test_bad_cli_numbers_are_data_errors(runner, tmp_path, args, message):
     command, *options = args
     result = runner.invoke(main, [command, str(_write(tmp_path, TINY_OPT)), *options,

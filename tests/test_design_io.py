@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tsvplan.benchmarks import BUILDERS
 from tsvplan.design_io import (emit_design, format_thermal_map, parse_design,
                                write_thermal_maps)
 from tsvplan.errors import DesignError, ParseError
@@ -203,3 +204,10 @@ class TestThermalMaps:
         assert [p.name for p in paths] == ["layer0.map", "layer1.map", "layer2.map"]
         for p in paths:
             assert p.read_text().count("300.00") == 4
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_shipped_design_file_equals_its_builder(name):
+    # the benchmark reads the files; the goldens and property tests build
+    # the designs in code, so the two must be the same design
+    assert parse_design(REPO / "designs" / f"{name}.design") == BUILDERS[name]()

@@ -1,8 +1,9 @@
 """Each distinct design is cold-solved once per run, and results stay put.
 
 A cold solve is a call of couple_leakage or solve_design without a warm
-field x0; solve_field keeps their results, and optimize_stack reuses the
-summary that selected the best floorplan instead of solving it again.
+field x0, a warm solve one with it; solve_field keeps the cold results.
+Each floorplan has one field, its cold one: pass records, snapshots and
+`after` all read it, so the proxy flow makes no warm solve at all.
 """
 
 import dataclasses
@@ -14,14 +15,17 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import tsvplan.anneal as anneal
 import tsvplan.cli as cli
 import tsvplan.sweeps as sweeps
 import tsvplan.thermal as thermal
 from tsvplan.anneal import AnnealConfig, FlowConfig, optimize_stack
 from tsvplan.benchmarks import blockage_design, corememory_design
-from tsvplan.design_io import format_trace
+from tsvplan.design_io import parse_design
 from tsvplan.model import CACHE_ENTRIES, cache_by_identity
 from tsvplan.thermal import grid_for, solve_field
+
+from conftest import split_digests
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -32,20 +36,19 @@ def with_leakage(design, coeff):
 
 
 @pytest.fixture
-def cold_solves(monkeypatch):
-    """Designs passed to every real cold solve, in call order, starting from
-    an empty cold-field cache."""
+def solves(monkeypatch):
+    """Designs passed to every real design solve, cold and warm, in call
+    order, starting from an empty cold-field cache."""
     monkeypatch.setattr(thermal, "_cold_field",
                         cache_by_identity(thermal._cold_field.__wrapped__))
-    designs = []
+    designs = {"cold": [], "warm": []}
     for name in ("couple_leakage", "solve_design"):
         fn = getattr(thermal, name)
         signature = inspect.signature(fn)
 
         def counted(*args, _fn=fn, _signature=signature, **kwargs):
             bound = _signature.bind(*args, **kwargs).arguments
-            if bound.get("x0") is None:
-                designs.append(bound["design"])
+            designs["cold" if bound.get("x0") is None else "warm"].append(bound["design"])
             return _fn(*args, **kwargs)
         monkeypatch.setattr(thermal, name, counted)
     return designs
@@ -67,7 +70,7 @@ def assert_distinct(designs):
 
 
 @pytest.mark.parametrize("leakage", [None, 0.0], ids=["leakage", "no-leakage"])
-def test_optimize_stack_cold_solves_each_design_once(cold_solves, leakage):
+def test_optimize_stack_cold_solves_each_design_once(solves, leakage):
     design = blockage_design()
     if leakage is not None:
         design = with_leakage(design, leakage)
@@ -75,25 +78,27 @@ def test_optimize_stack_cold_solves_each_design_once(cold_solves, leakage):
                             FlowConfig(outer_iterations=2))
     # the initial design (before and weight calibration) and the two outer
     # snapshots; `after` is the snapshot that won
-    assert len(cold_solves) == 3
-    assert cold_solves[0] is design
-    assert_distinct(cold_solves)
+    assert len(solves["cold"]) == 3
+    assert solves["cold"][0] is design
+    assert_distinct(solves["cold"])
     # `after` is the field already solved for the best floorplan
     assert solve_field(result.best, result.grid) is result.after_field
-    assert len(cold_solves) == 3
+    assert len(solves["cold"]) == 3
+    assert solves["warm"] == []
 
 
-def test_cli_optimize_cold_solves_each_design_once(cold_solves, tmp_path):
+def test_cli_optimize_cold_solves_each_design_once(solves, tmp_path):
     out = CliRunner().invoke(cli.main, [
         "optimize", str(REPO / "designs" / "blockage.design"), "--seed", "1",
         "--max-moves", "5", "--out-dir", str(tmp_path)])
     assert out.exit_code == 0, out.output
     # weight calibration, before and the first layer pass share one solve
-    assert len(cold_solves) == 3
-    assert_distinct(cold_solves)
+    assert len(solves["cold"]) == 3
+    assert_distinct(solves["cold"])
+    assert solves["warm"] == []
 
 
-def test_cold_field_is_kept_read_only(cold_solves):
+def test_cold_field_is_kept_read_only(solves):
     design = blockage_design()
     grid = grid_for(design.stack)
     field = solve_field(design, grid)
@@ -105,43 +110,46 @@ def test_cold_field_is_kept_read_only(cold_solves):
     warm = solve_field(design, grid, x0=field.t)
     assert warm.t.flags.writeable
     np.testing.assert_allclose(warm.t, field.t, atol=0.02)
-    assert len(cold_solves) == 2
+    assert len(solves["cold"]) == 2 and len(solves["warm"]) == 1
 
 
-def test_cold_fields_are_bounded(cold_solves):
+def test_cold_fields_are_bounded(solves):
     design = with_leakage(blockage_design(), 0.0)
     grids = [grid_for(design.stack) for _ in range(CACHE_ENTRIES + 1)]
     for grid in grids[:CACHE_ENTRIES]:
         solve_field(design, grid)
     solve_field(design, grids[0])   # all CACHE_ENTRIES fields are kept
-    assert len(cold_solves) == CACHE_ENTRIES
+    assert len(solves["cold"]) == CACHE_ENTRIES
     solve_field(design, grids[-1])  # a full cache starts over
     solve_field(design, grids[0])
-    assert len(cold_solves) == CACHE_ENTRIES + 2
+    assert len(solves["cold"]) == CACHE_ENTRIES + 2
 
 
-def digest(results):
-    h = hashlib.sha256()
-    for result in results:
-        h.update(format_trace(result.trace).encode())
-        h.update(repr(result.before).encode())
-        h.update(repr(result.after).encode())
-    return h.hexdigest()
+# split_digests of the runs below. The first (moves, outers, before/after)
+# was recorded before cold fields were reused and before the inline
+# conjugate gradients; the second (pass lines) since pass records read each
+# floorplan's cold field instead of a warm re-solve of it.
+GOLDEN_CLI_OPTIMIZE = (
+    "f0db8bd96e479d125191b489ecf95ecf0fdb9ce539e3679829491ca0c54ba4c5",
+    "6c539dff8d95bb9e9822dbe711246bea639d1b2f9178957adee64613cbc0d6ec",
+)
+GOLDEN_SWEEP_LAYERS = (
+    "3f3e8256f627d569e63f3f9bcf1cb36f3bab24c7558d669b7d97633857772116",
+    "98bd34682d7136127f4a58641ce0a9031b1b156f3f52543eb3ac3bffb3bbd31b",
+)
 
 
-# SHA-256 of format_trace plus the before/after summary reprs, recorded
-# before cold fields were reused and before the inline conjugate gradients.
-GOLDEN_CLI_OPTIMIZE = "da2c49203694a6458836a70ff2c3d164e62f8b6c9494317b640878cbf20df0e3"
-GOLDEN_SWEEP_LAYERS = "60adb366bd5159677d220edec69ba52938b7edfbe6f7385e8291b3c0fd0bc4fb"
-
-
-def test_golden_cli_optimize_with_leakage(monkeypatch, tmp_path):
+def cli_optimize(monkeypatch, tmp_path, *options):
     results = captured_results(monkeypatch, cli)
     out = CliRunner().invoke(cli.main, [
         "optimize", str(REPO / "designs" / "blockage.design"), "--seed", "1",
-        "--max-moves", "5", "--out-dir", str(tmp_path)])
+        "--max-moves", "5", "--out-dir", str(tmp_path), *options])
     assert out.exit_code == 0, out.output
-    assert digest(results) == GOLDEN_CLI_OPTIMIZE
+    return results
+
+
+def test_golden_cli_optimize_with_leakage(monkeypatch, tmp_path):
+    assert split_digests(cli_optimize(monkeypatch, tmp_path)) == GOLDEN_CLI_OPTIMIZE
 
 
 def test_golden_calibrated_layer_sweep(monkeypatch):
@@ -150,7 +158,40 @@ def test_golden_calibrated_layer_sweep(monkeypatch):
                               AnnealConfig(seed=1, max_moves=4),
                               FlowConfig(outer_iterations=1))
     assert [p.status for p in points] == ["ok", "ok"]
-    assert digest(results) == GOLDEN_SWEEP_LAYERS
+    assert split_digests(results) == GOLDEN_SWEEP_LAYERS
+
+
+def test_pass_records_read_the_cold_field(monkeypatch):
+    passes = []   # (input, best) of every layer pass
+    inner = anneal.layer_pass
+
+    def recorded(design, *args, **kwargs):
+        passes.append((design, inner(design, *args, **kwargs)))
+        return passes[-1][1]
+    monkeypatch.setattr(anneal, "layer_pass", recorded)
+    result = optimize_stack(blockage_design(), AnnealConfig(seed=1, max_moves=5),
+                            FlowConfig(outer_iterations=2))
+    assert len(passes) == len(result.trace.passes)
+    seen = {}   # (floorplan, layer) -> (avg, peak) in every record naming it
+    for (start, best), record in zip(passes, result.trace.passes):
+        for design, stats in ((start, (record.pre_avg, record.pre_peak)),
+                              (best, (record.post_avg, record.post_peak))):
+            t = solve_field(design, result.grid).t[record.layer]
+            assert stats == (float(t.mean()), float(t.max()))
+            assert seen.setdefault((id(design), record.layer), stats) == stats
+    # some floorplan is carried into another pass on the same layer
+    assert len(seen) < 2 * len(passes)
+
+
+@pytest.mark.parametrize("options", [(), ("--preset-ratio", "2")], ids=["calibrated", "preset-ratio"])
+def test_cli_optimize_matches_optimize_stack(monkeypatch, tmp_path, options):
+    (from_cli,) = cli_optimize(monkeypatch, tmp_path, *options)
+    ratio = float(options[1]) if options else None
+    direct = optimize_stack(parse_design(REPO / "designs" / "blockage.design"),
+                            AnnealConfig(seed=1, max_moves=5), ratio_target=ratio)
+    assert from_cli.trace == direct.trace
+    assert from_cli.weights == direct.weights
+    assert from_cli.before == direct.before and from_cli.after == direct.after
 
 
 # analyze's stdout without its "wrote" lines, and the SHA-256 of its map files

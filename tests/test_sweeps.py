@@ -1,8 +1,9 @@
 import pytest
 
+from tsvplan.anneal import AnnealConfig, FlowConfig
 from tsvplan.errors import DesignError
 from tsvplan.model import validate
-from tsvplan.sweeps import (default_values, set_farm_conductivity,
+from tsvplan.sweeps import (default_values, run_sweep, set_farm_conductivity,
                             with_memory_layers)
 from tsvplan.benchmarks import corememory_design
 
@@ -60,6 +61,19 @@ class TestWithMemoryLayers:
                              num_layers=1)
         with pytest.raises(DesignError):
             with_memory_layers(single, 2)
+
+    @pytest.mark.parametrize("count", [1.9, 2.5])
+    def test_fractional_count_is_a_point_error(self, count):
+        d = corememory_design()
+        with pytest.raises(DesignError, match="whole number"):
+            with_memory_layers(d, count)
+        (point,) = run_sweep(d, "layers", [count], AnnealConfig(), FlowConfig())
+        assert point.value == count
+        assert point.status.startswith("error: ") and "whole number" in point.status
+
+    def test_integral_float_count_is_accepted(self):
+        d = corememory_design()
+        assert with_memory_layers(d, 2.0) == with_memory_layers(d, 2)
 
 
 def test_default_axis_values():

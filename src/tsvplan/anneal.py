@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .errors import InvalidMoveError
+from .errors import DesignError, InvalidMoveError
 from .metrics import CostBreakdown, CostWeights, cost, floorplan_area, wirelength
 from .model import Design, move_farm, reshape_farm
 from .thermal import GridSpec, TemperatureField, field_stats, grid_for, solve_field
@@ -96,7 +96,10 @@ class RunTrace:
     moves: list[MoveRecord] = dc_field(default_factory=list)
     passes: list[PassRecord] = dc_field(default_factory=list)
     outers: list[OuterRecord] = dc_field(default_factory=list)
-    best_cost_curve: list[float] = dc_field(default_factory=list)
+
+    @property
+    def best_cost_curve(self) -> list[float]:
+        return [m.best_cost for m in self.moves]
 
 
 def accept(delta_cost: float, temperature: float, rng) -> tuple[bool, float | None]:
@@ -177,7 +180,10 @@ def sa_placement(state: Design, cost_fn, propose, config: AnnealConfig, rng,
         t0 = calibrate_t_initial(state, cost_fn, propose, rng, current_cost)
     threshold = config.t_threshold if config.t_threshold is not None else t0 * 1e-3
     if not (t0 > threshold > 0):
-        raise ValueError(f"resolved t_initial {t0} must exceed threshold {threshold} > 0")
+        # AnnealConfig orders a given pair, so only a given threshold can
+        # reach this: one at or above the calibrated t_initial
+        raise DesignError(f"--t-threshold {threshold:g} must be below the calibrated "
+                          f"t_initial {t0:g}; lower it or set --t-initial")
 
     best, best_cost = state, current_cost
     temperature = t0
@@ -194,34 +200,25 @@ def sa_placement(state: Design, cost_fn, propose, config: AnnealConfig, rng,
             if trace is not None:
                 trace.moves.append(MoveRecord(outer, layer, kind, farm, delta,
                                               temperature, draw, accepted, best_cost))
-                trace.best_cost_curve.append(best_cost)
         temperature *= config.cooling
     return best, best_cost
 
 
 class Evaluator:
-    """Solves and prices candidate floorplans, warm-starting each solve from
-    the previous temperature field (moves are local, so the previous field is
-    an excellent initial guess). A layer pass starts the chain at the cold
-    field of its input."""
+    """Prices candidate floorplans and counts the evaluations; solve returns
+    a floorplan's cold field on the run's grid."""
 
     def __init__(self, grid: GridSpec, weights: CostWeights):
         self.grid = grid
         self.weights = weights
         self.evaluations = 0
-        self.warm = None   # the field the next solve starts from
 
-    def solve(self, design: Design):
-        field = solve_field(design, self.grid, x0=self.warm)
-        self.warm = field.t
-        return field
+    def solve(self, design: Design) -> TemperatureField:
+        return solve_field(design, self.grid)
 
     def breakdown(self, design: Design) -> CostBreakdown:
-        # with gradient weighting off the cost uses no field at all, so the
-        # per-candidate re-solve would be dead work
-        field = self.solve(design) if design.stack.tech.gradient_weighting else None
         self.evaluations += 1
-        return cost(design, field, self.grid, self.weights)
+        return cost(design, self.weights)
 
     def cost(self, design: Design) -> float:
         return self.breakdown(design).total
@@ -280,8 +277,7 @@ def layer_pass(design: Design, layer: int, evaluator: Evaluator,
     The record reads the cold fields of the input and of the best floorplan."""
     grid = evaluator.grid
     eligible = [f.name for f in design.floorplan.farms if f.start_layer == layer]
-    pre = solve_field(design, grid)
-    evaluator.warm = pre.t
+    pre = evaluator.solve(design)
     best = design
     moves_before = len(trace.moves)
     if eligible:
@@ -291,7 +287,7 @@ def layer_pass(design: Design, layer: int, evaluator: Evaluator,
         best, _ = sa_placement(design, evaluator.cost, propose, config, rng,
                                trace, outer=outer, layer=layer)
     new_moves = trace.moves[moves_before:]
-    post = solve_field(best, grid)
+    post = evaluator.solve(best)
     trace.passes.append(PassRecord(
         outer, layer, len(eligible), len(new_moves),
         sum(1 for m in new_moves if m.accepted),
@@ -311,7 +307,7 @@ def optimize_stack(design: Design, anneal: AnnealConfig = AnnealConfig(),
     grid = grid_for(design.stack, flow.cell_size)
     before, before_field = summarize(design, grid)
     if weights is None:
-        weights = CostWeights.calibrated(design, before_field, grid)
+        weights = CostWeights.calibrated(design, before_field)
     if ratio_target is not None:
         weights = replace(weights, ratio_target=ratio_target)
     evaluator = Evaluator(grid, weights)

@@ -6,8 +6,8 @@ Three stacks exercise the phenomena the optimizer targets:
   canonical lateral-blockage fixture.
 * multicore: two identical 6-core layers with per-core bus farms and a
   shared bus crossing the center band.
-* corememory: a 2-core processor layer under one (extensible to N) memory
-  layer, with bus farms parked in the inter-core corridor.
+* corememory: a 2-core processor layer under one memory layer, with bus
+  farms parked in the inter-core corridor.
 
 Farm geometry is deliberately grid-friendly: 0.4 x 0.4 mm squares with the
 ratio candidate set {0.25, 1, 4}, so every reshape lands back on the 100 um
@@ -31,10 +31,10 @@ TUNGSTEN = Material("tungsten", 173.0)
 SQUARE_RATIOS = (0.25, 1.0, 4.0)
 
 
-def _farm(name, x, y, w, h, start, end, k_lateral, k_metal, clients):
+def _farm(name, x, y, w, h, start, end, clients, k_lateral=0.5):
     # area from the scaled extents so builder and parsed file agree exactly
     return TsvFarm(name, x * MM, y * MM, w * MM, h * MM, start, end,
-                   k_lateral, k_metal, area=(w * MM) * (h * MM),
+                   k_lateral, TUNGSTEN.conductivity, area=(w * MM) * (h * MM),
                    clients=tuple(clients))
 
 
@@ -43,21 +43,17 @@ def _block(name, layer, x, y, w, h, power, kind="macro", leakage=0.0):
                  leakage_ref=leakage, kind=kind)
 
 
-def blockage_design(k_farm: float = 0.5, k_metal: float = 173.0,
-                    power_density: float = 3.0e6,
-                    leakage_ref: float = 0.25) -> Design:
-    """Hot 0.6 x 0.6 mm block ringed by four farms on a 2 x 2 mm, 2-layer stack.
-
-    power_density is W/m^2 on the hot block (3e6 = 3 W/mm^2).
-    """
+def blockage_design(k_farm: float = 0.5, leakage_ref: float = 0.25) -> Design:
+    """Hot 0.6 x 0.6 mm block at 3 W/mm^2 ringed by four farms on a
+    2 x 2 mm, 2-layer stack; leakage_ref is the hot block's leakage share."""
     tech = TechnologyParams(
         footprint_width=2.0 * MM, footprint_height=2.0 * MM,
         grid_cell=100 * UM, ambient=298.15, package_resistance=15.0,
         adjacency_window=0.8 * MM, aspect_ratios=SQUARE_RATIOS,
-        leakage_coeff=0.015, gradient_weighting=False,
+        leakage_coeff=0.015,
     )
     layers = (Layer(0, 10 * UM, SILICON), Layer(1, 10 * UM, SILICON))
-    hot_power = 0.6 * 0.6 * MM * MM * power_density
+    hot_power = 0.6 * 0.6 * MM * MM * 3.0e6
     blocks = [
         _block("cpu", 0, 0.7, 0.7, 0.6, 0.6, hot_power, leakage=leakage_ref * hot_power),
         # edge-center neighbors forming the conduction pairs with cpu
@@ -77,17 +73,16 @@ def blockage_design(k_farm: float = 0.5, k_metal: float = 173.0,
         _block("mem_se", 1, 1.8, 0.0, 0.2, 0.2, 0.05),
     ]
     farms = [
-        _farm("bus_e", 1.3, 0.8, 0.4, 0.4, 0, 1, k_farm, k_metal, ("cpu", "pad_ne")),
-        _farm("bus_n", 0.8, 1.3, 0.4, 0.4, 0, 1, k_farm, k_metal, ("cpu", "pad_nw")),
-        _farm("bus_w", 0.3, 0.8, 0.4, 0.4, 0, 1, k_farm, k_metal, ("cpu", "pad_sw")),
-        _farm("bus_s", 0.8, 0.3, 0.4, 0.4, 0, 1, k_farm, k_metal, ("cpu", "pad_se")),
+        _farm("bus_e", 1.3, 0.8, 0.4, 0.4, 0, 1, ("cpu", "pad_ne"), k_farm),
+        _farm("bus_n", 0.8, 1.3, 0.4, 0.4, 0, 1, ("cpu", "pad_nw"), k_farm),
+        _farm("bus_w", 0.3, 0.8, 0.4, 0.4, 0, 1, ("cpu", "pad_sw"), k_farm),
+        _farm("bus_s", 0.8, 0.3, 0.4, 0.4, 0, 1, ("cpu", "pad_se"), k_farm),
     ]
     return Design(Stack(layers, tech), Floorplan(tuple(blocks), tuple(farms)),
                   materials=(SILICON, TUNGSTEN))
 
 
-def multicore_design(k_farm: float = 0.5, k_metal: float = 173.0,
-                     power_density: float = 2.5e6) -> Design:
+def multicore_design() -> Design:
     """Two identical 6-core layers, local bus farms against the core faces and
     a shared bus in the center band, on a 3.2 x 3.2 mm footprint."""
     tech = TechnologyParams(
@@ -95,10 +90,9 @@ def multicore_design(k_farm: float = 0.5, k_metal: float = 173.0,
         grid_cell=100 * UM, ambient=298.15, package_resistance=2.0,
         adjacency_window=1.3 * MM, aspect_ratios=SQUARE_RATIOS,
         leakage_coeff=0.015, bond_thickness=1 * UM, bond_conductivity=0.29,
-        gradient_weighting=False,
     )
     layers = (Layer(0, 10 * UM, SILICON), Layer(1, 10 * UM, SILICON))
-    core_power = 0.8 * 0.8 * MM * MM * power_density
+    core_power = 0.8 * 0.8 * MM * MM * 2.5e6
     cols = (0.2, 1.2, 2.2)
     blocks = []
     for layer in (0, 1):
@@ -119,40 +113,34 @@ def multicore_design(k_farm: float = 0.5, k_metal: float = 173.0,
     ]
     farms = [
         # bottom-row farms hug the north face of their core, top-row the south
-        _farm("bus0b", 0.4, 1.0, 0.4, 0.4, 0, 1, k_farm, k_metal, ("core0b_l0", "hub_l0")),
-        _farm("bus1b", 1.4, 1.0, 0.4, 0.4, 0, 1, k_farm, k_metal, ("core1b_l0", "io_e")),
-        _farm("bus2b", 2.4, 1.0, 0.4, 0.4, 0, 1, k_farm, k_metal, ("core2b_l0", "hub_l0")),
-        _farm("bus0t", 0.4, 1.8, 0.4, 0.4, 0, 1, k_farm, k_metal, ("core0t_l0", "hub_l0")),
-        _farm("bus1t", 1.4, 1.8, 0.4, 0.4, 0, 1, k_farm, k_metal, ("core1t_l0", "io_w")),
-        _farm("bus2t", 2.4, 1.8, 0.4, 0.4, 0, 1, k_farm, k_metal, ("core2t_l0", "hub_l0")),
-        _farm("bus_shared", 1.0, 1.4, 0.4, 0.4, 0, 1, k_farm, k_metal, ("io_w", "pad_n")),
+        _farm("bus0b", 0.4, 1.0, 0.4, 0.4, 0, 1, ("core0b_l0", "hub_l0")),
+        _farm("bus1b", 1.4, 1.0, 0.4, 0.4, 0, 1, ("core1b_l0", "io_e")),
+        _farm("bus2b", 2.4, 1.0, 0.4, 0.4, 0, 1, ("core2b_l0", "hub_l0")),
+        _farm("bus0t", 0.4, 1.8, 0.4, 0.4, 0, 1, ("core0t_l0", "hub_l0")),
+        _farm("bus1t", 1.4, 1.8, 0.4, 0.4, 0, 1, ("core1t_l0", "io_w")),
+        _farm("bus2t", 2.4, 1.8, 0.4, 0.4, 0, 1, ("core2t_l0", "hub_l0")),
+        _farm("bus_shared", 1.0, 1.4, 0.4, 0.4, 0, 1, ("io_w", "pad_n")),
     ]
     return Design(Stack(layers, tech), Floorplan(tuple(blocks), tuple(farms)),
                   materials=(SILICON, TUNGSTEN))
 
 
-def corememory_design(memory_layers: int = 1, k_farm: float = 0.5,
-                      k_metal: float = 173.0,
-                      power_density: float = 3.0e6,
-                      memory_density: float = 1.0e6) -> Design:
-    """Two hot cores on a thinned processor layer under stacked memory layers.
+def corememory_design() -> Design:
+    """Two hot cores on a thinned processor layer under one memory layer.
 
     Memory sits in north/south stripes, leaving a free horizontal channel
-    where the bus farms live; farms span the whole stack and land on top.
+    where the bus farms live; farms span the stack and land on top.
+    sweeps.with_memory_layers stacks more memory layers.
     """
-    if memory_layers < 1:
-        raise ValueError("need at least one memory layer")
     tech = TechnologyParams(
         footprint_width=2.4 * MM, footprint_height=2.4 * MM,
         grid_cell=100 * UM, ambient=298.15, package_resistance=6.0,
         adjacency_window=1.3 * MM, aspect_ratios=SQUARE_RATIOS,
         leakage_coeff=0.015, bond_thickness=3 * UM, bond_conductivity=0.29,
-        gradient_weighting=False,
     )
-    top = memory_layers
-    layers = tuple(Layer(i, 10 * UM, SILICON) for i in range(memory_layers + 1))
-    core_power = 0.6 * 0.6 * MM * MM * power_density
-    stripe_power = 2.0 * 0.4 * MM * MM * memory_density
+    layers = (Layer(0, 10 * UM, SILICON), Layer(1, 10 * UM, SILICON))
+    core_power = 0.6 * 0.6 * MM * MM * 3.0e6
+    stripe_power = 2.0 * 0.4 * MM * MM * 1.0e6
     blocks = [
         _block("cpu0", 0, 0.5, 0.9, 0.6, 0.6, core_power, leakage=0.25 * core_power),
         _block("cpu1", 0, 1.5, 0.9, 0.6, 0.6, core_power, leakage=0.25 * core_power),
@@ -166,14 +154,13 @@ def corememory_design(memory_layers: int = 1, k_farm: float = 0.5,
         _block("pad_nw", 0, 0.0, 2.2, 0.2, 0.2, 0.01, kind="peripheral"),
         _block("pad_sw", 0, 0.0, 0.0, 0.2, 0.2, 0.01, kind="peripheral"),
         _block("pad_se", 0, 2.2, 0.0, 0.2, 0.2, 0.01, kind="peripheral"),
+        _block("mem_n_l1", 1, 0.2, 1.8, 2.0, 0.4, stripe_power),
+        _block("mem_s_l1", 1, 0.2, 0.2, 2.0, 0.4, stripe_power),
     ]
-    for m in range(1, memory_layers + 1):
-        blocks.append(_block(f"mem_n_l{m}", m, 0.2, 1.8, 2.0, 0.4, stripe_power))
-        blocks.append(_block(f"mem_s_l{m}", m, 0.2, 0.2, 2.0, 0.4, stripe_power))
     farms = [
         # parked in the inter-core corridor and against cpu0's west face
-        _farm("bus_mid", 1.1, 0.9, 0.4, 0.4, 0, top, k_farm, k_metal, ("cpu0", "pad_ne")),
-        _farm("bus_w", 0.1, 0.9, 0.4, 0.4, 0, top, k_farm, k_metal, ("cpu0", "pad_sw")),
+        _farm("bus_mid", 1.1, 0.9, 0.4, 0.4, 0, 1, ("cpu0", "pad_ne")),
+        _farm("bus_w", 0.1, 0.9, 0.4, 0.4, 0, 1, ("cpu0", "pad_sw")),
     ]
     return Design(Stack(layers, tech), Floorplan(tuple(blocks), tuple(farms)),
                   materials=(SILICON, TUNGSTEN))

@@ -30,8 +30,9 @@ _TECH_LENGTHS = {"footprint_width", "footprint_height", "grid_cell",
 _TECH_FLOATS = {"package_resistance", "k_farm_min", "k_farm_max",
                 "leakage_coeff", "bond_conductivity"}
 # Keys that older files carry and that no longer set anything: the lengths
-# are still checked, and vertical_parallel may only be false.
+# are still checked, and the switches may only be false.
 _TECH_RETIRED_LENGTHS = {"tsv_pitch", "tsv_size"}
+_TECH_RETIRED_SWITCHES = {"vertical_parallel", "gradient_weighting"}
 
 
 def _parse_bool(text: str) -> bool:
@@ -119,13 +120,11 @@ def parse_design(source: str | Path, text: str | None = None,
                 tech_args[key] = parse_temperature(value)
             elif key in _TECH_FLOATS:
                 tech_args[key] = parse_float(value)
-            elif key == "gradient_weighting":
-                tech_args[key] = _parse_bool(value)
             elif key in _TECH_RETIRED_LENGTHS:
                 parse_length(value)
-            elif key == "vertical_parallel":
+            elif key in _TECH_RETIRED_SWITCHES:
                 if _parse_bool(value):
-                    errors.append((lineno, "vertical_parallel = true is no longer supported"))
+                    errors.append((lineno, f"{key} = true is no longer supported"))
             elif key == "aspect_ratios":
                 tech_args[key] = tuple(parse_float(v) for v in value.split())
             else:
@@ -259,7 +258,6 @@ def emit_design(design: Design) -> str:
         out.append(f"adjacency_window = {format_length(tech.adjacency_window)}")
     out.append(f"bond_thickness = {format_length(tech.bond_thickness)}")
     out.append(f"bond_conductivity = {_fmt(tech.bond_conductivity)}")
-    out.append(f"gradient_weighting = {str(tech.gradient_weighting).lower()}")
     out.append("")
     out.append("[layers]")
     for layer in design.stack.layers:

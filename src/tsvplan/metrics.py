@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DesignError
 from .model import (Block, Design, Floorplan, Stack, TechnologyParams, TsvFarm,
                     cache_by_identity)
-from .thermal import GridSpec, TemperatureField, block_average_temperature
+from .thermal import TemperatureField
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,7 @@ class CostWeights:
             raise ValueError("ratio target must be finite and > 0")
 
     @classmethod
-    def calibrated(cls, design: Design, field: TemperatureField,
-                   grid: GridSpec) -> "CostWeights":
+    def calibrated(cls, design: Design, field: TemperatureField) -> "CostWeights":
         """Derive default weights from the initial state.
 
         The anchor is the efficiency equivalent of one kelvin of average
@@ -53,7 +52,7 @@ class CostWeights:
         more than a percent-scale overhead. The ratio weight scales the
         (dimensionless) aspect deviation by the footprint-area cost.
         """
-        f_h = total_efficiency(design, field, grid)
+        f_h = total_efficiency(design)
         rise = max(field.average - design.stack.tech.ambient, 1.0)
         anchor = f_h / rise if f_h > 0 else 1.0
         area0 = floorplan_area(design.floorplan)
@@ -211,31 +210,14 @@ def pair_efficiency(table: StripTable, k_eff: np.ndarray) -> np.ndarray:
     return np.cumsum(grid.reshape(len(table.pairs), table.max_strips), axis=1)[:, -1]
 
 
-def total_efficiency(design: Design, field: TemperatureField | None = None,
-                     grid: GridSpec | None = None) -> float:
-    """Sum of pair conduction efficiencies over adjacent block pairs.
-
-    With a solved field, each pair is weighted by its normalized block-average
-    temperature difference so the hottest gradients dominate the objective
-    (disable via tech.gradient_weighting).
-    """
+def total_efficiency(design: Design) -> float:
+    """f_H: the sum of pair conduction efficiencies over adjacent block pairs."""
     table = strip_table(design.floorplan.blocks, design.stack)
     if not table.pairs:
         return 0.0
     terms = pair_efficiency(table, path_conductivity(table, design.floorplan.farms))
-
-    use_gradients = (design.stack.tech.gradient_weighting
-                     and field is not None and grid is not None)
     # Python's sum over the pairs, in pair order, keeps f_H bit-stable
-    if not use_gradients:
-        return float(sum(terms.tolist()))
-    deltas = [abs(block_average_temperature(field, a, grid)
-                  - block_average_temperature(field, b, grid))
-              for a, b, _ in table.pairs]
-    # the denominator is floored at 1 K: normalizing by a noise-scale
-    # maximum would let renormalization dwarf the conduction terms
-    top = max(max(deltas), 1.0)
-    return float(sum((terms * np.array(deltas) / top).tolist()))
+    return float(sum(terms.tolist()))
 
 
 @cache_by_identity
@@ -289,13 +271,12 @@ def combine(weights: CostWeights, area: float, efficiency: float, ratio: float,
     return CostBreakdown(area, efficiency, ratio, wirelength_m, total)
 
 
-def cost(design: Design, field: TemperatureField | None, grid: GridSpec,
-         weights: CostWeights) -> CostBreakdown:
+def cost(design: Design, weights: CostWeights) -> CostBreakdown:
     """All four objective terms plus their weighted total for one floorplan."""
     return combine(
         weights,
         floorplan_area(design.floorplan),
-        total_efficiency(design, field, grid),
+        total_efficiency(design),
         ratio_penalty(design.floorplan, weights.ratio_target),
         wirelength(design),
     )

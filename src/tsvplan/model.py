@@ -55,7 +55,6 @@ class TechnologyParams:
     adjacency_window: float | None = None  # defaults to grid_cell
     bond_thickness: float = 0.0    # >0 adds a series interface resistance
     bond_conductivity: float = 0.29
-    gradient_weighting: bool = True  # weight pair efficiencies by |dT| of the pair
 
 
 @dataclass(frozen=True)

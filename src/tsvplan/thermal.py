@@ -363,31 +363,25 @@ def couple_leakage(design: Design, grid: GridSpec,
     raise SolverError("leakage iteration did not converge within 50 solves")
 
 
-def _solve(design: Design, grid: GridSpec, x0: np.ndarray | None) -> TemperatureField:
-    if design.stack.tech.leakage_coeff > 0:
-        return couple_leakage(design, grid, x0=x0).field
-    return solve_design(design, grid, x0=x0)
-
-
 @cache_by_identity
 def _cold_field(design: Design, grid: GridSpec) -> TemperatureField:
-    field = _solve(design, grid, None)
+    if design.stack.tech.leakage_coeff > 0:
+        field = couple_leakage(design, grid).field
+    else:
+        field = solve_design(design, grid)
     field.t.flags.writeable = False
     return field
 
 
-def solve_field(design: Design, grid: GridSpec,
-                x0: np.ndarray | None = None) -> TemperatureField:
+def solve_field(design: Design, grid: GridSpec) -> TemperatureField:
     """Solve a design: the leakage fixed point when its leakage coefficient is
     positive, else one solve at reference leakage.
 
-    A cold solve (no x0) depends only on the design and the grid, so its
-    field is kept per (design, grid) object pair, by cache_by_identity, and
-    returned read-only to every later caller.
+    The field depends only on the design and the grid, so it is kept per
+    (design, grid) object pair, by cache_by_identity, and returned read-only
+    to every later caller.
     """
-    if x0 is None:
-        return _cold_field(design, grid)
-    return _solve(design, grid, x0)
+    return _cold_field(design, grid)
 
 
 def block_average_temperature(field: TemperatureField, block, grid: GridSpec) -> float:

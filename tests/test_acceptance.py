@@ -236,7 +236,7 @@ def test_criterion_8_exhaustive_oracle():
     assert validate(coarse) == []
 
     field0 = couple_leakage(coarse, grid).field
-    weights = CostWeights.calibrated(coarse, field0, grid)
+    weights = CostWeights.calibrated(coarse, field0)
     evaluator = Evaluator(grid, weights)
 
     farm0 = coarse.floorplan.farm("bus_e")

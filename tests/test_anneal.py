@@ -178,11 +178,10 @@ class TestSaPlacement:
             FlowConfig(outer_iterations=0)
 
 
-def _hotspot_design(gradient_weighting=False):
+def _hotspot_design():
     """Hot block with a farm parked in its corridor toward a cool neighbor."""
     tech = make_tech(adjacency_window=1.0 * MM, package_resistance=20.0,
-                     leakage_coeff=0.02, aspect_ratios=(0.25, 1.0, 4.0),
-                     gradient_weighting=gradient_weighting)
+                     leakage_coeff=0.02, aspect_ratios=(0.25, 1.0, 4.0))
     return make_design(
         blocks=(block("hot", 0, 0.2, 0.8, 0.4, 0.4, power=1.0, leakage=0.25),
                 block("cold", 0, 1.4, 0.8, 0.4, 0.4, power=0.02),
@@ -291,18 +290,6 @@ class TestOptimizeStack:
         d = _hotspot_design()
         result = optimize_stack(d, AnnealConfig(seed=6, max_moves=10),
                                 FlowConfig(outer_iterations=2))
-        curve = result.trace.best_cost_curve
-        assert all(a >= b for a, b in zip(curve, curve[1:]))
-
-    def test_gradient_weighted_objective_also_improves(self):
-        # same fixture with the field-coupled weighting enabled: the
-        # evaluator re-solves per candidate and the run still improves
-        d = _hotspot_design(gradient_weighting=True)
-        result = optimize_stack(
-            d, AnnealConfig(seed=2, max_moves=10, t_initial=1e-3,
-                            t_threshold=2e-4, cooling=0.7),
-            FlowConfig(outer_iterations=1))
-        assert result.after.average <= result.before.average + 1e-12
         curve = result.trace.best_cost_curve
         assert all(a >= b for a, b in zip(curve, curve[1:]))
 

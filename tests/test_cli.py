@@ -293,6 +293,8 @@ class TestSweep:
     (["optimize", "--t-initial", "1", "--t-threshold", "2"], "need t_initial > t_threshold"),
     (["optimize", "--t-initial", "nan"], "t_initial must be finite and > 0"),
     (["optimize", "--t-threshold", "nan"], "t_threshold must be finite and > 0"),
+    (["optimize", "--max-moves", "2", "--t-threshold", "1e6"],
+     "--t-threshold 1e+06 must be below the calibrated t_initial"),
     (["optimize", "--preset-ratio", "nan"], "ratio target must be finite and > 0"),
     (["optimize", "--preset-ratio", "-1"], "ratio target must be finite and > 0"),
     (["sweep", "--axis", "k_farm", "--values", "0.5", "--cooling", "nan"],
@@ -301,8 +303,8 @@ class TestSweep:
       "--preset-ratio", "inf"], "ratio target must be finite and > 0"),
 ], ids=["weights-word", "weights-nan", "weights-sign", "sweep-values-word",
         "cooling", "max-moves", "outer-iters", "seed", "t-order", "t-initial-nan",
-        "t-threshold-nan", "preset-ratio-nan", "preset-ratio-negative",
-        "sweep-cooling-nan", "sweep-preset-ratio-inf"])
+        "t-threshold-nan", "t-threshold-above-t0", "preset-ratio-nan",
+        "preset-ratio-negative", "sweep-cooling-nan", "sweep-preset-ratio-inf"])
 def test_bad_cli_numbers_are_data_errors(runner, tmp_path, args, message):
     command, *options = args
     result = runner.invoke(main, [command, str(_write(tmp_path, TINY_OPT)), *options,

@@ -133,10 +133,10 @@ bus 50um 50um 200um 200um 0 0 0.5 173
                    for n, message in err.value.errors)
 
     def test_retired_tech_keys_are_accepted_and_not_emitted(self):
-        # the shipped design files still carry the three retired keys
+        # the shipped design files still carry the four retired keys
         text = (REPO / "designs" / "blockage.design").read_text()
         retired = ("tsv_pitch = 4e-06m\n", "tsv_size = 2e-06m\n",
-                   "vertical_parallel = false\n")
+                   "vertical_parallel = false\n", "gradient_weighting = false\n")
         stripped = text
         for line in retired:
             assert line in text
@@ -146,7 +146,8 @@ bus 50um 50um 200um 200um 0 0 0.5 173
         emitted = emit_design(design)
         assert not any(line.split(" = ")[0] in emitted for line in retired)
 
-    @pytest.mark.parametrize("row", ["vertical_parallel = true", "tsv_pitch = banana"])
+    @pytest.mark.parametrize("row", ["vertical_parallel = true", "gradient_weighting = true",
+                                     "tsv_pitch = banana"])
     def test_bad_retired_tech_key_rejected_with_line(self, row):
         text = MINIMAL.replace("package_resistance = 10.0",
                                f"package_resistance = 10.0\n{row}")

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import cg
 
+from tsvplan.benchmarks import BUILDERS
 from tsvplan.errors import SingularNetworkError, SolverError, ThermalRunawayError
+from tsvplan.model import reshape_farm
 from tsvplan.thermal import (RESIDUAL_RTOL, ConductanceNetwork, GridSpec,
                              block_cell_weights, build_network, couple_leakage,
                              field_stats, grid_for, rasterize, solve_design,
@@ -247,12 +250,43 @@ class TestSolve:
         assert all(a >= b - 1e-9 for a, b in zip(peaks, peaks[1:]))
 
     def test_insulated_ring_raises_peak_over_no_ring(self):
-        import dataclasses
         from tsvplan.benchmarks import blockage_design
         ringed = blockage_design(k_farm=0.5, leakage_ref=0.0)
         bare = ringed.with_floorplan(
             dataclasses.replace(ringed.floorplan, farms=()))
         assert solve_design(ringed).peak > solve_design(bare).peak + 1.0
+
+
+def mirrored(design, axis):
+    """The design reflected across the footprint's centre line in x or y."""
+    width, height = design.stack.footprint
+
+    def flip(item):
+        if axis == "x":
+            return dataclasses.replace(item, x=width - item.x - item.width)
+        return dataclasses.replace(item, y=height - item.y - item.height)
+    fp = design.floorplan
+    return design.with_floorplan(dataclasses.replace(
+        fp, blocks=tuple(map(flip, fp.blocks)), farms=tuple(map(flip, fp.farms))))
+
+
+@pytest.mark.parametrize("solve", ["couple_leakage", "solve_design"])
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_mirrored_design_gives_mirrored_field(name, axis, solve):
+    # a reshaped first farm breaks the builders' own mirror symmetries
+    design = BUILDERS[name]()
+    design = reshape_farm(design, design.floorplan.farms[0].name, 0.25)
+    grid = grid_for(design.stack)
+
+    def field(d):
+        if solve == "couple_leakage":
+            return couple_leakage(d, grid).field.t
+        return solve_design(d, grid).t
+    original = field(design)
+    expected = np.flip(original, 2 if axis == "x" else 1)
+    assert np.abs(expected - original).max() > 1.0
+    np.testing.assert_allclose(field(mirrored(design, axis)), expected, rtol=0, atol=1e-9)
 
 
 @st.composite

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import GridError, SingularNetworkError, SolverError, ThermalRunawayError
 from .model import Design, Stack, cache_by_identity
@@ -197,66 +196,103 @@ class TemperatureField:
         return float(self.t.mean())
 
 
-def system_matrix(network: ConductanceNetwork):
-    """Assemble the SPD matrix G with node order layer-major, then row-major."""
-    grid = network.grid
-    n = grid.num_cells
-    node = np.arange(n).reshape(grid.num_layers, grid.cells_y, grid.cells_x)
+class StencilOperator:
+    """The SPD conductance matrix G as a matrix-free 7-point stencil.
 
-    rows, cols, data = [], [], []
+    Node order is layer-major, then row-major. The diagonal sums each node's
+    conductances in the order CSR assembly sums its duplicate entries: g_x as
+    left then as right node, g_y likewise, g_z as lower then upper node, then
+    g_ambient. A product adds each row's terms to 0 in ascending column order
+    (below, south, west, diagonal, east, north, above), as scipy's csr_matvec
+    does, so G and G @ x are bit-identical to the assembled CSR matrix's for
+    finite input.
+    """
 
-    def couple(i_idx, j_idx, g):
-        i = i_idx.ravel()
-        j = j_idx.ravel()
-        gv = g.ravel()
-        rows.extend((i, j, i, j))
-        cols.extend((j, i, i, j))
-        data.extend((-gv, -gv, gv, gv))
+    def __init__(self, network: ConductanceNetwork):
+        grid = network.grid
+        shape = (grid.num_layers, grid.cells_y, grid.cells_x)
+        diag, g_x, g_y = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+        g_x[:, :, :-1] = network.g_x
+        g_y[:, :-1, :] = network.g_y
+        for lo, hi, g in ((np.s_[:, :, :-1], np.s_[:, :, 1:], network.g_x),
+                          (np.s_[:, :-1], np.s_[:, 1:], network.g_y),
+                          (np.s_[:-1], np.s_[1:], network.g_z)):
+            diag[lo] += g
+            diag[hi] += g
+        diag[0] += network.g_ambient
+        self._diag = diag.ravel()
+        self._diag.flags.writeable = False
+        n = grid.num_cells
+        # (offset, -g to the node offset further on), zero where a row or layer ends
+        self._couplings = ((grid.cells_per_layer, -network.g_z.ravel()),
+                           (grid.cells_x, -g_y.ravel()[:n - grid.cells_x]),
+                           (1, -g_x.ravel()[:n - 1]))
 
-    couple(node[:, :, :-1], node[:, :, 1:], network.g_x)
-    couple(node[:, :-1, :], node[:, 1:, :], network.g_y)
-    if grid.num_layers > 1:
-        couple(node[:-1], node[1:], network.g_z)
+    def diagonal(self) -> np.ndarray:
+        return self._diag
 
-    bottom = node[0].ravel()
-    rows.append(bottom)
-    cols.append(bottom)
-    data.append(network.g_ambient.ravel())
+    def bind(self, x: np.ndarray, out: np.ndarray, term: np.ndarray):
+        """Return a function that writes G @ x into out, using term as scratch.
 
-    matrix = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
-    return matrix
+        The shifted views of the three buffers are taken once, here, so each
+        call costs only the arithmetic.
+        """
+        n = len(self._diag)
+        steps = [(g, x[:n - k], term[k:], out[k:]) for k, g in self._couplings]
+        steps.append((self._diag, x, term, out))
+        steps += [(g, x[k:], term[:n - k], out[:n - k])
+                  for k, g in reversed(self._couplings)]
+
+        def apply() -> np.ndarray:
+            out.fill(0.0)
+            for g, xs, ts, ys in steps:
+                np.multiply(g, xs, out=ts)
+                ys += ts
+            return out
+        return apply
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        out = np.empty_like(self._diag)
+        return self.bind(x, out, np.empty_like(out))()
 
 
-def _jacobi_pcg(matrix, b: np.ndarray, x: np.ndarray, inv_diag: np.ndarray,
-                atol: float, maxiter: int) -> np.ndarray:
+def system_matrix(network: ConductanceNetwork) -> StencilOperator:
+    """The system matrix G of a network, as a matrix-free stencil operator."""
+    return StencilOperator(network)
+
+
+def _jacobi_pcg(matrix: StencilOperator, b: np.ndarray, x: np.ndarray,
+                inv_diag: np.ndarray, atol: float, maxiter: int) -> np.ndarray:
     """Jacobi-preconditioned conjugate gradients, updating x in place.
 
     Performs scipy.sparse.linalg.cg's arithmetic (scipy 1.17, rtol=0,
-    M = diag(inv_diag)) operation for operation, so the result is bit-identical
-    to it, without the LinearOperator dispatch. A NaN or inf residual norm or
-    rho raises SolverError at once instead of running out the budget.
+    M = diag(inv_diag)) operation for operation on the CSR matrix that
+    StencilOperator reproduces, so the result is bit-identical to it. The
+    search direction p and its product q live in buffers bound to the
+    operator once per solve. A NaN or inf residual norm or rho raises
+    SolverError at once instead of running out the budget.
     """
-    if np.linalg.norm(b) == 0:
+    if math.sqrt(b.dot(b)) == 0:
         return b
     r = b - matrix @ x if x.any() else b.copy()
-    rho_prev = p = None
+    p, q = np.empty_like(b), np.empty_like(b)
+    product = matrix.bind(p, q, np.empty_like(b))
+    rho_prev = None
     for _ in range(maxiter):
-        norm = np.linalg.norm(r)
+        norm = math.sqrt(r.dot(r))
         if norm < atol:
             return x
         z = inv_diag * r
         rho = np.dot(r, z)
         if not (math.isfinite(norm) and math.isfinite(rho)):
             raise SolverError("non-finite residual in the steady-state solve",
-                              residual=float(norm))
-        if p is None:
-            p = z
+                              residual=norm)
+        if rho_prev is None:
+            p[:] = z
         else:
             p *= rho / rho_prev
             p += z
-        q = matrix @ p
+        product()
         alpha = rho / np.dot(p, q)
         x += alpha * p
         r -= alpha * q

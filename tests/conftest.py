@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from tsvplan.design_io import format_trace
 
@@ -55,6 +56,38 @@ def one_cell_resistances(cell, thickness, k_silicon, farm_fraction=0.0,
                   make_tech(footprint_width=cell, footprint_height=cell, grid_cell=cell))
     r_lat, r_vert = cell_resistances(occ, GridSpec(1, 1, cell, 1), stack)
     return float(r_lat[0, 0, 0]), float(r_vert[0, 0, 0])
+
+
+def csr_reference(network):
+    """The system matrix G of a network assembled as scipy CSR from COO triples,
+    the reference that thermal.StencilOperator must reproduce bit for bit."""
+    grid = network.grid
+    n = grid.num_cells
+    node = np.arange(n).reshape(grid.num_layers, grid.cells_y, grid.cells_x)
+
+    rows, cols, data = [], [], []
+
+    def couple(i_idx, j_idx, g):
+        i = i_idx.ravel()
+        j = j_idx.ravel()
+        gv = g.ravel()
+        rows.extend((i, j, i, j))
+        cols.extend((j, i, i, j))
+        data.extend((-gv, -gv, gv, gv))
+
+    couple(node[:, :, :-1], node[:, :, 1:], network.g_x)
+    couple(node[:, :-1, :], node[:, 1:, :], network.g_y)
+    if grid.num_layers > 1:
+        couple(node[:-1], node[1:], network.g_z)
+
+    bottom = node[0].ravel()
+    rows.append(bottom)
+    cols.append(bottom)
+    data.append(network.g_ambient.ravel())
+
+    return sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)).tocsr()
 
 
 def split_digests(results):

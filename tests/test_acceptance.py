@@ -21,7 +21,8 @@ from tsvplan.model import move_farm, validate
 from tsvplan.sweeps import run_sweep
 from tsvplan.thermal import (ConductanceNetwork, GridSpec, build_network,
                              couple_leakage, grid_for, rasterize, solve_design,
-                             solve_steady_state, system_matrix)
+                             solve_steady_state)
+from conftest import csr_reference
 
 MM = 1e-3
 AMBIENT = 298.15
@@ -89,7 +90,7 @@ def test_criterion_1_solver_correctness():
         field = solve_steady_state(net, p, AMBIENT)
         rhs = p.ravel().copy()
         rhs[:36] += net.g_ambient.ravel() * AMBIENT
-        exact = np.linalg.solve(system_matrix(net).toarray(), rhs).reshape(2, 6, 6)
+        exact = np.linalg.solve(csr_reference(net).toarray(), rhs).reshape(2, 6, 6)
         worst_dense = max(worst_dense, float(np.abs(field.t - exact).max()))
         out = float((net.g_ambient * (field.t[0] - AMBIENT)).sum())
         worst_conservation = max(worst_conservation, abs(out - p.sum()) / p.sum())

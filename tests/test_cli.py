@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -344,3 +347,26 @@ class TestShippedDesigns:
         path = REPO / "designs" / f"{name}.design"
         result = runner.invoke(main, ["check", str(path)])
         assert result.exit_code == 0, result.output
+
+
+NO_SCIPY = """
+import sys
+from tsvplan import cli
+design, out = sys.argv[1], sys.argv[2]
+for args in (["analyze", design, "--out-dir", out + "/analyze"],
+             ["optimize", design, "--max-moves", "2", "--out-dir", out + "/optimize"]):
+    cli.main(args, standalone_mode=False)
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def test_commands_run_without_importing_scipy(tmp_path):
+    # a fresh interpreter, since this one has imported scipy for the references
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, str(REPO / "designs" / "blockage.design"),
+         str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "optimize" / "report.json").exists()

@@ -133,18 +133,15 @@ bus 50um 50um 200um 200um 0 0 0.5 173
                    for n, message in err.value.errors)
 
     def test_retired_tech_keys_are_accepted_and_not_emitted(self):
-        # the shipped design files still carry the four retired keys
-        text = (REPO / "designs" / "blockage.design").read_text()
+        # design files written before the keys were retired carry all four
+        stripped = emit_design(BUILDERS["blockage"]())
         retired = ("tsv_pitch = 4e-06m\n", "tsv_size = 2e-06m\n",
                    "vertical_parallel = false\n", "gradient_weighting = false\n")
-        stripped = text
-        for line in retired:
-            assert line in text
-            stripped = stripped.replace(line, "")
-        design = parse_design("<shipped>", text=text)
+        text = stripped.replace("[tech]\n", "[tech]\n" + "".join(retired), 1)
+        assert all(line in text for line in retired)
+        design = parse_design("<old format>", text=text)
         assert design == parse_design("<stripped>", text=stripped)
-        emitted = emit_design(design)
-        assert not any(line.split(" = ")[0] in emitted for line in retired)
+        assert emit_design(design) == stripped
 
     @pytest.mark.parametrize("row", ["vertical_parallel = true", "gradient_weighting = true",
                                      "tsv_pitch = banana"])

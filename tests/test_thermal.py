@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import cg
 
@@ -14,8 +14,9 @@ from tsvplan.model import reshape_farm
 from tsvplan.thermal import (RESIDUAL_RTOL, ConductanceNetwork, GridSpec,
                              block_cell_weights, build_network, couple_leakage,
                              field_stats, grid_for, rasterize, solve_design,
-                             solve_steady_state, system_matrix)
-from conftest import MM, UM, block, farm, make_design, make_tech, one_cell_resistances
+                             solve_field, solve_steady_state, system_matrix)
+from conftest import (MM, UM, block, csr_reference, farm, make_design, make_tech,
+                      one_cell_resistances)
 
 AMBIENT = 298.15
 
@@ -146,8 +147,28 @@ class TestBuildNetwork:
             d = make_design(farms=(f,))
             grid = grid_for(d.stack, 2e-4)
             net = build_network(rasterize(d, grid), grid, d.stack)
-            m = system_matrix(net)
+            m = csr_reference(net)
             assert (m - m.T).nnz == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(layers=st.integers(1, 4), rows=st.integers(1, 5), cols=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(layers=1, rows=1, cols=1, seed=0)
+    @example(layers=3, rows=1, cols=4, seed=1)     # one row
+    @example(layers=3, rows=4, cols=1, seed=2)     # one column
+    @example(layers=1, rows=3, cols=4, seed=3)     # one layer
+    def test_stencil_matches_csr_reference(self, layers, rows, cols, seed):
+        rng = np.random.default_rng(seed)
+        g = lambda *shape: rng.uniform(1e-4, 1.0, shape)
+        net = ConductanceNetwork(
+            GridSpec(cols, rows, 1e-4, layers), g_x=g(layers, rows, cols - 1),
+            g_y=g(layers, rows - 1, cols), g_z=g(layers - 1, rows, cols),
+            g_ambient=g(rows, cols))
+        operator, reference = system_matrix(net), csr_reference(net)
+        assert np.array_equal(operator.diagonal(), reference.diagonal())
+        for x in (rng.uniform(250.0, 450.0, layers * rows * cols),
+                  rng.normal(0.0, 1.0, layers * rows * cols)):
+            assert np.array_equal(operator @ x, reference @ x)
 
     def test_farm_cell_coupling_weaker_than_silicon(self):
         d = make_design(farms=(farm("f", 0.0, 0.0, 0.1, 0.1, start=0, end=1),))
@@ -203,7 +224,7 @@ class TestSolve:
                 g_ambient=rng.uniform(1e-4, 1e-3, (6, 6)))
             power = rng.uniform(0.0, 0.5, (2, 6, 6))
             field = solve_steady_state(net, power, AMBIENT)
-            dense = system_matrix(net).toarray()
+            dense = csr_reference(net).toarray()
             rhs = power.ravel().copy()
             rhs[:36] += net.g_ambient.ravel() * AMBIENT
             exact = np.linalg.solve(dense, rhs).reshape(2, 6, 6)
@@ -289,6 +310,21 @@ def test_mirrored_design_gives_mirrored_field(name, axis, solve):
     np.testing.assert_allclose(field(mirrored(design, axis)), expected, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_swapping_identical_farms_leaves_the_field(name):
+    design = BUILDERS[name]()
+    first, second = design.floorplan.farms[:2]
+    assert dataclasses.replace(first, x=second.x, y=second.y, name=second.name,
+                               clients=second.clients) == second
+    swapped = design.with_floorplan(dataclasses.replace(design.floorplan, farms=(
+        dataclasses.replace(first, x=second.x, y=second.y),
+        dataclasses.replace(second, x=first.x, y=first.y),
+        *design.floorplan.farms[2:])))
+    grid = grid_for(design.stack)
+    np.testing.assert_allclose(solve_field(swapped, grid).t, solve_field(design, grid).t,
+                               rtol=0, atol=1e-9)
+
+
 @st.composite
 def rasterized_designs(draw):
     """A random design on the 2 x 2 mm fixture footprint, its grid and a start."""
@@ -319,7 +355,7 @@ class TestInlineConjugateGradients:
         design, grid, start_kind = case
         occ = rasterize(design, grid)
         net = build_network(occ, grid, design.stack)
-        matrix = system_matrix(net)
+        matrix = csr_reference(net)
         x0 = None
         if start_kind == "zeros":
             x0 = np.zeros(occ.power.shape)

@@ -1,6 +1,7 @@
 """Command-line entry points: analyze, optimize, sweep.
 
-Exit codes: 0 success, 1 data error, 2 solver error, 3 internal error.
+Exit codes: 0 success, 1 data error, 2 solver error, 3 internal error (its
+traceback follows the message on stderr).
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ def guarded(fn):
         except click.exceptions.Exit:
             raise
         except Exception as exc:
+            import traceback   # here, so that start-up does not pay for it
             click.echo(f"internal error: {exc}", err=True)
+            click.echo(traceback.format_exc(), err=True, nl=False)
             sys.exit(3)
     return wrapper
 

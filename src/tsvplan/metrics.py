@@ -14,7 +14,7 @@ against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,6 +110,8 @@ def adjacent_block_pairs(blocks: tuple[Block, ...],
 # and cut by its x extent.
 _PATH_COLUMNS = np.array([[1, 3, 0, 2], [0, 2, 1, 3]])
 
+ROW_MEMO_ENTRIES = 512  # per strip table, in _farm_rows; a full memo starts over
+
 
 @dataclass(frozen=True, eq=False)
 class StripTable:
@@ -118,7 +120,7 @@ class StripTable:
     Each adjacent pair's shared face is split into grid-cell-wide strips; a
     strip's path runs between the two block centres along its centre line.
     Arrays are per strip, x-paths first; `slot` places each strip in its
-    pair's row, in face order.
+    pair's row, in face order. `farm_rows` memoizes each farm's strip rows.
     """
 
     pairs: tuple[tuple[Block, Block, str], ...]
@@ -132,6 +134,7 @@ class StripTable:
     k_si: np.ndarray       # [S] layer conductivity
     slot: np.ndarray       # [S] flat index into a [pairs, max_strips] grid
     max_strips: int
+    farm_rows: dict = field(default_factory=dict, repr=False)
 
 
 @cache_by_identity
@@ -173,6 +176,25 @@ def strip_table(blocks: tuple[Block, ...], stack: Stack) -> StripTable:
         slot=slot, max_strips=max_strips)
 
 
+def _farm_rows(table: StripTable, farm: TsvFarm) -> tuple[np.ndarray, np.ndarray]:
+    """One farm's (seg / k_lateral, seg) over every strip: the resistive and
+    the plain length of the strip's path that the farm blocks, 0 where it
+    does not. Memoized per table on the farm's geometry and conductivity."""
+    key = (farm.rect, farm.start_layer, farm.end_layer, farm.k_lateral)
+    rows = table.farm_rows.get(key)
+    if rows is None:
+        if len(table.farm_rows) >= ROW_MEMO_ENTRIES:
+            table.farm_rows.clear()
+        across_lo, across_hi, along_lo, along_hi = np.repeat(
+            np.array(farm.rect)[_PATH_COLUMNS].T, table.axis_counts, axis=1)
+        seg = np.minimum(table.hi, along_hi) - np.maximum(table.lo, along_lo)
+        hit = ((farm.start_layer <= table.layer) & (table.layer < farm.end_layer)
+               & (across_lo <= table.line) & (table.line <= across_hi) & (seg > 0))
+        seg = np.where(hit, seg, 0.0)
+        rows = table.farm_rows[key] = (seg / farm.k_lateral, seg)
+    return rows
+
+
 def path_conductivity(table: StripTable, farms: tuple[TsvFarm, ...]) -> np.ndarray:
     """Composite conductivity of every strip's path, [S] W/(m K).
 
@@ -180,21 +202,15 @@ def path_conductivity(table: StripTable, farms: tuple[TsvFarm, ...]) -> np.ndarr
     strip's centre line contribute their lateral conductivity over the
     crossed length, silicon the rest. A farm does not block on its landing
     layer. Farm segments accumulate in floorplan order, so every strip sees
-    the same additions as a scalar walk over the farms would make.
+    the same additions as a scalar walk over the farms would make; a
+    candidate that moved one farm computes only that farm's rows.
     """
     crossing = np.zeros(len(table.line))
     farm_length = np.zeros(len(table.line))
-    if farms:
-        farm = np.array([(*f.rect, f.start_layer, f.end_layer, f.k_lateral) for f in farms])
-        across_lo, across_hi, along_lo, along_hi = np.repeat(
-            farm[:, _PATH_COLUMNS].transpose(2, 0, 1), table.axis_counts, axis=2)
-        seg = np.minimum(table.hi, along_hi) - np.maximum(table.lo, along_lo)
-        hit = ((farm[:, 4:5] <= table.layer) & (table.layer < farm[:, 5:6])
-               & (across_lo <= table.line) & (table.line <= across_hi) & (seg > 0))
-        seg = np.where(hit, seg, 0.0)
-        for resistive, length in zip(seg / farm[:, 6:7], seg):
-            crossing += resistive
-            farm_length += length
+    for farm in farms:
+        resistive, length = _farm_rows(table, farm)
+        crossing += resistive
+        farm_length += length
     return table.distance / (crossing + (table.distance - farm_length) / table.k_si)
 
 
@@ -245,12 +261,12 @@ def wirelength(design: Design) -> float:
 
 def floorplan_area(floorplan: Floorplan) -> float:
     """Area of the bounding box of everything placed, across all layers."""
-    x0, y0, x1, y1 = floorplan.bounding_box()
+    x0, y0, x1, y1 = floorplan.bounding_box
     return (x1 - x0) * (y1 - y0)
 
 
 def bounding_ratio(floorplan: Floorplan) -> float:
-    x0, y0, x1, y1 = floorplan.bounding_box()
+    x0, y0, x1, y1 = floorplan.bounding_box
     if y1 - y0 <= 0:
         return 1.0
     return (x1 - x0) / (y1 - y0)

@@ -127,6 +127,7 @@ class Net:
 
 
 CACHE_ENTRIES = 16  # per cache_by_identity function; a full cache starts over
+BLOCK_MEMO_ENTRIES = 4096  # per blocks tuple, in _block_hit; a full memo starts over
 
 
 def cache_by_identity(fn):
@@ -183,11 +184,9 @@ class Floorplan:
     def farm(self, name: str) -> TsvFarm:
         return self.farms[self.farm_index(name)]
 
-    def replace_farm(self, index: int, farm: TsvFarm) -> "Floorplan":
-        farms = self.farms[:index] + (farm,) + self.farms[index + 1:]
-        return dataclasses.replace(self, farms=farms)
-
+    @functools.cached_property
     def bounding_box(self) -> tuple[float, float, float, float]:
+        """Bounding box of everything placed, computed once per floorplan."""
         rects = [f.rect for f in self.farms]
         if self.blocks:
             rects.append(_bounding_box(self.blocks))
@@ -377,12 +376,35 @@ def require_valid(design: Design) -> Design:
 
 
 @cache_by_identity
-def _block_rects_by_layer(blocks: tuple[Block, ...]) -> dict[int, list[tuple[str, tuple]]]:
-    """(name, rect) of the fixed blocks on each layer, in floorplan order."""
-    out: dict[int, list[tuple[str, tuple]]] = {}
+def _block_rects_by_layer(blocks: tuple[Block, ...]) -> dict[int, list[tuple[Block, tuple]]]:
+    """(block, rect) of the fixed blocks on each layer, in floorplan order."""
+    out: dict[int, list[tuple[Block, tuple]]] = {}
     for b in blocks:
-        out.setdefault(b.layer, []).append((b.name, b.rect))
+        out.setdefault(b.layer, []).append((b, b.rect))
     return out
+
+
+@cache_by_identity
+def _block_hits(blocks: tuple[Block, ...]) -> dict:
+    """Memo of (start_layer, end_layer, rect) -> the first fixed block, layer
+    by layer, that the farm prism overlaps, or None. Blocks never move, so an
+    entry stays true for as long as this blocks tuple is cached."""
+    return {}
+
+
+def _block_hit(blocks: tuple[Block, ...], start: int, end: int, rect) -> Block | None:
+    memo = _block_hits(blocks)
+    key = (start, end, rect)
+    hit = memo.get(key, memo)   # the memo itself marks a miss
+    if hit is not memo:
+        return hit
+    if len(memo) >= BLOCK_MEMO_ENTRIES:
+        memo.clear()
+    by_layer = _block_rects_by_layer(blocks)
+    memo[key] = hit = next(
+        (b for layer in range(start, end + 1) for b, block_rect in by_layer.get(layer, ())
+         if rects_overlap(rect, block_rect)), None)
+    return hit
 
 
 def _place_farm(design: Design, index: int, x: float, y: float,
@@ -394,22 +416,23 @@ def _place_farm(design: Design, index: int, x: float, y: float,
     """
     stack, fp = design.stack, design.floorplan
     farm = fp.farms[index]
+    start, end = farm.start_layer, farm.end_layer
     rect = (x, y, x + width, y + height)
     tol = 1e-12 * max(stack.footprint)
     if not _inside_footprint(rect, stack, tol):
         raise InvalidMoveError(f"{farm.name}: leaves footprint")
-    blocks = _block_rects_by_layer(fp.blocks)
-    for layer in range(farm.start_layer, farm.end_layer + 1):
-        for name, block_rect in blocks.get(layer, ()):
-            if rects_overlap(rect, block_rect):
-                raise InvalidMoveError(
-                    f"{farm.name}: overlaps {name} on layer {layer}")
-        for k, other in enumerate(fp.farms):
-            if k != index and other.spans(layer) and rects_overlap(rect, other.rect):
-                raise InvalidMoveError(
-                    f"{farm.name}: overlaps {other.name} on layer {layer}")
-    candidate = dataclasses.replace(farm, x=x, y=y, width=width, height=height)
-    return design.with_floorplan(fp.replace_farm(index, candidate))
+    hit = _block_hit(fp.blocks, start, end, rect)
+    if hit is not None:
+        raise InvalidMoveError(f"{farm.name}: overlaps {hit.name} on layer {hit.layer}")
+    for k, other in enumerate(fp.farms):
+        if (k != index and other.start_layer <= end and start <= other.end_layer
+                and rects_overlap(rect, other.rect)):
+            raise InvalidMoveError(f"{farm.name}: overlaps {other.name} on layer "
+                                   f"{max(start, other.start_layer)}")
+    candidate = TsvFarm(farm.name, x, y, width, height, start, end, farm.k_lateral,
+                        farm.k_metal, farm.area, farm.clients)
+    farms = fp.farms[:index] + (candidate,) + fp.farms[index + 1:]
+    return Design(stack, Floorplan(fp.blocks, farms), design.materials)
 
 
 def reshape_farm(design: Design, name: str, ratio: float) -> Design:

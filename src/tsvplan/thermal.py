@@ -19,6 +19,9 @@ from .errors import GridError, SingularNetworkError, SolverError, ThermalRunaway
 from .model import Design, Stack, cache_by_identity
 
 RESIDUAL_RTOL = 1e-8  # on the infinity norm, relative to max(max cell power, 1 W)
+# CG iterations a design solve may spend, per unknown: one solve at reference
+# leakage gets them all, and the leakage fixed point's solves share them
+CG_ITERATIONS_PER_UNKNOWN = 100
 
 
 @dataclass(frozen=True)
@@ -186,6 +189,7 @@ def build_network(occ: CellOccupancy, grid: GridSpec, stack: Stack) -> Conductan
 class TemperatureField:
     t: np.ndarray        # [L, ny, nx] kelvin
     residual: float      # infinity norm of the final solve residual
+    iterations: int = 0  # CG iterations the solve took
 
     @property
     def peak(self) -> float:
@@ -262,8 +266,10 @@ def system_matrix(network: ConductanceNetwork) -> StencilOperator:
 
 
 def _jacobi_pcg(matrix: StencilOperator, b: np.ndarray, x: np.ndarray,
-                inv_diag: np.ndarray, atol: float, maxiter: int) -> np.ndarray:
-    """Jacobi-preconditioned conjugate gradients, updating x in place.
+                inv_diag: np.ndarray, atol: float,
+                maxiter: int) -> tuple[np.ndarray, int]:
+    """Jacobi-preconditioned conjugate gradients, updating x in place; returns
+    x and the number of iterations taken.
 
     Performs scipy.sparse.linalg.cg's arithmetic (scipy 1.17, rtol=0,
     M = diag(inv_diag)) operation for operation on the CSR matrix that
@@ -273,15 +279,15 @@ def _jacobi_pcg(matrix: StencilOperator, b: np.ndarray, x: np.ndarray,
     SolverError at once instead of running out the budget.
     """
     if math.sqrt(b.dot(b)) == 0:
-        return b
+        return b, 0
     r = b - matrix @ x if x.any() else b.copy()
     p, q = np.empty_like(b), np.empty_like(b)
     product = matrix.bind(p, q, np.empty_like(b))
     rho_prev = None
-    for _ in range(maxiter):
+    for iteration in range(maxiter):
         norm = math.sqrt(r.dot(r))
         if norm < atol:
-            return x
+            return x, iteration
         z = inv_diag * r
         rho = np.dot(r, z)
         if not (math.isfinite(norm) and math.isfinite(rho)):
@@ -297,18 +303,19 @@ def _jacobi_pcg(matrix: StencilOperator, b: np.ndarray, x: np.ndarray,
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
-    return x
+    return x, maxiter
 
 
 def solve_steady_state(network: ConductanceNetwork, power: np.ndarray,
                        ambient: float, x0: np.ndarray | None = None,
-                       matrix=None) -> TemperatureField:
+                       matrix=None, maxiter: int | None = None) -> TemperatureField:
     """Solve G*T = P + G_amb*T_amb by Jacobi-preconditioned conjugate gradients.
 
     The residual contract is an infinity norm below RESIDUAL_RTOL times
     max(max cell power, 1 W); the solver aims two decades tighter so small
     fixtures agree with a dense solve to ~1e-8 K. Pass a prebuilt matrix
-    when solving the same network repeatedly.
+    when solving the same network repeatedly. maxiter caps the CG
+    iterations, by default at CG_ITERATIONS_PER_UNKNOWN per unknown.
     """
     grid = network.grid
     n = grid.num_cells
@@ -322,14 +329,16 @@ def solve_steady_state(network: ConductanceNetwork, power: np.ndarray,
 
     target = RESIDUAL_RTOL * max(float(power.max(initial=0.0)), 1.0)
     start = np.full(n, ambient) if x0 is None else x0.ravel().copy()
-    x = _jacobi_pcg(matrix, rhs, start, 1.0 / matrix.diagonal(),
-                    atol=target * 1e-4, maxiter=100 * n)
+    if maxiter is None:
+        maxiter = int(CG_ITERATIONS_PER_UNKNOWN * n)
+    x, iterations = _jacobi_pcg(matrix, rhs, start, 1.0 / matrix.diagonal(),
+                                atol=target * 1e-4, maxiter=maxiter)
     residual = float(np.abs(rhs - matrix @ x).max())
     if not residual <= target:
-        raise SolverError(
-            f"steady-state solve did not reach residual {target:g}", residual=residual)
+        raise SolverError(f"steady-state solve did not reach residual {target:g} "
+                          f"within {maxiter} CG iterations", residual=residual)
     return TemperatureField(x.reshape(grid.num_layers, grid.cells_y, grid.cells_x),
-                            residual)
+                            residual, iterations)
 
 
 def solve_design(design: Design, grid: GridSpec | None = None,
@@ -355,7 +364,9 @@ def couple_leakage(design: Design, grid: GridSpec,
     leakage_tref)), with both values from the design's tech, distributed over
     the block footprint like its dynamic power. Converges when the largest
     cell temperature change drops below 0.01 K; five consecutive growing
-    updates raise ThermalRunawayError.
+    updates raise ThermalRunawayError. All its solves draw on one budget of
+    CG_ITERATIONS_PER_UNKNOWN CG iterations per unknown; running out of it
+    is a SolverError.
     """
     tech = design.stack.tech
     lam, ref = tech.leakage_coeff, tech.leakage_tref
@@ -374,6 +385,7 @@ def couple_leakage(design: Design, grid: GridSpec,
     t_prev = None if x0 is None else x0.reshape(occ.power.shape)
     growing = 0
     last_delta = None
+    budget = int(CG_ITERATIONS_PER_UNKNOWN * grid.num_cells)
     for iteration in range(1, 51):
         power = occ.power
         if lam > 0 and leaky and t_prev is not None:
@@ -382,7 +394,8 @@ def couple_leakage(design: Design, grid: GridSpec,
                 t_avg = float((t_prev[block.layer] * weights).sum())
                 power[block.layer] += block.leakage_ref * lam * (t_avg - ref) * weights
         field = solve_steady_state(network, power, tech.ambient, x0=t_prev,
-                                   matrix=matrix)
+                                   matrix=matrix, maxiter=budget)
+        budget -= field.iterations
         if t_prev is not None:
             delta = float(np.abs(field.t - t_prev).max())
             if delta < 0.01:

@@ -108,6 +108,16 @@ class TestAnalyze:
         assert result.exit_code == 2
         assert "diverging" in result.output
 
+    def test_spent_cg_budget_exits_2(self, runner, tmp_path, monkeypatch):
+        # blockage's leakage fixed point takes about 640 CG iterations over 800
+        # unknowns; a quarter iteration per unknown runs out on its third solve
+        import tsvplan.thermal as thermal
+        monkeypatch.setattr(thermal, "CG_ITERATIONS_PER_UNKNOWN", 0.25)
+        result = runner.invoke(main, ["analyze", str(REPO / "designs" / "blockage.design"),
+                                      "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "CG iterations" in result.output
+
     @pytest.mark.parametrize("old, new", [
         ("silicon 149.0", "silicon nan"),
         ("package_resistance = 15.0", "package_resistance = inf"),
@@ -272,6 +282,9 @@ class TestSweep:
         result = self._sweep_with(runner, tmp_path, monkeypatch, RuntimeError("bug"))
         assert result.exit_code == 3
         assert "internal error: bug" in result.output
+        # the traceback follows, down to the raising frame
+        assert "Traceback (most recent call last)" in result.output
+        assert "in failing" in result.output
         assert not (tmp_path / "sweep").exists()
 
     def test_preset_ratio_needs_explicit_weights(self, runner, tmp_path):

@@ -209,3 +209,21 @@ def test_shipped_design_file_equals_its_builder(name):
     # the benchmark reads the files; the goldens and property tests build
     # the designs in code, so the two must be the same design
     assert parse_design(REPO / "designs" / f"{name}.design") == BUILDERS[name]()
+
+
+# [tech] keys that the shipped files still carry and that no longer set
+# anything; emit_design does not write them
+RETIRED_TECH_KEYS = ("tsv_pitch", "tsv_size", "vertical_parallel", "gradient_weighting")
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_shipped_design_is_its_builder_plus_the_retired_lines(name):
+    shipped = (REPO / "designs" / f"{name}.design").read_text().splitlines()
+    key = lambda line: line.partition("=")[0].strip()
+    retired = [i for i, line in enumerate(shipped) if key(line) in RETIRED_TECH_KEYS]
+    assert sorted(key(shipped[i]) for i in retired) == sorted(RETIRED_TECH_KEYS)
+    tech = shipped.index("[tech]")
+    section_end = next(i for i in range(tech + 1, len(shipped)) if not shipped[i])
+    assert all(tech < i < section_end for i in retired)
+    kept = [line for i, line in enumerate(shipped) if i not in retired]
+    assert kept == emit_design(BUILDERS[name]()).splitlines()

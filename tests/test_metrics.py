@@ -1,7 +1,11 @@
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tsvplan import metrics, model
+from tsvplan.anneal import gen_move
+from tsvplan.benchmarks import BUILDERS
 from tsvplan.metrics import (CostWeights, adjacent_block_pairs, combine,
                              conduction_efficiency, cost, floorplan_area,
                              path_conductivity, ratio_penalty, strip_table,
@@ -10,7 +14,8 @@ from tsvplan.model import move_farm
 from tsvplan.thermal import grid_for, solve_design
 from tsvplan.errors import DesignError
 
-from conftest import MM, block, farm, make_design, make_tech, one_cell_resistances
+from conftest import (MM, block, farm, make_design, make_tech, one_cell_resistances,
+                      path_conductivity_reference)
 
 
 class TestConductionEfficiency:
@@ -183,3 +188,73 @@ class TestCalibratedWeights:
         anchor = f_h / max(field.average - d.stack.tech.ambient, 1.0)
         assert w.area * 0.01 * floorplan_area(d.floorplan) == pytest.approx(anchor)
         assert w.wirelength * 0.01 * wirelength(d) == pytest.approx(anchor)
+
+
+def _random_walk(design, steps, seed):
+    """Candidates of an always-accepting random move/reshape walk over every
+    farm, drawn by the annealer's own move generator."""
+    names = [f.name for f in design.floorplan.farms]
+    grid = grid_for(design.stack)
+    rng = np.random.default_rng(seed)
+    for _ in range(steps):
+        design, kind, _ = gen_move(design, names, rng, grid)
+        if kind != "null":
+            yield design
+
+
+class TestPerFarmRows:
+    """path_conductivity adds memoized per-farm rows; the batch formula in
+    conftest is the oracle it must match bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(1, 16),
+                              st.integers(0, 2), st.integers(0, 2),
+                              st.floats(0.05, 20.0)), min_size=1, max_size=6))
+    @example([(i, 0, 16, 0, 2, k) for i, k in enumerate((0.37, 1.9, 7.3, 0.11, 13.7, 2.9))])
+    def test_rows_add_like_the_batch_formula(self, specs):
+        # one corridor per layer between a west and an east block; farms of any
+        # span and conductivity, overlapping freely, so a strip may be crossed
+        # by several farms and the order of its additions shows in the last bit
+        blocks = tuple(block(f"{side}{layer}", layer, x, 0.2, 0.2, 1.6)
+                       for layer in range(3) for side, x in (("w", 0.0), ("e", 1.8)))
+        farms = tuple(farm(f"f{i}", 0.2 + 0.1 * ix, 0.2 + 0.1 * iy, 0.1,
+                           0.1 * min(height, 16 - iy) or 0.1, start=start,
+                           end=min(start + extra, 2), k_lat=k)
+                      for i, (ix, iy, height, start, extra, k) in enumerate(specs))
+        design = make_design(blocks=blocks, farms=farms, num_layers=3,
+                             tech=make_tech(adjacency_window=2.0 * MM))
+        table = strip_table(design.floorplan.blocks, design.stack)
+        expected = path_conductivity_reference(table, farms)
+        for _ in range(2):   # the first call fills the rows memo, the second reads it
+            assert np.array_equal(path_conductivity(table, farms), expected)
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_matches_the_batch_formula_across_a_start_over(self, name, monkeypatch):
+        # a walk this long meets 130-320 distinct farm states; the smaller cap
+        # makes the memo start over within it
+        monkeypatch.setattr(metrics, "ROW_MEMO_ENTRIES", 64)
+        design = BUILDERS[name]()
+        table = strip_table(design.floorplan.blocks, design.stack)
+        sizes = []
+        for candidate in _random_walk(design, 800, seed=3):
+            farms = candidate.floorplan.farms
+            assert np.array_equal(path_conductivity(table, farms),
+                                  path_conductivity_reference(table, farms))
+            sizes.append(len(table.farm_rows))
+        assert max(sizes) <= 64
+        assert any(b < a for a, b in zip(sizes, sizes[1:])), "memo never started over"
+
+    def test_memos_stay_within_their_caps(self, monkeypatch):
+        monkeypatch.setattr(metrics, "ROW_MEMO_ENTRIES", 16)
+        monkeypatch.setattr(model, "BLOCK_MEMO_ENTRIES", 64)
+        design = BUILDERS["multicore"]()
+        table = strip_table(design.floorplan.blocks, design.stack)
+        legality = model._block_hits(design.floorplan.blocks)
+        rows, blocks = [], []
+        for candidate in _random_walk(design, 400, seed=5):
+            total_efficiency(candidate)
+            rows.append(len(table.farm_rows))
+            blocks.append(len(legality))
+        assert max(rows) <= 16 and max(blocks) <= 64
+        for sizes in (rows, blocks):
+            assert any(b < a for a, b in zip(sizes, sizes[1:]))

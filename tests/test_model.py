@@ -1,12 +1,14 @@
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsvplan.benchmarks import blockage_design
+from tsvplan.benchmarks import BUILDERS, blockage_design
 from tsvplan.errors import InvalidMoveError
-from tsvplan.model import Material, move_farm, rects_overlap, reshape_farm, validate
+from tsvplan.model import (Material, _place_farm, move_farm, rects_overlap, reshape_farm,
+                           validate)
 
 from conftest import MM, block, farm, make_design, make_tech
 
@@ -245,3 +247,77 @@ def test_rects_overlap_matches_oracle():
     ]
     for a, b in cases:
         assert rects_overlap(a, b) == rect_intersects(a, b)
+
+
+# one design object per builder for the whole session, so the legality memo
+# keeps its entries across examples and repeat draws read them; every shipped
+# farm spans layers 0-1, so a three-layer design adds farms of other spans
+DESIGNS = {name: builder() for name, builder in sorted(BUILDERS.items())}
+DESIGNS["mixed-spans"] = make_design(
+    blocks=(block("a", 0, 0.2, 0.2, 0.6, 0.6), block("b", 1, 1.0, 0.2, 0.6, 0.6),
+            block("c", 2, 0.2, 1.0, 0.6, 0.6), block("d", 2, 1.2, 1.2, 0.4, 0.4)),
+    farms=(farm("f01", 1.2, 1.2, 0.4, 0.4, start=0, end=1),
+           farm("f12", 0.2, 0.2, 0.4, 0.4, start=1, end=2),
+           farm("f22", 1.0, 0.2, 0.4, 0.4, start=2, end=2),
+           farm("f02", 0.0, 1.6, 0.4, 0.4, start=0, end=2)),
+    num_layers=3)
+
+
+def legal_by_full_scan(design, index, rect):
+    """Uncached oracle: the footprint, then every block and every other farm
+    on every layer the farm spans."""
+    stack, fp = design.stack, design.floorplan
+    farm = fp.farms[index]
+    w, h = stack.footprint
+    tol = 1e-12 * max(w, h)
+    if not (rect[0] >= -tol and rect[1] >= -tol and rect[2] <= w + tol and rect[3] <= h + tol):
+        return False
+    for layer in range(farm.start_layer, farm.end_layer + 1):
+        occupants = [b.rect for b in fp.blocks if b.layer == layer]
+        occupants += [f.rect for k, f in enumerate(fp.farms) if k != index and f.spans(layer)]
+        if any(rects_overlap(rect, other) for other in occupants):
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(DESIGNS)), st.data())
+def test_memoized_legality_matches_a_full_scan(name, data):
+    design = DESIGNS[name]
+    fw, fh = design.stack.footprint
+    cell = design.stack.tech.grid_cell
+    for _ in range(data.draw(st.integers(1, 8), label="steps")):
+        index = data.draw(st.integers(0, len(design.floorplan.farms) - 1), label="farm")
+        farm = design.floorplan.farms[index]
+        width, height = farm.width, farm.height
+        kind = data.draw(st.sampled_from(["grid", "touch", "edge", "reshape"]), label="kind")
+        if kind == "reshape":   # anchored at the lower-left, as reshape_farm does
+            ratio = data.draw(st.sampled_from(design.stack.tech.aspect_ratios))
+            width, height = math.sqrt(farm.area * ratio), math.sqrt(farm.area / ratio)
+            x, y = farm.x, farm.y
+        elif kind == "touch":   # abut a block on one side, or share its edge
+            b = data.draw(st.sampled_from(design.floorplan.blocks))
+            x = data.draw(st.sampled_from([b.x - width, b.x, b.x + b.width]))
+            y = data.draw(st.sampled_from([b.y - height, b.y, b.y + b.height]))
+        elif kind == "edge":    # origins on and just past the footprint's edges
+            x = data.draw(st.sampled_from([0.0, fw - width, fw - width + cell, -cell]))
+            y = data.draw(st.sampled_from([0.0, fh - height, fh - height + cell, -cell]))
+        else:
+            x = data.draw(st.integers(0, int(fw / cell))) * cell
+            y = data.draw(st.integers(0, int(fh / cell))) * cell
+        rect = (x, y, x + width, y + height)
+        # the same rectangle for each farm of the same shape, whose span may differ
+        same_shape = [k for k, f in enumerate(design.floorplan.farms)
+                      if k != index and (f.width, f.height) == (width, height)]
+        for k in [*same_shape, index]:
+            expected = legal_by_full_scan(design, k, rect)
+            for _ in range(2):   # the first call may fill the memo; the second reads it
+                try:
+                    placed = _place_farm(design, k, x, y, width, height)
+                except InvalidMoveError:
+                    assert not expected
+                else:
+                    assert expected
+                    assert placed.floorplan.farms[k].rect == rect
+        if expected:
+            design = placed

@@ -125,7 +125,8 @@ def gen_move(design: Design, eligible: list[str], rng,
     fw, fh = design.stack.footprint
     for _ in range(RETRY_CAP):
         name = eligible[int(rng.integers(len(eligible)))]
-        farm = design.floorplan.farm(name)
+        index = design.floorplan.farm_index(name)
+        farm = design.floorplan.farms[index]
         branch = float(rng.random())
         try:
             if branch < 0.5:
@@ -134,7 +135,7 @@ def gen_move(design: Design, eligible: list[str], rng,
                 if not choices:
                     raise InvalidMoveError("no alternative ratio")
                 ratio = choices[int(rng.integers(len(choices)))]
-                return reshape_farm(design, name, ratio), "reshape", name
+                return reshape_farm(design, index, ratio), "reshape", name
             max_ix = math.floor((fw - farm.width) / cell + 1e-9)
             max_iy = math.floor((fh - farm.height) / cell + 1e-9)
             if max_ix < 0 or max_iy < 0:
@@ -143,7 +144,7 @@ def gen_move(design: Design, eligible: list[str], rng,
                       int(rng.integers(max_iy + 1)) * cell)
             if abs(origin[0] - farm.x) < 1e-12 and abs(origin[1] - farm.y) < 1e-12:
                 raise InvalidMoveError("position unchanged")
-            return move_farm(design, name, origin), "move", name
+            return move_farm(design, index, origin), "move", name
         except InvalidMoveError:
             continue
     return design, "null", None

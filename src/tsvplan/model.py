@@ -127,7 +127,7 @@ class Net:
 
 
 CACHE_ENTRIES = 16  # per cache_by_identity function; a full cache starts over
-BLOCK_MEMO_ENTRIES = 4096  # per blocks tuple, in _block_hit; a full memo starts over
+BLOCK_MEMO_ENTRIES = 4096  # in _block_hit's one memo; a full memo starts over
 
 
 def cache_by_identity(fn):
@@ -384,24 +384,35 @@ def _block_rects_by_layer(blocks: tuple[Block, ...]) -> dict[int, list[tuple[Blo
     return out
 
 
-@cache_by_identity
-def _block_hits(blocks: tuple[Block, ...]) -> dict:
+class _BlockHits:
     """Memo of (start_layer, end_layer, rect) -> the first fixed block, layer
-    by layer, that the farm prism overlaps, or None. Blocks never move, so an
-    entry stays true for as long as this blocks tuple is cached."""
-    return {}
+    by layer, that the farm prism overlaps, or None, for one blocks tuple at
+    a time. Blocks never move, so an entry stays true while its tuple is the
+    memo's; a run anneals one blocks tuple after another (a sweep, one per
+    point), so a new tuple starts the memo over, and so does a full one."""
+
+    def __init__(self):
+        self.blocks: tuple[Block, ...] | None = None
+        self.hits: dict = {}
+
+
+_BLOCK_HITS = _BlockHits()
 
 
 def _block_hit(blocks: tuple[Block, ...], start: int, end: int, rect) -> Block | None:
-    memo = _block_hits(blocks)
+    memo = _BLOCK_HITS
+    if memo.blocks is not blocks:
+        memo.blocks = blocks
+        memo.hits.clear()
+    hits = memo.hits
     key = (start, end, rect)
-    hit = memo.get(key, memo)   # the memo itself marks a miss
-    if hit is not memo:
+    hit = hits.get(key, hits)   # the dict itself marks a miss
+    if hit is not hits:
         return hit
-    if len(memo) >= BLOCK_MEMO_ENTRIES:
-        memo.clear()
+    if len(hits) >= BLOCK_MEMO_ENTRIES:
+        hits.clear()
     by_layer = _block_rects_by_layer(blocks)
-    memo[key] = hit = next(
+    hits[key] = hit = next(
         (b for layer in range(start, end + 1) for b, block_rect in by_layer.get(layer, ())
          if rects_overlap(rect, block_rect)), None)
     return hit
@@ -435,28 +446,32 @@ def _place_farm(design: Design, index: int, x: float, y: float,
     return Design(stack, Floorplan(fp.blocks, farms), design.materials)
 
 
-def reshape_farm(design: Design, name: str, ratio: float) -> Design:
+def _farm_index(floorplan: Floorplan, farm: str | int) -> int:
+    return farm if isinstance(farm, int) else floorplan.farm_index(farm)
+
+
+def reshape_farm(design: Design, farm: str | int, ratio: float) -> Design:
     """Change a farm's aspect ratio, conserving area, anchored at the lower-left.
 
+    The farm is given by name or by its index in the floorplan's farms.
     Raises InvalidMoveError if the reshaped rectangle leaves the footprint or
     collides on any spanned layer.
     """
-    fp = design.floorplan
-    index = fp.farm_index(name)
-    farm = fp.farms[index]
+    index = _farm_index(design.floorplan, farm)
+    farm = design.floorplan.farms[index]
     if not any(abs(ratio - r) <= 1e-9 * r for r in design.stack.tech.aspect_ratios):
-        raise InvalidMoveError(f"{name}: ratio {ratio} not a configured candidate")
+        raise InvalidMoveError(f"{farm.name}: ratio {ratio} not a configured candidate")
     width = math.sqrt(farm.area * ratio)
     height = math.sqrt(farm.area / ratio)
     return _place_farm(design, index, farm.x, farm.y, width, height)
 
 
-def move_farm(design: Design, name: str, origin: tuple[float, float]) -> Design:
-    """Translate a farm to a new lower-left origin on all spanned layers.
+def move_farm(design: Design, farm: str | int, origin: tuple[float, float]) -> Design:
+    """Translate a farm, given by name or by index, to a new lower-left origin
+    on all spanned layers.
 
     Raises InvalidMoveError on footprint exit or overlap on any spanned layer.
     """
-    fp = design.floorplan
-    index = fp.farm_index(name)
-    farm = fp.farms[index]
+    index = _farm_index(design.floorplan, farm)
+    farm = design.floorplan.farms[index]
     return _place_farm(design, index, origin[0], origin[1], farm.width, farm.height)

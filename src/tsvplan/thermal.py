@@ -10,6 +10,7 @@ shared equally by its cells. Lateral faces and the top are adiabatic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,11 @@ RESIDUAL_RTOL = 1e-8  # on the infinity norm, relative to max(max cell power, 1 
 # CG iterations a design solve may spend, per unknown: one solve at reference
 # leakage gets them all, and the leakage fixed point's solves share them
 CG_ITERATIONS_PER_UNKNOWN = 100
+# Layer planes of more cells than this are preconditioned by the multigrid
+# V-cycle, smaller ones by the Jacobi diagonal: the measured crossover (ROADMAP.md)
+JACOBI_MAX_PLANE_CELLS = 4096
+SMOOTHER_DAMPING = 0.8  # of the V-cycle's column block-Jacobi sweeps
+SMOOTHER_SWEEPS = 2     # before, and again after, each coarse correction
 
 
 @dataclass(frozen=True)
@@ -213,6 +219,7 @@ class StencilOperator:
     """
 
     def __init__(self, network: ConductanceNetwork):
+        self.network = network
         grid = network.grid
         shape = (grid.num_layers, grid.cells_y, grid.cells_x)
         diag, g_x, g_y = np.zeros(shape), np.zeros(shape), np.zeros(shape)
@@ -257,7 +264,19 @@ class StencilOperator:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         out = np.empty_like(self._diag)
-        return self.bind(x, out, np.empty_like(out))()
+        return self.bind(x, out, self.scratch)()
+
+    @functools.cached_property
+    def scratch(self) -> np.ndarray:
+        """A work vector for the term buffer of products with this matrix and
+        its V-cycle: a product uses it only while it runs."""
+        return np.empty_like(self._diag)
+
+    @functools.cached_property
+    def vcycle(self) -> VCycle:
+        """The multigrid preconditioner of this matrix, built on first use, so
+        every solve with the matrix shares one hierarchy."""
+        return VCycle(self)
 
 
 def system_matrix(network: ConductanceNetwork) -> StencilOperator:
@@ -265,30 +284,176 @@ def system_matrix(network: ConductanceNetwork) -> StencilOperator:
     return StencilOperator(network)
 
 
-def _jacobi_pcg(matrix: StencilOperator, b: np.ndarray, x: np.ndarray,
-                inv_diag: np.ndarray, atol: float,
-                maxiter: int) -> tuple[np.ndarray, int]:
-    """Jacobi-preconditioned conjugate gradients, updating x in place; returns
-    x and the number of iterations taken.
+def coarsen(network: ConductanceNetwork) -> ConductanceNetwork:
+    """The network on 2 x 2 aggregates of the layer plane, layers kept.
 
-    Performs scipy.sparse.linalg.cg's arithmetic (scipy 1.17, rtol=0,
-    M = diag(inv_diag)) operation for operation on the CSR matrix that
-    StencilOperator reproduces, so the result is bit-identical to it. The
-    search direction p and its product q live in buffers bound to the
-    operator once per solve. A NaN or inf residual norm or rho raises
-    SolverError at once instead of running out the budget.
+    An odd row or column count ends in one-cell aggregates. g_z and
+    g_ambient sum over each aggregate. A lateral coarse conductance is half
+    the sum of the fine edges that cross the aggregates' shared boundary,
+    which on uniform cells is the series rule at twice the cell size.
+    """
+    grid = network.grid
+    rows, cols = np.arange(0, grid.cells_y, 2), np.arange(0, grid.cells_x, 2)
+
+    def by_rows(a):
+        return np.add.reduceat(a, rows, axis=-2)
+
+    def by_cols(a):
+        return np.add.reduceat(a, cols, axis=-1)
+    return ConductanceNetwork(
+        GridSpec(len(cols), len(rows), 2 * grid.cell_size, grid.num_layers),
+        g_x=0.5 * by_rows(network.g_x[:, :, 1::2]),
+        g_y=0.5 * by_cols(network.g_y[:, 1::2, :]),
+        g_z=by_cols(by_rows(network.g_z)),
+        g_ambient=by_cols(by_rows(network.g_ambient)))
+
+
+class _Level:
+    """One level of the V-cycle: the Thomas factors of its vertical columns'
+    tridiagonal blocks, its operator's product, and buffers allocated once.
+
+    Only a coarse level has a right-hand side b; the finest is handed the CG
+    residual. Every level's residual r and product term are views of buffers
+    that all levels share: a level's residual is dead while coarser levels
+    run. A level keeps no reference to its operator, whose cached vcycle
+    would otherwise form a cycle that only the garbage collector frees.
+    """
+
+    def __init__(self, operator: StencilOperator, r: np.ndarray, term: np.ndarray,
+                 coarse: bool):
+        grid = operator.network.grid
+        n, layers, plane = grid.num_cells, grid.num_layers, grid.cells_per_layer
+        self.shape = (layers, grid.cells_y, grid.cells_x)
+        diag = operator.diagonal().reshape(layers, plane)
+        _, coupling = operator._couplings[0]    # -g_z, between layers l and l+1
+        # elimination down each column leaves 1/m per layer and c/m per coupling
+        self._c = c = coupling.reshape(layers - 1, plane)
+        self._inv_m = np.empty((layers, plane))
+        self._c_m = np.empty((layers - 1, plane))
+        self._inv_m[0] = 1.0 / diag[0]
+        for k in range(1, layers):
+            np.multiply(c[k - 1], self._inv_m[k - 1], out=self._c_m[k - 1])
+            self._inv_m[k] = 1.0 / (diag[k] - c[k - 1] * self._c_m[k - 1])
+        self._scratch = np.empty(plane)
+        self.b = np.empty(n) if coarse else None
+        self.x = np.empty(n)
+        self.r = r[:n]
+        self._product = operator.bind(self.x, self.r, term[:n])
+
+    def solve_columns(self, v: np.ndarray) -> None:
+        """Overwrite v with D^-1 v, D the column blocks, by a Thomas sweep
+        vectorized over the plane."""
+        v = v.reshape(self._inv_m.shape)
+        s, c, inv_m, c_m = self._scratch, self._c, self._inv_m, self._c_m
+        v[0] *= inv_m[0]
+        for k in range(1, len(v)):
+            np.multiply(c[k - 1], v[k - 1], out=s)
+            v[k] -= s
+            v[k] *= inv_m[k]
+        for k in range(len(v) - 2, -1, -1):
+            np.multiply(c_m[k], v[k + 1], out=s)
+            v[k] -= s
+
+    def residual(self, b: np.ndarray) -> np.ndarray:
+        """b - G x, in the level's r buffer."""
+        self._product()
+        return np.subtract(b, self.r, out=self.r)
+
+    def smooth(self, b: np.ndarray) -> None:
+        """One damped column block-Jacobi sweep on x."""
+        r = self.residual(b)
+        r *= SMOOTHER_DAMPING
+        self.solve_columns(r)
+        self.x += r
+
+
+def _aggregate_views(fine: np.ndarray, coarse: np.ndarray, shape):
+    """(fine, coarse) view pairs, one per position in a 2 x 2 aggregate, that
+    together pair every fine cell with its aggregate."""
+    _, ny, nx = shape
+    fine, coarse = fine.reshape(shape), coarse.reshape(-1, (ny + 1) // 2, (nx + 1) // 2)
+    return [(fine[:, dy::2, dx::2], coarse[:, :(ny - dy + 1) // 2, :(nx - dx + 1) // 2])
+            for dy in (0, 1) for dx in (0, 1)]
+
+
+class VCycle:
+    """A symmetric multigrid V-cycle: the SPD preconditioner of a matrix.
+
+    Levels coarsen the layer plane 2 x 2 (coarsen) down to one cell per
+    layer. Each level smooths by damped column block-Jacobi, solving every
+    vertical column's tridiagonal block exactly, SMOOTHER_SWEEPS times
+    before and after the coarse correction; restriction sums over an
+    aggregate and prolongation is piecewise constant, its transpose. The
+    one-cell plane is solved exactly by its column solve. Smoothing is
+    symmetric and every coarse solve SPD, so the cycle is SPD and fits
+    conjugate gradients. Buffers are allocated once, with the hierarchy.
+    """
+
+    def __init__(self, matrix: StencilOperator):
+        r = np.empty_like(matrix.scratch)
+        self._levels = [_Level(matrix, r, matrix.scratch, coarse=False)]
+        network = matrix.network
+        while network.grid.cells_per_layer > 1:
+            network = coarsen(network)
+            self._levels.append(
+                _Level(StencilOperator(network), r, matrix.scratch, coarse=True))
+        self._restrict = []  # per level but the last: (its r, next level's b) views
+        self._prolong = []   # (its x, next level's x) views
+        for fine, coarse in zip(self._levels, self._levels[1:]):
+            self._restrict.append(_aggregate_views(fine.r, coarse.b, fine.shape))
+            self._prolong.append(_aggregate_views(fine.x, coarse.x, fine.shape))
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        """M^-1 b, in a buffer that the next call overwrites."""
+        return self._cycle(0, b)
+
+    def _cycle(self, depth: int, b: np.ndarray) -> np.ndarray:
+        level = self._levels[depth]
+        x = level.x
+        if depth == len(self._levels) - 1:
+            x[:] = b
+            level.solve_columns(x)
+            return x
+        np.multiply(b, SMOOTHER_DAMPING, out=x)  # the first sweep, from x = 0
+        level.solve_columns(x)
+        for _ in range(SMOOTHER_SWEEPS - 1):
+            level.smooth(b)
+        level.residual(b)
+        (fine, coarse), *rest = self._restrict[depth]
+        coarse[...] = fine
+        for fine, coarse in rest:
+            coarse += fine
+        self._cycle(depth + 1, self._levels[depth + 1].b)
+        for fine, coarse in self._prolong[depth]:
+            fine += coarse
+        for _ in range(SMOOTHER_SWEEPS):
+            level.smooth(b)
+        return x
+
+
+def _pcg(matrix: StencilOperator, b: np.ndarray, x: np.ndarray, precondition,
+         atol: float, maxiter: int) -> tuple[np.ndarray, int]:
+    """Preconditioned conjugate gradients, updating x in place; returns x and
+    the number of iterations taken. precondition(r) returns M^-1 r.
+
+    With M^-1 the Jacobi diagonal this performs scipy.sparse.linalg.cg's
+    arithmetic (scipy 1.17, rtol=0) operation for operation on the CSR
+    matrix that StencilOperator reproduces, so the result is bit-identical
+    to it. The search direction p and its product q live in buffers bound
+    to the operator once per solve. A NaN or inf residual norm or rho
+    raises SolverError at once instead of running out the budget.
     """
     if math.sqrt(b.dot(b)) == 0:
         return b, 0
     r = b - matrix @ x if x.any() else b.copy()
     p, q = np.empty_like(b), np.empty_like(b)
-    product = matrix.bind(p, q, np.empty_like(b))
+    product = matrix.bind(p, q, matrix.scratch)
     rho_prev = None
     for iteration in range(maxiter):
         norm = math.sqrt(r.dot(r))
         if norm < atol:
             return x, iteration
-        z = inv_diag * r
+        z = precondition(r)
         rho = np.dot(r, z)
         if not (math.isfinite(norm) and math.isfinite(rho)):
             raise SolverError("non-finite residual in the steady-state solve",
@@ -309,11 +474,14 @@ def _jacobi_pcg(matrix: StencilOperator, b: np.ndarray, x: np.ndarray,
 def solve_steady_state(network: ConductanceNetwork, power: np.ndarray,
                        ambient: float, x0: np.ndarray | None = None,
                        matrix=None, maxiter: int | None = None) -> TemperatureField:
-    """Solve G*T = P + G_amb*T_amb by Jacobi-preconditioned conjugate gradients.
+    """Solve G*T = P + G_amb*T_amb by preconditioned conjugate gradients.
 
-    The residual contract is an infinity norm below RESIDUAL_RTOL times
-    max(max cell power, 1 W); the solver aims two decades tighter so small
-    fixtures agree with a dense solve to ~1e-8 K. Pass a prebuilt matrix
+    A layer plane of more than JACOBI_MAX_PLANE_CELLS cells is
+    preconditioned by the matrix's multigrid V-cycle, a smaller one by the
+    Jacobi diagonal. CG stops once the residual's 2-norm is below 1e-4
+    times the contract, so small fixtures agree with a dense solve to
+    ~1e-8 K; the contract is an infinity norm of the final residual below
+    RESIDUAL_RTOL times max(max cell power, 1 W). Pass a prebuilt matrix
     when solving the same network repeatedly. maxiter caps the CG
     iterations, by default at CG_ITERATIONS_PER_UNKNOWN per unknown.
     """
@@ -331,8 +499,15 @@ def solve_steady_state(network: ConductanceNetwork, power: np.ndarray,
     start = np.full(n, ambient) if x0 is None else x0.ravel().copy()
     if maxiter is None:
         maxiter = int(CG_ITERATIONS_PER_UNKNOWN * n)
-    x, iterations = _jacobi_pcg(matrix, rhs, start, 1.0 / matrix.diagonal(),
-                                atol=target * 1e-4, maxiter=maxiter)
+    if grid.cells_per_layer > JACOBI_MAX_PLANE_CELLS:
+        precondition = matrix.vcycle
+    else:
+        inv_diag = 1.0 / matrix.diagonal()
+
+        def precondition(r):
+            return inv_diag * r
+    x, iterations = _pcg(matrix, rhs, start, precondition,
+                         atol=target * 1e-4, maxiter=maxiter)
     residual = float(np.abs(rhs - matrix @ x).max())
     if not residual <= target:
         raise SolverError(f"steady-state solve did not reach residual {target:g} "

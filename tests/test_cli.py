@@ -118,6 +118,19 @@ class TestAnalyze:
         assert result.exit_code == 2
         assert "CG iterations" in result.output
 
+    def test_spent_cg_budget_exits_2_on_the_multigrid_path(self, runner, tmp_path,
+                                                          monkeypatch):
+        # at 25 um blockage's 80 x 80 plane takes the V-cycle, whose first solve
+        # takes about 10 iterations; 12,800 unknowns at 1/2,000 of an iteration
+        # each leave it 6
+        import tsvplan.thermal as thermal
+        assert 80 * 80 > thermal.JACOBI_MAX_PLANE_CELLS
+        monkeypatch.setattr(thermal, "CG_ITERATIONS_PER_UNKNOWN", 5e-4)
+        result = runner.invoke(main, ["analyze", str(REPO / "designs" / "blockage.design"),
+                                      "--grid-cell", "25um", "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "within 6 CG iterations" in result.output
+
     @pytest.mark.parametrize("old, new", [
         ("silicon 149.0", "silicon nan"),
         ("package_resistance = 15.0", "package_resistance = inf"),
@@ -367,6 +380,7 @@ import sys
 from tsvplan import cli
 design, out = sys.argv[1], sys.argv[2]
 for args in (["analyze", design, "--out-dir", out + "/analyze"],
+             ["analyze", design, "--grid-cell", "25um", "--out-dir", out + "/multigrid"],
              ["optimize", design, "--max-moves", "2", "--out-dir", out + "/optimize"]):
     cli.main(args, standalone_mode=False)
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
@@ -383,3 +397,4 @@ def test_commands_run_without_importing_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "optimize" / "report.json").exists()
+    assert (tmp_path / "multigrid" / "layer0.map").exists()

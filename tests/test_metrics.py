@@ -249,12 +249,19 @@ class TestPerFarmRows:
         monkeypatch.setattr(model, "BLOCK_MEMO_ENTRIES", 64)
         design = BUILDERS["multicore"]()
         table = strip_table(design.floorplan.blocks, design.stack)
-        legality = model._block_hits(design.floorplan.blocks)
         rows, blocks = [], []
         for candidate in _random_walk(design, 400, seed=5):
             total_efficiency(candidate)
             rows.append(len(table.farm_rows))
-            blocks.append(len(legality))
+            blocks.append(len(model._BLOCK_HITS.hits))
         assert max(rows) <= 16 and max(blocks) <= 64
         for sizes in (rows, blocks):
             assert any(b < a for a, b in zip(sizes, sizes[1:]))
+        # several blocks tuples, walked one after another as a sweep's points
+        # are, then interleaved, stay within the one cap all together
+        names = sorted(BUILDERS)
+        walks = [_random_walk(BUILDERS[name](), 150, seed=6) for name in names]
+        sizes = [len(model._BLOCK_HITS.hits) for walk in walks for _ in walk]
+        interleaved = zip(*[_random_walk(BUILDERS[name](), 150, seed=7) for name in names])
+        sizes += [len(model._BLOCK_HITS.hits) for _ in interleaved]
+        assert max(sizes) <= 64

@@ -280,13 +280,35 @@ def legal_by_full_scan(design, index, rect):
     return True
 
 
+def _place_as_the_full_scan_says(design, index, rect):
+    """_place_farm's verdict on rect for farm index, checked against the full
+    scan twice (the first call may fill the memo; the second reads it);
+    returns the placed design, or None when illegal."""
+    expected = legal_by_full_scan(design, index, rect)
+    placed = None
+    for _ in range(2):
+        try:
+            placed = _place_farm(design, index, rect[0], rect[1],
+                                 rect[2] - rect[0], rect[3] - rect[1])
+        except InvalidMoveError:
+            assert not expected
+        else:
+            assert expected
+            assert placed.floorplan.farms[index].rect == rect
+    return placed
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(sorted(DESIGNS)), st.data())
 def test_memoized_legality_matches_a_full_scan(name, data):
-    design = DESIGNS[name]
-    fw, fh = design.stack.footprint
-    cell = design.stack.tech.grid_cell
+    designs = dict(DESIGNS)
     for _ in range(data.draw(st.integers(1, 8), label="steps")):
+        # a step may switch designs, and so blocks tuples, as a sweep's points do
+        if data.draw(st.booleans(), label="switch"):
+            name = data.draw(st.sampled_from(sorted(DESIGNS)), label="design")
+        design = designs[name]
+        fw, fh = design.stack.footprint
+        cell = design.stack.tech.grid_cell
         index = data.draw(st.integers(0, len(design.floorplan.farms) - 1), label="farm")
         farm = design.floorplan.farms[index]
         width, height = farm.width, farm.height
@@ -309,15 +331,13 @@ def test_memoized_legality_matches_a_full_scan(name, data):
         # the same rectangle for each farm of the same shape, whose span may differ
         same_shape = [k for k, f in enumerate(design.floorplan.farms)
                       if k != index and (f.width, f.height) == (width, height)]
-        for k in [*same_shape, index]:
-            expected = legal_by_full_scan(design, k, rect)
-            for _ in range(2):   # the first call may fill the memo; the second reads it
-                try:
-                    placed = _place_farm(design, k, x, y, width, height)
-                except InvalidMoveError:
-                    assert not expected
-                else:
-                    assert expected
-                    assert placed.floorplan.farms[k].rect == rect
-        if expected:
-            design = placed
+        for k in same_shape:
+            _place_as_the_full_scan_says(design, k, rect)
+        # and for the first farm of every other design: the same memo key under
+        # another blocks tuple, whose answer may differ
+        for other in designs:
+            if other != name:
+                _place_as_the_full_scan_says(designs[other], 0, rect)
+        placed = _place_as_the_full_scan_says(design, index, rect)
+        if placed is not None:
+            designs[name] = placed

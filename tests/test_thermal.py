@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -11,8 +12,9 @@ from scipy.sparse.linalg import cg
 from tsvplan.benchmarks import BUILDERS
 from tsvplan.errors import SingularNetworkError, SolverError, ThermalRunawayError
 from tsvplan.model import reshape_farm
-from tsvplan.thermal import (RESIDUAL_RTOL, ConductanceNetwork, GridSpec,
-                             block_cell_weights, build_network, couple_leakage,
+from tsvplan import thermal
+from tsvplan.thermal import (JACOBI_MAX_PLANE_CELLS, RESIDUAL_RTOL, ConductanceNetwork,
+                             GridSpec, block_cell_weights, build_network, couple_leakage,
                              field_stats, grid_for, rasterize, solve_design,
                              solve_field, solve_steady_state, system_matrix)
 from conftest import (MM, UM, block, csr_reference, farm, make_design, make_tech,
@@ -378,14 +380,135 @@ class TestInlineConjugateGradients:
     @pytest.mark.parametrize("watts", [float("nan"), float("inf")])
     @pytest.mark.parametrize("leakage", [0.0, 0.02])
     def test_non_finite_power_fails_at_once(self, watts, leakage):
-        d = make_design(blocks=(block("b", 0, 0.5, 0.5, 0.6, 0.6, power=watts,
-                                      leakage=0.1),),
-                        tech=make_tech(leakage_coeff=leakage))
-        grid = grid_for(d.stack, 5e-5)   # 3,200 unknowns: a 320,000-step budget
-        started = time.perf_counter()
-        with pytest.raises(SolverError, match="non-finite"):
-            couple_leakage(d, grid)
-        assert time.perf_counter() - started < 2.0
+        # 3,200 unknowns: a 320,000-step budget
+        _assert_non_finite_power_fails_at_once(watts, leakage, cell=5e-5)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("watts", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("leakage", [0.0, 0.02])
+    def test_non_finite_power_fails_at_once_above_the_switch(self, watts, leakage):
+        # an 80 x 80 plane takes the multigrid path
+        assert 80 * 80 > JACOBI_MAX_PLANE_CELLS
+        _assert_non_finite_power_fails_at_once(watts, leakage, cell=2.5e-5)
+
+
+def _assert_non_finite_power_fails_at_once(watts, leakage, cell):
+    d = make_design(blocks=(block("b", 0, 0.5, 0.5, 0.6, 0.6, power=watts,
+                                  leakage=0.1),),
+                    tech=make_tech(leakage_coeff=leakage))
+    grid = grid_for(d.stack, cell)
+    started = time.perf_counter()
+    with pytest.raises(SolverError, match="non-finite"):
+        couple_leakage(d, grid)
+    assert time.perf_counter() - started < 2.0
+
+
+def random_network(layers, rows, cols, seed, strong_z, patch):
+    """A network with conductances log-uniform in [1e-4, 1], vertical ones in
+    the top decade when strong (no bond layer), and lateral ones 300 times
+    lower around the cells patch = (y0, y1, x0, x1), like an insulated farm."""
+    rng = np.random.default_rng(seed)
+    g = lambda *shape, low=-4.0: 10.0 ** rng.uniform(low, 0.0, shape)
+    g_x, g_y = g(layers, rows, cols - 1), g(layers, rows - 1, cols)
+    y0, y1, x0, x1 = patch
+    g_x[:, y0:y1, max(x0 - 1, 0):x1] /= 300.0
+    g_y[:, max(y0 - 1, 0):y1, x0:x1] /= 300.0
+    g_z = g(layers - 1, rows, cols, low=-1.0 if strong_z else -4.0)
+    return ConductanceNetwork(GridSpec(cols, rows, 1e-4, layers), g_x=g_x, g_y=g_y,
+                              g_z=g_z, g_ambient=g(rows, cols))
+
+
+@st.composite
+def random_networks(draw):
+    """random_network on 1 to 5 layers and a plane of any shape up to 9 x 9."""
+    layers, rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    y0, x0 = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+    patch = (y0, draw(st.integers(y0 + 1, rows)), x0, draw(st.integers(x0 + 1, cols)))
+    return random_network(layers, rows, cols, draw(st.integers(0, 2 ** 32 - 1)),
+                          draw(st.booleans()), patch)
+
+
+def with_odd_planes(test):
+    """Always try a one-cell, one-row, one-column and odd planes too."""
+    for layers, rows, cols in [(1, 1, 1), (3, 1, 7), (3, 7, 1), (1, 5, 9), (5, 9, 9),
+                               (2, 2, 3)]:
+        net = random_network(layers, rows, cols, seed=rows * cols, strong_z=True,
+                             patch=(0, (rows + 1) // 2, 0, (cols + 1) // 2))
+        test = example(net=net, seed=layers)(test)
+    return test
+
+
+class TestMultigrid:
+    """The V-cycle preconditioner, which planes above JACOBI_MAX_PLANE_CELLS
+    cells take."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(net=random_networks(), seed=st.integers(0, 2 ** 32 - 1))
+    @with_odd_planes
+    def test_vcycle_is_symmetric_and_positive(self, net, seed):
+        rng = np.random.default_rng(seed)
+        vcycle = system_matrix(net).vcycle
+        x, y = rng.normal(size=(2, net.grid.num_cells))
+        mx, my = vcycle(x).copy(), vcycle(y).copy()
+        xmx, ymy = x @ mx, y @ my
+        assert xmx > 0 and ymy > 0
+        assert abs(y @ mx - x @ my) <= 1e-12 * math.sqrt(xmx * ymy)
+
+    @settings(max_examples=80, deadline=None)
+    @given(net=random_networks(), seed=st.integers(0, 2 ** 32 - 1))
+    @with_odd_planes
+    def test_multigrid_pcg_matches_a_dense_solve(self, net, seed):
+        grid = net.grid
+        power = np.random.default_rng(seed).uniform(0.0, 0.5, (grid.num_layers, grid.cells_y,
+                                                               grid.cells_x))
+        matrix = system_matrix(net)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(thermal, "JACOBI_MAX_PLANE_CELLS", 0)
+            field = solve_steady_state(net, power, AMBIENT, matrix=matrix)
+        assert "vcycle" in vars(matrix)   # built, so the multigrid path ran
+        rhs = power.ravel().copy()
+        rhs[:grid.cells_per_layer] += net.g_ambient.ravel() * AMBIENT
+        exact = np.linalg.solve(csr_reference(net).toarray(), rhs)
+        assert np.abs(field.t.ravel() - exact).max() < 1e-8
+
+    @pytest.mark.parametrize("rows, taken", [(JACOBI_MAX_PLANE_CELLS // 64, "jacobi"),
+                                             (JACOBI_MAX_PLANE_CELLS // 64 + 1, "multigrid")])
+    def test_the_switch_is_on_the_plane_size(self, rows, taken):
+        # a plane exactly at the constant is solved as scipy's cg solves it;
+        # one row more builds and uses the V-cycle
+        rng = np.random.default_rng(rows)
+        g = lambda *shape: rng.uniform(1e-3, 1e-1, shape)
+        net = ConductanceNetwork(GridSpec(64, rows, 1e-4, 2), g_x=g(2, rows, 63),
+                                 g_y=g(2, rows - 1, 64), g_z=g(1, rows, 64),
+                                 g_ambient=g(rows, 64))
+        power = rng.uniform(0.0, 0.01, (2, rows, 64))
+        matrix = system_matrix(net)
+        field = solve_steady_state(net, power, AMBIENT, matrix=matrix)
+        assert ("vcycle" in vars(matrix)) == (taken == "multigrid")
+        rhs = power.ravel().copy()
+        rhs[:64 * rows] += net.g_ambient.ravel() * AMBIENT
+        reference = csr_reference(net)
+        expected, info = cg(reference, rhs, x0=np.full(rhs.size, AMBIENT), rtol=0.0,
+                            atol=RESIDUAL_RTOL * 1e-4, maxiter=100 * rhs.size,
+                            M=sp.diags(1.0 / reference.diagonal()))
+        assert info == 0
+        if taken == "jacobi":
+            assert np.array_equal(field.t.ravel(), expected)
+        else:
+            assert field.iterations <= 20
+            assert np.abs(field.t.ravel() - expected).max() < 1e-8
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_energy_balance_at_25um(self, name):
+        design = BUILDERS[name]()
+        grid = grid_for(design.stack, 25e-6)
+        assert grid.cells_per_layer > JACOBI_MAX_PLANE_CELLS
+        occ = rasterize(design, grid)
+        net = build_network(occ, grid, design.stack)
+        field = solve_steady_state(net, occ.power, design.stack.tech.ambient)
+        assert field.iterations <= 20
+        heat_out = float((net.g_ambient * (field.t[0] - design.stack.tech.ambient)).sum())
+        assert heat_out == pytest.approx(occ.power.sum(), rel=1e-6)
 
 
 # ---------------------------------------------------------- leakage coupling

@@ -4,6 +4,9 @@ The design format is line-oriented with [section] headers, # comments,
 key = value lines in [tech], and whitespace-separated table rows elsewhere.
 Lengths carry a unit suffix (um, mm, m), temperatures K or C, powers are
 bare watts. See the README for the full grammar.
+
+The format of [tech] and of the fixed-width sections is written down once,
+in the tables _TECH and _ROWS, which parse_design and emit_design both read.
 """
 
 from __future__ import annotations
@@ -23,24 +26,80 @@ from .units import (format_length, format_temperature, parse_float, parse_length
 
 SECTIONS = ("materials", "tech", "layers", "blocks", "farms", "nets", "power")
 
-_TECH_REQUIRED = ("footprint_width", "footprint_height", "grid_cell",
-                  "ambient", "package_resistance")
-_TECH_LENGTHS = {"footprint_width", "footprint_height", "grid_cell",
-                 "adjacency_window", "bond_thickness"}
-_TECH_FLOATS = {"package_resistance", "k_farm_min", "k_farm_max",
-                "leakage_coeff", "bond_conductivity"}
+# How a value is read from its text and written back: (reader, writer).
+_WORD = (str, str)
+_INT = (int, str)
+_FLOAT = (parse_float, repr)
+_LENGTH = (parse_length, format_length)
+_TEMPERATURE = (parse_temperature, format_temperature)
+_FLOATS = (lambda text: tuple(parse_float(v) for v in text.split()),
+           lambda values: " ".join(map(repr, values)))
+
+# Each [tech] key is a TechnologyParams field; this is the order they are
+# written in, and a value of None is not written. The fields without a
+# default are the required keys.
+_TECH = {
+    "footprint_width": _LENGTH, "footprint_height": _LENGTH, "grid_cell": _LENGTH,
+    "ambient": _TEMPERATURE, "package_resistance": _FLOAT,
+    "k_farm_min": _FLOAT, "k_farm_max": _FLOAT, "aspect_ratios": _FLOATS,
+    "leakage_coeff": _FLOAT, "leakage_tref": _TEMPERATURE,
+    "adjacency_window": _LENGTH, "bond_thickness": _LENGTH, "bond_conductivity": _FLOAT,
+}
+_TECH_REQUIRED = tuple(f.name for f in dataclasses.fields(TechnologyParams)
+                       if f.default is dataclasses.MISSING)
+
+
+def _retired_switch(text: str) -> None:
+    if text.lower() in ("true", "1", "yes"):
+        raise DesignError("true is no longer supported")
+    if text.lower() not in ("false", "0", "no"):
+        raise DesignError(f"bad boolean {text!r}")
+
+
 # Keys that older files carry and that no longer set anything: the lengths
 # are still checked, and the switches may only be false.
-_TECH_RETIRED_LENGTHS = {"tsv_pitch", "tsv_size"}
-_TECH_RETIRED_SWITCHES = {"vertical_parallel", "gradient_weighting"}
+_TECH_RETIRED = {"tsv_pitch": parse_length, "tsv_size": parse_length,
+                 "vertical_parallel": _retired_switch, "gradient_weighting": _retired_switch}
+_TECH_READERS = {key: read for key, (read, _) in _TECH.items()} | _TECH_RETIRED
+
+# Each fixed-width section: the name of its row, the model object a row
+# builds, and its columns in order, each named after the field it fills. A
+# layer's material is read by parse_design, against the file's [materials].
+_ROWS = {
+    "materials": ("material", Material, {"name": _WORD, "conductivity": _FLOAT}),
+    "layers": ("layer", Layer, {"index": _INT, "thickness": _LENGTH,
+                                "material": (None, lambda material: material.name)}),
+    "blocks": ("block", Block, {"name": _WORD, "layer": _INT, "x": _LENGTH, "y": _LENGTH,
+                                "width": _LENGTH, "height": _LENGTH, "kind": _WORD}),
+    "farms": ("farm", lambda **f: TsvFarm(**f, area=f["width"] * f["height"]),
+              {"name": _WORD, "x": _LENGTH, "y": _LENGTH, "width": _LENGTH,
+               "height": _LENGTH, "start_layer": _INT, "end_layer": _INT,
+               "k_lateral": _FLOAT, "k_metal": _FLOAT}),
+}
 
 
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("true", "1", "yes"):
-        return True
-    if text.lower() in ("false", "0", "no"):
-        return False
-    raise DesignError(f"bad boolean {text!r}")
+def _read_rows(rows: dict, section: str, errors: list, **readers) -> list:
+    """The objects a fixed-width section's rows build, in file order. A row
+    with the wrong column count or a bad value is reported with its line and
+    skipped. readers replaces the table's reader of the named columns."""
+    noun, build, columns = _ROWS[section]
+    items = []
+    for lineno, tok in rows[section]:
+        if len(tok) != len(columns):
+            errors.append((lineno, f"{noun} row needs: {' '.join(columns)}"))
+            continue
+        try:
+            items.append(build(**{name: readers.get(name, read)(text)
+                                  for (name, (read, _)), text in zip(columns.items(), tok)}))
+        except (ValueError, DesignError) as exc:
+            errors.append((lineno, str(exc)))
+    return items
+
+
+def _write_rows(section: str, items) -> list[str]:
+    columns = _ROWS[section][2]
+    return [" ".join(write(getattr(item, name)) for name, (_, write) in columns.items())
+            for item in items]
 
 
 def parse_design(source: str | Path, text: str | None = None,
@@ -56,7 +115,7 @@ def parse_design(source: str | Path, text: str | None = None,
     errors: list[tuple[int, str]] = []
     rows: dict[str, list[tuple[int, list[str]]]] = {s: [] for s in SECTIONS}
     section = None
-    seen_sections: list[str] = []
+    tech_sections = 0
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -69,32 +128,20 @@ def parse_design(source: str | Path, text: str | None = None,
                 section = None
             else:
                 section = name
-                seen_sections.append(name)
+                tech_sections += name == "tech"
             continue
         if section is None:
             errors.append((lineno, f"content outside any section: {line!r}"))
             continue
         rows[section].append((lineno, line.split()))
 
-    if seen_sections.count("tech") != 1:
-        errors.append((0, f"expected exactly one [tech] section, "
-                          f"found {seen_sections.count('tech')}"))
+    if tech_sections != 1:
+        errors.append((0, f"expected exactly one [tech] section, found {tech_sections}"))
     if errors:
         raise ParseError(errors)
 
-    materials: dict[str, Material] = {}
-    declared: list[Material] = []
-    for lineno, tok in rows["materials"]:
-        if len(tok) != 2:
-            errors.append((lineno, "material row needs: name conductivity"))
-            continue
-        try:
-            mat = Material(tok[0], parse_float(tok[1]))
-        except DesignError as exc:
-            errors.append((lineno, f"bad conductivity: {exc}"))
-            continue
-        materials[mat.name] = mat
-        declared.append(mat)
+    declared: list[Material] = _read_rows(rows, "materials", errors)
+    materials = {m.name: m for m in declared}
 
     tech_kv: dict[str, tuple[int, str]] = {}
     for lineno, tok in rows["tech"]:
@@ -113,22 +160,12 @@ def parse_design(source: str | Path, text: str | None = None,
 
     tech_args: dict = {}
     for key, (lineno, value) in tech_kv.items():
+        read = _TECH_READERS.get(key)
+        if read is None:
+            errors.append((lineno, f"unknown tech key {key!r}"))
+            continue
         try:
-            if key in _TECH_LENGTHS:
-                tech_args[key] = parse_length(value)
-            elif key == "ambient" or key == "leakage_tref":
-                tech_args[key] = parse_temperature(value)
-            elif key in _TECH_FLOATS:
-                tech_args[key] = parse_float(value)
-            elif key in _TECH_RETIRED_LENGTHS:
-                parse_length(value)
-            elif key in _TECH_RETIRED_SWITCHES:
-                if _parse_bool(value):
-                    errors.append((lineno, f"{key} = true is no longer supported"))
-            elif key == "aspect_ratios":
-                tech_args[key] = tuple(parse_float(v) for v in value.split())
-            else:
-                errors.append((lineno, f"unknown tech key {key!r}"))
+            tech_args[key] = read(value)
         except DesignError as exc:
             errors.append((lineno, f"tech key {key!r}: {exc}"))
     for key in _TECH_REQUIRED:
@@ -136,58 +173,23 @@ def parse_design(source: str | Path, text: str | None = None,
             errors.append((0, f"missing required tech key {key!r}"))
     if errors:
         raise ParseError(errors)
-    tech = TechnologyParams(**tech_args)
+    tech = TechnologyParams(**{k: v for k, v in tech_args.items() if k in _TECH})
 
-    layers: list[Layer] = []
-    for lineno, tok in rows["layers"]:
-        if len(tok) != 3:
-            errors.append((lineno, "layer row needs: index thickness material"))
-            continue
-        try:
-            index = int(tok[0])
-            thickness = parse_length(tok[1])
-        except (ValueError, DesignError) as exc:
-            errors.append((lineno, str(exc)))
-            continue
-        mat = materials.get(tok[2])
-        if mat is None:
-            if tok[2] in DEFAULT_MATERIALS:
-                mat = Material(tok[2], DEFAULT_MATERIALS[tok[2]])
-                materials[tok[2]] = mat
-                declared.append(mat)
-            else:
-                errors.append((lineno, f"unknown material {tok[2]!r}"))
-                continue
-        layers.append(Layer(index, thickness, mat))
-    layers.sort(key=lambda l: l.index)
+    def material(name: str) -> Material:
+        # a built-in material a layer names is declared on first use
+        if name not in materials:
+            if name not in DEFAULT_MATERIALS:
+                raise DesignError(f"unknown material {name!r}")
+            materials[name] = Material(name, DEFAULT_MATERIALS[name])
+            declared.append(materials[name])
+        return materials[name]
+
+    layers = sorted(_read_rows(rows, "layers", errors, material=material),
+                    key=lambda layer: layer.index)
     if not layers:
         errors.append((0, "design needs at least one layer"))
-
-    blocks: list[Block] = []
-    for lineno, tok in rows["blocks"]:
-        if len(tok) != 7:
-            errors.append((lineno, "block row needs: name layer x y width height kind"))
-            continue
-        try:
-            blocks.append(Block(tok[0], int(tok[1]), parse_length(tok[2]),
-                                parse_length(tok[3]), parse_length(tok[4]),
-                                parse_length(tok[5]), kind=tok[6]))
-        except (ValueError, DesignError) as exc:
-            errors.append((lineno, str(exc)))
-
-    farms: list[TsvFarm] = []
-    for lineno, tok in rows["farms"]:
-        if len(tok) != 9:
-            errors.append((lineno, "farm row needs: name x y width height "
-                                   "start_layer end_layer k_lateral k_metal"))
-            continue
-        try:
-            w, h = parse_length(tok[3]), parse_length(tok[4])
-            farms.append(TsvFarm(tok[0], parse_length(tok[1]), parse_length(tok[2]),
-                                 w, h, int(tok[5]), int(tok[6]),
-                                 parse_float(tok[7]), parse_float(tok[8]), area=w * h))
-        except (ValueError, DesignError) as exc:
-            errors.append((lineno, str(exc)))
+    blocks: list[Block] = _read_rows(rows, "blocks", errors)
+    farms: list[TsvFarm] = _read_rows(rows, "farms", errors)
 
     block_by_name = {b.name: i for i, b in enumerate(blocks)}
     farm_by_name = {f.name: i for i, f in enumerate(farms)}
@@ -230,61 +232,23 @@ def parse_design(source: str | Path, text: str | None = None,
     return require_valid(design) if check else design
 
 
-def _fmt(value: float) -> str:
-    return repr(value)
-
-
 def emit_design(design: Design) -> str:
-    """Serialize a design; emission is bit-stable and round-trips exactly
-    (lengths are written in meters with full repr precision)."""
-    tech = design.stack.tech
-    out = []
-    out.append("[materials]")
-    for m in design.materials:
-        out.append(f"{m.name} {_fmt(m.conductivity)}")
-    out.append("")
-    out.append("[tech]")
-    out.append(f"footprint_width = {format_length(tech.footprint_width)}")
-    out.append(f"footprint_height = {format_length(tech.footprint_height)}")
-    out.append(f"grid_cell = {format_length(tech.grid_cell)}")
-    out.append(f"ambient = {format_temperature(tech.ambient)}")
-    out.append(f"package_resistance = {_fmt(tech.package_resistance)}")
-    out.append(f"k_farm_min = {_fmt(tech.k_farm_min)}")
-    out.append(f"k_farm_max = {_fmt(tech.k_farm_max)}")
-    out.append("aspect_ratios = " + " ".join(_fmt(r) for r in tech.aspect_ratios))
-    out.append(f"leakage_coeff = {_fmt(tech.leakage_coeff)}")
-    out.append(f"leakage_tref = {format_temperature(tech.leakage_tref)}")
-    if tech.adjacency_window is not None:
-        out.append(f"adjacency_window = {format_length(tech.adjacency_window)}")
-    out.append(f"bond_thickness = {format_length(tech.bond_thickness)}")
-    out.append(f"bond_conductivity = {_fmt(tech.bond_conductivity)}")
-    out.append("")
-    out.append("[layers]")
-    for layer in design.stack.layers:
-        out.append(f"{layer.index} {format_length(layer.thickness)} {layer.material.name}")
-    out.append("")
-    out.append("[blocks]")
-    for b in design.floorplan.blocks:
-        out.append(f"{b.name} {b.layer} {format_length(b.x)} {format_length(b.y)} "
-                   f"{format_length(b.width)} {format_length(b.height)} {b.kind}")
-    out.append("")
-    out.append("[farms]")
-    for f in design.floorplan.farms:
-        out.append(f"{f.name} {format_length(f.x)} {format_length(f.y)} "
-                   f"{format_length(f.width)} {format_length(f.height)} "
-                   f"{f.start_layer} {f.end_layer} {_fmt(f.k_lateral)} {_fmt(f.k_metal)}")
-    out.append("")
-    out.append("[nets]")
-    for f in design.floorplan.farms:
-        if f.clients:
-            out.append(f"{f.name} " + " ".join(f.clients))
-    out.append("")
-    out.append("[power]")
-    for b in design.floorplan.blocks:
-        if b.power > 0 or b.leakage_ref > 0:
-            out.append(f"{b.name} {_fmt(b.power)} {_fmt(b.leakage_ref)}")
-    out.append("")
-    return "\n".join(out)
+    """Serialize a design from the tables parse_design reads; emission is
+    bit-stable and round-trips exactly (lengths are written in meters with
+    full repr precision)."""
+    tech, floorplan = design.stack.tech, design.floorplan
+    body = {
+        "materials": _write_rows("materials", design.materials),
+        "tech": [f"{key} = {write(value)}" for key, (_, write) in _TECH.items()
+                 if (value := getattr(tech, key)) is not None],
+        "layers": _write_rows("layers", design.stack.layers),
+        "blocks": _write_rows("blocks", floorplan.blocks),
+        "farms": _write_rows("farms", floorplan.farms),
+        "nets": [" ".join((f.name, *f.clients)) for f in floorplan.farms if f.clients],
+        "power": [f"{b.name} {b.power!r} {b.leakage_ref!r}" for b in floorplan.blocks
+                  if b.power > 0 or b.leakage_ref > 0],
+    }
+    return "\n".join(line for s in SECTIONS for line in (f"[{s}]", *body[s], ""))
 
 
 def write_design(design: Design, path: str | Path) -> None:

@@ -516,13 +516,12 @@ def solve_steady_state(network: ConductanceNetwork, power: np.ndarray,
                             residual, iterations)
 
 
-def solve_design(design: Design, grid: GridSpec | None = None,
-                 x0: np.ndarray | None = None) -> TemperatureField:
+def solve_design(design: Design, grid: GridSpec | None = None) -> TemperatureField:
     """Rasterize, build the network, and solve one design at reference leakage."""
     grid = grid_for(design.stack) if grid is None else grid
     occ = rasterize(design, grid)
     network = build_network(occ, grid, design.stack)
-    return solve_steady_state(network, occ.power, design.stack.tech.ambient, x0=x0)
+    return solve_steady_state(network, occ.power, design.stack.tech.ambient)
 
 
 @dataclass(frozen=True)
@@ -531,8 +530,7 @@ class LeakageSolve:
     iterations: int
 
 
-def couple_leakage(design: Design, grid: GridSpec,
-                   x0: np.ndarray | None = None) -> LeakageSolve:
+def couple_leakage(design: Design, grid: GridSpec) -> LeakageSolve:
     """Fixed-point iteration of the solve with temperature-dependent leakage.
 
     Block leakage is leakage_ref * (1 + leakage_coeff * (block average T -
@@ -555,9 +553,9 @@ def couple_leakage(design: Design, grid: GridSpec,
              for b in design.floorplan.blocks if b.leakage_ref > 0]
 
     # The leakage power for each solve comes from the previous temperature
-    # estimate; a warm start therefore begins the fixed point at the warm
-    # field instead of the reference-leakage solve.
-    t_prev = None if x0 is None else x0.reshape(occ.power.shape)
+    # estimate, which also warm-starts it; the first solve is at reference
+    # leakage.
+    t_prev = None
     growing = 0
     last_delta = None
     budget = int(CG_ITERATIONS_PER_UNKNOWN * grid.num_cells)

@@ -45,5 +45,3 @@ def test_commands_and_observed_arguments_resolve(spans):
         assert command in cli.main.commands
     # the observers bind these arguments by name
     assert "network" in inspect.signature(thermal.solve_steady_state).parameters
-    for fname in ("couple_leakage", "solve_design"):
-        assert "x0" in inspect.signature(getattr(thermal, fname)).parameters

@@ -1,13 +1,16 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from tsvplan.benchmarks import BUILDERS
+from tsvplan.cli import main
 from tsvplan.design_io import (emit_design, format_thermal_map, parse_design,
                                write_thermal_maps)
 from tsvplan.errors import DesignError, ParseError
-from tsvplan.model import validate
+from tsvplan.model import TechnologyParams, validate
 from tsvplan.thermal import TemperatureField, GridSpec
 from tsvplan.units import parse_length, parse_temperature
 
@@ -227,3 +230,176 @@ def test_shipped_design_is_its_builder_plus_the_retired_lines(name):
     assert all(tech < i < section_end for i in retired)
     kept = [line for i, line in enumerate(shipped) if i not in retired]
     assert kept == emit_design(BUILDERS[name]()).splitlines()
+
+
+# FULL plus a [nets] section, so that every section of the format is present
+EVERY_SECTION = FULL + "\n[nets]\nbus heater\n"
+
+# (old, new, [(line, message fragment)]): the mutation replaces the first
+# `old` of EVERY_SECTION by `new`; a line is the last line of the mutated text
+# equal to the given row, or 0 for a file-level error. The list is the whole
+# ParseError, in order.
+PARSE_BRANCHES = {
+    "tech-duplicate-key": (
+        "grid_cell = 100 um", "grid_cell = 100 um\ngrid_cell = 100 um",
+        [("grid_cell = 100 um", "duplicate tech key 'grid_cell'")]),
+    "tech-duplicate-key-first-value-bad": (
+        "grid_cell = 100 um", "grid_cell = 100 furlongs\ngrid_cell = 100 um",
+        [("grid_cell = 100 um", "duplicate tech key 'grid_cell'")]),
+    "tech-duplicate-retired-key-first-value-bad": (
+        "ambient = 25 C", "ambient = 25 C\ntsv_pitch = banana\ntsv_pitch = 4um",
+        [("tsv_pitch = 4um", "duplicate tech key 'tsv_pitch'")]),
+    "tech-duplicate-key-last-value-bad": (
+        "grid_cell = 100 um", "grid_cell = 100 um\ngrid_cell = 100 furlongs",
+        [("grid_cell = 100 furlongs", "duplicate tech key 'grid_cell'"),
+         ("grid_cell = 100 furlongs", "bad length")]),
+    "tech-line-without-equals": (
+        "ambient = 25 C", "ambient = 25 C\nfrobnicate 3",
+        [("frobnicate 3", "tech line needs: key = value")]),
+    "tech-line-without-key": (
+        "ambient = 25 C", "ambient = 25 C\n= 3",
+        [("= 3", "tech line needs: key = value")]),
+    "tech-line-without-value": (
+        "ambient = 25 C", "ambient = 25 C\nleakage_coeff =",
+        [("leakage_coeff =", "tech line needs: key = value")]),
+    "tech-missing-required-key": (
+        "ambient = 25 C\n", "", [(0, "missing required tech key 'ambient'")]),
+    "tech-required-key-with-bad-value-counts-as-present": (
+        "ambient = 25 C", "ambient = 25 F",
+        [("ambient = 25 F", "bad temperature '25 F'")]),
+    "tech-unknown-key": (
+        "ambient = 25 C", "ambient = 25 C\nfrobnicate = 3",
+        [("frobnicate = 3", "unknown tech key 'frobnicate'")]),
+    "tech-two-sections": (
+        "[farms]", "[tech]\n[farms]", [(0, "expected exactly one [tech] section, found 2")]),
+    "tech-no-section": (
+        "[tech]", "[nothing]",
+        [("[nothing]", "unknown section [nothing]")]
+        + [(row, "content outside any section") for row in (
+            "footprint_width = 1 mm", "footprint_height = 1 mm", "grid_cell = 100 um",
+            "ambient = 25 C", "package_resistance = 10.0", "aspect_ratios = 1.0")]
+        + [(0, "expected exactly one [tech] section, found 0")]),
+    "content-outside-any-section": (
+        "[materials]", "stray 1\n[materials]",
+        [("stray 1", "content outside any section: 'stray 1'")]),
+    "retired-switch-not-a-boolean": (
+        "ambient = 25 C", "ambient = 25 C\nvertical_parallel = maybe",
+        [("vertical_parallel = maybe", "bad boolean 'maybe'")]),
+    "retired-switch-off": (
+        "ambient = 25 C", "ambient = 25 C\ngradient_weighting = no", []),
+    "material-columns": (
+        "silicon 149.0", "silicon 149.0 extra",
+        [("silicon 149.0 extra", "material row needs: name conductivity")]),
+    "material-bad-number": (
+        "silicon 149.0", "silicon abc", [("silicon abc", "bad number 'abc'")]),
+    "layer-unknown-material": (
+        "0 10um silicon", "0 10um unobtainium",
+        [("0 10um unobtainium", "unknown material 'unobtainium'"),
+         (0, "design needs at least one layer")]),
+    "layer-none": (
+        "0 10um silicon\n", "", [(0, "design needs at least one layer")]),
+    "layer-columns": (
+        "0 10um silicon", "0 10um",
+        [("0 10um", "layer row needs: index thickness material"),
+         (0, "design needs at least one layer")]),
+    "layer-index-not-an-integer": (
+        "0 10um silicon", "x 10um silicon",
+        [("x 10um silicon", "invalid literal for int()"),
+         (0, "design needs at least one layer")]),
+    "block-columns": (
+        "400um 400um macro", "400um 400um",
+        [("heater 0 100um 100um 400um 400um",
+          "block row needs: name layer x y width height kind"),
+         ("bus heater", "net references unknown block 'heater'"),
+         ("heater 0.5", "power references unknown block 'heater'")]),
+    "block-layer-not-an-integer": (
+        "heater 0 100um", "heater 0.0 100um",
+        [("heater 0.0 100um 100um 400um 400um macro", "invalid literal for int()"),
+         ("bus heater", "net references unknown block 'heater'"),
+         ("heater 0.5", "power references unknown block 'heater'")]),
+    "farm-columns": (
+        "0 0 0.5 173", "0 0 0.5",
+        [("bus 600um 600um 200um 200um 0 0 0.5",
+          "farm row needs: name x y width height start_layer end_layer k_lateral k_metal"),
+         ("bus heater", "net references unknown farm 'bus'")]),
+    "net-columns": (
+        "bus heater", "bus", [("bus", "net row needs: farm client...")]),
+    "net-unknown-farm": (
+        "bus heater", "ghost heater",
+        [("ghost heater", "net references unknown farm 'ghost'")]),
+    "net-unknown-client": (
+        "bus heater", "bus heater ghost",
+        [("bus heater ghost", "net references unknown block 'ghost'")]),
+    "power-one-column": (
+        "heater 0.5", "heater", [("heater", "power row needs: block watts [leakage_ref]")]),
+    "power-four-columns": (
+        "heater 0.5", "heater 0.5 0.1 0.2",
+        [("heater 0.5 0.1 0.2", "power row needs: block watts [leakage_ref]")]),
+    "power-unknown-block": (
+        "heater 0.5", "phantom 0.5",
+        [("phantom 0.5", "power references unknown block 'phantom'")]),
+    "power-bad-number": (
+        "heater 0.5", "heater 0.5 x", [("heater 0.5 x", "bad power value: bad number 'x'")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_BRANCHES))
+def test_parse_error_branch(case):
+    old, new, expected = PARSE_BRANCHES[case]
+    assert old in EVERY_SECTION
+    text = EVERY_SECTION.replace(old, new, 1)
+    rows = text.splitlines()
+    lines = [row and max(i for i, r in enumerate(rows, start=1) if r == row)
+             for row, _ in expected]
+    if not expected:
+        assert parse_design("<inline>", text=text) == parse_design("<inline>",
+                                                                   text=EVERY_SECTION)
+        return
+    with pytest.raises(ParseError) as err:
+        parse_design("<inline>", text=text)
+    assert [n for n, _ in err.value.errors] == lines
+    for (_, fragment), (_, message) in zip(expected, err.value.errors):
+        assert fragment in message
+
+
+def test_duplicate_material_row_fails_validation(tmp_path):
+    text = EVERY_SECTION.replace("silicon 149.0", "silicon 149.0\nsilicon 149.0", 1)
+    design = parse_design("<inline>", text=text, check=False)
+    assert [m.name for m in design.materials] == ["silicon", "silicon"]
+    path = tmp_path / "dup.design"
+    path.write_text(text)
+    result = CliRunner().invoke(main, ["check", str(path)])
+    assert result.exit_code == 1
+    assert "silicon: material-name-unique" in result.output
+
+
+def test_default_materials_are_declared_in_first_use_order():
+    text = MINIMAL.replace("0 10um silicon", "1 10um copper\n0 10um silicon\n2 5um copper")
+    design = parse_design("<inline>", text=text, check=False)
+    assert [m.name for m in design.materials] == ["copper", "silicon"]
+    assert [layer.material.name for layer in design.stack.layers] == [
+        "silicon", "copper", "copper"]
+
+
+def test_tech_keys_are_the_tech_fields_in_order():
+    from tsvplan.design_io import _TECH
+    assert list(_TECH) == [f.name for f in dataclasses.fields(TechnologyParams)]
+
+
+def test_round_trip_with_every_tech_field_off_its_default():
+    text = FULL.replace("aspect_ratios = 1.0", """aspect_ratios = 0.5 1.0 2.0
+k_farm_min = 0.25
+k_farm_max = 7.5
+leakage_coeff = 0.01
+leakage_tref = 310 K
+adjacency_window = 300 um
+bond_thickness = 1 um
+bond_conductivity = 0.5""")
+    design = parse_design("<inline>", text=text)
+    tech = design.stack.tech
+    for field in dataclasses.fields(TechnologyParams):
+        if field.default is not dataclasses.MISSING:
+            assert getattr(tech, field.name) != field.default, field.name
+    emitted = emit_design(design)
+    assert parse_design("<emitted>", text=emitted) == design
+    assert emit_design(parse_design("<emitted>", text=emitted)) == emitted

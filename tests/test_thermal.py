@@ -251,8 +251,10 @@ class TestSolve:
 
     def test_warm_start_agrees_with_cold(self, two_layer_design):
         grid = grid_for(two_layer_design.stack)
-        cold = solve_design(two_layer_design, grid)
-        warm = solve_design(two_layer_design, grid, x0=cold.t + 3.0)
+        occ = rasterize(two_layer_design, grid)
+        net = build_network(occ, grid, two_layer_design.stack)
+        cold = solve_steady_state(net, occ.power, AMBIENT)
+        warm = solve_steady_state(net, occ.power, AMBIENT, x0=cold.t + 3.0)
         assert np.abs(warm.t - cold.t).max() < 1e-6
 
     def test_grid_refinement_consistency(self):

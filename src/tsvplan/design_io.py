@@ -81,18 +81,23 @@ _ROWS = {
 def _read_rows(rows: dict, section: str, errors: list, **readers) -> list:
     """The objects a fixed-width section's rows build, in file order. A row
     with the wrong column count or a bad value is reported with its line and
-    skipped. readers replaces the table's reader of the named columns."""
+    skipped; a bad value is named by its column. readers replaces the
+    table's reader of the named columns."""
     noun, build, columns = _ROWS[section]
     items = []
     for lineno, tok in rows[section]:
         if len(tok) != len(columns):
             errors.append((lineno, f"{noun} row needs: {' '.join(columns)}"))
             continue
-        try:
-            items.append(build(**{name: readers.get(name, read)(text)
-                                  for (name, (read, _)), text in zip(columns.items(), tok)}))
-        except (ValueError, DesignError) as exc:
-            errors.append((lineno, str(exc)))
+        values = {}
+        for (name, (read, _)), text in zip(columns.items(), tok):
+            try:
+                values[name] = readers.get(name, read)(text)
+            except (ValueError, DesignError) as exc:
+                errors.append((lineno, f"{noun} column {name!r}: {exc}"))
+                break
+        else:
+            items.append(build(**values))
     return items
 
 

@@ -136,7 +136,7 @@ def cache_by_identity(fn):
     A candidate floorplan shares its blocks tuple and stack with the design
     it was derived from, so looking them up by id costs far less than
     hashing the frozen dataclasses. Each entry keeps its arguments alive, so
-    an id cannot be reused while it is cached.
+    an id cannot be reused while it is cached. cache_clear() empties the cache.
     """
     cache: dict = {}
 
@@ -149,6 +149,7 @@ def cache_by_identity(fn):
                 cache.clear()
             entry = cache[key] = (args, fn(*args))
         return entry[1]
+    cached.cache_clear = cache.clear
     return cached
 
 
@@ -279,8 +280,25 @@ def validate(design: Design) -> list[Violation]:
     if not 0 <= tech.leakage_coeff < math.inf:
         v.append(Violation("tech", "leakage-coeff-range",
                            f"leakage_coeff={tech.leakage_coeff} must be finite and >= 0"))
-    if not tech.k_farm_min <= tech.k_farm_max:
-        v.append(Violation("tech", "k-farm-range", "k_farm_min > k_farm_max"))
+    if not 0 < tech.k_farm_min <= tech.k_farm_max < math.inf:
+        v.append(Violation("tech", "k-farm-range",
+                           f"k_farm_min={tech.k_farm_min}, k_farm_max={tech.k_farm_max} "
+                           "must satisfy 0 < min <= max < inf"))
+    if not all(0 < r < math.inf for r in tech.aspect_ratios):
+        v.append(Violation("tech", "aspect-ratios-positive",
+                           f"aspect_ratios={tech.aspect_ratios}: each must be finite and > 0"))
+    if not 0 <= tech.bond_thickness < math.inf:
+        v.append(Violation("tech", "bond-thickness-range",
+                           f"bond_thickness={tech.bond_thickness} must be finite and >= 0"))
+    if not 0 < tech.bond_conductivity < math.inf:
+        v.append(Violation("tech", "bond-conductivity-positive",
+                           f"bond_conductivity={tech.bond_conductivity} must be finite and > 0"))
+    if not 0 < tech.leakage_tref < math.inf:
+        v.append(Violation("tech", "leakage-tref-positive",
+                           f"leakage_tref={tech.leakage_tref} must be finite and > 0 K"))
+    if tech.adjacency_window is not None and not 0 < tech.adjacency_window < math.inf:
+        v.append(Violation("tech", "adjacency-window-positive",
+                           f"adjacency_window={tech.adjacency_window} must be finite and > 0"))
 
     for m in design.materials:
         if not m.conductivity > 0:

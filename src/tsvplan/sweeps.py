@@ -19,7 +19,7 @@ from .model import Design, Floorplan, Layer, Stack
 
 def set_farm_conductivity(design: Design, k_lateral: float) -> Design:
     """Override the lateral conductivity of every farm."""
-    if k_lateral <= 0:
+    if not k_lateral > 0:
         raise DesignError(f"farm conductivity must be > 0, got {k_lateral}")
     farms = tuple(dataclasses.replace(f, k_lateral=k_lateral)
                   for f in design.floorplan.farms)

@@ -24,7 +24,7 @@ RESIDUAL_RTOL = 1e-8  # on the infinity norm, relative to max(max cell power, 1 
 # leakage gets them all, and the leakage fixed point's solves share them
 CG_ITERATIONS_PER_UNKNOWN = 100
 # Layer planes of more cells than this are preconditioned by the multigrid
-# V-cycle, smaller ones by the Jacobi diagonal: the measured crossover (ROADMAP.md)
+# V-cycle, smaller ones by the Jacobi diagonal: the measured crossover (README.md)
 JACOBI_MAX_PLANE_CELLS = 4096
 SMOOTHER_DAMPING = 0.8  # of the V-cycle's column block-Jacobi sweeps
 SMOOTHER_SWEEPS = 2     # before, and again after, each coarse correction
@@ -49,7 +49,7 @@ class GridSpec:
 def grid_for(stack: Stack, cell_size: float | None = None) -> GridSpec:
     """Build the grid for a stack, requiring the cells to tile the footprint exactly."""
     cell = stack.tech.grid_cell if cell_size is None else cell_size
-    if cell <= 0:
+    if not cell > 0:
         raise GridError(f"cell size must be positive, got {cell}")
     w, h = stack.footprint
     nx, ny = round(w / cell), round(h / cell)
@@ -531,15 +531,18 @@ class LeakageSolve:
 
 
 def couple_leakage(design: Design, grid: GridSpec) -> LeakageSolve:
-    """Fixed-point iteration of the solve with temperature-dependent leakage.
+    """Solve a design: the fixed point of its temperature-dependent leakage.
 
     Block leakage is leakage_ref * (1 + leakage_coeff * (block average T -
     leakage_tref)), with both values from the design's tech, distributed over
-    the block footprint like its dynamic power. Converges when the largest
-    cell temperature change drops below 0.01 K; five consecutive growing
-    updates raise ThermalRunawayError. All its solves draw on one budget of
-    CG_ITERATIONS_PER_UNKNOWN CG iterations per unknown; running out of it
-    is a SolverError.
+    the block footprint like its dynamic power. The first solve is at
+    reference leakage, and is the only one when no leakage can feed back (a
+    zero coefficient, or no block with leakage_ref > 0). Each later solve
+    takes its leakage from the previous field, which also warm-starts it.
+    Converges when the largest cell temperature change drops below 0.01 K;
+    five consecutive growing updates raise ThermalRunawayError. All its
+    solves draw on one budget of CG_ITERATIONS_PER_UNKNOWN CG iterations per
+    unknown; running out of it is a SolverError.
     """
     tech = design.stack.tech
     lam, ref = tech.leakage_coeff, tech.leakage_tref
@@ -549,61 +552,45 @@ def couple_leakage(design: Design, grid: GridSpec) -> LeakageSolve:
     occ = rasterize(design, grid)
     network = build_network(occ, grid, design.stack)
     matrix = system_matrix(network)
+    field = solve_steady_state(network, occ.power, tech.ambient, matrix=matrix)
     leaky = [(b, block_cell_weights(b, grid))
-             for b in design.floorplan.blocks if b.leakage_ref > 0]
+             for b in design.floorplan.blocks if lam > 0 and b.leakage_ref > 0]
+    if not leaky:
+        return LeakageSolve(field, 1)
 
-    # The leakage power for each solve comes from the previous temperature
-    # estimate, which also warm-starts it; the first solve is at reference
-    # leakage.
-    t_prev = None
-    growing = 0
-    last_delta = None
-    budget = int(CG_ITERATIONS_PER_UNKNOWN * grid.num_cells)
-    for iteration in range(1, 51):
-        power = occ.power
-        if lam > 0 and leaky and t_prev is not None:
-            power = occ.power.copy()
-            for block, weights in leaky:
-                t_avg = float((t_prev[block.layer] * weights).sum())
-                power[block.layer] += block.leakage_ref * lam * (t_avg - ref) * weights
+    growing, last_delta = 0, None
+    budget = int(CG_ITERATIONS_PER_UNKNOWN * grid.num_cells) - field.iterations
+    for iteration in range(2, 51):
+        t_prev = field.t
+        power = occ.power.copy()
+        for block, weights in leaky:
+            t_avg = float((t_prev[block.layer] * weights).sum())
+            power[block.layer] += block.leakage_ref * lam * (t_avg - ref) * weights
         field = solve_steady_state(network, power, tech.ambient, x0=t_prev,
                                    matrix=matrix, maxiter=budget)
         budget -= field.iterations
-        if t_prev is not None:
-            delta = float(np.abs(field.t - t_prev).max())
-            if delta < 0.01:
-                return LeakageSolve(field, iteration)
-            if last_delta is not None and delta > last_delta:
-                growing += 1
-                if growing >= 5:
-                    raise ThermalRunawayError(
-                        f"leakage iteration diverging (delta {delta:.3g} K)")
-            else:
-                growing = 0
-            last_delta = delta
-        t_prev = field.t
+        delta = float(np.abs(field.t - t_prev).max())
+        if delta < 0.01:
+            return LeakageSolve(field, iteration)
+        if last_delta is not None and delta > last_delta:
+            growing += 1
+            if growing >= 5:
+                raise ThermalRunawayError(
+                    f"leakage iteration diverging (delta {delta:.3g} K)")
+        else:
+            growing = 0
+        last_delta = delta
     raise SolverError("leakage iteration did not converge within 50 solves")
 
 
 @cache_by_identity
-def _cold_field(design: Design, grid: GridSpec) -> TemperatureField:
-    if design.stack.tech.leakage_coeff > 0:
-        field = couple_leakage(design, grid).field
-    else:
-        field = solve_design(design, grid)
+def solve_field(design: Design, grid: GridSpec) -> TemperatureField:
+    """The design's field, from couple_leakage: it depends only on the design
+    and the grid, so it is kept per (design, grid) object pair, by
+    cache_by_identity, and returned read-only to every later caller."""
+    field = couple_leakage(design, grid).field
     field.t.flags.writeable = False
     return field
-
-
-def solve_field(design: Design, grid: GridSpec) -> TemperatureField:
-    """Solve a design: the leakage fixed point when its leakage coefficient is
-    positive, else one solve at reference leakage.
-
-    The field depends only on the design and the grid, so it is kept per
-    (design, grid) object pair, by cache_by_identity, and returned read-only
-    to every later caller.
-    """
-    return _cold_field(design, grid)
 
 
 def block_average_temperature(field: TemperatureField, block, grid: GridSpec) -> float:

@@ -1,26 +1,37 @@
-"""Every name the traced benchmark wraps must exist in tsvplan.
+"""The benchmark's contract with tsvplan.
 
 perfbench/spans.py looks up public functions and methods by name when a
-unit runs with --trace 1; a rename in tsvplan would otherwise only surface
-as a crash there. The file is loaded by path and only read.
+unit runs with --trace 1, and perfbench/checks.py re-solves each unit's
+designs through thermal.couple_leakage; a change in tsvplan would otherwise
+only surface as a crash or as incorrect outputs there. Both files are
+loaded by path and only read.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+from tsvplan.benchmarks import blockage_design
+from tsvplan.thermal import grid_for, solve_field
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("spans")
 
 
 def test_layer_functions_resolve(spans):
@@ -45,3 +56,16 @@ def test_commands_and_observed_arguments_resolve(spans):
         assert command in cli.main.commands
     # the observers bind these arguments by name
     assert "network" in inspect.signature(thermal.solve_steady_state).parameters
+
+
+@pytest.mark.parametrize("leakage", [None, 0.0], ids=["leakage", "no-leakage"])
+def test_checks_resolve_balances_energy_and_matches_solve_field(leakage):
+    checks = _load("checks")
+    design = blockage_design()
+    if leakage is not None:
+        tech = dataclasses.replace(design.stack.tech, leakage_coeff=leakage)
+        design = dataclasses.replace(design, stack=dataclasses.replace(design.stack, tech=tech))
+    grid = grid_for(design.stack)
+    field, imbalance = checks.resolve(design, grid)
+    assert imbalance <= checks.ENERGY_RTOL
+    assert np.abs(field.t - solve_field(design, grid).t).max() <= checks.TEMPERATURE_TOL_K

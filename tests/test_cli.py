@@ -168,6 +168,16 @@ class TestAnalyze:
 
 
 class TestOptimize:
+    def test_zero_bond_conductivity_exits_1_before_any_solve(self, runner, tmp_path):
+        text = (REPO / "designs" / "multicore.design").read_text()
+        assert "bond_conductivity = 0.29" in text
+        path = _write(tmp_path, text.replace("bond_conductivity = 0.29", "bond_conductivity = 0"))
+        result = runner.invoke(main, ["optimize", str(path), "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 1, result.output
+        assert "bond-conductivity-positive" in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_end_to_end_outputs(self, runner, tmp_path):
         path = _write(tmp_path, TINY_OPT)
         out = tmp_path / "out"

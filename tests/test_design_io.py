@@ -291,10 +291,11 @@ PARSE_BRANCHES = {
         "silicon 149.0", "silicon 149.0 extra",
         [("silicon 149.0 extra", "material row needs: name conductivity")]),
     "material-bad-number": (
-        "silicon 149.0", "silicon abc", [("silicon abc", "bad number 'abc'")]),
+        "silicon 149.0", "silicon abc",
+        [("silicon abc", "material column 'conductivity': bad number 'abc'")]),
     "layer-unknown-material": (
         "0 10um silicon", "0 10um unobtainium",
-        [("0 10um unobtainium", "unknown material 'unobtainium'"),
+        [("0 10um unobtainium", "layer column 'material': unknown material 'unobtainium'"),
          (0, "design needs at least one layer")]),
     "layer-none": (
         "0 10um silicon\n", "", [(0, "design needs at least one layer")]),
@@ -304,7 +305,7 @@ PARSE_BRANCHES = {
          (0, "design needs at least one layer")]),
     "layer-index-not-an-integer": (
         "0 10um silicon", "x 10um silicon",
-        [("x 10um silicon", "invalid literal for int()"),
+        [("x 10um silicon", "layer column 'index': invalid literal for int()"),
          (0, "design needs at least one layer")]),
     "block-columns": (
         "400um 400um macro", "400um 400um",
@@ -314,13 +315,18 @@ PARSE_BRANCHES = {
          ("heater 0.5", "power references unknown block 'heater'")]),
     "block-layer-not-an-integer": (
         "heater 0 100um", "heater 0.0 100um",
-        [("heater 0.0 100um 100um 400um 400um macro", "invalid literal for int()"),
+        [("heater 0.0 100um 100um 400um 400um macro",
+          "block column 'layer': invalid literal for int()"),
          ("bus heater", "net references unknown block 'heater'"),
          ("heater 0.5", "power references unknown block 'heater'")]),
     "farm-columns": (
         "0 0 0.5 173", "0 0 0.5",
         [("bus 600um 600um 200um 200um 0 0 0.5",
           "farm row needs: name x y width height start_layer end_layer k_lateral k_metal"),
+         ("bus heater", "net references unknown farm 'bus'")]),
+    "farm-bad-length": (
+        "bus 600um 600um 200um", "bus 600um 600um banana",
+        [("bus 600um 600um banana 200um 0 0 0.5 173", "farm column 'width': bad length 'banana'"),
          ("bus heater", "net references unknown farm 'bus'")]),
     "net-columns": (
         "bus heater", "bus", [("bus", "net row needs: farm client...")]),

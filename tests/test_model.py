@@ -53,6 +53,21 @@ BAD_NUMBERS = {
     "leakage-coeff-negative": (_tech(leakage_coeff=-1.0), "leakage-coeff-range"),
     "leakage-coeff-inf": (_tech(leakage_coeff=float("inf")), "leakage-coeff-range"),
     "k-farm-range-nan": (_tech(k_farm_min=NAN), "k-farm-range"),
+    "k-farm-min-negative": (_tech(k_farm_min=-1.0), "k-farm-range"),
+    "k-farm-max-inf": (_tech(k_farm_max=float("inf")), "k-farm-range"),
+    "aspect-ratio-zero": (_tech(aspect_ratios=(0.0, 1.0)), "aspect-ratios-positive"),
+    "aspect-ratio-nan": (_tech(aspect_ratios=(1.0, NAN)), "aspect-ratios-positive"),
+    "bond-thickness-negative": (_tech(bond_thickness=-5e-6), "bond-thickness-range"),
+    "bond-thickness-nan": (_tech(bond_thickness=NAN), "bond-thickness-range"),
+    "bond-conductivity-zero": (_tech(bond_conductivity=0.0), "bond-conductivity-positive"),
+    "bond-conductivity-negative": (_tech(bond_conductivity=-0.29),
+                                   "bond-conductivity-positive"),
+    "bond-conductivity-inf": (_tech(bond_conductivity=float("inf")),
+                              "bond-conductivity-positive"),
+    "leakage-tref-negative": (_tech(leakage_tref=-5.0), "leakage-tref-positive"),
+    "leakage-tref-nan": (_tech(leakage_tref=NAN), "leakage-tref-positive"),
+    "adjacency-window-negative": (_tech(adjacency_window=-1e-3), "adjacency-window-positive"),
+    "adjacency-window-nan": (_tech(adjacency_window=NAN), "adjacency-window-positive"),
     "material-nan": (lambda d: dataclasses.replace(d, materials=(Material("silicon", NAN),)),
                      "conductivity-positive"),
     "layer-material-nan": (_layers(material=Material("silicon", NAN)), "conductivity-positive"),

@@ -1,14 +1,12 @@
-"""Each distinct design is cold-solved once per run, and results stay put.
+"""Each distinct design is solved once per run, and results stay put.
 
-A cold solve is a call of couple_leakage or solve_design without a warm
-field x0, a warm solve one with it; solve_field keeps the cold results.
-Each floorplan has one field, its cold one: pass records, snapshots and
-`after` all read it, so a run makes no warm solve at all.
+Every design solve is a couple_leakage call, made by solve_field, which
+keeps its field. Each floorplan has one field: pass records, snapshots and
+`after` all read it, and no run calls solve_design.
 """
 
 import dataclasses
 import hashlib
-import inspect
 from pathlib import Path
 
 import pytest
@@ -21,7 +19,7 @@ import tsvplan.thermal as thermal
 from tsvplan.anneal import AnnealConfig, FlowConfig, optimize_stack
 from tsvplan.benchmarks import blockage_design, corememory_design
 from tsvplan.design_io import parse_design
-from tsvplan.model import CACHE_ENTRIES, cache_by_identity
+from tsvplan.model import CACHE_ENTRIES
 from tsvplan.thermal import grid_for, solve_field
 
 from conftest import split_digests
@@ -36,21 +34,19 @@ def with_leakage(design, coeff):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Designs passed to every real design solve, cold and warm, in call
-    order, starting from an empty cold-field cache."""
-    monkeypatch.setattr(thermal, "_cold_field",
-                        cache_by_identity(thermal._cold_field.__wrapped__))
-    designs = {"cold": [], "warm": []}
-    for name in ("couple_leakage", "solve_design"):
-        fn = getattr(thermal, name)
-        signature = inspect.signature(fn)
+    """Designs passed to every design solve, in call order, starting from an
+    empty field cache; a solve_design call fails the test."""
+    solve_field.cache_clear()
+    designs, direct = [], []
+    inner = thermal.couple_leakage
 
-        def counted(*args, _fn=fn, _signature=signature, **kwargs):
-            bound = _signature.bind(*args, **kwargs).arguments
-            designs["cold" if bound.get("x0") is None else "warm"].append(bound["design"])
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(thermal, name, counted)
-    return designs
+    def counted(design, grid):
+        designs.append(design)
+        return inner(design, grid)
+    monkeypatch.setattr(thermal, "couple_leakage", counted)
+    monkeypatch.setattr(thermal, "solve_design", lambda *args: direct.append(args))
+    yield designs
+    assert direct == [], "a run called solve_design"
 
 
 def captured_results(monkeypatch, module):
@@ -77,13 +73,12 @@ def test_optimize_stack_cold_solves_each_design_once(solves, leakage):
                             FlowConfig(outer_iterations=2))
     # the initial design (before and weight calibration) and the two outer
     # snapshots; `after` is the snapshot that won
-    assert len(solves["cold"]) == 3
-    assert solves["cold"][0] is design
-    assert_distinct(solves["cold"])
+    assert len(solves) == 3
+    assert solves[0] is design
+    assert_distinct(solves)
     # `after` is the field already solved for the best floorplan
     assert solve_field(result.best, result.grid) is result.after_field
-    assert len(solves["cold"]) == 3
-    assert solves["warm"] == []
+    assert len(solves) == 3
 
 
 def test_cli_optimize_cold_solves_each_design_once(solves, tmp_path):
@@ -92,9 +87,8 @@ def test_cli_optimize_cold_solves_each_design_once(solves, tmp_path):
         "--max-moves", "5", "--out-dir", str(tmp_path)])
     assert out.exit_code == 0, out.output
     # weight calibration, before and the first layer pass share one solve
-    assert len(solves["cold"]) == 3
-    assert_distinct(solves["cold"])
-    assert solves["warm"] == []
+    assert len(solves) == 3
+    assert_distinct(solves)
 
 
 def test_cold_field_is_kept_read_only(solves):
@@ -105,7 +99,7 @@ def test_cold_field_is_kept_read_only(solves):
     assert not field.t.flags.writeable
     # another coefficient is another design and another solve
     assert solve_field(with_leakage(design, 0.0), grid) is not field
-    assert len(solves["cold"]) == 2 and solves["warm"] == []
+    assert len(solves) == 2
 
 
 def test_cold_fields_are_bounded(solves):
@@ -114,10 +108,10 @@ def test_cold_fields_are_bounded(solves):
     for grid in grids[:CACHE_ENTRIES]:
         solve_field(design, grid)
     solve_field(design, grids[0])   # all CACHE_ENTRIES fields are kept
-    assert len(solves["cold"]) == CACHE_ENTRIES
+    assert len(solves) == CACHE_ENTRIES
     solve_field(design, grids[-1])  # a full cache starts over
     solve_field(design, grids[0])
-    assert len(solves["cold"]) == CACHE_ENTRIES + 2
+    assert len(solves) == CACHE_ENTRIES + 2
 
 
 # split_digests of the runs below. The first (moves, outers, before/after)

@@ -15,8 +15,9 @@ class TestSetFarmConductivity:
         assert validate(d) == []
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(DesignError):
-            set_farm_conductivity(corememory_design(), 0.0)
+        for k in (0.0, float("nan")):
+            with pytest.raises(DesignError):
+                set_farm_conductivity(corememory_design(), k)
 
 
 class TestWithMemoryLayers:

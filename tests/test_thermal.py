@@ -522,13 +522,20 @@ class TestCoupleLeakage:
             blocks=(block("hot", 0, 0.7, 0.7, 0.6, 0.6, power=1.0, leakage=0.2),),
             tech=tech)
 
-    def test_zero_lambda_converges_in_two_solves(self):
+    def test_zero_lambda_takes_one_solve(self):
         d = self._leaky_design(lam=0.0)
         grid = grid_for(d.stack)
         result = couple_leakage(d, grid)
-        assert result.iterations == 2
-        base = solve_design(d, grid)
-        assert np.abs(result.field.t - base.t).max() < 1e-9
+        assert result.iterations == 1
+        assert np.array_equal(result.field.t, solve_design(d, grid).t)
+
+    def test_no_leaky_block_takes_one_solve(self):
+        d = make_design(blocks=(block("hot", 0, 0.7, 0.7, 0.6, 0.6, power=1.0),),
+                        tech=make_tech(leakage_coeff=0.05))
+        grid = grid_for(d.stack)
+        result = couple_leakage(d, grid)
+        assert result.iterations == 1
+        assert np.array_equal(result.field.t, solve_design(d, grid).t)
 
     def test_positive_lambda_heats_every_cell(self):
         d = self._leaky_design(lam=0.05)
@@ -621,3 +628,5 @@ def test_grid_must_tile_footprint():
     d = make_design()
     with pytest.raises(GridError):
         grid_for(d.stack, 3e-4)  # 2 mm / 0.3 mm is not integral
+    with pytest.raises(GridError):
+        grid_for(d.stack, float("nan"))

@@ -9,18 +9,25 @@ numpy PCG64 generator seeded from the config so traces replay exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field, replace
+from itertools import accumulate
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DesignError, InvalidMoveError
+from .errors import DesignError
 from .metrics import CostBreakdown, CostWeights, cost, floorplan_area, wirelength
-from .model import Design, move_farm, reshape_farm
+from .model import (Design, Stack, TsvFarm, cache_by_identity, fixed_conflict,
+                    legal_origins, origin_lattice, placement_conflict, with_farm_rect)
 from .thermal import GridSpec, TemperatureField, field_stats, grid_for, solve_field
 
 RNG_KIND = "numpy-PCG64"  # echoed into reports so traces are replayable
 PROBE_MOVES = 100  # candidates drawn to calibrate an unset t_initial
-RETRY_CAP = 50     # illegal draws before gen_move returns a null move
+RETRY_CAP = 50     # proposals gen_move redraws before it returns a null move
+# a cost change within a few ulps of the current cost is a tie, taken as 0
+TIE_RTOL = 4 * np.finfo(float).eps
+FARM_MEMO_ENTRIES = 4096  # in _farm_moves' one memo; a full memo starts over
 
 
 @dataclass(frozen=True)
@@ -102,51 +109,156 @@ class RunTrace:
         return [m.best_cost for m in self.moves]
 
 
-def accept(delta_cost: float, temperature: float, rng) -> tuple[bool, float | None]:
-    """Metropolis rule: downhill always, uphill with probability e^(-dC/T)."""
-    if delta_cost <= 0:
+def _is_uphill(delta_cost: float, current_cost: float) -> bool:
+    return delta_cost > TIE_RTOL * abs(current_cost)
+
+
+def accept(delta_cost: float, temperature: float, rng,
+           current_cost: float = 0.0) -> tuple[bool, float | None]:
+    """Metropolis rule: downhill always, uphill with probability e^(-dC/T).
+
+    A dC within a few ulps of current_cost is a tie, accepted without a
+    draw, so a rounding difference in pricing cannot fork a trace.
+    """
+    if not _is_uphill(delta_cost, current_cost):
         return True, None
     draw = float(rng.random())
     return draw < math.exp(-delta_cost / temperature), draw
 
 
+class MoveGroup(NamedTuple):
+    """The block-legal candidates of one (farm, move kind) in one state."""
+
+    index: int                # the farm's index in the floorplan
+    kind: str                 # reshape | move
+    options: Sequence[tuple]  # candidate (x, y, width, height), drawn uniformly
+    mass: float               # (1/n) (1/2) len(options) / all options of the kind
+
+
+@dataclass(frozen=True)
+class _Origins:
+    """legal_origins' flat indices, read as relocation candidates."""
+
+    flat: np.ndarray
+    ny: int
+    cell: float
+    width: float
+    height: float
+
+    def __len__(self) -> int:
+        return len(self.flat)
+
+    def __getitem__(self, j: int) -> tuple:
+        ix, iy = divmod(int(self.flat[j]), self.ny)
+        return ix * self.cell, iy * self.cell, self.width, self.height
+
+
+class _FarmMoves:
+    """Memo of _farm_moves for one (blocks tuple, stack, cell) at a time.
+
+    It is keyed on the farm object's id, its index and its weight: a state
+    shares every farm object but the moved one with its parent. Each entry
+    keeps its farm alive, so an id cannot be reused while it is memoized.
+    Another context, or a full memo, starts it over."""
+
+    def __init__(self):
+        self.context: tuple = ()
+        self.groups: dict = {}
+
+    def of(self, blocks: tuple, stack: Stack, cell: float) -> dict:
+        context = self.context
+        if not (context and context[0] is blocks and context[1] is stack
+                and context[2] == cell):
+            self.context = (blocks, stack, cell)
+            self.groups.clear()
+        elif len(self.groups) >= FARM_MEMO_ENTRIES:
+            self.groups.clear()
+        return self.groups
+
+
+_FARM_MOVES = _FarmMoves()
+
+
+def _farm_moves(farm: TsvFarm, index: int, weight: float, stack: Stack,
+                blocks: tuple, cell: float) -> list[MoveGroup]:
+    """One farm's groups, each of mass weight * options / all options.
+
+    A reshape's options are the other configured ratios whose rectangle,
+    anchored at the farm's lower left, passes fixed_conflict; a relocation's
+    are the lattice origins of legal_origins. Kinds without options are left
+    out. Neither depends on the other farms.
+    """
+    start, end = farm.start_layer, farm.end_layer
+    shapes = [(farm.x, farm.y, math.sqrt(farm.area * r), math.sqrt(farm.area / r))
+              for r in stack.tech.aspect_ratios if abs(r - farm.aspect_ratio) > 1e-9 * r]
+    legal = [(x, y, w, h) for x, y, w, h in shapes
+             if fixed_conflict(stack, blocks, start, end, (x, y, x + w, y + h)) is None]
+    groups = [MoveGroup(index, "reshape", legal, weight * len(legal) / len(shapes))
+              ] if legal else []
+    flat = legal_origins(stack, blocks, farm.width, farm.height, start, end, cell)
+    if len(flat):
+        nx, ny = origin_lattice(stack, farm.width, farm.height, cell)
+        groups.append(MoveGroup(index, "move",
+                                _Origins(flat, ny, cell, farm.width, farm.height),
+                                weight * len(flat) / (nx * ny)))
+    return groups
+
+
+@cache_by_identity
+def move_table(design: Design, eligible: list[str],
+               grid: GridSpec) -> tuple[list[MoveGroup], list[float]]:
+    """The groups of gen_move's candidates in one state, and their cumulative
+    masses. Cached on the identity of the state, the eligible list and the
+    grid; a rejected candidate leaves the state as it is, and a new state
+    recomputes only the groups of the farm that moved."""
+    fp, stack = design.floorplan, design.stack
+    memo = _FARM_MOVES.of(fp.blocks, stack, grid.cell_size)
+    names = set(eligible)
+    weight = 0.5 / len(names)
+    groups = []
+    for index, farm in enumerate(fp.farms):
+        if farm.name in names:
+            key = (id(farm), index, weight)
+            entry = memo.get(key)
+            if entry is None:
+                entry = memo[key] = (farm, _farm_moves(farm, index, weight, stack,
+                                                       fp.blocks, grid.cell_size))
+            groups += entry[1]
+    return groups, list(accumulate(g.mass for g in groups))
+
+
 def gen_move(design: Design, eligible: list[str], rng,
              grid: GridSpec) -> tuple[Design, str, str | None]:
-    """Draw one candidate: pick a farm, then reshape (draw < 1/2) or relocate.
+    """Draw one legal candidate: a farm reshaped to another configured ratio,
+    anchored at its lower left, or relocated to a grid-aligned origin.
 
-    Relocation targets a uniformly drawn grid-aligned origin. An illegal
-    candidate discards the whole draw and retries; after RETRY_CAP illegal
-    draws the unmodified floorplan is returned as a null move.
+    The candidate's law is that of drawing a farm uniformly, then reshape or
+    relocate with probability 1/2 each, then a ratio or lattice origin
+    uniformly, and redrawing everything until the result is legal and moves
+    the farm. It is drawn from move_table instead: one rng.random() picks a
+    (farm, kind) group by its mass, one rng.integers() an option within it.
+    A candidate that overlaps another farm, or a relocation that keeps its
+    origin, redraws the whole proposal. After RETRY_CAP proposals, or at
+    once when the state has no candidate, the unmodified floorplan is
+    returned as a null move.
     """
     if not eligible:
         return design, "null", None
-    tech = design.stack.tech
-    cell = grid.cell_size
-    fw, fh = design.stack.footprint
+    groups, cumulative = move_table(design, eligible, grid)
+    if not groups:
+        return design, "null", None
+    farms = design.floorplan.farms
+    total, last = cumulative[-1], len(groups) - 1
     for _ in range(RETRY_CAP):
-        name = eligible[int(rng.integers(len(eligible)))]
-        index = design.floorplan.farm_index(name)
-        farm = design.floorplan.farms[index]
-        branch = float(rng.random())
-        try:
-            if branch < 0.5:
-                choices = [r for r in tech.aspect_ratios
-                           if abs(r - farm.aspect_ratio) > 1e-9 * r]
-                if not choices:
-                    raise InvalidMoveError("no alternative ratio")
-                ratio = choices[int(rng.integers(len(choices)))]
-                return reshape_farm(design, index, ratio), "reshape", name
-            max_ix = math.floor((fw - farm.width) / cell + 1e-9)
-            max_iy = math.floor((fh - farm.height) / cell + 1e-9)
-            if max_ix < 0 or max_iy < 0:
-                raise InvalidMoveError("farm larger than footprint")
-            origin = (int(rng.integers(max_ix + 1)) * cell,
-                      int(rng.integers(max_iy + 1)) * cell)
-            if abs(origin[0] - farm.x) < 1e-12 and abs(origin[1] - farm.y) < 1e-12:
-                raise InvalidMoveError("position unchanged")
-            return move_farm(design, index, origin), "move", name
-        except InvalidMoveError:
+        group = groups[min(bisect_right(cumulative, rng.random() * total), last)]
+        x, y, width, height = group.options[int(rng.integers(len(group.options)))]
+        farm = farms[group.index]
+        if group.kind == "move" and abs(x - farm.x) < 1e-12 and abs(y - farm.y) < 1e-12:
             continue
+        if placement_conflict(design, group.index, (x, y, x + width, y + height),
+                              fixed=False) is None:
+            return (with_farm_rect(design, group.index, x, y, width, height),
+                    group.kind, farm.name)
     return design, "null", None
 
 
@@ -159,7 +271,7 @@ def calibrate_t_initial(state: Design, cost_fn, propose, rng,
         if kind == "null":
             continue
         delta = cost_fn(candidate) - current_cost
-        if delta > 0:
+        if _is_uphill(delta, current_cost):
             uphill.append(delta)
     if uphill:
         return float(np.median(uphill)) / -math.log(0.8)
@@ -193,7 +305,7 @@ def sa_placement(state: Design, cost_fn, propose, config: AnnealConfig, rng,
             candidate, kind, farm = propose(state, rng)
             candidate_cost = current_cost if kind == "null" else cost_fn(candidate)
             delta = candidate_cost - current_cost
-            accepted, draw = accept(delta, temperature, rng)
+            accepted, draw = accept(delta, temperature, rng, current_cost)
             if accepted:
                 state, current_cost = candidate, candidate_cost
             if best_cost > current_cost:

@@ -13,6 +13,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DesignError, InvalidMoveError
 
 MIN_LAYER_THICKNESS = 10e-6
@@ -128,6 +130,8 @@ class Net:
 
 CACHE_ENTRIES = 16  # per cache_by_identity function; a full cache starts over
 BLOCK_MEMO_ENTRIES = 4096  # in _block_hit's one memo; a full memo starts over
+ORIGIN_MEMO_ENTRIES = 256  # legal_origins rasters, likewise
+RECT_EPS = 1e-12           # m; see rects_overlap
 
 
 def cache_by_identity(fn):
@@ -236,7 +240,7 @@ class Violation:
         return f"{self.entity}: {self.rule} ({self.detail})"
 
 
-def rects_overlap(a, b, eps: float = 1e-12) -> bool:
+def rects_overlap(a, b, eps: float = RECT_EPS) -> bool:
     """Strict interior overlap; touching edges are legal.
 
     eps (meters) absorbs unit-conversion ulps so abutting rectangles whose
@@ -244,6 +248,10 @@ def rects_overlap(a, b, eps: float = 1e-12) -> bool:
     """
     return (min(a[2], b[2]) - max(a[0], b[0]) > eps
             and min(a[3], b[3]) - max(a[1], b[1]) > eps)
+
+
+def _footprint_tol(stack: Stack) -> float:
+    return 1e-12 * max(stack.footprint)
 
 
 def _inside_footprint(rect, stack: Stack, tol: float) -> bool:
@@ -266,7 +274,7 @@ def validate(design: Design) -> list[Violation]:
     v: list[Violation] = []
     stack, fp = design.stack, design.floorplan
     tech = stack.tech
-    tol = 1e-12 * max(stack.footprint)
+    tol = _footprint_tol(stack)
 
     if not (tech.footprint_width > 0 and tech.footprint_height > 0):
         v.append(Violation("tech", "footprint-positive", "footprint must be > 0"))
@@ -403,26 +411,32 @@ def _block_rects_by_layer(blocks: tuple[Block, ...]) -> dict[int, list[tuple[Blo
 
 
 class _BlockHits:
-    """Memo of (start_layer, end_layer, rect) -> the first fixed block, layer
-    by layer, that the farm prism overlaps, or None, for one blocks tuple at
-    a time. Blocks never move, so an entry stays true while its tuple is the
+    """Where the fixed blocks of one blocks tuple let a farm go, memoized.
+
+    hits: (start_layer, end_layer, rect) -> the first fixed block, layer by
+    layer, that the farm prism overlaps, or None. origins: legal_origins'
+    rasters. Blocks never move, so an entry stays true while its tuple is the
     memo's; a run anneals one blocks tuple after another (a sweep, one per
     point), so a new tuple starts the memo over, and so does a full one."""
 
     def __init__(self):
         self.blocks: tuple[Block, ...] | None = None
         self.hits: dict = {}
+        self.origins: dict = {}
+
+    def of(self, blocks: tuple[Block, ...]) -> "_BlockHits":
+        if self.blocks is not blocks:
+            self.blocks = blocks
+            self.hits.clear()
+            self.origins.clear()
+        return self
 
 
 _BLOCK_HITS = _BlockHits()
 
 
 def _block_hit(blocks: tuple[Block, ...], start: int, end: int, rect) -> Block | None:
-    memo = _BLOCK_HITS
-    if memo.blocks is not blocks:
-        memo.blocks = blocks
-        memo.hits.clear()
-    hits = memo.hits
+    hits = _BLOCK_HITS.of(blocks).hits
     key = (start, end, rect)
     hit = hits.get(key, hits)   # the dict itself marks a miss
     if hit is not hits:
@@ -436,32 +450,102 @@ def _block_hit(blocks: tuple[Block, ...], start: int, end: int, rect) -> Block |
     return hit
 
 
+def fixed_conflict(stack: Stack, blocks: tuple[Block, ...], start: int, end: int,
+                   rect) -> str | None:
+    """Why a farm prism on layers start..end cannot take `rect` whatever the
+    other farms are, or None: it leaves the footprint or overlaps a block."""
+    if not _inside_footprint(rect, stack, _footprint_tol(stack)):
+        return "leaves footprint"
+    hit = _block_hit(blocks, start, end, rect)
+    if hit is not None:
+        return f"overlaps {hit.name} on layer {hit.layer}"
+    return None
+
+
+def placement_conflict(design: Design, index: int, rect, fixed: bool = True) -> str | None:
+    """Why farm `index` cannot take `rect` on all its layers, or None if it can.
+
+    The one legality rule of a farm rectangle: fixed_conflict's, then clear
+    of every other farm on a shared layer. fixed=False skips fixed_conflict,
+    for a rect known to pass it.
+    """
+    fp = design.floorplan
+    farm = fp.farms[index]
+    start, end = farm.start_layer, farm.end_layer
+    if fixed:
+        reason = fixed_conflict(design.stack, fp.blocks, start, end, rect)
+        if reason is not None:
+            return reason
+    for k, other in enumerate(fp.farms):
+        if (k != index and other.start_layer <= end and start <= other.end_layer
+                and rects_overlap(rect, other.rect)):
+            return f"overlaps {other.name} on layer {max(start, other.start_layer)}"
+    return None
+
+
+def with_farm_rect(design: Design, index: int, x: float, y: float,
+                   width: float, height: float) -> Design:
+    """The design with farm `index` given a new rectangle, unchecked: the
+    caller has found it legal (placement_conflict)."""
+    fp = design.floorplan
+    farm = fp.farms[index]
+    candidate = TsvFarm(farm.name, x, y, width, height, farm.start_layer, farm.end_layer,
+                        farm.k_lateral, farm.k_metal, farm.area, farm.clients)
+    farms = fp.farms[:index] + (candidate,) + fp.farms[index + 1:]
+    return Design(design.stack, Floorplan(fp.blocks, farms), design.materials)
+
+
+def origin_lattice(stack: Stack, width: float, height: float, cell: float) -> tuple[int, int]:
+    """(nx, ny): the grid-aligned origins (ix * cell, iy * cell), ix < nx and
+    iy < ny, that a width x height farm may be moved to; 0 when it cannot fit."""
+    fw, fh = stack.footprint
+    return (max(math.floor((fw - width) / cell + 1e-9) + 1, 0),
+            max(math.floor((fh - height) / cell + 1e-9) + 1, 0))
+
+
+def legal_origins(stack: Stack, blocks: tuple[Block, ...], width: float, height: float,
+                  start: int, end: int, cell: float) -> np.ndarray:
+    """Flat indices ix * ny + iy of the origin_lattice points where a width x
+    height prism on layers start..end passes fixed_conflict, read-only.
+
+    It is fixed_conflict vectorized: the same floats (ix * cell, x +
+    width), comparisons and eps, so a raster cell is legal exactly when the
+    scalar check passes. Memoized per blocks tuple with the block hits.
+    """
+    origins = _BLOCK_HITS.of(blocks).origins
+    key = (stack.footprint, width, height, start, end, cell)
+    flat = origins.get(key)
+    if flat is not None:
+        return flat
+    if len(origins) >= ORIGIN_MEMO_ENTRIES:
+        origins.clear()
+    nx, ny = origin_lattice(stack, width, height, cell)
+    fw, fh = stack.footprint
+    tol = _footprint_tol(stack)
+    x0, y0 = np.arange(nx) * cell, np.arange(ny) * cell
+    x1, y1 = x0 + width, y0 + height
+    free = np.outer((x0 >= -tol) & (x1 <= fw + tol), (y0 >= -tol) & (y1 <= fh + tol))
+    by_layer = _block_rects_by_layer(blocks)
+    for layer in range(start, end + 1):
+        for _, (bx0, by0, bx1, by1) in by_layer.get(layer, ()):
+            free &= ~np.outer(np.minimum(x1, bx1) - np.maximum(x0, bx0) > RECT_EPS,
+                              np.minimum(y1, by1) - np.maximum(y0, by0) > RECT_EPS)
+    flat = origins[key] = np.flatnonzero(free)
+    flat.flags.writeable = False
+    return flat
+
+
 def _place_farm(design: Design, index: int, x: float, y: float,
                 width: float, height: float) -> Design:
     """Give farm `index` a new rectangle on all its layers.
 
-    Raises InvalidMoveError if the rectangle leaves the footprint or
-    collides on any spanned layer; the farm is only rebuilt once legal.
+    Raises InvalidMoveError with placement_conflict's reason if the
+    rectangle is not legal; the farm is only rebuilt once legal.
     """
-    stack, fp = design.stack, design.floorplan
-    farm = fp.farms[index]
-    start, end = farm.start_layer, farm.end_layer
-    rect = (x, y, x + width, y + height)
-    tol = 1e-12 * max(stack.footprint)
-    if not _inside_footprint(rect, stack, tol):
-        raise InvalidMoveError(f"{farm.name}: leaves footprint")
-    hit = _block_hit(fp.blocks, start, end, rect)
-    if hit is not None:
-        raise InvalidMoveError(f"{farm.name}: overlaps {hit.name} on layer {hit.layer}")
-    for k, other in enumerate(fp.farms):
-        if (k != index and other.start_layer <= end and start <= other.end_layer
-                and rects_overlap(rect, other.rect)):
-            raise InvalidMoveError(f"{farm.name}: overlaps {other.name} on layer "
-                                   f"{max(start, other.start_layer)}")
-    candidate = TsvFarm(farm.name, x, y, width, height, start, end, farm.k_lateral,
-                        farm.k_metal, farm.area, farm.clients)
-    farms = fp.farms[:index] + (candidate,) + fp.farms[index + 1:]
-    return Design(stack, Floorplan(fp.blocks, farms), design.materials)
+    reason = placement_conflict(design, index, (x, y, x + width, y + height))
+    if reason is not None:
+        raise InvalidMoveError(f"{design.floorplan.farms[index].name}: {reason}")
+    return with_farm_rect(design, index, x, y, width, height)
 
 
 def _farm_index(floorplan: Floorplan, farm: str | int) -> int:

@@ -1,20 +1,25 @@
 import math
+from collections import defaultdict
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
-from tsvplan.anneal import (AnnealConfig, Evaluator, FlowConfig, RunTrace,
+from tsvplan.anneal import (RETRY_CAP, AnnealConfig, Evaluator, FlowConfig, RunTrace,
                             accept, calibrate_t_initial, gen_move, layer_pass,
-                            optimize_stack, sa_placement)
+                            move_table, optimize_stack, sa_placement)
+from tsvplan.errors import InvalidMoveError
 from tsvplan.metrics import CostWeights
-from tsvplan.model import validate
+from tsvplan.model import _place_farm, move_farm, reshape_farm, validate
 from tsvplan.thermal import grid_for, solve_design
 
 from conftest import MM, block, farm, make_design, make_tech
 
 
 class ScriptedRng:
-    """Deterministic stand-in feeding gen_move a fixed draw sequence."""
+    """Deterministic stand-in feeding gen_move a fixed draw sequence: each
+    proposal takes one random() for the move group and one integers(n) for
+    the option within it."""
 
     def __init__(self, integer_values, float_values):
         self._ints = list(integer_values)
@@ -25,6 +30,17 @@ class ScriptedRng:
 
     def random(self):
         return self._floats.pop(0)
+
+    @property
+    def exhausted(self):
+        return not self._ints and not self._floats
+
+
+class NoDrawRng:
+    def random(self):
+        raise AssertionError("no draw expected")
+
+    integers = random
 
 
 class TestAccept:
@@ -44,25 +60,93 @@ class TestAccept:
         hits = sum(accept(1.0, 1.0, rng)[0] for _ in range(100_000))
         assert abs(hits / 100_000 - math.exp(-1)) < 0.01
 
+    @pytest.mark.parametrize("cost", [1.0, -3.7, 123.456, 1e-9])
+    def test_one_ulp_rise_is_a_tie_without_draw(self, cost):
+        candidate = math.nextafter(cost, math.inf)
+        assert accept(candidate - cost, 1e-30, NoDrawRng(), cost) == (True, None)
+
+    def test_a_rise_beyond_the_tie_draws(self):
+        rng = ScriptedRng([], [0.5])
+        cost = 1.0
+        ok, draw = accept(1e-12, 1e-30, rng, cost)
+        assert (ok, draw) == (False, 0.5) and rng.exhausted
+
+    def test_annealing_takes_one_ulp_rises_without_draws(self):
+        d = make_design(farms=(farm("f", 0.8, 0.8, 0.4, 0.4),))
+        costs = {id(d): 0.1 + 0.2}
+        states = [d]   # keeps every id in costs alive
+
+        def propose(state, rng):   # each candidate costs 1 ulp more than its state
+            states.append(d.with_floorplan(d.floorplan))
+            costs[id(states[-1])] = math.nextafter(costs[id(state)], math.inf)
+            return states[-1], "move", "f"
+
+        trace = RunTrace()
+        cfg = AnnealConfig(t_initial=1.0, t_threshold=0.5, max_moves=3)
+        best, best_cost = sa_placement(d, lambda state: costs[id(state)], propose, cfg,
+                                       NoDrawRng(), trace)
+        assert len(trace.moves) == 15   # 5 temperatures of 3 moves
+        assert all(m.accepted and m.draw is None and m.delta_cost > 0 for m in trace.moves)
+        assert best is d and best_cost == 0.1 + 0.2
+
+    def test_calibration_ignores_ties(self):
+        d = make_design(farms=(farm("f", 0.8, 0.8, 0.4, 0.4),))
+        cost = 2.5
+        rises = iter([math.nextafter(cost, math.inf), cost + 0.5] * 50)
+
+        def propose(state, rng):
+            return d.with_floorplan(d.floorplan), "move", "f"
+
+        t0 = calibrate_t_initial(d, lambda state: next(rises), propose, NoDrawRng(), cost)
+        assert t0 == pytest.approx(0.5 / -math.log(0.8))
+
 
 class TestGenMove:
+    # f is alone on a 2 x 2 mm footprint with a 0.1 mm cell: all four other
+    # ratios are legal (mass 1/2 * 4/4) and so are all 17 x 17 origins (mass
+    # 1/2 * 289/289), so a draw below 1/2 reshapes and one above relocates
     def _design(self):
         return make_design(farms=(farm("f", 0.8, 0.8, 0.4, 0.4),))
 
     def test_low_draw_takes_reshape_branch(self):
         d = self._design()
-        rng = ScriptedRng([0, 0], [0.3])
+        rng = ScriptedRng([0], [0.3])
         out, kind, name = gen_move(d, ["f"], rng, grid_for(d.stack))
-        assert kind == "reshape" and name == "f"
-        assert out.floorplan.farm("f").aspect_ratio != pytest.approx(1.0)
+        assert kind == "reshape" and name == "f" and rng.exhausted
+        f = out.floorplan.farm("f")
+        assert f.aspect_ratio == pytest.approx(0.25)   # the first other ratio
+        assert (f.x, f.y) == (0.8 * MM, 0.8 * MM)
 
     def test_high_draw_takes_move_branch(self):
         d = self._design()
-        rng = ScriptedRng([0, 3, 5], [0.7])
+        rng = ScriptedRng([3 * 17 + 5], [0.7])
         out, kind, name = gen_move(d, ["f"], rng, grid_for(d.stack))
-        assert kind == "move" and name == "f"
+        assert kind == "move" and name == "f" and rng.exhausted
         f = out.floorplan.farm("f")
+        cell = d.stack.tech.grid_cell
+        assert (f.x, f.y) == (3 * cell, 5 * cell)
         assert (f.width, f.height) == (0.4 * MM, 0.4 * MM)
+
+    def test_unchanged_origin_redraws_the_whole_proposal(self):
+        d = self._design()
+        rng = ScriptedRng([8 * 17 + 8, 1], [0.7, 0.2])   # (8, 8) is where f stands
+        out, kind, _ = gen_move(d, ["f"], rng, grid_for(d.stack))
+        assert kind == "reshape" and rng.exhausted
+        assert out.floorplan.farm("f").aspect_ratio == pytest.approx(0.5)
+
+    def test_farm_overlap_redraws_the_whole_proposal(self):
+        d = make_design(farms=(farm("f", 0.8, 0.8, 0.4, 0.4), farm("g", 0.0, 0.0, 0.4, 0.4)))
+        rng = ScriptedRng([1 * 17 + 1, 2 * 17 + 9], [0.7, 0.9])   # (1, 1) overlaps g
+        out, kind, name = gen_move(d, ["f"], rng, grid_for(d.stack))
+        assert (kind, name) == ("move", "f") and rng.exhausted
+        cell = d.stack.tech.grid_cell
+        assert (out.floorplan.farm("f").x, out.floorplan.farm("f").y) == (2 * cell, 9 * cell)
+
+    def test_every_proposal_rejected_is_a_null_move_after_the_cap(self):
+        d = self._design()
+        rng = ScriptedRng([8 * 17 + 8] * RETRY_CAP, [0.9] * RETRY_CAP)
+        out, kind, name = gen_move(d, ["f"], rng, grid_for(d.stack))
+        assert (out, kind, name) == (d, "null", None) and rng.exhausted
 
     def test_moves_land_on_grid_lattice(self):
         d = self._design()
@@ -99,6 +183,110 @@ class TestGenMove:
             d2, kind, _ = gen_move(d, ["f", "g"], rng, grid_for(d.stack))
             assert validate(d2) == []
             d = d2
+
+
+def _law_design():
+    """A wall on layer 0, two farms that meet it and one on layer 1 only,
+    which passes over it."""
+    return make_design(
+        blocks=(block("wall", 0, 1.2, 0.0, 0.2, 2.0),),
+        farms=(farm("f", 0.2, 0.2, 0.4, 0.4), farm("g", 0.8, 1.4, 0.4, 0.4),
+               farm("h", 1.2, 0.6, 0.2, 0.2, start=1, end=1)),
+        tech=make_tech(aspect_ratios=(0.25, 0.5, 1.0, 2.0, 4.0)))
+
+
+def _normalized(law):
+    total = sum(law.values())
+    return {key: mass / total for key, mass in law.items()}
+
+
+def rejection_law(design, eligible, cell):
+    """The law of a legal candidate under the rejection sampler: a farm
+    uniformly, reshape or relocate with probability 1/2, then a ratio other
+    than the farm's own or a lattice origin uniformly, redrawn until legal
+    and moving the farm. Keys are (kind, farm, new rectangle)."""
+    law = defaultdict(float)
+    fw, fh = design.stack.footprint
+    for name in eligible:
+        f = design.floorplan.farm(name)
+        ratios = [r for r in design.stack.tech.aspect_ratios
+                  if abs(r - f.aspect_ratio) > 1e-9 * r]
+        for ratio in ratios:
+            try:
+                candidate = reshape_farm(design, name, ratio)
+            except InvalidMoveError:
+                continue
+            law["reshape", name, candidate.floorplan.farm(name).rect] += \
+                1 / len(eligible) / 2 / len(ratios)
+        nx = math.floor((fw - f.width) / cell + 1e-9) + 1
+        ny = math.floor((fh - f.height) / cell + 1e-9) + 1
+        for ix in range(nx):
+            for iy in range(ny):
+                origin = (ix * cell, iy * cell)
+                if abs(origin[0] - f.x) < 1e-12 and abs(origin[1] - f.y) < 1e-12:
+                    continue
+                try:
+                    candidate = move_farm(design, name, origin)
+                except InvalidMoveError:
+                    continue
+                law["move", name, candidate.floorplan.farm(name).rect] += \
+                    1 / len(eligible) / 2 / (nx * ny)
+    return _normalized(law)
+
+
+def table_law(design, eligible, grid):
+    """The same law read from move_table: each option of a group has the
+    group's mass over its option count; proposals that overlap a farm or do
+    not move it are redrawn, so the law is renormalized over the rest."""
+    groups, cumulative = move_table(design, eligible, grid)
+    assert cumulative == list(accumulate(g.mass for g in groups))
+    law = defaultdict(float)
+    for group in groups:
+        f = design.floorplan.farms[group.index]
+        for j in range(len(group.options)):
+            x, y, width, height = group.options[j]
+            if group.kind == "move" and abs(x - f.x) < 1e-12 and abs(y - f.y) < 1e-12:
+                continue
+            try:
+                candidate = _place_farm(design, group.index, x, y, width, height)
+            except InvalidMoveError:
+                continue
+            law[group.kind, f.name, candidate.floorplan.farms[group.index].rect] += \
+                group.mass / len(group.options)
+    return _normalized(law)
+
+
+class TestCandidateLaw:
+    def test_table_law_equals_the_rejection_law(self):
+        d = _law_design()
+        grid = grid_for(d.stack)
+        rng = np.random.default_rng(3)
+        for eligible in (["f", "g", "h"], ["f", "g"], ["h"]):
+            state = d
+            for _ in range(6):   # several states along a chain
+                expected = rejection_law(state, eligible, grid.cell_size)
+                got = table_law(state, eligible, grid)
+                assert got.keys() == expected.keys()
+                assert all(abs(got[k] - p) <= 1e-12 for k, p in expected.items())
+                state, kind, _ = gen_move(state, eligible, rng, grid)
+                assert kind != "null"
+
+    def test_gen_move_draws_by_the_law(self):
+        d = _law_design()
+        grid = grid_for(d.stack)
+        eligible = ["f", "g", "h"]
+        marginal = defaultdict(float)
+        for (kind, name, _), p in rejection_law(d, eligible, grid.cell_size).items():
+            marginal[kind, name] += p
+        rng = np.random.default_rng(17)
+        draws = 3000
+        counts = defaultdict(int)
+        for _ in range(draws):
+            _, kind, name = gen_move(d, eligible, rng, grid)
+            counts[kind, name] += 1
+        assert counts.keys() == marginal.keys()
+        for key, p in marginal.items():
+            assert abs(counts[key] / draws - p) <= 4 * math.sqrt(p * (1 - p) / draws)
 
 
 class TestSaPlacement:

@@ -1,10 +1,11 @@
 """The benchmark's contract with tsvplan.
 
 perfbench/spans.py looks up public functions and methods by name when a
-unit runs with --trace 1, and perfbench/checks.py re-solves each unit's
-designs through thermal.couple_leakage; a change in tsvplan would otherwise
-only surface as a crash or as incorrect outputs there. Both files are
-loaded by path and only read.
+unit runs with --trace 1, perfbench/checks.py re-solves each unit's designs
+through thermal.couple_leakage, and perfbench/unit.py ends set-up at the
+first call of the module-global anneal.gen_move; a change in tsvplan would
+otherwise only surface as a crash or as incorrect outputs there. The
+perfbench files are loaded by path and only read.
 """
 
 import dataclasses
@@ -16,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsvplan.benchmarks import blockage_design
+from tsvplan import anneal, model
+from tsvplan.benchmarks import blockage_design, multicore_design
 from tsvplan.thermal import grid_for, solve_field
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -69,3 +71,27 @@ def test_checks_resolve_balances_energy_and_matches_solve_field(leakage):
     field, imbalance = checks.resolve(design, grid)
     assert imbalance <= checks.ENERGY_RTOL
     assert np.abs(field.t - solve_field(design, grid).t).max() <= checks.TEMPERATURE_TOL_K
+
+
+def test_every_candidate_goes_through_the_module_gen_move(monkeypatch):
+    """One anneal.gen_move call per candidate, calibration probes included,
+    and no origin raster built before the first: unit.py's set-up ends
+    there, so work done earlier, or candidates drawn around it, would move
+    into setup_s."""
+    calls = []
+    inner = anneal.gen_move
+
+    def counted(design, *args):
+        memo = model._BLOCK_HITS
+        if not calls:
+            assert memo.blocks is not design.floorplan.blocks or not memo.origins
+        calls.append(design)
+        return inner(design, *args)
+
+    monkeypatch.setattr(anneal, "gen_move", counted)
+    design = multicore_design()
+    result = anneal.optimize_stack(design, anneal.AnnealConfig(seed=1, max_moves=5),
+                                   anneal.FlowConfig(outer_iterations=2))
+    passes = sum(p.eligible > 0 for p in result.trace.passes)
+    assert passes == 2
+    assert len(calls) == len(result.trace.moves) + passes * anneal.PROBE_MOVES

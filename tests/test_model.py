@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from tsvplan.benchmarks import BUILDERS, blockage_design
 from tsvplan.errors import InvalidMoveError
-from tsvplan.model import (Material, _place_farm, move_farm, rects_overlap, reshape_farm,
-                           validate)
+from tsvplan.model import (Block, Floorplan, Material, TsvFarm, _place_farm, legal_origins,
+                           move_farm, origin_lattice, rects_overlap, reshape_farm, validate)
 
-from conftest import MM, block, farm, make_design, make_tech
+from conftest import MM, UM, block, farm, make_design, make_tech
 
 
 def rect_intersects(a, b):
@@ -356,3 +356,54 @@ def test_memoized_legality_matches_a_full_scan(name, data):
         placed = _place_as_the_full_scan_says(design, index, rect)
         if placed is not None:
             designs[name] = placed
+
+
+@pytest.mark.parametrize("cell", [100 * UM, 50 * UM, 25 * UM], ids=["100um", "50um", "25um"])
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_origin_raster_equals_the_scalar_check(name, cell):
+    """legal_origins against the full scan at every lattice origin, for each
+    farm span of the shipped design and every configured aspect ratio."""
+    design = BUILDERS[name]()
+    stack, fp = design.stack, design.floorplan
+    # a raster depends on the farm's span and shape only
+    shapes = {(f.start_layer, f.end_layer, math.sqrt(f.area * r), math.sqrt(f.area / r)): f
+              for f in fp.farms for r in stack.tech.aspect_ratios}
+    legal = illegal = 0
+    for (_, _, width, height), f in shapes.items():
+        alone = design.with_floorplan(Floorplan(fp.blocks, (f,)))   # no farm to collide with
+        nx, ny = origin_lattice(stack, width, height, cell)
+        expected = [ix * ny + iy for ix in range(nx) for iy in range(ny)
+                    if legal_by_full_scan(alone, 0, (ix * cell, iy * cell,
+                                                     ix * cell + width, iy * cell + height))]
+        raster = legal_origins(stack, fp.blocks, width, height, f.start_layer, f.end_layer, cell)
+        assert raster.tolist() == expected
+        legal += len(expected)
+        illegal += nx * ny - len(expected)
+    assert legal and illegal
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_origin_raster_equals_the_scalar_check_on_random_floorplans(data):
+    """The same comparison on random footprints, cells, shapes and blocks,
+    with lengths that are not exact multiples of the cell in binary."""
+    cell = data.draw(st.sampled_from([100 * UM, 9.999999999999999e-05, 25 * UM, 1e-4 / 3]))
+    side = data.draw(st.integers(2, 24)) * cell
+    length = st.builds(lambda n, d: n * cell / d, st.integers(1, 12), st.sampled_from([1, 2, 3]))
+    blocks = tuple(
+        Block(f"b{i}", data.draw(st.integers(0, 1)), data.draw(length), data.draw(length),
+              data.draw(length), data.draw(length))
+        for i in range(data.draw(st.integers(0, 4), label="blocks")))
+    start = data.draw(st.integers(0, 1))
+    end = data.draw(st.integers(start, 1))
+    width, height = data.draw(length), data.draw(length)
+    f = TsvFarm("f", 0.0, 0.0, width, height, start, end, 0.5, 173.0, width * height)
+    design = make_design(blocks=blocks, farms=(f,),
+                         tech=make_tech(footprint_width=side, footprint_height=side,
+                                        grid_cell=cell))
+    nx, ny = origin_lattice(design.stack, width, height, cell)
+    expected = [ix * ny + iy for ix in range(nx) for iy in range(ny)
+                if legal_by_full_scan(design, 0, (ix * cell, iy * cell,
+                                                  ix * cell + width, iy * cell + height))]
+    assert legal_origins(design.stack, blocks, width, height, start, end,
+                         cell).tolist() == expected

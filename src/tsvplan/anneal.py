@@ -28,6 +28,7 @@ RETRY_CAP = 50     # proposals gen_move redraws before it returns a null move
 # a cost change within a few ulps of the current cost is a tie, taken as 0
 TIE_RTOL = 4 * np.finfo(float).eps
 FARM_MEMO_ENTRIES = 4096  # in _farm_moves' one memo; a full memo starts over
+COST_MEMO_ENTRIES = 4096  # per Evaluator; a full memo starts over
 
 
 @dataclass(frozen=True)
@@ -317,21 +318,48 @@ def sa_placement(state: Design, cost_fn, propose, config: AnnealConfig, rng,
     return best, best_cost
 
 
+def _farm_fields(floorplan) -> list[tuple]:
+    """Every farm field that with_farm_rect keeps, farm by farm."""
+    return [(f.name, f.start_layer, f.end_layer, f.k_lateral, f.k_metal, f.area, f.clients)
+            for f in floorplan.farms]
+
+
 class Evaluator:
     """Prices candidate floorplans and counts the evaluations; solve returns
-    a floorplan's cold field on the run's grid."""
+    a floorplan's cold field on the run's grid.
+
+    The floorplans of one Evaluator differ only in their farms' geometry
+    (with_farm_rect): blocks and stack are the first priced floorplan's
+    objects, which each call asserts, and every other farm field is its
+    value, which each memo miss asserts. So each distinct tuple of farm
+    (x, y, width, height) is priced once; evaluations counts every call.
+    """
 
     def __init__(self, grid: GridSpec, weights: CostWeights):
         self.grid = grid
         self.weights = weights
         self.evaluations = 0
+        self._priced: dict = {}
+        self._shared = None   # (blocks, stack, _farm_fields) of the first floorplan
 
     def solve(self, design: Design) -> TemperatureField:
         return solve_field(design, self.grid)
 
     def breakdown(self, design: Design) -> CostBreakdown:
         self.evaluations += 1
-        return cost(design, self.weights)
+        fp = design.floorplan
+        if self._shared is None:
+            self._shared = (fp.blocks, design.stack, _farm_fields(fp))
+        blocks, stack, farm_fields = self._shared
+        assert fp.blocks is blocks and design.stack is stack, "not this Evaluator's design"
+        key = tuple((f.x, f.y, f.width, f.height) for f in fp.farms)
+        priced = self._priced.get(key)
+        if priced is None:
+            assert _farm_fields(fp) == farm_fields, "not this Evaluator's farms"
+            if len(self._priced) >= COST_MEMO_ENTRIES:
+                self._priced.clear()
+            priced = self._priced[key] = cost(design, self.weights)
+        return priced
 
     def cost(self, design: Design) -> float:
         return self.breakdown(design).total

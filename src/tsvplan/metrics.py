@@ -232,8 +232,9 @@ def total_efficiency(design: Design) -> float:
     if not table.pairs:
         return 0.0
     terms = pair_efficiency(table, path_conductivity(table, design.floorplan.farms))
-    # Python's sum over the pairs, in pair order, keeps f_H bit-stable
-    return float(sum(terms.tolist()))
+    # a left fold over the pairs, in pair order, keeps f_H bit-stable: Python
+    # 3.12's sum() compensates, and may differ from it by an ulp
+    return float(np.cumsum(terms)[-1])
 
 
 @cache_by_identity

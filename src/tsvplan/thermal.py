@@ -464,7 +464,10 @@ def _pcg(matrix: StencilOperator, b: np.ndarray, x: np.ndarray, precondition,
             p *= rho / rho_prev
             p += z
         product()
-        alpha = rho / np.dot(p, q)
+        curvature = np.dot(p, q)
+        if not (rho > 0 and curvature > 0):  # never on SPD G; on G_eff, leakage runs away
+            raise ThermalRunawayError("leakage fixed point diverging: G_eff is not SPD")
+        alpha = rho / curvature
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
@@ -481,8 +484,8 @@ def solve_steady_state(network: ConductanceNetwork, power: np.ndarray,
     Jacobi diagonal. CG stops once the residual's 2-norm is below 1e-4
     times the contract, so small fixtures agree with a dense solve to
     ~1e-8 K; the contract is an infinity norm of the final residual below
-    RESIDUAL_RTOL times max(max cell power, 1 W). Pass a prebuilt matrix
-    when solving the same network repeatedly. maxiter caps the CG
+    RESIDUAL_RTOL times max(max cell power, 1 W). Pass a prebuilt matrix,
+    G or couple_leakage's G_eff, to reuse it. maxiter caps the CG
     iterations, by default at CG_ITERATIONS_PER_UNKNOWN per unknown.
     """
     grid = network.grid
@@ -499,13 +502,8 @@ def solve_steady_state(network: ConductanceNetwork, power: np.ndarray,
     start = np.full(n, ambient) if x0 is None else x0.ravel().copy()
     if maxiter is None:
         maxiter = int(CG_ITERATIONS_PER_UNKNOWN * n)
-    if grid.cells_per_layer > JACOBI_MAX_PLANE_CELLS:
-        precondition = matrix.vcycle
-    else:
-        inv_diag = 1.0 / matrix.diagonal()
-
-        def precondition(r):
-            return inv_diag * r
+    precondition = (matrix.vcycle if grid.cells_per_layer > JACOBI_MAX_PLANE_CELLS
+                    else functools.partial(np.multiply, 1.0 / matrix.diagonal()))
     x, iterations = _pcg(matrix, rhs, start, precondition,
                          atol=target * 1e-4, maxiter=maxiter)
     residual = float(np.abs(rhs - matrix @ x).max())
@@ -524,10 +522,49 @@ def solve_design(design: Design, grid: GridSpec | None = None) -> TemperatureFie
     return solve_steady_state(network, occ.power, design.stack.tech.ambient)
 
 
+class LeakageOperator:
+    """G_eff = G - K, the leakage fixed point's matrix, matrix-free. K is
+    sum_b c l_b w_b w_b^T over the leaky blocks b (c the leakage coefficient,
+    l_b the reference leakage, w_b the cell weights), kept as one entry per
+    nonzero weight. The Jacobi diagonal is G_eff's own, the V-cycle G's."""
+
+    def __init__(self, matrix: StencilOperator, blocks, coeff: float):
+        self.matrix, self.network, self.scratch = matrix, matrix.network, matrix.scratch
+        grid = self.network.grid
+        weights = [block_cell_weights(b, grid).ravel() for b in blocks]
+        cells = [np.flatnonzero(w) for w in weights]
+        self._block = np.repeat(np.arange(len(blocks)), [len(c) for c in cells])
+        self._cells = np.concatenate([b.layer * grid.cells_per_layer + c
+                                      for b, c in zip(blocks, cells)])
+        self._w = np.concatenate([w[c] for w, c in zip(weights, cells)])
+        self._gain_w = self._w * np.array([coeff * b.leakage_ref for b in blocks])[self._block]
+        self._diag = matrix.diagonal() - np.bincount(self._cells, self._gain_w * self._w,
+                                                     minlength=len(self.scratch))
+
+    vcycle = property(lambda self: self.matrix.vcycle)
+
+    def diagonal(self) -> np.ndarray:
+        return self._diag
+
+    def leakage(self, x: np.ndarray) -> np.ndarray:
+        """K x, the sum over the leaky blocks b of c l_b (w_b . x) w_b, shaped as x."""
+        dots = np.bincount(self._block, x.ravel()[self._cells] * self._w)
+        return np.bincount(self._cells, dots[self._block] * self._gain_w,
+                           minlength=x.size).reshape(x.shape)
+
+    def bind(self, x: np.ndarray, out: np.ndarray, term: np.ndarray):
+        """Return a function that writes G_eff @ x into out, as StencilOperator.bind."""
+        product = self.matrix.bind(x, out, term)
+        return lambda: np.subtract(product(), self.leakage(x), out=out)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.matrix @ x - self.leakage(x)
+
+
 @dataclass(frozen=True)
 class LeakageSolve:
     field: TemperatureField
-    iterations: int
+    iterations: int  # solves: 1 when no leakage feeds back, else 2
 
 
 def couple_leakage(design: Design, grid: GridSpec) -> LeakageSolve:
@@ -535,14 +572,16 @@ def couple_leakage(design: Design, grid: GridSpec) -> LeakageSolve:
 
     Block leakage is leakage_ref * (1 + leakage_coeff * (block average T -
     leakage_tref)), with both values from the design's tech, distributed over
-    the block footprint like its dynamic power. The first solve is at
-    reference leakage, and is the only one when no leakage can feed back (a
-    zero coefficient, or no block with leakage_ref > 0). Each later solve
-    takes its leakage from the previous field, which also warm-starts it.
-    Converges when the largest cell temperature change drops below 0.01 K;
-    five consecutive growing updates raise ThermalRunawayError. All its
-    solves draw on one budget of CG_ITERATIONS_PER_UNKNOWN CG iterations per
-    unknown; running out of it is a SolverError.
+    the block footprint like its dynamic power. Leakage that cannot feed back
+    (a zero coefficient, or no block with leakage_ref > 0) takes one solve.
+    Otherwise the rise u = T - T_amb solves G_eff u = P(T_amb), P(T) the
+    power at T, and a closing solve at P(T_amb + u), started there, keeps the
+    residual contract on G. The two share one budget of
+    CG_ITERATIONS_PER_UNKNOWN CG iterations per unknown; running out of it is
+    a SolverError. G_eff is an irreducible symmetric Z-matrix, so with
+    P(T_amb) >= 0 a u > 0 in every cell proves it positive definite, and
+    any other u is a ThermalRunawayError; so is a CG step that meets its
+    indefiniteness.
     """
     tech = design.stack.tech
     lam, ref = tech.leakage_coeff, tech.leakage_tref
@@ -552,35 +591,22 @@ def couple_leakage(design: Design, grid: GridSpec) -> LeakageSolve:
     occ = rasterize(design, grid)
     network = build_network(occ, grid, design.stack)
     matrix = system_matrix(network)
-    field = solve_steady_state(network, occ.power, tech.ambient, matrix=matrix)
-    leaky = [(b, block_cell_weights(b, grid))
-             for b in design.floorplan.blocks if lam > 0 and b.leakage_ref > 0]
+    leaky = [b for b in design.floorplan.blocks if lam > 0 and b.leakage_ref > 0]
     if not leaky:
-        return LeakageSolve(field, 1)
+        return LeakageSolve(solve_steady_state(network, occ.power, tech.ambient,
+                                               matrix=matrix), 1)
 
-    growing, last_delta = 0, None
-    budget = int(CG_ITERATIONS_PER_UNKNOWN * grid.num_cells) - field.iterations
-    for iteration in range(2, 51):
-        t_prev = field.t
-        power = occ.power.copy()
-        for block, weights in leaky:
-            t_avg = float((t_prev[block.layer] * weights).sum())
-            power[block.layer] += block.leakage_ref * lam * (t_avg - ref) * weights
-        field = solve_steady_state(network, power, tech.ambient, x0=t_prev,
-                                   matrix=matrix, maxiter=budget)
-        budget -= field.iterations
-        delta = float(np.abs(field.t - t_prev).max())
-        if delta < 0.01:
-            return LeakageSolve(field, iteration)
-        if last_delta is not None and delta > last_delta:
-            growing += 1
-            if growing >= 5:
-                raise ThermalRunawayError(
-                    f"leakage iteration diverging (delta {delta:.3g} K)")
-        else:
-            growing = 0
-        last_delta = delta
-    raise SolverError("leakage iteration did not converge within 50 solves")
+    g_eff = LeakageOperator(matrix, leaky, lam)
+    t = np.full(occ.power.shape, tech.ambient)
+    source = occ.power + g_eff.leakage(t - ref)
+    rise = solve_steady_state(network, source, 0.0, matrix=g_eff)
+    if source.min() >= 0 and not rise.t.min() > 0:
+        raise ThermalRunawayError("leakage fixed point diverging: a rise is not positive")
+    t = t + rise.t
+    field = solve_steady_state(
+        network, occ.power + g_eff.leakage(t - ref), tech.ambient, x0=t, matrix=matrix,
+        maxiter=int(CG_ITERATIONS_PER_UNKNOWN * grid.num_cells) - rise.iterations)
+    return LeakageSolve(field, 2)
 
 
 @cache_by_identity
@@ -591,12 +617,6 @@ def solve_field(design: Design, grid: GridSpec) -> TemperatureField:
     field = couple_leakage(design, grid).field
     field.t.flags.writeable = False
     return field
-
-
-def block_average_temperature(field: TemperatureField, block, grid: GridSpec) -> float:
-    """Area-weighted mean temperature over a block footprint."""
-    weights = block_cell_weights(block, grid)
-    return float((field.t[block.layer] * weights).sum())
 
 
 @dataclass(frozen=True)
@@ -617,7 +637,7 @@ def field_stats(field: TemperatureField, design: Design | None = None,
     hottest_avg = None
     if design is not None and grid is not None:
         for block in sorted(design.floorplan.blocks, key=lambda b: b.name):
-            avg = block_average_temperature(field, block, grid)
+            avg = float((field.t[block.layer] * block_cell_weights(block, grid)).sum())
             if hottest_avg is None or avg > hottest_avg:
                 hottest, hottest_avg = block.name, avg
     return FieldStats(field.peak, field.average, hottest, hottest_avg)

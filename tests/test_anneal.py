@@ -5,11 +5,12 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
+from tsvplan import anneal
 from tsvplan.anneal import (RETRY_CAP, AnnealConfig, Evaluator, FlowConfig, RunTrace,
                             accept, calibrate_t_initial, gen_move, layer_pass,
                             move_table, optimize_stack, sa_placement)
 from tsvplan.errors import InvalidMoveError
-from tsvplan.metrics import CostWeights
+from tsvplan.metrics import CostWeights, cost
 from tsvplan.model import _place_farm, move_farm, reshape_farm, validate
 from tsvplan.thermal import grid_for, solve_design
 
@@ -497,3 +498,48 @@ class TestInterlayerEffect:
         moved = move_farm(d, "f", (1.4 * MM, 1.4 * MM))
         after = solve_design(moved, grid)
         assert np.abs(after.t[1] - before.t[1]).max() >= 0.1
+
+
+class TestEvaluatorMemo:
+    """An Evaluator prices each distinct floorplan of one design once."""
+
+    WEIGHTS = CostWeights(1.0, -1.0, 1.0, 1.0)
+
+    @pytest.fixture
+    def priced(self, monkeypatch):
+        calls = []
+        inner = anneal.cost
+
+        def counted(design, weights):
+            calls.append(design)
+            return inner(design, weights)
+        monkeypatch.setattr(anneal, "cost", counted)
+        return calls
+
+    def test_each_distinct_floorplan_is_priced_once(self, priced):
+        d = _hotspot_design()
+        ev = Evaluator(grid_for(d.stack), self.WEIGHTS)
+        moved = move_farm(d, "f", (1.0 * MM, 1.0 * MM))
+        again = move_farm(d, "f", (1.0 * MM, 1.0 * MM))  # equal, not the same object
+        breakdowns = [ev.breakdown(x) for x in (d, moved, again, d)]
+        assert breakdowns == [cost(x, self.WEIGHTS) for x in (d, moved, again, d)]
+        assert priced == [d, moved]
+        assert ev.evaluations == 4
+
+    def test_a_full_memo_starts_over(self, priced, monkeypatch):
+        monkeypatch.setattr(anneal, "COST_MEMO_ENTRIES", 2)
+        d = _hotspot_design()
+        ev = Evaluator(grid_for(d.stack), self.WEIGHTS)
+        designs = [d] + [move_farm(d, "f", (x * MM, 1.0 * MM)) for x in (0.9, 1.0)]
+        for x in designs + designs[:1]:
+            ev.cost(x)
+        assert priced == designs + designs[:1]
+
+    def test_another_design_is_refused(self):
+        d = _hotspot_design()
+        ev = Evaluator(grid_for(d.stack), self.WEIGHTS)
+        ev.cost(d)
+        other = make_design(blocks=d.floorplan.blocks[:1], farms=d.floorplan.farms,
+                            tech=d.stack.tech)
+        with pytest.raises(AssertionError):
+            ev.cost(other)

@@ -172,6 +172,37 @@ class TestTotalEfficiency:
         moved = move_farm(d, "bus", (1.0 * MM, 0.4 * MM))
         assert floorplan_area(moved.floorplan) == before
 
+    @pytest.mark.parametrize("name", ["tenths", "blockage"])
+    def test_sum_is_a_left_fold_on_every_python(self, name, monkeypatch):
+        # Python 3.12's sum() compensates (Neumaier) and 3.11's does not; on
+        # these terms the two orders differ, and f_H must be the left fold
+        design = BUILDERS["blockage"]()
+        table = strip_table(design.floorplan.blocks, design.stack)
+        terms = metrics.pair_efficiency(
+            table, path_conductivity(table, design.floorplan.farms)).tolist()
+        if name == "tenths":
+            terms = [0.1] * 10
+            monkeypatch.setattr(metrics, "pair_efficiency",
+                                lambda table, k_eff: np.array(terms))
+        left = 0.0
+        for term in terms:
+            left += term
+        assert neumaier_sum(terms) != left
+        assert total_efficiency(design) == left
+
+
+def neumaier_sum(terms):
+    """Compensated summation, the order of Python 3.12's sum() over floats."""
+    total = compensation = 0.0
+    for term in terms:
+        t = total + term
+        if abs(total) >= abs(term):
+            compensation += (total - t) + term
+        else:
+            compensation += (term - t) + total
+        total = t
+    return total + compensation
+
 
 class TestCalibratedWeights:
     def test_scales_follow_initial_state(self):

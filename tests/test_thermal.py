@@ -515,6 +515,69 @@ class TestMultigrid:
 
 # ---------------------------------------------------------- leakage coupling
 
+@st.composite
+def leaky_designs(draw):
+    """A random design with one to three leaky blocks, and its grid."""
+    layers = draw(st.integers(1, 3))
+    cell = draw(st.sampled_from([1e-4, 2e-4, 2.5e-4]))
+    size = st.floats(0.1, 0.9)
+    blocks = []
+    for i in range(draw(st.integers(1, 3))):
+        w, h = draw(size), draw(size)
+        blocks.append(block(f"b{i}", draw(st.integers(0, layers - 1)),
+                            draw(st.floats(0, 2 - w)), draw(st.floats(0, 2 - h)), w, h,
+                            power=draw(st.floats(0, 3)), leakage=draw(st.floats(0.01, 1))))
+    farms = []
+    if draw(st.booleans()):
+        w, h = draw(size), draw(size)
+        farms.append(farm("f", draw(st.floats(0, 2 - w)), draw(st.floats(0, 2 - h)),
+                          w, h, start=0, end=layers - 1))
+    design = make_design(blocks=blocks, farms=farms, num_layers=layers)
+    return design, grid_for(design.stack, cell)
+
+
+def with_leakage_coeff(design, coeff):
+    tech = dataclasses.replace(design.stack.tech, leakage_coeff=coeff)
+    return dataclasses.replace(design, stack=dataclasses.replace(design.stack, tech=tech))
+
+
+def _leaky_weights(design, grid):
+    """[n, B] cell weights of the leaky blocks, and their reference leakages."""
+    leaky = [b for b in design.floorplan.blocks if b.leakage_ref > 0]
+    w = np.zeros((grid.num_cells, len(leaky)))
+    for j, b in enumerate(leaky):
+        w[:, j].reshape(grid.num_layers, -1)[b.layer] = block_cell_weights(b, grid).ravel()
+    return w, np.array([b.leakage_ref for b in leaky])
+
+
+def dense_leakage_system(design, grid):
+    """Dense G, K = sum_b c l_b w_b w_b^T and the source P(T_amb) of the
+    leakage fixed point's rise, G_eff u = P(T_amb) with G_eff = G - K."""
+    net = build_network(rasterize(design, grid), grid, design.stack)
+    w, leakage = _leaky_weights(design, grid)
+    k = (w * design.stack.tech.leakage_coeff * leakage) @ w.T
+    source = dense_leakage_power(design, grid, np.full(grid.num_cells, AMBIENT))
+    return csr_reference(net).toarray(), k, source
+
+
+def dense_leakage_power(design, grid, t):
+    """Every cell's dynamic power plus its leakage at t's block averages."""
+    tech = design.stack.tech
+    w, leakage = _leaky_weights(design, grid)
+    scale = 1 + tech.leakage_coeff * (w.T @ np.ravel(t) - tech.leakage_tref)
+    return rasterize(design, grid).power.ravel() + w @ (leakage * (scale - 1))
+
+
+def runaway_coeff(design, grid):
+    """The leakage coefficient c at which lambda_max(G^-1 K) = 1: K is
+    c W L W^T, so that is 1 / lambda_max of the B x B L^1/2 W^T G^-1 W L^1/2."""
+    net = build_network(rasterize(design, grid), grid, design.stack)
+    w, leakage = _leaky_weights(design, grid)
+    root = np.sqrt(leakage)
+    reduced = root[:, None] * (w.T @ np.linalg.solve(csr_reference(net).toarray(), w)) * root
+    return 1.0 / np.linalg.eigvalsh(reduced).max()
+
+
 class TestCoupleLeakage:
     def _leaky_design(self, lam=0.02):
         tech = make_tech(leakage_coeff=lam)
@@ -578,7 +641,7 @@ class TestCoupleLeakage:
 
         coupled = couple_leakage(d, grid).field
         block_avg = float((coupled.t[0] * weights).sum())
-        assert block_avg == pytest.approx(oracle_t, abs=0.02)
+        assert block_avg == pytest.approx(oracle_t, abs=1e-6)
 
     def test_thermal_runaway_detected(self):
         tech = make_tech(leakage_coeff=0.5, package_resistance=100.0)
@@ -587,6 +650,91 @@ class TestCoupleLeakage:
                         tech=tech)
         with pytest.raises(ThermalRunawayError):
             couple_leakage(d, grid_for(d.stack))
+
+    # fraction of the runaway coefficient: the shipped designs sit at 0.16-0.28.
+    # Much nearer to 1 the rise reaches thousands of kelvin, and 1e-8 K falls
+    # below what the residual contract, or a dense solve's rounding, resolves
+    @settings(max_examples=30, deadline=None)
+    @given(case=leaky_designs(), fraction=st.floats(0.05, 0.8))
+    def test_matches_a_dense_solve_of_g_eff(self, case, fraction):
+        design, grid = case
+        d = with_leakage_coeff(design, fraction * runaway_coeff(design, grid))
+        field = couple_leakage(d, grid).field
+        net = build_network(rasterize(d, grid), grid, d.stack)
+        g, k, source = dense_leakage_system(d, grid)
+        exact = AMBIENT + np.linalg.solve(g - k, source)
+        assert np.abs(field.t.ravel() - exact).max() < 1e-8
+        # the fixed point's own residual contract and energy balance, at the field
+        power = dense_leakage_power(d, grid, field.t)
+        rhs = power.copy()
+        rhs[:grid.cells_per_layer] += net.g_ambient.ravel() * AMBIENT
+        assert np.abs(g @ field.t.ravel() - rhs).max() <= RESIDUAL_RTOL * max(power.max(), 1.0)
+        heat_out = float((net.g_ambient * (field.t[0] - AMBIENT)).sum())
+        assert heat_out == pytest.approx(power.sum(), rel=1e-6)
+
+    @pytest.mark.parametrize("path", ["jacobi", "multigrid"])
+    @pytest.mark.parametrize("factor", [0.5, 0.9, 0.99, 1 - 1e-4, 1 - 1e-5,
+                                        1 + 1e-5, 1 + 1e-4, 1.01, 1.1, 2.0, 10.0])
+    def test_runaway_exactly_above_the_dense_threshold(self, monkeypatch, path, factor):
+        # the coefficient at which a dense lambda_max(G^-1 K) reaches 1
+        d = make_design(blocks=(block("hot", 0, 0.7, 0.7, 0.6, 0.6, power=1.0, leakage=0.2),
+                                block("warm", 1, 0.2, 1.1, 0.5, 0.3, power=0.3, leakage=0.1)),
+                        tech=make_tech(package_resistance=50.0))
+        grid = grid_for(d.stack)
+        if path == "multigrid":
+            monkeypatch.setattr(thermal, "JACOBI_MAX_PLANE_CELLS", 0)
+        d = with_leakage_coeff(d, factor * runaway_coeff(d, grid))
+        if factor > 1:
+            with pytest.raises(ThermalRunawayError, match="diverging"):
+                couple_leakage(d, grid)
+        else:
+            assert couple_leakage(d, grid).field.t.min() > AMBIENT
+
+    @pytest.mark.parametrize("factor", [0.5, 0.99, 1.01, 2.0, 10.0])
+    def test_a_positive_rise_certifies_stability(self, monkeypatch, factor):
+        # CG meets an indefinite G_eff first; the certificate alone must
+        # still reject the exact rise of one, which is not positive somewhere
+        d = self._leaky_design()
+        grid = grid_for(d.stack)
+        d = with_leakage_coeff(d, factor * runaway_coeff(d, grid))
+        g, k, source = dense_leakage_system(d, grid)
+        inner = thermal.solve_steady_state
+
+        def dense(network, power, ambient, **kwargs):
+            if isinstance(kwargs["matrix"], thermal.LeakageOperator):
+                return thermal.TemperatureField(
+                    np.linalg.solve(g - k, power.ravel()).reshape(power.shape), 0.0)
+            return inner(network, power, ambient, **kwargs)
+        monkeypatch.setattr(thermal, "solve_steady_state", dense)
+        if factor > 1:
+            with pytest.raises(ThermalRunawayError, match="rise is not positive"):
+                couple_leakage(d, grid)
+        else:
+            assert couple_leakage(d, grid).field.t.min() > AMBIENT
+
+    @pytest.mark.parametrize("path", ["jacobi", "multigrid"])
+    def test_one_budget_for_both_solves(self, monkeypatch, path):
+        d = self._leaky_design()
+        grid = grid_for(d.stack)
+        if path == "multigrid":
+            monkeypatch.setattr(thermal, "JACOBI_MAX_PLANE_CELLS", 0)
+        solves = []
+        inner = thermal.solve_steady_state
+
+        def recorded(*args, **kwargs):
+            field = inner(*args, **kwargs)
+            solves.append((kwargs.get("maxiter"), field.iterations))
+            return field
+        monkeypatch.setattr(thermal, "solve_steady_state", recorded)
+        assert couple_leakage(d, grid).iterations == 2
+        (first, spent), (second, _) = solves
+        budget = int(thermal.CG_ITERATIONS_PER_UNKNOWN * grid.num_cells)
+        assert first is None and second == budget - spent
+        # two iterations cannot reach the contract: the budget runs out
+        monkeypatch.setattr(thermal, "CG_ITERATIONS_PER_UNKNOWN", 2 / grid.num_cells)
+        with pytest.raises(SolverError, match="within 2 CG iterations") as error:
+            couple_leakage(d, grid)
+        assert not isinstance(error.value, ThermalRunawayError)
 
 
 # ------------------------------------------------------------- field stats

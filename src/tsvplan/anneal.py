@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import DesignError
 from .metrics import CostBreakdown, CostWeights, cost, floorplan_area, wirelength
-from .model import (Design, Stack, TsvFarm, cache_by_identity, fixed_conflict,
-                    legal_origins, origin_lattice, placement_conflict, with_farm_rect)
+from .model import (Design, Stack, TsvFarm, cache_by_identity, farm_overlap, fixed_conflict,
+                    legal_origins, origin_lattice, with_farm_rect)
 from .thermal import GridSpec, TemperatureField, field_stats, grid_for, solve_field
 
 RNG_KIND = "numpy-PCG64"  # echoed into reports so traces are replayable
@@ -157,10 +157,9 @@ class _Origins:
 class _FarmMoves:
     """Memo of _farm_moves for one (blocks tuple, stack, cell) at a time.
 
-    It is keyed on the farm object's id, its index and its weight: a state
-    shares every farm object but the moved one with its parent. Each entry
-    keeps its farm alive, so an id cannot be reused while it is memoized.
-    Another context, or a full memo, starts it over."""
+    It is keyed on the farm's index and weight and on every farm field that
+    _farm_moves reads, so a farm that returns to a rectangle finds its
+    groups again. Another context, or a full memo, starts it over."""
 
     def __init__(self):
         self.context: tuple = ()
@@ -219,12 +218,13 @@ def move_table(design: Design, eligible: list[str],
     groups = []
     for index, farm in enumerate(fp.farms):
         if farm.name in names:
-            key = (id(farm), index, weight)
+            key = (index, weight, farm.x, farm.y, farm.width, farm.height, farm.area,
+                   farm.start_layer, farm.end_layer)
             entry = memo.get(key)
             if entry is None:
-                entry = memo[key] = (farm, _farm_moves(farm, index, weight, stack,
-                                                       fp.blocks, grid.cell_size))
-            groups += entry[1]
+                entry = memo[key] = _farm_moves(farm, index, weight, stack, fp.blocks,
+                                                grid.cell_size)
+            groups += entry
     return groups, list(accumulate(g.mass for g in groups))
 
 
@@ -252,12 +252,11 @@ def gen_move(design: Design, eligible: list[str], rng,
     total, last = cumulative[-1], len(groups) - 1
     for _ in range(RETRY_CAP):
         group = groups[min(bisect_right(cumulative, rng.random() * total), last)]
-        x, y, width, height = group.options[int(rng.integers(len(group.options)))]
+        x, y, width, height = group.options[rng.integers(len(group.options))]
         farm = farms[group.index]
         if group.kind == "move" and abs(x - farm.x) < 1e-12 and abs(y - farm.y) < 1e-12:
             continue
-        if placement_conflict(design, group.index, (x, y, x + width, y + height),
-                              fixed=False) is None:
+        if farm_overlap(design, group.index, (x, y, x + width, y + height)) is None:
             return (with_farm_rect(design, group.index, x, y, width, height),
                     group.kind, farm.name)
     return design, "null", None
@@ -330,9 +329,9 @@ class Evaluator:
 
     The floorplans of one Evaluator differ only in their farms' geometry
     (with_farm_rect): blocks and stack are the first priced floorplan's
-    objects, which each call asserts, and every other farm field is its
-    value, which each memo miss asserts. So each distinct tuple of farm
-    (x, y, width, height) is priced once; evaluations counts every call.
+    objects (checked each call) and every other farm field is its value
+    (checked on each memo miss); a failed check is a ValueError. So each
+    distinct farm (x, y, width, height) tuple is priced once.
     """
 
     def __init__(self, grid: GridSpec, weights: CostWeights):
@@ -351,11 +350,13 @@ class Evaluator:
         if self._shared is None:
             self._shared = (fp.blocks, design.stack, _farm_fields(fp))
         blocks, stack, farm_fields = self._shared
-        assert fp.blocks is blocks and design.stack is stack, "not this Evaluator's design"
-        key = tuple((f.x, f.y, f.width, f.height) for f in fp.farms)
+        if not (fp.blocks is blocks and design.stack is stack):
+            raise ValueError("not this Evaluator's design")
+        key = tuple([(f.x, f.y, f.width, f.height) for f in fp.farms])
         priced = self._priced.get(key)
         if priced is None:
-            assert _farm_fields(fp) == farm_fields, "not this Evaluator's farms"
+            if _farm_fields(fp) != farm_fields:
+                raise ValueError("not this Evaluator's farms")
             if len(self._priced) >= COST_MEMO_ENTRIES:
                 self._priced.clear()
             priced = self._priced[key] = cost(design, self.weights)

@@ -14,7 +14,11 @@ against.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +68,7 @@ class CostWeights:
                    wirelength=wl_w, ratio_target=bounding_ratio(design.floorplan))
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
+class CostBreakdown(NamedTuple):   # a tuple: built per priced candidate, it is cheap
     area: float         # m^2
     efficiency: float   # W/K
     ratio: float        # dimensionless
@@ -105,45 +108,42 @@ def adjacent_block_pairs(blocks: tuple[Block, ...],
     return pairs
 
 
-# Farm-rect columns (x0, y0, x1, y1) that bound a farm across and along a
-# path, for x-paths and y-paths: an x-path is crossed by the farm's y extent
-# and cut by its x extent.
-_PATH_COLUMNS = np.array([[1, 3, 0, 2], [0, 2, 1, 3]])
+TERM_MEMO_ENTRIES = 1024  # in each per-farm and per-pair memo; a full memo starts over
 
-ROW_MEMO_ENTRIES = 512  # per strip table, in _farm_rows; a full memo starts over
+
+class _Face(NamedTuple):
+    """An adjacent pair's shared face, split into grid-cell-wide strips; a
+    strip's path runs between the two block centres along its centre line."""
+
+    layer: int
+    across: int        # rect index of the coordinate across the path: 1 (y) on x-paths
+    lo: float          # path start, the lower block-centre coordinate
+    hi: float          # path end
+    distance: float    # path length hi - lo
+    area: float        # strip width * layer thickness
+    k_si: float        # layer conductivity
+    lines: tuple       # strip centre lines, across the path, ascending
 
 
 @dataclass(frozen=True, eq=False)
 class StripTable:
-    """The f_H strips of a design: everything the fixed blocks determine.
-
-    Each adjacent pair's shared face is split into grid-cell-wide strips; a
-    strip's path runs between the two block centres along its centre line.
-    Arrays are per strip, x-paths first; `slot` places each strip in its
-    pair's row, in face order. `farm_rows` memoizes each farm's strip rows.
-    """
+    """The f_H strips of a design, face by face: everything the fixed blocks
+    determine. `free` holds each pair's farm-free term; `entries` and
+    `terms` memoize total_efficiency's per-farm hits and per-pair terms."""
 
     pairs: tuple[tuple[Block, Block, str], ...]
-    axis_counts: np.ndarray  # [2] number of x-path and y-path strips
-    layer: np.ndarray      # [S] layer the strip lies in (as a float)
-    line: np.ndarray       # [S] strip centre line, across the path
-    lo: np.ndarray         # [S] path start, the lower block-centre coordinate
-    hi: np.ndarray         # [S] path end
-    distance: np.ndarray   # [S] path length hi - lo
-    area: np.ndarray       # [S] strip width * layer thickness
-    k_si: np.ndarray       # [S] layer conductivity
-    slot: np.ndarray       # [S] flat index into a [pairs, max_strips] grid
-    max_strips: int
-    farm_rows: dict = field(default_factory=dict, repr=False)
+    faces: tuple[_Face, ...]
+    free: tuple[float, ...]
+    entries: dict = field(default_factory=dict, repr=False)
+    terms: dict = field(default_factory=dict, repr=False)
 
 
 @cache_by_identity
 def strip_table(blocks: tuple[Block, ...], stack: Stack) -> StripTable:
     """Build the strip table once per (blocks, stack); farms do not enter it."""
     pairs = adjacent_block_pairs(blocks, stack.tech)
-    strip = stack.tech.grid_cell
-    rows = {"x": [], "y": []}   # (layer, line, lo, hi, distance, area, k_si, pair, index)
-    for p, (a, b, axis) in enumerate(pairs):
+    faces = []
+    for a, b, axis in pairs:
         layer = stack.layers[a.layer]
         ax0, ay0, ax1, ay1 = a.rect
         bx0, by0, bx1, by1 = b.rect
@@ -157,61 +157,36 @@ def strip_table(blocks: tuple[Block, ...], stack: Stack) -> StripTable:
         if distance <= 0:
             raise ValueError(f"distance must be > 0, got {distance}")
         shared = span_hi - span_lo
-        count = max(1, int(math.ceil(shared / strip - 1e-9)))
+        count = max(1, int(math.ceil(shared / stack.tech.grid_cell - 1e-9)))
         width = shared / count
-        rows[axis] += [(a.layer, span_lo + (i + 0.5) * width, lo, hi, distance,
-                        width * layer.thickness, layer.material.conductivity, p, i)
-                       for i in range(count)]
-    cols = np.array(rows["x"] + rows["y"], dtype=float).reshape(-1, 9).T
-    pair, index = cols[7].astype(int), cols[8].astype(int)
-    max_strips = int(index.max()) + 1 if index.size else 1
-    slot = pair * max_strips + index
-    counts = np.array([len(rows["x"]), len(rows["y"])])
-    for array in (cols, slot, counts):   # every caller gets these same arrays
-        array.flags.writeable = False
-    return StripTable(
-        pairs=tuple(pairs), axis_counts=counts,
-        layer=cols[0], line=cols[1], lo=cols[2], hi=cols[3],
-        distance=cols[4], area=cols[5], k_si=cols[6],
-        slot=slot, max_strips=max_strips)
-
-
-def _farm_rows(table: StripTable, farm: TsvFarm) -> tuple[np.ndarray, np.ndarray]:
-    """One farm's (seg / k_lateral, seg) over every strip: the resistive and
-    the plain length of the strip's path that the farm blocks, 0 where it
-    does not. Memoized per table on the farm's geometry and conductivity."""
-    key = (farm.rect, farm.start_layer, farm.end_layer, farm.k_lateral)
-    rows = table.farm_rows.get(key)
-    if rows is None:
-        if len(table.farm_rows) >= ROW_MEMO_ENTRIES:
-            table.farm_rows.clear()
-        across_lo, across_hi, along_lo, along_hi = np.repeat(
-            np.array(farm.rect)[_PATH_COLUMNS].T, table.axis_counts, axis=1)
-        seg = np.minimum(table.hi, along_hi) - np.maximum(table.lo, along_lo)
-        hit = ((farm.start_layer <= table.layer) & (table.layer < farm.end_layer)
-               & (across_lo <= table.line) & (table.line <= across_hi) & (seg > 0))
-        seg = np.where(hit, seg, 0.0)
-        rows = table.farm_rows[key] = (seg / farm.k_lateral, seg)
-    return rows
+        faces.append(_Face(a.layer, int(axis == "x"), lo, hi, distance,
+                           width * layer.thickness, layer.material.conductivity,
+                           tuple(span_lo + (i + 0.5) * width for i in range(count))))
+    return StripTable(tuple(pairs), tuple(faces), tuple(_face_term(f, ()) for f in faces))
 
 
 def path_conductivity(table: StripTable, farms: tuple[TsvFarm, ...]) -> np.ndarray:
-    """Composite conductivity of every strip's path, [S] W/(m K).
+    """Composite conductivity of every strip's path, [S] W/(m K), face by
+    face: the dense formula that total_efficiency folds hit by hit.
 
     The series (harmonic) combination along the path: farms crossed by the
     strip's centre line contribute their lateral conductivity over the
     crossed length, silicon the rest. A farm does not block on its landing
-    layer. Farm segments accumulate in floorplan order, so every strip sees
-    the same additions as a scalar walk over the farms would make; a
-    candidate that moved one farm computes only that farm's rows.
+    layer. Every farm's segment, 0.0 if it misses, is added in floorplan order.
     """
-    crossing = np.zeros(len(table.line))
-    farm_length = np.zeros(len(table.line))
-    for farm in farms:
-        resistive, length = _farm_rows(table, farm)
-        crossing += resistive
-        farm_length += length
-    return table.distance / (crossing + (table.distance - farm_length) / table.k_si)
+    paths = []
+    for face in table.faces:
+        lines, a = np.array(face.lines), face.across
+        crossing, farm_length = np.zeros(len(lines)), np.zeros(len(lines))
+        for farm in farms:
+            rect = farm.rect
+            seg = min(face.hi, rect[3 - a]) - max(face.lo, rect[1 - a])
+            hit = ((farm.start_layer <= face.layer < farm.end_layer) & (seg > 0)
+                   & (rect[a] <= lines) & (lines <= rect[a + 2]))
+            crossing += np.where(hit, seg, 0.0) / farm.k_lateral
+            farm_length += np.where(hit, seg, 0.0)
+        paths.append(face.distance / (crossing + (face.distance - farm_length) / face.k_si))
+    return np.concatenate(paths) if paths else np.zeros(0)
 
 
 def pair_efficiency(table: StripTable, k_eff: np.ndarray) -> np.ndarray:
@@ -221,42 +196,110 @@ def pair_efficiency(table: StripTable, k_eff: np.ndarray) -> np.ndarray:
     covering part of a face blocks exactly that part and uniform material
     collapses to the single-path k*A/x of the whole face.
     """
-    grid = np.zeros(len(table.pairs) * table.max_strips)
-    grid[table.slot] = conduction_efficiency(k_eff, table.area, table.distance)
-    return np.cumsum(grid.reshape(len(table.pairs), table.max_strips), axis=1)[:, -1]
+    ends = np.cumsum([len(face.lines) for face in table.faces], dtype=int)
+    return np.array([np.cumsum(conduction_efficiency(k_eff[end - len(face.lines):end],
+                                                     face.area, face.distance))[-1]
+                     for face, end in zip(table.faces, ends)])
+
+
+def _memo_slot(memo: dict) -> dict:
+    if len(memo) >= TERM_MEMO_ENTRIES:
+        memo.clear()
+    return memo
+
+
+def _farm_hits(table: StripTable, farm: TsvFarm) -> tuple:
+    """The strips one farm blocks, one hit (pair, first, stop, seg / k_lateral,
+    seg) per blocked pair, in pair order: strips first..stop-1 of the pair
+    lose seg of their path to the farm."""
+    rect, hits = farm.rect, []
+    for p, face in enumerate(table.faces):
+        if not farm.start_layer <= face.layer < farm.end_layer:
+            continue
+        a = face.across
+        seg = min(face.hi, rect[3 - a]) - max(face.lo, rect[1 - a])
+        first = bisect_left(face.lines, rect[a])
+        stop = bisect_right(face.lines, rect[a + 2])
+        if seg > 0 and first < stop:
+            hits.append((p, first, stop, seg / farm.k_lateral, seg))
+    return tuple(hits)
+
+
+def _face_term(face: _Face, hits: tuple) -> float:
+    """One pair's efficiency with the farms of `hits` (same-pair hits, in
+    floorplan order) on its face: path_conductivity's and pair_efficiency's
+    arithmetic strip by strip. A farm that misses a strip adds 0.0 to it
+    there, which changes no bit, so only hits are added."""
+    crossing = [0.0] * len(face.lines)
+    length = crossing.copy()
+    for _, first, stop, resistive, seg in hits:
+        for i in range(first, stop):
+            crossing[i] += resistive
+            length[i] += seg
+    term = 0.0
+    for resistive, seg in zip(crossing, length):
+        k_eff = face.distance / (resistive + (face.distance - seg) / face.k_si)
+        term += conduction_efficiency(k_eff, face.area, face.distance)
+    return term
 
 
 def total_efficiency(design: Design) -> float:
-    """f_H: the sum of pair conduction efficiencies over adjacent block pairs."""
+    """f_H: the sum of pair conduction efficiencies over adjacent block pairs,
+    bit for bit pair_efficiency over path_conductivity. A pair no farm blocks
+    takes its farm-free term, a blocked one its term memoized on its hits."""
     table = strip_table(design.floorplan.blocks, design.stack)
     if not table.pairs:
         return 0.0
-    terms = pair_efficiency(table, path_conductivity(table, design.floorplan.farms))
+    entries, memo = table.entries, table.terms
+    blocked: dict[int, tuple] = {}
+    for farm in design.floorplan.farms:
+        # each farm's hits, memoized per table on its geometry and conductivity
+        key = (farm.rect, farm.start_layer, farm.end_layer, farm.k_lateral)
+        hits = entries.get(key)
+        if hits is None:
+            hits = _memo_slot(entries)[key] = _farm_hits(table, farm)
+        for hit in hits:
+            blocked[hit[0]] = blocked.get(hit[0], ()) + (hit,)
+    terms = list(table.free)
+    for p, hits in blocked.items():
+        term = memo.get(hits)
+        if term is None:
+            term = _memo_slot(memo)[hits] = _face_term(table.faces[p], hits)
+        terms[p] = term
     # a left fold over the pairs, in pair order, keeps f_H bit-stable: Python
     # 3.12's sum() compensates, and may differ from it by an ulp
-    return float(np.cumsum(terms)[-1])
+    return reduce(operator.add, terms)
 
 
 @cache_by_identity
-def _block_centers(blocks: tuple[Block, ...]) -> dict[str, tuple[float, float]]:
+def _client_memo(blocks: tuple[Block, ...]) -> tuple[dict, dict]:
+    """The blocks' centres by name, and a memo of each farm's client terms."""
     centers: dict[str, tuple[float, float]] = {}
     for b in blocks:
         centers.setdefault(b.name, b.center)
-    return centers
+    return centers, {}
 
 
 def wirelength(design: Design) -> float:
-    """Total Manhattan distance from each farm center to its client block centers."""
-    centers = _block_centers(design.floorplan.blocks)
+    """Total Manhattan distance from each farm center to its client block
+    centers: a left fold over farms, then clients, of each farm's terms,
+    memoized per blocks tuple on the farm's centre and clients."""
+    centers, memo = _client_memo(design.floorplan.blocks)
     total = 0.0
     for farm in design.floorplan.farms:
-        fx, fy = farm.center
-        for client in farm.clients:
+        key = (farm.center, farm.clients)
+        terms = memo.get(key)
+        if terms is None:
+            fx, fy = farm.center
             try:
-                cx, cy = centers[client]
-            except KeyError:
-                raise DesignError(f"net {farm.name!r} references unknown block {client!r}")
-            total += abs(fx - cx) + abs(fy - cy)
+                terms = tuple(abs(fx - centers[c][0]) + abs(fy - centers[c][1])
+                              for c in farm.clients)
+            except KeyError as missing:
+                raise DesignError(f"net {farm.name!r} references unknown block "
+                                  f"{missing.args[0]!r}") from None
+            _memo_slot(memo)[key] = terms
+        for term in terms:
+            total += term
     return total
 
 

@@ -101,17 +101,15 @@ class TsvFarm:
     area: float                # conserved under reshape
     clients: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        # set once: a candidate floorplan shares every farm object but the moved one
+        object.__setattr__(self, "center", (self.x + self.width / 2, self.y + self.height / 2))
+        object.__setattr__(self, "rect", (self.x, self.y, self.x + self.width,
+                                          self.y + self.height))
+
     @property
     def aspect_ratio(self) -> float:
         return self.width / self.height
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.x + self.width / 2, self.y + self.height / 2)
-
-    @property
-    def rect(self) -> tuple[float, float, float, float]:
-        return (self.x, self.y, self.x + self.width, self.y + self.height)
 
     def spans(self, layer: int) -> bool:
         return self.start_layer <= layer <= self.end_layer
@@ -158,12 +156,8 @@ def cache_by_identity(fn):
 
 
 def _bounding_box_of(rects) -> tuple[float, float, float, float]:
-    return (
-        min(r[0] for r in rects),
-        min(r[1] for r in rects),
-        max(r[2] for r in rects),
-        max(r[3] for r in rects),
-    )
+    x0, y0, x1, y1 = zip(*rects)
+    return min(x0), min(y0), max(x1), max(y1)
 
 
 @cache_by_identity
@@ -462,25 +456,39 @@ def fixed_conflict(stack: Stack, blocks: tuple[Block, ...], start: int, end: int
     return None
 
 
-def placement_conflict(design: Design, index: int, rect, fixed: bool = True) -> str | None:
+@cache_by_identity
+def _farm_neighbours(design: Design, index: int) -> list:
+    """(name, first shared layer, rect) of every other farm that shares a
+    layer with farm `index`, in floorplan order. Kept per state, which is
+    drawn from until a candidate is accepted."""
+    farms = design.floorplan.farms
+    start, end = farms[index].start_layer, farms[index].end_layer
+    return [(other.name, max(start, other.start_layer), other.rect)
+            for k, other in enumerate(farms)
+            if k != index and other.start_layer <= end and start <= other.end_layer]
+
+
+def farm_overlap(design: Design, index: int, rect) -> str | None:
+    """Why farm `index` cannot take `rect` for another farm on a shared
+    layer, or None if no other farm is in the way."""
+    x0, _, x1, _ = rect
+    for name, layer, other in _farm_neighbours(design, index):
+        # a cheaper necessary condition first: the x spans cross by > RECT_EPS
+        if x1 - other[0] > RECT_EPS and other[2] - x0 > RECT_EPS and rects_overlap(rect, other):
+            return f"overlaps {name} on layer {layer}"
+    return None
+
+
+def placement_conflict(design: Design, index: int, rect) -> str | None:
     """Why farm `index` cannot take `rect` on all its layers, or None if it can.
 
-    The one legality rule of a farm rectangle: fixed_conflict's, then clear
-    of every other farm on a shared layer. fixed=False skips fixed_conflict,
-    for a rect known to pass it.
+    The one legality rule of a farm rectangle: fixed_conflict's, then
+    farm_overlap's.
     """
-    fp = design.floorplan
-    farm = fp.farms[index]
-    start, end = farm.start_layer, farm.end_layer
-    if fixed:
-        reason = fixed_conflict(design.stack, fp.blocks, start, end, rect)
-        if reason is not None:
-            return reason
-    for k, other in enumerate(fp.farms):
-        if (k != index and other.start_layer <= end and start <= other.end_layer
-                and rects_overlap(rect, other.rect)):
-            return f"overlaps {other.name} on layer {max(start, other.start_layer)}"
-    return None
+    farm = design.floorplan.farms[index]
+    reason = fixed_conflict(design.stack, design.floorplan.blocks, farm.start_layer,
+                            farm.end_layer, rect)
+    return reason if reason is not None else farm_overlap(design, index, rect)
 
 
 def with_farm_rect(design: Design, index: int, x: float, y: float,

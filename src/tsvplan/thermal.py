@@ -508,8 +508,10 @@ def solve_steady_state(network: ConductanceNetwork, power: np.ndarray,
                          atol=target * 1e-4, maxiter=maxiter)
     residual = float(np.abs(rhs - matrix @ x).max())
     if not residual <= target:
-        raise SolverError(f"steady-state solve did not reach residual {target:g} "
-                          f"within {maxiter} CG iterations", residual=residual)
+        taken = (f"within {maxiter}" if iterations == maxiter
+                 else f"after {iterations} of {maxiter}")
+        raise SolverError(f"steady-state solve did not reach residual {target:g} {taken} "
+                          f"CG iterations; true residual {residual:g}", residual=residual)
     return TemperatureField(x.reshape(grid.num_layers, grid.cells_y, grid.cells_x),
                             residual, iterations)
 
@@ -599,7 +601,13 @@ def couple_leakage(design: Design, grid: GridSpec) -> LeakageSolve:
     g_eff = LeakageOperator(matrix, leaky, lam)
     t = np.full(occ.power.shape, tech.ambient)
     source = occ.power + g_eff.leakage(t - ref)
-    rise = solve_steady_state(network, source, 0.0, matrix=g_eff)
+    try:
+        rise = solve_steady_state(network, source, 0.0, matrix=g_eff)
+    except SolverError as error:
+        if type(error) is not SolverError:   # a runaway or a floating network says why
+            raise
+        raise SolverError(f"{error}; the leakage coefficient {lam:g} 1/K may be at the "
+                          "thermal-runaway threshold", residual=error.residual) from None
     if source.min() >= 0 and not rise.t.min() > 0:
         raise ThermalRunawayError("leakage fixed point diverging: a rise is not positive")
     t = t + rise.t

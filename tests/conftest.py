@@ -5,8 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from tsvplan.design_io import format_trace
-from tsvplan.metrics import _PATH_COLUMNS
-
 from tsvplan.model import (Block, Design, Floorplan, Layer, Material, Stack,
                            TechnologyParams, TsvFarm)
 from tsvplan.thermal import CellOccupancy, GridSpec, cell_resistances
@@ -89,26 +87,6 @@ def csr_reference(network):
     return sp.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsr()
-
-
-def path_conductivity_reference(table, farms):
-    """Every strip's composite conductivity from all farms in one batch, the
-    reference that metrics.path_conductivity's per-farm rows must reproduce
-    bit for bit."""
-    crossing = np.zeros(len(table.line))
-    farm_length = np.zeros(len(table.line))
-    if farms:
-        farm = np.array([(*f.rect, f.start_layer, f.end_layer, f.k_lateral) for f in farms])
-        across_lo, across_hi, along_lo, along_hi = np.repeat(
-            farm[:, _PATH_COLUMNS].transpose(2, 0, 1), table.axis_counts, axis=2)
-        seg = np.minimum(table.hi, along_hi) - np.maximum(table.lo, along_lo)
-        hit = ((farm[:, 4:5] <= table.layer) & (table.layer < farm[:, 5:6])
-               & (across_lo <= table.line) & (table.line <= across_hi) & (seg > 0))
-        seg = np.where(hit, seg, 0.0)
-        for resistive, length in zip(seg / farm[:, 6:7], seg):
-            crossing += resistive
-            farm_length += length
-    return table.distance / (crossing + (table.distance - farm_length) / table.k_si)
 
 
 def split_digests(results):

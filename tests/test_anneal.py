@@ -1,5 +1,11 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from collections import defaultdict
+from pathlib import Path
 from itertools import accumulate
 
 import numpy as np
@@ -15,6 +21,8 @@ from tsvplan.model import _place_farm, move_farm, reshape_farm, validate
 from tsvplan.thermal import grid_for, solve_design
 
 from conftest import MM, block, farm, make_design, make_tech
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class ScriptedRng:
@@ -184,6 +192,21 @@ class TestGenMove:
             d2, kind, _ = gen_move(d, ["f", "g"], rng, grid_for(d.stack))
             assert validate(d2) == []
             d = d2
+
+
+    def test_a_farm_back_on_its_rectangle_reuses_its_groups(self):
+        d = make_design(farms=(farm("f", 0.8, 0.8, 0.4, 0.4), farm("g", 0.0, 0.0, 0.4, 0.4)))
+        grid = grid_for(d.stack)
+        groups, _ = move_table(d, ["f", "g"], grid)
+        away = move_farm(d, "f", (1.2 * MM, 1.2 * MM))
+        move_table(away, ["f", "g"], grid)
+        entries = len(anneal._FARM_MOVES.groups)
+        back = move_farm(away, "f", (0.8 * MM, 0.8 * MM))
+        assert back.floorplan.farms[0] is not d.floorplan.farms[0]
+        again, _ = move_table(back, ["f", "g"], grid)
+        assert len(anneal._FARM_MOVES.groups) == entries
+        assert len(again) == len(groups)
+        assert all(a is b for a, b in zip(again, groups))
 
 
 def _law_design():
@@ -541,5 +564,35 @@ class TestEvaluatorMemo:
         ev.cost(d)
         other = make_design(blocks=d.floorplan.blocks[:1], farms=d.floorplan.farms,
                             tech=d.stack.tech)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="not this Evaluator's design"):
             ev.cost(other)
+
+    def test_other_farm_fields_are_refused(self):
+        d = _hotspot_design()
+        ev = Evaluator(grid_for(d.stack), self.WEIGHTS)
+        ev.cost(d)
+        f = d.floorplan.farms[0]
+        other = d.with_floorplan(dataclasses.replace(
+            d.floorplan, farms=(dataclasses.replace(f, k_lateral=2 * f.k_lateral),)))
+        other = move_farm(other, "f", (1.0 * MM, 1.0 * MM))   # a geometry not yet priced
+        with pytest.raises(ValueError, match="not this Evaluator's farms"):
+            ev.cost(other)
+
+    def test_the_guards_hold_under_python_O(self):
+        script = textwrap.dedent("""
+            import dataclasses
+            from tsvplan.anneal import Evaluator
+            from tsvplan.benchmarks import blockage_design
+            from tsvplan.metrics import CostWeights
+            from tsvplan.thermal import grid_for
+            d = blockage_design()
+            ev = Evaluator(grid_for(d.stack), CostWeights(1.0, -1.0, 1.0, 1.0))
+            ev.cost(d)
+            try:
+                ev.cost(dataclasses.replace(d, stack=dataclasses.replace(d.stack)))
+            except ValueError as error:
+                print(error)
+        """)
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert out.stdout.strip() == "not this Evaluator's design"

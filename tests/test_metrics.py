@@ -1,21 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tsvplan import metrics, model
+from tsvplan import anneal, metrics, model
 from tsvplan.anneal import gen_move
 from tsvplan.benchmarks import BUILDERS
 from tsvplan.metrics import (CostWeights, adjacent_block_pairs, combine,
                              conduction_efficiency, cost, floorplan_area,
-                             path_conductivity, ratio_penalty, strip_table,
-                             total_efficiency, wirelength)
+                             pair_efficiency, path_conductivity, ratio_penalty,
+                             strip_table, total_efficiency, wirelength)
 from tsvplan.model import move_farm
 from tsvplan.thermal import grid_for, solve_design
 from tsvplan.errors import DesignError
 
-from conftest import (MM, block, farm, make_design, make_tech, one_cell_resistances,
-                      path_conductivity_reference)
+from conftest import MM, block, farm, make_design, make_tech, one_cell_resistances
 
 
 class TestConductionEfficiency:
@@ -178,12 +179,14 @@ class TestTotalEfficiency:
         # these terms the two orders differ, and f_H must be the left fold
         design = BUILDERS["blockage"]()
         table = strip_table(design.floorplan.blocks, design.stack)
-        terms = metrics.pair_efficiency(
+        terms = pair_efficiency(
             table, path_conductivity(table, design.floorplan.farms)).tolist()
         if name == "tenths":
+            # ten unblocked pairs whose farm-free terms are 0.1 each
             terms = [0.1] * 10
-            monkeypatch.setattr(metrics, "pair_efficiency",
-                                lambda table, k_eff: np.array(terms))
+            tenths = dataclasses.replace(table, faces=(), free=tuple(terms),
+                                         entries={}, terms={})
+            monkeypatch.setattr(metrics, "strip_table", lambda blocks, stack: tenths)
         left = 0.0
         for term in terms:
             left += term
@@ -221,6 +224,47 @@ class TestCalibratedWeights:
         assert w.wirelength * 0.01 * wirelength(d) == pytest.approx(anchor)
 
 
+def batch_efficiency(design):
+    """f_H from all farms at once: pair_efficiency over path_conductivity,
+    folded in pair order."""
+    table = strip_table(design.floorplan.blocks, design.stack)
+    if not table.pairs:
+        return 0.0
+    terms = pair_efficiency(table, path_conductivity(table, design.floorplan.farms))
+    return float(np.cumsum(terms)[-1])
+
+
+def batch_wirelength(design):
+    """A plain walk over every farm and client, recomputing each centre."""
+    centers = {}
+    for b in design.floorplan.blocks:
+        centers.setdefault(b.name, (b.x + b.width / 2, b.y + b.height / 2))
+    total = 0.0
+    for f in design.floorplan.farms:
+        fx, fy = f.x + f.width / 2, f.y + f.height / 2
+        for client in f.clients:
+            cx, cy = centers[client]
+            total += abs(fx - cx) + abs(fy - cy)
+    return total
+
+
+def batch_area(design):
+    """The bounding-box area from freshly computed rects of everything placed."""
+    fp = design.floorplan
+    rects = [(e.x, e.y, e.x + e.width, e.y + e.height) for e in fp.blocks + fp.farms]
+    x0, y0 = min(r[0] for r in rects), min(r[1] for r in rects)
+    return (max(r[2] for r in rects) - x0) * (max(r[3] for r in rects) - y0)
+
+
+WEIGHTS = CostWeights(area=1e3, efficiency=-1.0, ratio=1e-6, wirelength=0.5)
+
+
+def batch_cost(design, weights=WEIGHTS):
+    return combine(weights, batch_area(design), batch_efficiency(design),
+                   ratio_penalty(design.floorplan, weights.ratio_target),
+                   batch_wirelength(design))
+
+
 def _random_walk(design, steps, seed):
     """Candidates of an always-accepting random move/reshape walk over every
     farm, drawn by the annealer's own move generator."""
@@ -233,61 +277,75 @@ def _random_walk(design, steps, seed):
             yield design
 
 
+def _memo_sizes(design):
+    """Sizes of the per-farm and per-pair memos that price this design, and of
+    the move groups' memo."""
+    table = strip_table(design.floorplan.blocks, design.stack)
+    _, clients = metrics._client_memo(design.floorplan.blocks)
+    return (len(table.entries), len(table.terms), len(clients),
+            len(anneal._FARM_MOVES.groups))
+
+
 class TestPerFarmRows:
-    """path_conductivity adds memoized per-farm rows; the batch formula in
-    conftest is the oracle it must match bit for bit."""
+    """total_efficiency and cost fold memoized per-farm and per-pair terms;
+    the batch formulas above are the oracle they must match bit for bit."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(1, 16),
                               st.integers(0, 2), st.integers(0, 2),
                               st.floats(0.05, 20.0)), min_size=1, max_size=6))
     @example([(i, 0, 16, 0, 2, k) for i, k in enumerate((0.37, 1.9, 7.3, 0.11, 13.7, 2.9))])
+    @example([(3, 0, 16, 0, 2, 0.37), (3, 0, 16, 0, 2, 1.9)])   # same rect, other k
+    @example([(0, 0, 16, 0, 2, 7.44), (1, 0, 16, 0, 2, 14.67), (2, 0, 16, 0, 2, 9.41)])
     def test_rows_add_like_the_batch_formula(self, specs):
         # one corridor per layer between a west and an east block; farms of any
         # span and conductivity, overlapping freely, so a strip may be crossed
         # by several farms and the order of its additions shows in the last bit
+        # (in the third example, summing its farms in reverse changes f_H)
         blocks = tuple(block(f"{side}{layer}", layer, x, 0.2, 0.2, 1.6)
                        for layer in range(3) for side, x in (("w", 0.0), ("e", 1.8)))
         farms = tuple(farm(f"f{i}", 0.2 + 0.1 * ix, 0.2 + 0.1 * iy, 0.1,
                            0.1 * min(height, 16 - iy) or 0.1, start=start,
-                           end=min(start + extra, 2), k_lat=k)
+                           end=min(start + extra, 2), k_lat=k,
+                           clients=(f"w{start}", f"e{min(start + extra, 2)}"))
                       for i, (ix, iy, height, start, extra, k) in enumerate(specs))
         design = make_design(blocks=blocks, farms=farms, num_layers=3,
                              tech=make_tech(adjacency_window=2.0 * MM))
-        table = strip_table(design.floorplan.blocks, design.stack)
-        expected = path_conductivity_reference(table, farms)
-        for _ in range(2):   # the first call fills the rows memo, the second reads it
-            assert np.array_equal(path_conductivity(table, farms), expected)
+        expected = batch_efficiency(design), batch_cost(design)
+        for _ in range(2):   # the first call fills the memos, the second reads them
+            again = make_design(blocks=blocks, farms=farms, num_layers=3,
+                                tech=design.stack.tech)
+            assert total_efficiency(design) == expected[0]
+            assert cost(design, WEIGHTS) == cost(again, WEIGHTS) == expected[1]
 
     @pytest.mark.parametrize("name", sorted(BUILDERS))
     def test_matches_the_batch_formula_across_a_start_over(self, name, monkeypatch):
-        # a walk this long meets 130-320 distinct farm states; the smaller cap
-        # makes the memo start over within it
-        monkeypatch.setattr(metrics, "ROW_MEMO_ENTRIES", 64)
+        # a walk this long meets 130-320 distinct farm states; the smaller caps
+        # make every memo start over within it
+        monkeypatch.setattr(metrics, "TERM_MEMO_ENTRIES", 16)
+        monkeypatch.setattr(anneal, "FARM_MEMO_ENTRIES", 16)
         design = BUILDERS[name]()
-        table = strip_table(design.floorplan.blocks, design.stack)
         sizes = []
         for candidate in _random_walk(design, 800, seed=3):
-            farms = candidate.floorplan.farms
-            assert np.array_equal(path_conductivity(table, farms),
-                                  path_conductivity_reference(table, farms))
-            sizes.append(len(table.farm_rows))
-        assert max(sizes) <= 64
-        assert any(b < a for a, b in zip(sizes, sizes[1:])), "memo never started over"
+            assert total_efficiency(candidate) == batch_efficiency(candidate)
+            assert cost(candidate, WEIGHTS) == batch_cost(candidate)
+            sizes.append(_memo_sizes(candidate))
+        assert max(max(s) for s in sizes) <= 16
+        for memo in zip(*sizes):
+            assert any(b < a for a, b in zip(memo, memo[1:])), "a memo never started over"
 
     def test_memos_stay_within_their_caps(self, monkeypatch):
-        monkeypatch.setattr(metrics, "ROW_MEMO_ENTRIES", 16)
+        monkeypatch.setattr(metrics, "TERM_MEMO_ENTRIES", 16)
         monkeypatch.setattr(model, "BLOCK_MEMO_ENTRIES", 64)
         design = BUILDERS["multicore"]()
-        table = strip_table(design.floorplan.blocks, design.stack)
-        rows, blocks = [], []
+        sizes = []
         for candidate in _random_walk(design, 400, seed=5):
-            total_efficiency(candidate)
-            rows.append(len(table.farm_rows))
-            blocks.append(len(model._BLOCK_HITS.hits))
-        assert max(rows) <= 16 and max(blocks) <= 64
-        for sizes in (rows, blocks):
-            assert any(b < a for a, b in zip(sizes, sizes[1:]))
+            cost(candidate, WEIGHTS)
+            sizes.append(_memo_sizes(candidate)[:3] + (len(model._BLOCK_HITS.hits),))
+        assert max(max(s[:3]) for s in sizes) <= 16
+        assert max(s[3] for s in sizes) <= 64
+        for memo in zip(*sizes):
+            assert any(b < a for a, b in zip(memo, memo[1:]))
         # several blocks tuples, walked one after another as a sweep's points
         # are, then interleaved, stay within the one cap all together
         names = sorted(BUILDERS)

@@ -7,8 +7,13 @@ from hypothesis import strategies as st
 
 from tsvplan.benchmarks import BUILDERS, blockage_design
 from tsvplan.errors import InvalidMoveError
-from tsvplan.model import (Block, Floorplan, Material, TsvFarm, _place_farm, legal_origins,
-                           move_farm, origin_lattice, rects_overlap, reshape_farm, validate)
+import numpy as np
+
+from tsvplan.anneal import gen_move
+from tsvplan.model import (Block, Floorplan, Material, TsvFarm, _place_farm, farm_overlap,
+                           fixed_conflict, legal_origins, move_farm, origin_lattice,
+                           placement_conflict, rects_overlap, reshape_farm, validate)
+from tsvplan.thermal import grid_for
 
 from conftest import MM, UM, block, farm, make_design, make_tech
 
@@ -293,6 +298,47 @@ def legal_by_full_scan(design, index, rect):
         if any(rects_overlap(rect, other) for other in occupants):
             return False
     return True
+
+
+def overlap_by_scan(design, index, rect):
+    """Uncached oracle of the farm-against-farm rule: every other farm, in
+    floorplan order, that shares a layer with farm index."""
+    farms = design.floorplan.farms
+    start, end = farms[index].start_layer, farms[index].end_layer
+    for k, other in enumerate(farms):
+        if (k != index and other.start_layer <= end and start <= other.end_layer
+                and rects_overlap(rect, other.rect)):
+            return f"overlaps {other.name} on layer {max(start, other.start_layer)}"
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(DESIGNS)), st.integers(0, 2 ** 32 - 1), st.data())
+def test_neighbour_overlap_agrees_with_placement_conflict(name, seed, data):
+    design = DESIGNS[name]
+    farms = design.floorplan.farms
+    grid = grid_for(design.stack)
+    rng = np.random.default_rng(seed)
+    for _ in range(data.draw(st.integers(0, 40), label="walk")):   # a random state
+        design, _, _ = gen_move(design, [f.name for f in farms], rng, grid)
+    half = design.stack.tech.grid_cell / 2
+    sides = st.sampled_from(["none", "east", "west", "north", "south"])
+    # every farm, placed next to every farm: on the half-cell lattice around
+    # it, or abutting it exactly on one side
+    for index, moved in enumerate(design.floorplan.farms):
+        for near in design.floorplan.farms:
+            dx, dy = data.draw(st.integers(-4, 4)), data.draw(st.integers(-4, 4))
+            x, y = near.x + dx * half, near.y + dy * half
+            side = data.draw(sides)
+            x = {"east": near.x + near.width, "west": near.x - moved.width}.get(side, x)
+            y = {"north": near.y + near.height, "south": near.y - moved.height}.get(side, y)
+            rect = (x, y, x + moved.width, y + moved.height)
+            expected = overlap_by_scan(design, index, rect)
+            assert farm_overlap(design, index, rect) == expected
+            fixed = fixed_conflict(design.stack, design.floorplan.blocks, moved.start_layer,
+                                   moved.end_layer, rect)
+            assert placement_conflict(design, index, rect) == (
+                fixed if fixed is not None else expected)
 
 
 def _place_as_the_full_scan_says(design, index, rect):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import time
 
 import numpy as np
@@ -9,7 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import cg
 
+from click.testing import CliRunner
+
 from tsvplan.benchmarks import BUILDERS
+from tsvplan.cli import main
+from tsvplan.design_io import emit_design
 from tsvplan.errors import SingularNetworkError, SolverError, ThermalRunawayError
 from tsvplan.model import reshape_farm
 from tsvplan import thermal
@@ -672,14 +677,19 @@ class TestCoupleLeakage:
         heat_out = float((net.g_ambient * (field.t[0] - AMBIENT)).sum())
         assert heat_out == pytest.approx(power.sum(), rel=1e-6)
 
+    @staticmethod
+    def _two_block_design():
+        return make_design(
+            blocks=(block("hot", 0, 0.7, 0.7, 0.6, 0.6, power=1.0, leakage=0.2),
+                    block("warm", 1, 0.2, 1.1, 0.5, 0.3, power=0.3, leakage=0.1)),
+            tech=make_tech(package_resistance=50.0))
+
     @pytest.mark.parametrize("path", ["jacobi", "multigrid"])
     @pytest.mark.parametrize("factor", [0.5, 0.9, 0.99, 1 - 1e-4, 1 - 1e-5,
                                         1 + 1e-5, 1 + 1e-4, 1.01, 1.1, 2.0, 10.0])
     def test_runaway_exactly_above_the_dense_threshold(self, monkeypatch, path, factor):
         # the coefficient at which a dense lambda_max(G^-1 K) reaches 1
-        d = make_design(blocks=(block("hot", 0, 0.7, 0.7, 0.6, 0.6, power=1.0, leakage=0.2),
-                                block("warm", 1, 0.2, 1.1, 0.5, 0.3, power=0.3, leakage=0.1)),
-                        tech=make_tech(package_resistance=50.0))
+        d = self._two_block_design()
         grid = grid_for(d.stack)
         if path == "multigrid":
             monkeypatch.setattr(thermal, "JACOBI_MAX_PLANE_CELLS", 0)
@@ -689,6 +699,33 @@ class TestCoupleLeakage:
                 couple_leakage(d, grid)
         else:
             assert couple_leakage(d, grid).field.t.min() > AMBIENT
+
+    @pytest.mark.parametrize("path", ["jacobi", "multigrid"])
+    def test_a_near_runaway_stop_reports_its_true_residual(self, monkeypatch, tmp_path, path):
+        # 1e-6 below the threshold the rise is about 1e8 K: CG's updated
+        # residual meets its stop long before the budget is spent, while the
+        # true residual stays above the contract
+        d = self._two_block_design()
+        grid = grid_for(d.stack)
+        if path == "multigrid":
+            monkeypatch.setattr(thermal, "JACOBI_MAX_PLANE_CELLS", 0)
+        coeff = float((1 - 1e-6) * runaway_coeff(d, grid))
+        with pytest.raises(SolverError) as error:
+            couple_leakage(with_leakage_coeff(d, coeff), grid)
+        assert not isinstance(error.value, ThermalRunawayError)
+        budget = int(thermal.CG_ITERATIONS_PER_UNKNOWN * grid.num_cells)
+        message = str(error.value)
+        taken = int(re.search(rf"after (\d+) of {budget} CG iterations", message).group(1))
+        assert taken < budget
+        assert f"true residual {error.value.residual:g}" in message
+        assert error.value.residual > RESIDUAL_RTOL
+        assert "may be at the thermal-runaway threshold" in message
+        path_ = tmp_path / "near.design"
+        path_.write_text(emit_design(d))
+        result = CliRunner().invoke(main, ["analyze", str(path_), "--leakage-lambda",
+                                           repr(coeff), "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "thermal-runaway threshold" in result.output
 
     @pytest.mark.parametrize("factor", [0.5, 0.99, 1.01, 2.0, 10.0])
     def test_a_positive_rise_certifies_stability(self, monkeypatch, factor):

@@ -262,6 +262,13 @@ def gen_move(design: Design, eligible: list[str], rng,
     return design, "null", None
 
 
+def _median(values: list) -> float:
+    """np.median's value, from the sorted middle, without the import of
+    numpy.ma that np.median's first call makes."""
+    ordered, mid = sorted(values), len(values) // 2
+    return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def calibrate_t_initial(state: Design, cost_fn, propose, rng,
                         current_cost: float) -> float:
     """Pick T0 so a median uphill step is accepted with probability 0.8."""
@@ -274,7 +281,7 @@ def calibrate_t_initial(state: Design, cost_fn, propose, rng,
         if _is_uphill(delta, current_cost):
             uphill.append(delta)
     if uphill:
-        return float(np.median(uphill)) / -math.log(0.8)
+        return _median(uphill) / -math.log(0.8)
     return max(abs(current_cost) * 1e-3, 1e-9)
 
 

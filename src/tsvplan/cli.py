@@ -1,7 +1,8 @@
 """Command-line entry points: analyze, optimize, sweep.
 
 Exit codes: 0 success, 1 data error, 2 solver error, 3 internal error (its
-traceback follows the message on stderr).
+traceback follows the message on stderr). A usage error, such as a malformed
+option value, is a data error.
 """
 
 from __future__ import annotations
@@ -47,7 +48,27 @@ def guarded(fn):
     return wrapper
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group, whose usage errors exit 1 rather than click's 2,
+    the solver-error code. They are raised while the group's arguments are
+    parsed (make_context) and while a subcommand's are (invoke)."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = 1
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = 1
+            raise
+
+
+@click.group(cls=_Main)
 def main():
     """Thermal analysis and blockage-aware farm placement for 3-D stacks."""
 

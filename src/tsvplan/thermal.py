@@ -28,6 +28,10 @@ CG_ITERATIONS_PER_UNKNOWN = 100
 JACOBI_MAX_PLANE_CELLS = 4096
 SMOOTHER_DAMPING = 0.8  # of the V-cycle's column block-Jacobi sweeps
 SMOOTHER_SWEEPS = 2     # before, and again after, each coarse correction
+# The V-cycle stops coarsening at the first level of at most this many unknowns
+# and solves it by a dense inverse: below it, a level costs more in per-call
+# overhead than in arithmetic
+COARSE_SOLVE_MAX_UNKNOWNS = 256
 
 
 @dataclass(frozen=True)
@@ -269,7 +273,8 @@ class StencilOperator:
     @functools.cached_property
     def scratch(self) -> np.ndarray:
         """A work vector for the term buffer of products with this matrix and
-        its V-cycle: a product uses it only while it runs."""
+        its V-cycle, and for the CG loop's steps: each uses it only while it
+        runs."""
         return np.empty_like(self._diag)
 
     @functools.cached_property
@@ -309,8 +314,9 @@ def coarsen(network: ConductanceNetwork) -> ConductanceNetwork:
 
 
 class _Level:
-    """One level of the V-cycle: the Thomas factors of its vertical columns'
-    tridiagonal blocks, its operator's product, and buffers allocated once.
+    """One smoothed level of the V-cycle: the factors of its vertical columns'
+    tridiagonal blocks, its operator's full and lateral products, and
+    buffers allocated once.
 
     Only a coarse level has a right-hand side b; the finest is handed the CG
     residual. Every level's residual r and product term are views of buffers
@@ -325,31 +331,38 @@ class _Level:
         n, layers, plane = grid.num_cells, grid.num_layers, grid.cells_per_layer
         self.shape = (layers, grid.cells_y, grid.cells_x)
         diag = operator.diagonal().reshape(layers, plane)
-        _, coupling = operator._couplings[0]    # -g_z, between layers l and l+1
-        # elimination down each column leaves 1/m per layer and c/m per coupling
-        self._c = c = coupling.reshape(layers - 1, plane)
-        self._inv_m = np.empty((layers, plane))
+        (_, coupling), *lateral = operator._couplings   # -g_z, then -g_y and -g_x
+        # a column block is L M L^T, L unit lower bidiagonal: elimination down
+        # the column leaves the pivots m and the multipliers c/m below the
+        # diagonal; the sweeps' damping is folded into the pivots' inverses
+        c = coupling.reshape(layers - 1, plane)
         self._c_m = np.empty((layers - 1, plane))
-        self._inv_m[0] = 1.0 / diag[0]
+        self._damped_inv_m = m = np.empty((layers, plane))   # the pivots, at first
+        m[0] = diag[0]
         for k in range(1, layers):
-            np.multiply(c[k - 1], self._inv_m[k - 1], out=self._c_m[k - 1])
-            self._inv_m[k] = 1.0 / (diag[k] - c[k - 1] * self._c_m[k - 1])
+            np.divide(c[k - 1], m[k - 1], out=self._c_m[k - 1])
+            m[k] = diag[k] - c[k - 1] * self._c_m[k - 1]
+        np.divide(SMOOTHER_DAMPING, m, out=m)
         self._scratch = np.empty(plane)
         self.b = np.empty(n) if coarse else None
         self.x = np.empty(n)
         self.r = r[:n]
-        self._product = operator.bind(self.x, self.r, term[:n])
+        term = term[:n]
+        self._product = operator.bind(self.x, self.r, term)
+        # (-g, x, term, r) views that take N x off r, in the product's order
+        self._lateral = [(g, self.x[:n - k], term[k:], self.r[k:]) for k, g in lateral]
+        self._lateral += [(g, self.x[k:], term[:n - k], self.r[:n - k])
+                          for k, g in reversed(lateral)]
 
     def solve_columns(self, v: np.ndarray) -> None:
-        """Overwrite v with D^-1 v, D the column blocks, by a Thomas sweep
-        vectorized over the plane."""
-        v = v.reshape(self._inv_m.shape)
-        s, c, inv_m, c_m = self._scratch, self._c, self._inv_m, self._c_m
-        v[0] *= inv_m[0]
+        """Overwrite v with SMOOTHER_DAMPING * D^-1 v, D the column blocks: a
+        forward and a back substitution, each vectorized over the plane."""
+        v = v.reshape(self._damped_inv_m.shape)
+        s, c_m = self._scratch, self._c_m
         for k in range(1, len(v)):
-            np.multiply(c[k - 1], v[k - 1], out=s)
+            np.multiply(c_m[k - 1], v[k - 1], out=s)
             v[k] -= s
-            v[k] *= inv_m[k]
+        v *= self._damped_inv_m
         for k in range(len(v) - 2, -1, -1):
             np.multiply(c_m[k], v[k + 1], out=s)
             v[k] -= s
@@ -360,11 +373,32 @@ class _Level:
         return np.subtract(b, self.r, out=self.r)
 
     def smooth(self, b: np.ndarray) -> None:
-        """One damped column block-Jacobi sweep on x."""
-        r = self.residual(b)
-        r *= SMOOTHER_DAMPING
+        """One damped column block-Jacobi sweep on x, x <- x + w D^-1 (b - G x),
+        computed as (1 - w) x + w D^-1 (b + N x): N = D - G holds only the
+        lateral couplings, since D holds the vertical ones."""
+        r = self.r
+        np.copyto(r, b)
+        for g, xs, ts, rs in self._lateral:
+            np.multiply(g, xs, out=ts)
+            rs -= ts
         self.solve_columns(r)
+        self.x *= 1.0 - SMOOTHER_DAMPING
         self.x += r
+
+
+def _dense_inverse(operator: StencilOperator) -> np.ndarray:
+    """The inverse of a small operator's matrix, dense and exactly symmetric."""
+    diag = operator.diagonal()
+    n = len(diag)
+    dense = np.diag(diag)
+    for k, g in operator._couplings:   # on a one-column plane, g_y and g_x share k = 1
+        rows = np.arange(n - k)
+        dense[rows, rows + k] += g
+        dense[rows + k, rows] += g
+    inverse = np.linalg.inv(dense)
+    np.add(inverse, inverse.T, out=dense)
+    dense *= 0.5
+    return dense
 
 
 def _aggregate_views(fine: np.ndarray, coarse: np.ndarray, shape):
@@ -379,42 +413,47 @@ def _aggregate_views(fine: np.ndarray, coarse: np.ndarray, shape):
 class VCycle:
     """A symmetric multigrid V-cycle: the SPD preconditioner of a matrix.
 
-    Levels coarsen the layer plane 2 x 2 (coarsen) down to one cell per
-    layer. Each level smooths by damped column block-Jacobi, solving every
-    vertical column's tridiagonal block exactly, SMOOTHER_SWEEPS times
-    before and after the coarse correction; restriction sums over an
-    aggregate and prolongation is piecewise constant, its transpose. The
-    one-cell plane is solved exactly by its column solve. Smoothing is
-    symmetric and every coarse solve SPD, so the cycle is SPD and fits
-    conjugate gradients. Buffers are allocated once, with the hierarchy.
+    Levels coarsen the layer plane 2 x 2 (coarsen) down to the first level
+    of at most COARSE_SOLVE_MAX_UNKNOWNS unknowns, or of one cell per layer.
+    That level is solved exactly, by its dense inverse. Every finer level
+    smooths by damped column block-Jacobi, SMOOTHER_SWEEPS times before and
+    after the coarse correction; a sweep solves every vertical column's
+    tridiagonal block exactly and takes the lateral couplings from x.
+    Restriction sums over an aggregate and prolongation is piecewise
+    constant, its transpose. Smoothing is symmetric and the coarse solve
+    SPD, so the cycle is SPD and fits conjugate gradients. Buffers, and the
+    dense inverse, are built once, with the hierarchy.
     """
 
     def __init__(self, matrix: StencilOperator):
         r = np.empty_like(matrix.scratch)
-        self._levels = [_Level(matrix, r, matrix.scratch, coarse=False)]
-        network = matrix.network
-        while network.grid.cells_per_layer > 1:
-            network = coarsen(network)
-            self._levels.append(
-                _Level(StencilOperator(network), r, matrix.scratch, coarse=True))
-        self._restrict = []  # per level but the last: (its r, next level's b) views
-        self._prolong = []   # (its x, next level's x) views
-        for fine, coarse in zip(self._levels, self._levels[1:]):
-            self._restrict.append(_aggregate_views(fine.r, coarse.b, fine.shape))
-            self._prolong.append(_aggregate_views(fine.x, coarse.x, fine.shape))
+        self._levels = []
+        operator = matrix
+        while (operator.network.grid.num_cells > COARSE_SOLVE_MAX_UNKNOWNS
+               and operator.network.grid.cells_per_layer > 1):
+            self._levels.append(_Level(operator, r, matrix.scratch, coarse=bool(self._levels)))
+            operator = StencilOperator(coarsen(operator.network))
+        self._inverse = _dense_inverse(operator)
+        coarse_b, self._coarse_x = np.empty(len(self._inverse)), np.empty(len(self._inverse))
+        # per smoothed level: the next level's b, (its r, that b) and (its x,
+        # the next level's x) views
+        self._next_b = [level.b for level in self._levels[1:]] + [coarse_b]
+        next_x = [level.x for level in self._levels[1:]] + [self._coarse_x]
+        self._restrict = [_aggregate_views(level.r, b, level.shape)
+                          for level, b in zip(self._levels, self._next_b)]
+        self._prolong = [_aggregate_views(level.x, x, level.shape)
+                         for level, x in zip(self._levels, next_x)]
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
         """M^-1 b, in a buffer that the next call overwrites."""
         return self._cycle(0, b)
 
     def _cycle(self, depth: int, b: np.ndarray) -> np.ndarray:
+        if depth == len(self._levels):
+            return np.matmul(self._inverse, b, out=self._coarse_x)
         level = self._levels[depth]
         x = level.x
-        if depth == len(self._levels) - 1:
-            x[:] = b
-            level.solve_columns(x)
-            return x
-        np.multiply(b, SMOOTHER_DAMPING, out=x)  # the first sweep, from x = 0
+        np.copyto(x, b)   # the first sweep, from x = 0
         level.solve_columns(x)
         for _ in range(SMOOTHER_SWEEPS - 1):
             level.smooth(b)
@@ -423,7 +462,7 @@ class VCycle:
         coarse[...] = fine
         for fine, coarse in rest:
             coarse += fine
-        self._cycle(depth + 1, self._levels[depth + 1].b)
+        self._cycle(depth + 1, self._next_b[depth])
         for fine, coarse in self._prolong[depth]:
             fine += coarse
         for _ in range(SMOOTHER_SWEEPS):
@@ -440,7 +479,8 @@ def _pcg(matrix: StencilOperator, b: np.ndarray, x: np.ndarray, precondition,
     arithmetic (scipy 1.17, rtol=0) operation for operation on the CSR
     matrix that StencilOperator reproduces, so the result is bit-identical
     to it. The search direction p and its product q live in buffers bound
-    to the operator once per solve. A NaN or inf residual norm or rho
+    to the operator once per solve, and the steps alpha p and alpha q pass
+    through the operator's scratch. A NaN or inf residual norm or rho
     raises SolverError at once instead of running out the budget.
     """
     if math.sqrt(b.dot(b)) == 0:
@@ -448,6 +488,7 @@ def _pcg(matrix: StencilOperator, b: np.ndarray, x: np.ndarray, precondition,
     r = b - matrix @ x if x.any() else b.copy()
     p, q = np.empty_like(b), np.empty_like(b)
     product = matrix.bind(p, q, matrix.scratch)
+    step = matrix.scratch   # dead between products
     rho_prev = None
     for iteration in range(maxiter):
         norm = math.sqrt(r.dot(r))
@@ -468,8 +509,8 @@ def _pcg(matrix: StencilOperator, b: np.ndarray, x: np.ndarray, precondition,
         if not (rho > 0 and curvature > 0):  # never on SPD G; on G_eff, leakage runs away
             raise ThermalRunawayError("leakage fixed point diverging: G_eff is not SPD")
         alpha = rho / curvature
-        x += alpha * p
-        r -= alpha * q
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, q, out=step)
         rho_prev = rho
     return x, maxiter
 

@@ -10,6 +10,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tsvplan import anneal
 from tsvplan.anneal import (RETRY_CAP, AnnealConfig, Evaluator, FlowConfig, RunTrace,
@@ -353,6 +354,11 @@ class TestSaPlacement:
         assert all(a >= b for a, b in zip(curve, curve[1:]))
         assert best_cost <= cost_fn(d)
         assert best_cost == curve[-1]
+
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40))
+    def test_median_is_numpys(self, values):
+        # odd and even lengths: the sorted middle, or its two values' mean
+        assert anneal._median(values) == np.median(values)
 
     def test_calibration_targets_median_uphill(self):
         d = make_design(farms=(farm("f", 0.8, 0.8, 0.4, 0.4),))

@@ -354,6 +354,39 @@ def test_bad_cli_numbers_are_data_errors(runner, tmp_path, args, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["analyze", "--leakage-lambda", "abc"], "'abc' is not a valid float"),
+    (["optimize", "--leakage-lambda", "abc"], "'abc' is not a valid float"),
+    (["optimize", "--max-moves", "x"], "'x' is not a valid integer"),
+    (["optimize", "--seed", "1.5"], "'1.5' is not a valid integer"),
+    (["optimize", "--outer-iters", "x"], "'x' is not a valid integer"),
+    (["optimize", "--cooling", "x"], "'x' is not a valid float"),
+    (["optimize", "--t-initial", "x"], "'x' is not a valid float"),
+    (["optimize", "--t-threshold", "x"], "'x' is not a valid float"),
+    (["optimize", "--preset-ratio", "x"], "'x' is not a valid float"),
+    (["sweep", "--axis", "k_farm", "--max-moves", "x"], "'x' is not a valid integer"),
+    (["sweep", "--axis", "volume"], "'volume' is not one of"),
+    (["sweep", "--values", "1"], "Missing option '--axis'"),
+    (["optimize", "--bogus"], "No such option '--bogus'"),
+    (["optimize", "--seed"], "requires an argument"),
+], ids=["analyze-leakage-lambda", "leakage-lambda", "max-moves", "seed", "outer-iters",
+        "cooling", "t-initial", "t-threshold", "preset-ratio", "sweep-max-moves",
+        "axis", "missing-axis", "unknown-option", "missing-value"])
+def test_usage_errors_are_data_errors(runner, tmp_path, args, message):
+    # click's usage errors exit 2, which is the solver-error code here
+    command, *options = args
+    result = runner.invoke(main, [command, str(_write(tmp_path, TINY_OPT)),
+                                  "--out-dir", str(tmp_path / "out"), *options])
+    assert result.exit_code == 1, result.output
+    assert message in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [["no-such-command"], ["check", "missing.design"]])
+def test_bad_commands_and_paths_are_data_errors(runner, args):
+    assert runner.invoke(main, args).exit_code == 1
+
+
 def test_option_defaults_come_from_the_configs():
     defaults = {p.name: p.default for p in main.commands["optimize"].params}
     assert defaults["seed"] == AnnealConfig().seed
@@ -398,14 +431,35 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
 
 
-def test_commands_run_without_importing_scipy(tmp_path):
-    # a fresh interpreter, since this one has imported scipy for the references
+def _fresh_python(script, tmp_path):
+    """Run script with the blockage design and tmp_path as arguments, in a
+    fresh interpreter, since this one has imported scipy and numpy.ma for
+    the references."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH")))))
     done = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY, str(REPO / "designs" / "blockage.design"),
+        [sys.executable, "-c", script, str(REPO / "designs" / "blockage.design"),
          str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    return done.stdout.splitlines()[-1]
+
+
+def test_commands_run_without_importing_scipy(tmp_path):
+    assert _fresh_python(NO_SCIPY, tmp_path) == "[]"
     assert (tmp_path / "optimize" / "report.json").exists()
     assert (tmp_path / "multigrid" / "layer0.map").exists()
+
+
+NO_NUMPY_MA = """
+import sys
+from tsvplan import cli
+cli.main(["optimize", sys.argv[1], "--max-moves", "2", "--out-dir", sys.argv[2]],
+         standalone_mode=False)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_optimize_runs_without_importing_numpy_ma(tmp_path):
+    # np.median's first call imports numpy.ma, about 15 ms inside the timed run
+    assert _fresh_python(NO_NUMPY_MA, tmp_path) == "False"
+    assert (tmp_path / "report.json").exists()

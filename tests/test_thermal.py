@@ -18,8 +18,9 @@ from tsvplan.design_io import emit_design
 from tsvplan.errors import SingularNetworkError, SolverError, ThermalRunawayError
 from tsvplan.model import reshape_farm
 from tsvplan import thermal
-from tsvplan.thermal import (JACOBI_MAX_PLANE_CELLS, RESIDUAL_RTOL, ConductanceNetwork,
-                             GridSpec, block_cell_weights, build_network, couple_leakage,
+from tsvplan.thermal import (COARSE_SOLVE_MAX_UNKNOWNS, JACOBI_MAX_PLANE_CELLS,
+                             RESIDUAL_RTOL, ConductanceNetwork, GridSpec,
+                             block_cell_weights, build_network, couple_leakage,
                              field_stats, grid_for, rasterize, solve_design,
                              solve_field, solve_steady_state, system_matrix)
 from conftest import (MM, UM, block, csr_reference, farm, make_design, make_tech,
@@ -445,36 +446,68 @@ def with_odd_planes(test):
     return test
 
 
+# the V-cycle's dense cut as shipped, which solves most random networks here
+# outright, and at 0, which smooths every plane down to one cell per layer
+cuts = pytest.mark.parametrize("cut", [COARSE_SOLVE_MAX_UNKNOWNS, 0],
+                               ids=["dense-cut", "one-cell-plane"])
+
+
 class TestMultigrid:
     """The V-cycle preconditioner, which planes above JACOBI_MAX_PLANE_CELLS
     cells take."""
 
+    @cuts
     @settings(max_examples=80, deadline=None)
     @given(net=random_networks(), seed=st.integers(0, 2 ** 32 - 1))
     @with_odd_planes
-    def test_vcycle_is_symmetric_and_positive(self, net, seed):
+    def test_vcycle_is_symmetric_and_positive(self, cut, net, seed):
         rng = np.random.default_rng(seed)
-        vcycle = system_matrix(net).vcycle
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(thermal, "COARSE_SOLVE_MAX_UNKNOWNS", cut)
+            vcycle = system_matrix(net).vcycle
         x, y = rng.normal(size=(2, net.grid.num_cells))
         mx, my = vcycle(x).copy(), vcycle(y).copy()
         xmx, ymy = x @ mx, y @ my
         assert xmx > 0 and ymy > 0
         assert abs(y @ mx - x @ my) <= 1e-12 * math.sqrt(xmx * ymy)
 
+    @cuts
     @settings(max_examples=80, deadline=None)
     @given(net=random_networks(), seed=st.integers(0, 2 ** 32 - 1))
     @with_odd_planes
-    def test_multigrid_pcg_matches_a_dense_solve(self, net, seed):
+    def test_multigrid_pcg_matches_a_dense_solve(self, cut, net, seed):
         grid = net.grid
         power = np.random.default_rng(seed).uniform(0.0, 0.5, (grid.num_layers, grid.cells_y,
                                                                grid.cells_x))
         matrix = system_matrix(net)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(thermal, "JACOBI_MAX_PLANE_CELLS", 0)
+            patch.setattr(thermal, "COARSE_SOLVE_MAX_UNKNOWNS", cut)
             field = solve_steady_state(net, power, AMBIENT, matrix=matrix)
         assert "vcycle" in vars(matrix)   # built, so the multigrid path ran
         rhs = power.ravel().copy()
         rhs[:grid.cells_per_layer] += net.g_ambient.ravel() * AMBIENT
+        exact = np.linalg.solve(csr_reference(net).toarray(), rhs)
+        assert np.abs(field.t.ravel() - exact).max() < 1e-8
+
+    @pytest.mark.parametrize("layers, rows, cols", [(4, 8, 8), (1, 16, 16), (3, 1, 9),
+                                                    (3, 9, 1)])
+    def test_a_network_at_the_cut_takes_one_iteration(self, layers, rows, cols):
+        # its V-cycle is the dense inverse alone, one-row and one-column planes
+        # included, where g_x and g_y couple at the same flat offset
+        assert layers * rows * cols <= COARSE_SOLVE_MAX_UNKNOWNS
+        rng = np.random.default_rng(layers * rows * cols)
+        g = lambda *shape: rng.uniform(1e-3, 1e-1, shape)
+        net = ConductanceNetwork(GridSpec(cols, rows, 1e-4, layers),
+                                 g_x=g(layers, rows, cols - 1), g_y=g(layers, rows - 1, cols),
+                                 g_z=g(layers - 1, rows, cols), g_ambient=g(rows, cols))
+        power = rng.uniform(0.0, 0.01, (layers, rows, cols))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(thermal, "JACOBI_MAX_PLANE_CELLS", 0)
+            field = solve_steady_state(net, power, AMBIENT)
+        assert field.iterations == 1
+        rhs = power.ravel().copy()
+        rhs[:rows * cols] += net.g_ambient.ravel() * AMBIENT
         exact = np.linalg.solve(csr_reference(net).toarray(), rhs)
         assert np.abs(field.t.ravel() - exact).max() < 1e-8
 

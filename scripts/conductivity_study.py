@@ -2,9 +2,12 @@
 """Optimization gain versus farm thermal conductivity.
 
 Sweeps the farm lateral conductivity across the materials ladder (insulated
-composite up to bulk silicon) on the core+memory benchmark: the lower the
-conductivity, the stronger the blockage and the larger the reduction the
-placement flow can recover.
+composite up to bulk silicon) on the core+memory benchmark. The lower the
+conductivity, the stronger the blockage and the larger the reduction there
+is to recover; the recovered reduction follows that trend in the median
+over seeds 1-8, not on every seed. The seed run here, 3, recovers 4.11 K of
+core peak at k = 0.5 against 4.77 K at k = 1 (ROADMAP Finding 3). A
+multi-seed table is ROADMAP item 7.
 """
 
 import sys

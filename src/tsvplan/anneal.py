@@ -2,6 +2,12 @@
 stack-level loop that keeps the floorplan with the best whole-stack average
 temperature.
 
+Blocks never move, so a run's Evaluator holds everything the search never
+changes, and the annealing state is only a tuple of farm rectangles
+(x, y, width, height), one per farm in floorplan order. A Design is built
+from a state only at a layer pass's edges, for the solves, the summaries and
+the output.
+
 The annealing chain is sequential by nature; all randomness flows from one
 numpy PCG64 generator seeded from the config so traces replay exactly.
 """
@@ -17,9 +23,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DesignError
-from .metrics import CostBreakdown, CostWeights, cost, floorplan_area, wirelength
-from .model import (Design, Stack, TsvFarm, cache_by_identity, farm_overlap, fixed_conflict,
-                    legal_origins, origin_lattice, with_farm_rect)
+from .metrics import (CostBreakdown, CostWeights, block_centers, face_term,
+                      farm_row, floorplan_area, price, strip_table, wirelength)
+from .model import (Design, Floorplan, bounding_box_of, farm_neighbours, farm_overlap,
+                    fixed_conflict, legal_origins, origin_lattice)
 from .thermal import GridSpec, TemperatureField, field_stats, grid_for, solve_field
 
 RNG_KIND = "numpy-PCG64"  # echoed into reports so traces are replayable
@@ -27,8 +34,7 @@ PROBE_MOVES = 100  # candidates drawn to calibrate an unset t_initial
 RETRY_CAP = 50     # proposals gen_move redraws before it returns a null move
 # a cost change within a few ulps of the current cost is a tie, taken as 0
 TIE_RTOL = 4 * np.finfo(float).eps
-FARM_MEMO_ENTRIES = 4096  # in _farm_moves' one memo; a full memo starts over
-COST_MEMO_ENTRIES = 4096  # per Evaluator; a full memo starts over
+MEMO_ENTRIES = 4096  # in each of an Evaluator's memos; a full memo starts over
 
 
 @dataclass(frozen=True)
@@ -66,8 +72,7 @@ class FlowConfig:
             raise ValueError("outer_iterations must be >= 1")
 
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(NamedTuple):
     outer: int
     layer: int
     kind: str            # reshape | move | null
@@ -79,8 +84,7 @@ class MoveRecord:
     best_cost: float
 
 
-@dataclass(frozen=True)
-class PassRecord:
+class PassRecord(NamedTuple):
     outer: int
     layer: int
     eligible: int
@@ -92,8 +96,7 @@ class PassRecord:
     post_peak: float
 
 
-@dataclass(frozen=True)
-class OuterRecord:
+class OuterRecord(NamedTuple):
     outer: int
     stack_average: float
     best_average: float
@@ -132,134 +135,54 @@ class MoveGroup(NamedTuple):
 
     index: int                # the farm's index in the floorplan
     kind: str                 # reshape | move
-    options: Sequence[tuple]  # candidate (x, y, width, height), drawn uniformly
+    options: Sequence         # reshape: (x, y, width, height); move: flat origins ix * ny + iy
     mass: float               # (1/n) (1/2) len(options) / all options of the kind
+    lattice: tuple = ()       # move: (ny, cell, width, height)
+
+    def option(self, j: int) -> tuple:
+        """Option j as a candidate (x, y, width, height), drawn uniformly."""
+        if self.kind == "reshape":
+            return self.options[j]
+        ny, cell, width, height = self.lattice
+        ix, iy = divmod(int(self.options[j]), ny)
+        return ix * cell, iy * cell, width, height
 
 
-@dataclass(frozen=True)
-class _Origins:
-    """legal_origins' flat indices, read as relocation candidates."""
-
-    flat: np.ndarray
-    ny: int
-    cell: float
-    width: float
-    height: float
-
-    def __len__(self) -> int:
-        return len(self.flat)
-
-    def __getitem__(self, j: int) -> tuple:
-        ix, iy = divmod(int(self.flat[j]), self.ny)
-        return ix * self.cell, iy * self.cell, self.width, self.height
-
-
-class _FarmMoves:
-    """Memo of _farm_moves for one (blocks tuple, stack, cell) at a time.
-
-    It is keyed on the farm's index and weight and on every farm field that
-    _farm_moves reads, so a farm that returns to a rectangle finds its
-    groups again. Another context, or a full memo, starts it over."""
-
-    def __init__(self):
-        self.context: tuple = ()
-        self.groups: dict = {}
-
-    def of(self, blocks: tuple, stack: Stack, cell: float) -> dict:
-        context = self.context
-        if not (context and context[0] is blocks and context[1] is stack
-                and context[2] == cell):
-            self.context = (blocks, stack, cell)
-            self.groups.clear()
-        elif len(self.groups) >= FARM_MEMO_ENTRIES:
-            self.groups.clear()
-        return self.groups
-
-
-_FARM_MOVES = _FarmMoves()
-
-
-def _farm_moves(farm: TsvFarm, index: int, weight: float, stack: Stack,
-                blocks: tuple, cell: float) -> list[MoveGroup]:
-    """One farm's groups, each of mass weight * options / all options.
-
-    A reshape's options are the other configured ratios whose rectangle,
-    anchored at the farm's lower left, passes fixed_conflict; a relocation's
-    are the lattice origins of legal_origins. Kinds without options are left
-    out. Neither depends on the other farms.
-    """
-    start, end = farm.start_layer, farm.end_layer
-    shapes = [(farm.x, farm.y, math.sqrt(farm.area * r), math.sqrt(farm.area / r))
-              for r in stack.tech.aspect_ratios if abs(r - farm.aspect_ratio) > 1e-9 * r]
-    legal = [(x, y, w, h) for x, y, w, h in shapes
-             if fixed_conflict(stack, blocks, start, end, (x, y, x + w, y + h)) is None]
-    groups = [MoveGroup(index, "reshape", legal, weight * len(legal) / len(shapes))
-              ] if legal else []
-    flat = legal_origins(stack, blocks, farm.width, farm.height, start, end, cell)
-    if len(flat):
-        nx, ny = origin_lattice(stack, farm.width, farm.height, cell)
-        groups.append(MoveGroup(index, "move",
-                                _Origins(flat, ny, cell, farm.width, farm.height),
-                                weight * len(flat) / (nx * ny)))
-    return groups
-
-
-@cache_by_identity
-def move_table(design: Design, eligible: list[str],
-               grid: GridSpec) -> tuple[list[MoveGroup], list[float]]:
-    """The groups of gen_move's candidates in one state, and their cumulative
-    masses. Cached on the identity of the state, the eligible list and the
-    grid; a rejected candidate leaves the state as it is, and a new state
-    recomputes only the groups of the farm that moved."""
-    fp, stack = design.floorplan, design.stack
-    memo = _FARM_MOVES.of(fp.blocks, stack, grid.cell_size)
-    names = set(eligible)
-    weight = 0.5 / len(names)
-    groups = []
-    for index, farm in enumerate(fp.farms):
-        if farm.name in names:
-            key = (index, weight, farm.x, farm.y, farm.width, farm.height, farm.area,
-                   farm.start_layer, farm.end_layer)
-            entry = memo.get(key)
-            if entry is None:
-                entry = memo[key] = _farm_moves(farm, index, weight, stack, fp.blocks,
-                                                grid.cell_size)
-            groups += entry
-    return groups, list(accumulate(g.mass for g in groups))
-
-
-def gen_move(design: Design, eligible: list[str], rng,
-             grid: GridSpec) -> tuple[Design, str, str | None]:
-    """Draw one legal candidate: a farm reshaped to another configured ratio,
-    anchored at its lower left, or relocated to a grid-aligned origin.
+def gen_move(context: "Evaluator", state: tuple, eligible: Sequence[int],
+             rng) -> tuple[tuple, str, str | None]:
+    """Draw one legal candidate state: a farm of `eligible` (farm indices)
+    reshaped to another configured ratio, anchored at its lower left, or
+    relocated to a grid-aligned origin.
 
     The candidate's law is that of drawing a farm uniformly, then reshape or
     relocate with probability 1/2 each, then a ratio or lattice origin
     uniformly, and redrawing everything until the result is legal and moves
-    the farm. It is drawn from move_table instead: one rng.random() picks a
-    (farm, kind) group by its mass, one rng.integers() an option within it.
-    A candidate that overlaps another farm, or a relocation that keeps its
-    origin, redraws the whole proposal. After RETRY_CAP proposals, or at
-    once when the state has no candidate, the unmodified floorplan is
-    returned as a null move.
+    the farm. It is drawn from the context's move_table instead: one
+    rng.random() picks a (farm, kind) group by its mass, one rng.integers()
+    an option within it. A candidate that overlaps another farm, or a
+    relocation that keeps its origin, redraws the whole proposal. After
+    RETRY_CAP proposals, or at once when the state has no candidate, the
+    state itself is returned as a null move.
     """
     if not eligible:
-        return design, "null", None
-    groups, cumulative = move_table(design, eligible, grid)
+        return state, "null", None
+    groups, cumulative = context.move_table(state, eligible)
     if not groups:
-        return design, "null", None
-    farms = design.floorplan.farms
+        return state, "null", None
     total, last = cumulative[-1], len(groups) - 1
     for _ in range(RETRY_CAP):
         group = groups[min(bisect_right(cumulative, rng.random() * total), last)]
-        x, y, width, height = group.options[rng.integers(len(group.options))]
-        farm = farms[group.index]
-        if group.kind == "move" and abs(x - farm.x) < 1e-12 and abs(y - farm.y) < 1e-12:
+        rect = group.option(rng.integers(len(group.options)))
+        x, y, width, height = rect
+        index = group.index
+        fx, fy, _, _ = state[index]
+        if group.kind == "move" and abs(x - fx) < 1e-12 and abs(y - fy) < 1e-12:
             continue
-        if farm_overlap(design, group.index, (x, y, x + width, y + height)) is None:
-            return (with_farm_rect(design, group.index, x, y, width, height),
-                    group.kind, farm.name)
-    return design, "null", None
+        if farm_overlap(context.neighbours[index], state,
+                        (x, y, x + width, y + height)) is None:
+            return (state[:index] + (rect,) + state[index + 1:], group.kind,
+                    context.farms[index].name)
+    return state, "null", None
 
 
 def _median(values: list) -> float:
@@ -269,7 +192,7 @@ def _median(values: list) -> float:
     return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
 
 
-def calibrate_t_initial(state: Design, cost_fn, propose, rng,
+def calibrate_t_initial(state, cost_fn, propose, rng,
                         current_cost: float) -> float:
     """Pick T0 so a median uphill step is accepted with probability 0.8."""
     uphill = []
@@ -285,12 +208,12 @@ def calibrate_t_initial(state: Design, cost_fn, propose, rng,
     return max(abs(current_cost) * 1e-3, 1e-9)
 
 
-def sa_placement(state: Design, cost_fn, propose, config: AnnealConfig, rng,
+def sa_placement(state, cost_fn, propose, config: AnnealConfig, rng,
                  trace: RunTrace | None = None, outer: int = 0,
-                 layer: int = -1) -> tuple[Design, float]:
-    """Simulated annealing over candidate floorplans; returns the best seen.
+                 layer: int = -1) -> tuple[object, float]:
+    """Simulated annealing over candidate states; returns the best seen.
 
-    cost_fn maps a legal floorplan to a scalar; propose(state, rng) yields
+    cost_fn maps a legal state to a scalar; propose(state, rng) yields
     (candidate, kind, farm). Temperature cools geometrically after each
     batch of max_moves candidates until it falls below the threshold.
     """
@@ -324,53 +247,115 @@ def sa_placement(state: Design, cost_fn, propose, config: AnnealConfig, rng,
     return best, best_cost
 
 
-def _farm_fields(floorplan) -> list[tuple]:
-    """Every farm field that with_farm_rect keeps, farm by farm."""
-    return [(f.name, f.start_layer, f.end_layer, f.k_lateral, f.k_metal, f.area, f.clients)
-            for f in floorplan.farms]
+def _recall(memo: dict, key, make, *args):
+    """memo[key], made by make(*args) on a miss; a full memo starts over."""
+    value = memo.get(key)
+    if value is None:
+        if len(memo) >= MEMO_ENTRIES:
+            memo.clear()
+        value = memo[key] = make(*args)
+    return value
 
 
 class Evaluator:
-    """Prices candidate floorplans and counts the evaluations; solve returns
-    a floorplan's cold field on the run's grid.
+    """The search context of one run: one design, grid and weighting.
 
-    The floorplans of one Evaluator differ only in their farms' geometry
-    (with_farm_rect): blocks and stack are the first priced floorplan's
-    objects (checked each call) and every other farm field is its value
-    (checked on each memo miss); a failed check is a ValueError. So each
-    distinct farm (x, y, width, height) tuple is priced once.
+    It holds what the search never changes (stack, blocks, the f_H strip
+    table, the blocks' bounding box and centres, each farm's fixed fields
+    and its same-layer neighbours) and memoizes what depends on the farm
+    rectangles, each memo bounded by MEMO_ENTRIES: the cost of each state,
+    each farm's cost row and move groups on (farm index, rect), each blocked
+    pair's term, and legal_origins' rasters. Every memo fills lazily.
+    breakdown and cost price a state, counting the evaluations; solve
+    returns a Design's cold field on the run's grid.
     """
 
-    def __init__(self, grid: GridSpec, weights: CostWeights):
-        self.grid = grid
-        self.weights = weights
+    def __init__(self, design: Design, grid: GridSpec, weights: CostWeights):
+        fp = design.floorplan
+        self.design, self.grid, self.weights = design, grid, weights
+        self.farms = fp.farms
+        self.neighbours = [farm_neighbours(fp.farms, k) for k in range(len(fp.farms))]
+        self.table = strip_table(fp.blocks, design.stack)
+        self.centers = block_centers(fp.blocks)
+        # min and max are exact: the blocks' box prices like all their rects
+        self.fixed = [bounding_box_of([b.rect for b in fp.blocks])] if fp.blocks else []
         self.evaluations = 0
-        self._priced: dict = {}
-        self._shared = None   # (blocks, stack, _farm_fields) of the first floorplan
+        self._priced: dict = {}    # state -> CostBreakdown
+        self._rows: dict = {}      # (index, rect) -> FarmRow
+        self._terms: dict = {}     # a blocked pair's hits -> its term
+        self._groups: dict = {}    # (index, rect, weight) -> [MoveGroup]
+        self._origins: dict = {}   # (width, height, start, end) -> legal_origins
+        self._table: tuple = (None, None, None)   # the last move_table
+
+    def state_of(self, design: Design) -> tuple:
+        return tuple([(f.x, f.y, f.width, f.height) for f in design.floorplan.farms])
+
+    def design_of(self, state: tuple) -> Design:
+        farms = tuple(f.placed(*rect) for f, rect in zip(self.farms, state))
+        return self.design.with_floorplan(Floorplan(self.design.floorplan.blocks, farms))
 
     def solve(self, design: Design) -> TemperatureField:
         return solve_field(design, self.grid)
 
-    def breakdown(self, design: Design) -> CostBreakdown:
+    def breakdown(self, state: tuple) -> CostBreakdown:
         self.evaluations += 1
-        fp = design.floorplan
-        if self._shared is None:
-            self._shared = (fp.blocks, design.stack, _farm_fields(fp))
-        blocks, stack, farm_fields = self._shared
-        if not (fp.blocks is blocks and design.stack is stack):
-            raise ValueError("not this Evaluator's design")
-        key = tuple([(f.x, f.y, f.width, f.height) for f in fp.farms])
-        priced = self._priced.get(key)
-        if priced is None:
-            if _farm_fields(fp) != farm_fields:
-                raise ValueError("not this Evaluator's farms")
-            if len(self._priced) >= COST_MEMO_ENTRIES:
-                self._priced.clear()
-            priced = self._priced[key] = cost(design, self.weights)
-        return priced
+        return _recall(self._priced, state, self._price, state)
 
-    def cost(self, design: Design) -> float:
-        return self.breakdown(design).total
+    def cost(self, state: tuple) -> float:
+        return self.breakdown(state).total
+
+    def _price(self, state: tuple) -> CostBreakdown:
+        rows = [_recall(self._rows, (k, rect), self._row, k, rect)
+                for k, rect in enumerate(state)]
+        return price(self.weights, self.table, rows, self.fixed, self._term)
+
+    def _row(self, index: int, rect: tuple):
+        return farm_row(self.table, self.centers, self.farms[index].placed(*rect))
+
+    def _term(self, pair: int, hits: tuple) -> float:
+        return _recall(self._terms, hits, face_term, self.table.faces[pair], hits)
+
+    def move_table(self, state: tuple,
+                   eligible: Sequence[int]) -> tuple[list[MoveGroup], list[float]]:
+        """gen_move's groups in one state, and their cumulative masses. Kept
+        for the last (state, eligible) objects, since a rejected candidate
+        leaves the state as it is; a new state reads the memoized groups of
+        every farm but the one that moved."""
+        if self._table[0] is not state or self._table[1] is not eligible:
+            weight = 0.5 / len(eligible)
+            groups = []
+            for index in eligible:
+                groups += _recall(self._groups, (index, state[index], weight),
+                                  self._farm_moves, index, state[index], weight)
+            self._table = (state, eligible,
+                           (groups, list(accumulate(g.mass for g in groups))))
+        return self._table[2]
+
+    def _farm_moves(self, index: int, rect: tuple, weight: float) -> list[MoveGroup]:
+        """One farm's groups, each of mass weight * options / all options.
+
+        A reshape's options are the other configured ratios whose rectangle,
+        anchored at the farm's lower left, passes fixed_conflict; a
+        relocation's are the lattice origins of legal_origins. Kinds without
+        options are left out. Neither depends on the other farms.
+        """
+        farm, stack, cell = self.farms[index], self.design.stack, self.grid.cell_size
+        x, y, width, height = rect
+        start, end, ratio = farm.start_layer, farm.end_layer, width / height
+        shapes = [(x, y, math.sqrt(farm.area * r), math.sqrt(farm.area / r))
+                  for r in stack.tech.aspect_ratios if abs(r - ratio) > 1e-9 * r]
+        legal = [(x, y, w, h) for x, y, w, h in shapes
+                 if fixed_conflict(stack, self.design.floorplan.blocks, start, end,
+                                   (x, y, x + w, y + h)) is None]
+        groups = [MoveGroup(index, "reshape", legal, weight * len(legal) / len(shapes))
+                  ] if legal else []
+        flat = _recall(self._origins, (width, height, start, end), legal_origins, stack,
+                       self.design.floorplan.blocks, width, height, start, end, cell)
+        if len(flat):
+            nx, ny = origin_lattice(stack, width, height, cell)
+            groups.append(MoveGroup(index, "move", flat, weight * len(flat) / (nx * ny),
+                                    (ny, cell, width, height)))
+        return groups
 
 
 @dataclass(frozen=True)
@@ -423,18 +408,21 @@ class OptimizeResult:
 def layer_pass(design: Design, layer: int, evaluator: Evaluator,
                config: AnnealConfig, rng, trace: RunTrace, outer: int) -> Design:
     """Anneal the farms that start on one layer; identity pass when none do.
-    The record reads the cold fields of the input and of the best floorplan."""
-    grid = evaluator.grid
-    eligible = [f.name for f in design.floorplan.farms if f.start_layer == layer]
+    The input itself is returned when no state beats it. The record reads
+    the cold fields of the input and of the best floorplan."""
+    eligible = [k for k, f in enumerate(design.floorplan.farms) if f.start_layer == layer]
     pre = evaluator.solve(design)
     best = design
     moves_before = len(trace.moves)
     if eligible:
         def propose(state, r):
-            return gen_move(state, eligible, r, grid)
+            return gen_move(evaluator, state, eligible, r)
 
-        best, _ = sa_placement(design, evaluator.cost, propose, config, rng,
-                               trace, outer=outer, layer=layer)
+        start = evaluator.state_of(design)
+        state, _ = sa_placement(start, evaluator.cost, propose, config, rng,
+                                trace, outer=outer, layer=layer)
+        if state != start:
+            best = evaluator.design_of(state)
     new_moves = trace.moves[moves_before:]
     post = evaluator.solve(best)
     trace.passes.append(PassRecord(
@@ -459,7 +447,7 @@ def optimize_stack(design: Design, anneal: AnnealConfig = AnnealConfig(),
         weights = CostWeights.calibrated(design, before_field)
     if ratio_target is not None:
         weights = replace(weights, ratio_target=ratio_target)
-    evaluator = Evaluator(grid, weights)
+    evaluator = Evaluator(design, grid, weights)
 
     rng = np.random.default_rng(anneal.seed)
     trace = RunTrace()

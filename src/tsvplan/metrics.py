@@ -16,15 +16,16 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DesignError
 from .model import (Block, Design, Floorplan, Stack, TechnologyParams, TsvFarm,
-                    cache_by_identity)
+                    bounding_box_of)
 from .thermal import TemperatureField
 
 
@@ -108,9 +109,6 @@ def adjacent_block_pairs(blocks: tuple[Block, ...],
     return pairs
 
 
-TERM_MEMO_ENTRIES = 1024  # in each per-farm and per-pair memo; a full memo starts over
-
-
 class _Face(NamedTuple):
     """An adjacent pair's shared face, split into grid-cell-wide strips; a
     strip's path runs between the two block centres along its centre line."""
@@ -125,22 +123,17 @@ class _Face(NamedTuple):
     lines: tuple       # strip centre lines, across the path, ascending
 
 
-@dataclass(frozen=True, eq=False)
-class StripTable:
+class StripTable(NamedTuple):
     """The f_H strips of a design, face by face: everything the fixed blocks
-    determine. `free` holds each pair's farm-free term; `entries` and
-    `terms` memoize total_efficiency's per-farm hits and per-pair terms."""
+    determine. `free` holds each pair's farm-free term."""
 
     pairs: tuple[tuple[Block, Block, str], ...]
     faces: tuple[_Face, ...]
     free: tuple[float, ...]
-    entries: dict = field(default_factory=dict, repr=False)
-    terms: dict = field(default_factory=dict, repr=False)
 
 
-@cache_by_identity
 def strip_table(blocks: tuple[Block, ...], stack: Stack) -> StripTable:
-    """Build the strip table once per (blocks, stack); farms do not enter it."""
+    """The strip table of the fixed blocks; farms do not enter it."""
     pairs = adjacent_block_pairs(blocks, stack.tech)
     faces = []
     for a, b, axis in pairs:
@@ -162,7 +155,7 @@ def strip_table(blocks: tuple[Block, ...], stack: Stack) -> StripTable:
         faces.append(_Face(a.layer, int(axis == "x"), lo, hi, distance,
                            width * layer.thickness, layer.material.conductivity,
                            tuple(span_lo + (i + 0.5) * width for i in range(count))))
-    return StripTable(tuple(pairs), tuple(faces), tuple(_face_term(f, ()) for f in faces))
+    return StripTable(tuple(pairs), tuple(faces), tuple(face_term(f, ()) for f in faces))
 
 
 def path_conductivity(table: StripTable, farms: tuple[TsvFarm, ...]) -> np.ndarray:
@@ -202,13 +195,7 @@ def pair_efficiency(table: StripTable, k_eff: np.ndarray) -> np.ndarray:
                      for face, end in zip(table.faces, ends)])
 
 
-def _memo_slot(memo: dict) -> dict:
-    if len(memo) >= TERM_MEMO_ENTRIES:
-        memo.clear()
-    return memo
-
-
-def _farm_hits(table: StripTable, farm: TsvFarm) -> tuple:
+def farm_hits(table: StripTable, farm: TsvFarm) -> tuple:
     """The strips one farm blocks, one hit (pair, first, stop, seg / k_lateral,
     seg) per blocked pair, in pair order: strips first..stop-1 of the pair
     lose seg of their path to the farm."""
@@ -225,7 +212,7 @@ def _farm_hits(table: StripTable, farm: TsvFarm) -> tuple:
     return tuple(hits)
 
 
-def _face_term(face: _Face, hits: tuple) -> float:
+def face_term(face: _Face, hits: tuple) -> float:
     """One pair's efficiency with the farms of `hits` (same-pair hits, in
     floorplan order) on its face: path_conductivity's and pair_efficiency's
     arithmetic strip by strip. A farm that misses a strip adds 0.0 to it
@@ -243,84 +230,90 @@ def _face_term(face: _Face, hits: tuple) -> float:
     return term
 
 
-def total_efficiency(design: Design) -> float:
-    """f_H: the sum of pair conduction efficiencies over adjacent block pairs,
-    bit for bit pair_efficiency over path_conductivity. A pair no farm blocks
-    takes its farm-free term, a blocked one its term memoized on its hits."""
-    table = strip_table(design.floorplan.blocks, design.stack)
+def fold_efficiency(table: StripTable, hits_by_farm, term=None) -> float:
+    """f_H from each farm's farm_hits, in floorplan order, bit for bit
+    pair_efficiency over path_conductivity. A pair no farm blocks takes its
+    farm-free term, a blocked one term(pair, its hits), face_term by default."""
     if not table.pairs:
         return 0.0
-    entries, memo = table.entries, table.terms
     blocked: dict[int, tuple] = {}
-    for farm in design.floorplan.farms:
-        # each farm's hits, memoized per table on its geometry and conductivity
-        key = (farm.rect, farm.start_layer, farm.end_layer, farm.k_lateral)
-        hits = entries.get(key)
-        if hits is None:
-            hits = _memo_slot(entries)[key] = _farm_hits(table, farm)
+    for hits in hits_by_farm:
         for hit in hits:
             blocked[hit[0]] = blocked.get(hit[0], ()) + (hit,)
     terms = list(table.free)
     for p, hits in blocked.items():
-        term = memo.get(hits)
-        if term is None:
-            term = _memo_slot(memo)[hits] = _face_term(table.faces[p], hits)
-        terms[p] = term
+        terms[p] = term(p, hits) if term else face_term(table.faces[p], hits)
     # a left fold over the pairs, in pair order, keeps f_H bit-stable: Python
     # 3.12's sum() compensates, and may differ from it by an ulp
     return reduce(operator.add, terms)
 
 
-@cache_by_identity
-def _client_memo(blocks: tuple[Block, ...]) -> tuple[dict, dict]:
-    """The blocks' centres by name, and a memo of each farm's client terms."""
+def total_efficiency(design: Design) -> float:
+    """f_H: the sum of pair conduction efficiencies over adjacent block pairs."""
+    table = strip_table(design.floorplan.blocks, design.stack)
+    return fold_efficiency(table, [farm_hits(table, f) for f in design.floorplan.farms])
+
+
+def block_centers(blocks: tuple[Block, ...]) -> dict[str, tuple[float, float]]:
     centers: dict[str, tuple[float, float]] = {}
     for b in blocks:
         centers.setdefault(b.name, b.center)
-    return centers, {}
+    return centers
+
+
+def client_terms(centers: dict, farm: TsvFarm) -> tuple:
+    """The Manhattan distance from the farm's centre to each client's centre."""
+    fx, fy = farm.center
+    try:
+        return tuple(abs(fx - centers[c][0]) + abs(fy - centers[c][1]) for c in farm.clients)
+    except KeyError as missing:
+        raise DesignError(f"net {farm.name!r} references unknown block "
+                          f"{missing.args[0]!r}") from None
+
+
+def _fold_wirelength(terms_by_farm) -> float:
+    # a left fold over farms, then clients
+    return reduce(operator.add, chain.from_iterable(terms_by_farm), 0.0)
 
 
 def wirelength(design: Design) -> float:
     """Total Manhattan distance from each farm center to its client block
-    centers: a left fold over farms, then clients, of each farm's terms,
-    memoized per blocks tuple on the farm's centre and clients."""
-    centers, memo = _client_memo(design.floorplan.blocks)
-    total = 0.0
-    for farm in design.floorplan.farms:
-        key = (farm.center, farm.clients)
-        terms = memo.get(key)
-        if terms is None:
-            fx, fy = farm.center
-            try:
-                terms = tuple(abs(fx - centers[c][0]) + abs(fy - centers[c][1])
-                              for c in farm.clients)
-            except KeyError as missing:
-                raise DesignError(f"net {farm.name!r} references unknown block "
-                                  f"{missing.args[0]!r}") from None
-            _memo_slot(memo)[key] = terms
-        for term in terms:
-            total += term
-    return total
+    centers."""
+    centers = block_centers(design.floorplan.blocks)
+    return _fold_wirelength([client_terms(centers, f) for f in design.floorplan.farms])
 
 
-def floorplan_area(floorplan: Floorplan) -> float:
-    """Area of the bounding box of everything placed, across all layers."""
-    x0, y0, x1, y1 = floorplan.bounding_box
+def _box_area(box) -> float:
+    x0, y0, x1, y1 = box
     return (x1 - x0) * (y1 - y0)
 
 
-def bounding_ratio(floorplan: Floorplan) -> float:
-    x0, y0, x1, y1 = floorplan.bounding_box
+def _box_ratio(box) -> float:
+    x0, y0, x1, y1 = box
     if y1 - y0 <= 0:
         return 1.0
     return (x1 - x0) / (y1 - y0)
 
 
+def _box_penalty(box, placed: bool, ratio_target: float) -> float:
+    """Absolute deviation of the box's aspect ratio from the target; 0 when
+    nothing is placed."""
+    return abs(_box_ratio(box) - ratio_target) if placed else 0.0
+
+
+def floorplan_area(floorplan: Floorplan) -> float:
+    """Area of the bounding box of everything placed, across all layers."""
+    return _box_area(floorplan.bounding_box)
+
+
+def bounding_ratio(floorplan: Floorplan) -> float:
+    return _box_ratio(floorplan.bounding_box)
+
+
 def ratio_penalty(floorplan: Floorplan, ratio_target: float) -> float:
     """Absolute deviation of the bounding-box aspect ratio from the target."""
-    if not floorplan.blocks and not floorplan.farms:
-        return 0.0
-    return abs(bounding_ratio(floorplan) - ratio_target)
+    return _box_penalty(floorplan.bounding_box, bool(floorplan.blocks or floorplan.farms),
+                        ratio_target)
 
 
 def combine(weights: CostWeights, area: float, efficiency: float, ratio: float,
@@ -331,12 +324,35 @@ def combine(weights: CostWeights, area: float, efficiency: float, ratio: float,
     return CostBreakdown(area, efficiency, ratio, wirelength_m, total)
 
 
+class FarmRow(NamedTuple):
+    """What one farm, in its rectangle, adds to the cost terms."""
+
+    rect: tuple     # (x0, y0, x1, y1), for the bounding box
+    hits: tuple     # farm_hits, for f_H
+    wires: tuple    # client_terms, for the wirelength
+
+
+def farm_row(table: StripTable, centers: dict, farm: TsvFarm) -> FarmRow:
+    return FarmRow(farm.rect, farm_hits(table, farm), client_terms(centers, farm))
+
+
+def price(weights: CostWeights, table: StripTable, rows, fixed: list,
+          term=None) -> CostBreakdown:
+    """All four objective terms and their weighted total, folded from each
+    farm's row in floorplan order and the fixed blocks' rects (or their
+    bounding box); term as in fold_efficiency."""
+    rects = [row.rect for row in rows] + fixed
+    box = bounding_box_of(rects)
+    return combine(weights, _box_area(box),
+                   fold_efficiency(table, [row.hits for row in rows], term),
+                   _box_penalty(box, bool(rects), weights.ratio_target),
+                   _fold_wirelength([row.wires for row in rows]))
+
+
 def cost(design: Design, weights: CostWeights) -> CostBreakdown:
     """All four objective terms plus their weighted total for one floorplan."""
-    return combine(
-        weights,
-        floorplan_area(design.floorplan),
-        total_efficiency(design),
-        ratio_penalty(design.floorplan, weights.ratio_target),
-        wirelength(design),
-    )
+    fp = design.floorplan
+    table = strip_table(fp.blocks, design.stack)
+    centers = block_centers(fp.blocks)
+    return price(weights, table, [farm_row(table, centers, f) for f in fp.farms],
+                 [b.rect for b in fp.blocks])

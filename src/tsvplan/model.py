@@ -4,6 +4,9 @@ Farms are soft blocks: their aspect ratio may change (area conserved) and
 they may be relocated, but they always occupy the same rectangle on every
 layer they span (a vertical prism). Macro and peripheral blocks are fixed.
 All values carried here are SI (m, W, K).
+
+The legality functions take one rectangle at a time and keep no state;
+the search context (anneal.Evaluator) keeps what they find for a run.
 """
 
 from __future__ import annotations
@@ -107,6 +110,11 @@ class TsvFarm:
         object.__setattr__(self, "rect", (self.x, self.y, self.x + self.width,
                                           self.y + self.height))
 
+    def placed(self, x: float, y: float, width: float, height: float) -> "TsvFarm":
+        """This farm in another rectangle, every other field kept."""
+        return TsvFarm(self.name, x, y, width, height, self.start_layer, self.end_layer,
+                       self.k_lateral, self.k_metal, self.area, self.clients)
+
     @property
     def aspect_ratio(self) -> float:
         return self.width / self.height
@@ -127,18 +135,16 @@ class Net:
 
 
 CACHE_ENTRIES = 16  # per cache_by_identity function; a full cache starts over
-BLOCK_MEMO_ENTRIES = 4096  # in _block_hit's one memo; a full memo starts over
-ORIGIN_MEMO_ENTRIES = 256  # legal_origins rasters, likewise
 RECT_EPS = 1e-12           # m; see rects_overlap
 
 
 def cache_by_identity(fn):
     """Memoize fn on the identity of its arguments, which must be immutable.
 
-    A candidate floorplan shares its blocks tuple and stack with the design
-    it was derived from, so looking them up by id costs far less than
-    hashing the frozen dataclasses. Each entry keeps its arguments alive, so
-    an id cannot be reused while it is cached. cache_clear() empties the cache.
+    Looking a design up by id costs far less than hashing its frozen
+    dataclasses, and the flow hands the same design objects from one stage
+    to the next. Each entry keeps its arguments alive, so an id cannot be
+    reused while it is cached. cache_clear() empties the cache.
     """
     cache: dict = {}
 
@@ -155,16 +161,14 @@ def cache_by_identity(fn):
     return cached
 
 
-def _bounding_box_of(rects) -> tuple[float, float, float, float]:
+def bounding_box_of(rects) -> tuple[float, float, float, float]:
+    """Bounding box of rects, (0, 0, 0, 0) when there are none. min and max
+    are exact, so a box folded in as one rect gives the same floats as its
+    rects would."""
+    if not rects:
+        return (0.0, 0.0, 0.0, 0.0)
     x0, y0, x1, y1 = zip(*rects)
     return min(x0), min(y0), max(x1), max(y1)
-
-
-@cache_by_identity
-def _bounding_box(blocks: tuple[Block, ...]) -> tuple[float, float, float, float]:
-    """Bounding box of the fixed blocks; min/max are exact, so folding it into
-    the farms' box gives the same floats as one pass over every rect."""
-    return _bounding_box_of([b.rect for b in blocks])
 
 
 @dataclass(frozen=True)
@@ -186,12 +190,7 @@ class Floorplan:
     @functools.cached_property
     def bounding_box(self) -> tuple[float, float, float, float]:
         """Bounding box of everything placed, computed once per floorplan."""
-        rects = [f.rect for f in self.farms]
-        if self.blocks:
-            rects.append(_bounding_box(self.blocks))
-        if not rects:
-            return (0.0, 0.0, 0.0, 0.0)
-        return _bounding_box_of(rects)
+        return bounding_box_of([f.rect for f in self.farms] + [b.rect for b in self.blocks])
 
 
 @dataclass(frozen=True)
@@ -395,86 +394,38 @@ def require_valid(design: Design) -> Design:
     return design
 
 
-@cache_by_identity
-def _block_rects_by_layer(blocks: tuple[Block, ...]) -> dict[int, list[tuple[Block, tuple]]]:
-    """(block, rect) of the fixed blocks on each layer, in floorplan order."""
-    out: dict[int, list[tuple[Block, tuple]]] = {}
-    for b in blocks:
-        out.setdefault(b.layer, []).append((b, b.rect))
-    return out
-
-
-class _BlockHits:
-    """Where the fixed blocks of one blocks tuple let a farm go, memoized.
-
-    hits: (start_layer, end_layer, rect) -> the first fixed block, layer by
-    layer, that the farm prism overlaps, or None. origins: legal_origins'
-    rasters. Blocks never move, so an entry stays true while its tuple is the
-    memo's; a run anneals one blocks tuple after another (a sweep, one per
-    point), so a new tuple starts the memo over, and so does a full one."""
-
-    def __init__(self):
-        self.blocks: tuple[Block, ...] | None = None
-        self.hits: dict = {}
-        self.origins: dict = {}
-
-    def of(self, blocks: tuple[Block, ...]) -> "_BlockHits":
-        if self.blocks is not blocks:
-            self.blocks = blocks
-            self.hits.clear()
-            self.origins.clear()
-        return self
-
-
-_BLOCK_HITS = _BlockHits()
-
-
-def _block_hit(blocks: tuple[Block, ...], start: int, end: int, rect) -> Block | None:
-    hits = _BLOCK_HITS.of(blocks).hits
-    key = (start, end, rect)
-    hit = hits.get(key, hits)   # the dict itself marks a miss
-    if hit is not hits:
-        return hit
-    if len(hits) >= BLOCK_MEMO_ENTRIES:
-        hits.clear()
-    by_layer = _block_rects_by_layer(blocks)
-    hits[key] = hit = next(
-        (b for layer in range(start, end + 1) for b, block_rect in by_layer.get(layer, ())
-         if rects_overlap(rect, block_rect)), None)
-    return hit
-
-
 def fixed_conflict(stack: Stack, blocks: tuple[Block, ...], start: int, end: int,
                    rect) -> str | None:
     """Why a farm prism on layers start..end cannot take `rect` whatever the
-    other farms are, or None: it leaves the footprint or overlaps a block."""
+    other farms are, or None: it leaves the footprint or overlaps a block
+    (the first, layer by layer, in floorplan order)."""
     if not _inside_footprint(rect, stack, _footprint_tol(stack)):
         return "leaves footprint"
-    hit = _block_hit(blocks, start, end, rect)
-    if hit is not None:
-        return f"overlaps {hit.name} on layer {hit.layer}"
+    for layer in range(start, end + 1):
+        for b in blocks:
+            if b.layer == layer and rects_overlap(rect, b.rect):
+                return f"overlaps {b.name} on layer {layer}"
     return None
 
 
-@cache_by_identity
-def _farm_neighbours(design: Design, index: int) -> list:
-    """(name, first shared layer, rect) of every other farm that shares a
-    layer with farm `index`, in floorplan order. Kept per state, which is
-    drawn from until a candidate is accepted."""
-    farms = design.floorplan.farms
+def farm_neighbours(farms: tuple[TsvFarm, ...], index: int) -> tuple:
+    """(k, name, first shared layer) of every other farm k that shares a layer
+    with farm `index`, in floorplan order; farms never change layers."""
     start, end = farms[index].start_layer, farms[index].end_layer
-    return [(other.name, max(start, other.start_layer), other.rect)
-            for k, other in enumerate(farms)
-            if k != index and other.start_layer <= end and start <= other.end_layer]
+    return tuple((k, other.name, max(start, other.start_layer))
+                 for k, other in enumerate(farms)
+                 if k != index and other.start_layer <= end and start <= other.end_layer)
 
 
-def farm_overlap(design: Design, index: int, rect) -> str | None:
-    """Why farm `index` cannot take `rect` for another farm on a shared
-    layer, or None if no other farm is in the way."""
+def farm_overlap(neighbours: tuple, rects, rect) -> str | None:
+    """Why a farm cannot take `rect` for one of its farm_neighbours, each at
+    its (x, y, width, height) in rects, or None if none is in the way."""
     x0, _, x1, _ = rect
-    for name, layer, other in _farm_neighbours(design, index):
+    for k, name, layer in neighbours:
+        ox, oy, width, height = rects[k]
         # a cheaper necessary condition first: the x spans cross by > RECT_EPS
-        if x1 - other[0] > RECT_EPS and other[2] - x0 > RECT_EPS and rects_overlap(rect, other):
+        if (x1 - ox > RECT_EPS and ox + width - x0 > RECT_EPS
+                and rects_overlap(rect, (ox, oy, ox + width, oy + height))):
             return f"overlaps {name} on layer {layer}"
     return None
 
@@ -485,22 +436,11 @@ def placement_conflict(design: Design, index: int, rect) -> str | None:
     The one legality rule of a farm rectangle: fixed_conflict's, then
     farm_overlap's.
     """
-    farm = design.floorplan.farms[index]
-    reason = fixed_conflict(design.stack, design.floorplan.blocks, farm.start_layer,
-                            farm.end_layer, rect)
-    return reason if reason is not None else farm_overlap(design, index, rect)
-
-
-def with_farm_rect(design: Design, index: int, x: float, y: float,
-                   width: float, height: float) -> Design:
-    """The design with farm `index` given a new rectangle, unchecked: the
-    caller has found it legal (placement_conflict)."""
-    fp = design.floorplan
-    farm = fp.farms[index]
-    candidate = TsvFarm(farm.name, x, y, width, height, farm.start_layer, farm.end_layer,
-                        farm.k_lateral, farm.k_metal, farm.area, farm.clients)
-    farms = fp.farms[:index] + (candidate,) + fp.farms[index + 1:]
-    return Design(design.stack, Floorplan(fp.blocks, farms), design.materials)
+    farms = design.floorplan.farms
+    reason = fixed_conflict(design.stack, design.floorplan.blocks, farms[index].start_layer,
+                            farms[index].end_layer, rect)
+    return reason if reason is not None else farm_overlap(
+        farm_neighbours(farms, index), [(f.x, f.y, f.width, f.height) for f in farms], rect)
 
 
 def origin_lattice(stack: Stack, width: float, height: float, cell: float) -> tuple[int, int]:
@@ -518,27 +458,20 @@ def legal_origins(stack: Stack, blocks: tuple[Block, ...], width: float, height:
 
     It is fixed_conflict vectorized: the same floats (ix * cell, x +
     width), comparisons and eps, so a raster cell is legal exactly when the
-    scalar check passes. Memoized per blocks tuple with the block hits.
+    scalar check passes.
     """
-    origins = _BLOCK_HITS.of(blocks).origins
-    key = (stack.footprint, width, height, start, end, cell)
-    flat = origins.get(key)
-    if flat is not None:
-        return flat
-    if len(origins) >= ORIGIN_MEMO_ENTRIES:
-        origins.clear()
     nx, ny = origin_lattice(stack, width, height, cell)
     fw, fh = stack.footprint
     tol = _footprint_tol(stack)
     x0, y0 = np.arange(nx) * cell, np.arange(ny) * cell
     x1, y1 = x0 + width, y0 + height
     free = np.outer((x0 >= -tol) & (x1 <= fw + tol), (y0 >= -tol) & (y1 <= fh + tol))
-    by_layer = _block_rects_by_layer(blocks)
-    for layer in range(start, end + 1):
-        for _, (bx0, by0, bx1, by1) in by_layer.get(layer, ()):
+    for b in blocks:
+        if start <= b.layer <= end:
+            bx0, by0, bx1, by1 = b.rect
             free &= ~np.outer(np.minimum(x1, bx1) - np.maximum(x0, bx0) > RECT_EPS,
                               np.minimum(y1, by1) - np.maximum(y0, by0) > RECT_EPS)
-    flat = origins[key] = np.flatnonzero(free)
+    flat = np.flatnonzero(free)
     flat.flags.writeable = False
     return flat
 
@@ -551,9 +484,11 @@ def _place_farm(design: Design, index: int, x: float, y: float,
     rectangle is not legal; the farm is only rebuilt once legal.
     """
     reason = placement_conflict(design, index, (x, y, x + width, y + height))
+    farms = list(design.floorplan.farms)
     if reason is not None:
-        raise InvalidMoveError(f"{design.floorplan.farms[index].name}: {reason}")
-    return with_farm_rect(design, index, x, y, width, height)
+        raise InvalidMoveError(f"{farms[index].name}: {reason}")
+    farms[index] = farms[index].placed(x, y, width, height)
+    return design.with_floorplan(Floorplan(design.floorplan.blocks, tuple(farms)))
 
 
 def _farm_index(floorplan: Floorplan, farm: str | int) -> int:

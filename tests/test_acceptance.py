@@ -238,7 +238,7 @@ def test_criterion_8_exhaustive_oracle():
 
     field0 = couple_leakage(coarse, grid).field
     weights = CostWeights.calibrated(coarse, field0)
-    evaluator = Evaluator(grid, weights)
+    evaluator = Evaluator(coarse, grid, weights)
 
     farm0 = coarse.floorplan.farm("bus_e")
     cell = grid.cell_size
@@ -250,23 +250,20 @@ def test_criterion_8_exhaustive_oracle():
         height = math.sqrt(farm0.area / ratio)
         for ix in range(int((fw - width) / cell + 1e-9) + 1):
             for iy in range(int((fh - height) / cell + 1e-9) + 1):
-                candidate = dataclasses.replace(
-                    farm0, x=ix * cell, y=iy * cell, width=width, height=height)
-                trial = coarse.with_floorplan(
-                    dataclasses.replace(fp, farms=(candidate,)))
-                if validate(trial):
+                state = ((ix * cell, iy * cell, width, height),)
+                if validate(evaluator.design_of(state)):
                     continue
                 configs += 1
-                cost_value = evaluator.cost(trial)
+                cost_value = evaluator.cost(state)
                 if best_cost is None or cost_value < best_cost:
                     best_cost = cost_value
     assert configs <= 10_000
 
     def propose(state, rng):
-        return gen_move(state, ["bus_e"], rng, grid)
+        return gen_move(evaluator, state, [0], rng)
 
     trace = RunTrace()
-    _, sa_cost = sa_placement(coarse, evaluator.cost, propose,
+    _, sa_cost = sa_placement(evaluator.state_of(coarse), evaluator.cost, propose,
                               AnnealConfig(seed=4, max_moves=60),
                               np.random.default_rng(4), trace)
     gap = (sa_cost - best_cost) / abs(best_cost)

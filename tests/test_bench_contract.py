@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsvplan import anneal, model
+from tsvplan import anneal
 from tsvplan.benchmarks import blockage_design, multicore_design
 from tsvplan.thermal import grid_for, solve_field
 
@@ -81,12 +81,11 @@ def test_every_candidate_goes_through_the_module_gen_move(monkeypatch):
     calls = []
     inner = anneal.gen_move
 
-    def counted(design, *args):
-        memo = model._BLOCK_HITS
+    def counted(context, *args):
         if not calls:
-            assert memo.blocks is not design.floorplan.blocks or not memo.origins
-        calls.append(design)
-        return inner(design, *args)
+            assert not context._origins and not context._groups
+        calls.append(args)
+        return inner(context, *args)
 
     monkeypatch.setattr(anneal, "gen_move", counted)
     design = multicore_design()

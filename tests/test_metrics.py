@@ -1,12 +1,12 @@
-import dataclasses
+from collections import defaultdict
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tsvplan import anneal, metrics, model
-from tsvplan.anneal import gen_move
+from tsvplan import anneal, metrics
+from tsvplan.anneal import Evaluator, gen_move
 from tsvplan.benchmarks import BUILDERS
 from tsvplan.metrics import (CostWeights, adjacent_block_pairs, combine,
                              conduction_efficiency, cost, floorplan_area,
@@ -184,8 +184,7 @@ class TestTotalEfficiency:
         if name == "tenths":
             # ten unblocked pairs whose farm-free terms are 0.1 each
             terms = [0.1] * 10
-            tenths = dataclasses.replace(table, faces=(), free=tuple(terms),
-                                         entries={}, terms={})
+            tenths = table._replace(faces=(), free=tuple(terms))
             monkeypatch.setattr(metrics, "strip_table", lambda blocks, stack: tenths)
         left = 0.0
         for term in terms:
@@ -265,30 +264,29 @@ def batch_cost(design, weights=WEIGHTS):
                    batch_wirelength(design))
 
 
-def _random_walk(design, steps, seed):
-    """Candidates of an always-accepting random move/reshape walk over every
-    farm, drawn by the annealer's own move generator."""
-    names = [f.name for f in design.floorplan.farms]
-    grid = grid_for(design.stack)
+def _walk(design, steps, seed):
+    """An always-accepting random move/reshape walk over every farm, drawn by
+    the annealer's own move generator through one search context; yields the
+    context and each candidate state."""
+    ev = Evaluator(design, grid_for(design.stack), WEIGHTS)
+    state = ev.state_of(design)
+    eligible = list(range(len(design.floorplan.farms)))
     rng = np.random.default_rng(seed)
     for _ in range(steps):
-        design, kind, _ = gen_move(design, names, rng, grid)
+        state, kind, _ = gen_move(ev, state, eligible, rng)
         if kind != "null":
-            yield design
+            yield ev, state
 
 
-def _memo_sizes(design):
-    """Sizes of the per-farm and per-pair memos that price this design, and of
-    the move groups' memo."""
-    table = strip_table(design.floorplan.blocks, design.stack)
-    _, clients = metrics._client_memo(design.floorplan.blocks)
-    return (len(table.entries), len(table.terms), len(clients),
-            len(anneal._FARM_MOVES.groups))
+def _memos(ev):
+    """Every memo of a search context."""
+    return ev._priced, ev._rows, ev._terms, ev._groups, ev._origins
 
 
 class TestPerFarmRows:
-    """total_efficiency and cost fold memoized per-farm and per-pair terms;
-    the batch formulas above are the oracle they must match bit for bit."""
+    """total_efficiency, cost and a search context's pricing fold per-farm
+    and per-pair terms, memoized in the context; the batch formulas above are
+    the oracle they must match bit for bit."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(1, 16),
@@ -312,45 +310,59 @@ class TestPerFarmRows:
         design = make_design(blocks=blocks, farms=farms, num_layers=3,
                              tech=make_tech(adjacency_window=2.0 * MM))
         expected = batch_efficiency(design), batch_cost(design)
-        for _ in range(2):   # the first call fills the memos, the second reads them
+        ev = Evaluator(design, grid_for(design.stack), WEIGHTS)
+        for _ in range(2):   # the first call fills the context's memos, the second reads them
             again = make_design(blocks=blocks, farms=farms, num_layers=3,
                                 tech=design.stack.tech)
             assert total_efficiency(design) == expected[0]
             assert cost(design, WEIGHTS) == cost(again, WEIGHTS) == expected[1]
+            assert ev.breakdown(ev.state_of(again)) == expected[1]
 
     @pytest.mark.parametrize("name", sorted(BUILDERS))
     def test_matches_the_batch_formula_across_a_start_over(self, name, monkeypatch):
-        # a walk this long meets 130-320 distinct farm states; the smaller caps
-        # make every memo start over within it
-        monkeypatch.setattr(metrics, "TERM_MEMO_ENTRIES", 16)
-        monkeypatch.setattr(anneal, "FARM_MEMO_ENTRIES", 16)
-        design = BUILDERS[name]()
-        sizes = []
-        for candidate in _random_walk(design, 800, seed=3):
-            assert total_efficiency(candidate) == batch_efficiency(candidate)
-            assert cost(candidate, WEIGHTS) == batch_cost(candidate)
-            sizes.append(_memo_sizes(candidate))
-        assert max(max(s) for s in sizes) <= 16
-        for memo in zip(*sizes):
-            assert any(b < a for a, b in zip(memo, memo[1:])), "a memo never started over"
+        # a walk this long meets 130-320 distinct farm states, and each design
+        # has at least three farm shapes, so with a cap of 2 every memo of the
+        # context starts over within it
+        monkeypatch.setattr(anneal, "MEMO_ENTRIES", 2)
+        sizes = defaultdict(list)   # id(memo) -> its size after each lookup
+        inner = anneal._recall
+
+        def recall(memo, *args):
+            value = inner(memo, *args)
+            sizes[id(memo)].append(len(memo))
+            return value
+        monkeypatch.setattr(anneal, "_recall", recall)
+        for ev, state in _walk(BUILDERS[name](), 800, seed=3):
+            candidate = ev.design_of(state)
+            assert ev.breakdown(state) == cost(candidate, WEIGHTS) == batch_cost(candidate)
+        for memo in _memos(ev):
+            seen = sizes[id(memo)]
+            assert max(seen) <= 2
+            assert any(b < a for a, b in zip(seen, seen[1:])), "a memo never started over"
 
     def test_memos_stay_within_their_caps(self, monkeypatch):
-        monkeypatch.setattr(metrics, "TERM_MEMO_ENTRIES", 16)
-        monkeypatch.setattr(model, "BLOCK_MEMO_ENTRIES", 64)
-        design = BUILDERS["multicore"]()
+        monkeypatch.setattr(anneal, "MEMO_ENTRIES", 16)
         sizes = []
-        for candidate in _random_walk(design, 400, seed=5):
-            cost(candidate, WEIGHTS)
-            sizes.append(_memo_sizes(candidate)[:3] + (len(model._BLOCK_HITS.hits),))
-        assert max(max(s[:3]) for s in sizes) <= 16
-        assert max(s[3] for s in sizes) <= 64
-        for memo in zip(*sizes):
+        for ev, state in _walk(BUILDERS["multicore"](), 400, seed=5):
+            ev.cost(state)
+            sizes.append(tuple(len(memo) for memo in _memos(ev)))
+        assert max(max(s) for s in sizes) <= 16
+        # the memos keyed on farm rectangles outgrow the cap and start over;
+        # legal_origins' is keyed on the farm shapes, of which there are three
+        for memo in list(zip(*sizes))[:4]:
             assert any(b < a for a, b in zip(memo, memo[1:]))
-        # several blocks tuples, walked one after another as a sweep's points
-        # are, then interleaved, stay within the one cap all together
+        # several contexts, walked one after another as a sweep's points are,
+        # then interleaved, each stay within the cap and share no memo
+        def largest(ev, state):
+            ev.cost(state)
+            return ev, max(len(memo) for memo in _memos(ev))
+
         names = sorted(BUILDERS)
-        walks = [_random_walk(BUILDERS[name](), 150, seed=6) for name in names]
-        sizes = [len(model._BLOCK_HITS.hits) for walk in walks for _ in walk]
-        interleaved = zip(*[_random_walk(BUILDERS[name](), 150, seed=7) for name in names])
-        sizes += [len(model._BLOCK_HITS.hits) for _ in interleaved]
-        assert max(sizes) <= 64
+        walks = [_walk(BUILDERS[name](), 150, seed=6) for name in names]
+        steps = [largest(ev, state) for walk in walks for ev, state in walk]
+        interleaved = zip(*[_walk(BUILDERS[name](), 150, seed=7) for name in names])
+        steps += [largest(ev, state) for step in interleaved for ev, state in step]
+        assert max(size for _, size in steps) <= 16
+        contexts = list({id(ev): ev for ev, _ in steps}.values())
+        assert len(contexts) == 2 * len(names)
+        assert len({id(memo) for ev in contexts for memo in _memos(ev)}) == 5 * len(contexts)

@@ -9,10 +9,12 @@ from tsvplan.benchmarks import BUILDERS, blockage_design
 from tsvplan.errors import InvalidMoveError
 import numpy as np
 
-from tsvplan.anneal import gen_move
-from tsvplan.model import (Block, Floorplan, Material, TsvFarm, _place_farm, farm_overlap,
-                           fixed_conflict, legal_origins, move_farm, origin_lattice,
-                           placement_conflict, rects_overlap, reshape_farm, validate)
+from tsvplan.anneal import Evaluator, gen_move
+from tsvplan.metrics import CostWeights
+from tsvplan.model import (Block, Floorplan, Material, TsvFarm, _place_farm, farm_neighbours,
+                           farm_overlap, fixed_conflict, legal_origins, move_farm,
+                           origin_lattice, placement_conflict, rects_overlap, reshape_farm,
+                           validate)
 from tsvplan.thermal import grid_for
 
 from conftest import MM, UM, block, farm, make_design, make_tech
@@ -269,9 +271,8 @@ def test_rects_overlap_matches_oracle():
         assert rects_overlap(a, b) == rect_intersects(a, b)
 
 
-# one design object per builder for the whole session, so the legality memo
-# keeps its entries across examples and repeat draws read them; every shipped
-# farm spans layers 0-1, so a three-layer design adds farms of other spans
+# one design object per builder for the whole session; every shipped farm
+# spans layers 0-1, so a three-layer design adds farms of other spans
 DESIGNS = {name: builder() for name, builder in sorted(BUILDERS.items())}
 DESIGNS["mixed-spans"] = make_design(
     blocks=(block("a", 0, 0.2, 0.2, 0.6, 0.6), block("b", 1, 1.0, 0.2, 0.6, 0.6),
@@ -316,11 +317,12 @@ def overlap_by_scan(design, index, rect):
 @given(st.sampled_from(sorted(DESIGNS)), st.integers(0, 2 ** 32 - 1), st.data())
 def test_neighbour_overlap_agrees_with_placement_conflict(name, seed, data):
     design = DESIGNS[name]
-    farms = design.floorplan.farms
-    grid = grid_for(design.stack)
+    ev = Evaluator(design, grid_for(design.stack), CostWeights(0.0, -1.0, 0.0, 0.0))
+    state = ev.state_of(design)
     rng = np.random.default_rng(seed)
     for _ in range(data.draw(st.integers(0, 40), label="walk")):   # a random state
-        design, _, _ = gen_move(design, [f.name for f in farms], rng, grid)
+        state, _, _ = gen_move(ev, state, list(range(len(state))), rng)
+    design = ev.design_of(state)
     half = design.stack.tech.grid_cell / 2
     sides = st.sampled_from(["none", "east", "west", "north", "south"])
     # every farm, placed next to every farm: on the half-cell lattice around
@@ -334,28 +336,37 @@ def test_neighbour_overlap_agrees_with_placement_conflict(name, seed, data):
             y = {"north": near.y + near.height, "south": near.y - moved.height}.get(side, y)
             rect = (x, y, x + moved.width, y + moved.height)
             expected = overlap_by_scan(design, index, rect)
-            assert farm_overlap(design, index, rect) == expected
+            assert farm_overlap(farm_neighbours(design.floorplan.farms, index), state,
+                                rect) == expected
             fixed = fixed_conflict(design.stack, design.floorplan.blocks, moved.start_layer,
                                    moved.end_layer, rect)
             assert placement_conflict(design, index, rect) == (
                 fixed if fixed is not None else expected)
 
 
+def test_fixed_conflict_names_the_first_block_layer_by_layer():
+    d = make_design(blocks=(block("upper", 1, 0.8, 0.8, 0.4, 0.4),
+                            block("lower", 0, 0.9, 0.9, 0.4, 0.4),
+                            block("lower2", 0, 0.6, 0.6, 0.4, 0.4)))
+    rect = (0.8 * MM, 0.8 * MM, 1.2 * MM, 1.2 * MM)
+    assert fixed_conflict(d.stack, d.floorplan.blocks, 0, 1, rect) == "overlaps lower on layer 0"
+    assert fixed_conflict(d.stack, d.floorplan.blocks, 1, 1, rect) == "overlaps upper on layer 1"
+    assert fixed_conflict(d.stack, d.floorplan.blocks, 0, 1, (1.8 * MM, 0.0, 2.2 * MM, 0.4 * MM)) \
+        == "leaves footprint"
+
+
 def _place_as_the_full_scan_says(design, index, rect):
     """_place_farm's verdict on rect for farm index, checked against the full
-    scan twice (the first call may fill the memo; the second reads it);
-    returns the placed design, or None when illegal."""
+    scan; returns the placed design, or None when illegal."""
     expected = legal_by_full_scan(design, index, rect)
-    placed = None
-    for _ in range(2):
-        try:
-            placed = _place_farm(design, index, rect[0], rect[1],
-                                 rect[2] - rect[0], rect[3] - rect[1])
-        except InvalidMoveError:
-            assert not expected
-        else:
-            assert expected
-            assert placed.floorplan.farms[index].rect == rect
+    try:
+        placed = _place_farm(design, index, rect[0], rect[1],
+                             rect[2] - rect[0], rect[3] - rect[1])
+    except InvalidMoveError:
+        assert not expected
+        return None
+    assert expected
+    assert placed.floorplan.farms[index].rect == rect
     return placed
 
 
@@ -394,8 +405,8 @@ def test_memoized_legality_matches_a_full_scan(name, data):
                       if k != index and (f.width, f.height) == (width, height)]
         for k in same_shape:
             _place_as_the_full_scan_says(design, k, rect)
-        # and for the first farm of every other design: the same memo key under
-        # another blocks tuple, whose answer may differ
+        # and for the first farm of every other design: the same rectangle
+        # under another blocks tuple, whose answer may differ
         for other in designs:
             if other != name:
                 _place_as_the_full_scan_says(designs[other], 0, rect)

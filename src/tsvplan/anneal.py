@@ -3,10 +3,11 @@ stack-level loop that keeps the floorplan with the best whole-stack average
 temperature.
 
 Blocks never move, so a run's Evaluator holds everything the search never
-changes, and the annealing state is only a tuple of farm rectangles
-(x, y, width, height), one per farm in floorplan order. A Design is built
-from a state only at a layer pass's edges, for the solves, the summaries and
-the output.
+changes, and a state is only a tuple of farm rectangles (x, y, width,
+height), one per farm in floorplan order. Layer passes and the stack-level
+loop carry states; the Evaluator solves each distinct state once and keeps
+its field for the run. A Design is built from a state only for a solve, an
+outer iteration's summary and the output.
 
 The annealing chain is sequential by nature; all randomness flows from one
 numpy PCG64 generator seeded from the config so traces replay exactly.
@@ -27,7 +28,7 @@ from .metrics import (CostBreakdown, CostWeights, block_centers, face_term,
                       farm_row, floorplan_area, price, strip_table, wirelength)
 from .model import (Design, Floorplan, bounding_box_of, farm_neighbours, farm_overlap,
                     fixed_conflict, legal_origins, origin_lattice)
-from .thermal import GridSpec, TemperatureField, field_stats, grid_for, solve_field
+from .thermal import GridSpec, TemperatureField, couple_leakage, field_stats, grid_for
 
 RNG_KIND = "numpy-PCG64"  # echoed into reports so traces are replayable
 PROBE_MOVES = 100  # candidates drawn to calibrate an unset t_initial
@@ -263,14 +264,15 @@ class Evaluator:
     It holds what the search never changes (stack, blocks, the f_H strip
     table, the blocks' bounding box and centres, each farm's fixed fields
     and its same-layer neighbours) and memoizes what depends on the farm
-    rectangles, each memo bounded by MEMO_ENTRIES: the cost of each state,
-    each farm's cost row and move groups on (farm index, rect), each blocked
-    pair's term, and legal_origins' rasters. Every memo fills lazily.
-    breakdown and cost price a state, counting the evaluations; solve
-    returns a Design's cold field on the run's grid.
+    rectangles, each memo bounded by MEMO_ENTRIES: the field and the cost of
+    each state, each farm's cost row and move groups on (farm index, rect),
+    each blocked pair's term, and legal_origins' rasters. Every memo fills
+    lazily. solve returns a state's field on the run's grid; breakdown and
+    cost price a state under weights, which must be set before the first
+    price, and count the evaluations.
     """
 
-    def __init__(self, design: Design, grid: GridSpec, weights: CostWeights):
+    def __init__(self, design: Design, grid: GridSpec, weights: CostWeights | None = None):
         fp = design.floorplan
         self.design, self.grid, self.weights = design, grid, weights
         self.farms = fp.farms
@@ -280,6 +282,7 @@ class Evaluator:
         # min and max are exact: the blocks' box prices like all their rects
         self.fixed = [bounding_box_of([b.rect for b in fp.blocks])] if fp.blocks else []
         self.evaluations = 0
+        self._fields: dict = {}    # state -> read-only TemperatureField
         self._priced: dict = {}    # state -> CostBreakdown
         self._rows: dict = {}      # (index, rect) -> FarmRow
         self._terms: dict = {}     # a blocked pair's hits -> its term
@@ -294,8 +297,13 @@ class Evaluator:
         farms = tuple(f.placed(*rect) for f, rect in zip(self.farms, state))
         return self.design.with_floorplan(Floorplan(self.design.floorplan.blocks, farms))
 
-    def solve(self, design: Design) -> TemperatureField:
-        return solve_field(design, self.grid)
+    def solve(self, state: tuple) -> TemperatureField:
+        return _recall(self._fields, state, self._solve, state)
+
+    def _solve(self, state: tuple) -> TemperatureField:
+        field = couple_leakage(self.design_of(state), self.grid).field
+        field.t.flags.writeable = False
+        return field
 
     def breakdown(self, state: tuple) -> CostBreakdown:
         self.evaluations += 1
@@ -372,14 +380,11 @@ class DesignSummary:
     layer_peaks: tuple[float, ...]
 
 
-def summarize(design: Design, grid: GridSpec) -> tuple[DesignSummary, TemperatureField]:
-    """Cold solve plus metrics; the report path, and what `analyze` prints.
-
-    Returns the summary and the solved field it was computed from.
-    """
-    field = solve_field(design, grid)
+def summarize(design: Design, grid: GridSpec, field: TemperatureField) -> DesignSummary:
+    """A design's metrics from its field on grid; the report path, and what
+    `analyze` prints."""
     stats = field_stats(field, design, grid)
-    summary = DesignSummary(
+    return DesignSummary(
         wirelength=wirelength(design),
         area=floorplan_area(design.floorplan),
         average=stats.average,
@@ -389,7 +394,6 @@ def summarize(design: Design, grid: GridSpec) -> tuple[DesignSummary, Temperatur
         per_layer_average=tuple(float(layer.mean()) for layer in field.t),
         layer_peaks=tuple(float(layer.max()) for layer in field.t),
     )
-    return summary, field
 
 
 @dataclass
@@ -401,28 +405,25 @@ class OptimizeResult:
     before: DesignSummary
     after: DesignSummary
     evaluations: int
-    before_field: TemperatureField   # the cold solves behind before/after
+    before_field: TemperatureField   # the fields behind before/after
     after_field: TemperatureField
 
 
-def layer_pass(design: Design, layer: int, evaluator: Evaluator,
-               config: AnnealConfig, rng, trace: RunTrace, outer: int) -> Design:
+def layer_pass(state: tuple, layer: int, evaluator: Evaluator,
+               config: AnnealConfig, rng, trace: RunTrace, outer: int) -> tuple:
     """Anneal the farms that start on one layer; identity pass when none do.
-    The input itself is returned when no state beats it. The record reads
-    the cold fields of the input and of the best floorplan."""
-    eligible = [k for k, f in enumerate(design.floorplan.farms) if f.start_layer == layer]
-    pre = evaluator.solve(design)
-    best = design
+    Returns the best state seen, the input itself when none beats it. The
+    record reads the fields of the input and of the returned state."""
+    eligible = [k for k, f in enumerate(evaluator.farms) if f.start_layer == layer]
+    pre = evaluator.solve(state)
+    best = state
     moves_before = len(trace.moves)
     if eligible:
-        def propose(state, r):
-            return gen_move(evaluator, state, eligible, r)
+        def propose(candidate, r):
+            return gen_move(evaluator, candidate, eligible, r)
 
-        start = evaluator.state_of(design)
-        state, _ = sa_placement(start, evaluator.cost, propose, config, rng,
-                                trace, outer=outer, layer=layer)
-        if state != start:
-            best = evaluator.design_of(state)
+        best, _ = sa_placement(state, evaluator.cost, propose, config, rng,
+                               trace, outer=outer, layer=layer)
     new_moves = trace.moves[moves_before:]
     post = evaluator.solve(best)
     trace.passes.append(PassRecord(
@@ -439,29 +440,31 @@ def optimize_stack(design: Design, anneal: AnnealConfig = AnnealConfig(),
                    ratio_target: float | None = None) -> OptimizeResult:
     """Run the full two-loop flow and return the floorplan with the largest
     whole-stack average-temperature reduction (the input if nothing improves).
-    Unset weights are calibrated from the input's cold field; ratio_target,
+    Unset weights are calibrated from the input's field; ratio_target,
     when set, replaces the weights' target bounding ratio."""
     grid = grid_for(design.stack, flow.cell_size)
-    before, before_field = summarize(design, grid)
+    evaluator = Evaluator(design, grid)
+    current = evaluator.state_of(design)
+    before_field = evaluator.solve(current)
     if weights is None:
         weights = CostWeights.calibrated(design, before_field)
     if ratio_target is not None:
         weights = replace(weights, ratio_target=ratio_target)
-    evaluator = Evaluator(design, grid, weights)
+    evaluator.weights = weights
+    before = summarize(design, grid, before_field)
 
     rng = np.random.default_rng(anneal.seed)
     trace = RunTrace()
-    current = design
-    best_design, best = design, (before, before_field)
+    best, after, after_field = design, before, before_field
 
     for outer in range(1, flow.outer_iterations + 1):
         for layer in range(design.stack.num_layers):
             current = layer_pass(current, layer, evaluator, anneal, rng, trace, outer)
-        snapshot = summarize(current, grid)
-        if snapshot[0].average < best[0].average:
-            best_design, best = current, snapshot
-        trace.outers.append(OuterRecord(outer, snapshot[0].average, best[0].average))
+        snapshot_design, field = evaluator.design_of(current), evaluator.solve(current)
+        snapshot = summarize(snapshot_design, grid, field)
+        if snapshot.average < after.average:
+            best, after, after_field = snapshot_design, snapshot, field
+        trace.outers.append(OuterRecord(outer, snapshot.average, after.average))
 
-    after, after_field = best
-    return OptimizeResult(best_design, trace, weights, grid, before, after,
+    return OptimizeResult(best, trace, weights, grid, before, after,
                           evaluator.evaluations, before_field, after_field)

@@ -23,7 +23,7 @@ from .errors import DesignError, SolverError
 from .metrics import CostWeights
 from .model import require_valid, validate
 from .sweeps import default_values, format_sweep_table, run_sweep
-from .thermal import grid_for
+from .thermal import couple_leakage, grid_for
 from .units import parse_float, parse_length
 
 
@@ -125,7 +125,8 @@ def analyze(design_path, grid_cell, leakage_lambda, out_dir):
     """Solve the thermal field of a design and write per-layer map files."""
     design = _with_leakage(parse_design(design_path), leakage_lambda)
     grid = grid_for(design.stack, parse_length(grid_cell) if grid_cell else None)
-    summary, field = summarize(design, grid)
+    field = couple_leakage(design, grid).field
+    summary = summarize(design, grid, field)
     paths = write_thermal_maps(field, grid, out_dir)
     line = f"peakT {summary.peak:.4f} K  avgT {summary.average:.4f} K"
     if summary.hottest_block:

@@ -134,31 +134,7 @@ class Net:
     clients: tuple[str, ...]
 
 
-CACHE_ENTRIES = 16  # per cache_by_identity function; a full cache starts over
-RECT_EPS = 1e-12           # m; see rects_overlap
-
-
-def cache_by_identity(fn):
-    """Memoize fn on the identity of its arguments, which must be immutable.
-
-    Looking a design up by id costs far less than hashing its frozen
-    dataclasses, and the flow hands the same design objects from one stage
-    to the next. Each entry keeps its arguments alive, so an id cannot be
-    reused while it is cached. cache_clear() empties the cache.
-    """
-    cache: dict = {}
-
-    @functools.wraps(fn)
-    def cached(*args):
-        key = tuple(map(id, args))
-        entry = cache.get(key)
-        if entry is None:
-            if len(cache) >= CACHE_ENTRIES:
-                cache.clear()
-            entry = cache[key] = (args, fn(*args))
-        return entry[1]
-    cached.cache_clear = cache.clear
-    return cached
+RECT_EPS = 1e-12  # m; see rects_overlap
 
 
 def bounding_box_of(rects) -> tuple[float, float, float, float]:
@@ -491,18 +467,14 @@ def _place_farm(design: Design, index: int, x: float, y: float,
     return design.with_floorplan(Floorplan(design.floorplan.blocks, tuple(farms)))
 
 
-def _farm_index(floorplan: Floorplan, farm: str | int) -> int:
-    return farm if isinstance(farm, int) else floorplan.farm_index(farm)
+def reshape_farm(design: Design, farm: str, ratio: float) -> Design:
+    """Change the named farm's aspect ratio, conserving area, anchored at the
+    lower-left.
 
-
-def reshape_farm(design: Design, farm: str | int, ratio: float) -> Design:
-    """Change a farm's aspect ratio, conserving area, anchored at the lower-left.
-
-    The farm is given by name or by its index in the floorplan's farms.
     Raises InvalidMoveError if the reshaped rectangle leaves the footprint or
     collides on any spanned layer.
     """
-    index = _farm_index(design.floorplan, farm)
+    index = design.floorplan.farm_index(farm)
     farm = design.floorplan.farms[index]
     if not any(abs(ratio - r) <= 1e-9 * r for r in design.stack.tech.aspect_ratios):
         raise InvalidMoveError(f"{farm.name}: ratio {ratio} not a configured candidate")
@@ -511,12 +483,11 @@ def reshape_farm(design: Design, farm: str | int, ratio: float) -> Design:
     return _place_farm(design, index, farm.x, farm.y, width, height)
 
 
-def move_farm(design: Design, farm: str | int, origin: tuple[float, float]) -> Design:
-    """Translate a farm, given by name or by index, to a new lower-left origin
-    on all spanned layers.
+def move_farm(design: Design, farm: str, origin: tuple[float, float]) -> Design:
+    """Translate the named farm to a new lower-left origin on all spanned layers.
 
     Raises InvalidMoveError on footprint exit or overlap on any spanned layer.
     """
-    index = _farm_index(design.floorplan, farm)
+    index = design.floorplan.farm_index(farm)
     farm = design.floorplan.farms[index]
     return _place_farm(design, index, origin[0], origin[1], farm.width, farm.height)

@@ -13,11 +13,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GridError, SingularNetworkError, SolverError, ThermalRunawayError
-from .model import Design, Stack, cache_by_identity
+from .model import Design, Stack
 
 RESIDUAL_RTOL = 1e-8  # on the infinity norm, relative to max(max cell power, 1 W)
 # CG iterations a design solve may spend, per unknown: one solve at reference
@@ -604,8 +605,7 @@ class LeakageOperator:
         return self.matrix @ x - self.leakage(x)
 
 
-@dataclass(frozen=True)
-class LeakageSolve:
+class LeakageSolve(NamedTuple):
     field: TemperatureField
     iterations: int  # solves: 1 when no leakage feeds back, else 2
 
@@ -658,18 +658,7 @@ def couple_leakage(design: Design, grid: GridSpec) -> LeakageSolve:
     return LeakageSolve(field, 2)
 
 
-@cache_by_identity
-def solve_field(design: Design, grid: GridSpec) -> TemperatureField:
-    """The design's field, from couple_leakage: it depends only on the design
-    and the grid, so it is kept per (design, grid) object pair, by
-    cache_by_identity, and returned read-only to every later caller."""
-    field = couple_leakage(design, grid).field
-    field.t.flags.writeable = False
-    return field
-
-
-@dataclass(frozen=True)
-class FieldStats:
+class FieldStats(NamedTuple):
     peak: float
     average: float
     hottest_block: str | None

@@ -430,9 +430,10 @@ class TestLayerPass:
         d = _hotspot_design()
         ev = context(d)
         trace = RunTrace()
-        out = layer_pass(d, 1, ev, AnnealConfig(seed=0), np.random.default_rng(0),
+        state = ev.state_of(d)
+        out = layer_pass(state, 1, ev, AnnealConfig(seed=0), np.random.default_rng(0),
                          trace, outer=1)
-        assert out is d
+        assert out is state
         assert trace.passes[-1].eligible == 0 and trace.passes[-1].moves == 0
 
     def test_pass_reduces_layer_peak_when_an_improving_move_exists(self):
@@ -514,8 +515,8 @@ class TestOptimizeStack:
         ev = CheckingEvaluator(d, grid_for(d.stack), CostWeights(0.0, -1.0, 0.0, 0.0))
         trace = RunTrace()
         rng = np.random.default_rng(4)
-        layer_pass(d, 0, ev, AnnealConfig(seed=4, max_moves=8, t_initial=1e-4,
-                                          t_threshold=1e-5), rng, trace, outer=1)
+        layer_pass(ev.state_of(d), 0, ev, AnnealConfig(seed=4, max_moves=8, t_initial=1e-4,
+                                                       t_threshold=1e-5), rng, trace, outer=1)
         assert len(seen) > 10
 
     def test_best_cost_curve_non_increasing_full_run(self):
@@ -609,11 +610,12 @@ class TestEvaluatorMemo:
 
 def test_a_pass_without_a_better_state_returns_its_input():
     # every state costs 0, so none beats the input and the pass hands the
-    # same object on, whose cold field the next pass finds cached
+    # same state on, whose field the next pass finds in the context
     d = _hotspot_design()
     ev = context(d, CostWeights(0.0, 0.0, 0.0, 0.0))
     trace = RunTrace()
-    out = layer_pass(d, 0, ev, AnnealConfig(seed=0, max_moves=5, t_initial=1.0),
+    state = ev.state_of(d)
+    out = layer_pass(state, 0, ev, AnnealConfig(seed=0, max_moves=5, t_initial=1.0),
                      np.random.default_rng(0), trace, outer=1)
-    assert out is d
+    assert out is state
     assert trace.passes[-1].moves > 0 and ev.evaluations > 0

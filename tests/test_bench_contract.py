@@ -19,7 +19,7 @@ import pytest
 
 from tsvplan import anneal
 from tsvplan.benchmarks import blockage_design, multicore_design
-from tsvplan.thermal import grid_for, solve_field
+from tsvplan.thermal import grid_for
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -70,7 +70,9 @@ def test_checks_resolve_balances_energy_and_matches_solve_field(leakage):
     grid = grid_for(design.stack)
     field, imbalance = checks.resolve(design, grid)
     assert imbalance <= checks.ENERGY_RTOL
-    assert np.abs(field.t - solve_field(design, grid).t).max() <= checks.TEMPERATURE_TOL_K
+    context = anneal.Evaluator(design, grid)   # the field a run reads
+    solved = context.solve(context.state_of(design))
+    assert np.abs(field.t - solved.t).max() <= checks.TEMPERATURE_TOL_K
 
 
 def test_every_candidate_goes_through_the_module_gen_move(monkeypatch):

@@ -212,9 +212,10 @@ class TestOptimize:
         report = json.loads((out / "report.json").read_text())
 
         from tsvplan.anneal import summarize
-        from tsvplan.thermal import grid_for
+        from tsvplan.thermal import couple_leakage, grid_for
         best = parse_design(out / "optimized.design")
-        redo, _ = summarize(best, grid_for(best.stack))
+        grid = grid_for(best.stack)
+        redo = summarize(best, grid, couple_leakage(best, grid).field)
         assert redo.average == pytest.approx(report["after"]["average"], rel=1e-9)
         assert redo.peak == pytest.approx(report["after"]["peak"], rel=1e-9)
         assert redo.wirelength == pytest.approx(report["after"]["wirelength"], rel=1e-9)

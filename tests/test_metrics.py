@@ -279,8 +279,8 @@ def _walk(design, steps, seed):
 
 
 def _memos(ev):
-    """Every memo of a search context."""
-    return ev._priced, ev._rows, ev._terms, ev._groups, ev._origins
+    """Every memo of a search context, its field memo first."""
+    return ev._fields, ev._priced, ev._rows, ev._terms, ev._groups, ev._origins
 
 
 class TestPerFarmRows:
@@ -335,7 +335,7 @@ class TestPerFarmRows:
         for ev, state in _walk(BUILDERS[name](), 800, seed=3):
             candidate = ev.design_of(state)
             assert ev.breakdown(state) == cost(candidate, WEIGHTS) == batch_cost(candidate)
-        for memo in _memos(ev):
+        for memo in _memos(ev)[1:]:   # the walk prices states and solves none
             seen = sizes[id(memo)]
             assert max(seen) <= 2
             assert any(b < a for a, b in zip(seen, seen[1:])), "a memo never started over"
@@ -345,11 +345,14 @@ class TestPerFarmRows:
         sizes = []
         for ev, state in _walk(BUILDERS["multicore"](), 400, seed=5):
             ev.cost(state)
+            if len(sizes) < 20:
+                ev.solve(state)
             sizes.append(tuple(len(memo) for memo in _memos(ev)))
         assert max(max(s) for s in sizes) <= 16
-        # the memos keyed on farm rectangles outgrow the cap and start over;
-        # legal_origins' is keyed on the farm shapes, of which there are three
-        for memo in list(zip(*sizes))[:4]:
+        # the memos keyed on farm rectangles, the fields of the first 20
+        # states among them, outgrow the cap and start over; legal_origins'
+        # is keyed on the farm shapes, of which there are three
+        for memo in list(zip(*sizes))[:5]:
             assert any(b < a for a, b in zip(memo, memo[1:]))
         # several contexts, walked one after another as a sweep's points are,
         # then interleaved, each stay within the cap and share no memo
@@ -365,4 +368,4 @@ class TestPerFarmRows:
         assert max(size for _, size in steps) <= 16
         contexts = list({id(ev): ev for ev, _ in steps}.values())
         assert len(contexts) == 2 * len(names)
-        assert len({id(memo) for ev in contexts for memo in _memos(ev)}) == 5 * len(contexts)
+        assert len({id(memo) for ev in contexts for memo in _memos(ev)}) == 6 * len(contexts)

@@ -1,12 +1,15 @@
-"""Each distinct design is solved once per run, and results stay put.
+"""Each distinct floorplan is solved once per run, and results stay put.
 
-Every design solve is a couple_leakage call, made by solve_field, which
-keeps its field. Each floorplan has one field: pass records, snapshots and
-`after` all read it, and no run calls solve_design.
+Every design solve is a couple_leakage call. In a run it is made by the
+search context's field memo, Evaluator.solve, which keeps each state's field
+for the run and no longer: pass records, snapshots and `after` all read it,
+and no run calls solve_design.
 """
 
 import dataclasses
+import gc
 import hashlib
+import weakref
 from pathlib import Path
 
 import pytest
@@ -16,11 +19,10 @@ import tsvplan.anneal as anneal
 import tsvplan.cli as cli
 import tsvplan.sweeps as sweeps
 import tsvplan.thermal as thermal
-from tsvplan.anneal import AnnealConfig, FlowConfig, optimize_stack
+from tsvplan.anneal import AnnealConfig, Evaluator, FlowConfig, optimize_stack
 from tsvplan.benchmarks import blockage_design, corememory_design
 from tsvplan.design_io import parse_design
-from tsvplan.model import CACHE_ENTRIES
-from tsvplan.thermal import grid_for, solve_field
+from tsvplan.thermal import couple_leakage, grid_for
 
 from conftest import split_digests
 
@@ -34,16 +36,16 @@ def with_leakage(design, coeff):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Designs passed to every design solve, in call order, starting from an
-    empty field cache; a solve_design call fails the test."""
-    solve_field.cache_clear()
+    """Designs passed to every design solve, in call order; a solve_design
+    call fails the test."""
     designs, direct = [], []
     inner = thermal.couple_leakage
 
     def counted(design, grid):
         designs.append(design)
         return inner(design, grid)
-    monkeypatch.setattr(thermal, "couple_leakage", counted)
+    for module in (thermal, anneal, cli):
+        monkeypatch.setattr(module, "couple_leakage", counted)
     monkeypatch.setattr(thermal, "solve_design", lambda *args: direct.append(args))
     yield designs
     assert direct == [], "a run called solve_design"
@@ -74,11 +76,11 @@ def test_optimize_stack_cold_solves_each_design_once(solves, leakage):
     # the initial design (before and weight calibration) and the two outer
     # snapshots; `after` is the snapshot that won
     assert len(solves) == 3
-    assert solves[0] is design
+    assert solves[0] == design
     assert_distinct(solves)
     # `after` is the field already solved for the best floorplan
-    assert solve_field(result.best, result.grid) is result.after_field
-    assert len(solves) == 3
+    assert result.best in solves
+    assert (result.after_field.t == couple_leakage(result.best, result.grid).field.t).all()
 
 
 def test_cli_optimize_cold_solves_each_design_once(solves, tmp_path):
@@ -94,24 +96,25 @@ def test_cli_optimize_cold_solves_each_design_once(solves, tmp_path):
 def test_cold_field_is_kept_read_only(solves):
     design = blockage_design()
     grid = grid_for(design.stack)
-    field = solve_field(design, grid)
-    assert solve_field(design, grid) is field
+    context = Evaluator(design, grid)
+    state = context.state_of(design)
+    field = context.solve(state)
+    # an equal state, not the same object, finds the same field
+    assert context.solve(context.state_of(design)) is field
     assert not field.t.flags.writeable
-    # another coefficient is another design and another solve
-    assert solve_field(with_leakage(design, 0.0), grid) is not field
+    # another coefficient is another design, another context and another solve
+    leakless = with_leakage(design, 0.0)
+    assert Evaluator(leakless, grid).solve(state) is not field
     assert len(solves) == 2
 
 
-def test_cold_fields_are_bounded(solves):
-    design = with_leakage(blockage_design(), 0.0)
-    grids = [grid_for(design.stack) for _ in range(CACHE_ENTRIES + 1)]
-    for grid in grids[:CACHE_ENTRIES]:
-        solve_field(design, grid)
-    solve_field(design, grids[0])   # all CACHE_ENTRIES fields are kept
-    assert len(solves) == CACHE_ENTRIES
-    solve_field(design, grids[-1])  # a full cache starts over
-    solve_field(design, grids[0])
-    assert len(solves) == CACHE_ENTRIES + 2
+def test_a_run_keeps_no_field_after_its_result_is_dropped():
+    # the fields live in the run's context, which the result does not hold
+    result = optimize_stack(blockage_design(), AnnealConfig(seed=1, max_moves=5))
+    kept = [weakref.ref(x) for x in (result.before_field, result.after_field, result.best)]
+    del result
+    gc.collect()
+    assert [ref() for ref in kept] == [None] * 3
 
 
 # split_digests of the runs below. Both were re-recorded when gen_move
@@ -154,23 +157,23 @@ def test_golden_calibrated_layer_sweep(monkeypatch):
 
 
 def test_pass_records_read_the_cold_field(monkeypatch):
-    passes = []   # (input, best) of every layer pass
+    passes = []   # (input, best, context) of every layer pass
     inner = anneal.layer_pass
 
-    def recorded(design, *args, **kwargs):
-        passes.append((design, inner(design, *args, **kwargs)))
+    def recorded(state, layer, context, *args, **kwargs):
+        passes.append((state, inner(state, layer, context, *args, **kwargs), context))
         return passes[-1][1]
     monkeypatch.setattr(anneal, "layer_pass", recorded)
     result = optimize_stack(blockage_design(), AnnealConfig(seed=1, max_moves=5),
                             FlowConfig(outer_iterations=2))
     assert len(passes) == len(result.trace.passes)
     seen = {}   # (floorplan, layer) -> (avg, peak) in every record naming it
-    for (start, best), record in zip(passes, result.trace.passes):
-        for design, stats in ((start, (record.pre_avg, record.pre_peak)),
-                              (best, (record.post_avg, record.post_peak))):
-            t = solve_field(design, result.grid).t[record.layer]
+    for (start, best, context), record in zip(passes, result.trace.passes):
+        for state, stats in ((start, (record.pre_avg, record.pre_peak)),
+                             (best, (record.post_avg, record.post_peak))):
+            t = couple_leakage(context.design_of(state), result.grid).field.t[record.layer]
             assert stats == (float(t.mean()), float(t.max()))
-            assert seen.setdefault((id(design), record.layer), stats) == stats
+            assert seen.setdefault((state, record.layer), stats) == stats
     # some floorplan is carried into another pass on the same layer
     assert len(seen) < 2 * len(passes)
 

@@ -22,7 +22,7 @@ from tsvplan.thermal import (COARSE_SOLVE_MAX_UNKNOWNS, JACOBI_MAX_PLANE_CELLS,
                              RESIDUAL_RTOL, ConductanceNetwork, GridSpec,
                              block_cell_weights, build_network, couple_leakage,
                              field_stats, grid_for, rasterize, solve_design,
-                             solve_field, solve_steady_state, system_matrix)
+                             solve_steady_state, system_matrix)
 from conftest import (MM, UM, block, csr_reference, farm, make_design, make_tech,
                       one_cell_resistances)
 
@@ -331,8 +331,8 @@ def test_swapping_identical_farms_leaves_the_field(name):
         dataclasses.replace(second, x=first.x, y=first.y),
         *design.floorplan.farms[2:])))
     grid = grid_for(design.stack)
-    np.testing.assert_allclose(solve_field(swapped, grid).t, solve_field(design, grid).t,
-                               rtol=0, atol=1e-9)
+    np.testing.assert_allclose(couple_leakage(swapped, grid).field.t,
+                               couple_leakage(design, grid).field.t, rtol=0, atol=1e-9)
 
 
 @st.composite
@@ -475,6 +475,8 @@ class TestMultigrid:
     @settings(max_examples=80, deadline=None)
     @given(net=random_networks(), seed=st.integers(0, 2 ** 32 - 1))
     @with_odd_planes
+    # the draw closest to the bound in a scan of 4,800 (5.45e-9 K at cut 0)
+    @example(net=random_network(5, 1, 4, 247, True, (0, 1, 2, 3)), seed=247)
     def test_multigrid_pcg_matches_a_dense_solve(self, cut, net, seed):
         grid = net.grid
         power = np.random.default_rng(seed).uniform(0.0, 0.5, (grid.num_layers, grid.cells_y,

@@ -104,11 +104,13 @@ class TsvFarm:
     area: float                # conserved under reshape
     clients: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        # set once: a candidate floorplan shares every farm object but the moved one
-        object.__setattr__(self, "center", (self.x + self.width / 2, self.y + self.height / 2))
-        object.__setattr__(self, "rect", (self.x, self.y, self.x + self.width,
-                                          self.y + self.height))
+    @property
+    def center(self) -> tuple[float, float]:
+        return (self.x + self.width / 2, self.y + self.height / 2)
+
+    @property
+    def rect(self) -> tuple[float, float, float, float]:
+        return (self.x, self.y, self.x + self.width, self.y + self.height)
 
     def placed(self, x: float, y: float, width: float, height: float) -> "TsvFarm":
         """This farm in another rectangle, every other field kept."""

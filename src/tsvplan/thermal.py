@@ -24,9 +24,6 @@ RESIDUAL_RTOL = 1e-8  # on the infinity norm, relative to max(max cell power, 1 
 # CG iterations a design solve may spend, per unknown: one solve at reference
 # leakage gets them all, and the leakage fixed point's solves share them
 CG_ITERATIONS_PER_UNKNOWN = 100
-# Layer planes of more cells than this are preconditioned by the multigrid
-# V-cycle, smaller ones by the Jacobi diagonal: the measured crossover (README.md)
-JACOBI_MAX_PLANE_CELLS = 4096
 SMOOTHER_DAMPING = 0.8  # of the V-cycle's column block-Jacobi sweeps
 SMOOTHER_SWEEPS = 2     # before, and again after, each coarse correction
 # The V-cycle stops coarsening at the first level of at most this many unknowns
@@ -471,18 +468,15 @@ class VCycle:
         return x
 
 
-def _pcg(matrix: StencilOperator, b: np.ndarray, x: np.ndarray, precondition,
+def _pcg(matrix: StencilOperator, b: np.ndarray, x: np.ndarray,
          atol: float, maxiter: int) -> tuple[np.ndarray, int]:
-    """Preconditioned conjugate gradients, updating x in place; returns x and
-    the number of iterations taken. precondition(r) returns M^-1 r.
+    """Conjugate gradients preconditioned by the matrix's V-cycle, updating x
+    in place; returns x and the number of iterations taken.
 
-    With M^-1 the Jacobi diagonal this performs scipy.sparse.linalg.cg's
-    arithmetic (scipy 1.17, rtol=0) operation for operation on the CSR
-    matrix that StencilOperator reproduces, so the result is bit-identical
-    to it. The search direction p and its product q live in buffers bound
-    to the operator once per solve, and the steps alpha p and alpha q pass
-    through the operator's scratch. A NaN or inf residual norm or rho
-    raises SolverError at once instead of running out the budget.
+    The search direction p and its product q live in buffers bound to the
+    operator once per solve, and the steps alpha p and alpha q pass through
+    the operator's scratch. A NaN or inf residual norm or rho raises
+    SolverError at once instead of running out the budget.
     """
     if math.sqrt(b.dot(b)) == 0:
         return b, 0
@@ -490,12 +484,13 @@ def _pcg(matrix: StencilOperator, b: np.ndarray, x: np.ndarray, precondition,
     p, q = np.empty_like(b), np.empty_like(b)
     product = matrix.bind(p, q, matrix.scratch)
     step = matrix.scratch   # dead between products
+    vcycle = matrix.vcycle
     rho_prev = None
     for iteration in range(maxiter):
         norm = math.sqrt(r.dot(r))
         if norm < atol:
             return x, iteration
-        z = precondition(r)
+        z = vcycle(r)
         rho = np.dot(r, z)
         if not (math.isfinite(norm) and math.isfinite(rho)):
             raise SolverError("non-finite residual in the steady-state solve",
@@ -521,10 +516,9 @@ def solve_steady_state(network: ConductanceNetwork, power: np.ndarray,
                        matrix=None, maxiter: int | None = None) -> TemperatureField:
     """Solve G*T = P + G_amb*T_amb by preconditioned conjugate gradients.
 
-    A layer plane of more than JACOBI_MAX_PLANE_CELLS cells is
-    preconditioned by the matrix's multigrid V-cycle, a smaller one by the
-    Jacobi diagonal. CG stops once the residual's 2-norm is below 1e-4
-    times the contract, so small fixtures agree with a dense solve to
+    The preconditioner is the matrix's multigrid V-cycle, G's also for
+    G_eff. CG stops once the residual's 2-norm is below 1e-4 times the
+    contract, so small fixtures agree with a dense solve to
     ~1e-8 K; the contract is an infinity norm of the final residual below
     RESIDUAL_RTOL times max(max cell power, 1 W). Pass a prebuilt matrix,
     G or couple_leakage's G_eff, to reuse it. maxiter caps the CG
@@ -544,10 +538,7 @@ def solve_steady_state(network: ConductanceNetwork, power: np.ndarray,
     start = np.full(n, ambient) if x0 is None else x0.ravel().copy()
     if maxiter is None:
         maxiter = int(CG_ITERATIONS_PER_UNKNOWN * n)
-    precondition = (matrix.vcycle if grid.cells_per_layer > JACOBI_MAX_PLANE_CELLS
-                    else functools.partial(np.multiply, 1.0 / matrix.diagonal()))
-    x, iterations = _pcg(matrix, rhs, start, precondition,
-                         atol=target * 1e-4, maxiter=maxiter)
+    x, iterations = _pcg(matrix, rhs, start, atol=target * 1e-4, maxiter=maxiter)
     residual = float(np.abs(rhs - matrix @ x).max())
     if not residual <= target:
         taken = (f"within {maxiter}" if iterations == maxiter
@@ -570,7 +561,7 @@ class LeakageOperator:
     """G_eff = G - K, the leakage fixed point's matrix, matrix-free. K is
     sum_b c l_b w_b w_b^T over the leaky blocks b (c the leakage coefficient,
     l_b the reference leakage, w_b the cell weights), kept as one entry per
-    nonzero weight. The Jacobi diagonal is G_eff's own, the V-cycle G's."""
+    nonzero weight. Its preconditioner is G's V-cycle."""
 
     def __init__(self, matrix: StencilOperator, blocks, coeff: float):
         self.matrix, self.network, self.scratch = matrix, matrix.network, matrix.scratch
@@ -582,13 +573,8 @@ class LeakageOperator:
                                       for b, c in zip(blocks, cells)])
         self._w = np.concatenate([w[c] for w, c in zip(weights, cells)])
         self._gain_w = self._w * np.array([coeff * b.leakage_ref for b in blocks])[self._block]
-        self._diag = matrix.diagonal() - np.bincount(self._cells, self._gain_w * self._w,
-                                                     minlength=len(self.scratch))
 
     vcycle = property(lambda self: self.matrix.vcycle)
-
-    def diagonal(self) -> np.ndarray:
-        return self._diag
 
     def leakage(self, x: np.ndarray) -> np.ndarray:
         """K x, the sum over the leaky blocks b of c l_b (w_b . x) w_b, shaped as x."""

@@ -108,24 +108,11 @@ class TestAnalyze:
         assert result.exit_code == 2
         assert "diverging" in result.output
 
-    def test_spent_cg_budget_exits_2(self, runner, tmp_path, monkeypatch):
-        # blockage's leakage fixed point, one G_eff solve, takes about 96 CG
-        # iterations over 800 unknowns and meets the residual contract after
-        # about 80; a twentieth of one per unknown leaves it 40
-        import tsvplan.thermal as thermal
-        monkeypatch.setattr(thermal, "CG_ITERATIONS_PER_UNKNOWN", 0.05)
-        result = runner.invoke(main, ["analyze", str(REPO / "designs" / "blockage.design"),
-                                      "--out-dir", str(tmp_path / "out")])
-        assert result.exit_code == 2
-        assert "within 40 CG iterations" in result.output
-
     def test_spent_cg_budget_exits_2_on_the_multigrid_path(self, runner, tmp_path,
                                                           monkeypatch):
-        # at 25 um blockage's 80 x 80 plane takes the V-cycle, with which its
-        # G_eff solve takes about 12 iterations; 12,800 unknowns at 1/2,000 of
-        # an iteration each leave it 6
+        # at 25 um blockage's G_eff solve takes about 12 iterations; 12,800
+        # unknowns at 1/2,000 of an iteration each leave it 6
         import tsvplan.thermal as thermal
-        assert 80 * 80 > thermal.JACOBI_MAX_PLANE_CELLS
         monkeypatch.setattr(thermal, "CG_ITERATIONS_PER_UNKNOWN", 5e-4)
         result = runner.invoke(main, ["analyze", str(REPO / "designs" / "blockage.design"),
                                       "--grid-cell", "25um", "--out-dir", str(tmp_path / "out")])

@@ -21,14 +21,17 @@ from .errors import GridError, SingularNetworkError, SolverError, ThermalRunaway
 from .model import Design, Stack
 
 RESIDUAL_RTOL = 1e-8  # on the infinity norm, relative to max(max cell power, 1 W)
-# CG iterations a design solve may spend, per unknown: one solve at reference
-# leakage gets them all, and the leakage fixed point's solves share them
-CG_ITERATIONS_PER_UNKNOWN = 100
+# CG iterations a design solve may spend, whatever its size: one solve at
+# reference leakage gets them all, and the leakage fixed point's two solves
+# share them. Every shipped solve takes at most 13
+CG_ITERATIONS_PER_DESIGN_SOLVE = 1000
 SMOOTHER_DAMPING = 0.8  # of the V-cycle's column block-Jacobi sweeps
 SMOOTHER_SWEEPS = 2     # before, and again after, each coarse correction
 # The V-cycle stops coarsening at the first level of at most this many unknowns
-# and solves it by a dense inverse: below it, a level costs more in per-call
-# overhead than in arithmetic
+# and solves it by a dense inverse, in float64: below it, a level costs more
+# in per-call overhead than in arithmetic. The finer, smoothed levels run in
+# float32, while CG, the operators' products and the residual contract stay
+# in float64
 COARSE_SOLVE_MAX_UNKNOWNS = 256
 
 
@@ -197,7 +200,7 @@ def build_network(occ: CellOccupancy, grid: GridSpec, stack: Stack) -> Conductan
 class TemperatureField:
     t: np.ndarray        # [L, ny, nx] kelvin
     residual: float      # infinity norm of the final solve residual
-    iterations: int = 0  # CG iterations the solve took
+    iterations: int = 0  # CG iterations the solve took, over all its solves
 
     @property
     def peak(self) -> float:
@@ -245,24 +248,8 @@ class StencilOperator:
         return self._diag
 
     def bind(self, x: np.ndarray, out: np.ndarray, term: np.ndarray):
-        """Return a function that writes G @ x into out, using term as scratch.
-
-        The shifted views of the three buffers are taken once, here, so each
-        call costs only the arithmetic.
-        """
-        n = len(self._diag)
-        steps = [(g, x[:n - k], term[k:], out[k:]) for k, g in self._couplings]
-        steps.append((self._diag, x, term, out))
-        steps += [(g, x[k:], term[:n - k], out[:n - k])
-                  for k, g in reversed(self._couplings)]
-
-        def apply() -> np.ndarray:
-            out.fill(0.0)
-            for g, xs, ts, ys in steps:
-                np.multiply(g, xs, out=ts)
-                ys += ts
-            return out
-        return apply
+        """Return a function that writes G @ x into out, using term as scratch."""
+        return _bind_product(self._diag, self._couplings, x, out, term)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         out = np.empty_like(self._diag)
@@ -270,9 +257,9 @@ class StencilOperator:
 
     @functools.cached_property
     def scratch(self) -> np.ndarray:
-        """A work vector for the term buffer of products with this matrix and
-        its V-cycle, and for the CG loop's steps: each uses it only while it
-        runs."""
+        """A work vector for the term buffer of products with this matrix, for
+        its V-cycle's answer, which CG reads before the next product, and for
+        the CG loop's steps: each uses it only while it runs."""
         return np.empty_like(self._diag)
 
     @functools.cached_property
@@ -280,6 +267,25 @@ class StencilOperator:
         """The multigrid preconditioner of this matrix, built on first use, so
         every solve with the matrix shares one hierarchy."""
         return VCycle(self)
+
+
+def _bind_product(diag, couplings, x, out, term):
+    """Return a function that writes the stencil's product with x into out,
+    using term as scratch, in StencilOperator's order. The shifted views of
+    the three buffers are taken once, here, so each call costs only the
+    arithmetic."""
+    n = len(diag)
+    steps = [(g, x[:n - k], term[k:], out[k:]) for k, g in couplings]
+    steps.append((diag, x, term, out))
+    steps += [(g, x[k:], term[:n - k], out[:n - k]) for k, g in reversed(couplings)]
+
+    def apply() -> np.ndarray:
+        out.fill(0.0)
+        for g, xs, ts, ys in steps:
+            np.multiply(g, xs, out=ts)
+            ys += ts
+        return out
+    return apply
 
 
 def system_matrix(network: ConductanceNetwork) -> StencilOperator:
@@ -312,41 +318,42 @@ def coarsen(network: ConductanceNetwork) -> ConductanceNetwork:
 
 
 class _Level:
-    """One smoothed level of the V-cycle: the factors of its vertical columns'
-    tridiagonal blocks, its operator's full and lateral products, and
-    buffers allocated once.
+    """One smoothed level of the V-cycle, all in float32: the factors of its
+    vertical columns' tridiagonal blocks, its operator's full and lateral
+    products, and buffers allocated once.
 
-    Only a coarse level has a right-hand side b; the finest is handed the CG
-    residual. Every level's residual r and product term are views of buffers
-    that all levels share: a level's residual is dead while coarser levels
-    run. A level keeps no reference to its operator, whose cached vcycle
-    would otherwise form a cycle that only the garbage collector frees.
+    The factors are computed in float64 and then rounded, and the level
+    keeps no float64 array. Every level's residual r and product term are
+    views of buffers that all levels share: a level's residual is dead
+    while coarser levels run. A level keeps no reference to its operator,
+    whose cached vcycle would otherwise form a cycle that only the garbage
+    collector frees.
     """
 
-    def __init__(self, operator: StencilOperator, r: np.ndarray, term: np.ndarray,
-                 coarse: bool):
+    def __init__(self, operator: StencilOperator, r: np.ndarray, term: np.ndarray):
         grid = operator.network.grid
         n, layers, plane = grid.num_cells, grid.num_layers, grid.cells_per_layer
         self.shape = (layers, grid.cells_y, grid.cells_x)
         diag = operator.diagonal().reshape(layers, plane)
-        (_, coupling), *lateral = operator._couplings   # -g_z, then -g_y and -g_x
         # a column block is L M L^T, L unit lower bidiagonal: elimination down
         # the column leaves the pivots m and the multipliers c/m below the
         # diagonal; the sweeps' damping is folded into the pivots' inverses
-        c = coupling.reshape(layers - 1, plane)
-        self._c_m = np.empty((layers - 1, plane))
-        self._damped_inv_m = m = np.empty((layers, plane))   # the pivots, at first
+        c = operator._couplings[0][1].reshape(layers - 1, plane)   # -g_z
+        c_m, m = np.empty((layers - 1, plane)), np.empty((layers, plane))
         m[0] = diag[0]
         for k in range(1, layers):
-            np.divide(c[k - 1], m[k - 1], out=self._c_m[k - 1])
-            m[k] = diag[k] - c[k - 1] * self._c_m[k - 1]
+            np.divide(c[k - 1], m[k - 1], out=c_m[k - 1])
+            m[k] = diag[k] - c[k - 1] * c_m[k - 1]
         np.divide(SMOOTHER_DAMPING, m, out=m)
-        self._scratch = np.empty(plane)
-        self.b = np.empty(n) if coarse else None
-        self.x = np.empty(n)
+        self._c_m, self._damped_inv_m = c_m.astype(np.float32), m.astype(np.float32)
+        couplings = [(k, g.astype(np.float32)) for k, g in operator._couplings]
+        self._scratch = np.empty(plane, np.float32)
+        self.b, self.x = np.empty(n, np.float32), np.empty(n, np.float32)
         self.r = r[:n]
         term = term[:n]
-        self._product = operator.bind(self.x, self.r, term)
+        self._product = _bind_product(operator.diagonal().astype(np.float32), couplings,
+                                      self.x, self.r, term)
+        lateral = couplings[1:]   # -g_y and -g_x
         # (-g, x, term, r) views that take N x off r, in the product's order
         self._lateral = [(g, self.x[:n - k], term[k:], self.r[k:]) for k, g in lateral]
         self._lateral += [(g, self.x[k:], term[:n - k], self.r[:n - k])
@@ -419,38 +426,46 @@ class VCycle:
     tridiagonal block exactly and takes the lateral couplings from x.
     Restriction sums over an aggregate and prolongation is piecewise
     constant, its transpose. Smoothing is symmetric and the coarse solve
-    SPD, so the cycle is SPD and fits conjugate gradients. Buffers, and the
-    dense inverse, are built once, with the hierarchy.
+    SPD, so the cycle is SPD, to float32 rounding, and fits conjugate
+    gradients. The smoothed levels, with restriction and prolongation, run
+    in float32 on a copy of b; the dense coarsest level runs in float64.
+    Buffers, and the dense inverse, are built once, with the hierarchy.
     """
 
     def __init__(self, matrix: StencilOperator):
-        r = np.empty_like(matrix.scratch)
+        r, term = np.empty((2, len(matrix.diagonal())), np.float32)
         self._levels = []
         operator = matrix
         while (operator.network.grid.num_cells > COARSE_SOLVE_MAX_UNKNOWNS
                and operator.network.grid.cells_per_layer > 1):
-            self._levels.append(_Level(operator, r, matrix.scratch, coarse=bool(self._levels)))
+            self._levels.append(_Level(operator, r, term))
             operator = StencilOperator(coarsen(operator.network))
         self._inverse = _dense_inverse(operator)
-        coarse_b, self._coarse_x = np.empty(len(self._inverse)), np.empty(len(self._inverse))
-        # per smoothed level: the next level's b, (its r, that b) and (its x,
-        # the next level's x) views
-        self._next_b = [level.b for level in self._levels[1:]] + [coarse_b]
+        self._coarse_b, self._coarse_x = np.empty((2, len(self._inverse)))
+        self._z = matrix.scratch   # CG reads the answer before its next product
+        # per smoothed level: (its r, the next level's b) and (its x, the
+        # next level's x) views
+        next_b = [level.b for level in self._levels[1:]] + [self._coarse_b]
         next_x = [level.x for level in self._levels[1:]] + [self._coarse_x]
         self._restrict = [_aggregate_views(level.r, b, level.shape)
-                          for level, b in zip(self._levels, self._next_b)]
+                          for level, b in zip(self._levels, next_b)]
         self._prolong = [_aggregate_views(level.x, x, level.shape)
                          for level, x in zip(self._levels, next_x)]
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
-        """M^-1 b, in a buffer that the next call overwrites."""
-        return self._cycle(0, b)
-
-    def _cycle(self, depth: int, b: np.ndarray) -> np.ndarray:
-        if depth == len(self._levels):
+        """M^-1 b, in a float64 buffer that the next call, or the next product
+        with the matrix, overwrites."""
+        if not self._levels:
             return np.matmul(self._inverse, b, out=self._coarse_x)
+        np.copyto(self._levels[0].b, b)
+        np.copyto(self._z, self._cycle(0))
+        return self._z
+
+    def _cycle(self, depth: int) -> np.ndarray:
+        if depth == len(self._levels):
+            return np.matmul(self._inverse, self._coarse_b, out=self._coarse_x)
         level = self._levels[depth]
-        x = level.x
+        x, b = level.x, level.b
         np.copyto(x, b)   # the first sweep, from x = 0
         level.solve_columns(x)
         for _ in range(SMOOTHER_SWEEPS - 1):
@@ -460,7 +475,7 @@ class VCycle:
         coarse[...] = fine
         for fine, coarse in rest:
             coarse += fine
-        self._cycle(depth + 1, self._next_b[depth])
+        self._cycle(depth + 1)
         for fine, coarse in self._prolong[depth]:
             fine += coarse
         for _ in range(SMOOTHER_SWEEPS):
@@ -517,12 +532,14 @@ def solve_steady_state(network: ConductanceNetwork, power: np.ndarray,
     """Solve G*T = P + G_amb*T_amb by preconditioned conjugate gradients.
 
     The preconditioner is the matrix's multigrid V-cycle, G's also for
-    G_eff. CG stops once the residual's 2-norm is below 1e-4 times the
-    contract, so small fixtures agree with a dense solve to
-    ~1e-8 K; the contract is an infinity norm of the final residual below
-    RESIDUAL_RTOL times max(max cell power, 1 W). Pass a prebuilt matrix,
-    G or couple_leakage's G_eff, to reuse it. maxiter caps the CG
-    iterations, by default at CG_ITERATIONS_PER_UNKNOWN per unknown.
+    G_eff, whose smoothed levels run in float32; CG, every product with the
+    matrix and the residual check run in float64. CG stops once the
+    residual's 2-norm is below 1e-4 times the contract, so small fixtures
+    agree with a dense solve to ~1e-8 K; the contract is an infinity norm of
+    the final residual below RESIDUAL_RTOL times max(max cell power, 1 W).
+    Pass a prebuilt matrix, G or couple_leakage's G_eff, to reuse it.
+    maxiter caps the CG iterations, by default at
+    CG_ITERATIONS_PER_DESIGN_SOLVE.
     """
     grid = network.grid
     n = grid.num_cells
@@ -537,7 +554,7 @@ def solve_steady_state(network: ConductanceNetwork, power: np.ndarray,
     target = RESIDUAL_RTOL * max(float(power.max(initial=0.0)), 1.0)
     start = np.full(n, ambient) if x0 is None else x0.ravel().copy()
     if maxiter is None:
-        maxiter = int(CG_ITERATIONS_PER_UNKNOWN * n)
+        maxiter = CG_ITERATIONS_PER_DESIGN_SOLVE
     x, iterations = _pcg(matrix, rhs, start, atol=target * 1e-4, maxiter=maxiter)
     residual = float(np.abs(rhs - matrix @ x).max())
     if not residual <= target:
@@ -606,11 +623,11 @@ def couple_leakage(design: Design, grid: GridSpec) -> LeakageSolve:
     Otherwise the rise u = T - T_amb solves G_eff u = P(T_amb), P(T) the
     power at T, and a closing solve at P(T_amb + u), started there, keeps the
     residual contract on G. The two share one budget of
-    CG_ITERATIONS_PER_UNKNOWN CG iterations per unknown; running out of it is
-    a SolverError. G_eff is an irreducible symmetric Z-matrix, so with
-    P(T_amb) >= 0 a u > 0 in every cell proves it positive definite, and
-    any other u is a ThermalRunawayError; so is a CG step that meets its
-    indefiniteness.
+    CG_ITERATIONS_PER_DESIGN_SOLVE CG iterations, running out of which is a
+    SolverError, and the field reports the iterations of both. G_eff is an
+    irreducible symmetric Z-matrix, so with P(T_amb) >= 0 a u > 0 in every
+    cell proves it positive definite, and any other u is a
+    ThermalRunawayError; so is a CG step that meets its indefiniteness.
     """
     tech = design.stack.tech
     lam, ref = tech.leakage_coeff, tech.leakage_tref
@@ -640,8 +657,9 @@ def couple_leakage(design: Design, grid: GridSpec) -> LeakageSolve:
     t = t + rise.t
     field = solve_steady_state(
         network, occ.power + g_eff.leakage(t - ref), tech.ambient, x0=t, matrix=matrix,
-        maxiter=int(CG_ITERATIONS_PER_UNKNOWN * grid.num_cells) - rise.iterations)
-    return LeakageSolve(field, 2)
+        maxiter=CG_ITERATIONS_PER_DESIGN_SOLVE - rise.iterations)
+    return LeakageSolve(TemperatureField(field.t, field.residual,
+                                         rise.iterations + field.iterations), 2)
 
 
 class FieldStats(NamedTuple):

@@ -110,10 +110,10 @@ class TestAnalyze:
 
     def test_spent_cg_budget_exits_2_on_the_multigrid_path(self, runner, tmp_path,
                                                           monkeypatch):
-        # at 25 um blockage's G_eff solve takes about 12 iterations; 12,800
-        # unknowns at 1/2,000 of an iteration each leave it 6
+        # at 25 um blockage's G_eff solve takes about 11 iterations; a budget
+        # of 6 runs out
         import tsvplan.thermal as thermal
-        monkeypatch.setattr(thermal, "CG_ITERATIONS_PER_UNKNOWN", 5e-4)
+        monkeypatch.setattr(thermal, "CG_ITERATIONS_PER_DESIGN_SOLVE", 6)
         result = runner.invoke(main, ["analyze", str(REPO / "designs" / "blockage.design"),
                                       "--grid-cell", "25um", "--out-dir", str(tmp_path / "out")])
         assert result.exit_code == 2

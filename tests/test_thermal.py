@@ -17,6 +17,7 @@ from tsvplan.cli import main
 from tsvplan.design_io import emit_design
 from tsvplan.errors import SingularNetworkError, SolverError, ThermalRunawayError
 from tsvplan.model import reshape_farm
+from tsvplan.sweeps import with_memory_layers
 from tsvplan import thermal
 from tsvplan.thermal import (COARSE_SOLVE_MAX_UNKNOWNS, RESIDUAL_RTOL,
                              ConductanceNetwork, GridSpec,
@@ -482,7 +483,10 @@ class TestMultigrid:
         mx, my = vcycle(x).copy(), vcycle(y).copy()
         xmx, ymy = x @ mx, y @ my
         assert xmx > 0 and ymy > 0
-        assert abs(y @ mx - x @ my) <= 1e-12 * math.sqrt(xmx * ymy)
+        # the smoothed levels run in float32, so the cycle is symmetric only to
+        # their rounding: the worst of 5,000 draws at cut 0 read 3.4e-5, while
+        # a cycle with one pre-sweep fewer than post-sweeps reads a median 3e-3
+        assert abs(y @ mx - x @ my) <= 3e-4 * math.sqrt(xmx * ymy)
 
     @cuts
     @settings(max_examples=80, deadline=None)
@@ -564,6 +568,24 @@ class TestMultigrid:
         assert field.iterations <= 20
         heat_out = float((net.g_ambient * (field.t[0] - design.stack.tech.ambient)).sum())
         assert heat_out == pytest.approx(occ.power.sum(), rel=1e-6)
+
+    # the benchmark's largest problems: the last point of its layer sweep,
+    # corememory under 4 memory layers (46,080 unknowns), and multicore's
+    # leakage fixed point (32,768)
+    @pytest.mark.parametrize("design", [with_memory_layers(BUILDERS["corememory"](), 4),
+                                        BUILDERS["multicore"]()],
+                             ids=["corememory-4-memory-layers", "multicore-leakage"])
+    def test_energy_balance_of_the_largest_solves_at_25um(self, design):
+        grid = grid_for(design.stack, 25e-6)
+        net = build_network(rasterize(design, grid), grid, design.stack)
+        field = couple_leakage(design, grid).field
+        assert field.iterations <= 20
+        tech = design.stack.tech
+        power = sum(b.power + b.leakage_ref * (1 + tech.leakage_coeff * (
+            float((field.t[b.layer] * block_cell_weights(b, grid)).sum()) - tech.leakage_tref))
+            for b in design.floorplan.blocks)
+        heat_out = float((net.g_ambient * (field.t[0] - tech.ambient)).sum())
+        assert heat_out == pytest.approx(power, rel=1e-6)
 
 
 # ---------------------------------------------------------- leakage coupling
@@ -652,6 +674,20 @@ class TestCoupleLeakage:
         result = couple_leakage(d, grid)
         assert result.iterations == 1
         assert np.array_equal(result.field.t, solve_design(d, grid).t)
+
+    def test_a_leaky_field_reports_both_solves_iterations(self, monkeypatch):
+        design = BUILDERS["multicore"]()
+        counts = []
+        inner = thermal.solve_steady_state
+
+        def recorded(*args, **kwargs):
+            field = inner(*args, **kwargs)
+            counts.append(field.iterations)
+            return field
+        monkeypatch.setattr(thermal, "solve_steady_state", recorded)
+        result = couple_leakage(design, grid_for(design.stack))
+        assert result.iterations == len(counts) == 2
+        assert result.field.iterations == sum(counts) > 0
 
     def test_positive_lambda_heats_every_cell(self):
         d = self._leaky_design(lam=0.05)
@@ -759,7 +795,7 @@ class TestCoupleLeakage:
         with pytest.raises(SolverError) as error:
             couple_leakage(with_leakage_coeff(d, coeff), grid)
         assert not isinstance(error.value, ThermalRunawayError)
-        budget = int(thermal.CG_ITERATIONS_PER_UNKNOWN * grid.num_cells)
+        budget = thermal.CG_ITERATIONS_PER_DESIGN_SOLVE
         message = str(error.value)
         taken = int(re.search(rf"after (\d+) of {budget} CG iterations", message).group(1))
         assert taken < budget
@@ -810,10 +846,10 @@ class TestCoupleLeakage:
         monkeypatch.setattr(thermal, "solve_steady_state", recorded)
         assert couple_leakage(d, grid).iterations == 2
         (first, spent), (second, _) = solves
-        budget = int(thermal.CG_ITERATIONS_PER_UNKNOWN * grid.num_cells)
+        budget = thermal.CG_ITERATIONS_PER_DESIGN_SOLVE
         assert first is None and second == budget - spent
         # two iterations cannot reach the contract: the budget runs out
-        monkeypatch.setattr(thermal, "CG_ITERATIONS_PER_UNKNOWN", 2 / grid.num_cells)
+        monkeypatch.setattr(thermal, "CG_ITERATIONS_PER_DESIGN_SOLVE", 2)
         with pytest.raises(SolverError, match="within 2 CG iterations") as error:
             couple_leakage(d, grid)
         assert not isinstance(error.value, ThermalRunawayError)

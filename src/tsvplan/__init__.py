@@ -7,7 +7,7 @@ from .errors import (DesignError, GridError, InvalidMoveError, ParseError,
                      SingularNetworkError, SolverError, ThermalRunawayError)
 from .metrics import (CostBreakdown, CostWeights, conduction_efficiency, cost,
                       ratio_penalty, total_efficiency, wirelength)
-from .model import (Block, Design, Floorplan, Layer, Material, Net, Stack,
+from .model import (Block, Design, Floorplan, Layer, Material, Stack,
                     TechnologyParams, TsvFarm, move_farm, reshape_farm, validate)
 from .thermal import (CellOccupancy, ConductanceNetwork, GridSpec,
                       TemperatureField, build_network, couple_leakage,

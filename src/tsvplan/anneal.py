@@ -366,8 +366,7 @@ class Evaluator:
         return groups
 
 
-@dataclass(frozen=True)
-class DesignSummary:
+class DesignSummary(NamedTuple):
     """Table-II-style row for one floorplan: geometry and solved temperatures."""
 
     wirelength: float

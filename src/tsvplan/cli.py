@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 
 from .anneal import RNG_KIND, AnnealConfig, FlowConfig, optimize_stack, summarize
-from .design_io import (RunReport, format_trace, parse_design, write_design,
+from .design_io import (format_report, format_trace, parse_design, write_design,
                         write_report, write_thermal_maps)
 from .errors import DesignError, SolverError
 from .metrics import CostWeights
@@ -199,10 +199,9 @@ def optimize(design_path, seed, grid_cell, outer_iters, weights_spec, preset_rat
     write_thermal_maps(result.after_field, result.grid, out, prefix="after_")
     (out / "trace.log").write_text(format_trace(result.trace))
 
-    report = RunReport(result.before, result.after, runtime,
-                       _config_echo(design, result.grid, anneal, flow, result.weights))
-    write_report(report, out)
-    click.echo(report.format_table())
+    write_report(result.before, result.after, runtime,
+                 _config_echo(design, result.grid, anneal, flow, result.weights), out)
+    click.echo(format_report(result.before, result.after, runtime))
     click.echo(f"wrote {out / 'optimized.design'}, {out / 'report.json'}")
 
 

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
-from .anneal import DesignSummary
 from .errors import DesignError, ParseError
 from .model import (DEFAULT_MATERIALS, Block, Design, Floorplan, Layer,
                     Material, Stack, TechnologyParams, TsvFarm, require_valid)
@@ -284,59 +282,44 @@ def write_thermal_maps(field: TemperatureField, grid: GridSpec,
     return paths
 
 
-@dataclass
-class RunReport:
-    """Before/after comparison rows plus the full configuration echo."""
-
-    before: DesignSummary
-    after: DesignSummary
-    runtime_s: float
-    config: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "before": dataclasses.asdict(self.before),
-            "after": dataclasses.asdict(self.after),
-            "runtime_s": self.runtime_s,
-            "config": self.config,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def format_table(self) -> str:
-        b, a = self.before, self.after
-        rows = [
-            ("wirelength (m)", b.wirelength, a.wirelength),
-            ("area (m^2)", b.area, a.area),
-            ("avgT (K)", b.average, a.average),
-            ("peakT (K)", b.peak, a.peak),
-            ("hottest blk (K)", b.hottest_block_avg, a.hottest_block_avg),
-        ]
-        lines = [f"{'metric':<18}{'before':>16}{'after':>16}"]
-        for name, before, after in rows:
-            bv = "-" if before is None else f"{before:.6g}"
-            av = "-" if after is None else f"{after:.6g}"
-            lines.append(f"{name:<18}{bv:>16}{av:>16}")
-        lines.append(f"{'hottest block':<18}{str(b.hottest_block):>16}"
-                     f"{str(a.hottest_block):>16}")
-        lines.append("")
-        lines.append("per-layer average T (K):")
-        lines.append(f"{'layer':<8}{'before':>14}{'after':>14}")
-        for i, (pb, pa) in enumerate(zip(b.per_layer_average, a.per_layer_average)):
-            lines.append(f"{i:<8}{pb:>14.4f}{pa:>14.4f}")
-        lines.append(f"{'stack':<8}{b.average:>14.4f}{a.average:>14.4f}")
-        lines.append("")
-        lines.append(f"run time: {self.runtime_s:.2f} s")
-        return "\n".join(lines)
+def format_report(before, after, runtime_s: float) -> str:
+    """The before/after table of two anneal.DesignSummary rows, with the run time."""
+    b, a = before, after
+    rows = [
+        ("wirelength (m)", b.wirelength, a.wirelength),
+        ("area (m^2)", b.area, a.area),
+        ("avgT (K)", b.average, a.average),
+        ("peakT (K)", b.peak, a.peak),
+        ("hottest blk (K)", b.hottest_block_avg, a.hottest_block_avg),
+    ]
+    lines = [f"{'metric':<18}{'before':>16}{'after':>16}"]
+    for name, *values in rows:
+        bv, av = ("-" if value is None else f"{value:.6g}" for value in values)
+        lines.append(f"{name:<18}{bv:>16}{av:>16}")
+    lines.append(f"{'hottest block':<18}{str(b.hottest_block):>16}"
+                 f"{str(a.hottest_block):>16}")
+    lines.append("")
+    lines.append("per-layer average T (K):")
+    lines.append(f"{'layer':<8}{'before':>14}{'after':>14}")
+    for i, (pb, pa) in enumerate(zip(b.per_layer_average, a.per_layer_average)):
+        lines.append(f"{i:<8}{pb:>14.4f}{pa:>14.4f}")
+    lines.append(f"{'stack':<8}{b.average:>14.4f}{a.average:>14.4f}")
+    lines.append("")
+    lines.append(f"run time: {runtime_s:.2f} s")
+    return "\n".join(lines)
 
 
-def write_report(report: RunReport, out_dir: str | Path) -> Path:
+def write_report(before, after, runtime_s: float, config: dict,
+                 out_dir: str | Path) -> Path:
+    """Write report.json, the two summaries and the configuration echo, and
+    report.txt, format_report's table."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "report.json"
-    path.write_text(report.to_json() + "\n")
-    (out / "report.txt").write_text(report.format_table() + "\n")
+    path.write_text(json.dumps({"before": before._asdict(), "after": after._asdict(),
+                                "runtime_s": runtime_s, "config": config},
+                               indent=2, sort_keys=True) + "\n")
+    (out / "report.txt").write_text(format_report(before, after, runtime_s) + "\n")
     return path
 
 

@@ -66,7 +66,7 @@ class CostWeights:
         wl_w = anchor / (0.01 * wl0) if wl0 > 0 else 0.0
         footprint_area = design.stack.tech.footprint_width * design.stack.tech.footprint_height
         return cls(area=area_w, efficiency=-1.0, ratio=area_w * footprint_area,
-                   wirelength=wl_w, ratio_target=bounding_ratio(design.floorplan))
+                   wirelength=wl_w, ratio_target=_box_ratio(design.floorplan.bounding_box))
 
 
 class CostBreakdown(NamedTuple):   # a tuple: built per priced candidate, it is cheap
@@ -304,10 +304,6 @@ def _box_penalty(box, placed: bool, ratio_target: float) -> float:
 def floorplan_area(floorplan: Floorplan) -> float:
     """Area of the bounding box of everything placed, across all layers."""
     return _box_area(floorplan.bounding_box)
-
-
-def bounding_ratio(floorplan: Floorplan) -> float:
-    return _box_ratio(floorplan.bounding_box)
 
 
 def ratio_penalty(floorplan: Floorplan, ratio_target: float) -> float:

@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,12 +131,6 @@ class TsvFarm:
         return self.start_layer <= layer < self.end_layer
 
 
-@dataclass(frozen=True)
-class Net:
-    farm: str
-    clients: tuple[str, ...]
-
-
 RECT_EPS = 1e-12  # m; see rects_overlap
 
 
@@ -191,18 +186,11 @@ class Design:
     floorplan: Floorplan
     materials: tuple[Material, ...] = ()
 
-    @property
-    def nets(self) -> tuple[Net, ...]:
-        return tuple(
-            Net(f.name, f.clients) for f in self.floorplan.farms if f.clients
-        )
-
     def with_floorplan(self, floorplan: Floorplan) -> "Design":
         return dataclasses.replace(self, floorplan=floorplan)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     entity: str
     rule: str
     detail: str
@@ -211,14 +199,14 @@ class Violation:
         return f"{self.entity}: {self.rule} ({self.detail})"
 
 
-def rects_overlap(a, b, eps: float = RECT_EPS) -> bool:
+def rects_overlap(a, b) -> bool:
     """Strict interior overlap; touching edges are legal.
 
-    eps (meters) absorbs unit-conversion ulps so abutting rectangles whose
+    RECT_EPS absorbs unit-conversion ulps so abutting rectangles whose
     shared edge differs in the last bit do not read as overlapping.
     """
-    return (min(a[2], b[2]) - max(a[0], b[0]) > eps
-            and min(a[3], b[3]) - max(a[1], b[1]) > eps)
+    return (min(a[2], b[2]) - max(a[0], b[0]) > RECT_EPS
+            and min(a[3], b[3]) - max(a[1], b[1]) > RECT_EPS)
 
 
 def _footprint_tol(stack: Stack) -> float:
@@ -353,13 +341,10 @@ def validate(design: Design) -> list[Violation]:
                         f"{rects[i][0]}+{rects[j][0]}", "no-overlap",
                         f"layer {layer}"))
 
-    known = seen
-    for net in design.nets:
-        if len(net.clients) < 1:
-            v.append(Violation(net.farm, "net-nonempty", "no clients"))
-        for c in net.clients:
-            if c not in known:
-                v.append(Violation(net.farm, "net-resolves", f"unknown client {c!r}"))
+    for f in fp.farms:
+        for c in f.clients:
+            if c not in seen:
+                v.append(Violation(f.name, "net-resolves", f"unknown client {c!r}"))
 
     return v
 

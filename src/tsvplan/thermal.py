@@ -35,8 +35,7 @@ SMOOTHER_SWEEPS = 2     # before, and again after, each coarse correction
 COARSE_SOLVE_MAX_UNKNOWNS = 256
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple):
     cells_x: int
     cells_y: int
     cell_size: float
@@ -65,8 +64,7 @@ def grid_for(stack: Stack, cell_size: float | None = None) -> GridSpec:
     return GridSpec(nx, ny, cell, stack.num_layers)
 
 
-@dataclass(frozen=True)
-class CellOccupancy:
+class CellOccupancy(NamedTuple):
     """Per-layer grids of material fractions and injected power.
 
     farm_fraction is the geometric farm coverage of each cell.
@@ -140,8 +138,7 @@ def rasterize(design: Design, grid: GridSpec) -> CellOccupancy:
     return CellOccupancy(farm_fraction, lateral_fraction, k_farm, k_metal, power)
 
 
-@dataclass(frozen=True)
-class ConductanceNetwork:
+class ConductanceNetwork(NamedTuple):
     """Edge conductances of the grid, all W/K. Symmetric by construction."""
 
     grid: GridSpec
@@ -248,19 +245,12 @@ class StencilOperator:
         return self._diag
 
     def bind(self, x: np.ndarray, out: np.ndarray, term: np.ndarray):
-        """Return a function that writes G @ x into out, using term as scratch."""
+        """Return a function that writes G @ x into out, using term for the
+        product's terms."""
         return _bind_product(self._diag, self._couplings, x, out, term)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(self._diag)
-        return self.bind(x, out, self.scratch)()
-
-    @functools.cached_property
-    def scratch(self) -> np.ndarray:
-        """A work vector for the term buffer of products with this matrix, for
-        its V-cycle's answer, which CG reads before the next product, and for
-        the CG loop's steps: each uses it only while it runs."""
-        return np.empty_like(self._diag)
+        return self.bind(x, np.empty_like(self._diag), np.empty_like(self._diag))()
 
     @functools.cached_property
     def vcycle(self) -> VCycle:
@@ -269,15 +259,22 @@ class StencilOperator:
         return VCycle(self)
 
 
+def _coupling_views(couplings, x, term, out):
+    """The (g, x, term, out) views of each coupling's terms of a product, in
+    StencilOperator's order: those to nodes before a row's own, then those
+    to nodes after it."""
+    n = len(x)
+    return ([(g, x[:n - k], term[k:], out[k:]) for k, g in couplings],
+            [(g, x[k:], term[:n - k], out[:n - k]) for k, g in reversed(couplings)])
+
+
 def _bind_product(diag, couplings, x, out, term):
     """Return a function that writes the stencil's product with x into out,
-    using term as scratch, in StencilOperator's order. The shifted views of
-    the three buffers are taken once, here, so each call costs only the
+    using term for its terms, in StencilOperator's order. The shifted views
+    of the three buffers are taken once, here, so each call costs only the
     arithmetic."""
-    n = len(diag)
-    steps = [(g, x[:n - k], term[k:], out[k:]) for k, g in couplings]
-    steps.append((diag, x, term, out))
-    steps += [(g, x[k:], term[:n - k], out[:n - k]) for k, g in reversed(couplings)]
+    before, after = _coupling_views(couplings, x, term, out)
+    steps = before + [(diag, x, term, out)] + after
 
     def apply() -> np.ndarray:
         out.fill(0.0)
@@ -347,23 +344,21 @@ class _Level:
         np.divide(SMOOTHER_DAMPING, m, out=m)
         self._c_m, self._damped_inv_m = c_m.astype(np.float32), m.astype(np.float32)
         couplings = [(k, g.astype(np.float32)) for k, g in operator._couplings]
-        self._scratch = np.empty(plane, np.float32)
+        self._column_term = np.empty(plane, np.float32)
         self.b, self.x = np.empty(n, np.float32), np.empty(n, np.float32)
         self.r = r[:n]
         term = term[:n]
         self._product = _bind_product(operator.diagonal().astype(np.float32), couplings,
                                       self.x, self.r, term)
-        lateral = couplings[1:]   # -g_y and -g_x
-        # (-g, x, term, r) views that take N x off r, in the product's order
-        self._lateral = [(g, self.x[:n - k], term[k:], self.r[k:]) for k, g in lateral]
-        self._lateral += [(g, self.x[k:], term[:n - k], self.r[:n - k])
-                          for k, g in reversed(lateral)]
+        # (-g, x, term, r) views of -g_y and -g_x that take N x off r
+        before, after = _coupling_views(couplings[1:], self.x, term, self.r)
+        self._lateral = before + after
 
     def solve_columns(self, v: np.ndarray) -> None:
         """Overwrite v with SMOOTHER_DAMPING * D^-1 v, D the column blocks: a
         forward and a back substitution, each vectorized over the plane."""
         v = v.reshape(self._damped_inv_m.shape)
-        s, c_m = self._scratch, self._c_m
+        s, c_m = self._column_term, self._c_m
         for k in range(1, len(v)):
             np.multiply(c_m[k - 1], v[k - 1], out=s)
             v[k] -= s
@@ -427,9 +422,12 @@ class VCycle:
     Restriction sums over an aggregate and prolongation is piecewise
     constant, its transpose. Smoothing is symmetric and the coarse solve
     SPD, so the cycle is SPD, to float32 rounding, and fits conjugate
-    gradients. The smoothed levels, with restriction and prolongation, run
-    in float32 on a copy of b; the dense coarsest level runs in float64.
-    Buffers, and the dense inverse, are built once, with the hierarchy.
+    gradients. Every call copies b into the finest level's b, and the answer
+    into the cycle's own float64 buffer. The smoothed levels, with
+    restriction and prolongation, run in float32; the dense coarsest level
+    runs in float64, and is the finest when the matrix has at most
+    COARSE_SOLVE_MAX_UNKNOWNS unknowns. Buffers, and the dense inverse, are
+    built once, with the hierarchy.
     """
 
     def __init__(self, matrix: StencilOperator):
@@ -442,22 +440,19 @@ class VCycle:
             operator = StencilOperator(coarsen(operator.network))
         self._inverse = _dense_inverse(operator)
         self._coarse_b, self._coarse_x = np.empty((2, len(self._inverse)))
-        self._z = matrix.scratch   # CG reads the answer before its next product
+        self._z = np.empty(len(matrix.diagonal()))
+        self._b, *next_b = [level.b for level in self._levels] + [self._coarse_b]
+        next_x = [level.x for level in self._levels[1:]] + [self._coarse_x]
         # per smoothed level: (its r, the next level's b) and (its x, the
         # next level's x) views
-        next_b = [level.b for level in self._levels[1:]] + [self._coarse_b]
-        next_x = [level.x for level in self._levels[1:]] + [self._coarse_x]
         self._restrict = [_aggregate_views(level.r, b, level.shape)
                           for level, b in zip(self._levels, next_b)]
         self._prolong = [_aggregate_views(level.x, x, level.shape)
                          for level, x in zip(self._levels, next_x)]
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
-        """M^-1 b, in a float64 buffer that the next call, or the next product
-        with the matrix, overwrites."""
-        if not self._levels:
-            return np.matmul(self._inverse, b, out=self._coarse_x)
-        np.copyto(self._levels[0].b, b)
+        """M^-1 b, in the cycle's float64 buffer, which the next call overwrites."""
+        np.copyto(self._b, b)
         np.copyto(self._z, self._cycle(0))
         return self._z
 
@@ -489,16 +484,16 @@ def _pcg(matrix: StencilOperator, b: np.ndarray, x: np.ndarray,
     in place; returns x and the number of iterations taken.
 
     The search direction p and its product q live in buffers bound to the
-    operator once per solve, and the steps alpha p and alpha q pass through
-    the operator's scratch. A NaN or inf residual norm or rho raises
-    SolverError at once instead of running out the budget.
+    operator once per solve, and one work vector of the solve's own holds
+    the product's terms and then the steps alpha p and alpha q. A NaN or inf
+    residual norm or rho raises SolverError at once instead of running out
+    the budget.
     """
     if math.sqrt(b.dot(b)) == 0:
         return b, 0
     r = b - matrix @ x if x.any() else b.copy()
-    p, q = np.empty_like(b), np.empty_like(b)
-    product = matrix.bind(p, q, matrix.scratch)
-    step = matrix.scratch   # dead between products
+    p, q, work = (np.empty_like(b) for _ in range(3))
+    product = matrix.bind(p, q, work)
     vcycle = matrix.vcycle
     rho_prev = None
     for iteration in range(maxiter):
@@ -520,8 +515,8 @@ def _pcg(matrix: StencilOperator, b: np.ndarray, x: np.ndarray,
         if not (rho > 0 and curvature > 0):  # never on SPD G; on G_eff, leakage runs away
             raise ThermalRunawayError("leakage fixed point diverging: G_eff is not SPD")
         alpha = rho / curvature
-        x += np.multiply(alpha, p, out=step)
-        r -= np.multiply(alpha, q, out=step)
+        x += np.multiply(alpha, p, out=work)
+        r -= np.multiply(alpha, q, out=work)
         rho_prev = rho
     return x, maxiter
 
@@ -578,11 +573,12 @@ class LeakageOperator:
     """G_eff = G - K, the leakage fixed point's matrix, matrix-free. K is
     sum_b c l_b w_b w_b^T over the leaky blocks b (c the leakage coefficient,
     l_b the reference leakage, w_b the cell weights), kept as one entry per
-    nonzero weight. Its preconditioner is G's V-cycle."""
+    nonzero weight. Its preconditioner is G's V-cycle, and its products take
+    their buffers as G's do."""
 
     def __init__(self, matrix: StencilOperator, blocks, coeff: float):
-        self.matrix, self.network, self.scratch = matrix, matrix.network, matrix.scratch
-        grid = self.network.grid
+        self.matrix = matrix
+        grid = matrix.network.grid
         weights = [block_cell_weights(b, grid).ravel() for b in blocks]
         cells = [np.flatnonzero(w) for w in weights]
         self._block = np.repeat(np.arange(len(blocks)), [len(c) for c in cells])
@@ -626,8 +622,11 @@ def couple_leakage(design: Design, grid: GridSpec) -> LeakageSolve:
     CG_ITERATIONS_PER_DESIGN_SOLVE CG iterations, running out of which is a
     SolverError, and the field reports the iterations of both. G_eff is an
     irreducible symmetric Z-matrix, so with P(T_amb) >= 0 a u > 0 in every
-    cell proves it positive definite, and any other u is a
-    ThermalRunawayError; so is a CG step that meets its indefiniteness.
+    cell proves it positive definite, and any other u that resolves its
+    source (a residual below RESIDUAL_RTOL times the source's largest cell)
+    is a ThermalRunawayError; so is a CG step that meets its
+    indefiniteness. A source too small for the residual contract's 1 W
+    floor to resolve, such as none at all, proves nothing either way.
     """
     tech = design.stack.tech
     lam, ref = tech.leakage_coeff, tech.leakage_tref
@@ -652,7 +651,8 @@ def couple_leakage(design: Design, grid: GridSpec) -> LeakageSolve:
             raise
         raise SolverError(f"{error}; the leakage coefficient {lam:g} 1/K may be at the "
                           "thermal-runaway threshold", residual=error.residual) from None
-    if source.min() >= 0 and not rise.t.min() > 0:
+    if (source.min() >= 0 and rise.residual < RESIDUAL_RTOL * source.max()
+            and not rise.t.min() > 0):
         raise ThermalRunawayError("leakage fixed point diverging: a rise is not positive")
     t = t + rise.t
     field = solve_steady_state(

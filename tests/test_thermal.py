@@ -558,6 +558,22 @@ class TestMultigrid:
         assert field.iterations <= 20
         assert np.abs(field.t.ravel() - expected).max() < 1e-8
 
+    def test_a_vcycle_answer_survives_later_products(self):
+        # multicore at 100 um has more unknowns than the dense cut, so its
+        # V-cycle smooths; neither G's product nor G_eff's may touch its answer
+        design = BUILDERS["multicore"]()
+        grid = grid_for(design.stack)
+        assert grid.num_cells > COARSE_SOLVE_MAX_UNKNOWNS
+        matrix = system_matrix(build_network(rasterize(design, grid), grid, design.stack))
+        leaky = [b for b in design.floorplan.blocks if b.leakage_ref > 0]
+        g_eff = thermal.LeakageOperator(matrix, leaky, design.stack.tech.leakage_coeff)
+        b = np.random.default_rng(7).uniform(0.0, 0.01, grid.num_cells)
+        z = matrix.vcycle(b)
+        kept = z.copy()
+        for operator in (matrix, g_eff):
+            operator @ b
+            assert np.array_equal(z, kept)
+
     @pytest.mark.parametrize("name", sorted(BUILDERS))
     def test_energy_balance_at_25um(self, name):
         design = BUILDERS[name]()
@@ -830,6 +846,27 @@ class TestCoupleLeakage:
                 couple_leakage(d, grid)
         else:
             assert couple_leakage(d, grid).field.t.min() > AMBIENT
+
+    def test_a_source_the_rise_solve_cannot_resolve_is_no_runaway(self):
+        # blockage with no dynamic power: with leakage_tref = T_amb + 1/c no
+        # power, to rounding, is injected at T_amb, and a leakage of a few pW
+        # is below the rise solve's absolute stop, so its rise may be 0;
+        # neither is a runaway
+        shipped = BUILDERS["blockage"]()
+        for leakage in (None, 1e-13, 5e-12):
+            tech = shipped.stack.tech
+            if leakage is None:
+                tech = dataclasses.replace(tech,
+                                           leakage_tref=tech.ambient + 1 / tech.leakage_coeff)
+            blocks = tuple(dataclasses.replace(
+                b, power=0.0, leakage_ref=b.leakage_ref if leakage is None or not b.leakage_ref
+                else leakage) for b in shipped.floorplan.blocks)
+            assert any(b.leakage_ref > 0 for b in blocks)
+            design = dataclasses.replace(
+                shipped, stack=dataclasses.replace(shipped.stack, tech=tech),
+                floorplan=dataclasses.replace(shipped.floorplan, blocks=blocks))
+            field = couple_leakage(design, grid_for(design.stack)).field
+            assert np.abs(field.t - tech.ambient).max() < 1e-6
 
     @depths
     def test_one_budget_for_both_solves(self, monkeypatch, cut):

@@ -9,9 +9,11 @@ approaches that of bulk silicon.
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "src"))
 
-from tsvplan.benchmarks import blockage_design
+from tsvplan.design_io import parse_design
+from tsvplan.sweeps import set_farm_conductivity
 from tsvplan.thermal import couple_leakage, grid_for
 
 LADDER = [0.5, 1.0, 2.75, 5.0, 23.1, 149.0, 173.0]
@@ -19,9 +21,10 @@ LADDER = [0.5, 1.0, 2.75, 5.0, 23.1, 149.0, 173.0]
 
 def main():
     print(f"{'k_farm (W/mK)':>14} {'peak T (K)':>12} {'avg T (K)':>12}")
+    shipped = parse_design(REPO / "designs" / "blockage.design")
     baseline = None
     for k in LADDER:
-        design = blockage_design(k_farm=k)
+        design = set_farm_conductivity(shipped, k)
         field = couple_leakage(design, grid_for(design.stack)).field
         if baseline is None:
             baseline = field.peak

@@ -9,15 +9,16 @@ and after, mirroring the layer-count study layout.
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "src"))
 
 from tsvplan.anneal import AnnealConfig, FlowConfig
-from tsvplan.benchmarks import corememory_design
+from tsvplan.design_io import parse_design
 from tsvplan.sweeps import format_sweep_table, run_sweep
 
 
 def main():
-    design = corememory_design()
+    design = parse_design(REPO / "designs" / "corememory.design")
     anneal = AnnealConfig(seed=3, max_moves=40, cooling=0.88)
     flow = FlowConfig(outer_iterations=2)
     points = run_sweep(design, "layers", [1, 2, 3, 4], anneal, flow)

@@ -395,8 +395,7 @@ def summarize(design: Design, grid: GridSpec, field: TemperatureField) -> Design
     )
 
 
-@dataclass
-class OptimizeResult:
+class OptimizeResult(NamedTuple):
     best: Design
     trace: RunTrace
     weights: CostWeights

@@ -1,7 +1,8 @@
 """Command-line entry points: analyze, optimize, sweep.
 
 Exit codes: 0 success, 1 data error, 2 solver error, 3 internal error (its
-traceback follows the message on stderr). A usage error, such as a malformed
+traceback follows the message on stderr), 141 (128 + SIGPIPE) stdout closed
+by its reader, with nothing on stderr. A usage error, such as a malformed
 option value, is a data error.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -38,8 +40,10 @@ def guarded(fn):
         except SolverError as exc:
             click.echo(f"solver error: {exc}", err=True)
             sys.exit(2)
-        except click.exceptions.Exit:
-            raise
+        except BrokenPipeError:
+            # the flush at interpreter exit then writes to devnull, not the pipe
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(141)
         except Exception as exc:
             import traceback   # here, so that start-up does not pay for it
             click.echo(f"internal error: {exc}", err=True)

@@ -1,10 +1,12 @@
+import functools
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from tsvplan.design_io import format_trace
+from tsvplan.design_io import format_trace, parse_design
 from tsvplan.model import (Block, Design, Floorplan, Layer, Material, Stack,
                            TechnologyParams, TsvFarm)
 from tsvplan.thermal import CellOccupancy, GridSpec, cell_resistances
@@ -12,6 +14,16 @@ from tsvplan.thermal import CellOccupancy, GridSpec, cell_resistances
 MM = 1e-3
 UM = 1e-6
 SILICON = Material("silicon", 149.0)
+
+REPO = Path(__file__).resolve().parents[1]
+SHIPPED = ("blockage", "corememory", "multicore")   # designs/<name>.design
+
+
+@functools.cache
+def shipped_design(name):
+    """The design of the shipped file designs/<name>.design; a Design is
+    frozen, so every caller may share the one parsed copy."""
+    return parse_design(REPO / "designs" / f"{name}.design")
 
 
 def make_tech(**kw):

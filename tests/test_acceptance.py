@@ -15,14 +15,13 @@ import pytest
 
 from tsvplan.anneal import (AnnealConfig, Evaluator, FlowConfig, RunTrace,
                             accept, gen_move, optimize_stack, sa_placement)
-from tsvplan.benchmarks import blockage_design, corememory_design, multicore_design
 from tsvplan.metrics import CostWeights
 from tsvplan.model import move_farm, validate
-from tsvplan.sweeps import run_sweep
+from tsvplan.sweeps import run_sweep, set_farm_conductivity
 from tsvplan.thermal import (ConductanceNetwork, GridSpec, build_network,
                              couple_leakage, grid_for, rasterize, solve_design,
                              solve_steady_state)
-from conftest import csr_reference
+from conftest import SHIPPED, csr_reference, shipped_design
 
 MM = 1e-3
 AMBIENT = 298.15
@@ -44,13 +43,11 @@ def _report(criterion, ok, detail):
 
 @pytest.fixture(scope="module")
 def optimized():
-    runs = {}
-    for name, builder in (("blockage", blockage_design),
-                          ("multicore", multicore_design),
-                          ("corememory", corememory_design)):
+    runs = {}   # name -> (OptimizeResult, seconds)
+    for name in SHIPPED:
         started = time.perf_counter()
-        runs[name] = optimize_stack(builder(), OPT_ANNEAL, FLOW)
-        runs[name].runtime = time.perf_counter() - started
+        result = optimize_stack(shipped_design(name), OPT_ANNEAL, FLOW)
+        runs[name] = result, time.perf_counter() - started
     return runs
 
 
@@ -96,8 +93,8 @@ def test_criterion_1_solver_correctness():
         worst_conservation = max(worst_conservation, abs(out - p.sum()) / p.sum())
 
     # conservation on the shipped benchmark fixtures
-    for builder in (blockage_design, multicore_design, corememory_design):
-        d = builder()
+    for name in SHIPPED:
+        d = shipped_design(name)
         grid = grid_for(d.stack)
         occ = rasterize(d, grid)
         net = build_network(occ, grid, d.stack)
@@ -116,7 +113,7 @@ def test_criterion_2_blockage_reproduction():
     started = time.perf_counter()
     peaks = {}
     for k in K_LADDER + [173.0]:
-        d = blockage_design(k_farm=k)
+        d = set_farm_conductivity(shipped_design("blockage"), k)
         peaks[k] = couple_leakage(d, grid_for(d.stack)).field.peak
     gap = peaks[0.5] - peaks[173.0]
     ladder = [peaks[k] for k in K_LADDER]
@@ -130,7 +127,7 @@ def test_criterion_2_blockage_reproduction():
 def test_criterion_3_optimization_efficacy(optimized):
     details = []
     ok = True
-    for name, result in optimized.items():
+    for name, (result, seconds) in optimized.items():
         b, a = result.before, result.after
         peak_drop = b.layer_peaks[0] - a.layer_peaks[0]
         avg_drop = b.average - a.average
@@ -138,11 +135,11 @@ def test_criterion_3_optimization_efficacy(optimized):
         area_ratio = a.area / b.area
         point_ok = (peak_drop > 0 and avg_drop > 0
                     and wl_ratio <= 1.05 and area_ratio <= 1.02
-                    and result.runtime < 600.0)
+                    and seconds < 600.0)
         ok = ok and point_ok
         details.append(f"{name}: peak -{peak_drop:.2f} K, avg -{avg_drop:.3f} K, "
                        f"WL x{wl_ratio:.3f}, area x{area_ratio:.3f}, "
-                       f"{result.runtime:.0f}s")
+                       f"{seconds:.0f}s")
     _report(3, ok, "; ".join(details))
 
 
@@ -158,10 +155,10 @@ def test_criterion_4_sa_invariants(optimized):
     curves_ok = all(
         all(x >= y for x, y in zip(r.trace.best_cost_curve,
                                    r.trace.best_cost_curve[1:]))
-        for r in optimized.values())
+        for r, _ in optimized.values())
 
     # bit-identical traces for identical seeds
-    d = blockage_design()
+    d = shipped_design("blockage")
     cfg = AnnealConfig(seed=12, max_moves=15)
     flow = FlowConfig(outer_iterations=1)
     first = optimize_stack(d, cfg, flow)
@@ -178,7 +175,7 @@ def test_criterion_4_sa_invariants(optimized):
 
 def test_criterion_5_layer_sweep():
     started = time.perf_counter()
-    points = run_sweep(corememory_design(), "layers", [1, 2, 3, 4],
+    points = run_sweep(shipped_design("corememory"), "layers", [1, 2, 3, 4],
                        SWEEP_ANNEAL, FLOW)
     assert all(p.status == "ok" for p in points)
     before_peaks = [p.before_core_peak for p in points]
@@ -195,7 +192,7 @@ def test_criterion_5_layer_sweep():
 
 
 def test_criterion_6_conductivity_sweep():
-    points = run_sweep(corememory_design(), "k_farm", K_LADDER,
+    points = run_sweep(shipped_design("corememory"), "k_farm", K_LADDER,
                        SWEEP_ANNEAL, FLOW)
     assert all(p.status == "ok" for p in points)
     reductions = [p.peak_reduction for p in points]
@@ -229,7 +226,7 @@ def test_criterion_7_interlayer_effect():
 def test_criterion_8_exhaustive_oracle():
     # coarsened single-farm benchmark: enumerate every grid-aligned
     # (ratio, origin) configuration and compare SA's best cost
-    base = blockage_design()
+    base = shipped_design("blockage")
     fp = dataclasses.replace(base.floorplan,
                              farms=(base.floorplan.farm("bus_e"),))
     coarse = base.with_floorplan(fp)

@@ -15,7 +15,7 @@ from tsvplan.metrics import CostWeights, cost
 from tsvplan.model import _place_farm, move_farm, reshape_farm, validate
 from tsvplan.thermal import grid_for, solve_design
 
-from conftest import MM, block, farm, make_design, make_tech
+from conftest import MM, SHIPPED, block, farm, make_design, make_tech, shipped_design
 
 
 def context(design, weights=CostWeights(0.0, -1.0, 0.0, 0.0)):
@@ -596,10 +596,9 @@ class TestEvaluatorMemo:
         ev.cost(ev.state_of(move_farm(d, "g", (0.8 * MM, 0.2 * MM))))
         assert rows == ["f", "g", "h", "g"]
 
-    @pytest.mark.parametrize("name", ["blockage", "corememory", "multicore"])
+    @pytest.mark.parametrize("name", SHIPPED)
     def test_a_state_reads_back_as_its_design(self, name):
-        from tsvplan.benchmarks import BUILDERS
-        d = BUILDERS[name]()
+        d = shipped_design(name)
         ev = context(d)
         assert ev.design_of(ev.state_of(d)) == d
         state, rng = ev.state_of(d), np.random.default_rng(1)

@@ -12,16 +12,16 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tsvplan import anneal
-from tsvplan.benchmarks import blockage_design, multicore_design
 from tsvplan.thermal import grid_for
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import REPO, shipped_design
+
+PERFBENCH = REPO / "perfbench"
 
 
 def _load(name):
@@ -63,7 +63,7 @@ def test_commands_and_observed_arguments_resolve(spans):
 @pytest.mark.parametrize("leakage", [None, 0.0], ids=["leakage", "no-leakage"])
 def test_checks_resolve_balances_energy_and_matches_solve_field(leakage):
     checks = _load("checks")
-    design = blockage_design()
+    design = shipped_design("blockage")
     if leakage is not None:
         tech = dataclasses.replace(design.stack.tech, leakage_coeff=leakage)
         design = dataclasses.replace(design, stack=dataclasses.replace(design.stack, tech=tech))
@@ -90,7 +90,7 @@ def test_every_candidate_goes_through_the_module_gen_move(monkeypatch):
         return inner(context, *args)
 
     monkeypatch.setattr(anneal, "gen_move", counted)
-    design = multicore_design()
+    design = shipped_design("multicore")
     result = anneal.optimize_stack(design, anneal.AnnealConfig(seed=1, max_moves=5),
                                    anneal.FlowConfig(outer_iterations=2))
     passes = sum(p.eligible > 0 for p in result.trace.passes)

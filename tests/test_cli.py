@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -13,7 +12,7 @@ from tsvplan.cli import main
 from tsvplan.design_io import emit_design, parse_design
 from tsvplan.errors import SolverError
 
-REPO = Path(__file__).resolve().parents[1]
+from conftest import REPO, SHIPPED
 
 ZERO_POWER = """
 [tech]
@@ -400,7 +399,7 @@ class TestCheck:
 
 
 class TestShippedDesigns:
-    @pytest.mark.parametrize("name", ["blockage", "multicore", "corememory"])
+    @pytest.mark.parametrize("name", SHIPPED)
     def test_shipped_design_parses_and_analyzes(self, runner, name, tmp_path):
         path = REPO / "designs" / f"{name}.design"
         result = runner.invoke(main, ["check", str(path)])
@@ -419,15 +418,20 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
 
 
-def _fresh_python(script, tmp_path):
-    """Run script with the blockage design and tmp_path as arguments, in a
-    fresh interpreter, since this one has imported scipy and numpy.ma for
-    the references."""
+def _run_fresh(script, *args, **kwargs):
+    """Run script with args in a fresh interpreter, since this one has
+    imported scipy and numpy.ma for the references."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH")))))
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(REPO / "designs" / "blockage.design"),
-         str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=env, timeout=120, **kwargs)
+
+
+def _fresh_python(script, tmp_path):
+    """The last line script prints when run with the blockage design and
+    tmp_path as its arguments."""
+    done = _run_fresh(script, REPO / "designs" / "blockage.design", tmp_path,
+                      capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()[-1]
 
@@ -451,3 +455,20 @@ def test_optimize_runs_without_importing_numpy_ma(tmp_path):
     # np.median's first call imports numpy.ma, about 15 ms inside the timed run
     assert _fresh_python(NO_NUMPY_MA, tmp_path) == "False"
     assert (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, options", [
+    ("analyze", ()), ("optimize", ("--max-moves", "2")),
+    ("sweep", ("--axis", "k_farm", "--values", "0.5", "--max-moves", "2"))],
+    ids=["analyze", "optimize", "sweep"])
+def test_a_closed_stdout_exits_141_quietly(command, options, tmp_path):
+    # the read end is closed before the CLI starts, so its first write fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _run_fresh("from tsvplan.cli import main; main()", command,
+                          REPO / "designs" / "blockage.design", *options,
+                          "--out-dir", tmp_path, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b"")

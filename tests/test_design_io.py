@@ -1,11 +1,9 @@
 import dataclasses
-from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from tsvplan.benchmarks import BUILDERS
 from tsvplan.cli import main
 from tsvplan.design_io import (emit_design, format_thermal_map, parse_design,
                                write_thermal_maps)
@@ -14,7 +12,11 @@ from tsvplan.model import TechnologyParams, validate
 from tsvplan.thermal import TemperatureField, GridSpec
 from tsvplan.units import parse_length, parse_temperature
 
-REPO = Path(__file__).resolve().parents[1]
+from conftest import REPO, SHIPPED, shipped_design
+
+# [tech] keys that the shipped files still carry and that no longer set
+# anything; emit_design does not write them
+RETIRED_TECH_KEYS = ("tsv_pitch", "tsv_size", "vertical_parallel", "gradient_weighting")
 
 MINIMAL = """
 [tech]
@@ -136,15 +138,11 @@ bus 50um 50um 200um 200um 0 0 0.5 173
                    for n, message in err.value.errors)
 
     def test_retired_tech_keys_are_accepted_and_not_emitted(self):
-        # design files written before the keys were retired carry all four
-        stripped = emit_design(BUILDERS["blockage"]())
-        retired = ("tsv_pitch = 4e-06m\n", "tsv_size = 2e-06m\n",
-                   "vertical_parallel = false\n", "gradient_weighting = false\n")
-        text = stripped.replace("[tech]\n", "[tech]\n" + "".join(retired), 1)
-        assert all(line in text for line in retired)
-        design = parse_design("<old format>", text=text)
-        assert design == parse_design("<stripped>", text=stripped)
-        assert emit_design(design) == stripped
+        # the shipped files were written before the keys were retired
+        path = REPO / "designs" / "blockage.design"
+        assert all(f"\n{key} = " in path.read_text() for key in RETIRED_TECH_KEYS)
+        emitted = emit_design(parse_design(path))
+        assert not any(key in emitted for key in RETIRED_TECH_KEYS)
 
     @pytest.mark.parametrize("row", ["vertical_parallel = true", "gradient_weighting = true",
                                      "tsv_pitch = banana"])
@@ -165,9 +163,7 @@ bus 50um 50um 200um 200um 0 0 0.5 173
 
 class TestRoundTrip:
     def test_parse_emit_parse_identity(self):
-        from tsvplan.benchmarks import blockage_design, corememory_design
-        for design in (blockage_design(), corememory_design(),
-                       parse_design("<inline>", text=MINIMAL)):
+        for design in (*map(shipped_design, SHIPPED), parse_design("<inline>", text=MINIMAL)):
             emitted = emit_design(design)
             reparsed = parse_design("<emitted>", text=emitted)
             assert reparsed == parse_design("<emitted>", text=emit_design(reparsed))
@@ -207,21 +203,20 @@ class TestThermalMaps:
             assert p.read_text().count("300.00") == 4
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_design_file_equals_its_builder(name):
-    # the benchmark reads the files; the goldens and property tests build
-    # the designs in code, so the two must be the same design
-    assert parse_design(REPO / "designs" / f"{name}.design") == BUILDERS[name]()
+    # the file is the one source: tests load its parse, and the text that
+    # emit_design builds from that parse parses back to the same design
+    design = parse_design(REPO / "designs" / f"{name}.design")
+    assert design == shipped_design(name)
+    assert parse_design("<emitted>", text=emit_design(design)) == design
 
 
-# [tech] keys that the shipped files still carry and that no longer set
-# anything; emit_design does not write them
-RETIRED_TECH_KEYS = ("tsv_pitch", "tsv_size", "vertical_parallel", "gradient_weighting")
-
-
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_design_is_its_builder_plus_the_retired_lines(name):
-    shipped = (REPO / "designs" / f"{name}.design").read_text().splitlines()
+    # the file is emit_design of its own parse plus the four retired lines
+    path = REPO / "designs" / f"{name}.design"
+    shipped = path.read_text().splitlines()
     key = lambda line: line.partition("=")[0].strip()
     retired = [i for i, line in enumerate(shipped) if key(line) in RETIRED_TECH_KEYS]
     assert sorted(key(shipped[i]) for i in retired) == sorted(RETIRED_TECH_KEYS)
@@ -229,7 +224,7 @@ def test_shipped_design_is_its_builder_plus_the_retired_lines(name):
     section_end = next(i for i in range(tech + 1, len(shipped)) if not shipped[i])
     assert all(tech < i < section_end for i in retired)
     kept = [line for i, line in enumerate(shipped) if i not in retired]
-    assert kept == emit_design(BUILDERS[name]()).splitlines()
+    assert kept == emit_design(parse_design(path)).splitlines()
 
 
 # FULL plus a [nets] section, so that every section of the format is present

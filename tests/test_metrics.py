@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tsvplan import anneal, metrics
 from tsvplan.anneal import Evaluator, gen_move
-from tsvplan.benchmarks import BUILDERS
 from tsvplan.metrics import (CostWeights, adjacent_block_pairs, combine,
                              conduction_efficiency, cost, floorplan_area,
                              pair_efficiency, path_conductivity, ratio_penalty,
@@ -16,7 +15,8 @@ from tsvplan.model import move_farm
 from tsvplan.thermal import grid_for, solve_design
 from tsvplan.errors import DesignError
 
-from conftest import MM, block, farm, make_design, make_tech, one_cell_resistances
+from conftest import (MM, SHIPPED, block, farm, make_design, make_tech, one_cell_resistances,
+                      shipped_design)
 
 
 class TestConductionEfficiency:
@@ -177,7 +177,7 @@ class TestTotalEfficiency:
     def test_sum_is_a_left_fold_on_every_python(self, name, monkeypatch):
         # Python 3.12's sum() compensates (Neumaier) and 3.11's does not; on
         # these terms the two orders differ, and f_H must be the left fold
-        design = BUILDERS["blockage"]()
+        design = shipped_design("blockage")
         table = strip_table(design.floorplan.blocks, design.stack)
         terms = pair_efficiency(
             table, path_conductivity(table, design.floorplan.farms)).tolist()
@@ -318,7 +318,7 @@ class TestPerFarmRows:
             assert cost(design, WEIGHTS) == cost(again, WEIGHTS) == expected[1]
             assert ev.breakdown(ev.state_of(again)) == expected[1]
 
-    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    @pytest.mark.parametrize("name", SHIPPED)
     def test_matches_the_batch_formula_across_a_start_over(self, name, monkeypatch):
         # a walk this long meets 130-320 distinct farm states, and each design
         # has at least three farm shapes, so with a cap of 2 every memo of the
@@ -332,7 +332,7 @@ class TestPerFarmRows:
             sizes[id(memo)].append(len(memo))
             return value
         monkeypatch.setattr(anneal, "_recall", recall)
-        for ev, state in _walk(BUILDERS[name](), 800, seed=3):
+        for ev, state in _walk(shipped_design(name), 800, seed=3):
             candidate = ev.design_of(state)
             assert ev.breakdown(state) == cost(candidate, WEIGHTS) == batch_cost(candidate)
         for memo in _memos(ev)[1:]:   # the walk prices states and solves none
@@ -343,7 +343,7 @@ class TestPerFarmRows:
     def test_memos_stay_within_their_caps(self, monkeypatch):
         monkeypatch.setattr(anneal, "MEMO_ENTRIES", 16)
         sizes = []
-        for ev, state in _walk(BUILDERS["multicore"](), 400, seed=5):
+        for ev, state in _walk(shipped_design("multicore"), 400, seed=5):
             ev.cost(state)
             if len(sizes) < 20:
                 ev.solve(state)
@@ -360,12 +360,11 @@ class TestPerFarmRows:
             ev.cost(state)
             return ev, max(len(memo) for memo in _memos(ev))
 
-        names = sorted(BUILDERS)
-        walks = [_walk(BUILDERS[name](), 150, seed=6) for name in names]
+        walks = [_walk(shipped_design(name), 150, seed=6) for name in SHIPPED]
         steps = [largest(ev, state) for walk in walks for ev, state in walk]
-        interleaved = zip(*[_walk(BUILDERS[name](), 150, seed=7) for name in names])
+        interleaved = zip(*[_walk(shipped_design(name), 150, seed=7) for name in SHIPPED])
         steps += [largest(ev, state) for step in interleaved for ev, state in step]
         assert max(size for _, size in steps) <= 16
         contexts = list({id(ev): ev for ev, _ in steps}.values())
-        assert len(contexts) == 2 * len(names)
+        assert len(contexts) == 2 * len(SHIPPED)
         assert len({id(memo) for ev in contexts for memo in _memos(ev)}) == 6 * len(contexts)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsvplan.benchmarks import BUILDERS, blockage_design
 from tsvplan.errors import InvalidMoveError
 import numpy as np
 
@@ -17,7 +16,7 @@ from tsvplan.model import (Block, Floorplan, Material, TsvFarm, _place_farm, far
                            validate)
 from tsvplan.thermal import grid_for
 
-from conftest import MM, UM, block, farm, make_design, make_tech
+from conftest import MM, SHIPPED, UM, block, farm, make_design, make_tech, shipped_design
 
 
 def rect_intersects(a, b):
@@ -100,7 +99,7 @@ class TestValidate:
 
     def test_nan_silicon_in_a_built_design_flagged(self):
         # a design built in code never meets the parser's non-finite check
-        base = blockage_design()
+        base = shipped_design("blockage")
         silicon = Material("silicon", NAN)
         layers = tuple(dataclasses.replace(l, material=silicon) for l in base.stack.layers)
         d = dataclasses.replace(base, stack=dataclasses.replace(base.stack, layers=layers))
@@ -271,9 +270,9 @@ def test_rects_overlap_matches_oracle():
         assert rects_overlap(a, b) == rect_intersects(a, b)
 
 
-# one design object per builder for the whole session; every shipped farm
+# one design object per shipped design for the whole session; every shipped farm
 # spans layers 0-1, so a three-layer design adds farms of other spans
-DESIGNS = {name: builder() for name, builder in sorted(BUILDERS.items())}
+DESIGNS = {name: shipped_design(name) for name in SHIPPED}
 DESIGNS["mixed-spans"] = make_design(
     blocks=(block("a", 0, 0.2, 0.2, 0.6, 0.6), block("b", 1, 1.0, 0.2, 0.6, 0.6),
             block("c", 2, 0.2, 1.0, 0.6, 0.6), block("d", 2, 1.2, 1.2, 0.4, 0.4)),
@@ -416,11 +415,11 @@ def test_memoized_legality_matches_a_full_scan(name, data):
 
 
 @pytest.mark.parametrize("cell", [100 * UM, 50 * UM, 25 * UM], ids=["100um", "50um", "25um"])
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("name", SHIPPED)
 def test_origin_raster_equals_the_scalar_check(name, cell):
     """legal_origins against the full scan at every lattice origin, for each
     farm span of the shipped design and every configured aspect ratio."""
-    design = BUILDERS[name]()
+    design = shipped_design(name)
     stack, fp = design.stack, design.floorplan
     # a raster depends on the farm's span and shape only
     shapes = {(f.start_layer, f.end_layer, math.sqrt(f.area * r), math.sqrt(f.area / r)): f

@@ -10,7 +10,6 @@ import dataclasses
 import gc
 import hashlib
 import weakref
-from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -20,13 +19,10 @@ import tsvplan.cli as cli
 import tsvplan.sweeps as sweeps
 import tsvplan.thermal as thermal
 from tsvplan.anneal import AnnealConfig, Evaluator, FlowConfig, optimize_stack
-from tsvplan.benchmarks import blockage_design, corememory_design
 from tsvplan.design_io import parse_design
 from tsvplan.thermal import couple_leakage, grid_for
 
-from conftest import split_digests
-
-REPO = Path(__file__).resolve().parents[1]
+from conftest import REPO, shipped_design, split_digests
 
 
 def with_leakage(design, coeff):
@@ -68,7 +64,7 @@ def assert_distinct(designs):
 
 @pytest.mark.parametrize("leakage", [None, 0.0], ids=["leakage", "no-leakage"])
 def test_optimize_stack_cold_solves_each_design_once(solves, leakage):
-    design = blockage_design()
+    design = shipped_design("blockage")
     if leakage is not None:
         design = with_leakage(design, leakage)
     result = optimize_stack(design, AnnealConfig(seed=1, max_moves=5),
@@ -94,7 +90,7 @@ def test_cli_optimize_cold_solves_each_design_once(solves, tmp_path):
 
 
 def test_cold_field_is_kept_read_only(solves):
-    design = blockage_design()
+    design = shipped_design("blockage")
     grid = grid_for(design.stack)
     context = Evaluator(design, grid)
     state = context.state_of(design)
@@ -109,8 +105,10 @@ def test_cold_field_is_kept_read_only(solves):
 
 
 def test_a_run_keeps_no_field_after_its_result_is_dropped():
-    # the fields live in the run's context, which the result does not hold
-    result = optimize_stack(blockage_design(), AnnealConfig(seed=1, max_moves=5))
+    # the fields live in the run's context, which the result does not hold;
+    # a fresh parse, since the shared shipped design outlives any run
+    result = optimize_stack(parse_design(REPO / "designs" / "blockage.design"),
+                            AnnealConfig(seed=1, max_moves=5))
     kept = [weakref.ref(x) for x in (result.before_field, result.after_field, result.best)]
     del result
     gc.collect()
@@ -154,7 +152,7 @@ def test_golden_cli_optimize_with_leakage(monkeypatch, tmp_path):
 
 def test_golden_calibrated_layer_sweep(monkeypatch):
     results = captured_results(monkeypatch, sweeps)
-    points = sweeps.run_sweep(corememory_design(), "layers", [1, 2],
+    points = sweeps.run_sweep(shipped_design("corememory"), "layers", [1, 2],
                               AnnealConfig(seed=1, max_moves=4),
                               FlowConfig(outer_iterations=1))
     assert [p.status for p in points] == ["ok", "ok"]
@@ -169,7 +167,7 @@ def test_pass_records_read_the_cold_field(monkeypatch):
         passes.append((state, inner(state, layer, context, *args, **kwargs), context))
         return passes[-1][1]
     monkeypatch.setattr(anneal, "layer_pass", recorded)
-    result = optimize_stack(blockage_design(), AnnealConfig(seed=1, max_moves=5),
+    result = optimize_stack(shipped_design("blockage"), AnnealConfig(seed=1, max_moves=5),
                             FlowConfig(outer_iterations=2))
     assert len(passes) == len(result.trace.passes)
     seen = {}   # (floorplan, layer) -> (avg, peak) in every record naming it

@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsvplan.anneal import AnnealConfig, FlowConfig, optimize_stack
-from tsvplan.benchmarks import BUILDERS, blockage_design
 from tsvplan.errors import InvalidMoveError
 from tsvplan.metrics import total_efficiency
 from tsvplan.model import move_farm, reshape_farm
 
-from conftest import split_digests
+from conftest import SHIPPED, shipped_design, split_digests
 
 
 def oracle_pairs(design):
@@ -143,9 +142,9 @@ steps = st.lists(st.tuples(st.integers(0, 63), st.integers(0, 2), st.integers(0,
 
 
 @settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(sorted(BUILDERS)), moves=steps)
+@given(name=st.sampled_from(SHIPPED), moves=steps)
 def test_table_matches_scalar_walk_over_random_moves(name, moves):
-    design = BUILDERS[name]()
+    design = shipped_design(name)
     for pick, kind, draw, fx, fy in moves:
         farms = design.floorplan.farms
         farm = farms[pick % len(farms)]
@@ -177,6 +176,6 @@ GOLDEN_TRACE_SHA256 = (
 
 
 def test_golden_trace_replays():
-    result = optimize_stack(blockage_design(), AnnealConfig(seed=1, max_moves=10),
+    result = optimize_stack(shipped_design("blockage"), AnnealConfig(seed=1, max_moves=10),
                             FlowConfig(outer_iterations=1))
     assert split_digests([result]) == GOLDEN_TRACE_SHA256

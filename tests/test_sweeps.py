@@ -5,28 +5,29 @@ from tsvplan.errors import DesignError
 from tsvplan.model import validate
 from tsvplan.sweeps import (default_values, run_sweep, set_farm_conductivity,
                             with_memory_layers)
-from tsvplan.benchmarks import corememory_design
+
+from conftest import shipped_design
 
 
 class TestSetFarmConductivity:
     def test_overrides_every_farm(self):
-        d = set_farm_conductivity(corememory_design(), 2.75)
+        d = set_farm_conductivity(shipped_design("corememory"), 2.75)
         assert all(f.k_lateral == 2.75 for f in d.floorplan.farms)
         assert validate(d) == []
 
     def test_rejects_nonpositive(self):
         for k in (0.0, float("nan")):
             with pytest.raises(DesignError):
-                set_farm_conductivity(corememory_design(), k)
+                set_farm_conductivity(shipped_design("corememory"), k)
 
 
 class TestWithMemoryLayers:
     def test_identity_when_count_matches(self):
-        d = corememory_design()
+        d = shipped_design("corememory")
         assert with_memory_layers(d, 1) is d
 
     def test_extension_clones_template_layer(self):
-        d = corememory_design()
+        d = shipped_design("corememory")
         d4 = with_memory_layers(d, 4)
         assert d4.stack.num_layers == 5
         assert validate(d4) == []
@@ -38,7 +39,7 @@ class TestWithMemoryLayers:
         assert all(f.end_layer == 4 for f in d4.floorplan.farms)
 
     def test_extension_preserves_power_scaling(self):
-        d = corememory_design()
+        d = shipped_design("corememory")
         base = sum(b.power for b in d.floorplan.blocks if b.layer == 1)
         d3 = with_memory_layers(d, 3)
         for layer in (1, 2, 3):
@@ -47,7 +48,7 @@ class TestWithMemoryLayers:
             assert layer_power == pytest.approx(base)
 
     def test_shrink_is_inverse_of_extension(self):
-        d = corememory_design()
+        d = shipped_design("corememory")
         d4 = with_memory_layers(d, 4)
         back = with_memory_layers(d4, 1)
         assert back.stack.num_layers == 2
@@ -65,7 +66,7 @@ class TestWithMemoryLayers:
 
     @pytest.mark.parametrize("count", [1.9, 2.5])
     def test_fractional_count_is_a_point_error(self, count):
-        d = corememory_design()
+        d = shipped_design("corememory")
         with pytest.raises(DesignError, match="whole number"):
             with_memory_layers(d, count)
         (point,) = run_sweep(d, "layers", [count], AnnealConfig(), FlowConfig())
@@ -73,12 +74,12 @@ class TestWithMemoryLayers:
         assert point.status.startswith("error: ") and "whole number" in point.status
 
     def test_integral_float_count_is_accepted(self):
-        d = corememory_design()
+        d = shipped_design("corememory")
         assert with_memory_layers(d, 2.0) == with_memory_layers(d, 2)
 
 
 def test_default_axis_values():
-    d = corememory_design()
+    d = shipped_design("corememory")
     assert default_values(d, "layers") == [1, 2, 3, 4]
     ks = default_values(d, "k_farm")
     assert ks[0] == pytest.approx(d.stack.tech.k_farm_min)

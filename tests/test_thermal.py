@@ -12,22 +12,28 @@ from scipy.sparse.linalg import cg
 
 from click.testing import CliRunner
 
-from tsvplan.benchmarks import BUILDERS
 from tsvplan.cli import main
 from tsvplan.design_io import emit_design
 from tsvplan.errors import SingularNetworkError, SolverError, ThermalRunawayError
 from tsvplan.model import reshape_farm
-from tsvplan.sweeps import with_memory_layers
+from tsvplan.sweeps import set_farm_conductivity, with_memory_layers
 from tsvplan import thermal
 from tsvplan.thermal import (COARSE_SOLVE_MAX_UNKNOWNS, RESIDUAL_RTOL,
                              ConductanceNetwork, GridSpec,
                              block_cell_weights, build_network, couple_leakage,
                              field_stats, grid_for, rasterize, solve_design,
                              solve_steady_state, system_matrix)
-from conftest import (MM, UM, block, csr_reference, farm, make_design, make_tech,
-                      one_cell_resistances)
+from conftest import (MM, SHIPPED, UM, block, csr_reference, farm, make_design, make_tech,
+                      one_cell_resistances, shipped_design)
 
 AMBIENT = 298.15
+
+
+def leakless_blockage(k_farm):
+    """The shipped blockage design with every farm at k_farm and no block leaking."""
+    d = set_farm_conductivity(shipped_design("blockage"), k_farm)
+    blocks = tuple(dataclasses.replace(b, leakage_ref=0.0) for b in d.floorplan.blocks)
+    return d.with_floorplan(dataclasses.replace(d.floorplan, blocks=blocks))
 
 
 def agreement_bound(reference, t):
@@ -282,16 +288,14 @@ class TestSolve:
         assert abs(rise_f - rise_c) / rise_c < 0.02
 
     def test_blockage_monotone_in_farm_conductivity(self):
-        from tsvplan.benchmarks import blockage_design
         peaks = []
         for k in (0.5, 1.0, 2.75, 5.0, 23.1, 149.0):
-            d = blockage_design(k_farm=k, leakage_ref=0.0)
+            d = leakless_blockage(k)
             peaks.append(solve_design(d).peak)
         assert all(a >= b - 1e-9 for a, b in zip(peaks, peaks[1:]))
 
     def test_insulated_ring_raises_peak_over_no_ring(self):
-        from tsvplan.benchmarks import blockage_design
-        ringed = blockage_design(k_farm=0.5, leakage_ref=0.0)
+        ringed = leakless_blockage(0.5)
         bare = ringed.with_floorplan(
             dataclasses.replace(ringed.floorplan, farms=()))
         assert solve_design(ringed).peak > solve_design(bare).peak + 1.0
@@ -312,10 +316,10 @@ def mirrored(design, axis):
 
 @pytest.mark.parametrize("solve", ["couple_leakage", "solve_design"])
 @pytest.mark.parametrize("axis", ["x", "y"])
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("name", SHIPPED)
 def test_mirrored_design_gives_mirrored_field(name, axis, solve):
     # a reshaped first farm breaks the builders' own mirror symmetries
-    design = BUILDERS[name]()
+    design = shipped_design(name)
     design = reshape_farm(design, design.floorplan.farms[0].name, 0.25)
     grid = grid_for(design.stack)
 
@@ -329,9 +333,9 @@ def test_mirrored_design_gives_mirrored_field(name, axis, solve):
     np.testing.assert_allclose(field(mirrored(design, axis)), expected, rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("name", SHIPPED)
 def test_swapping_identical_farms_leaves_the_field(name):
-    design = BUILDERS[name]()
+    design = shipped_design(name)
     first, second = design.floorplan.farms[:2]
     assert dataclasses.replace(first, x=second.x, y=second.y, name=second.name,
                                clients=second.clients) == second
@@ -561,7 +565,7 @@ class TestMultigrid:
     def test_a_vcycle_answer_survives_later_products(self):
         # multicore at 100 um has more unknowns than the dense cut, so its
         # V-cycle smooths; neither G's product nor G_eff's may touch its answer
-        design = BUILDERS["multicore"]()
+        design = shipped_design("multicore")
         grid = grid_for(design.stack)
         assert grid.num_cells > COARSE_SOLVE_MAX_UNKNOWNS
         matrix = system_matrix(build_network(rasterize(design, grid), grid, design.stack))
@@ -574,9 +578,9 @@ class TestMultigrid:
             operator @ b
             assert np.array_equal(z, kept)
 
-    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    @pytest.mark.parametrize("name", SHIPPED)
     def test_energy_balance_at_25um(self, name):
-        design = BUILDERS[name]()
+        design = shipped_design(name)
         grid = grid_for(design.stack, 25e-6)
         occ = rasterize(design, grid)
         net = build_network(occ, grid, design.stack)
@@ -588,8 +592,8 @@ class TestMultigrid:
     # the benchmark's largest problems: the last point of its layer sweep,
     # corememory under 4 memory layers (46,080 unknowns), and multicore's
     # leakage fixed point (32,768)
-    @pytest.mark.parametrize("design", [with_memory_layers(BUILDERS["corememory"](), 4),
-                                        BUILDERS["multicore"]()],
+    @pytest.mark.parametrize("design", [with_memory_layers(shipped_design("corememory"), 4),
+                                        shipped_design("multicore")],
                              ids=["corememory-4-memory-layers", "multicore-leakage"])
     def test_energy_balance_of_the_largest_solves_at_25um(self, design):
         grid = grid_for(design.stack, 25e-6)
@@ -692,7 +696,7 @@ class TestCoupleLeakage:
         assert np.array_equal(result.field.t, solve_design(d, grid).t)
 
     def test_a_leaky_field_reports_both_solves_iterations(self, monkeypatch):
-        design = BUILDERS["multicore"]()
+        design = shipped_design("multicore")
         counts = []
         inner = thermal.solve_steady_state
 
@@ -852,7 +856,7 @@ class TestCoupleLeakage:
         # power, to rounding, is injected at T_amb, and a leakage of a few pW
         # is below the rise solve's absolute stop, so its rise may be 0;
         # neither is a runaway
-        shipped = BUILDERS["blockage"]()
+        shipped = shipped_design("blockage")
         for leakage in (None, 1e-13, 5e-12):
             tech = shipped.stack.tech
             if leakage is None:

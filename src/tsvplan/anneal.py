@@ -10,12 +10,14 @@ its field for the run. A Design is built from a state only for a solve, an
 outer iteration's summary and the output.
 
 The annealing chain is sequential by nature; all randomness flows from one
-numpy PCG64 generator seeded from the config so traces replay exactly.
+PCG64 stream seeded from the config (tsvplan.rng, numpy's default_rng stream
+draw for draw) so traces replay exactly.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field, replace
 from itertools import accumulate
@@ -28,6 +30,7 @@ from .metrics import (CostBreakdown, CostWeights, block_centers, face_term,
                       farm_row, floorplan_area, price, strip_table, wirelength)
 from .model import (Design, Floorplan, bounding_box_of, farm_neighbours, farm_overlap,
                     fixed_conflict, legal_origins, origin_lattice)
+from .rng import Pcg64
 from .thermal import GridSpec, TemperatureField, couple_leakage, field_stats, grid_for
 
 RNG_KIND = "numpy-PCG64"  # echoed into reports so traces are replayable
@@ -52,6 +55,11 @@ class AnnealConfig:
             raise ValueError("cooling factor must be in (0, 1)")
         if not self.max_moves >= 1:
             raise ValueError("max_moves must be >= 1")
+        try:
+            # a plain int, so a numpy integer seeds the stream like its value
+            object.__setattr__(self, "seed", operator.index(self.seed))
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
         if not self.seed >= 0:
             raise ValueError("seed must be >= 0")
         for name in ("t_initial", "t_threshold"):
@@ -310,11 +318,18 @@ class Evaluator:
         return _recall(self._priced, state, self._price, state)
 
     def cost(self, state: tuple) -> float:
-        return self.breakdown(state).total
+        # breakdown(state).total; a candidate's memo hit takes one lookup
+        priced = self._priced.get(state)
+        if priced is None:
+            return self.breakdown(state).total
+        self.evaluations += 1
+        return priced.total
 
     def _price(self, state: tuple) -> CostBreakdown:
-        rows = [_recall(self._rows, (k, rect), self._row, k, rect)
-                for k, rect in enumerate(state)]
+        rows, memo = [], self._rows
+        for key in enumerate(state):
+            row = memo.get(key)
+            rows.append(_recall(memo, key, self._row, *key) if row is None else row)
         return price(self.weights, self.table, rows, self.fixed, self._term)
 
     def _row(self, index: int, rect: tuple):
@@ -451,7 +466,7 @@ def optimize_stack(design: Design, anneal: AnnealConfig = AnnealConfig(),
     evaluator.weights = weights
     before = summarize(design, grid, before_field)
 
-    rng = np.random.default_rng(anneal.seed)
+    rng = Pcg64(anneal.seed)
     trace = RunTrace()
     best, after, after_field = design, before, before_field
 

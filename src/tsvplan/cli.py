@@ -235,7 +235,6 @@ def sweep(design_path, axis, values, seed, grid_cell, outer_iters, weights_spec,
 
     points = run_sweep(design, axis, axis_values, anneal, flow, weights=weights)
     table = format_sweep_table(axis, points)
-    click.echo(table)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -243,6 +242,7 @@ def sweep(design_path, axis, values, seed, grid_cell, outer_iters, weights_spec,
     (out / "sweep.json").write_text(json.dumps(
         {"axis": axis, "points": [dataclasses.asdict(p) for p in points]},
         indent=2, sort_keys=True) + "\n")
+    click.echo(table)
     click.echo(f"wrote {out / 'sweep.json'}")
     if any(p.status != "ok" for p in points):
         sys.exit(2)

@@ -125,11 +125,13 @@ class _Face(NamedTuple):
 
 class StripTable(NamedTuple):
     """The f_H strips of a design, face by face: everything the fixed blocks
-    determine. `free` holds each pair's farm-free term."""
+    determine. `free` holds each pair's farm-free term, `layer_faces` each
+    layer's face indices, ascending."""
 
     pairs: tuple[tuple[Block, Block, str], ...]
     faces: tuple[_Face, ...]
     free: tuple[float, ...]
+    layer_faces: tuple[tuple[int, ...], ...]
 
 
 def strip_table(blocks: tuple[Block, ...], stack: Stack) -> StripTable:
@@ -155,7 +157,10 @@ def strip_table(blocks: tuple[Block, ...], stack: Stack) -> StripTable:
         faces.append(_Face(a.layer, int(axis == "x"), lo, hi, distance,
                            width * layer.thickness, layer.material.conductivity,
                            tuple(span_lo + (i + 0.5) * width for i in range(count))))
-    return StripTable(tuple(pairs), tuple(faces), tuple(face_term(f, ()) for f in faces))
+    layer_faces = tuple(tuple(p for p, face in enumerate(faces) if face.layer == layer)
+                        for layer in range(stack.num_layers))
+    return StripTable(tuple(pairs), tuple(faces), tuple(face_term(f, ()) for f in faces),
+                      layer_faces)
 
 
 def path_conductivity(table: StripTable, farms: tuple[TsvFarm, ...]) -> np.ndarray:
@@ -200,14 +205,16 @@ def farm_hits(table: StripTable, farm: TsvFarm) -> tuple:
     seg) per blocked pair, in pair order: strips first..stop-1 of the pair
     lose seg of their path to the farm."""
     rect, hits = farm.rect, []
-    for p, face in enumerate(table.faces):
-        if not farm.start_layer <= face.layer < farm.end_layer:
-            continue
+    # the faces of the layers the farm blocks, start_layer..end_layer-1
+    for p in sorted(chain.from_iterable(table.layer_faces[farm.start_layer:farm.end_layer])):
+        face = table.faces[p]
         a = face.across
         seg = min(face.hi, rect[3 - a]) - max(face.lo, rect[1 - a])
+        if not seg > 0:
+            continue
         first = bisect_left(face.lines, rect[a])
         stop = bisect_right(face.lines, rect[a + 2])
-        if seg > 0 and first < stop:
+        if first < stop:
             hits.append((p, first, stop, seg / farm.k_lateral, seg))
     return tuple(hits)
 

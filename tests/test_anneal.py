@@ -411,6 +411,13 @@ class TestSaPlacement:
         with pytest.raises(ValueError):
             FlowConfig(outer_iterations=0)
 
+    def test_seed_is_taken_as_an_integer(self):
+        # rejected at construction, not by the generator after the first solve
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            AnnealConfig(seed=1.5)
+        config = AnnealConfig(seed=np.int64(3))
+        assert config.seed == 3 and type(config.seed) is int
+
 
 def _hotspot_design():
     """Hot block with a farm parked in its corridor toward a cool neighbor."""

@@ -184,7 +184,8 @@ class TestTotalEfficiency:
         if name == "tenths":
             # ten unblocked pairs whose farm-free terms are 0.1 each
             terms = [0.1] * 10
-            tenths = table._replace(faces=(), free=tuple(terms))
+            tenths = table._replace(faces=(), free=tuple(terms),
+                                    layer_faces=((),) * len(table.layer_faces))
             monkeypatch.setattr(metrics, "strip_table", lambda blocks, stack: tenths)
         left = 0.0
         for term in terms:

@@ -20,13 +20,13 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field, replace
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DesignError
-from .metrics import (CostBreakdown, CostWeights, block_centers, face_term,
+from .metrics import (CostBreakdown, CostWeights, block_centers, blocked_faces, face_term,
                       farm_row, floorplan_area, price, strip_table, wirelength)
 from .model import (Design, Floorplan, bounding_box_of, farm_neighbours, farm_overlap,
                     fixed_conflict, legal_origins, origin_lattice)
@@ -269,15 +269,19 @@ def _recall(memo: dict, key, make, *args):
 class Evaluator:
     """The search context of one run: one design, grid and weighting.
 
-    It holds what the search never changes (stack, blocks, the f_H strip
-    table, the blocks' bounding box and centres, each farm's fixed fields
-    and its same-layer neighbours) and memoizes what depends on the farm
-    rectangles, each memo bounded by MEMO_ENTRIES: the field and the cost of
-    each state, each farm's cost row and move groups on (farm index, rect),
-    each blocked pair's term, and legal_origins' rasters. Every memo fills
-    lazily. solve returns a state's field on the run's grid; breakdown and
-    cost price a state under weights, which must be set before the first
-    price, and count the evaluations.
+    It holds what the search never changes, as per-run tables built here:
+    the stack and blocks, the f_H strip table, the blocks' bounding box and
+    centres, and each farm's fixed fields, blocked faces and same-layer
+    neighbours (the blocks' cell weights and power raster are
+    thermal.block_raster's, built by the first solve). It memoizes what
+    depends on the farm rectangles, each memo bounded by MEMO_ENTRIES: the
+    field and the cost of each state, each farm's cost row and move groups
+    on (farm index, rect), each blocked pair's term, and legal_origins'
+    rasters, and keeps the last move_table. Every memo fills lazily; move
+    groups and rasters from the first gen_move on. solve returns a state's
+    field on the run's grid; breakdown and cost price a state under
+    weights, which must be set before the first price, and count the
+    evaluations.
     """
 
     def __init__(self, design: Design, grid: GridSpec, weights: CostWeights | None = None):
@@ -286,6 +290,7 @@ class Evaluator:
         self.farms = fp.farms
         self.neighbours = [farm_neighbours(fp.farms, k) for k in range(len(fp.farms))]
         self.table = strip_table(fp.blocks, design.stack)
+        self.faces = [blocked_faces(self.table, f.start_layer, f.end_layer) for f in fp.farms]
         self.centers = block_centers(fp.blocks)
         # min and max are exact: the blocks' box prices like all their rects
         self.fixed = [bounding_box_of([b.rect for b in fp.blocks])] if fp.blocks else []
@@ -296,7 +301,9 @@ class Evaluator:
         self._terms: dict = {}     # a blocked pair's hits -> its term
         self._groups: dict = {}    # (index, rect, weight) -> [MoveGroup]
         self._origins: dict = {}   # (width, height, start, end) -> legal_origins
-        self._table: tuple = (None, None, None)   # the last move_table
+        # the last move_table: state, eligible, (groups, cumulative masses),
+        # and the group count up to each eligible farm
+        self._table: tuple = (None, None, ([], []), [])
 
     def state_of(self, design: Design) -> tuple:
         return tuple([(f.x, f.y, f.width, f.height) for f in design.floorplan.farms])
@@ -326,59 +333,92 @@ class Evaluator:
         return priced.total
 
     def _price(self, state: tuple) -> CostBreakdown:
-        rows, memo = [], self._rows
-        for key in enumerate(state):
-            row = memo.get(key)
-            rows.append(_recall(memo, key, self._row, *key) if row is None else row)
+        memo = self._rows
+        rows = [memo.get(key) for key in enumerate(state)]
+        if None in rows:
+            rows = [_recall(memo, key, self._row, *key) if row is None else row
+                    for key, row in zip(enumerate(state), rows)]
         return price(self.weights, self.table, rows, self.fixed, self._term)
 
     def _row(self, index: int, rect: tuple):
-        return farm_row(self.table, self.centers, self.farms[index].placed(*rect))
+        return farm_row(self.table, self.centers, self.farms[index], self.faces[index], rect)
 
     def _term(self, pair: int, hits: tuple) -> float:
-        return _recall(self._terms, hits, face_term, self.table.faces[pair], hits)
+        term = self._terms.get(hits)
+        if term is None:
+            return _recall(self._terms, hits, face_term, self.table.faces[pair], hits)
+        return term
 
     def move_table(self, state: tuple,
                    eligible: Sequence[int]) -> tuple[list[MoveGroup], list[float]]:
         """gen_move's groups in one state, and their cumulative masses. Kept
         for the last (state, eligible) objects, since a rejected candidate
-        leaves the state as it is; a new state reads the memoized groups of
-        every farm but the one that moved."""
-        if self._table[0] is not state or self._table[1] is not eligible:
-            weight = 0.5 / len(eligible)
-            groups = []
-            for index in eligible:
-                groups += _recall(self._groups, (index, state[index], weight),
-                                  self._farm_moves, index, state[index], weight)
-            self._table = (state, eligible,
-                           (groups, list(accumulate(g.mass for g in groups))))
-        return self._table[2]
+        leaves the state as it is. A new state keeps the last table's groups
+        and masses up to the first eligible farm whose rectangle changed and
+        reads the memoized groups from there on: accumulate is a left fold,
+        so each mass is the float a rebuild would give."""
+        last, known, table, ends = self._table
+        if last is state and known is eligible:
+            return table
+        (groups, cumulative), start = table, 0
+        if known is eligible:
+            while start < len(eligible) and state[eligible[start]] == last[eligible[start]]:
+                start += 1
+        keep = ends[start - 1] if start else 0
+        groups, ends = groups[:keep], ends[:start]
+        weight = 0.5 / len(eligible)
+        for index in eligible[start:]:
+            groups += _recall(self._groups, (index, state[index], weight),
+                              self._farm_moves, index, state[index], weight)
+            ends.append(len(groups))
+        # the fold goes on from the last mass kept
+        kept = cumulative[:keep]
+        cumulative = kept[:-1] + list(accumulate(chain(kept[-1:], (g.mass for g in groups[keep:]))))
+        self._table = (state, eligible, (groups, cumulative), ends)
+        return groups, cumulative
 
     def _farm_moves(self, index: int, rect: tuple, weight: float) -> list[MoveGroup]:
         """One farm's groups, each of mass weight * options / all options.
 
         A reshape's options are the other configured ratios whose rectangle,
-        anchored at the farm's lower left, passes fixed_conflict; a
-        relocation's are the lattice origins of legal_origins. Kinds without
-        options are left out. Neither depends on the other farms.
+        anchored at the farm's lower left, is legal; a relocation's are the
+        lattice origins of legal_origins. Kinds without options are left
+        out. Neither depends on the other farms.
         """
         farm, stack, cell = self.farms[index], self.design.stack, self.grid.cell_size
         x, y, width, height = rect
         start, end, ratio = farm.start_layer, farm.end_layer, width / height
-        shapes = [(x, y, math.sqrt(farm.area * r), math.sqrt(farm.area / r))
+        shapes = [(math.sqrt(farm.area * r), math.sqrt(farm.area / r))
                   for r in stack.tech.aspect_ratios if abs(r - ratio) > 1e-9 * r]
-        legal = [(x, y, w, h) for x, y, w, h in shapes
-                 if fixed_conflict(stack, self.design.floorplan.blocks, start, end,
-                                   (x, y, x + w, y + h)) is None]
+        legal = [(x, y, w, h) for w, h in shapes if self._fits(x, y, w, h, start, end)]
         groups = [MoveGroup(index, "reshape", legal, weight * len(legal) / len(shapes))
                   ] if legal else []
-        flat = _recall(self._origins, (width, height, start, end), legal_origins, stack,
-                       self.design.floorplan.blocks, width, height, start, end, cell)
+        flat = self._legal_origins(width, height, start, end)
         if len(flat):
             nx, ny = origin_lattice(stack, width, height, cell)
             groups.append(MoveGroup(index, "move", flat, weight * len(flat) / (nx * ny),
                                     (ny, cell, width, height)))
         return groups
+
+    def _legal_origins(self, width: float, height: float, start: int, end: int):
+        return _recall(self._origins, (width, height, start, end), legal_origins,
+                       self.design.stack, self.design.floorplan.blocks, width, height,
+                       start, end, self.grid.cell_size)
+
+    def _fits(self, x: float, y: float, width: float, height: float,
+              start: int, end: int) -> bool:
+        """Whether a width x height prism on layers start..end at (x, y) passes
+        fixed_conflict. At a point of its origin_lattice, where legal_origins
+        is exact, the shape's raster says; elsewhere fixed_conflict does."""
+        stack, cell = self.design.stack, self.grid.cell_size
+        nx, ny = origin_lattice(stack, width, height, cell)
+        ix, iy = round(x / cell), round(y / cell)
+        if 0 <= ix < nx and 0 <= iy < ny and ix * cell == x and iy * cell == y:
+            flat, origin = self._legal_origins(width, height, start, end), ix * ny + iy
+            at = flat.searchsorted(origin)
+            return at < len(flat) and flat[at] == origin
+        return fixed_conflict(stack, self.design.floorplan.blocks, start, end,
+                              (x, y, x + width, y + height)) is None
 
 
 class DesignSummary(NamedTuple):

@@ -200,22 +200,29 @@ def pair_efficiency(table: StripTable, k_eff: np.ndarray) -> np.ndarray:
                      for face, end in zip(table.faces, ends)])
 
 
-def farm_hits(table: StripTable, farm: TsvFarm) -> tuple:
-    """The strips one farm blocks, one hit (pair, first, stop, seg / k_lateral,
-    seg) per blocked pair, in pair order: strips first..stop-1 of the pair
-    lose seg of their path to the farm."""
-    rect, hits = farm.rect, []
-    # the faces of the layers the farm blocks, start_layer..end_layer-1
-    for p in sorted(chain.from_iterable(table.layer_faces[farm.start_layer:farm.end_layer])):
-        face = table.faces[p]
-        a = face.across
-        seg = min(face.hi, rect[3 - a]) - max(face.lo, rect[1 - a])
+def blocked_faces(table: StripTable, start: int, end: int) -> tuple[int, ...]:
+    """The faces a farm on layers start..end blocks, those of start..end-1
+    (not its landing layer), in pair order."""
+    return tuple(sorted(chain.from_iterable(table.layer_faces[start:end])))
+
+
+def farm_hits(table: StripTable, faces: tuple, k_lateral: float, box) -> tuple:
+    """The strips a farm of lateral conductivity k_lateral in box (x0, y0,
+    x1, y1) blocks on its blocked_faces, one hit (pair, first, stop,
+    seg / k_lateral, seg) per blocked pair, in pair order: strips
+    first..stop-1 of the pair lose seg of their path to the farm."""
+    hits = []
+    for p in faces:
+        _, a, lo, hi, _, _, _, lines = table.faces[p]
+        if box[a] > lines[-1] or box[a + 2] < lines[0]:
+            continue   # no centre line in the box's span: first < stop would fail
+        seg = min(hi, box[3 - a]) - max(lo, box[1 - a])
         if not seg > 0:
             continue
-        first = bisect_left(face.lines, rect[a])
-        stop = bisect_right(face.lines, rect[a + 2])
+        first = bisect_left(lines, box[a])
+        stop = bisect_right(lines, box[a + 2])
         if first < stop:
-            hits.append((p, first, stop, seg / farm.k_lateral, seg))
+            hits.append((p, first, stop, seg / k_lateral, seg))
     return tuple(hits)
 
 
@@ -230,10 +237,11 @@ def face_term(face: _Face, hits: tuple) -> float:
         for i in range(first, stop):
             crossing[i] += resistive
             length[i] += seg
+    distance, k_si, area = face.distance, face.k_si, face.area
     term = 0.0
     for resistive, seg in zip(crossing, length):
-        k_eff = face.distance / (resistive + (face.distance - seg) / face.k_si)
-        term += conduction_efficiency(k_eff, face.area, face.distance)
+        # conduction_efficiency(k_eff, area, distance), inlined
+        term += distance / (resistive + (distance - seg) / k_si) * area / distance
     return term
 
 
@@ -258,7 +266,9 @@ def fold_efficiency(table: StripTable, hits_by_farm, term=None) -> float:
 def total_efficiency(design: Design) -> float:
     """f_H: the sum of pair conduction efficiencies over adjacent block pairs."""
     table = strip_table(design.floorplan.blocks, design.stack)
-    return fold_efficiency(table, [farm_hits(table, f) for f in design.floorplan.farms])
+    return fold_efficiency(table, [
+        farm_hits(table, blocked_faces(table, f.start_layer, f.end_layer), f.k_lateral, f.rect)
+        for f in design.floorplan.farms])
 
 
 def block_centers(blocks: tuple[Block, ...]) -> dict[str, tuple[float, float]]:
@@ -268,9 +278,10 @@ def block_centers(blocks: tuple[Block, ...]) -> dict[str, tuple[float, float]]:
     return centers
 
 
-def client_terms(centers: dict, farm: TsvFarm) -> tuple:
-    """The Manhattan distance from the farm's centre to each client's centre."""
-    fx, fy = farm.center
+def client_terms(centers: dict, farm: TsvFarm, center) -> tuple:
+    """The Manhattan distance from a centre of the farm to each of its
+    clients' centres."""
+    fx, fy = center
     try:
         return tuple(abs(fx - centers[c][0]) + abs(fy - centers[c][1]) for c in farm.clients)
     except KeyError as missing:
@@ -287,7 +298,7 @@ def wirelength(design: Design) -> float:
     """Total Manhattan distance from each farm center to its client block
     centers."""
     centers = block_centers(design.floorplan.blocks)
-    return _fold_wirelength([client_terms(centers, f) for f in design.floorplan.farms])
+    return _fold_wirelength([client_terms(centers, f, f.center) for f in design.floorplan.farms])
 
 
 def _box_area(box) -> float:
@@ -335,8 +346,14 @@ class FarmRow(NamedTuple):
     wires: tuple    # client_terms, for the wirelength
 
 
-def farm_row(table: StripTable, centers: dict, farm: TsvFarm) -> FarmRow:
-    return FarmRow(farm.rect, farm_hits(table, farm), client_terms(centers, farm))
+def farm_row(table: StripTable, centers: dict, farm: TsvFarm, faces: tuple,
+             rect: tuple) -> FarmRow:
+    """The row of a farm, its fixed fields and blocked_faces, in rect (x, y,
+    width, height); the farm's own rectangle is not read."""
+    x, y, width, height = rect
+    box = (x, y, x + width, y + height)
+    return FarmRow(box, farm_hits(table, faces, farm.k_lateral, box),
+                   client_terms(centers, farm, (x + width / 2, y + height / 2)))
 
 
 def price(weights: CostWeights, table: StripTable, rows, fixed: list,
@@ -344,12 +361,12 @@ def price(weights: CostWeights, table: StripTable, rows, fixed: list,
     """All four objective terms and their weighted total, folded from each
     farm's row in floorplan order and the fixed blocks' rects (or their
     bounding box); term as in fold_efficiency."""
-    rects = [row.rect for row in rows] + fixed
+    rects, hits, wires = zip(*rows) if rows else ((), (), ())
+    rects += tuple(fixed)
     box = bounding_box_of(rects)
-    return combine(weights, _box_area(box),
-                   fold_efficiency(table, [row.hits for row in rows], term),
+    return combine(weights, _box_area(box), fold_efficiency(table, hits, term),
                    _box_penalty(box, bool(rects), weights.ratio_target),
-                   _fold_wirelength([row.wires for row in rows]))
+                   _fold_wirelength(wires))
 
 
 def cost(design: Design, weights: CostWeights) -> CostBreakdown:
@@ -357,5 +374,7 @@ def cost(design: Design, weights: CostWeights) -> CostBreakdown:
     fp = design.floorplan
     table = strip_table(fp.blocks, design.stack)
     centers = block_centers(fp.blocks)
-    return price(weights, table, [farm_row(table, centers, f) for f in fp.farms],
+    return price(weights, table,
+                 [farm_row(table, centers, f, blocked_faces(table, f.start_layer, f.end_layer),
+                           (f.x, f.y, f.width, f.height)) for f in fp.farms],
                  [b.rect for b in fp.blocks])

@@ -383,12 +383,14 @@ def farm_neighbours(farms: tuple[TsvFarm, ...], index: int) -> tuple:
 def farm_overlap(neighbours: tuple, rects, rect) -> str | None:
     """Why a farm cannot take `rect` for one of its farm_neighbours, each at
     its (x, y, width, height) in rects, or None if none is in the way."""
-    x0, _, x1, _ = rect
+    x0, y0, x1, y1 = rect
     for k, name, layer in neighbours:
         ox, oy, width, height = rects[k]
-        # a cheaper necessary condition first: the x spans cross by > RECT_EPS
-        if (x1 - ox > RECT_EPS and ox + width - x0 > RECT_EPS
-                and rects_overlap(rect, (ox, oy, ox + width, oy + height))):
+        ox1 = ox + width
+        # rects_overlap inlined: a min minus a max rounds to the least of the
+        # four differences it may pick, so each is compared to RECT_EPS
+        if (x1 - ox > RECT_EPS and ox1 - x0 > RECT_EPS and x1 - x0 > RECT_EPS
+                and ox1 - ox > RECT_EPS and min(y1, oy + height) - max(y0, oy) > RECT_EPS):
             return f"overlaps {name} on layer {layer}"
     return None
 

@@ -98,6 +98,35 @@ def block_cell_weights(block, grid: GridSpec) -> np.ndarray:
     return areas / (block.width * block.height)
 
 
+class BlockRaster(NamedTuple):
+    """What a design's fixed blocks put on a grid, which no farm changes:
+    each block's nonzero block_cell_weights as (flat cells of its layer,
+    their weights), in floorplan order, and the blocks' power raster; all
+    read-only."""
+
+    entries: tuple
+    power: np.ndarray   # [L, ny, nx] W at reference temperature
+
+
+@functools.lru_cache(maxsize=1)
+def block_raster(blocks: tuple, grid: GridSpec) -> BlockRaster:
+    """The blocks' cell weights and power raster on grid. The last one is
+    kept: a run's designs share their blocks tuple and grid, so every
+    rasterize, couple_leakage and field_stats of a run reads one raster."""
+    power = np.zeros((grid.num_layers, grid.cells_y, grid.cells_x))
+    entries = []
+    for block in blocks:
+        weights = block_cell_weights(block, grid)
+        watts = block.power + block.leakage_ref
+        if watts != 0:  # a NaN power must reach the solver, which rejects it
+            power[block.layer] += watts * weights
+        cells = np.flatnonzero(weights)
+        entries.append((cells, weights.ravel()[cells]))
+    for array in (power, *(a for entry in entries for a in entry)):
+        array.flags.writeable = False   # every caller shares them
+    return BlockRaster(tuple(entries), power)
+
+
 def rasterize(design: Design, grid: GridSpec) -> CellOccupancy:
     """Rasterize a floorplan: exact area fractions and proportional power split."""
     shape = (grid.num_layers, grid.cells_y, grid.cells_x)
@@ -106,7 +135,6 @@ def rasterize(design: Design, grid: GridSpec) -> CellOccupancy:
     k_farm = np.zeros(shape)
     k_metal = np.zeros(shape)
     best_area = np.zeros(shape)
-    power = np.zeros(shape)
     cell_area = grid.cell_size ** 2
 
     for farm in design.floorplan.farms:
@@ -121,11 +149,6 @@ def rasterize(design: Design, grid: GridSpec) -> CellOccupancy:
             k_farm[layer][take] = farm.k_lateral
             k_metal[layer][take] = farm.k_metal
 
-    for block in design.floorplan.blocks:
-        watts = block.power + block.leakage_ref
-        if watts != 0:  # a NaN power must reach the solver, which rejects it
-            power[block.layer] += watts * block_cell_weights(block, grid)
-
     np.clip(farm_fraction, 0.0, 1.0, out=farm_fraction)
     np.clip(lateral_fraction, 0.0, 1.0, out=lateral_fraction)
     # floating-point dust at aligned edges must not become a series term:
@@ -135,7 +158,8 @@ def rasterize(design: Design, grid: GridSpec) -> CellOccupancy:
     lateral_fraction[lateral_fraction < 1e-12] = 0.0
     lateral_fraction[lateral_fraction > 1 - 1e-12] = 1.0
     lateral_fraction = np.minimum(lateral_fraction, farm_fraction)
-    return CellOccupancy(farm_fraction, lateral_fraction, k_farm, k_metal, power)
+    return CellOccupancy(farm_fraction, lateral_fraction, k_farm, k_metal,
+                         block_raster(design.floorplan.blocks, grid).power)
 
 
 class ConductanceNetwork(NamedTuple):
@@ -571,21 +595,22 @@ def solve_design(design: Design, grid: GridSpec | None = None) -> TemperatureFie
 
 class LeakageOperator:
     """G_eff = G - K, the leakage fixed point's matrix, matrix-free. K is
-    sum_b c l_b w_b w_b^T over the leaky blocks b (c the leakage coefficient,
-    l_b the reference leakage, w_b the cell weights), kept as one entry per
-    nonzero weight. Its preconditioner is G's V-cycle, and its products take
+    sum_b c l_b w_b w_b^T over the leaky blocks b of `blocks`, those with
+    l_b > 0 (c the leakage coefficient, l_b the reference leakage, w_b the
+    cell weights), kept as one entry per nonzero weight, as block_raster
+    holds them. Its preconditioner is G's V-cycle, and its products take
     their buffers as G's do."""
 
     def __init__(self, matrix: StencilOperator, blocks, coeff: float):
         self.matrix = matrix
         grid = matrix.network.grid
-        weights = [block_cell_weights(b, grid).ravel() for b in blocks]
-        cells = [np.flatnonzero(w) for w in weights]
-        self._block = np.repeat(np.arange(len(blocks)), [len(c) for c in cells])
-        self._cells = np.concatenate([b.layer * grid.cells_per_layer + c
-                                      for b, c in zip(blocks, cells)])
-        self._w = np.concatenate([w[c] for w, c in zip(weights, cells)])
-        self._gain_w = self._w * np.array([coeff * b.leakage_ref for b in blocks])[self._block]
+        entries = block_raster(tuple(blocks), grid).entries
+        leaky = [(b, cells, w) for b, (cells, w) in zip(blocks, entries) if b.leakage_ref > 0]
+        self._block = np.repeat(np.arange(len(leaky)), [len(cells) for _, cells, _ in leaky])
+        self._cells = np.concatenate([b.layer * grid.cells_per_layer + cells
+                                      for b, cells, _ in leaky])
+        self._w = np.concatenate([w for _, _, w in leaky])
+        self._gain_w = self._w * np.array([coeff * b.leakage_ref for b, _, _ in leaky])[self._block]
 
     vcycle = property(lambda self: self.matrix.vcycle)
 
@@ -636,12 +661,11 @@ def couple_leakage(design: Design, grid: GridSpec) -> LeakageSolve:
     occ = rasterize(design, grid)
     network = build_network(occ, grid, design.stack)
     matrix = system_matrix(network)
-    leaky = [b for b in design.floorplan.blocks if lam > 0 and b.leakage_ref > 0]
-    if not leaky:
+    if not any(lam > 0 and b.leakage_ref > 0 for b in design.floorplan.blocks):
         return LeakageSolve(solve_steady_state(network, occ.power, tech.ambient,
                                                matrix=matrix), 1)
 
-    g_eff = LeakageOperator(matrix, leaky, lam)
+    g_eff = LeakageOperator(matrix, design.floorplan.blocks, lam)
     t = np.full(occ.power.shape, tech.ambient)
     source = occ.power + g_eff.leakage(t - ref)
     try:
@@ -678,8 +702,15 @@ def field_stats(field: TemperatureField, design: Design | None = None,
     hottest = None
     hottest_avg = None
     if design is not None and grid is not None:
-        for block in sorted(design.floorplan.blocks, key=lambda b: b.name):
-            avg = float((field.t[block.layer] * block_cell_weights(block, grid)).sum())
+        raster = block_raster(design.floorplan.blocks, grid)
+        # each block's weights over its whole layer, so the sum adds the
+        # products in the order of a full-plane block_cell_weights
+        plane = np.zeros(grid.cells_per_layer)
+        for block, (cells, weights) in sorted(zip(design.floorplan.blocks, raster.entries),
+                                              key=lambda pair: pair[0].name):
+            plane[cells] = weights
+            avg = float((field.t[block.layer] * plane.reshape(grid.cells_y, grid.cells_x)).sum())
+            plane[cells] = 0.0
             if hottest_avg is None or avg > hottest_avg:
                 hottest, hottest_avg = block.name, avg
     return FieldStats(field.peak, field.average, hottest, hottest_avg)

@@ -592,9 +592,9 @@ class TestEvaluatorMemo:
         rows = []
         inner = anneal.farm_row
 
-        def counted(table, centers, farm):
+        def counted(table, centers, farm, faces, rect):
             rows.append(farm.name)
-            return inner(table, centers, farm)
+            return inner(table, centers, farm, faces, rect)
         monkeypatch.setattr(anneal, "farm_row", counted)
         d = _law_design()
         ev = context(d, self.WEIGHTS)

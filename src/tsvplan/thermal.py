@@ -80,15 +80,16 @@ class CellOccupancy(NamedTuple):
     power: np.ndarray             # [L, ny, nx] W at reference temperature
 
 
-def _overlap_1d(lo: float, hi: float, cell: float, n: int) -> np.ndarray:
-    edges = np.arange(n + 1) * cell
+def _overlap_1d(lo: float, hi: float, cell: float, start: int, stop: int) -> np.ndarray:
+    """Lengths by which [lo, hi] overlaps cells start..stop-1 of a row."""
+    edges = np.arange(start, stop + 1) * cell
     return np.clip(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0, None)
 
 
 def rect_cell_areas(rect, grid: GridSpec) -> np.ndarray:
     """Exact [ny, nx] intersection areas of a rectangle with every grid cell."""
-    ox = _overlap_1d(rect[0], rect[2], grid.cell_size, grid.cells_x)
-    oy = _overlap_1d(rect[1], rect[3], grid.cell_size, grid.cells_y)
+    ox = _overlap_1d(rect[0], rect[2], grid.cell_size, 0, grid.cells_x)
+    oy = _overlap_1d(rect[1], rect[3], grid.cell_size, 0, grid.cells_y)
     return np.outer(oy, ox)
 
 
@@ -127,37 +128,58 @@ def block_raster(blocks: tuple, grid: GridSpec) -> BlockRaster:
     return BlockRaster(tuple(entries), power)
 
 
+def _span_overlaps(lo: float, hi: float, cell: float, n: int):
+    """The cells of a row of n that [lo, hi] can overlap, widened by one on
+    each side against rounding, and the length it overlaps each by."""
+    start = min(max(math.floor(lo / cell) - 1, 0), n)
+    stop = max(min(math.floor(hi / cell) + 2, n), start)
+    return slice(start, stop), _overlap_1d(lo, hi, cell, start, stop)
+
+
 def rasterize(design: Design, grid: GridSpec) -> CellOccupancy:
-    """Rasterize a floorplan: exact area fractions and proportional power split."""
+    """Rasterize a floorplan: exact area fractions and proportional power split.
+
+    Each farm is written into its window, the cells its rectangle can
+    overlap on its layers; every other cell holds no farm and stays 0.
+    """
     shape = (grid.num_layers, grid.cells_y, grid.cells_x)
     farm_fraction = np.zeros(shape)
     lateral_fraction = np.zeros(shape)
     k_farm = np.zeros(shape)
     k_metal = np.zeros(shape)
     best_area = np.zeros(shape)
-    cell_area = grid.cell_size ** 2
+    cell = grid.cell_size
+    windows = []   # each farm's (layers, rows, columns)
 
     for farm in design.floorplan.farms:
-        areas = rect_cell_areas(farm.rect, grid)
-        frac = areas / cell_area
+        x0, y0, x1, y1 = farm.rect
+        (rows, oy), (cols, ox) = (_span_overlaps(y0, y1, cell, grid.cells_y),
+                                  _span_overlaps(x0, x1, cell, grid.cells_x))
+        areas = np.outer(oy, ox)
+        frac = areas / cell ** 2
         for layer in range(farm.start_layer, farm.end_layer + 1):
-            farm_fraction[layer] += frac
+            window = (layer, rows, cols)
+            farm_fraction[window] += frac
             if farm.blocks_laterally(layer):
-                lateral_fraction[layer] += frac
-            take = areas > best_area[layer]
-            best_area[layer][take] = areas[take]
-            k_farm[layer][take] = farm.k_lateral
-            k_metal[layer][take] = farm.k_metal
+                lateral_fraction[window] += frac
+            best = best_area[window]
+            take = areas > best
+            best[take] = areas[take]
+            k_farm[window][take] = farm.k_lateral
+            k_metal[window][take] = farm.k_metal
+        windows.append((slice(farm.start_layer, farm.end_layer + 1), rows, cols))
 
-    np.clip(farm_fraction, 0.0, 1.0, out=farm_fraction)
-    np.clip(lateral_fraction, 0.0, 1.0, out=lateral_fraction)
-    # floating-point dust at aligned edges must not become a series term:
-    # the composite resistance diverges as the farm fraction approaches zero
-    farm_fraction[farm_fraction < 1e-12] = 0.0
-    farm_fraction[farm_fraction > 1 - 1e-12] = 1.0
-    lateral_fraction[lateral_fraction < 1e-12] = 0.0
-    lateral_fraction[lateral_fraction > 1 - 1e-12] = 1.0
-    lateral_fraction = np.minimum(lateral_fraction, farm_fraction)
+    if windows:   # clip and threshold the bounding window of them all
+        window = tuple(slice(min(w[axis].start for w in windows),
+                             max(w[axis].stop for w in windows)) for axis in range(3))
+        farm_share, lateral_share = farm_fraction[window], lateral_fraction[window]
+        for share in (farm_share, lateral_share):
+            np.clip(share, 0.0, 1.0, out=share)
+            # floating-point dust at aligned edges must not become a series
+            # term: the composite resistance diverges as the fraction nears 0
+            share[share < 1e-12] = 0.0
+            share[share > 1 - 1e-12] = 1.0
+        np.minimum(lateral_share, farm_share, out=lateral_share)
     return CellOccupancy(farm_fraction, lateral_fraction, k_farm, k_metal,
                          block_raster(design.floorplan.blocks, grid).power)
 
@@ -180,38 +202,52 @@ def _series_terms(fraction, k, span, area):
 
 
 def cell_resistances(occ: CellOccupancy, grid: GridSpec, stack: Stack):
-    """Per-cell composite lateral and vertical resistances, [L, ny, nx]."""
+    """Per-cell composite lateral and vertical resistances, [L, ny, nx].
+
+    Cells outside the bounding window of nonzero farm_fraction, over all
+    layers, hold no farm (lateral_fraction <= farm_fraction, as rasterize
+    makes it). So a layer's cells there take one silicon constant, the same
+    expression at fraction 0, and only the window is evaluated cell by
+    cell.
+    """
     cell = grid.cell_size
-    r_lat = np.zeros_like(occ.farm_fraction)
-    r_vert = np.zeros_like(occ.farm_fraction)
-    for layer in stack.layers:
-        t = layer.thickness
-        k_si = layer.material.conductivity
-        a_lat = cell * t
-        a_vert = cell * cell
-        eta_l = occ.lateral_fraction[layer.index]
-        eta_v = occ.farm_fraction[layer.index]
-        r_lat[layer.index] = (
-            _series_terms(eta_l, occ.k_farm[layer.index], cell, a_lat)
-            + _series_terms(1.0 - eta_l, k_si, cell, a_lat)
-        )
-        r_vert[layer.index] = (
-            _series_terms(eta_v, occ.k_metal[layer.index], t, a_vert)
-            + _series_terms(1.0 - eta_v, k_si, t, a_vert)
-        )
+    t = np.array([layer.thickness for layer in stack.layers]).reshape(-1, 1, 1)
+    k_si = np.array([layer.material.conductivity for layer in stack.layers]).reshape(-1, 1, 1)
+    a_lat, a_vert = cell * t, cell * cell
+
+    def resistances(eta_l, eta_v, k_farm, k_metal):
+        return (_series_terms(eta_l, k_farm, cell, a_lat)
+                + _series_terms(1.0 - eta_l, k_si, cell, a_lat),
+                _series_terms(eta_v, k_metal, t, a_vert)
+                + _series_terms(1.0 - eta_v, k_si, t, a_vert))
+    r_lat = np.empty_like(occ.farm_fraction)
+    r_vert = np.empty_like(occ.farm_fraction)
+    no_farm = np.zeros_like(t)
+    r_lat[:], r_vert[:] = resistances(no_farm, no_farm, no_farm, no_farm)
+    farmed = occ.farm_fraction.any(axis=0)
+    rows, cols = np.flatnonzero(farmed.any(axis=1)), np.flatnonzero(farmed.any(axis=0))
+    if rows.size:
+        window = np.s_[:, rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+        r_lat[window], r_vert[window] = resistances(
+            occ.lateral_fraction[window], occ.farm_fraction[window],
+            occ.k_farm[window], occ.k_metal[window])
     return r_lat, r_vert
 
 
 def build_network(occ: CellOccupancy, grid: GridSpec, stack: Stack) -> ConductanceNetwork:
     """Couple neighbor cells through half-resistances; bottom cells to ambient."""
     r_lat, r_vert = cell_resistances(occ, grid, stack)
-    g_x = 2.0 / (r_lat[:, :, :-1] + r_lat[:, :, 1:])
-    g_y = 2.0 / (r_lat[:, :-1, :] + r_lat[:, 1:, :])
-    r_z = 0.5 * (r_vert[:-1] + r_vert[1:])
+    # each edge's series resistance, then its conductance, in one buffer
+    g_x = np.add(r_lat[:, :, :-1], r_lat[:, :, 1:])
+    np.divide(2.0, g_x, g_x)
+    g_y = np.add(r_lat[:, :-1, :], r_lat[:, 1:, :])
+    np.divide(2.0, g_y, g_y)
+    g_z = np.add(r_vert[:-1], r_vert[1:])
+    np.multiply(0.5, g_z, g_z)
     if stack.tech.bond_thickness > 0:
-        r_z = r_z + stack.tech.bond_thickness / (
-            stack.tech.bond_conductivity * grid.cell_size ** 2)
-    g_z = 1.0 / r_z
+        np.add(g_z, stack.tech.bond_thickness / (
+            stack.tech.bond_conductivity * grid.cell_size ** 2), g_z)
+    np.divide(1.0, g_z, g_z)
     share = 1.0 / (stack.tech.package_resistance * grid.cells_per_layer)
     g_ambient = np.full((grid.cells_y, grid.cells_x), share)
     return ConductanceNetwork(grid, g_x, g_y, g_z, g_ambient)
@@ -248,9 +284,7 @@ class StencilOperator:
         self.network = network
         grid = network.grid
         shape = (grid.num_layers, grid.cells_y, grid.cells_x)
-        diag, g_x, g_y = np.zeros(shape), np.zeros(shape), np.zeros(shape)
-        g_x[:, :, :-1] = network.g_x
-        g_y[:, :-1, :] = network.g_y
+        diag = np.zeros(shape)
         for lo, hi, g in ((np.s_[:, :, :-1], np.s_[:, :, 1:], network.g_x),
                           (np.s_[:, :-1], np.s_[:, 1:], network.g_y),
                           (np.s_[:-1], np.s_[1:], network.g_z)):
@@ -260,10 +294,15 @@ class StencilOperator:
         self._diag = diag.ravel()
         self._diag.flags.writeable = False
         n = grid.num_cells
-        # (offset, -g to the node offset further on), zero where a row or layer ends
-        self._couplings = ((grid.cells_per_layer, -network.g_z.ravel()),
-                           (grid.cells_x, -g_y.ravel()[:n - grid.cells_x]),
-                           (1, -g_x.ravel()[:n - 1]))
+        # -g_x and -g_y over the whole plane, -0.0 where a row or column ends
+        g_x, g_y = np.empty((2, *shape))
+        g_x[:, :, -1] = g_y[:, -1] = -0.0
+        np.negative(network.g_x, g_x[:, :, :-1])
+        np.negative(network.g_y, g_y[:, :-1])
+        # (offset, -g to the node offset further on)
+        self._couplings = ((grid.cells_per_layer, np.negative(network.g_z).ravel()),
+                           (grid.cells_x, g_y.ravel()[:n - grid.cells_x]),
+                           (1, g_x.ravel()[:n - 1]))
 
     def diagonal(self) -> np.ndarray:
         return self._diag
@@ -271,10 +310,16 @@ class StencilOperator:
     def bind(self, x: np.ndarray, out: np.ndarray, term: np.ndarray):
         """Return a function that writes G @ x into out, using term for the
         product's terms."""
-        return _bind_product(self._diag, self._couplings, x, out, term)
+        steps = _product_steps(self._diag, self._couplings, x, out, term)
+
+        def apply() -> np.ndarray:
+            for step, args in steps:
+                step(*args)
+            return out
+        return apply
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.bind(x, np.empty_like(self._diag), np.empty_like(self._diag))()
+        return self.bind(x, _aligned_empty(len(x)), _aligned_empty(len(x)))()
 
     @functools.cached_property
     def vcycle(self) -> VCycle:
@@ -283,35 +328,58 @@ class StencilOperator:
         return VCycle(self)
 
 
+def _aligned_empty(n: int, dtype=np.float64) -> np.ndarray:
+    """An empty vector whose data starts on a 64-byte boundary. numpy's
+    vector loops write whole cache lines there; into a vector that starts
+    off it, as a large np.empty often does, a product runs about half as
+    fast."""
+    size = n * np.dtype(dtype).itemsize
+    raw = np.empty(size + 64, np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + size].view(dtype)
+
+
 def _coupling_views(couplings, x, term, out):
     """The (g, x, term, out) views of each coupling's terms of a product, in
     StencilOperator's order: those to nodes before a row's own, then those
     to nodes after it."""
     n = len(x)
-    return ([(g, x[:n - k], term[k:], out[k:]) for k, g in couplings],
+    return ([(g, x[:n - k], term[:n - k], out[k:]) for k, g in couplings],
             [(g, x[k:], term[:n - k], out[:n - k]) for k, g in reversed(couplings)])
 
 
-def _bind_product(diag, couplings, x, out, term):
-    """Return a function that writes the stencil's product with x into out,
-    using term for its terms, in StencilOperator's order. The shifted views
-    of the three buffers are taken once, here, so each call costs only the
-    arithmetic."""
-    before, after = _coupling_views(couplings, x, term, out)
-    steps = before + [(diag, x, term, out)] + after
+def _term_steps(views, combine) -> list:
+    """Bound steps that, for each (g, x, term, out) view in turn, write g x
+    into term and then combine(out, term) into out. A bound step is
+    (function, arguments): its views are taken, and its output passed
+    positionally, when it is bound, so a call costs only the arithmetic."""
+    return [step for g, xs, ts, ys in views
+            for step in ((np.multiply, (g, xs, ts)), (combine, (ys, ts, ys)))]
 
-    def apply() -> np.ndarray:
-        out.fill(0.0)
-        for g, xs, ts, ys in steps:
-            np.multiply(g, xs, out=ts)
-            ys += ts
-        return out
-    return apply
+
+def _product_steps(diag, couplings, x, out, term) -> list:
+    """Bound steps that write the stencil's product with x into out, using
+    term for its terms, in StencilOperator's order."""
+    before, after = _coupling_views(couplings, x, term, out)
+    return [(out.fill, (0.0,))] + _term_steps(before + [(diag, x, term, out)] + after, np.add)
 
 
 def system_matrix(network: ConductanceNetwork) -> StencilOperator:
     """The system matrix G of a network, as a matrix-free stencil operator."""
     return StencilOperator(network)
+
+
+def _pair_sums(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sums of a's adjacent pairs along axis -1 or -2, an odd last element
+    kept alone: np.add.reduceat(a, range(0, n, 2), axis), element for
+    element."""
+    n = a.shape[axis]
+    after = (slice(None),) * (-1 - axis)
+    sums = np.empty(a.shape[:axis] + ((n + 1) // 2,) + a.shape[a.ndim + axis + 1:], a.dtype)
+    np.add(a[(..., np.s_[0:n - 1:2], *after)], a[(..., np.s_[1::2], *after)],
+           sums[(..., np.s_[:n // 2], *after)])
+    sums[(..., np.s_[n // 2:], *after)] = a[(..., np.s_[n - n % 2:], *after)]
+    return sums
 
 
 def coarsen(network: ConductanceNetwork) -> ConductanceNetwork:
@@ -323,25 +391,36 @@ def coarsen(network: ConductanceNetwork) -> ConductanceNetwork:
     which on uniform cells is the series rule at twice the cell size.
     """
     grid = network.grid
-    rows, cols = np.arange(0, grid.cells_y, 2), np.arange(0, grid.cells_x, 2)
-
-    def by_rows(a):
-        return np.add.reduceat(a, rows, axis=-2)
-
-    def by_cols(a):
-        return np.add.reduceat(a, cols, axis=-1)
+    g_x = _pair_sums(network.g_x[:, :, 1::2], -2)
+    g_y = _pair_sums(network.g_y[:, 1::2, :], -1)
+    g_x *= 0.5
+    g_y *= 0.5
     return ConductanceNetwork(
-        GridSpec(len(cols), len(rows), 2 * grid.cell_size, grid.num_layers),
-        g_x=0.5 * by_rows(network.g_x[:, :, 1::2]),
-        g_y=0.5 * by_cols(network.g_y[:, 1::2, :]),
-        g_z=by_cols(by_rows(network.g_z)),
-        g_ambient=by_cols(by_rows(network.g_ambient)))
+        GridSpec((grid.cells_x + 1) // 2, (grid.cells_y + 1) // 2, 2 * grid.cell_size,
+                 grid.num_layers),
+        g_x=g_x, g_y=g_y, g_z=_pair_sums(_pair_sums(network.g_z, -2), -1),
+        g_ambient=_pair_sums(_pair_sums(network.g_ambient, -2), -1))
+
+
+def _column_steps(c_m, damped_inv_m, b, v, s) -> list:
+    """Bound steps that write SMOOTHER_DAMPING * D^-1 b into v, D the column
+    blocks: a forward and a back substitution, each vectorized over the
+    plane, with s for the terms. b is v, or v's first layer already holds
+    b's."""
+    b, v = b.reshape(damped_inv_m.shape), v.reshape(damped_inv_m.shape)
+    forward = [step for k in range(1, len(v))
+               for step in ((np.multiply, (c_m[k - 1], v[k - 1], s)),
+                            (np.subtract, (b[k], s, v[k])))]
+    back = [step for k in range(len(v) - 2, -1, -1)
+            for step in ((np.multiply, (c_m[k], v[k + 1], s)), (np.subtract, (v[k], s, v[k])))]
+    return forward + [(np.multiply, (v, damped_inv_m, v))] + back
 
 
 class _Level:
-    """One smoothed level of the V-cycle, all in float32: the factors of its
-    vertical columns' tridiagonal blocks, its operator's full and lateral
-    products, and buffers allocated once.
+    """One smoothed level of the V-cycle, all in float32: its b and x, and
+    the bound steps of its first sweep, of each later sweep and of its
+    residual, which hold the factors of its vertical columns' tridiagonal
+    blocks and its operator's couplings.
 
     The factors are computed in float64 and then rounded, and the level
     keeps no float64 array. Every level's residual r and product term are
@@ -363,51 +442,34 @@ class _Level:
         c_m, m = np.empty((layers - 1, plane)), np.empty((layers, plane))
         m[0] = diag[0]
         for k in range(1, layers):
-            np.divide(c[k - 1], m[k - 1], out=c_m[k - 1])
-            m[k] = diag[k] - c[k - 1] * c_m[k - 1]
-        np.divide(SMOOTHER_DAMPING, m, out=m)
-        self._c_m, self._damped_inv_m = c_m.astype(np.float32), m.astype(np.float32)
+            np.divide(c[k - 1], m[k - 1], c_m[k - 1])
+            np.multiply(c[k - 1], c_m[k - 1], m[k])
+            np.subtract(diag[k], m[k], m[k])
+        np.divide(SMOOTHER_DAMPING, m, m)
+        c_m, inv_m = c_m.astype(np.float32), m.astype(np.float32)
         couplings = [(k, g.astype(np.float32)) for k, g in operator._couplings]
-        self._column_term = np.empty(plane, np.float32)
-        self.b, self.x = np.empty(n, np.float32), np.empty(n, np.float32)
-        self.r = r[:n]
+        s = _aligned_empty(plane, np.float32)
+        self.b, self.x = b, x = _aligned_empty(n, np.float32), _aligned_empty(n, np.float32)
+        self.r = r = r[:n]
         term = term[:n]
-        self._product = _bind_product(operator.diagonal().astype(np.float32), couplings,
-                                      self.x, self.r, term)
-        # (-g, x, term, r) views of -g_y and -g_x that take N x off r
-        before, after = _coupling_views(couplings[1:], self.x, term, self.r)
-        self._lateral = before + after
-
-    def solve_columns(self, v: np.ndarray) -> None:
-        """Overwrite v with SMOOTHER_DAMPING * D^-1 v, D the column blocks: a
-        forward and a back substitution, each vectorized over the plane."""
-        v = v.reshape(self._damped_inv_m.shape)
-        s, c_m = self._column_term, self._c_m
-        for k in range(1, len(v)):
-            np.multiply(c_m[k - 1], v[k - 1], out=s)
-            v[k] -= s
-        v *= self._damped_inv_m
-        for k in range(len(v) - 2, -1, -1):
-            np.multiply(c_m[k], v[k + 1], out=s)
-            v[k] -= s
-
-    def residual(self, b: np.ndarray) -> np.ndarray:
-        """b - G x, in the level's r buffer."""
-        self._product()
-        return np.subtract(b, self.r, out=self.r)
-
-    def smooth(self, b: np.ndarray) -> None:
-        """One damped column block-Jacobi sweep on x, x <- x + w D^-1 (b - G x),
-        computed as (1 - w) x + w D^-1 (b + N x): N = D - G holds only the
-        lateral couplings, since D holds the vertical ones."""
-        r = self.r
-        np.copyto(r, b)
-        for g, xs, ts, rs in self._lateral:
-            np.multiply(g, xs, out=ts)
-            rs -= ts
-        self.solve_columns(r)
-        self.x *= 1.0 - SMOOTHER_DAMPING
-        self.x += r
+        # from x = 0, a sweep is x <- w D^-1 b
+        self.first_sweep = ([(np.copyto, (x[:plane], b[:plane]))]
+                            + _column_steps(c_m, inv_m, b, x, s))
+        # x <- x + w D^-1 (b - G x), computed as (1 - w) x + w D^-1 (b + N x):
+        # N = D - G holds only the lateral couplings, since D holds the
+        # vertical ones. The first term is taken off b itself, and r's cells
+        # before its first, k, are b's
+        (g, xs, ts, rs), *rest = sum(_coupling_views(couplings[1:], x, term, r), [])
+        k = n - len(rs)
+        self.sweep = ([(np.copyto, (r[:k], b[:k])), (np.multiply, (g, xs, ts)),
+                       (np.subtract, (b[k:], ts, rs))]
+                      + _term_steps(rest, np.subtract)
+                      + _column_steps(c_m, inv_m, r, r, s)
+                      + [(np.multiply, (x, 1.0 - SMOOTHER_DAMPING, x)), (np.add, (x, r, x))])
+        # r <- b - G x
+        self.residual = (_product_steps(operator.diagonal().astype(np.float32), couplings,
+                                        x, r, term)
+                         + [(np.subtract, (b, r, r))])
 
 
 def _dense_inverse(operator: StencilOperator) -> np.ndarray:
@@ -450,56 +512,45 @@ class VCycle:
     into the cycle's own float64 buffer. The smoothed levels, with
     restriction and prolongation, run in float32; the dense coarsest level
     runs in float64, and is the finest when the matrix has at most
-    COARSE_SOLVE_MAX_UNKNOWNS unknowns. Buffers, and the dense inverse, are
-    built once, with the hierarchy.
+    COARSE_SOLVE_MAX_UNKNOWNS unknowns. Buffers, the dense inverse and the
+    cycle's bound steps, in the order they run, are built once, with the
+    hierarchy.
     """
 
     def __init__(self, matrix: StencilOperator):
-        r, term = np.empty((2, len(matrix.diagonal())), np.float32)
-        self._levels = []
+        n = len(matrix.diagonal())
+        r, term = _aligned_empty(n, np.float32), _aligned_empty(n, np.float32)
+        levels = []
         operator = matrix
         while (operator.network.grid.num_cells > COARSE_SOLVE_MAX_UNKNOWNS
                and operator.network.grid.cells_per_layer > 1):
-            self._levels.append(_Level(operator, r, term))
+            levels.append(_Level(operator, r, term))
             operator = StencilOperator(coarsen(operator.network))
-        self._inverse = _dense_inverse(operator)
-        self._coarse_b, self._coarse_x = np.empty((2, len(self._inverse)))
-        self._z = np.empty(len(matrix.diagonal()))
-        self._b, *next_b = [level.b for level in self._levels] + [self._coarse_b]
-        next_x = [level.x for level in self._levels[1:]] + [self._coarse_x]
-        # per smoothed level: (its r, the next level's b) and (its x, the
-        # next level's x) views
-        self._restrict = [_aggregate_views(level.r, b, level.shape)
-                          for level, b in zip(self._levels, next_b)]
-        self._prolong = [_aggregate_views(level.x, x, level.shape)
-                         for level, x in zip(self._levels, next_x)]
+        inverse = _dense_inverse(operator)
+        coarse_b, coarse_x = np.empty((2, len(inverse)))
+        self._z = _aligned_empty(n)
+        self._b = levels[0].b if levels else coarse_b
+        # down each level: its sweeps, its residual and the residual's
+        # restriction into the next level's b; up: the prolongation of the
+        # next level's x, and the sweeps
+        down, up = [], [(np.copyto, (self._z, levels[0].x if levels else coarse_x))]
+        next_bx = [(level.b, level.x) for level in levels[1:]] + [(coarse_b, coarse_x)]
+        for level, (b, x) in zip(levels, next_bx):
+            (fine, coarse), *rest = _aggregate_views(level.r, b, level.shape)
+            down += (level.first_sweep + level.sweep * (SMOOTHER_SWEEPS - 1) + level.residual
+                     + [(np.copyto, (coarse, fine))]
+                     + [(np.add, (coarse, fine, coarse)) for fine, coarse in rest])
+            up = ([(np.add, (fine, coarse, fine))
+                   for fine, coarse in _aggregate_views(level.x, x, level.shape)]
+                  + level.sweep * SMOOTHER_SWEEPS + up)
+        self._steps = down + [(np.matmul, (inverse, coarse_b, coarse_x))] + up
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
         """M^-1 b, in the cycle's float64 buffer, which the next call overwrites."""
         np.copyto(self._b, b)
-        np.copyto(self._z, self._cycle(0))
+        for step, args in self._steps:
+            step(*args)
         return self._z
-
-    def _cycle(self, depth: int) -> np.ndarray:
-        if depth == len(self._levels):
-            return np.matmul(self._inverse, self._coarse_b, out=self._coarse_x)
-        level = self._levels[depth]
-        x, b = level.x, level.b
-        np.copyto(x, b)   # the first sweep, from x = 0
-        level.solve_columns(x)
-        for _ in range(SMOOTHER_SWEEPS - 1):
-            level.smooth(b)
-        level.residual(b)
-        (fine, coarse), *rest = self._restrict[depth]
-        coarse[...] = fine
-        for fine, coarse in rest:
-            coarse += fine
-        self._cycle(depth + 1)
-        for fine, coarse in self._prolong[depth]:
-            fine += coarse
-        for _ in range(SMOOTHER_SWEEPS):
-            level.smooth(b)
-        return x
 
 
 def _pcg(matrix: StencilOperator, b: np.ndarray, x: np.ndarray,
@@ -515,8 +566,8 @@ def _pcg(matrix: StencilOperator, b: np.ndarray, x: np.ndarray,
     """
     if math.sqrt(b.dot(b)) == 0:
         return b, 0
-    r = b - matrix @ x if x.any() else b.copy()
-    p, q, work = (np.empty_like(b) for _ in range(3))
+    r, p, q, work = (_aligned_empty(len(b)) for _ in range(4))
+    np.subtract(b, matrix @ x if x.any() else 0.0, r)
     product = matrix.bind(p, q, work)
     vcycle = matrix.vcycle
     rho_prev = None
@@ -530,17 +581,17 @@ def _pcg(matrix: StencilOperator, b: np.ndarray, x: np.ndarray,
             raise SolverError("non-finite residual in the steady-state solve",
                               residual=norm)
         if rho_prev is None:
-            p[:] = z
+            np.copyto(p, z)
         else:
-            p *= rho / rho_prev
-            p += z
+            np.multiply(p, rho / rho_prev, p)
+            np.add(p, z, p)
         product()
         curvature = np.dot(p, q)
         if not (rho > 0 and curvature > 0):  # never on SPD G; on G_eff, leakage runs away
             raise ThermalRunawayError("leakage fixed point diverging: G_eff is not SPD")
         alpha = rho / curvature
-        x += np.multiply(alpha, p, out=work)
-        r -= np.multiply(alpha, q, out=work)
+        np.add(x, np.multiply(alpha, p, work), x)
+        np.subtract(r, np.multiply(alpha, q, work), r)
         rho_prev = rho
     return x, maxiter
 
@@ -567,7 +618,7 @@ def solve_steady_state(network: ConductanceNetwork, power: np.ndarray,
 
     if matrix is None:
         matrix = system_matrix(network)
-    rhs = power.ravel().astype(float).copy()
+    rhs = power.ravel().astype(float)   # a copy, as the ambient term goes into it
     rhs[:grid.cells_per_layer] += network.g_ambient.ravel() * ambient
 
     target = RESIDUAL_RTOL * max(float(power.max(initial=0.0)), 1.0)
@@ -575,7 +626,9 @@ def solve_steady_state(network: ConductanceNetwork, power: np.ndarray,
     if maxiter is None:
         maxiter = CG_ITERATIONS_PER_DESIGN_SOLVE
     x, iterations = _pcg(matrix, rhs, start, atol=target * 1e-4, maxiter=maxiter)
-    residual = float(np.abs(rhs - matrix @ x).max())
+    misfit = matrix @ x
+    np.subtract(rhs, misfit, misfit)
+    residual = float(np.abs(misfit, misfit).max())
     if not residual <= target:
         taken = (f"within {maxiter}" if iterations == maxiter
                  else f"after {iterations} of {maxiter}")
@@ -623,7 +676,7 @@ class LeakageOperator:
     def bind(self, x: np.ndarray, out: np.ndarray, term: np.ndarray):
         """Return a function that writes G_eff @ x into out, as StencilOperator.bind."""
         product = self.matrix.bind(x, out, term)
-        return lambda: np.subtract(product(), self.leakage(x), out=out)
+        return lambda: np.subtract(product(), self.leakage(x), out)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x - self.leakage(x)
@@ -659,15 +712,16 @@ def couple_leakage(design: Design, grid: GridSpec) -> LeakageSolve:
         raise ValueError(f"leakage coefficient must be >= 0, got {lam}")
 
     occ = rasterize(design, grid)
-    network = build_network(occ, grid, design.stack)
+    network, power = build_network(occ, grid, design.stack), occ.power
+    del occ   # so the solve's buffers can reuse its memory
     matrix = system_matrix(network)
     if not any(lam > 0 and b.leakage_ref > 0 for b in design.floorplan.blocks):
-        return LeakageSolve(solve_steady_state(network, occ.power, tech.ambient,
+        return LeakageSolve(solve_steady_state(network, power, tech.ambient,
                                                matrix=matrix), 1)
 
     g_eff = LeakageOperator(matrix, design.floorplan.blocks, lam)
-    t = np.full(occ.power.shape, tech.ambient)
-    source = occ.power + g_eff.leakage(t - ref)
+    t = np.full(power.shape, tech.ambient)
+    source = power + g_eff.leakage(t - ref)
     try:
         rise = solve_steady_state(network, source, 0.0, matrix=g_eff)
     except SolverError as error:
@@ -680,7 +734,7 @@ def couple_leakage(design: Design, grid: GridSpec) -> LeakageSolve:
         raise ThermalRunawayError("leakage fixed point diverging: a rise is not positive")
     t = t + rise.t
     field = solve_steady_state(
-        network, occ.power + g_eff.leakage(t - ref), tech.ambient, x0=t, matrix=matrix,
+        network, power + g_eff.leakage(t - ref), tech.ambient, x0=t, matrix=matrix,
         maxiter=CG_ITERATIONS_PER_DESIGN_SOLVE - rise.iterations)
     return LeakageSolve(TemperatureField(field.t, field.residual,
                                          rise.iterations + field.iterations), 2)

@@ -20,7 +20,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field, replace
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -274,14 +274,14 @@ class Evaluator:
     centres, and each farm's fixed fields, blocked faces and same-layer
     neighbours (the blocks' cell weights and power raster are
     thermal.block_raster's, built by the first solve). It memoizes what
-    depends on the farm rectangles, each memo bounded by MEMO_ENTRIES: the
-    field and the cost of each state, each farm's cost row and move groups
-    on (farm index, rect), each blocked pair's term, and legal_origins'
-    rasters, and keeps the last move_table. Every memo fills lazily; move
-    groups and rasters from the first gen_move on. solve returns a state's
-    field on the run's grid; breakdown and cost price a state under
-    weights, which must be set before the first price, and count the
-    evaluations.
+    depends on the farm rectangles: the field and the cost of each state,
+    each farm's cost row and move groups on (farm index, rect), each
+    blocked pair's term, and legal_origins' rasters, and keeps the last
+    move_table. Every memo is read and filled only through _recall, which
+    bounds it by MEMO_ENTRIES; each fills lazily, move groups and rasters
+    from the first gen_move on. solve returns a state's field on the run's
+    grid; breakdown and cost price a state under weights, which must be set
+    before the first price, and count the evaluations.
     """
 
     def __init__(self, design: Design, grid: GridSpec, weights: CostWeights | None = None):
@@ -301,9 +301,8 @@ class Evaluator:
         self._terms: dict = {}     # a blocked pair's hits -> its term
         self._groups: dict = {}    # (index, rect, weight) -> [MoveGroup]
         self._origins: dict = {}   # (width, height, start, end) -> legal_origins
-        # the last move_table: state, eligible, (groups, cumulative masses),
-        # and the group count up to each eligible farm
-        self._table: tuple = (None, None, ([], []), [])
+        # the last move_table: state, eligible, (groups, cumulative masses)
+        self._table: tuple = (None, None, ([], []))
 
     def state_of(self, design: Design) -> tuple:
         return tuple([(f.x, f.y, f.width, f.height) for f in design.floorplan.farms])
@@ -325,57 +324,34 @@ class Evaluator:
         return _recall(self._priced, state, self._price, state)
 
     def cost(self, state: tuple) -> float:
-        # breakdown(state).total; a candidate's memo hit takes one lookup
-        priced = self._priced.get(state)
-        if priced is None:
-            return self.breakdown(state).total
-        self.evaluations += 1
-        return priced.total
+        return self.breakdown(state).total
 
     def _price(self, state: tuple) -> CostBreakdown:
-        memo = self._rows
-        rows = [memo.get(key) for key in enumerate(state)]
-        if None in rows:
-            rows = [_recall(memo, key, self._row, *key) if row is None else row
-                    for key, row in zip(enumerate(state), rows)]
+        rows = [_recall(self._rows, key, self._row, *key) for key in enumerate(state)]
         return price(self.weights, self.table, rows, self.fixed, self._term)
 
     def _row(self, index: int, rect: tuple):
         return farm_row(self.table, self.centers, self.farms[index], self.faces[index], rect)
 
     def _term(self, pair: int, hits: tuple) -> float:
-        term = self._terms.get(hits)
-        if term is None:
-            return _recall(self._terms, hits, face_term, self.table.faces[pair], hits)
-        return term
+        return _recall(self._terms, hits, face_term, self.table.faces[pair], hits)
 
     def move_table(self, state: tuple,
                    eligible: Sequence[int]) -> tuple[list[MoveGroup], list[float]]:
-        """gen_move's groups in one state, and their cumulative masses. Kept
-        for the last (state, eligible) objects, since a rejected candidate
-        leaves the state as it is. A new state keeps the last table's groups
-        and masses up to the first eligible farm whose rectangle changed and
-        reads the memoized groups from there on: accumulate is a left fold,
-        so each mass is the float a rebuild would give."""
-        last, known, table, ends = self._table
+        """gen_move's groups in one state, each eligible farm's memoized groups
+        in eligible order, and their cumulative masses. Kept for the last
+        (state, eligible) objects, since a rejected candidate leaves the state
+        as it is."""
+        last, known, table = self._table
         if last is state and known is eligible:
             return table
-        (groups, cumulative), start = table, 0
-        if known is eligible:
-            while start < len(eligible) and state[eligible[start]] == last[eligible[start]]:
-                start += 1
-        keep = ends[start - 1] if start else 0
-        groups, ends = groups[:keep], ends[:start]
         weight = 0.5 / len(eligible)
-        for index in eligible[start:]:
-            groups += _recall(self._groups, (index, state[index], weight),
-                              self._farm_moves, index, state[index], weight)
-            ends.append(len(groups))
-        # the fold goes on from the last mass kept
-        kept = cumulative[:keep]
-        cumulative = kept[:-1] + list(accumulate(chain(kept[-1:], (g.mass for g in groups[keep:]))))
-        self._table = (state, eligible, (groups, cumulative), ends)
-        return groups, cumulative
+        groups = [group for index in eligible
+                  for group in _recall(self._groups, (index, state[index], weight),
+                                       self._farm_moves, index, state[index], weight)]
+        table = groups, list(accumulate(g.mass for g in groups))
+        self._table = (state, eligible, table)
+        return table
 
     def _farm_moves(self, index: int, rect: tuple, weight: float) -> list[MoveGroup]:
         """One farm's groups, each of mass weight * options / all options.

@@ -125,13 +125,11 @@ class _Face(NamedTuple):
 
 class StripTable(NamedTuple):
     """The f_H strips of a design, face by face: everything the fixed blocks
-    determine. `free` holds each pair's farm-free term, `layer_faces` each
-    layer's face indices, ascending."""
+    determine. `free` holds each pair's farm-free term."""
 
     pairs: tuple[tuple[Block, Block, str], ...]
     faces: tuple[_Face, ...]
     free: tuple[float, ...]
-    layer_faces: tuple[tuple[int, ...], ...]
 
 
 def strip_table(blocks: tuple[Block, ...], stack: Stack) -> StripTable:
@@ -157,10 +155,7 @@ def strip_table(blocks: tuple[Block, ...], stack: Stack) -> StripTable:
         faces.append(_Face(a.layer, int(axis == "x"), lo, hi, distance,
                            width * layer.thickness, layer.material.conductivity,
                            tuple(span_lo + (i + 0.5) * width for i in range(count))))
-    layer_faces = tuple(tuple(p for p, face in enumerate(faces) if face.layer == layer)
-                        for layer in range(stack.num_layers))
-    return StripTable(tuple(pairs), tuple(faces), tuple(face_term(f, ()) for f in faces),
-                      layer_faces)
+    return StripTable(tuple(pairs), tuple(faces), tuple(face_term(f, ()) for f in faces))
 
 
 def path_conductivity(table: StripTable, farms: tuple[TsvFarm, ...]) -> np.ndarray:
@@ -203,7 +198,7 @@ def pair_efficiency(table: StripTable, k_eff: np.ndarray) -> np.ndarray:
 def blocked_faces(table: StripTable, start: int, end: int) -> tuple[int, ...]:
     """The faces a farm on layers start..end blocks, those of start..end-1
     (not its landing layer), in pair order."""
-    return tuple(sorted(chain.from_iterable(table.layer_faces[start:end])))
+    return tuple(p for p, face in enumerate(table.faces) if start <= face.layer < end)
 
 
 def farm_hits(table: StripTable, faces: tuple, k_lateral: float, box) -> tuple:

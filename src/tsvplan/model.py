@@ -218,13 +218,6 @@ def _inside_footprint(rect, stack: Stack, tol: float) -> bool:
     return rect[0] >= -tol and rect[1] >= -tol and rect[2] <= w + tol and rect[3] <= h + tol
 
 
-def _layer_rects(fp: Floorplan, layer: int):
-    """(name, rect) pairs occupying a layer; farms appear on every spanned layer."""
-    out = [(b.name, b.rect) for b in fp.blocks if b.layer == layer]
-    out += [(f.name, f.rect) for f in fp.farms if f.spans(layer)]
-    return out
-
-
 def validate(design: Design) -> list[Violation]:
     """Check every structural invariant; an empty list means the design is legal.
 
@@ -333,7 +326,9 @@ def validate(design: Design) -> list[Violation]:
             v.append(Violation(f.name, "inside-footprint", f"rect {f.rect}"))
 
     for layer in range(stack.num_layers):
-        rects = _layer_rects(fp, layer)
+        # (name, rect) pairs on the layer; a farm is on every layer it spans
+        rects = ([(b.name, b.rect) for b in fp.blocks if b.layer == layer]
+                 + [(f.name, f.rect) for f in fp.farms if f.spans(layer)])
         for i in range(len(rects)):
             for j in range(i + 1, len(rects)):
                 if rects_overlap(rects[i][1], rects[j][1]):

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anneal import AnnealConfig, FlowConfig, optimize_stack
-from .errors import DesignError, SolverError
+from .errors import DesignError, GridError, SolverError
 from .model import Design, Floorplan, Layer, Stack
+from .thermal import MAX_GRID_CELLS, grid_for
 
 
 def set_farm_conductivity(design: Design, k_lateral: float) -> Design:
@@ -27,13 +28,15 @@ def set_farm_conductivity(design: Design, k_lateral: float) -> Design:
         dataclasses.replace(design.floorplan, farms=farms))
 
 
-def with_memory_layers(design: Design, count: float) -> Design:
+def with_memory_layers(design: Design, count: float, cell_size: float | None = None) -> Design:
     """Resize the stack to `count` stacked layers above the base layer.
 
     Layer 0 is the core layer; the current top layer is the template that
     gets cloned upward (blocks renamed name_m<i>). Farms landing on the old
     top extend to the new top; shrinking truncates spans and drops blocks
-    on removed layers. A count that is not a whole number is a DesignError.
+    on removed layers. A count that is not a whole number is a DesignError;
+    one whose stack needs more than MAX_GRID_CELLS cells at cell_size (None:
+    the tech's grid_cell) is a GridError, raised before any layer is cloned.
     """
     if not float(count).is_integer():
         raise DesignError(f"layer count must be a whole number, got {count}")
@@ -52,6 +55,9 @@ def with_memory_layers(design: Design, count: float) -> Design:
     old_top = current
 
     if count > current:
+        cells = grid_for(design.stack, cell_size).cells_per_layer
+        if (count + 1) * cells > MAX_GRID_CELLS:
+            raise GridError(f"{count} stacked layers need more than {MAX_GRID_CELLS} grid cells")
         template = layers[old_top]
         template_blocks = [b for b in blocks if b.layer == old_top]
         for m in range(old_top + 1, count + 1):
@@ -120,7 +126,7 @@ def run_sweep(design: Design, axis: str, values, anneal: AnnealConfig,
         point = SweepPoint(value=float(value), status="ok")
         try:
             if axis == "layers":
-                variant = with_memory_layers(design, value)
+                variant = with_memory_layers(design, value, flow.cell_size)
             else:
                 variant = set_farm_conductivity(design, float(value))
             cfg = dataclasses.replace(anneal, seed=anneal.seed + index)

@@ -33,6 +33,9 @@ SMOOTHER_SWEEPS = 2     # before, and again after, each coarse correction
 # float32, while CG, the operators' products and the residual contract stay
 # in float64
 COARSE_SOLVE_MAX_UNKNOWNS = 256
+# The most grid cells (unknowns) grid_for accepts: at some 170 B per unknown (a
+# 46,080-unknown leakage solve peaks at 7.8 MB traced), 2.9 GB for one solve
+MAX_GRID_CELLS = 2**24
 
 
 class GridSpec(NamedTuple):
@@ -51,12 +54,16 @@ class GridSpec(NamedTuple):
 
 
 def grid_for(stack: Stack, cell_size: float | None = None) -> GridSpec:
-    """Build the grid for a stack, requiring the cells to tile the footprint exactly."""
+    """Build the grid for a stack: cells that tile the footprint exactly, at most MAX_GRID_CELLS."""
     cell = stack.tech.grid_cell if cell_size is None else cell_size
     if not cell > 0:
         raise GridError(f"cell size must be positive, got {cell}")
     w, h = stack.footprint
-    nx, ny = round(w / cell), round(h / cell)
+    # clamped, so that a vanishing cell cannot overflow round()
+    nx, ny = (round(min(side / cell, MAX_GRID_CELLS + 1)) for side in (w, h))
+    if nx * ny * stack.num_layers > MAX_GRID_CELLS:
+        raise GridError(f"cell size {cell} on {stack.num_layers} layers needs more than "
+                        f"{MAX_GRID_CELLS} grid cells")
     if nx < 1 or abs(nx * cell - w) > 1e-9 * w:
         raise GridError(f"cell size {cell} does not tile footprint width {w}")
     if ny < 1 or abs(ny * cell - h) > 1e-9 * h:

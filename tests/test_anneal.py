@@ -603,6 +603,25 @@ class TestEvaluatorMemo:
         ev.cost(ev.state_of(move_farm(d, "g", (0.8 * MM, 0.2 * MM))))
         assert rows == ["f", "g", "h", "g"]
 
+    def test_every_memo_read_goes_through_recall(self, monkeypatch):
+        # so the one cap and start-over rule sees every read: each priced
+        # candidate is one read of the state memo, and each state priced
+        # reads every farm's row
+        calls = defaultdict(list)   # the memo's fill function -> hit per read
+        inner = anneal._recall
+
+        def recall(memo, key, make, *args):
+            calls[make.__name__].append(key in memo)
+            return inner(memo, key, make, *args)
+        monkeypatch.setattr(anneal, "_recall", recall)
+        design = shipped_design("multicore")
+        result = optimize_stack(design, AnnealConfig(seed=1, max_moves=20))
+        assert len(calls["_price"]) == result.evaluations == 1922
+        priced = calls["_price"].count(False)
+        assert len(calls["_row"]) == len(design.floorplan.farms) * priced
+        # the memos of the candidates' terms, move groups and rasters are read too
+        assert all(any(calls[name]) for name in ("face_term", "_farm_moves", "legal_origins"))
+
     @pytest.mark.parametrize("name", SHIPPED)
     def test_a_state_reads_back_as_its_design(self, name):
         d = shipped_design(name)

@@ -143,6 +143,16 @@ class TestAnalyze:
         assert "leakage-coeff-range" in result.output
         assert not (tmp_path / "out").exists()
 
+    def test_a_grid_too_large_to_solve_exits_1(self, runner, tmp_path):
+        # 2e5 x 2e5 cells a layer, refused before anything is allocated
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["analyze", str(REPO / "designs" / "blockage.design"),
+                                      "--grid-cell", "0.01um", "--out-dir", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "data error:" in result.output and "grid cells" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
     def test_grid_cell_override(self, runner, tmp_path):
         path = _write(tmp_path, ZERO_POWER)
         out = tmp_path / "out"
@@ -297,6 +307,15 @@ class TestSweep:
         assert "Traceback (most recent call last)" in result.output
         assert "in failing" in result.output
         assert not (tmp_path / "sweep").exists()
+
+    def test_a_layer_count_too_large_to_solve_fails_its_point(self, runner, tmp_path):
+        out = tmp_path / "sweep"
+        result = runner.invoke(main, [
+            "sweep", str(REPO / "designs" / "corememory.design"), "--axis", "layers",
+            "--values", "1e12", "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        (point,) = json.loads((out / "sweep.json").read_text())["points"]
+        assert point["status"].startswith("error: ") and "grid cells" in point["status"]
 
     def test_preset_ratio_needs_explicit_weights(self, runner, tmp_path):
         path = _write(tmp_path, TINY_OPT)

@@ -184,8 +184,7 @@ class TestTotalEfficiency:
         if name == "tenths":
             # ten unblocked pairs whose farm-free terms are 0.1 each
             terms = [0.1] * 10
-            tenths = table._replace(faces=(), free=tuple(terms),
-                                    layer_faces=((),) * len(table.layer_faces))
+            tenths = table._replace(faces=(), free=tuple(terms))
             monkeypatch.setattr(metrics, "strip_table", lambda blocks, stack: tenths)
         left = 0.0
         for term in terms:

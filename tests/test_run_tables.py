@@ -1,9 +1,9 @@
 """The tables a run computes once from its fixed blocks, against what they
-replace: the move table spliced from the farm that moved against one built
-from scratch, reshape legality read from legal_origins' rasters against
-fixed_conflict, and the blocks' cell weights and power raster against the
-per-call formulas. Each must give the same floats; a work-count guard pins
-how much of that work a fixed-seed run does."""
+replace: the move table kept or built for each state against one built
+from every farm's groups, reshape legality read from legal_origins' rasters
+against fixed_conflict, and the blocks' cell weights and power raster
+against the per-call formulas. Each must give the same floats; a work-count
+guard pins how much of that work a fixed-seed run does."""
 
 import math
 import random
@@ -41,7 +41,7 @@ def _same_groups(got, expected):
 
 @pytest.mark.parametrize("cell", CELLS.values(), ids=CELLS.keys())
 @pytest.mark.parametrize("name", SHIPPED)
-def test_a_spliced_move_table_equals_one_built_from_scratch(name, cell):
+def test_a_move_table_equals_one_built_from_every_farms_groups(name, cell):
     # a seeded walk that, like a layer pass handing on its best state, jumps
     # back to an earlier state every few steps; then the same states under
     # another eligible list, which rebuilds the table

@@ -1,10 +1,12 @@
 import pytest
 
 from tsvplan.anneal import AnnealConfig, FlowConfig
-from tsvplan.errors import DesignError
+from tsvplan import sweeps
+from tsvplan.errors import DesignError, GridError, SolverError
 from tsvplan.model import validate
 from tsvplan.sweeps import (default_values, run_sweep, set_farm_conductivity,
                             with_memory_layers)
+from tsvplan.thermal import grid_for
 
 from conftest import shipped_design
 
@@ -72,6 +74,33 @@ class TestWithMemoryLayers:
         (point,) = run_sweep(d, "layers", [count], AnnealConfig(), FlowConfig())
         assert point.value == count
         assert point.status.startswith("error: ") and "whole number" in point.status
+
+    def test_an_oversized_count_fails_before_any_layer_is_cloned(self, monkeypatch):
+        def clone(*args):
+            raise AssertionError("a layer was cloned")
+        monkeypatch.setattr(sweeps, "Layer", clone)
+        d = shipped_design("corememory")
+        with pytest.raises(GridError, match="grid cells"):
+            with_memory_layers(d, 1e12)
+
+    def test_the_layer_limit_reads_the_run_cell_size(self, monkeypatch):
+        d = shipped_design("corememory")
+        monkeypatch.setattr(sweeps, "MAX_GRID_CELLS", 4 * grid_for(d.stack).cells_per_layer)
+        assert with_memory_layers(d, 3).stack.num_layers == 4
+        with pytest.raises(GridError, match="grid cells"):
+            with_memory_layers(d, 4)
+        # cells twice as wide: a quarter of the cells per layer
+        assert with_memory_layers(d, 15, 200e-6).stack.num_layers == 16
+        with pytest.raises(GridError, match="grid cells"):
+            with_memory_layers(d, 16, 200e-6)
+
+        # a sweep checks each count at its run's cell size
+        def reached(*args, **kwargs):
+            raise SolverError("past the limit")
+        monkeypatch.setattr(sweeps, "optimize_stack", reached)
+        statuses = [point.status for cell in (None, 200e-6) for point in
+                    run_sweep(d, "layers", [15], AnnealConfig(), FlowConfig(cell_size=cell))]
+        assert "grid cells" in statuses[0] and statuses[1] == "error: past the limit"
 
     def test_integral_float_count_is_accepted(self):
         d = shipped_design("corememory")

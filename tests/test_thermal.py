@@ -937,3 +937,18 @@ def test_grid_must_tile_footprint():
         grid_for(d.stack, 3e-4)  # 2 mm / 0.3 mm is not integral
     with pytest.raises(GridError):
         grid_for(d.stack, float("nan"))
+
+
+def test_a_grid_over_the_cell_limit_is_a_grid_error(monkeypatch):
+    # the limit is checked on the cell counts, before anything is allocated
+    from tsvplan.errors import GridError
+    d = make_design()
+    cells = grid_for(d.stack).num_cells
+    monkeypatch.setattr(thermal, "MAX_GRID_CELLS", cells)
+    assert grid_for(d.stack).num_cells == cells
+    with pytest.raises(GridError, match="grid cells"):
+        grid_for(d.stack, 50 * UM)
+    monkeypatch.undo()
+    for cell in (0.01 * UM, 1e-320):   # 2e11 cells a layer; 2 mm / 1e-320 m overflows
+        with pytest.raises(GridError, match="grid cells"):
+            grid_for(d.stack, cell)

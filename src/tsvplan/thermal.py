@@ -33,8 +33,8 @@ SMOOTHER_SWEEPS = 2     # before, and again after, each coarse correction
 # float32, while CG, the operators' products and the residual contract stay
 # in float64
 COARSE_SOLVE_MAX_UNKNOWNS = 256
-# The most grid cells (unknowns) grid_for accepts: at some 170 B per unknown (a
-# 46,080-unknown leakage solve peaks at 7.8 MB traced), 2.9 GB for one solve
+# The most grid cells (unknowns) grid_for accepts: at 162 B per unknown (a cold
+# 46,080-unknown leakage solve peaks at 7.45 MB traced), 2.7 GB for one solve
 MAX_GRID_CELLS = 2**24
 
 
@@ -120,17 +120,25 @@ class BlockRaster(NamedTuple):
 def block_raster(blocks: tuple, grid: GridSpec) -> BlockRaster:
     """The blocks' cell weights and power raster on grid. The last one is
     kept: a run's designs share their blocks tuple and grid, so every
-    rasterize, couple_leakage and field_stats of a run reads one raster."""
+    rasterize, couple_leakage and field_stats of a run reads one raster.
+    Blocks of one rectangle, such as a memory layer's clones, share one
+    entry, and each block's watts go onto its entry's cells alone: its
+    weights elsewhere are 0, and validate makes watts >= 0."""
     power = np.zeros((grid.num_layers, grid.cells_y, grid.cells_x))
-    entries = []
+    planes = power.reshape(grid.num_layers, -1)
+    shared, entries = {}, []
     for block in blocks:
-        weights = block_cell_weights(block, grid)
+        key = (block.rect, block.width, block.height)
+        if key not in shared:
+            weights = block_cell_weights(block, grid).ravel()
+            cells = np.flatnonzero(weights)
+            shared[key] = (cells, weights[cells])
+        cells, weights = entry = shared[key]
         watts = block.power + block.leakage_ref
         if watts != 0:  # a NaN power must reach the solver, which rejects it
-            power[block.layer] += watts * weights
-        cells = np.flatnonzero(weights)
-        entries.append((cells, weights.ravel()[cells]))
-    for array in (power, *(a for entry in entries for a in entry)):
+            planes[block.layer, cells] += watts * weights
+        entries.append(entry)
+    for array in (power, *(a for entry in shared.values() for a in entry)):
         array.flags.writeable = False   # every caller shares them
     return BlockRaster(tuple(entries), power)
 
@@ -284,11 +292,15 @@ class StencilOperator:
     g_ambient. A product adds each row's terms to 0 in ascending column order
     (below, south, west, diagonal, east, north, above), as scipy's csr_matvec
     does, so G and G @ x are bit-identical to the assembled CSR matrix's for
-    finite input.
+    finite input. It holds the only copy of the couplings, positive: g_x and
+    g_y padded to the whole plane, 0.0 where a row or column ends, and the
+    network's own g_z; self.network views them, so a caller that goes on
+    with it lets the built network's arrays go. A product subtracts each
+    coupling's term where CSR adds a negative one: a - b is a + (-b), and
+    (-g) x is -(g x), so no bit moves.
     """
 
     def __init__(self, network: ConductanceNetwork):
-        self.network = network
         grid = network.grid
         shape = (grid.num_layers, grid.cells_y, grid.cells_x)
         diag = np.zeros(shape)
@@ -301,13 +313,12 @@ class StencilOperator:
         self._diag = diag.ravel()
         self._diag.flags.writeable = False
         n = grid.num_cells
-        # -g_x and -g_y over the whole plane, -0.0 where a row or column ends
         g_x, g_y = np.empty((2, *shape))
-        g_x[:, :, -1] = g_y[:, -1] = -0.0
-        np.negative(network.g_x, g_x[:, :, :-1])
-        np.negative(network.g_y, g_y[:, :-1])
-        # (offset, -g to the node offset further on)
-        self._couplings = ((grid.cells_per_layer, np.negative(network.g_z).ravel()),
+        g_x[:, :, -1] = g_y[:, -1] = 0.0
+        g_x[:, :, :-1], g_y[:, :-1] = network.g_x, network.g_y
+        self.network = network._replace(g_x=g_x[:, :, :-1], g_y=g_y[:, :-1])
+        # (offset, g to the node offset further on)
+        self._couplings = ((grid.cells_per_layer, network.g_z.ravel()),
                            (grid.cells_x, g_y.ravel()[:n - grid.cells_x]),
                            (1, g_x.ravel()[:n - 1]))
 
@@ -366,9 +377,11 @@ def _term_steps(views, combine) -> list:
 
 def _product_steps(diag, couplings, x, out, term) -> list:
     """Bound steps that write the stencil's product with x into out, using
-    term for its terms, in StencilOperator's order."""
+    term for its terms, in StencilOperator's order: the coupling terms are
+    subtracted and the diagonal's added."""
     before, after = _coupling_views(couplings, x, term, out)
-    return [(out.fill, (0.0,))] + _term_steps(before + [(diag, x, term, out)] + after, np.add)
+    return ([(out.fill, (0.0,))] + _term_steps(before, np.subtract)
+            + _term_steps([(diag, x, term, out)], np.add) + _term_steps(after, np.subtract))
 
 
 def system_matrix(network: ConductanceNetwork) -> StencilOperator:
@@ -412,14 +425,13 @@ def coarsen(network: ConductanceNetwork) -> ConductanceNetwork:
 def _column_steps(c_m, damped_inv_m, b, v, s) -> list:
     """Bound steps that write SMOOTHER_DAMPING * D^-1 b into v, D the column
     blocks: a forward and a back substitution, each vectorized over the
-    plane, with s for the terms. b is v, or v's first layer already holds
-    b's."""
+    plane, with s for the terms, which are added, as c_m holds the
+    multipliers' negatives. b is v, or v's first layer already holds b's."""
     b, v = b.reshape(damped_inv_m.shape), v.reshape(damped_inv_m.shape)
     forward = [step for k in range(1, len(v))
-               for step in ((np.multiply, (c_m[k - 1], v[k - 1], s)),
-                            (np.subtract, (b[k], s, v[k])))]
+               for step in ((np.multiply, (c_m[k - 1], v[k - 1], s)), (np.add, (b[k], s, v[k])))]
     back = [step for k in range(len(v) - 2, -1, -1)
-            for step in ((np.multiply, (c_m[k], v[k + 1], s)), (np.subtract, (v[k], s, v[k])))]
+            for step in ((np.multiply, (c_m[k], v[k + 1], s)), (np.add, (v[k], s, v[k])))]
     return forward + [(np.multiply, (v, damped_inv_m, v))] + back
 
 
@@ -430,11 +442,14 @@ class _Level:
     blocks and its operator's couplings.
 
     The factors are computed in float64 and then rounded, and the level
-    keeps no float64 array. Every level's residual r and product term are
-    views of buffers that all levels share: a level's residual is dead
-    while coarser levels run. A level keeps no reference to its operator,
-    whose cached vcycle would otherwise form a cycle that only the garbage
-    collector frees.
+    keeps no float64 array. Like the operator's, its couplings and the
+    multipliers' negatives g/m are positive: the sweeps add the lateral
+    and column terms and the residual subtracts the coupling terms. A level
+    owns its b, x, factors and float32 operator; its residual r and product
+    term are views of buffers that all levels share, since a level's
+    residual is dead while coarser levels run. A level keeps no reference
+    to its operator, whose cached vcycle would otherwise form a cycle that
+    only the garbage collector frees.
     """
 
     def __init__(self, operator: StencilOperator, r: np.ndarray, term: np.ndarray):
@@ -443,14 +458,15 @@ class _Level:
         self.shape = (layers, grid.cells_y, grid.cells_x)
         diag = operator.diagonal().reshape(layers, plane)
         # a column block is L M L^T, L unit lower bidiagonal: elimination down
-        # the column leaves the pivots m and the multipliers c/m below the
-        # diagonal; the sweeps' damping is folded into the pivots' inverses
-        c = operator._couplings[0][1].reshape(layers - 1, plane)   # -g_z
+        # the column leaves the pivots m and the multipliers -g/m below the
+        # diagonal, kept as g/m; the sweeps' damping is folded into the
+        # pivots' inverses
+        g = operator._couplings[0][1].reshape(layers - 1, plane)   # g_z
         c_m, m = np.empty((layers - 1, plane)), np.empty((layers, plane))
         m[0] = diag[0]
         for k in range(1, layers):
-            np.divide(c[k - 1], m[k - 1], c_m[k - 1])
-            np.multiply(c[k - 1], c_m[k - 1], m[k])
+            np.divide(g[k - 1], m[k - 1], c_m[k - 1])
+            np.multiply(g[k - 1], c_m[k - 1], m[k])
             np.subtract(diag[k], m[k], m[k])
         np.divide(SMOOTHER_DAMPING, m, m)
         c_m, inv_m = c_m.astype(np.float32), m.astype(np.float32)
@@ -469,8 +485,8 @@ class _Level:
         (g, xs, ts, rs), *rest = sum(_coupling_views(couplings[1:], x, term, r), [])
         k = n - len(rs)
         self.sweep = ([(np.copyto, (r[:k], b[:k])), (np.multiply, (g, xs, ts)),
-                       (np.subtract, (b[k:], ts, rs))]
-                      + _term_steps(rest, np.subtract)
+                       (np.add, (b[k:], ts, rs))]
+                      + _term_steps(rest, np.add)
                       + _column_steps(c_m, inv_m, r, r, s)
                       + [(np.multiply, (x, 1.0 - SMOOTHER_DAMPING, x)), (np.add, (x, r, x))])
         # r <- b - G x
@@ -486,8 +502,8 @@ def _dense_inverse(operator: StencilOperator) -> np.ndarray:
     dense = np.diag(diag)
     for k, g in operator._couplings:   # on a one-column plane, g_y and g_x share k = 1
         rows = np.arange(n - k)
-        dense[rows, rows + k] += g
-        dense[rows + k, rows] += g
+        dense[rows, rows + k] -= g
+        dense[rows + k, rows] -= g
     inverse = np.linalg.inv(dense)
     np.add(inverse, inverse.T, out=dense)
     dense *= 0.5
@@ -516,7 +532,8 @@ class VCycle:
     constant, its transpose. Smoothing is symmetric and the coarse solve
     SPD, so the cycle is SPD, to float32 rounding, and fits conjugate
     gradients. Every call copies b into the finest level's b, and the answer
-    into the cycle's own float64 buffer. The smoothed levels, with
+    into the cycle's own float64 buffer, out, which CG borrows as its work
+    vector once it has read the answer. The smoothed levels, with
     restriction and prolongation, run in float32; the dense coarsest level
     runs in float64, and is the finest when the matrix has at most
     COARSE_SOLVE_MAX_UNKNOWNS unknowns. Buffers, the dense inverse and the
@@ -535,12 +552,12 @@ class VCycle:
             operator = StencilOperator(coarsen(operator.network))
         inverse = _dense_inverse(operator)
         coarse_b, coarse_x = np.empty((2, len(inverse)))
-        self._z = _aligned_empty(n)
+        self.out = _aligned_empty(n)
         self._b = levels[0].b if levels else coarse_b
         # down each level: its sweeps, its residual and the residual's
         # restriction into the next level's b; up: the prolongation of the
         # next level's x, and the sweeps
-        down, up = [], [(np.copyto, (self._z, levels[0].x if levels else coarse_x))]
+        down, up = [], [(np.copyto, (self.out, levels[0].x if levels else coarse_x))]
         next_bx = [(level.b, level.x) for level in levels[1:]] + [(coarse_b, coarse_x)]
         for level, (b, x) in zip(levels, next_bx):
             (fine, coarse), *rest = _aggregate_views(level.r, b, level.shape)
@@ -553,11 +570,12 @@ class VCycle:
         self._steps = down + [(np.matmul, (inverse, coarse_b, coarse_x))] + up
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
-        """M^-1 b, in the cycle's float64 buffer, which the next call overwrites."""
+        """M^-1 b, in the cycle's float64 buffer out, which the next call
+        overwrites."""
         np.copyto(self._b, b)
         for step, args in self._steps:
             step(*args)
-        return self._z
+        return self.out
 
 
 def _pcg(matrix: StencilOperator, b: np.ndarray, x: np.ndarray,
@@ -565,18 +583,22 @@ def _pcg(matrix: StencilOperator, b: np.ndarray, x: np.ndarray,
     """Conjugate gradients preconditioned by the matrix's V-cycle, updating x
     in place; returns x and the number of iterations taken.
 
-    The search direction p and its product q live in buffers bound to the
-    operator once per solve, and one work vector of the solve's own holds
-    the product's terms and then the steps alpha p and alpha q. A NaN or inf
-    residual norm or rho raises SolverError at once instead of running out
-    the budget.
+    The residual r overwrites b. The solve owns two vectors, the search
+    direction p and its product q, bound to the operator once per solve;
+    the V-cycle's answer z doubles as the work vector, since z is dead once
+    p is updated: it holds the product's terms and then the steps alpha p
+    and alpha q. The V-cycle is built first, so the temporaries of its
+    build are gone before p and q exist. A NaN or inf residual norm or rho
+    raises SolverError at once instead of running out the budget.
     """
     if math.sqrt(b.dot(b)) == 0:
         return b, 0
-    r, p, q, work = (_aligned_empty(len(b)) for _ in range(4))
-    np.subtract(b, matrix @ x if x.any() else 0.0, r)
-    product = matrix.bind(p, q, work)
     vcycle = matrix.vcycle
+    r, work = b, vcycle.out
+    p, q = _aligned_empty(len(b)), _aligned_empty(len(b))
+    if x.any():
+        np.subtract(b, matrix.bind(x, q, work)(), r)
+    product = matrix.bind(p, q, work)
     rho_prev = None
     for iteration in range(maxiter):
         norm = math.sqrt(r.dot(r))
@@ -617,24 +639,31 @@ def solve_steady_state(network: ConductanceNetwork, power: np.ndarray,
     Pass a prebuilt matrix, G or couple_leakage's G_eff, to reuse it.
     maxiter caps the CG iterations, by default at
     CG_ITERATIONS_PER_DESIGN_SOLVE.
+
+    Beside the matrix and its V-cycle, a solve owns the field x, the
+    right-hand side, which CG overwrites with its residual, and CG's p and
+    q; the right-hand side is built again for the residual check.
     """
     grid = network.grid
     n = grid.num_cells
     if float(network.g_ambient.sum()) <= 0.0:
         raise SingularNetworkError("no conductance to ambient; network is floating")
 
+    def right_hand_side() -> np.ndarray:
+        rhs = power.ravel().astype(float)   # a copy, as the ambient term goes into it
+        rhs[:grid.cells_per_layer] += network.g_ambient.ravel() * ambient
+        return rhs
+
     if matrix is None:
         matrix = system_matrix(network)
-    rhs = power.ravel().astype(float)   # a copy, as the ambient term goes into it
-    rhs[:grid.cells_per_layer] += network.g_ambient.ravel() * ambient
-
     target = RESIDUAL_RTOL * max(float(power.max(initial=0.0)), 1.0)
     start = np.full(n, ambient) if x0 is None else x0.ravel().copy()
     if maxiter is None:
         maxiter = CG_ITERATIONS_PER_DESIGN_SOLVE
-    x, iterations = _pcg(matrix, rhs, start, atol=target * 1e-4, maxiter=maxiter)
+    x, iterations = _pcg(matrix, right_hand_side(), start, atol=target * 1e-4,
+                         maxiter=maxiter)
     misfit = matrix @ x
-    np.subtract(rhs, misfit, misfit)
+    np.subtract(right_hand_side(), misfit, misfit)
     residual = float(np.abs(misfit, misfit).max())
     if not residual <= target:
         taken = (f"within {maxiter}" if iterations == maxiter
@@ -722,6 +751,7 @@ def couple_leakage(design: Design, grid: GridSpec) -> LeakageSolve:
     network, power = build_network(occ, grid, design.stack), occ.power
     del occ   # so the solve's buffers can reuse its memory
     matrix = system_matrix(network)
+    network = matrix.network   # the matrix's views, so the built arrays go
     if not any(lam > 0 and b.leakage_ref > 0 for b in design.floorplan.blocks):
         return LeakageSolve(solve_steady_state(network, power, tech.ambient,
                                                matrix=matrix), 1)

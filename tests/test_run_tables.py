@@ -148,7 +148,9 @@ def test_a_run_computes_what_the_blocks_fix_once(monkeypatch):
     """Work counts of a seed-1 multicore run at max_moves=20. Before the
     per-run tables: 560 TsvFarm.placed calls (532 of them for priced rows),
     114 block_cell_weights calls (2 solves x 30 and 3 summaries x 18) and
-    382 fixed_conflict calls (191 groups x 2 reshapes)."""
+    382 fixed_conflict calls (191 groups x 2 reshapes). One raster took 18
+    block_cell_weights calls, one per block, before blocks of one rectangle
+    shared an entry."""
     counts = dict.fromkeys(("placed", "block_cell_weights", "fixed_conflict"), 0)
 
     def counted(name, inner):
@@ -164,6 +166,7 @@ def test_a_run_computes_what_the_blocks_fix_once(monkeypatch):
     result = optimize_stack(shipped_design("multicore"), AnnealConfig(seed=1, max_moves=20))
     assert (len(result.trace.moves), result.evaluations) == (1720, 1922)
     # 4 designs built for 2 solves and 2 snapshots, x 7 farms; one raster of
-    # 18 blocks; 13 groups anchored off the lattice, x 2 reshapes, and 16
-    # reshapes anchored past the edge of their shape's lattice
-    assert counts == {"placed": 28, "block_cell_weights": 18, "fixed_conflict": 42}
+    # 18 blocks on 11 distinct rectangles; 13 groups anchored off the
+    # lattice, x 2 reshapes, and 16 reshapes anchored past the edge of their
+    # shape's lattice
+    assert counts == {"placed": 28, "block_cell_weights": 11, "fixed_conflict": 42}

@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -471,6 +473,13 @@ depths = pytest.mark.parametrize("cut", [0, COARSE_SOLVE_MAX_UNKNOWNS],
                                  ids=["jacobi", "multigrid"])
 
 
+# planes the shipped designs never make: one cell, one row, one column, one
+# layer, odd sides, and some above the dense cut, whose V-cycle smooths
+BIT_PIN_SHAPES = [(1, 1, 1), (3, 1, 7), (3, 7, 1), (1, 5, 9), (5, 9, 9), (2, 2, 3),
+                  (1, 1, 301), (2, 151, 1), (1, 33, 31), (3, 17, 13), (4, 12, 21), (2, 31, 33)]
+BIT_PIN_SHA256 = "4a6b8e7fbdd88c8294578f8c2e93ee771652f921af0fe4ebfbd5d8e81edf8b5d"
+
+
 class TestMultigrid:
     """The V-cycle, the preconditioner of every solve."""
 
@@ -578,6 +587,26 @@ class TestMultigrid:
             operator @ b
             assert np.array_equal(z, kept)
 
+    def test_solver_bits_on_shapes_the_designs_do_not_reach(self):
+        # one digest over a product, a V-cycle application and a solved field
+        # of each network, at both cuts; recorded before the couplings were
+        # stored positive and subtracted, which must not move a bit
+        digest = hashlib.sha256()
+        for i, (layers, rows, cols) in enumerate(BIT_PIN_SHAPES):
+            net = random_network(layers, rows, cols, seed=i, strong_z=i % 2 == 0,
+                                 patch=(0, (rows + 1) // 2, cols // 3, cols))
+            rng = np.random.default_rng(i)
+            x = rng.normal(size=net.grid.num_cells)
+            power = rng.uniform(0.0, 0.5, (layers, rows, cols))
+            for cut in (COARSE_SOLVE_MAX_UNKNOWNS, 0):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(thermal, "COARSE_SOLVE_MAX_UNKNOWNS", cut)
+                    matrix = system_matrix(net)
+                    field = solve_steady_state(net, power, AMBIENT)
+                    for array in (matrix @ x, matrix.vcycle(x), field.t):
+                        digest.update(array.tobytes())
+        assert digest.hexdigest() == BIT_PIN_SHA256
+
     @pytest.mark.parametrize("name", SHIPPED)
     def test_energy_balance_at_25um(self, name):
         design = shipped_design(name)
@@ -606,6 +635,29 @@ class TestMultigrid:
             for b in design.floorplan.blocks)
         heat_out = float((net.g_ambient * (field.t[0] - tech.ambient)).sum())
         assert heat_out == pytest.approx(power, rel=1e-6)
+
+    # traced at 130 and 162 B; they read 168 and 216 B while the operator
+    # kept negated copies of the network's couplings beside them, and CG its
+    # own residual and work vectors beside the right-hand side and the
+    # V-cycle's answer
+    @pytest.mark.parametrize("coeff, limit", [(0.0, 140), (None, 175)],
+                             ids=["leakage-off", "leakage-on"])
+    def test_bytes_per_unknown_of_the_largest_cold_solve(self, coeff, limit):
+        # corememory under 4 memory layers at 25 um, 46,080 unknowns; a
+        # warm-up solve fills the run's block raster first, as a run's first
+        # solve does
+        design = with_memory_layers(shipped_design("corememory"), 4, 25e-6)
+        if coeff is not None:
+            design = with_leakage_coeff(design, coeff)
+        grid = grid_for(design.stack, 25e-6)
+        couple_leakage(design, grid)
+        tracemalloc.start()
+        try:
+            couple_leakage(design, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / grid.num_cells <= limit
 
 
 # ---------------------------------------------------------- leakage coupling

@@ -1,15 +1,19 @@
-"""Command-line entry points: analyze, optimize, sweep.
+"""Command-line entry points: analyze, optimize, sweep, check.
 
-Exit codes: 0 success, 1 data error, 2 solver error, 3 internal error (its
-traceback follows the message on stderr), 141 (128 + SIGPIPE) stdout closed
-by its reader, with nothing on stderr. A usage error, such as a malformed
-option value, is a data error.
+Exit codes, which _Main.invoke sets for every command:
+  0    success.
+  1    data error: a design file that does not parse (one that is not UTF-8
+       included) or fails validation, an option value that is malformed,
+       empty or out of range (click's usage errors would exit 2), or an OS
+       error such as an --out-dir that is a file, with the OS message.
+  2    solver error, or a sweep with a failed point.
+  3    internal error; its traceback follows the message on stderr.
+  141  (128 + SIGPIPE) stdout closed by its reader, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import os
 import sys
@@ -24,38 +28,16 @@ from .design_io import (format_report, format_trace, parse_design, write_design,
 from .errors import DesignError, SolverError
 from .metrics import CostWeights
 from .model import require_valid, validate
-from .sweeps import default_values, format_sweep_table, run_sweep
+from .sweeps import AXES, default_values, format_sweep_table, run_sweep
 from .thermal import couple_leakage, grid_for
 from .units import parse_float, parse_length
 
 
-def guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except DesignError as exc:
-            click.echo(f"data error: {exc}", err=True)
-            sys.exit(1)
-        except SolverError as exc:
-            click.echo(f"solver error: {exc}", err=True)
-            sys.exit(2)
-        except BrokenPipeError:
-            # the flush at interpreter exit then writes to devnull, not the pipe
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            sys.exit(141)
-        except Exception as exc:
-            import traceback   # here, so that start-up does not pay for it
-            click.echo(f"internal error: {exc}", err=True)
-            click.echo(traceback.format_exc(), err=True, nl=False)
-            sys.exit(3)
-    return wrapper
-
-
 class _Main(click.Group):
-    """The command group, whose usage errors exit 1 rather than click's 2,
-    the solver-error code. They are raised while the group's arguments are
-    parsed (make_context) and while a subcommand's are (invoke)."""
+    """The command group, and the one place where what a command raises
+    becomes its exit code. A usage error exits 1; it is raised while the
+    group's arguments are parsed (make_context) or while a subcommand's
+    are (invoke)."""
 
     def make_context(self, *args, **kwargs):
         try:
@@ -70,6 +52,23 @@ class _Main(click.Group):
         except click.UsageError as exc:
             exc.exit_code = 1
             raise
+        except (click.exceptions.Exit, click.Abort, click.ClickException):
+            raise   # click's own, such as the Exit of a subcommand's --help
+        except BrokenPipeError:
+            # the flush at interpreter exit then writes to devnull, not the pipe
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(141)
+        except (DesignError, OSError) as exc:
+            click.echo(f"data error: {exc}", err=True)
+            sys.exit(1)
+        except SolverError as exc:
+            click.echo(f"solver error: {exc}", err=True)
+            sys.exit(2)
+        except Exception as exc:
+            import traceback   # here, so that start-up does not pay for it
+            click.echo(f"internal error: {exc}", err=True)
+            click.echo(traceback.format_exc(), err=True, nl=False)
+            sys.exit(3)
 
 
 @click.group(cls=_Main)
@@ -77,21 +76,34 @@ def main():
     """Thermal analysis and blockage-aware farm placement for 3-D stacks."""
 
 
-def _with_leakage(design, leakage_lambda):
-    """The design the run solves: --leakage-lambda, when given, replaces the
+def _read_design(design_path, grid_cell, leakage_lambda):
+    """The design file's design, the design the run solves and --grid-cell's
+    cell size (None without it). --leakage-lambda, when given, replaces the
     design's leakage coefficient, and the result is validated again."""
-    if leakage_lambda is None:
-        return design
-    tech = dataclasses.replace(design.stack.tech, leakage_coeff=leakage_lambda)
-    stack = dataclasses.replace(design.stack, tech=tech)
-    return require_valid(dataclasses.replace(design, stack=stack))
+    source = design = parse_design(design_path)
+    if leakage_lambda is not None:
+        tech = dataclasses.replace(source.stack.tech, leakage_coeff=leakage_lambda)
+        design = require_valid(dataclasses.replace(
+            source, stack=dataclasses.replace(source.stack, tech=tech)))
+    return source, design, None if grid_cell is None else parse_length(grid_cell)
 
 
-def _parse_weights(spec_str, preset_ratio):
-    """--weights aimed at --preset-ratio, or None without --weights (then
-    optimize_stack calibrates them); either way both are checked here."""
+def _run_setup(design_path, grid_cell, leakage_lambda, seed, outer_iters, max_moves,
+               cooling, t_initial, t_threshold, weights_spec, preset_ratio):
+    """What optimize and sweep read from the options they share: the design
+    file's design, the design the run solves, its configs, and --weights
+    aimed at --preset-ratio, or None without --weights (then optimize_stack
+    calibrates them); either way both are checked here."""
+    source, design, cell = _read_design(design_path, grid_cell, leakage_lambda)
+    try:
+        anneal = AnnealConfig(t_initial=t_initial, t_threshold=t_threshold,
+                              cooling=cooling, max_moves=max_moves, seed=seed)
+        flow = FlowConfig(outer_iterations=outer_iters, cell_size=cell)
+    except ValueError as exc:
+        raise DesignError(str(exc)) from None
     # without --weights the all-zero weighting checks --preset-ratio alone
-    parts = [parse_float(v) for v in spec_str.split(",")] if spec_str else [0.0] * 4
+    parts = ([0.0] * 4 if weights_spec is None
+             else [parse_float(v) for v in weights_spec.split(",")])
     if len(parts) != 4:
         raise DesignError("--weights needs four comma-separated values: "
                           "area,efficiency,ratio,wirelength")
@@ -100,7 +112,7 @@ def _parse_weights(spec_str, preset_ratio):
                               else preset_ratio)
     except ValueError as exc:
         raise DesignError(f"--weights/--preset-ratio: {exc}") from None
-    return weights if spec_str else None
+    return source, design, anneal, flow, None if weights_spec is None else weights
 
 
 def _config_echo(design, grid, anneal, flow, weights):
@@ -118,17 +130,22 @@ def _config_echo(design, grid, anneal, flow, weights):
     }
 
 
+_grid_cell = click.option("--grid-cell", default=None,
+                          help="Override grid cell size, e.g. 100um.")
+_leakage_lambda = click.option("--leakage-lambda", type=float, default=None,
+                               help="Leakage slope 1/K (default: design file).")
+_out_dir = click.option("--out-dir", default="out", show_default=True)
+
+
 @main.command()
 @click.argument("design_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--grid-cell", default=None, help="Override grid cell size, e.g. 100um.")
-@click.option("--leakage-lambda", type=float, default=None,
-              help="Leakage slope 1/K (default: design file).")
-@click.option("--out-dir", default="out", show_default=True)
-@guarded
+@_grid_cell
+@_leakage_lambda
+@_out_dir
 def analyze(design_path, grid_cell, leakage_lambda, out_dir):
     """Solve the thermal field of a design and write per-layer map files."""
-    design = _with_leakage(parse_design(design_path), leakage_lambda)
-    grid = grid_for(design.stack, parse_length(grid_cell) if grid_cell else None)
+    _, design, cell = _read_design(design_path, grid_cell, leakage_lambda)
+    grid = grid_for(design.stack, cell)
     field = couple_leakage(design, grid).field
     summary = summarize(design, grid, field)
     paths = write_thermal_maps(field, grid, out_dir)
@@ -145,7 +162,7 @@ def analyze(design_path, grid_cell, leakage_lambda, out_dir):
 
 def _anneal_flow_options(fn):
     fn = click.option("--seed", type=int, default=AnnealConfig.seed, show_default=True)(fn)
-    fn = click.option("--grid-cell", default=None)(fn)
+    fn = _grid_cell(fn)
     fn = click.option("--outer-iters", type=int, default=FlowConfig.outer_iterations,
                       show_default=True)(fn)
     fn = click.option("--weights", "weights_spec", default=None,
@@ -154,45 +171,27 @@ def _anneal_flow_options(fn):
                       help="Target bounding-box aspect ratio. A sweep accepts it "
                            "only with --weights: calibrated sweeps use each "
                            "point's own bounding ratio.")(fn)
-    fn = click.option("--leakage-lambda", type=float, default=None)(fn)
+    fn = _leakage_lambda(fn)
     fn = click.option("--max-moves", type=int, default=AnnealConfig.max_moves,
                       show_default=True)(fn)
     fn = click.option("--cooling", type=float, default=AnnealConfig.cooling,
                       show_default=True)(fn)
     fn = click.option("--t-initial", type=float, default=None)(fn)
     fn = click.option("--t-threshold", type=float, default=None)(fn)
-    fn = click.option("--out-dir", default="out", show_default=True)(fn)
-    return fn
-
-
-def _build_configs(seed, outer_iters, max_moves, cooling, t_initial, t_threshold,
-                   grid_cell):
-    cell = parse_length(grid_cell) if grid_cell else None
-    try:
-        return (AnnealConfig(t_initial=t_initial, t_threshold=t_threshold,
-                             cooling=cooling, max_moves=max_moves, seed=seed),
-                FlowConfig(outer_iterations=outer_iters, cell_size=cell))
-    except ValueError as exc:
-        raise DesignError(str(exc)) from None
+    return _out_dir(fn)
 
 
 @main.command()
 @click.argument("design_path", type=click.Path(exists=True, dir_okay=False))
 @_anneal_flow_options
-@guarded
-def optimize(design_path, seed, grid_cell, outer_iters, weights_spec, preset_ratio,
-             leakage_lambda, max_moves, cooling, t_initial, t_threshold, out_dir):
+def optimize(design_path, out_dir, **options):
     """Run the two-loop farm placement flow and write the optimized design,
     before/after maps, trace log, and report."""
-    source = parse_design(design_path)
-    design = _with_leakage(source, leakage_lambda)
-    anneal, flow = _build_configs(seed, outer_iters, max_moves, cooling,
-                                  t_initial, t_threshold, grid_cell)
-    weights = _parse_weights(weights_spec, preset_ratio)
+    source, design, anneal, flow, weights = _run_setup(design_path, **options)
 
     started = time.perf_counter()
     result = optimize_stack(design, anneal, flow, weights=weights,
-                            ratio_target=preset_ratio)
+                            ratio_target=options["preset_ratio"])
     runtime = time.perf_counter() - started
 
     out = Path(out_dir)
@@ -211,27 +210,19 @@ def optimize(design_path, seed, grid_cell, outer_iters, weights_spec, preset_rat
 
 @main.command()
 @click.argument("design_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--axis", type=click.Choice(["layers", "k_farm"]), required=True)
+@click.option("--axis", type=click.Choice(AXES), required=True)
 @click.option("--values", default=None,
               help="Comma-separated axis values (default: layers 1..4, "
                    "k_farm log-spaced over the tech range).")
 @_anneal_flow_options
-@guarded
-def sweep(design_path, axis, values, seed, grid_cell, outer_iters, weights_spec,
-          preset_ratio, leakage_lambda, max_moves, cooling, t_initial,
-          t_threshold, out_dir):
+def sweep(design_path, axis, values, out_dir, **options):
     """Optimize across an axis and tabulate before/after temperatures."""
-    design = _with_leakage(parse_design(design_path), leakage_lambda)
-    anneal, flow = _build_configs(seed, outer_iters, max_moves, cooling,
-                                  t_initial, t_threshold, grid_cell)
-    if values:
-        axis_values = [parse_float(v) for v in values.split(",")]
-    else:
-        axis_values = default_values(design, axis)
-    if preset_ratio is not None and not weights_spec:
+    _, design, anneal, flow, weights = _run_setup(design_path, **options)
+    axis_values = (default_values(design, axis) if values is None
+                   else [parse_float(v) for v in values.split(",")])
+    if options["preset_ratio"] is not None and weights is None:
         raise DesignError("--preset-ratio needs --weights in a sweep: calibrated "
                           "sweeps use each point's own bounding ratio")
-    weights = _parse_weights(weights_spec, preset_ratio)
 
     points = run_sweep(design, axis, axis_values, anneal, flow, weights=weights)
     table = format_sweep_table(axis, points)
@@ -250,7 +241,6 @@ def sweep(design_path, axis, values, seed, grid_cell, outer_iters, weights_spec,
 
 @main.command()
 @click.argument("design_path", type=click.Path(exists=True, dir_okay=False))
-@guarded
 def check(design_path):
     """Parse and validate a design file."""
     design = parse_design(design_path, check=False)

@@ -107,14 +107,21 @@ def _write_rows(section: str, items) -> list[str]:
 
 def parse_design(source: str | Path, text: str | None = None,
                  check: bool = True) -> Design:
-    """Parse a design file into a validated model.
+    """Parse a design file (UTF-8 text) into a validated model.
 
     Raises ParseError with (line, message) pairs on any syntax, unit, or
     reference problem; with check=True a structurally invalid model also
     raises DesignError listing the violations.
     """
     if text is None:
-        text = Path(source).read_text()
+        data = Path(source).read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the line of the first bad byte, counted as the rows below are
+            line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+            raise ParseError([(line, f"not UTF-8 text: byte 0x{data[exc.start]:02x} "
+                                     f"({exc.reason})")]) from None
     errors: list[tuple[int, str]] = []
     rows: dict[str, list[tuple[int, list[str]]]] = {s: [] for s in SECTIONS}
     section = None
@@ -208,8 +215,11 @@ def parse_design(source: str | Path, text: str | None = None,
             if client not in block_by_name:
                 errors.append((lineno, f"net references unknown block {client!r}"))
         i = farm_by_name[tok[0]]
+        if farms[i].clients:   # a net row names at least one client
+            errors.append((lineno, f"duplicate net farm {tok[0]!r}"))
         farms[i] = dataclasses.replace(farms[i], clients=tuple(tok[1:]))
 
+    powered = set()
     for lineno, tok in rows["power"]:
         if len(tok) not in (2, 3):
             errors.append((lineno, "power row needs: block watts [leakage_ref]"))
@@ -217,6 +227,9 @@ def parse_design(source: str | Path, text: str | None = None,
         if tok[0] not in block_by_name:
             errors.append((lineno, f"power references unknown block {tok[0]!r}"))
             continue
+        if tok[0] in powered:
+            errors.append((lineno, f"duplicate power block {tok[0]!r}"))
+        powered.add(tok[0])
         try:
             watts = parse_float(tok[1])
             leak = parse_float(tok[2]) if len(tok) == 3 else 0.0
@@ -255,7 +268,7 @@ def emit_design(design: Design) -> str:
 
 
 def write_design(design: Design, path: str | Path) -> None:
-    Path(path).write_text(emit_design(design))
+    Path(path).write_text(emit_design(design), encoding="utf-8")
 
 
 def format_thermal_map(field: TemperatureField, grid: GridSpec, layer: int) -> str:

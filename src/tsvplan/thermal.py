@@ -33,8 +33,8 @@ SMOOTHER_SWEEPS = 2     # before, and again after, each coarse correction
 # float32, while CG, the operators' products and the residual contract stay
 # in float64
 COARSE_SOLVE_MAX_UNKNOWNS = 256
-# The most grid cells (unknowns) grid_for accepts: at 162 B per unknown (a cold
-# 46,080-unknown leakage solve peaks at 7.45 MB traced), 2.7 GB for one solve
+# The most grid cells (unknowns) grid_for accepts: at 146 B per unknown (a cold
+# 46,080-unknown leakage solve peaks at 6.72 MB traced), 2.4 GB for one solve
 MAX_GRID_CELLS = 2**24
 
 
@@ -757,8 +757,7 @@ def couple_leakage(design: Design, grid: GridSpec) -> LeakageSolve:
                                                matrix=matrix), 1)
 
     g_eff = LeakageOperator(matrix, design.floorplan.blocks, lam)
-    t = np.full(power.shape, tech.ambient)
-    source = power + g_eff.leakage(t - ref)
+    source = power + g_eff.leakage(np.full(power.shape, tech.ambient - ref))
     try:
         rise = solve_steady_state(network, source, 0.0, matrix=g_eff)
     except SolverError as error:
@@ -769,12 +768,13 @@ def couple_leakage(design: Design, grid: GridSpec) -> LeakageSolve:
     if (source.min() >= 0 and rise.residual < RESIDUAL_RTOL * source.max()
             and not rise.t.min() > 0):
         raise ThermalRunawayError("leakage fixed point diverging: a rise is not positive")
-    t = t + rise.t
+    t, spent = tech.ambient + rise.t, rise.iterations
+    del rise, source   # so the closing solve's buffers can reuse their memory
     field = solve_steady_state(
         network, power + g_eff.leakage(t - ref), tech.ambient, x0=t, matrix=matrix,
-        maxiter=CG_ITERATIONS_PER_DESIGN_SOLVE - rise.iterations)
+        maxiter=CG_ITERATIONS_PER_DESIGN_SOLVE - spent)
     return LeakageSolve(TemperatureField(field.t, field.residual,
-                                         rise.iterations + field.iterations), 2)
+                                         spent + field.iterations), 2)
 
 
 class FieldStats(NamedTuple):

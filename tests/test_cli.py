@@ -347,10 +347,14 @@ class TestSweep:
      "cooling factor must be in (0, 1)"),
     (["sweep", "--axis", "k_farm", "--values", "0.5", "--weights", "1,-1,1,1",
       "--preset-ratio", "inf"], "ratio target must be finite and > 0"),
+    (["optimize", "--weights", ""], "bad number ''"),
+    (["sweep", "--axis", "k_farm", "--values", ""], "bad number ''"),
+    (["analyze", "--grid-cell", ""], "bad length ''"),
 ], ids=["weights-word", "weights-nan", "weights-sign", "sweep-values-word",
         "cooling", "max-moves", "outer-iters", "seed", "t-order", "t-initial-nan",
         "t-threshold-nan", "t-threshold-above-t0", "preset-ratio-nan",
-        "preset-ratio-negative", "sweep-cooling-nan", "sweep-preset-ratio-inf"])
+        "preset-ratio-negative", "sweep-cooling-nan", "sweep-preset-ratio-inf",
+        "weights-empty", "sweep-values-empty", "analyze-grid-cell-empty"])
 def test_bad_cli_numbers_are_data_errors(runner, tmp_path, args, message):
     command, *options = args
     result = runner.invoke(main, [command, str(_write(tmp_path, TINY_OPT)), *options,
@@ -391,6 +395,32 @@ def test_usage_errors_are_data_errors(runner, tmp_path, args, message):
 @pytest.mark.parametrize("args", [["no-such-command"], ["check", "missing.design"]])
 def test_bad_commands_and_paths_are_data_errors(runner, args):
     assert runner.invoke(main, args).exit_code == 1
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"\xff\xfe[tech]\n", 1), (TINY_OPT.encode().replace(b"[blocks]", b"[blocks] # \xe9"), 16)],
+    ids=["first-line", "comment"])
+def test_a_design_that_is_not_utf8_is_a_data_error(runner, tmp_path, data, line):
+    path = tmp_path / "latin1.design"
+    path.write_bytes(data)
+    result = runner.invoke(main, ["check", str(path)])
+    assert result.exit_code == 1, result.output
+    assert f"data error: line {line}: not UTF-8 text: byte 0x" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command, options", [
+    ("analyze", ()), ("optimize", ("--max-moves", "2")),
+    ("sweep", ("--axis", "k_farm", "--values", "0.5", "--max-moves", "2"))],
+    ids=["analyze", "optimize", "sweep"])
+def test_an_out_dir_that_is_a_file_is_a_data_error(runner, tmp_path, command, options):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    result = runner.invoke(main, [command, str(_write(tmp_path, TINY_OPT)), *options,
+                                  "--out-dir", str(taken)])
+    assert result.exit_code == 1, result.output
+    assert "data error: " in result.output and "File exists" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_option_defaults_come_from_the_configs():

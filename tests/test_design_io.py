@@ -341,6 +341,12 @@ PARSE_BRANCHES = {
         [("phantom 0.5", "power references unknown block 'phantom'")]),
     "power-bad-number": (
         "heater 0.5", "heater 0.5 x", [("heater 0.5 x", "bad power value: bad number 'x'")]),
+    "net-duplicate-farm": (
+        "bus heater", "bus heater\nbus heater",
+        [("bus heater", "duplicate net farm 'bus'")]),
+    "power-duplicate-block": (
+        "heater 0.5", "heater 0.5 0.1\nheater 99",
+        [("heater 99", "duplicate power block 'heater'")]),
 }
 
 

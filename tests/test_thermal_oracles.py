@@ -110,7 +110,10 @@ def reduceat_coarsen(network):
 
 
 class ReferenceOperator:
-    """StencilOperator's diagonal and -g couplings, zero-padded and negated."""
+    """The system matrix's diagonal and couplings, built here from the
+    network itself: the couplings are negated and zero-padded, and the
+    reference products add them, while StencilOperator stores its own
+    positive and subtracts them."""
 
     def __init__(self, network):
         self.network = network

@@ -6,7 +6,7 @@ from .design_io import emit_design, parse_design, write_design
 from .errors import (DesignError, GridError, InvalidMoveError, ParseError,
                      SingularNetworkError, SolverError, ThermalRunawayError)
 from .metrics import (CostBreakdown, CostWeights, conduction_efficiency, cost,
-                      ratio_penalty, total_efficiency, wirelength)
+                      total_efficiency, wirelength)
 from .model import (Block, Design, Floorplan, Layer, Material, Stack,
                     TechnologyParams, TsvFarm, move_farm, reshape_farm, validate)
 from .thermal import (CellOccupancy, ConductanceNetwork, GridSpec,

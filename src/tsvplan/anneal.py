@@ -117,10 +117,6 @@ class RunTrace:
     passes: list[PassRecord] = dc_field(default_factory=list)
     outers: list[OuterRecord] = dc_field(default_factory=list)
 
-    @property
-    def best_cost_curve(self) -> list[float]:
-        return [m.best_cost for m in self.moves]
-
 
 def _is_uphill(delta_cost: float, current_cost: float) -> bool:
     return delta_cost > TIE_RTOL * abs(current_cost)
@@ -290,7 +286,7 @@ class Evaluator:
         self.farms = fp.farms
         self.neighbours = [farm_neighbours(fp.farms, k) for k in range(len(fp.farms))]
         self.table = strip_table(fp.blocks, design.stack)
-        self.faces = [blocked_faces(self.table, f.start_layer, f.end_layer) for f in fp.farms]
+        self.faces = [blocked_faces(self.table, f) for f in fp.farms]
         self.centers = block_centers(fp.blocks)
         # min and max are exact: the blocks' box prices like all their rects
         self.fixed = [bounding_box_of([b.rect for b in fp.blocks])] if fp.blocks else []

@@ -1,6 +1,6 @@
 """Command-line entry points: analyze, optimize, sweep, check.
 
-Exit codes, which _Main.invoke sets for every command:
+Exit codes, which _Main sets for every command:
   0    success.
   1    data error: a design file that does not parse (one that is not UTF-8
        included) or fails validation, an option value that is malformed,
@@ -35,40 +35,41 @@ from .units import parse_float, parse_length
 
 class _Main(click.Group):
     """The command group, and the one place where what a command raises
-    becomes its exit code. A usage error exits 1; it is raised while the
-    group's arguments are parsed (make_context) or while a subcommand's
-    are (invoke)."""
+    becomes its exit code: _exit_codes runs the parse of the group's own
+    arguments (make_context), which prints the group's --help, and the
+    subcommand with its arguments (invoke)."""
 
     def make_context(self, *args, **kwargs):
-        try:
-            return super().make_context(*args, **kwargs)
-        except click.UsageError as exc:
-            exc.exit_code = 1
-            raise
+        return _exit_codes(super().make_context, *args, **kwargs)
 
     def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as exc:
-            exc.exit_code = 1
-            raise
-        except (click.exceptions.Exit, click.Abort, click.ClickException):
-            raise   # click's own, such as the Exit of a subcommand's --help
-        except BrokenPipeError:
-            # the flush at interpreter exit then writes to devnull, not the pipe
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            sys.exit(141)
-        except (DesignError, OSError) as exc:
-            click.echo(f"data error: {exc}", err=True)
-            sys.exit(1)
-        except SolverError as exc:
-            click.echo(f"solver error: {exc}", err=True)
-            sys.exit(2)
-        except Exception as exc:
-            import traceback   # here, so that start-up does not pay for it
-            click.echo(f"internal error: {exc}", err=True)
-            click.echo(traceback.format_exc(), err=True, nl=False)
-            sys.exit(3)
+        return _exit_codes(super().invoke, ctx)
+
+
+def _exit_codes(step, *args, **kwargs):
+    """step(*args, **kwargs), with what it raises mapped to the exit codes."""
+    try:
+        return step(*args, **kwargs)
+    except click.UsageError as exc:
+        exc.exit_code = 1
+        raise
+    except (click.exceptions.Exit, click.Abort, click.ClickException):
+        raise   # click's own, such as the Exit of a --help
+    except BrokenPipeError:
+        # the flush at interpreter exit then writes to devnull, not the pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    except (DesignError, OSError) as exc:
+        click.echo(f"data error: {exc}", err=True)
+        sys.exit(1)
+    except SolverError as exc:
+        click.echo(f"solver error: {exc}", err=True)
+        sys.exit(2)
+    except Exception as exc:
+        import traceback   # here, so that start-up does not pay for it
+        click.echo(f"internal error: {exc}", err=True)
+        click.echo(traceback.format_exc(), err=True, nl=False)
+        sys.exit(3)
 
 
 @click.group(cls=_Main)

@@ -55,18 +55,23 @@ class CostWeights:
         temperature at the initial floorplan; a 1% area or wirelength
         increase is priced at that same anchor, so thermal gains cannot buy
         more than a percent-scale overhead. The ratio weight scales the
-        (dimensionless) aspect deviation by the footprint-area cost.
+        (dimensionless) aspect deviation by the footprint-area cost. f_H,
+        area and wirelength are read from one cost breakdown, the fold the
+        search prices.
         """
-        f_h = total_efficiency(design)
+        initial = cost(design, UNWEIGHTED)
+        f_h, area0, wl0 = initial.efficiency, initial.area, initial.wirelength
         rise = max(field.average - design.stack.tech.ambient, 1.0)
         anchor = f_h / rise if f_h > 0 else 1.0
-        area0 = floorplan_area(design.floorplan)
-        wl0 = wirelength(design)
         area_w = anchor / (0.01 * area0) if area0 > 0 else 0.0
         wl_w = anchor / (0.01 * wl0) if wl0 > 0 else 0.0
         footprint_area = design.stack.tech.footprint_width * design.stack.tech.footprint_height
         return cls(area=area_w, efficiency=-1.0, ratio=area_w * footprint_area,
                    wirelength=wl_w, ratio_target=_box_ratio(design.floorplan.bounding_box))
+
+
+# the weighting that prices nothing: its breakdown holds the bare terms
+UNWEIGHTED = CostWeights(0.0, 0.0, 0.0, 0.0)
 
 
 class CostBreakdown(NamedTuple):   # a tuple: built per priced candidate, it is cheap
@@ -174,7 +179,7 @@ def path_conductivity(table: StripTable, farms: tuple[TsvFarm, ...]) -> np.ndarr
         for farm in farms:
             rect = farm.rect
             seg = min(face.hi, rect[3 - a]) - max(face.lo, rect[1 - a])
-            hit = ((farm.start_layer <= face.layer < farm.end_layer) & (seg > 0)
+            hit = (farm.blocks_laterally(face.layer) & (seg > 0)
                    & (rect[a] <= lines) & (lines <= rect[a + 2]))
             crossing += np.where(hit, seg, 0.0) / farm.k_lateral
             farm_length += np.where(hit, seg, 0.0)
@@ -195,10 +200,10 @@ def pair_efficiency(table: StripTable, k_eff: np.ndarray) -> np.ndarray:
                      for face, end in zip(table.faces, ends)])
 
 
-def blocked_faces(table: StripTable, start: int, end: int) -> tuple[int, ...]:
-    """The faces a farm on layers start..end blocks, those of start..end-1
-    (not its landing layer), in pair order."""
-    return tuple(p for p, face in enumerate(table.faces) if start <= face.layer < end)
+def blocked_faces(table: StripTable, farm: TsvFarm) -> tuple[int, ...]:
+    """The faces a farm blocks, those on the layers it blocks_laterally, in
+    pair order."""
+    return tuple(p for p, face in enumerate(table.faces) if farm.blocks_laterally(face.layer))
 
 
 def farm_hits(table: StripTable, faces: tuple, k_lateral: float, box) -> tuple:
@@ -260,10 +265,7 @@ def fold_efficiency(table: StripTable, hits_by_farm, term=None) -> float:
 
 def total_efficiency(design: Design) -> float:
     """f_H: the sum of pair conduction efficiencies over adjacent block pairs."""
-    table = strip_table(design.floorplan.blocks, design.stack)
-    return fold_efficiency(table, [
-        farm_hits(table, blocked_faces(table, f.start_layer, f.end_layer), f.k_lateral, f.rect)
-        for f in design.floorplan.farms])
+    return cost(design, UNWEIGHTED).efficiency
 
 
 def block_centers(blocks: tuple[Block, ...]) -> dict[str, tuple[float, float]]:
@@ -370,6 +372,6 @@ def cost(design: Design, weights: CostWeights) -> CostBreakdown:
     table = strip_table(fp.blocks, design.stack)
     centers = block_centers(fp.blocks)
     return price(weights, table,
-                 [farm_row(table, centers, f, blocked_faces(table, f.start_layer, f.end_layer),
+                 [farm_row(table, centers, f, blocked_faces(table, f),
                            (f.x, f.y, f.width, f.height)) for f in fp.farms],
                  [b.rect for b in fp.blocks])

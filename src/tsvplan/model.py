@@ -70,17 +70,11 @@ class Layer:
     material: Material
 
 
-@dataclass(frozen=True)
-class Block:
-    name: str
-    layer: int
-    x: float
-    y: float
-    width: float
-    height: float
-    power: float = 0.0         # dynamic, W
-    leakage_ref: float = 0.0   # W at leakage_tref
-    kind: str = "macro"        # macro | peripheral
+class Rectangle:
+    """An axis-aligned rectangle, from the x, y (lower-left corner), width
+    and height fields of a subclass."""
+
+    __slots__ = ()
 
     @property
     def center(self) -> tuple[float, float]:
@@ -92,7 +86,20 @@ class Block:
 
 
 @dataclass(frozen=True)
-class TsvFarm:
+class Block(Rectangle):
+    name: str
+    layer: int
+    x: float
+    y: float
+    width: float
+    height: float
+    power: float = 0.0         # dynamic, W
+    leakage_ref: float = 0.0   # W at leakage_tref
+    kind: str = "macro"        # macro | peripheral
+
+
+@dataclass(frozen=True)
+class TsvFarm(Rectangle):
     name: str
     x: float
     y: float
@@ -104,14 +111,6 @@ class TsvFarm:
     k_metal: float             # W/(m K), vertical via-metal conductivity
     area: float                # conserved under reshape
     clients: tuple[str, ...] = ()
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.x + self.width / 2, self.y + self.height / 2)
-
-    @property
-    def rect(self) -> tuple[float, float, float, float]:
-        return (self.x, self.y, self.x + self.width, self.y + self.height)
 
     def placed(self, x: float, y: float, width: float, height: float) -> "TsvFarm":
         """This farm in another rectangle, every other field kept."""
@@ -390,19 +389,6 @@ def farm_overlap(neighbours: tuple, rects, rect) -> str | None:
     return None
 
 
-def placement_conflict(design: Design, index: int, rect) -> str | None:
-    """Why farm `index` cannot take `rect` on all its layers, or None if it can.
-
-    The one legality rule of a farm rectangle: fixed_conflict's, then
-    farm_overlap's.
-    """
-    farms = design.floorplan.farms
-    reason = fixed_conflict(design.stack, design.floorplan.blocks, farms[index].start_layer,
-                            farms[index].end_layer, rect)
-    return reason if reason is not None else farm_overlap(
-        farm_neighbours(farms, index), [(f.x, f.y, f.width, f.height) for f in farms], rect)
-
-
 def origin_lattice(stack: Stack, width: float, height: float, cell: float) -> tuple[int, int]:
     """(nx, ny): the grid-aligned origins (ix * cell, iy * cell), ix < nx and
     iy < ny, that a width x height farm may be moved to; 0 when it cannot fit."""
@@ -440,15 +426,21 @@ def _place_farm(design: Design, index: int, x: float, y: float,
                 width: float, height: float) -> Design:
     """Give farm `index` a new rectangle on all its layers.
 
-    Raises InvalidMoveError with placement_conflict's reason if the
-    rectangle is not legal; the farm is only rebuilt once legal.
+    The one legality rule of a farm rectangle: InvalidMoveError with
+    fixed_conflict's reason, else with farm_overlap's; the farm is only
+    rebuilt once legal.
     """
-    reason = placement_conflict(design, index, (x, y, x + width, y + height))
-    farms = list(design.floorplan.farms)
+    fp, rect = design.floorplan, (x, y, x + width, y + height)
+    farms = list(fp.farms)
+    farm = farms[index]
+    reason = fixed_conflict(design.stack, fp.blocks, farm.start_layer, farm.end_layer, rect)
+    if reason is None:
+        reason = farm_overlap(farm_neighbours(fp.farms, index),
+                              [(f.x, f.y, f.width, f.height) for f in fp.farms], rect)
     if reason is not None:
-        raise InvalidMoveError(f"{farms[index].name}: {reason}")
-    farms[index] = farms[index].placed(x, y, width, height)
-    return design.with_floorplan(Floorplan(design.floorplan.blocks, tuple(farms)))
+        raise InvalidMoveError(f"{farm.name}: {reason}")
+    farms[index] = farm.placed(x, y, width, height)
+    return design.with_floorplan(Floorplan(fp.blocks, tuple(farms)))
 
 
 def reshape_farm(design: Design, farm: str, ratio: float) -> Design:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .anneal import AnnealConfig, FlowConfig, optimize_stack
 from .errors import DesignError, GridError, SolverError
-from .model import Design, Floorplan, Layer, Stack
+from .model import Design, Floorplan, Layer, Stack, require_valid
 from .thermal import MAX_GRID_CELLS, grid_for
 
 
@@ -118,17 +118,17 @@ class SweepPoint:
 
 def run_sweep(design: Design, axis: str, values, anneal: AnnealConfig,
               flow: FlowConfig, weights=None) -> list[SweepPoint]:
-    """Optimize once per axis value; failures mark the point and continue."""
+    """Optimize once per axis value, each variant validated first; failures
+    mark the point and continue."""
     if axis not in AXES:
         raise DesignError(f"unknown sweep axis {axis!r} (use {'|'.join(AXES)})")
     points = []
     for index, value in enumerate(values):
         point = SweepPoint(value=float(value), status="ok")
         try:
-            if axis == "layers":
-                variant = with_memory_layers(design, value, flow.cell_size)
-            else:
-                variant = set_farm_conductivity(design, float(value))
+            variant = require_valid(
+                with_memory_layers(design, value, flow.cell_size) if axis == "layers"
+                else set_farm_conductivity(design, float(value)))
             cfg = dataclasses.replace(anneal, seed=anneal.seed + index)
             result = optimize_stack(variant, cfg, flow, weights=weights)
             point.before_core_peak = result.before.layer_peaks[0]

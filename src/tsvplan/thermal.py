@@ -87,23 +87,29 @@ class CellOccupancy(NamedTuple):
     power: np.ndarray             # [L, ny, nx] W at reference temperature
 
 
-def _overlap_1d(lo: float, hi: float, cell: float, start: int, stop: int) -> np.ndarray:
-    """Lengths by which [lo, hi] overlaps cells start..stop-1 of a row."""
-    edges = np.arange(start, stop + 1) * cell
-    return np.clip(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0, None)
-
-
-def rect_cell_areas(rect, grid: GridSpec) -> np.ndarray:
-    """Exact [ny, nx] intersection areas of a rectangle with every grid cell."""
-    ox = _overlap_1d(rect[0], rect[2], grid.cell_size, 0, grid.cells_x)
-    oy = _overlap_1d(rect[1], rect[3], grid.cell_size, 0, grid.cells_y)
-    return np.outer(oy, ox)
+def _window_areas(rect, grid: GridSpec) -> tuple[slice, slice, np.ndarray]:
+    """The window of a layer's cells that rect can overlap, (rows, columns),
+    widened by one cell on each side against rounding, and rect's exact area
+    in each of its cells. Edge i is i * cell_size wherever the window starts,
+    so an area is the same float in any window that holds its cell."""
+    cell, spans = grid.cell_size, []
+    for lo, hi, n in ((rect[1], rect[3], grid.cells_y), (rect[0], rect[2], grid.cells_x)):
+        start = min(max(math.floor(lo / cell) - 1, 0), n)
+        stop = max(min(math.floor(hi / cell) + 2, n), start)
+        edges = np.arange(start, stop + 1) * cell
+        spans.append((slice(start, stop), np.clip(
+            np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0, None)))
+    (rows, oy), (cols, ox) = spans
+    return rows, cols, np.outer(oy, ox)
 
 
 def block_cell_weights(block, grid: GridSpec) -> np.ndarray:
-    """Fraction of a block's area falling in each cell of its layer (sums to 1)."""
-    areas = rect_cell_areas(block.rect, grid)
-    return areas / (block.width * block.height)
+    """Fraction of a block's area falling in each cell of its layer (sums to
+    1): its window's, written into a zeroed plane."""
+    rows, cols, areas = _window_areas(block.rect, grid)
+    weights = np.zeros((grid.cells_y, grid.cells_x))
+    weights[rows, cols] = areas / (block.width * block.height)
+    return weights
 
 
 class BlockRaster(NamedTuple):
@@ -143,14 +149,6 @@ def block_raster(blocks: tuple, grid: GridSpec) -> BlockRaster:
     return BlockRaster(tuple(entries), power)
 
 
-def _span_overlaps(lo: float, hi: float, cell: float, n: int):
-    """The cells of a row of n that [lo, hi] can overlap, widened by one on
-    each side against rounding, and the length it overlaps each by."""
-    start = min(max(math.floor(lo / cell) - 1, 0), n)
-    stop = max(min(math.floor(hi / cell) + 2, n), start)
-    return slice(start, stop), _overlap_1d(lo, hi, cell, start, stop)
-
-
 def rasterize(design: Design, grid: GridSpec) -> CellOccupancy:
     """Rasterize a floorplan: exact area fractions and proportional power split.
 
@@ -163,15 +161,11 @@ def rasterize(design: Design, grid: GridSpec) -> CellOccupancy:
     k_farm = np.zeros(shape)
     k_metal = np.zeros(shape)
     best_area = np.zeros(shape)
-    cell = grid.cell_size
     windows = []   # each farm's (layers, rows, columns)
 
     for farm in design.floorplan.farms:
-        x0, y0, x1, y1 = farm.rect
-        (rows, oy), (cols, ox) = (_span_overlaps(y0, y1, cell, grid.cells_y),
-                                  _span_overlaps(x0, x1, cell, grid.cells_x))
-        areas = np.outer(oy, ox)
-        frac = areas / cell ** 2
+        rows, cols, areas = _window_areas(farm.rect, grid)
+        frac = areas / grid.cell_size ** 2
         for layer in range(farm.start_layer, farm.end_layer + 1):
             window = (layer, rows, cols)
             farm_fraction[window] += frac

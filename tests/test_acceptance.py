@@ -153,9 +153,8 @@ def test_criterion_4_sa_invariants(optimized):
 
     # best-cost curve non-increasing on every optimization run
     curves_ok = all(
-        all(x >= y for x, y in zip(r.trace.best_cost_curve,
-                                   r.trace.best_cost_curve[1:]))
-        for r, _ in optimized.values())
+        all(x >= y for x, y in zip(curve, curve[1:]))
+        for curve in ([m.best_cost for m in r.trace.moves] for r, _ in optimized.values()))
 
     # bit-identical traces for identical seeds
     d = shipped_design("blockage")
@@ -164,7 +163,8 @@ def test_criterion_4_sa_invariants(optimized):
     first = optimize_stack(d, cfg, flow)
     second = optimize_stack(d, cfg, flow)
     replay_ok = (first.trace.moves == second.trace.moves
-                 and first.trace.best_cost_curve == second.trace.best_cost_curve
+                 and ([m.best_cost for m in first.trace.moves]
+                      == [m.best_cost for m in second.trace.moves])
                  and first.trace.passes == second.trace.passes
                  and first.best == second.best)
 

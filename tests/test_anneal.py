@@ -365,7 +365,7 @@ class TestSaPlacement:
                            max_moves=10, seed=0)
         best, best_cost = sa_placement(start, cost_fn, propose, cfg,
                                        np.random.default_rng(3), trace)
-        curve = trace.best_cost_curve
+        curve = [m.best_cost for m in trace.moves]
         assert all(a >= b for a, b in zip(curve, curve[1:]))
         assert best_cost <= cost_fn(start)
         assert best_cost == curve[-1]
@@ -490,7 +490,8 @@ class TestOptimizeStack:
         assert a.trace.moves == b.trace.moves
         assert a.trace.passes == b.trace.passes
         assert a.trace.outers == b.trace.outers
-        assert a.trace.best_cost_curve == b.trace.best_cost_curve
+        assert ([m.best_cost for m in a.trace.moves]
+                == [m.best_cost for m in b.trace.moves])
         assert a.best == b.best
 
     def test_different_seed_changes_trace(self):
@@ -530,7 +531,7 @@ class TestOptimizeStack:
         d = _hotspot_design()
         result = optimize_stack(d, AnnealConfig(seed=6, max_moves=10),
                                 FlowConfig(outer_iterations=2))
-        curve = result.trace.best_cost_curve
+        curve = [m.best_cost for m in result.trace.moves]
         assert all(a >= b for a, b in zip(curve, curve[1:]))
 
 

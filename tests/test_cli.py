@@ -543,3 +543,18 @@ def test_a_closed_stdout_exits_141_quietly(command, options, written, tmp_path):
     assert (done.returncode, done.stderr) == (141, b"")
     # a command writes its files before it prints
     assert (tmp_path / written).exists()
+
+
+@pytest.mark.parametrize("args", [("--help",), ("optimize", "--help")],
+                         ids=["group-help", "command-help"])
+def test_help_on_a_closed_stdout_exits_141_quietly(args):
+    # the group's own help is printed while its arguments are parsed, before
+    # any subcommand runs
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _run_fresh("from tsvplan.cli import main; main()", *args,
+                          stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b"")

@@ -222,6 +222,23 @@ class TestCalibratedWeights:
         assert w.area * 0.01 * floorplan_area(d.floorplan) == pytest.approx(anchor)
         assert w.wirelength * 0.01 * wirelength(d) == pytest.approx(anchor)
 
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_equals_the_formula_of_the_separate_terms(self, name):
+        # calibrated reads f_H, area and wirelength from one cost breakdown;
+        # its weights are those of the three terms computed one by one
+        d = shipped_design(name)
+        field = solve_design(d, grid_for(d.stack))
+        tech = d.stack.tech
+        f_h = total_efficiency(d)
+        anchor = f_h / max(field.average - tech.ambient, 1.0) if f_h > 0 else 1.0
+        area0, wl0 = floorplan_area(d.floorplan), wirelength(d)
+        area_w = anchor / (0.01 * area0) if area0 > 0 else 0.0
+        wl_w = anchor / (0.01 * wl0) if wl0 > 0 else 0.0
+        x0, y0, x1, y1 = d.floorplan.bounding_box
+        assert CostWeights.calibrated(d, field) == CostWeights(
+            area_w, -1.0, area_w * (tech.footprint_width * tech.footprint_height), wl_w,
+            (x1 - x0) / (y1 - y0) if y1 - y0 > 0 else 1.0)
+
 
 def batch_efficiency(design):
     """f_H from all farms at once: pair_efficiency over path_conductivity,

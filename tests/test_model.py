@@ -12,7 +12,7 @@ from tsvplan.anneal import Evaluator, gen_move
 from tsvplan.metrics import CostWeights
 from tsvplan.model import (Block, Floorplan, Material, TsvFarm, _place_farm, farm_neighbours,
                            farm_overlap, fixed_conflict, legal_origins, move_farm,
-                           origin_lattice, placement_conflict, rects_overlap, reshape_farm,
+                           origin_lattice, rects_overlap, reshape_farm,
                            validate)
 from tsvplan.thermal import grid_for
 
@@ -314,7 +314,7 @@ def overlap_by_scan(design, index, rect):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(DESIGNS)), st.integers(0, 2 ** 32 - 1), st.data())
-def test_neighbour_overlap_agrees_with_placement_conflict(name, seed, data):
+def test_move_farm_reports_fixed_conflict_then_farm_overlap(name, seed, data):
     design = DESIGNS[name]
     ev = Evaluator(design, grid_for(design.stack), CostWeights(0.0, -1.0, 0.0, 0.0))
     state = ev.state_of(design)
@@ -339,8 +339,13 @@ def test_neighbour_overlap_agrees_with_placement_conflict(name, seed, data):
                                 rect) == expected
             fixed = fixed_conflict(design.stack, design.floorplan.blocks, moved.start_layer,
                                    moved.end_layer, rect)
-            assert placement_conflict(design, index, rect) == (
-                fixed if fixed is not None else expected)
+            reason = fixed if fixed is not None else expected
+            if reason is None:
+                assert move_farm(design, moved.name, (x, y)).floorplan.farms[index].rect == rect
+            else:
+                with pytest.raises(InvalidMoveError) as raised:
+                    move_farm(design, moved.name, (x, y))
+                assert str(raised.value) == f"{moved.name}: {reason}"
 
 
 def test_fixed_conflict_names_the_first_block_layer_by_layer():

@@ -1,14 +1,18 @@
+import json
+
 import pytest
+from click.testing import CliRunner
 
 from tsvplan.anneal import AnnealConfig, FlowConfig
 from tsvplan import sweeps
+from tsvplan.cli import main
 from tsvplan.errors import DesignError, GridError, SolverError
 from tsvplan.model import validate
 from tsvplan.sweeps import (default_values, run_sweep, set_farm_conductivity,
                             with_memory_layers)
 from tsvplan.thermal import grid_for
 
-from conftest import shipped_design
+from conftest import REPO, shipped_design
 
 
 class TestSetFarmConductivity:
@@ -105,6 +109,24 @@ class TestWithMemoryLayers:
     def test_integral_float_count_is_accepted(self):
         d = shipped_design("corememory")
         assert with_memory_layers(d, 2.0) == with_memory_layers(d, 2)
+
+
+def test_a_layer_sweep_variant_that_fails_validation_fails_its_point(tmp_path):
+    # cpu1 takes the name with_memory_layers gives mem_n_l1's clone on layer 2:
+    # the file validates, its 2-layer variant does not
+    path = tmp_path / "clash.design"
+    path.write_text((REPO / "designs" / "corememory.design").read_text()
+                    .replace("cpu1", "mem_n_l1_m2"))
+    out = tmp_path / "out"
+    runner = CliRunner()
+    assert runner.invoke(main, ["check", str(path)]).exit_code == 0
+    result = runner.invoke(main, ["sweep", str(path), "--axis", "layers", "--values", "2",
+                                  "--max-moves", "2", "--out-dir", str(out)])
+    assert result.exit_code == 2
+    [point] = json.loads((out / "sweep.json").read_text())["points"]
+    assert point["status"].startswith("error: invalid design: ")
+    assert "mem_n_l1_m2: name-unique" in point["status"]
+    assert point["after_stack_avg"] is None
 
 
 def test_default_axis_values():

@@ -1,6 +1,7 @@
 """The thermal build and V-cycle against full-plane, unbound references.
 
-rasterize and cell_resistances work only on the cells the farms can cover,
+rasterize, block_cell_weights and cell_resistances work only on the cells
+the farms or the block can cover,
 coarsen adds strided pairs, and the V-cycle runs steps bound once per
 hierarchy. Each reference below is the straightforward full-plane or
 per-call form of the same arithmetic, and every result must match it bit
@@ -11,15 +12,15 @@ import contextlib
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tsvplan import thermal
-from tsvplan.model import Design, Floorplan, Layer, Material, Stack, TsvFarm
-from tsvplan.thermal import (ConductanceNetwork, GridSpec, block_raster, build_network,
-                             cell_resistances, coarsen, couple_leakage, grid_for, rasterize,
-                             system_matrix)
-from conftest import MM, SHIPPED, SILICON, UM, farm, make_tech, shipped_design
+from tsvplan.model import Block, Design, Floorplan, Layer, Material, Stack, TsvFarm
+from tsvplan.thermal import (ConductanceNetwork, GridSpec, block_cell_weights, block_raster,
+                             build_network, cell_resistances, coarsen, couple_leakage, grid_for,
+                             rasterize, system_matrix)
+from conftest import MM, SHIPPED, SILICON, UM, block, farm, make_tech, shipped_design
 
 
 def same_bits(a, b) -> bool:
@@ -61,6 +62,13 @@ def full_plane_rasterize(design, grid):
     lateral_fraction = np.minimum(lateral_fraction, farm_fraction)
     return thermal.CellOccupancy(farm_fraction, lateral_fraction, k_farm, k_metal,
                                  block_raster(design.floorplan.blocks, grid).power)
+
+
+def full_plane_block_cell_weights(b, grid):
+    """block_cell_weights, with the block's areas computed over the whole plane."""
+    areas = np.outer(full_plane_overlap(b.rect[1], b.rect[3], grid.cell_size, grid.cells_y),
+                     full_plane_overlap(b.rect[0], b.rect[2], grid.cell_size, grid.cells_x))
+    return areas / (b.width * b.height)
 
 
 def full_plane_series_terms(fraction, k, span, area):
@@ -283,6 +291,23 @@ def farmed_designs(draw):
     return Design(stack, Floorplan((), tuple(farms)), materials=(SILICON,))
 
 
+@st.composite
+def drawn_blocks(draw):
+    """A block on a plane of 1 to 9 cells a side, and the plane's grid: each
+    edge on a cell boundary, the footprint's border among them, or anywhere
+    on the footprint."""
+    def span(cells):
+        coordinate = st.one_of(st.integers(0, cells).map(lambda i: i * lattice),
+                               st.floats(0.0, cells * lattice))
+        return sorted(draw(st.lists(coordinate, min_size=2, max_size=2, unique=True)))
+
+    nx, ny = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    (x0, x1), (y0, y1) = span(nx), span(ny)
+    b = block("b", 0, x0, y0, x1 - x0, y1 - y0)
+    assume(b.width * b.height > 0)   # edges an ulp apart leave no area to divide by
+    return b, GridSpec(nx, ny, lattice * MM, 1)
+
+
 def quiet_if_zero_thickness(design):
     """A zero-thickness layer's lateral resistance is cell / 0, inf as intended."""
     if any(layer.thickness == 0 for layer in design.stack.layers):
@@ -321,6 +346,26 @@ class TestWindowBuild:
             expected = full_plane_network(occ, grid, design.stack)
         for name in ("g_x", "g_y", "g_z", "g_ambient"):
             assert same_bits(getattr(network, name), getattr(expected, name)), name
+
+    @pytest.mark.parametrize("cell", [100 * UM, 25 * UM], ids=["100um", "25um"])
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_shipped_block_weights_match_the_full_plane_ones(self, name, cell):
+        design = shipped_design(name)
+        grid = grid_for(design.stack, cell)
+        for b in design.floorplan.blocks:
+            assert same_bits(block_cell_weights(b, grid),
+                             full_plane_block_cell_weights(b, grid)), b.name
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=drawn_blocks())
+    @example(drawn=(  # the whole footprint, border to border
+        block("b", 0, 0.0, 0.0, 0.9, 0.9), GridSpec(9, 9, 1e-4, 1)))
+    @example(drawn=(  # edge 9 of 1e-4 m cells is 9.000000000000001e-4 m, so a block
+        # from 9e-4 m overlaps cell 8 by 1e-19 m, in the window's widening
+        Block("b", 0, 9e-4, 0.0, 1e-4, 1e-4), GridSpec(10, 1, 1e-4, 1)))
+    def test_drawn_block_weights_match_the_full_plane_ones(self, drawn):
+        b, grid = drawn
+        assert same_bits(block_cell_weights(b, grid), full_plane_block_cell_weights(b, grid))
 
     def test_a_zero_thickness_layer_is_infinitely_resistive_in_plane(self):
         design = Design(Stack((Layer(0, 0.0, SILICON),), make_tech()),

@@ -1,5 +1,13 @@
 """Thermal-blockage-aware TSV-farm placement for stacked ICs."""
 
+import os
+
+# one BLAS thread unless the user set a count, before numpy loads: on 2 cores a
+# threaded inverse of a coarsest level took up to 140 ms, one thread under 3 ms
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 from .anneal import (AnnealConfig, FlowConfig, OptimizeResult, RunTrace,
                      optimize_stack, sa_placement, gen_move, summarize)
 from .design_io import emit_design, parse_design, write_design

@@ -3,11 +3,13 @@ stack-level loop that keeps the floorplan with the best whole-stack average
 temperature.
 
 Blocks never move, so a run's Evaluator holds everything the search never
-changes, and a state is only a tuple of farm rectangles (x, y, width,
-height), one per farm in floorplan order. Layer passes and the stack-level
-loop carry states; the Evaluator solves each distinct state once and keeps
-its field for the run. A Design is built from a state only for a solve, an
-outer iteration's summary and the output.
+changes, and a state is only a tuple of Placements, one per farm in
+floorplan order. The Evaluator makes one per farm and rectangle (x, y,
+width, height), so equal states share them and the memos key a state by
+identity, not by floats. Layer passes and the stack-level loop carry
+states; the Evaluator solves each distinct state once and keeps its field
+for the run. A Design is built from a state only for a solve, an outer
+iteration's summary and the output.
 
 The annealing chain is sequential by nature; all randomness flows from one
 PCG64 stream seeded from the config (tsvplan.rng, numpy's default_rng stream
@@ -26,8 +28,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DesignError
-from .metrics import (CostBreakdown, CostWeights, block_centers, blocked_faces, face_term,
-                      farm_row, floorplan_area, price, strip_table, wirelength)
+from .metrics import (CostBreakdown, CostWeights, FarmRow, block_centers, blocked_faces,
+                      face_term, farm_row, floorplan_area, price, strip_table, wirelength)
 from .model import (Design, Floorplan, bounding_box_of, farm_neighbours, farm_overlap,
                     fixed_conflict, legal_origins, origin_lattice)
 from .rng import Pcg64
@@ -135,6 +137,17 @@ def accept(delta_cost: float, temperature: float, rng,
     return draw < math.exp(-delta_cost / temperature), draw
 
 
+class Placement:
+    """Farm `index` at xywh (x, y, width, height), with its rect (x0, y0,
+    x1, y1), as a TsvFarm's, and its cost row. An Evaluator makes one per
+    (index, xywh), so it hashes and compares by identity."""
+
+    __slots__ = ("index", "xywh", "rect", "row")
+
+    def __init__(self, index: int, xywh: tuple, row: FarmRow):
+        self.index, self.xywh, self.rect, self.row = index, xywh, row.rect, row
+
+
 class MoveGroup(NamedTuple):
     """The block-legal candidates of one (farm, move kind) in one state."""
 
@@ -165,9 +178,9 @@ def gen_move(context: "Evaluator", state: tuple, eligible: Sequence[int],
     the farm. It is drawn from the context's move_table instead: one
     rng.random() picks a (farm, kind) group by its mass, one rng.integers()
     an option within it. A candidate that overlaps another farm, or a
-    relocation that keeps its origin, redraws the whole proposal. After
-    RETRY_CAP proposals, or at once when the state has no candidate, the
-    state itself is returned as a null move.
+    relocation that keeps its origin, redraws the whole proposal; only a
+    legal candidate is placed. After RETRY_CAP proposals, or at once when
+    the state has no candidate, the state itself is returned as a null move.
     """
     if not eligible:
         return state, "null", None
@@ -177,16 +190,16 @@ def gen_move(context: "Evaluator", state: tuple, eligible: Sequence[int],
     total, last = cumulative[-1], len(groups) - 1
     for _ in range(RETRY_CAP):
         group = groups[min(bisect_right(cumulative, rng.random() * total), last)]
-        rect = group.option(rng.integers(len(group.options)))
-        x, y, width, height = rect
+        xywh = group.option(rng.integers(len(group.options)))
+        x, y, width, height = xywh
         index = group.index
-        fx, fy, _, _ = state[index]
+        fx, fy, _, _ = state[index].xywh
         if group.kind == "move" and abs(x - fx) < 1e-12 and abs(y - fy) < 1e-12:
             continue
         if farm_overlap(context.neighbours[index], state,
                         (x, y, x + width, y + height)) is None:
-            return (state[:index] + (rect,) + state[index + 1:], group.kind,
-                    context.farms[index].name)
+            return (state[:index] + (context.place(index, xywh),) + state[index + 1:],
+                    group.kind, context.farms[index].name)
     return state, "null", None
 
 
@@ -270,14 +283,15 @@ class Evaluator:
     centres, and each farm's fixed fields, blocked faces and same-layer
     neighbours (the blocks' cell weights and power raster are
     thermal.block_raster's, built by the first solve). It memoizes what
-    depends on the farm rectangles: the field and the cost of each state,
-    each farm's cost row and move groups on (farm index, rect), each
-    blocked pair's term, and legal_origins' rasters, and keeps the last
-    move_table. Every memo is read and filled only through _recall, which
-    bounds it by MEMO_ENTRIES; each fills lazily, move groups and rasters
-    from the first gen_move on. solve returns a state's field on the run's
-    grid; breakdown and cost price a state under weights, which must be set
-    before the first price, and count the evaluations.
+    depends on the farm rectangles: the Placement of each (farm index,
+    xywh), the field and the cost of each state, each Placement's move
+    groups, each blocked pair's term and legal_origins' rasters, and keeps
+    the last move_table. Every memo is read and filled only through
+    _recall, which bounds it by MEMO_ENTRIES (a state placed after a start
+    over is priced again, to the same values); each fills lazily, move
+    groups and rasters from the first gen_move on. solve returns a state's
+    field on the run's grid; breakdown and cost price a state under weights,
+    which must be set before the first price, and count the evaluations.
     """
 
     def __init__(self, design: Design, grid: GridSpec, weights: CostWeights | None = None):
@@ -293,18 +307,19 @@ class Evaluator:
         self.evaluations = 0
         self._fields: dict = {}    # state -> read-only TemperatureField
         self._priced: dict = {}    # state -> CostBreakdown
-        self._rows: dict = {}      # (index, rect) -> FarmRow
+        self._rows: dict = {}      # (index, xywh) -> Placement
         self._terms: dict = {}     # a blocked pair's hits -> its term
-        self._groups: dict = {}    # (index, rect, weight) -> [MoveGroup]
+        self._groups: dict = {}    # (Placement, weight) -> [MoveGroup]
         self._origins: dict = {}   # (width, height, start, end) -> legal_origins
         # the last move_table: state, eligible, (groups, cumulative masses)
         self._table: tuple = (None, None, ([], []))
 
     def state_of(self, design: Design) -> tuple:
-        return tuple([(f.x, f.y, f.width, f.height) for f in design.floorplan.farms])
+        return tuple([self.place(k, (f.x, f.y, f.width, f.height))
+                      for k, f in enumerate(design.floorplan.farms)])
 
     def design_of(self, state: tuple) -> Design:
-        farms = tuple(f.placed(*rect) for f, rect in zip(self.farms, state))
+        farms = tuple(f.placed(*p.xywh) for f, p in zip(self.farms, state))
         return self.design.with_floorplan(Floorplan(self.design.floorplan.blocks, farms))
 
     def solve(self, state: tuple) -> TemperatureField:
@@ -323,11 +338,15 @@ class Evaluator:
         return self.breakdown(state).total
 
     def _price(self, state: tuple) -> CostBreakdown:
-        rows = [_recall(self._rows, key, self._row, *key) for key in enumerate(state)]
-        return price(self.weights, self.table, rows, self.fixed, self._term)
+        return price(self.weights, self.table, [p.row for p in state], self.fixed, self._term)
 
-    def _row(self, index: int, rect: tuple):
-        return farm_row(self.table, self.centers, self.farms[index], self.faces[index], rect)
+    def place(self, index: int, xywh: tuple) -> Placement:
+        """The Placement of farm `index` at xywh (x, y, width, height)."""
+        return _recall(self._rows, (index, xywh), self._placement, index, xywh)
+
+    def _placement(self, index: int, xywh: tuple) -> Placement:
+        return Placement(index, xywh, farm_row(self.table, self.centers, self.farms[index],
+                                               self.faces[index], xywh))
 
     def _term(self, pair: int, hits: tuple) -> float:
         return _recall(self._terms, hits, face_term, self.table.faces[pair], hits)
@@ -343,13 +362,13 @@ class Evaluator:
             return table
         weight = 0.5 / len(eligible)
         groups = [group for index in eligible
-                  for group in _recall(self._groups, (index, state[index], weight),
-                                       self._farm_moves, index, state[index], weight)]
+                  for group in _recall(self._groups, (state[index], weight),
+                                       self._farm_moves, state[index], weight)]
         table = groups, list(accumulate(g.mass for g in groups))
         self._table = (state, eligible, table)
         return table
 
-    def _farm_moves(self, index: int, rect: tuple, weight: float) -> list[MoveGroup]:
+    def _farm_moves(self, placement: Placement, weight: float) -> list[MoveGroup]:
         """One farm's groups, each of mass weight * options / all options.
 
         A reshape's options are the other configured ratios whose rectangle,
@@ -357,8 +376,8 @@ class Evaluator:
         lattice origins of legal_origins. Kinds without options are left
         out. Neither depends on the other farms.
         """
+        index, (x, y, width, height) = placement.index, placement.xywh
         farm, stack, cell = self.farms[index], self.design.stack, self.grid.cell_size
-        x, y, width, height = rect
         start, end, ratio = farm.start_layer, farm.end_layer, width / height
         shapes = [(math.sqrt(farm.area * r), math.sqrt(farm.area / r))
                   for r in stack.tech.aspect_ratios if abs(r - ratio) > 1e-9 * r]

@@ -14,11 +14,8 @@ against.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -258,9 +255,12 @@ def fold_efficiency(table: StripTable, hits_by_farm, term=None) -> float:
     terms = list(table.free)
     for p, hits in blocked.items():
         terms[p] = term(p, hits) if term else face_term(table.faces[p], hits)
-    # a left fold over the pairs, in pair order, keeps f_H bit-stable: Python
-    # 3.12's sum() compensates, and may differ from it by an ulp
-    return reduce(operator.add, terms)
+    # a left fold in pair order keeps f_H bit-stable (3.12's sum() compensates,
+    # and may differ by an ulp); 0.0 adds no bit to the positive first term
+    total = 0.0
+    for value in terms:
+        total += value
+    return total
 
 
 def total_efficiency(design: Design) -> float:
@@ -288,7 +288,11 @@ def client_terms(centers: dict, farm: TsvFarm, center) -> tuple:
 
 def _fold_wirelength(terms_by_farm) -> float:
     # a left fold over farms, then clients
-    return reduce(operator.add, chain.from_iterable(terms_by_farm), 0.0)
+    total = 0.0
+    for terms in terms_by_farm:
+        for term in terms:
+            total += term
+    return total
 
 
 def wirelength(design: Design) -> float:

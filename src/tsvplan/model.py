@@ -134,13 +134,16 @@ RECT_EPS = 1e-12  # m; see rects_overlap
 
 
 def bounding_box_of(rects) -> tuple[float, float, float, float]:
-    """Bounding box of rects, (0, 0, 0, 0) when there are none. min and max
-    are exact, so a box folded in as one rect gives the same floats as its
-    rects would."""
+    """Bounding box of the sequence rects, (0, 0, 0, 0) when there are none.
+    Each bound is the one min or max gives, exact, so a box folded in as
+    one rect gives the same floats as its rects would."""
     if not rects:
         return (0.0, 0.0, 0.0, 0.0)
-    x0, y0, x1, y1 = zip(*rects)
-    return min(x0), min(y0), max(x1), max(y1)
+    x0, y0, x1, y1 = rects[0]
+    for rx0, ry0, rx1, ry1 in rects:   # min and max, unrolled
+        x0, y0 = (rx0 if rx0 < x0 else x0), (ry0 if ry0 < y0 else y0)
+        x1, y1 = (rx1 if rx1 > x1 else x1), (ry1 if ry1 > y1 else y1)
+    return x0, y0, x1, y1
 
 
 @dataclass(frozen=True)
@@ -374,17 +377,19 @@ def farm_neighbours(farms: tuple[TsvFarm, ...], index: int) -> tuple:
                  if k != index and other.start_layer <= end and start <= other.end_layer)
 
 
-def farm_overlap(neighbours: tuple, rects, rect) -> str | None:
-    """Why a farm cannot take `rect` for one of its farm_neighbours, each at
-    its (x, y, width, height) in rects, or None if none is in the way."""
+def farm_overlap(neighbours: tuple, farms, rect) -> str | None:
+    """Why a farm cannot take `rect` for one of its farm_neighbours k, at
+    farms[k].rect, or None if none is in the way."""
     x0, y0, x1, y1 = rect
+    # rects_overlap inlined: a min minus a max rounds to the least of the
+    # four differences it may pick, so each is compared to RECT_EPS; the
+    # rect's own two are the same for every neighbour
+    if not (x1 - x0 > RECT_EPS and y1 - y0 > RECT_EPS):
+        return None
     for k, name, layer in neighbours:
-        ox, oy, width, height = rects[k]
-        ox1 = ox + width
-        # rects_overlap inlined: a min minus a max rounds to the least of the
-        # four differences it may pick, so each is compared to RECT_EPS
-        if (x1 - ox > RECT_EPS and ox1 - x0 > RECT_EPS and x1 - x0 > RECT_EPS
-                and ox1 - ox > RECT_EPS and min(y1, oy + height) - max(y0, oy) > RECT_EPS):
+        ox0, oy0, ox1, oy1 = farms[k].rect
+        if (x1 - ox0 > RECT_EPS and ox1 - x0 > RECT_EPS and ox1 - ox0 > RECT_EPS
+                and y1 - oy0 > RECT_EPS and oy1 - y0 > RECT_EPS and oy1 - oy0 > RECT_EPS):
             return f"overlaps {name} on layer {layer}"
     return None
 
@@ -435,8 +440,7 @@ def _place_farm(design: Design, index: int, x: float, y: float,
     farm = farms[index]
     reason = fixed_conflict(design.stack, fp.blocks, farm.start_layer, farm.end_layer, rect)
     if reason is None:
-        reason = farm_overlap(farm_neighbours(fp.farms, index),
-                              [(f.x, f.y, f.width, f.height) for f in fp.farms], rect)
+        reason = farm_overlap(farm_neighbours(fp.farms, index), fp.farms, rect)
     if reason is not None:
         raise InvalidMoveError(f"{farm.name}: {reason}")
     farms[index] = farm.placed(x, y, width, height)

@@ -247,7 +247,7 @@ def test_criterion_8_exhaustive_oracle():
         height = math.sqrt(farm0.area / ratio)
         for ix in range(int((fw - width) / cell + 1e-9) + 1):
             for iy in range(int((fh - height) / cell + 1e-9) + 1):
-                state = ((ix * cell, iy * cell, width, height),)
+                state = (evaluator.place(0, (ix * cell, iy * cell, width, height)),)
                 if validate(evaluator.design_of(state)):
                     continue
                 configs += 1

@@ -163,6 +163,33 @@ class TestGenMove:
         out, kind, name = gen_move(ev, state, [0], rng)
         assert (out, kind, name) == (state, "null", None) and rng.exhausted
 
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_no_relocation_lands_within_1e_12_of_the_input_origin(self, name):
+        # shipped farms start a few ulps off the float lattice (corememory's
+        # bus_mid at x = 0.0011, where 11 cells are 0.0010999999999999998), so
+        # only the 1e-12 origin match, not rectangle or placement identity,
+        # keeps the lattice point at a farm's origin from being a relocation
+        d = shipped_design(name)
+        ev = context(d)
+        state = ev.state_of(d)
+        off_lattice = 0
+        for index, f in enumerate(d.floorplan.farms):
+            groups, cumulative = ev.move_table(state, [index])
+            g = next(g for g, group in enumerate(groups) if group.kind == "move")
+            ny, cell, _, _ = groups[g].lattice
+            ix, iy = round(f.x / cell), round(f.y / cell)
+            assert abs(ix * cell - f.x) < 1e-12 and abs(iy * cell - f.y) < 1e-12
+            off_lattice += (ix * cell, iy * cell) != (f.x, f.y)
+            j = int(groups[g].options.searchsorted(ix * ny + iy))
+            assert groups[g].option(j)[:2] == (ix * cell, iy * cell)
+            # every proposal draws that lattice point
+            low = cumulative[g - 1] if g else 0.0
+            mid = (low + cumulative[g]) / 2 / cumulative[-1]
+            rng = ScriptedRng([j] * RETRY_CAP, [mid] * RETRY_CAP)
+            assert gen_move(ev, state, [index], rng) == (state, "null", None)
+            assert rng.exhausted
+        assert off_lattice > 0
+
     def test_moves_land_on_grid_lattice(self):
         d = self._design()
         ev = context(d)
@@ -171,7 +198,7 @@ class TestGenMove:
         for _ in range(50):
             out, kind, _ = gen_move(ev, ev.state_of(d), [0], rng)
             if kind == "move":
-                x, y, _, _ = out[0]
+                x, y, _, _ = out[0].xywh
                 assert x / cell == pytest.approx(round(x / cell), abs=1e-9)
                 assert y / cell == pytest.approx(round(y / cell), abs=1e-9)
 
@@ -213,6 +240,7 @@ class TestGenMove:
         entries = len(ev._groups)
         back = ev.state_of(move_farm(away, "f", (0.8 * MM, 0.8 * MM)))
         assert back == ev.state_of(d) and back is not ev.state_of(d)
+        assert all(p is q for p, q in zip(back, ev.state_of(d)))
         again, _ = ev.move_table(back, [0, 1])
         assert len(ev._groups) == entries
         assert len(again) == len(groups)
@@ -355,7 +383,7 @@ class TestSaPlacement:
         trace = RunTrace()
 
         def cost_fn(state):
-            x, y, _, _ = state[0]
+            x, y, _, _ = state[0].xywh
             return abs(x - 1.2 * MM) + abs(y - 0.2 * MM)
 
         def propose(state, rng):
@@ -382,7 +410,7 @@ class TestSaPlacement:
         rng = np.random.default_rng(0)
 
         def cost_fn(state):
-            return abs(state[0][0] - 0.8 * MM)
+            return abs(state[0].xywh[0] - 0.8 * MM)
 
         def propose(state, r):
             return gen_move(ev, state, [0], r)
@@ -575,6 +603,8 @@ class TestEvaluatorMemo:
                    move_farm(d, "f", (1.0 * MM, 1.0 * MM)), d]   # equal, not the same object
         states = [ev.state_of(x) for x in designs]
         assert states[1] == states[2] and states[1] is not states[2]
+        # equal states share their placements, so they key the memos alike
+        assert all(p is q for i, j in ((0, 3), (1, 2)) for p, q in zip(states[i], states[j]))
         breakdowns = [ev.breakdown(state) for state in states]
         assert breakdowns == [cost(x, self.WEIGHTS) for x in designs]
         assert priced == [(x.floorplan.farms[0].rect,) for x in designs[:2]]
@@ -606,8 +636,8 @@ class TestEvaluatorMemo:
 
     def test_every_memo_read_goes_through_recall(self, monkeypatch):
         # so the one cap and start-over rule sees every read: each priced
-        # candidate is one read of the state memo, and each state priced
-        # reads every farm's row
+        # candidate is one read of the state memo, and each farm of the
+        # input state and each legal candidate one read of the placements
         calls = defaultdict(list)   # the memo's fill function -> hit per read
         inner = anneal._recall
 
@@ -615,13 +645,45 @@ class TestEvaluatorMemo:
             calls[make.__name__].append(key in memo)
             return inner(memo, key, make, *args)
         monkeypatch.setattr(anneal, "_recall", recall)
+        kinds = []
+        move = anneal.gen_move
+
+        def counted(*args):
+            out = move(*args)
+            kinds.append(out[1])
+            return out
+        monkeypatch.setattr(anneal, "gen_move", counted)
         design = shipped_design("multicore")
         result = optimize_stack(design, AnnealConfig(seed=1, max_moves=20))
         assert len(calls["_price"]) == result.evaluations == 1922
-        priced = calls["_price"].count(False)
-        assert len(calls["_row"]) == len(design.floorplan.farms) * priced
-        # the memos of the candidates' terms, move groups and rasters are read too
-        assert all(any(calls[name]) for name in ("face_term", "_farm_moves", "legal_origins"))
+        candidates = len(kinds) - kinds.count("null")
+        assert len(calls["_placement"]) == len(design.floorplan.farms) + candidates
+        # the memos of the placements, terms, move groups and rasters are hit too
+        assert all(any(calls[name])
+                   for name in ("_placement", "face_term", "_farm_moves", "legal_origins"))
+
+    def test_each_placement_is_made_once(self, monkeypatch):
+        # a seed-1 multicore run builds one cost row per distinct (farm,
+        # rectangle) it meets: the input's farms and each candidate's moved farm
+        made = []
+        inner = anneal.farm_row
+
+        def counted(table, centers, farm, faces, xywh):
+            made.append((farm.name, xywh))
+            return inner(table, centers, farm, faces, xywh)
+        monkeypatch.setattr(anneal, "farm_row", counted)
+        design = shipped_design("multicore")
+        met = {(f.name, (f.x, f.y, f.width, f.height)) for f in design.floorplan.farms}
+        move = anneal.gen_move
+
+        def recorded(context, state, eligible, rng):
+            out = move(context, state, eligible, rng)
+            met.update((f.name, p.xywh) for f, p, q in zip(context.farms, out[0], state)
+                       if p is not q)
+            return out
+        monkeypatch.setattr(anneal, "gen_move", recorded)
+        optimize_stack(design, AnnealConfig(seed=1, max_moves=20))
+        assert sorted(made) == sorted(met) and len(made) == 532
 
     @pytest.mark.parametrize("name", SHIPPED)
     def test_a_state_reads_back_as_its_design(self, name):

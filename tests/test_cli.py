@@ -558,3 +558,39 @@ def test_help_on_a_closed_stdout_exits_141_quietly(args):
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (141, b"")
+
+
+BLAS_THREADS = """
+import os
+import sys
+
+THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+seen = []
+
+
+class NumpyImport:
+    # records the thread counts BLAS starts with: those set when numpy loads
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.append(",".join(os.environ.get(t, "unset") for t in THREADS))
+
+
+sys.meta_path.insert(0, NumpyImport())
+import tsvplan
+print(seen[0])
+"""
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1,1,1"), ("2", "2,1,1")],
+                         ids=["unset", "set-by-user"])
+def test_blas_runs_one_thread_unless_the_user_sets_a_count(preset, expected,
+                                                           monkeypatch):
+    # a threaded BLAS took up to 140 ms for a coarsest-level inverse that one
+    # thread does in under 3 ms; a user's own count still wins
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    if preset is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    done = _run_fresh(BLAS_THREADS, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == expected

@@ -28,7 +28,7 @@ CELLS = {"100um": None, "50um": 50e-6, "25um": 25e-6}   # None: the design's gri
 def _scratch_table(ev, state, eligible):
     """gen_move's groups and cumulative masses, built from every farm's groups."""
     weight = 0.5 / len(eligible)
-    groups = [g for index in eligible for g in ev._farm_moves(index, state[index], weight)]
+    groups = [g for index in eligible for g in ev._farm_moves(state[index], weight)]
     return groups, list(accumulate(g.mass for g in groups))
 
 

@@ -6,10 +6,9 @@ Blocks never move, so a run's Evaluator holds everything the search never
 changes, and a state is only a tuple of Placements, one per farm in
 floorplan order. The Evaluator makes one per farm and rectangle (x, y,
 width, height), so equal states share them and the memos key a state by
-identity, not by floats. Layer passes and the stack-level loop carry
-states; the Evaluator solves each distinct state once and keeps its field
-for the run. A Design is built from a state only for a solve, an outer
-iteration's summary and the output.
+identity. Layer passes and the stack-level loop carry states; the Evaluator
+solves each distinct state once and keeps its field for the run. A Design
+is built from a state only to solve, summarize or write it.
 
 The annealing chain is sequential by nature; all randomness flows from one
 PCG64 stream seeded from the config (tsvplan.rng, numpy's default_rng stream
@@ -31,7 +30,7 @@ from .errors import DesignError
 from .metrics import (CostBreakdown, CostWeights, FarmRow, block_centers, blocked_faces,
                       face_term, farm_row, floorplan_area, price, strip_table, wirelength)
 from .model import (Design, Floorplan, bounding_box_of, farm_neighbours, farm_overlap,
-                    fixed_conflict, legal_origins, origin_lattice)
+                    farm_shape, fixed_conflict, legal_origins, origin_lattice)
 from .rng import Pcg64
 from .thermal import GridSpec, TemperatureField, couple_leakage, field_stats, grid_for
 
@@ -76,7 +75,7 @@ class AnnealConfig:
 @dataclass(frozen=True)
 class FlowConfig:
     outer_iterations: int = 2
-    cell_size: float | None = None       # None: tech.grid_cell
+    cell_size: int | None = None         # nm; None: tech.grid_cell
 
     def __post_init__(self):
         if not self.outer_iterations >= 1:
@@ -178,7 +177,7 @@ def gen_move(context: "Evaluator", state: tuple, eligible: Sequence[int],
     the farm. It is drawn from the context's move_table instead: one
     rng.random() picks a (farm, kind) group by its mass, one rng.integers()
     an option within it. A candidate that overlaps another farm, or a
-    relocation that keeps its origin, redraws the whole proposal; only a
+    relocation onto the farm's own origin, redraws the whole proposal; only a
     legal candidate is placed. After RETRY_CAP proposals, or at once when
     the state has no candidate, the state itself is returned as a null move.
     """
@@ -193,8 +192,7 @@ def gen_move(context: "Evaluator", state: tuple, eligible: Sequence[int],
         xywh = group.option(rng.integers(len(group.options)))
         x, y, width, height = xywh
         index = group.index
-        fx, fy, _, _ = state[index].xywh
-        if group.kind == "move" and abs(x - fx) < 1e-12 and abs(y - fy) < 1e-12:
+        if group.kind == "move" and xywh == state[index].xywh:
             continue
         if farm_overlap(context.neighbours[index], state,
                         (x, y, x + width, y + height)) is None:
@@ -280,8 +278,8 @@ class Evaluator:
 
     It holds what the search never changes, as per-run tables built here:
     the stack and blocks, the f_H strip table, the blocks' bounding box and
-    centres, and each farm's fixed fields, blocked faces and same-layer
-    neighbours (the blocks' cell weights and power raster are
+    centres, and each farm's fixed fields, blocked faces, same-layer
+    neighbours and farm_shapes (the blocks' cell weights and power raster are
     thermal.block_raster's, built by the first solve). It memoizes what
     depends on the farm rectangles: the Placement of each (farm index,
     xywh), the field and the cost of each state, each Placement's move
@@ -301,6 +299,8 @@ class Evaluator:
         self.neighbours = [farm_neighbours(fp.farms, k) for k in range(len(fp.farms))]
         self.table = strip_table(fp.blocks, design.stack)
         self.faces = [blocked_faces(self.table, f) for f in fp.farms]
+        self.shapes = [[farm_shape(f.area, r) for r in design.stack.tech.aspect_ratios]
+                       for f in fp.farms]
         self.centers = block_centers(fp.blocks)
         # min and max are exact: the blocks' box prices like all their rects
         self.fixed = [bounding_box_of([b.rect for b in fp.blocks])] if fp.blocks else []
@@ -371,45 +371,27 @@ class Evaluator:
     def _farm_moves(self, placement: Placement, weight: float) -> list[MoveGroup]:
         """One farm's groups, each of mass weight * options / all options.
 
-        A reshape's options are the other configured ratios whose rectangle,
-        anchored at the farm's lower left, is legal; a relocation's are the
-        lattice origins of legal_origins. Kinds without options are left
-        out. Neither depends on the other farms.
+        A reshape's options are the configured ratios' farm_shapes other
+        than the farm's own sides whose rectangle, anchored at the farm's
+        lower left, passes fixed_conflict; a relocation's are the lattice
+        origins of legal_origins. Kinds without options are left out.
+        Neither depends on the other farms.
         """
         index, (x, y, width, height) = placement.index, placement.xywh
         farm, stack, cell = self.farms[index], self.design.stack, self.grid.cell_size
-        start, end, ratio = farm.start_layer, farm.end_layer, width / height
-        shapes = [(math.sqrt(farm.area * r), math.sqrt(farm.area / r))
-                  for r in stack.tech.aspect_ratios if abs(r - ratio) > 1e-9 * r]
-        legal = [(x, y, w, h) for w, h in shapes if self._fits(x, y, w, h, start, end)]
+        start, end, blocks = farm.start_layer, farm.end_layer, self.design.floorplan.blocks
+        shapes = [shape for shape in self.shapes[index] if shape != (width, height)]
+        legal = [(x, y, w, h) for w, h in shapes
+                 if fixed_conflict(stack, blocks, start, end, (x, y, x + w, y + h)) is None]
         groups = [MoveGroup(index, "reshape", legal, weight * len(legal) / len(shapes))
                   ] if legal else []
-        flat = self._legal_origins(width, height, start, end)
+        flat = _recall(self._origins, (width, height, start, end), legal_origins,
+                       stack, blocks, width, height, start, end, cell)
         if len(flat):
             nx, ny = origin_lattice(stack, width, height, cell)
             groups.append(MoveGroup(index, "move", flat, weight * len(flat) / (nx * ny),
                                     (ny, cell, width, height)))
         return groups
-
-    def _legal_origins(self, width: float, height: float, start: int, end: int):
-        return _recall(self._origins, (width, height, start, end), legal_origins,
-                       self.design.stack, self.design.floorplan.blocks, width, height,
-                       start, end, self.grid.cell_size)
-
-    def _fits(self, x: float, y: float, width: float, height: float,
-              start: int, end: int) -> bool:
-        """Whether a width x height prism on layers start..end at (x, y) passes
-        fixed_conflict. At a point of its origin_lattice, where legal_origins
-        is exact, the shape's raster says; elsewhere fixed_conflict does."""
-        stack, cell = self.design.stack, self.grid.cell_size
-        nx, ny = origin_lattice(stack, width, height, cell)
-        ix, iy = round(x / cell), round(y / cell)
-        if 0 <= ix < nx and 0 <= iy < ny and ix * cell == x and iy * cell == y:
-            flat, origin = self._legal_origins(width, height, start, end), ix * ny + iy
-            at = flat.searchsorted(origin)
-            return at < len(flat) and flat[at] == origin
-        return fixed_conflict(stack, self.design.floorplan.blocks, start, end,
-                              (x, y, x + width, y + height)) is None
 
 
 class DesignSummary(NamedTuple):

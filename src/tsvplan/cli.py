@@ -30,7 +30,7 @@ from .metrics import CostWeights
 from .model import require_valid, validate
 from .sweeps import AXES, default_values, format_sweep_table, run_sweep
 from .thermal import couple_leakage, grid_for
-from .units import parse_float, parse_length
+from .units import metres, parse_float, parse_length
 
 
 class _Main(click.Group):
@@ -121,9 +121,10 @@ def _config_echo(design, grid, anneal, flow, weights):
         "rng": RNG_KIND,
         "seed": anneal.seed,
         "grid": {"cells_x": grid.cells_x, "cells_y": grid.cells_y,
-                 "cell_size_m": grid.cell_size, "layers": grid.num_layers},
+                 "cell_size_m": metres(grid.cell_size), "layers": grid.num_layers},
         "anneal": dataclasses.asdict(anneal),
-        "flow": dataclasses.asdict(flow),
+        "flow": {"outer_iterations": flow.outer_iterations,
+                 "cell_size_m": None if flow.cell_size is None else metres(flow.cell_size)},
         "weights": dataclasses.asdict(weights) if weights else None,
         "ambient_K": design.stack.tech.ambient,
         "package_resistance_K_per_W": design.stack.tech.package_resistance,
@@ -132,7 +133,8 @@ def _config_echo(design, grid, anneal, flow, weights):
 
 
 _grid_cell = click.option("--grid-cell", default=None,
-                          help="Override grid cell size, e.g. 100um.")
+                          help="Override grid cell size, a length such as 100um or "
+                               "0.1mm, held as whole nanometres.")
 _leakage_lambda = click.option("--leakage-lambda", type=float, default=None,
                                help="Leakage slope 1/K (default: design file).")
 _out_dir = click.option("--out-dir", default="out", show_default=True)

@@ -2,8 +2,9 @@
 
 The design format is line-oriented with [section] headers, # comments,
 key = value lines in [tech], and whitespace-separated table rows elsewhere.
-Lengths carry a unit suffix (um, mm, m), temperatures K or C, powers are
-bare watts. See the README for the full grammar.
+Lengths carry a unit suffix (um, mm, m) and are read as whole nanometres,
+temperatures K or C, powers are bare watts. See the README for the full
+grammar.
 
 The format of [tech] and of the fixed-width sections is written down once,
 in the tables _TECH and _ROWS, which parse_design and emit_design both read.
@@ -19,7 +20,7 @@ from .errors import DesignError, ParseError
 from .model import (DEFAULT_MATERIALS, Block, Design, Floorplan, Layer,
                     Material, Stack, TechnologyParams, TsvFarm, require_valid)
 from .thermal import GridSpec, TemperatureField
-from .units import (format_length, format_temperature, parse_float, parse_length,
+from .units import (format_length, format_temperature, metres, parse_float, parse_length,
                     parse_temperature)
 
 SECTIONS = ("materials", "tech", "layers", "blocks", "farms", "nets", "power")
@@ -250,8 +251,8 @@ def parse_design(source: str | Path, text: str | None = None,
 
 def emit_design(design: Design) -> str:
     """Serialize a design from the tables parse_design reads; emission is
-    bit-stable and round-trips exactly (lengths are written in meters with
-    full repr precision)."""
+    bit-stable and round-trips exactly (each length in its shortest exact
+    form, floats with full repr precision)."""
     tech, floorplan = design.stack.tech, design.floorplan
     body = {
         "materials": _write_rows("materials", design.materials),
@@ -276,7 +277,7 @@ def format_thermal_map(field: TemperatureField, grid: GridSpec, layer: int) -> s
     lines = [
         f"# layer {layer}",
         f"# cells_x {grid.cells_x} cells_y {grid.cells_y}",
-        f"# cell_size_m {grid.cell_size!r}",
+        f"# cell_size_m {metres(grid.cell_size)!r}",
     ]
     for row in field.t[layer]:
         lines.append(" ".join(f"{v:.2f}" for v in row))

@@ -9,6 +9,8 @@ f_H sums the per-unit-temperature conduction of adjacent same-layer block
 pairs; a farm sitting in the corridor between two blocks drags the pair's
 composite conductivity down, which is exactly what the optimizer pushes
 against.
+Geometry stays in integer nanometres; each term is formed in float SI
+units: f_H in W/K, area in m^2, wirelength in m.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import DesignError
 from .model import (Block, Design, Floorplan, Stack, TechnologyParams, TsvFarm,
                     bounding_box_of)
 from .thermal import TemperatureField
+from .units import metres
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,8 @@ class CostWeights:
         anchor = f_h / rise if f_h > 0 else 1.0
         area_w = anchor / (0.01 * area0) if area0 > 0 else 0.0
         wl_w = anchor / (0.01 * wl0) if wl0 > 0 else 0.0
-        footprint_area = design.stack.tech.footprint_width * design.stack.tech.footprint_height
+        footprint_area = metres(design.stack.tech.footprint_width
+                                * design.stack.tech.footprint_height, 2)
         return cls(area=area_w, efficiency=-1.0, ratio=area_w * footprint_area,
                    wirelength=wl_w, ratio_target=_box_ratio(design.floorplan.bounding_box))
 
@@ -113,14 +117,15 @@ def adjacent_block_pairs(blocks: tuple[Block, ...],
 
 class _Face(NamedTuple):
     """An adjacent pair's shared face, split into grid-cell-wide strips; a
-    strip's path runs between the two block centres along its centre line."""
+    strip's path runs between the two block centres along its centre line.
+    Coordinates are in nm."""
 
     layer: int
     across: int        # rect index of the coordinate across the path: 1 (y) on x-paths
     lo: float          # path start, the lower block-centre coordinate
     hi: float          # path end
-    distance: float    # path length hi - lo
-    area: float        # strip width * layer thickness
+    distance: float    # path length hi - lo, m
+    area: float        # strip width * layer thickness, m^2
     k_si: float        # layer conductivity
     lines: tuple       # strip centre lines, across the path, ascending
 
@@ -148,14 +153,13 @@ def strip_table(blocks: tuple[Block, ...], stack: Stack) -> StripTable:
         else:
             span_lo, span_hi = max(ax0, bx0), min(ax1, bx1)
             lo, hi = sorted((a.center[1], b.center[1]))
-        distance = hi - lo
-        if distance <= 0:
-            raise ValueError(f"distance must be > 0, got {distance}")
+        if hi <= lo:
+            raise ValueError(f"distance must be > 0, got {metres(hi - lo)} m")
         shared = span_hi - span_lo
-        count = max(1, int(math.ceil(shared / stack.tech.grid_cell - 1e-9)))
+        count = max(1, -(-shared // stack.tech.grid_cell))   # strips no wider than a cell
         width = shared / count
-        faces.append(_Face(a.layer, int(axis == "x"), lo, hi, distance,
-                           width * layer.thickness, layer.material.conductivity,
+        faces.append(_Face(a.layer, int(axis == "x"), lo, hi, metres(hi - lo),
+                           metres(width * layer.thickness, 2), layer.material.conductivity,
                            tuple(span_lo + (i + 0.5) * width for i in range(count))))
     return StripTable(tuple(pairs), tuple(faces), tuple(face_term(f, ()) for f in faces))
 
@@ -175,7 +179,7 @@ def path_conductivity(table: StripTable, farms: tuple[TsvFarm, ...]) -> np.ndarr
         crossing, farm_length = np.zeros(len(lines)), np.zeros(len(lines))
         for farm in farms:
             rect = farm.rect
-            seg = min(face.hi, rect[3 - a]) - max(face.lo, rect[1 - a])
+            seg = metres(min(face.hi, rect[3 - a]) - max(face.lo, rect[1 - a]))
             hit = (farm.blocks_laterally(face.layer) & (seg > 0)
                    & (rect[a] <= lines) & (lines <= rect[a + 2]))
             crossing += np.where(hit, seg, 0.0) / farm.k_lateral
@@ -207,7 +211,7 @@ def farm_hits(table: StripTable, faces: tuple, k_lateral: float, box) -> tuple:
     """The strips a farm of lateral conductivity k_lateral in box (x0, y0,
     x1, y1) blocks on its blocked_faces, one hit (pair, first, stop,
     seg / k_lateral, seg) per blocked pair, in pair order: strips
-    first..stop-1 of the pair lose seg of their path to the farm."""
+    first..stop-1 of the pair lose seg metres of their path to the farm."""
     hits = []
     for p in faces:
         _, a, lo, hi, _, _, _, lines = table.faces[p]
@@ -219,6 +223,7 @@ def farm_hits(table: StripTable, faces: tuple, k_lateral: float, box) -> tuple:
         first = bisect_left(lines, box[a])
         stop = bisect_right(lines, box[a + 2])
         if first < stop:
+            seg = metres(seg)
             hits.append((p, first, stop, seg / k_lateral, seg))
     return tuple(hits)
 
@@ -287,24 +292,22 @@ def client_terms(centers: dict, farm: TsvFarm, center) -> tuple:
 
 
 def _fold_wirelength(terms_by_farm) -> float:
-    # a left fold over farms, then clients
-    total = 0.0
-    for terms in terms_by_farm:
-        for term in terms:
-            total += term
-    return total
+    """The total of client_terms, in m. Each term is a whole or half
+    nanometre, so the sum is exact in any order."""
+    return metres(sum(map(sum, terms_by_farm)))
 
 
 def wirelength(design: Design) -> float:
     """Total Manhattan distance from each farm center to its client block
-    centers."""
+    centers, in m."""
     centers = block_centers(design.floorplan.blocks)
     return _fold_wirelength([client_terms(centers, f, f.center) for f in design.floorplan.farms])
 
 
 def _box_area(box) -> float:
+    """A box's area in m^2."""
     x0, y0, x1, y1 = box
-    return (x1 - x0) * (y1 - y0)
+    return metres((x1 - x0) * (y1 - y0), 2)
 
 
 def _box_ratio(box) -> float:
@@ -321,7 +324,7 @@ def _box_penalty(box, placed: bool, ratio_target: float) -> float:
 
 
 def floorplan_area(floorplan: Floorplan) -> float:
-    """Area of the bounding box of everything placed, across all layers."""
+    """Area of the bounding box of everything placed, across all layers, in m^2."""
     return _box_area(floorplan.bounding_box)
 
 

@@ -3,7 +3,9 @@
 Farms are soft blocks: their aspect ratio may change (area conserved) and
 they may be relocated, but they always occupy the same rectangle on every
 layer they span (a vertical prism). Macro and peripheral blocks are fixed.
-All values carried here are SI (m, W, K).
+Every length is a whole number of nanometres (an area nm^2), so each
+legality and lattice decision here is exact integer arithmetic; every other
+value is SI (W, K).
 
 The legality functions take one rectangle at a time and keep no state;
 the search context (anneal.Evaluator) keeps what they find for a run.
@@ -20,9 +22,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DesignError, InvalidMoveError
+from .units import format_length
 
-MIN_LAYER_THICKNESS = 10e-6
-MAX_LAYER_THICKNESS = 800e-6
+MIN_LAYER_THICKNESS = 10_000    # nm
+MAX_LAYER_THICKNESS = 800_000   # nm
 
 DEFAULT_ASPECT_RATIOS = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -48,9 +51,9 @@ class Material:
 class TechnologyParams:
     """Process/package parameters, one block per design file."""
 
-    footprint_width: float
-    footprint_height: float
-    grid_cell: float
+    footprint_width: int           # nm, as every length
+    footprint_height: int
+    grid_cell: int
     ambient: float                 # K
     package_resistance: float      # K/W, lumped bottom-layer path to ambient
     k_farm_min: float = 0.5
@@ -58,15 +61,15 @@ class TechnologyParams:
     aspect_ratios: tuple[float, ...] = DEFAULT_ASPECT_RATIOS
     leakage_coeff: float = 0.0     # 1/K, slope of leakage vs block temperature
     leakage_tref: float = 298.15   # K
-    adjacency_window: float | None = None  # defaults to grid_cell
-    bond_thickness: float = 0.0    # >0 adds a series interface resistance
+    adjacency_window: int | None = None  # defaults to grid_cell
+    bond_thickness: int = 0        # >0 adds a series interface resistance
     bond_conductivity: float = 0.29
 
 
 @dataclass(frozen=True)
 class Layer:
     index: int
-    thickness: float
+    thickness: int
     material: Material
 
 
@@ -81,7 +84,7 @@ class Rectangle:
         return (self.x + self.width / 2, self.y + self.height / 2)
 
     @property
-    def rect(self) -> tuple[float, float, float, float]:
+    def rect(self) -> tuple[int, int, int, int]:
         return (self.x, self.y, self.x + self.width, self.y + self.height)
 
 
@@ -89,10 +92,10 @@ class Rectangle:
 class Block(Rectangle):
     name: str
     layer: int
-    x: float
-    y: float
-    width: float
-    height: float
+    x: int
+    y: int
+    width: int
+    height: int
     power: float = 0.0         # dynamic, W
     leakage_ref: float = 0.0   # W at leakage_tref
     kind: str = "macro"        # macro | peripheral
@@ -101,18 +104,18 @@ class Block(Rectangle):
 @dataclass(frozen=True)
 class TsvFarm(Rectangle):
     name: str
-    x: float
-    y: float
-    width: float
-    height: float
+    x: int
+    y: int
+    width: int
+    height: int
     start_layer: int
     end_layer: int             # inclusive; the landing layer
     k_lateral: float           # W/(m K), homogenized in-plane conductivity
     k_metal: float             # W/(m K), vertical via-metal conductivity
-    area: float                # conserved under reshape
+    area: int                  # nm^2, conserved under reshape (see farm_shape)
     clients: tuple[str, ...] = ()
 
-    def placed(self, x: float, y: float, width: float, height: float) -> "TsvFarm":
+    def placed(self, x: int, y: int, width: int, height: int) -> "TsvFarm":
         """This farm in another rectangle, every other field kept."""
         return TsvFarm(self.name, x, y, width, height, self.start_layer, self.end_layer,
                        self.k_lateral, self.k_metal, self.area, self.clients)
@@ -130,15 +133,10 @@ class TsvFarm(Rectangle):
         return self.start_layer <= layer < self.end_layer
 
 
-RECT_EPS = 1e-12  # m; see rects_overlap
-
-
-def bounding_box_of(rects) -> tuple[float, float, float, float]:
-    """Bounding box of the sequence rects, (0, 0, 0, 0) when there are none.
-    Each bound is the one min or max gives, exact, so a box folded in as
-    one rect gives the same floats as its rects would."""
+def bounding_box_of(rects) -> tuple[int, int, int, int]:
+    """Bounding box of the sequence rects, (0, 0, 0, 0) when there are none."""
     if not rects:
-        return (0.0, 0.0, 0.0, 0.0)
+        return (0, 0, 0, 0)
     x0, y0, x1, y1 = rects[0]
     for rx0, ry0, rx1, ry1 in rects:   # min and max, unrolled
         x0, y0 = (rx0 if rx0 < x0 else x0), (ry0 if ry0 < y0 else y0)
@@ -163,7 +161,7 @@ class Floorplan:
         return self.farms[self.farm_index(name)]
 
     @functools.cached_property
-    def bounding_box(self) -> tuple[float, float, float, float]:
+    def bounding_box(self) -> tuple[int, int, int, int]:
         """Bounding box of everything placed, computed once per floorplan."""
         return bounding_box_of([f.rect for f in self.farms] + [b.rect for b in self.blocks])
 
@@ -174,7 +172,7 @@ class Stack:
     tech: TechnologyParams
 
     @property
-    def footprint(self) -> tuple[float, float]:
+    def footprint(self) -> tuple[int, int]:
         return (self.tech.footprint_width, self.tech.footprint_height)
 
     @property
@@ -202,22 +200,24 @@ class Violation(NamedTuple):
 
 
 def rects_overlap(a, b) -> bool:
-    """Strict interior overlap; touching edges are legal.
-
-    RECT_EPS absorbs unit-conversion ulps so abutting rectangles whose
-    shared edge differs in the last bit do not read as overlapping.
-    """
-    return (min(a[2], b[2]) - max(a[0], b[0]) > RECT_EPS
-            and min(a[3], b[3]) - max(a[1], b[1]) > RECT_EPS)
+    """Strict interior overlap; touching edges are legal."""
+    return min(a[2], b[2]) > max(a[0], b[0]) and min(a[3], b[3]) > max(a[1], b[1])
 
 
-def _footprint_tol(stack: Stack) -> float:
-    return 1e-12 * max(stack.footprint)
-
-
-def _inside_footprint(rect, stack: Stack, tol: float) -> bool:
+def _inside_footprint(rect, stack: Stack) -> bool:
     w, h = stack.footprint
-    return rect[0] >= -tol and rect[1] >= -tol and rect[2] <= w + tol and rect[3] <= h + tol
+    return rect[0] >= 0 and rect[1] >= 0 and rect[2] <= w and rect[3] <= h
+
+
+def _lengths(values, sep: str = " x ") -> str:
+    return sep.join(map(format_length, values))
+
+
+def farm_shape(area: int, ratio: float) -> tuple[int, int]:
+    """The sides, width / height near ratio, that a farm of `area` nm^2
+    takes at an aspect ratio: each rounded to the nanometre, so their
+    product is the area to within half a nanometre along each side."""
+    return round(math.sqrt(area * ratio)), round(math.sqrt(area / ratio))
 
 
 def validate(design: Design) -> list[Violation]:
@@ -228,7 +228,6 @@ def validate(design: Design) -> list[Violation]:
     v: list[Violation] = []
     stack, fp = design.stack, design.floorplan
     tech = stack.tech
-    tol = _footprint_tol(stack)
 
     if not (tech.footprint_width > 0 and tech.footprint_height > 0):
         v.append(Violation("tech", "footprint-positive", "footprint must be > 0"))
@@ -249,18 +248,18 @@ def validate(design: Design) -> list[Violation]:
     if not all(0 < r < math.inf for r in tech.aspect_ratios):
         v.append(Violation("tech", "aspect-ratios-positive",
                            f"aspect_ratios={tech.aspect_ratios}: each must be finite and > 0"))
-    if not 0 <= tech.bond_thickness < math.inf:
+    if not 0 <= tech.bond_thickness:
         v.append(Violation("tech", "bond-thickness-range",
-                           f"bond_thickness={tech.bond_thickness} must be finite and >= 0"))
+                           f"bond_thickness={format_length(tech.bond_thickness)} must be >= 0"))
     if not 0 < tech.bond_conductivity < math.inf:
         v.append(Violation("tech", "bond-conductivity-positive",
                            f"bond_conductivity={tech.bond_conductivity} must be finite and > 0"))
     if not 0 < tech.leakage_tref < math.inf:
         v.append(Violation("tech", "leakage-tref-positive",
                            f"leakage_tref={tech.leakage_tref} must be finite and > 0 K"))
-    if tech.adjacency_window is not None and not 0 < tech.adjacency_window < math.inf:
+    if tech.adjacency_window is not None and not 0 < tech.adjacency_window:
         v.append(Violation("tech", "adjacency-window-positive",
-                           f"adjacency_window={tech.adjacency_window} must be finite and > 0"))
+                           f"adjacency_window={format_length(tech.adjacency_window)} must be > 0"))
 
     for m in design.materials:
         if not m.conductivity > 0:
@@ -273,11 +272,9 @@ def validate(design: Design) -> list[Violation]:
         if layer.index != i:
             v.append(Violation(f"layer{layer.index}", "layer-index-contiguous",
                                f"expected index {i}"))
-        # 1e-9 relative slack: unit conversion may land one ulp off the bound
-        if not (MIN_LAYER_THICKNESS * (1 - 1e-9) <= layer.thickness
-                <= MAX_LAYER_THICKNESS * (1 + 1e-9)):
+        if not MIN_LAYER_THICKNESS <= layer.thickness <= MAX_LAYER_THICKNESS:
             v.append(Violation(f"layer{layer.index}", "layer-thickness-range",
-                               f"{layer.thickness} m outside [10um, 800um]"))
+                               f"{format_length(layer.thickness)} outside [10um, 800um]"))
         if not layer.material.conductivity > 0:
             v.append(Violation(f"layer{layer.index}", "conductivity-positive",
                                f"{layer.material.name} k={layer.material.conductivity}"))
@@ -290,7 +287,7 @@ def validate(design: Design) -> list[Violation]:
 
     for b in fp.blocks:
         if not (b.width > 0 and b.height > 0):
-            v.append(Violation(b.name, "size-positive", f"{b.width}x{b.height}"))
+            v.append(Violation(b.name, "size-positive", _lengths((b.width, b.height))))
         if not 0 <= b.power < math.inf:
             v.append(Violation(b.name, "power-nonnegative", f"{b.power} W"))
         if not 0 <= b.leakage_ref < math.inf:
@@ -299,12 +296,12 @@ def validate(design: Design) -> list[Violation]:
             v.append(Violation(b.name, "kind-valid", b.kind))
         if not (0 <= b.layer < stack.num_layers):
             v.append(Violation(b.name, "layer-exists", f"layer {b.layer}"))
-        elif not _inside_footprint(b.rect, stack, tol):
-            v.append(Violation(b.name, "inside-footprint", f"rect {b.rect}"))
+        elif not _inside_footprint(b.rect, stack):
+            v.append(Violation(b.name, "inside-footprint", f"rect ({_lengths(b.rect, ', ')})"))
 
     for f in fp.farms:
         if not (f.width > 0 and f.height > 0):
-            v.append(Violation(f.name, "size-positive", f"{f.width}x{f.height}"))
+            v.append(Violation(f.name, "size-positive", _lengths((f.width, f.height))))
         if f.start_layer > f.end_layer:
             v.append(Violation(f.name, "layer-span-order",
                                f"start {f.start_layer} > end {f.end_layer}"))
@@ -312,20 +309,21 @@ def validate(design: Design) -> list[Violation]:
             v.append(Violation(f.name, "layer-exists",
                                f"span [{f.start_layer}, {f.end_layer}]"))
         if not f.area > 0:
-            v.append(Violation(f.name, "area-positive", f"{f.area} m^2"))
-        elif abs(f.width * f.height - f.area) > 1e-9 * f.area:
+            v.append(Violation(f.name, "area-positive", f"{f.area} nm^2"))
+        elif not 2 * abs(f.width * f.height - f.area) <= f.width + f.height + 1:
+            # farm_shape rounds each side to within 0.5 nm: |wh - area| <= (w + h + 1.5) / 2
             v.append(Violation(f.name, "area-conserved",
-                               f"w*h={f.width * f.height} != area={f.area}"))
-        if f.height > 0 and not any(
-            abs(f.aspect_ratio - r) <= 1e-6 * r for r in tech.aspect_ratios
-        ):
+                               f"w*h={f.width * f.height} nm^2 != area={f.area} nm^2"))
+        # each side within rounding of farm_shape's at one ratio
+        if f.height > 0 and not any(2 * abs(f.width - r * f.height) <= 1 + r
+                                    for r in tech.aspect_ratios):
             v.append(Violation(f.name, "aspect-ratio-candidate",
                                f"{f.aspect_ratio} not in {tech.aspect_ratios}"))
         if not (f.k_lateral > 0 and f.k_metal > 0):
             v.append(Violation(f.name, "conductivity-positive",
                                f"k_lateral={f.k_lateral} k_metal={f.k_metal}"))
-        if not _inside_footprint(f.rect, stack, tol):
-            v.append(Violation(f.name, "inside-footprint", f"rect {f.rect}"))
+        if not _inside_footprint(f.rect, stack):
+            v.append(Violation(f.name, "inside-footprint", f"rect ({_lengths(f.rect, ', ')})"))
 
     for layer in range(stack.num_layers):
         # (name, rect) pairs on the layer; a farm is on every layer it spans
@@ -359,11 +357,13 @@ def fixed_conflict(stack: Stack, blocks: tuple[Block, ...], start: int, end: int
     """Why a farm prism on layers start..end cannot take `rect` whatever the
     other farms are, or None: it leaves the footprint or overlaps a block
     (the first, layer by layer, in floorplan order)."""
-    if not _inside_footprint(rect, stack, _footprint_tol(stack)):
+    if not _inside_footprint(rect, stack):
         return "leaves footprint"
+    x0, y0, x1, y1 = rect
     for layer in range(start, end + 1):
-        for b in blocks:
-            if b.layer == layer and rects_overlap(rect, b.rect):
+        for b in blocks:   # rects_overlap inlined, as both rects have positive extent
+            if (b.layer == layer and x1 > b.x and b.x + b.width > x0
+                    and y1 > b.y and b.y + b.height > y0):
                 return f"overlaps {b.name} on layer {layer}"
     return None
 
@@ -381,54 +381,46 @@ def farm_overlap(neighbours: tuple, farms, rect) -> str | None:
     """Why a farm cannot take `rect` for one of its farm_neighbours k, at
     farms[k].rect, or None if none is in the way."""
     x0, y0, x1, y1 = rect
-    # rects_overlap inlined: a min minus a max rounds to the least of the
-    # four differences it may pick, so each is compared to RECT_EPS; the
-    # rect's own two are the same for every neighbour
-    if not (x1 - x0 > RECT_EPS and y1 - y0 > RECT_EPS):
+    # rects_overlap inlined; the rect's own extent is the same for every neighbour
+    if not (x1 > x0 and y1 > y0):
         return None
     for k, name, layer in neighbours:
         ox0, oy0, ox1, oy1 = farms[k].rect
-        if (x1 - ox0 > RECT_EPS and ox1 - x0 > RECT_EPS and ox1 - ox0 > RECT_EPS
-                and y1 - oy0 > RECT_EPS and oy1 - y0 > RECT_EPS and oy1 - oy0 > RECT_EPS):
+        if x1 > ox0 and ox1 > x0 and ox1 > ox0 and y1 > oy0 and oy1 > y0 and oy1 > oy0:
             return f"overlaps {name} on layer {layer}"
     return None
 
 
-def origin_lattice(stack: Stack, width: float, height: float, cell: float) -> tuple[int, int]:
+def origin_lattice(stack: Stack, width: int, height: int, cell: int) -> tuple[int, int]:
     """(nx, ny): the grid-aligned origins (ix * cell, iy * cell), ix < nx and
-    iy < ny, that a width x height farm may be moved to; 0 when it cannot fit."""
+    iy < ny, that a width x height farm may be moved to inside the
+    footprint; 0 when it cannot fit."""
     fw, fh = stack.footprint
-    return (max(math.floor((fw - width) / cell + 1e-9) + 1, 0),
-            max(math.floor((fh - height) / cell + 1e-9) + 1, 0))
+    return max((fw - width) // cell + 1, 0), max((fh - height) // cell + 1, 0)
 
 
-def legal_origins(stack: Stack, blocks: tuple[Block, ...], width: float, height: float,
-                  start: int, end: int, cell: float) -> np.ndarray:
+def legal_origins(stack: Stack, blocks: tuple[Block, ...], width: int, height: int,
+                  start: int, end: int, cell: int) -> np.ndarray:
     """Flat indices ix * ny + iy of the origin_lattice points where a width x
-    height prism on layers start..end passes fixed_conflict, read-only.
-
-    It is fixed_conflict vectorized: the same floats (ix * cell, x +
-    width), comparisons and eps, so a raster cell is legal exactly when the
-    scalar check passes.
-    """
+    height prism on layers start..end passes fixed_conflict, read-only:
+    fixed_conflict vectorized, in the same integers. Every lattice point is
+    inside the footprint, so only the blocks rule one out."""
     nx, ny = origin_lattice(stack, width, height, cell)
-    fw, fh = stack.footprint
-    tol = _footprint_tol(stack)
-    x0, y0 = np.arange(nx) * cell, np.arange(ny) * cell
+    x0, y0 = np.arange(nx, dtype=np.int64) * cell, np.arange(ny, dtype=np.int64) * cell
     x1, y1 = x0 + width, y0 + height
-    free = np.outer((x0 >= -tol) & (x1 <= fw + tol), (y0 >= -tol) & (y1 <= fh + tol))
+    free = np.ones((nx, ny), bool)
     for b in blocks:
         if start <= b.layer <= end:
             bx0, by0, bx1, by1 = b.rect
-            free &= ~np.outer(np.minimum(x1, bx1) - np.maximum(x0, bx0) > RECT_EPS,
-                              np.minimum(y1, by1) - np.maximum(y0, by0) > RECT_EPS)
+            free &= ~np.outer(np.minimum(x1, bx1) > np.maximum(x0, bx0),
+                              np.minimum(y1, by1) > np.maximum(y0, by0))
     flat = np.flatnonzero(free)
     flat.flags.writeable = False
     return flat
 
 
-def _place_farm(design: Design, index: int, x: float, y: float,
-                width: float, height: float) -> Design:
+def _place_farm(design: Design, index: int, x: int, y: int,
+                width: int, height: int) -> Design:
     """Give farm `index` a new rectangle on all its layers.
 
     The one legality rule of a farm rectangle: InvalidMoveError with
@@ -448,22 +440,20 @@ def _place_farm(design: Design, index: int, x: float, y: float,
 
 
 def reshape_farm(design: Design, farm: str, ratio: float) -> Design:
-    """Change the named farm's aspect ratio, conserving area, anchored at the
-    lower-left.
+    """Give the named farm farm_shape(area, ratio), anchored at the
+    lower-left; ratio must be one of the tech's aspect_ratios.
 
     Raises InvalidMoveError if the reshaped rectangle leaves the footprint or
     collides on any spanned layer.
     """
     index = design.floorplan.farm_index(farm)
     farm = design.floorplan.farms[index]
-    if not any(abs(ratio - r) <= 1e-9 * r for r in design.stack.tech.aspect_ratios):
+    if ratio not in design.stack.tech.aspect_ratios:
         raise InvalidMoveError(f"{farm.name}: ratio {ratio} not a configured candidate")
-    width = math.sqrt(farm.area * ratio)
-    height = math.sqrt(farm.area / ratio)
-    return _place_farm(design, index, farm.x, farm.y, width, height)
+    return _place_farm(design, index, farm.x, farm.y, *farm_shape(farm.area, ratio))
 
 
-def move_farm(design: Design, farm: str, origin: tuple[float, float]) -> Design:
+def move_farm(design: Design, farm: str, origin: tuple[int, int]) -> Design:
     """Translate the named farm to a new lower-left origin on all spanned layers.
 
     Raises InvalidMoveError on footprint exit or overlap on any spanned layer.

@@ -28,7 +28,7 @@ def set_farm_conductivity(design: Design, k_lateral: float) -> Design:
         dataclasses.replace(design.floorplan, farms=farms))
 
 
-def with_memory_layers(design: Design, count: float, cell_size: float | None = None) -> Design:
+def with_memory_layers(design: Design, count: float, cell_size: int | None = None) -> Design:
     """Resize the stack to `count` stacked layers above the base layer.
 
     Layer 0 is the core layer; the current top layer is the template that

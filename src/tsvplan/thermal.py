@@ -6,6 +6,8 @@ from the area fractions of each material (series combination of the two
 fraction-scaled terms). Neighboring cells couple through half-resistances;
 the bottom layer couples to ambient through a lumped package resistance
 shared equally by its cells. Lateral faces and the top are adiabatic.
+Cell areas are exact in integer nanometres; lengths become float metres
+only where conductances are formed.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from .errors import GridError, SingularNetworkError, SolverError, ThermalRunawayError
 from .model import Design, Stack
+from .units import format_length, metres
 
 RESIDUAL_RTOL = 1e-8  # on the infinity norm, relative to max(max cell power, 1 W)
 # CG iterations a design solve may spend, whatever its size: one solve at
@@ -41,7 +44,7 @@ MAX_GRID_CELLS = 2**24
 class GridSpec(NamedTuple):
     cells_x: int
     cells_y: int
-    cell_size: float
+    cell_size: int   # nm
     num_layers: int
 
     @property
@@ -53,21 +56,20 @@ class GridSpec(NamedTuple):
         return self.cells_per_layer * self.num_layers
 
 
-def grid_for(stack: Stack, cell_size: float | None = None) -> GridSpec:
+def grid_for(stack: Stack, cell_size: int | None = None) -> GridSpec:
     """Build the grid for a stack: cells that tile the footprint exactly, at most MAX_GRID_CELLS."""
     cell = stack.tech.grid_cell if cell_size is None else cell_size
-    if not cell > 0:
-        raise GridError(f"cell size must be positive, got {cell}")
+    if not (isinstance(cell, int) and cell > 0):
+        raise GridError(f"cell size must be positive whole nanometres, got {format_length(cell)}")
     w, h = stack.footprint
-    # clamped, so that a vanishing cell cannot overflow round()
-    nx, ny = (round(min(side / cell, MAX_GRID_CELLS + 1)) for side in (w, h))
+    nx, ny = w // cell, h // cell
     if nx * ny * stack.num_layers > MAX_GRID_CELLS:
-        raise GridError(f"cell size {cell} on {stack.num_layers} layers needs more than "
-                        f"{MAX_GRID_CELLS} grid cells")
-    if nx < 1 or abs(nx * cell - w) > 1e-9 * w:
-        raise GridError(f"cell size {cell} does not tile footprint width {w}")
-    if ny < 1 or abs(ny * cell - h) > 1e-9 * h:
-        raise GridError(f"cell size {cell} does not tile footprint height {h}")
+        raise GridError(f"cell size {format_length(cell)} on {stack.num_layers} layers "
+                        f"needs more than {MAX_GRID_CELLS} grid cells")
+    for side, n, name in ((w, nx, "width"), (h, ny, "height")):
+        if n < 1 or n * cell != side:
+            raise GridError(f"cell size {format_length(cell)} does not tile footprint "
+                            f"{name} {format_length(side)}")
     return GridSpec(nx, ny, cell, stack.num_layers)
 
 
@@ -88,17 +90,16 @@ class CellOccupancy(NamedTuple):
 
 
 def _window_areas(rect, grid: GridSpec) -> tuple[slice, slice, np.ndarray]:
-    """The window of a layer's cells that rect can overlap, (rows, columns),
-    widened by one cell on each side against rounding, and rect's exact area
-    in each of its cells. Edge i is i * cell_size wherever the window starts,
-    so an area is the same float in any window that holds its cell."""
+    """The window of a layer's cells that rect overlaps, (rows, columns),
+    clipped to the grid, and rect's area in nm^2 in each of its cells, an
+    exact integer held as a float."""
     cell, spans = grid.cell_size, []
     for lo, hi, n in ((rect[1], rect[3], grid.cells_y), (rect[0], rect[2], grid.cells_x)):
-        start = min(max(math.floor(lo / cell) - 1, 0), n)
-        stop = max(min(math.floor(hi / cell) + 2, n), start)
-        edges = np.arange(start, stop + 1) * cell
+        start = min(max(lo // cell, 0), n)
+        stop = max(min(-(-hi // cell), n), start)
+        edges = np.arange(start, stop + 1, dtype=np.int64) * cell
         spans.append((slice(start, stop), np.clip(
-            np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0, None)))
+            np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0, None).astype(float)))
     (rows, oy), (cols, ox) = spans
     return rows, cols, np.outer(oy, ox)
 
@@ -134,7 +135,7 @@ def block_raster(blocks: tuple, grid: GridSpec) -> BlockRaster:
     planes = power.reshape(grid.num_layers, -1)
     shared, entries = {}, []
     for block in blocks:
-        key = (block.rect, block.width, block.height)
+        key = block.rect
         if key not in shared:
             weights = block_cell_weights(block, grid).ravel()
             cells = np.flatnonzero(weights)
@@ -152,8 +153,10 @@ def block_raster(blocks: tuple, grid: GridSpec) -> BlockRaster:
 def rasterize(design: Design, grid: GridSpec) -> CellOccupancy:
     """Rasterize a floorplan: exact area fractions and proportional power split.
 
-    Each farm is written into its window, the cells its rectangle can
-    overlap on its layers; every other cell holds no farm and stays 0.
+    Each farm's area in each cell of its window, the cells its rectangle
+    overlaps on its layers, is summed in exact integer nm^2 and divided by
+    the cell's once, so a covered cell's fraction is exactly 1.0, and a cell
+    no farm overlaps stays 0.
     """
     shape = (grid.num_layers, grid.cells_y, grid.cells_x)
     farm_fraction = np.zeros(shape)
@@ -161,34 +164,25 @@ def rasterize(design: Design, grid: GridSpec) -> CellOccupancy:
     k_farm = np.zeros(shape)
     k_metal = np.zeros(shape)
     best_area = np.zeros(shape)
-    windows = []   # each farm's (layers, rows, columns)
 
     for farm in design.floorplan.farms:
         rows, cols, areas = _window_areas(farm.rect, grid)
-        frac = areas / grid.cell_size ** 2
         for layer in range(farm.start_layer, farm.end_layer + 1):
             window = (layer, rows, cols)
-            farm_fraction[window] += frac
+            farm_fraction[window] += areas
             if farm.blocks_laterally(layer):
-                lateral_fraction[window] += frac
+                lateral_fraction[window] += areas
             best = best_area[window]
             take = areas > best
             best[take] = areas[take]
             k_farm[window][take] = farm.k_lateral
             k_metal[window][take] = farm.k_metal
-        windows.append((slice(farm.start_layer, farm.end_layer + 1), rows, cols))
 
-    if windows:   # clip and threshold the bounding window of them all
-        window = tuple(slice(min(w[axis].start for w in windows),
-                             max(w[axis].stop for w in windows)) for axis in range(3))
-        farm_share, lateral_share = farm_fraction[window], lateral_fraction[window]
-        for share in (farm_share, lateral_share):
-            np.clip(share, 0.0, 1.0, out=share)
-            # floating-point dust at aligned edges must not become a series
-            # term: the composite resistance diverges as the fraction nears 0
-            share[share < 1e-12] = 0.0
-            share[share > 1 - 1e-12] = 1.0
-        np.minimum(lateral_share, farm_share, out=lateral_share)
+    for share in (farm_fraction, lateral_fraction):
+        np.divide(share, grid.cell_size ** 2, out=share)
+        # a fraction of the cell: overlapping farms, which only an invalid
+        # design holds, cannot claim more than all of it
+        np.minimum(share, 1.0, out=share)
     return CellOccupancy(farm_fraction, lateral_fraction, k_farm, k_metal,
                          block_raster(design.floorplan.blocks, grid).power)
 
@@ -219,8 +213,8 @@ def cell_resistances(occ: CellOccupancy, grid: GridSpec, stack: Stack):
     expression at fraction 0, and only the window is evaluated cell by
     cell.
     """
-    cell = grid.cell_size
-    t = np.array([layer.thickness for layer in stack.layers]).reshape(-1, 1, 1)
+    cell = metres(grid.cell_size)
+    t = metres(np.array([layer.thickness for layer in stack.layers])).reshape(-1, 1, 1)
     k_si = np.array([layer.material.conductivity for layer in stack.layers]).reshape(-1, 1, 1)
     a_lat, a_vert = cell * t, cell * cell
 
@@ -254,8 +248,8 @@ def build_network(occ: CellOccupancy, grid: GridSpec, stack: Stack) -> Conductan
     g_z = np.add(r_vert[:-1], r_vert[1:])
     np.multiply(0.5, g_z, g_z)
     if stack.tech.bond_thickness > 0:
-        np.add(g_z, stack.tech.bond_thickness / (
-            stack.tech.bond_conductivity * grid.cell_size ** 2), g_z)
+        np.add(g_z, metres(stack.tech.bond_thickness) / (
+            stack.tech.bond_conductivity * metres(grid.cell_size ** 2, 2)), g_z)
     np.divide(1.0, g_z, g_z)
     share = 1.0 / (stack.tech.package_resistance * grid.cells_per_layer)
     g_ambient = np.full((grid.cells_y, grid.cells_x), share)

@@ -11,8 +11,8 @@ from tsvplan.model import (Block, Design, Floorplan, Layer, Material, Stack,
                            TechnologyParams, TsvFarm)
 from tsvplan.thermal import CellOccupancy, GridSpec, cell_resistances
 
-MM = 1e-3
-UM = 1e-6
+MM = 1_000_000   # nm, the unit of every length
+UM = 1_000
 SILICON = Material("silicon", 149.0)
 
 REPO = Path(__file__).resolve().parents[1]
@@ -40,19 +40,25 @@ def make_design(blocks=(), farms=(), num_layers=2, tech=None, thickness=10 * UM)
                   materials=(SILICON,))
 
 
+def mm(value):
+    """value millimetres in whole nanometres."""
+    return round(value * MM)
+
+
 def block(name, layer, x, y, w, h, power=0.0, kind="macro", leakage=0.0):
-    return Block(name, layer, x * MM, y * MM, w * MM, h * MM, power,
+    return Block(name, layer, mm(x), mm(y), mm(w), mm(h), power,
                  leakage_ref=leakage, kind=kind)
 
 
 def farm(name, x, y, w, h, start=0, end=1, k_lat=0.5, k_met=173.0, clients=()):
-    return TsvFarm(name, x * MM, y * MM, w * MM, h * MM, start, end,
-                   k_lat, k_met, area=w * h * MM * MM, clients=tuple(clients))
+    return TsvFarm(name, mm(x), mm(y), mm(w), mm(h), start, end,
+                   k_lat, k_met, area=mm(w) * mm(h), clients=tuple(clients))
 
 
 def one_cell_resistances(cell, thickness, k_silicon, farm_fraction=0.0,
                          k_farm=None, k_metal=None):
-    """(lateral, vertical) resistance in K/W of the one cell of a one-layer grid.
+    """(lateral, vertical) resistance in K/W of the one cell of a one-layer grid;
+    cell and thickness in nm.
 
     farm_fraction is the cell's farm share, both in-plane (k_farm) and
     through-plane (k_metal); an unset farm conductivity is the silicon's.

@@ -16,14 +16,13 @@ import pytest
 from tsvplan.anneal import (AnnealConfig, Evaluator, FlowConfig, RunTrace,
                             accept, gen_move, optimize_stack, sa_placement)
 from tsvplan.metrics import CostWeights
-from tsvplan.model import move_farm, validate
+from tsvplan.model import farm_shape, move_farm, validate
 from tsvplan.sweeps import run_sweep, set_farm_conductivity
 from tsvplan.thermal import (ConductanceNetwork, GridSpec, build_network,
                              couple_leakage, grid_for, rasterize, solve_design,
                              solve_steady_state)
-from conftest import SHIPPED, csr_reference, shipped_design
+from conftest import SHIPPED, UM, csr_reference, mm, shipped_design
 
-MM = 1e-3
 AMBIENT = 298.15
 K_LADDER = [0.5, 1.0, 2.75, 5.0, 23.1, 149.0]
 
@@ -55,14 +54,14 @@ def test_criterion_1_solver_correctness():
     budget = time.perf_counter()
 
     # analytic single cell: 1 W through 10 K/W
-    grid1 = GridSpec(1, 1, 1e-4, 1)
+    grid1 = GridSpec(1, 1, 100 * UM, 1)
     single = ConductanceNetwork(grid1, np.zeros((1, 1, 0)), np.zeros((1, 0, 1)),
                                 np.zeros((0, 1, 1)), np.full((1, 1), 0.1))
     t = solve_steady_state(single, np.full((1, 1, 1), 1.0), AMBIENT)
     assert abs(t.t[0, 0, 0] - 308.15) < 1e-9
 
     # analytic two-cell series: 5 K/W per hop, far cell powered
-    grid2 = GridSpec(1, 1, 1e-4, 2)
+    grid2 = GridSpec(1, 1, 100 * UM, 2)
     pair = ConductanceNetwork(grid2, np.zeros((2, 1, 0)), np.zeros((2, 0, 1)),
                               np.full((1, 1, 1), 0.2), np.full((1, 1), 0.2))
     power = np.zeros((2, 1, 1))
@@ -76,7 +75,7 @@ def test_criterion_1_solver_correctness():
     worst_dense = 0.0
     worst_conservation = 0.0
     for _ in range(5):
-        grid = GridSpec(6, 6, 1e-4, 2)
+        grid = GridSpec(6, 6, 100 * UM, 2)
         net = ConductanceNetwork(
             grid,
             g_x=rng.uniform(1e-4, 1e-2, (2, 6, 5)),
@@ -216,7 +215,7 @@ def test_criterion_7_interlayer_effect():
         num_layers=3, tech=tech)
     grid = grid_for(d.stack)
     before = solve_design(d, grid)
-    moved = move_farm(d, "f", (1.4 * MM, 1.4 * MM))
+    moved = move_farm(d, "f", (mm(1.4), mm(1.4)))
     after = solve_design(moved, grid)
     shift = float(np.abs(after.t[1] - before.t[1]).max())
     ok = shift >= 0.1
@@ -243,10 +242,9 @@ def test_criterion_8_exhaustive_oracle():
     best_cost = None
     configs = 0
     for ratio in coarse.stack.tech.aspect_ratios:
-        width = math.sqrt(farm0.area * ratio)
-        height = math.sqrt(farm0.area / ratio)
-        for ix in range(int((fw - width) / cell + 1e-9) + 1):
-            for iy in range(int((fh - height) / cell + 1e-9) + 1):
+        width, height = farm_shape(farm0.area, ratio)
+        for ix in range((fw - width) // cell + 1):
+            for iy in range((fh - height) // cell + 1):
                 state = (evaluator.place(0, (ix * cell, iy * cell, width, height)),)
                 if validate(evaluator.design_of(state)):
                     continue

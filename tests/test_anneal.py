@@ -12,10 +12,10 @@ from tsvplan.anneal import (RETRY_CAP, AnnealConfig, Evaluator, FlowConfig, RunT
                             optimize_stack, sa_placement)
 from tsvplan.errors import InvalidMoveError
 from tsvplan.metrics import CostWeights, cost
-from tsvplan.model import _place_farm, move_farm, reshape_farm, validate
+from tsvplan.model import _place_farm, farm_shape, move_farm, reshape_farm, validate
 from tsvplan.thermal import grid_for, solve_design
 
-from conftest import MM, SHIPPED, block, farm, make_design, make_tech, shipped_design
+from conftest import MM, SHIPPED, block, farm, make_design, make_tech, mm, shipped_design
 
 
 def context(design, weights=CostWeights(0.0, -1.0, 0.0, 0.0)):
@@ -127,8 +127,8 @@ class TestGenMove:
         out, kind, name = self._draw(d, rng)
         assert kind == "reshape" and name == "f" and rng.exhausted
         f = out.floorplan.farm("f")
-        assert f.aspect_ratio == pytest.approx(0.25)   # the first other ratio
-        assert (f.x, f.y) == (0.8 * MM, 0.8 * MM)
+        assert (f.width, f.height) == (mm(0.2), mm(0.8))   # the first other ratio, 0.25
+        assert (f.x, f.y) == (mm(0.8), mm(0.8))
 
     def test_high_draw_takes_move_branch(self):
         d = self._design()
@@ -138,14 +138,15 @@ class TestGenMove:
         f = out.floorplan.farm("f")
         cell = d.stack.tech.grid_cell
         assert (f.x, f.y) == (3 * cell, 5 * cell)
-        assert (f.width, f.height) == (0.4 * MM, 0.4 * MM)
+        assert (f.width, f.height) == (mm(0.4), mm(0.4))
 
     def test_unchanged_origin_redraws_the_whole_proposal(self):
         d = self._design()
         rng = ScriptedRng([8 * 17 + 8, 1], [0.7, 0.2])   # (8, 8) is where f stands
         out, kind, _ = self._draw(d, rng)
         assert kind == "reshape" and rng.exhausted
-        assert out.floorplan.farm("f").aspect_ratio == pytest.approx(0.5)
+        f = out.floorplan.farm("f")
+        assert (f.width, f.height) == farm_shape(f.area, 0.5) == (282_843, 565_685)
 
     def test_farm_overlap_redraws_the_whole_proposal(self):
         d = make_design(farms=(farm("f", 0.8, 0.8, 0.4, 0.4), farm("g", 0.0, 0.0, 0.4, 0.4)))
@@ -164,31 +165,35 @@ class TestGenMove:
         assert (out, kind, name) == (state, "null", None) and rng.exhausted
 
     @pytest.mark.parametrize("name", SHIPPED)
-    def test_no_relocation_lands_within_1e_12_of_the_input_origin(self, name):
-        # shipped farms start a few ulps off the float lattice (corememory's
-        # bus_mid at x = 0.0011, where 11 cells are 0.0010999999999999998), so
-        # only the 1e-12 origin match, not rectangle or placement identity,
-        # keeps the lattice point at a farm's origin from being a relocation
+    def test_no_relocation_lands_on_the_input_origin(self, name):
+        # every shipped farm starts on the lattice, so the lattice point at
+        # its origin is an option of its move group, and equal integers, not
+        # a tolerance, keep it from being a relocation
         d = shipped_design(name)
         ev = context(d)
         state = ev.state_of(d)
-        off_lattice = 0
         for index, f in enumerate(d.floorplan.farms):
             groups, cumulative = ev.move_table(state, [index])
             g = next(g for g, group in enumerate(groups) if group.kind == "move")
             ny, cell, _, _ = groups[g].lattice
-            ix, iy = round(f.x / cell), round(f.y / cell)
-            assert abs(ix * cell - f.x) < 1e-12 and abs(iy * cell - f.y) < 1e-12
-            off_lattice += (ix * cell, iy * cell) != (f.x, f.y)
-            j = int(groups[g].options.searchsorted(ix * ny + iy))
-            assert groups[g].option(j)[:2] == (ix * cell, iy * cell)
+            assert f.x % cell == 0 and f.y % cell == 0
+            j = int(groups[g].options.searchsorted(f.x // cell * ny + f.y // cell))
+            assert groups[g].option(j) == (f.x, f.y, f.width, f.height)
             # every proposal draws that lattice point
             low = cumulative[g - 1] if g else 0.0
             mid = (low + cumulative[g]) / 2 / cumulative[-1]
             rng = ScriptedRng([j] * RETRY_CAP, [mid] * RETRY_CAP)
             assert gen_move(ev, state, [index], rng) == (state, "null", None)
             assert rng.exhausted
-        assert off_lattice > 0
+
+    def test_an_off_lattice_origin_stays_until_the_farm_moves(self):
+        d = make_design(farms=(farm("f", 0.85, 0.8, 0.4, 0.4),))
+        reshaped, kind, _ = self._draw(d, ScriptedRng([0], [0.3]))
+        assert kind == "reshape"
+        assert reshaped.floorplan.farm("f").rect[:2] == (mm(0.85), mm(0.8))
+        # no lattice point is the farm's origin, so none is redrawn
+        moved, kind, _ = self._draw(d, ScriptedRng([8 * 17 + 8], [0.7]))
+        assert kind == "move" and moved.floorplan.farm("f").rect[:2] == (mm(0.8), mm(0.8))
 
     def test_moves_land_on_grid_lattice(self):
         d = self._design()
@@ -199,12 +204,12 @@ class TestGenMove:
             out, kind, _ = gen_move(ev, ev.state_of(d), [0], rng)
             if kind == "move":
                 x, y, _, _ = out[0].xywh
-                assert x / cell == pytest.approx(round(x / cell), abs=1e-9)
-                assert y / cell == pytest.approx(round(y / cell), abs=1e-9)
+                assert type(x) is int and type(y) is int
+                assert x % cell == 0 and y % cell == 0
 
     def test_saturated_floorplan_yields_null_move(self):
         # footprint exactly fits the farm: no legal move or reshape exists
-        tech = make_tech(footprint_width=0.4 * MM, footprint_height=0.4 * MM,
+        tech = make_tech(footprint_width=mm(0.4), footprint_height=mm(0.4),
                          aspect_ratios=(1.0,))
         d = make_design(farms=(farm("f", 0.0, 0.0, 0.4, 0.4),), tech=tech)
         ev = context(d)
@@ -235,10 +240,10 @@ class TestGenMove:
         d = make_design(farms=(farm("f", 0.8, 0.8, 0.4, 0.4), farm("g", 0.0, 0.0, 0.4, 0.4)))
         ev = context(d)
         groups, _ = ev.move_table(ev.state_of(d), [0, 1])
-        away = move_farm(d, "f", (1.2 * MM, 1.2 * MM))
+        away = move_farm(d, "f", (mm(1.2), mm(1.2)))
         ev.move_table(ev.state_of(away), [0, 1])
         entries = len(ev._groups)
-        back = ev.state_of(move_farm(away, "f", (0.8 * MM, 0.8 * MM)))
+        back = ev.state_of(move_farm(away, "f", (mm(0.8), mm(0.8))))
         assert back == ev.state_of(d) and back is not ev.state_of(d)
         assert all(p is q for p, q in zip(back, ev.state_of(d)))
         again, _ = ev.move_table(back, [0, 1])
@@ -272,7 +277,7 @@ def rejection_law(design, eligible, cell):
     for name in eligible:
         f = design.floorplan.farm(name)
         ratios = [r for r in design.stack.tech.aspect_ratios
-                  if abs(r - f.aspect_ratio) > 1e-9 * r]
+                  if farm_shape(f.area, r) != (f.width, f.height)]
         for ratio in ratios:
             try:
                 candidate = reshape_farm(design, name, ratio)
@@ -280,12 +285,12 @@ def rejection_law(design, eligible, cell):
                 continue
             law["reshape", name, candidate.floorplan.farm(name).rect] += \
                 1 / len(eligible) / 2 / len(ratios)
-        nx = math.floor((fw - f.width) / cell + 1e-9) + 1
-        ny = math.floor((fh - f.height) / cell + 1e-9) + 1
+        nx = (fw - f.width) // cell + 1
+        ny = (fh - f.height) // cell + 1
         for ix in range(nx):
             for iy in range(ny):
                 origin = (ix * cell, iy * cell)
-                if abs(origin[0] - f.x) < 1e-12 and abs(origin[1] - f.y) < 1e-12:
+                if origin == (f.x, f.y):
                     continue
                 try:
                     candidate = move_farm(design, name, origin)
@@ -309,7 +314,7 @@ def table_law(ev, state, eligible):
         f = design.floorplan.farms[group.index]
         for j in range(len(group.options)):
             x, y, width, height = group.option(j)
-            if group.kind == "move" and abs(x - f.x) < 1e-12 and abs(y - f.y) < 1e-12:
+            if group.kind == "move" and (x, y) == (f.x, f.y):
                 continue
             try:
                 candidate = _place_farm(design, group.index, x, y, width, height)
@@ -384,7 +389,7 @@ class TestSaPlacement:
 
         def cost_fn(state):
             x, y, _, _ = state[0].xywh
-            return abs(x - 1.2 * MM) + abs(y - 0.2 * MM)
+            return abs(x - mm(1.2)) + abs(y - mm(0.2))
 
         def propose(state, rng):
             return gen_move(ev, state, [0], rng)
@@ -410,7 +415,7 @@ class TestSaPlacement:
         rng = np.random.default_rng(0)
 
         def cost_fn(state):
-            return abs(state[0].xywh[0] - 0.8 * MM)
+            return abs(state[0].xywh[0] - mm(0.8))
 
         def propose(state, r):
             return gen_move(ev, state, [0], r)
@@ -449,7 +454,7 @@ class TestSaPlacement:
 
 def _hotspot_design():
     """Hot block with a farm parked in its corridor toward a cool neighbor."""
-    tech = make_tech(adjacency_window=1.0 * MM, package_resistance=20.0,
+    tech = make_tech(adjacency_window=MM, package_resistance=20.0,
                      leakage_coeff=0.02, aspect_ratios=(0.25, 1.0, 4.0))
     return make_design(
         blocks=(block("hot", 0, 0.2, 0.8, 0.4, 0.4, power=1.0, leakage=0.25),
@@ -534,7 +539,7 @@ class TestOptimizeStack:
         result = optimize_stack(d, AnnealConfig(seed=3, max_moves=15),
                                 FlowConfig(outer_iterations=1))
         assert (sum(f.area for f in result.best.floorplan.farms)
-                == pytest.approx(sum(f.area for f in d.floorplan.farms), rel=1e-12))
+                == sum(f.area for f in d.floorplan.farms))
         assert {(f.name, f.clients) for f in result.best.floorplan.farms} \
             == {(f.name, f.clients) for f in d.floorplan.farms}
 
@@ -575,7 +580,7 @@ class TestInterlayerEffect:
             num_layers=3, tech=tech)
         grid = grid_for(d.stack)
         before = solve_design(d, grid)
-        moved = move_farm(d, "f", (1.4 * MM, 1.4 * MM))
+        moved = move_farm(d, "f", (mm(1.4), mm(1.4)))
         after = solve_design(moved, grid)
         assert np.abs(after.t[1] - before.t[1]).max() >= 0.1
 
@@ -599,8 +604,8 @@ class TestEvaluatorMemo:
     def test_each_distinct_floorplan_is_priced_once(self, priced):
         d = _hotspot_design()
         ev = context(d, self.WEIGHTS)
-        designs = [d, move_farm(d, "f", (1.0 * MM, 1.0 * MM)),
-                   move_farm(d, "f", (1.0 * MM, 1.0 * MM)), d]   # equal, not the same object
+        designs = [d, move_farm(d, "f", (MM, MM)),
+                   move_farm(d, "f", (MM, MM)), d]   # equal, not the same object
         states = [ev.state_of(x) for x in designs]
         assert states[1] == states[2] and states[1] is not states[2]
         # equal states share their placements, so they key the memos alike
@@ -614,7 +619,7 @@ class TestEvaluatorMemo:
         monkeypatch.setattr(anneal, "MEMO_ENTRIES", 2)
         d = _hotspot_design()
         ev = context(d, self.WEIGHTS)
-        designs = [d] + [move_farm(d, "f", (x * MM, 1.0 * MM)) for x in (0.9, 1.0)]
+        designs = [d] + [move_farm(d, "f", (mm(x), MM)) for x in (0.9, 1.0)]
         for x in designs + designs[:1]:
             ev.cost(ev.state_of(x))
         assert priced == [(x.floorplan.farms[0].rect,) for x in designs + designs[:1]]
@@ -631,7 +636,7 @@ class TestEvaluatorMemo:
         ev = context(d, self.WEIGHTS)
         ev.cost(ev.state_of(d))
         assert rows == ["f", "g", "h"]
-        ev.cost(ev.state_of(move_farm(d, "g", (0.8 * MM, 0.2 * MM))))
+        ev.cost(ev.state_of(move_farm(d, "g", (mm(0.8), mm(0.2)))))
         assert rows == ["f", "g", "h", "g"]
 
     def test_every_memo_read_goes_through_recall(self, monkeypatch):
@@ -683,7 +688,7 @@ class TestEvaluatorMemo:
             return out
         monkeypatch.setattr(anneal, "gen_move", recorded)
         optimize_stack(design, AnnealConfig(seed=1, max_moves=20))
-        assert sorted(made) == sorted(met) and len(made) == 532
+        assert sorted(made) == sorted(met) and len(made) == 527
 
     @pytest.mark.parametrize("name", SHIPPED)
     def test_a_state_reads_back_as_its_design(self, name):

@@ -350,11 +350,17 @@ class TestSweep:
     (["optimize", "--weights", ""], "bad number ''"),
     (["sweep", "--axis", "k_farm", "--values", ""], "bad number ''"),
     (["analyze", "--grid-cell", ""], "bad length ''"),
+    # a length in a message is written as format_length writes it
+    (["analyze", "--grid-cell", "-100um"], "cell size must be positive whole nanometres, got -100um"),
+    (["optimize", "--grid-cell", "0.5mm"], "cell size 500um does not tile footprint width 1200um"),
+    (["analyze", "--grid-cell", "0.001um"], "cell size 0.001um on 2 layers needs more than"),
 ], ids=["weights-word", "weights-nan", "weights-sign", "sweep-values-word",
         "cooling", "max-moves", "outer-iters", "seed", "t-order", "t-initial-nan",
         "t-threshold-nan", "t-threshold-above-t0", "preset-ratio-nan",
         "preset-ratio-negative", "sweep-cooling-nan", "sweep-preset-ratio-inf",
-        "weights-empty", "sweep-values-empty", "analyze-grid-cell-empty"])
+        "weights-empty", "sweep-values-empty", "analyze-grid-cell-empty",
+        "analyze-grid-cell-negative", "optimize-grid-cell-untiled",
+        "analyze-grid-cell-too-fine"])
 def test_bad_cli_numbers_are_data_errors(runner, tmp_path, args, message):
     command, *options = args
     result = runner.invoke(main, [command, str(_write(tmp_path, TINY_OPT)), *options,

@@ -45,9 +45,11 @@ bus 600um 600um 200um 200um 0 0 0.5 173
 
 class TestUnits:
     def test_length_forms(self):
-        assert parse_length("10um") == pytest.approx(1e-5)
-        assert parse_length("1.5 mm") == pytest.approx(1.5e-3)
-        assert parse_length("0.002m") == pytest.approx(0.002)
+        # whole nanometres, read from the digits
+        assert parse_length("10um") == 10_000
+        assert parse_length("1.5 mm") == 1_500_000
+        assert parse_length("0.002m") == 2_000_000
+        assert parse_length("9.999999999999999e-05m") == parse_length("100um") == 100_000
 
     def test_temperature_forms(self):
         assert parse_temperature("25 C") == pytest.approx(298.15)
@@ -67,7 +69,7 @@ class TestParse:
         assert d.stack.num_layers == 1
         assert d.floorplan.blocks[0].power == 0.5
         assert d.stack.tech.ambient == pytest.approx(298.15)
-        assert d.floorplan.blocks[0].x == pytest.approx(1e-4)
+        assert d.floorplan.blocks[0].x == 100_000
 
     def test_unknown_tech_key_rejected(self):
         text = MINIMAL.replace("package_resistance = 10.0",
@@ -134,7 +136,10 @@ bus 50um 50um 200um 200um 0 0 0.5 173
                     if new.split("\n")[-1] in row)
         with pytest.raises(ParseError) as err:
             parse_design("<inline>", text=text)
-        assert any(n == line and "non-finite" in message
+        # a length is read from its digits, never as a float, so a huge one
+        # is out of range rather than infinite
+        expected = "out of range" if "um" in new.split("\n")[-1] else "non-finite"
+        assert any(n == line and expected in message
                    for n, message in err.value.errors)
 
     def test_retired_tech_keys_are_accepted_and_not_emitted(self):
@@ -177,7 +182,7 @@ class TestRoundTrip:
 
 class TestThermalMaps:
     def _field(self):
-        grid = GridSpec(3, 2, 1e-4, 1)
+        grid = GridSpec(3, 2, 100_000, 1)
         t = np.array([[[300.0, 301.234, 302.567],
                        [303.0, 304.5, 305.999]]])
         return TemperatureField(t, 0.0), grid
@@ -195,7 +200,7 @@ class TestThermalMaps:
         assert any("layer 0" in h for h in header)
 
     def test_writes_one_file_per_layer(self, tmp_path):
-        grid = GridSpec(2, 2, 1e-4, 3)
+        grid = GridSpec(2, 2, 100_000, 3)
         field = TemperatureField(np.full((3, 2, 2), 300.0), 0.0)
         paths = write_thermal_maps(field, grid, tmp_path)
         assert [p.name for p in paths] == ["layer0.map", "layer1.map", "layer2.map"]
@@ -212,9 +217,20 @@ def test_shipped_design_file_equals_its_builder(name):
     assert parse_design("<emitted>", text=emit_design(design)) == design
 
 
+def _same_lengths(line, emitted):
+    """Whether two lines have the same tokens, a length in any spelling."""
+    def value(token):
+        try:
+            return parse_length(token)
+        except DesignError:
+            return token
+    return [value(t) for t in line.split()] == [value(t) for t in emitted.split()]
+
+
 @pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_design_is_its_builder_plus_the_retired_lines(name):
-    # the file is emit_design of its own parse plus the four retired lines
+    # the file is emit_design of its own parse plus the four retired lines;
+    # the file spells lengths in float metres, as emit_design once wrote them
     path = REPO / "designs" / f"{name}.design"
     shipped = path.read_text().splitlines()
     key = lambda line: line.partition("=")[0].strip()
@@ -224,7 +240,9 @@ def test_shipped_design_is_its_builder_plus_the_retired_lines(name):
     section_end = next(i for i in range(tech + 1, len(shipped)) if not shipped[i])
     assert all(tech < i < section_end for i in retired)
     kept = [line for i, line in enumerate(shipped) if i not in retired]
-    assert kept == emit_design(parse_design(path)).splitlines()
+    emitted = emit_design(parse_design(path)).splitlines()
+    assert len(kept) == len(emitted)
+    assert all(_same_lengths(line, again) for line, again in zip(kept, emitted))
 
 
 # FULL plus a [nets] section, so that every section of the format is present

@@ -15,8 +15,10 @@ from tsvplan.model import move_farm
 from tsvplan.thermal import grid_for, solve_design
 from tsvplan.errors import DesignError
 
-from conftest import (MM, SHIPPED, block, farm, make_design, make_tech, one_cell_resistances,
-                      shipped_design)
+from tsvplan.units import metres
+
+from conftest import (MM, SHIPPED, block, farm, make_design, make_tech, mm,
+                      one_cell_resistances, shipped_design)
 
 
 class TestConductionEfficiency:
@@ -26,12 +28,12 @@ class TestConductionEfficiency:
     def test_silicon_example(self):
         assert conduction_efficiency(149.0, 1e-9, 1e-4) == pytest.approx(1.49e-3)
 
-    @given(st.floats(0.1, 500.0), st.floats(1e-12, 1e-6), st.floats(1e-6, 1e-2))
-    def test_reciprocal_of_resistance(self, k, area, distance):
-        eff = conduction_efficiency(k, area, distance)
-        # the in-plane resistance of a silicon cell `distance` wide with an
-        # `area` section
-        r_lat, _ = one_cell_resistances(distance, area / distance, k)
+    @given(st.floats(0.1, 500.0), st.integers(1, 10**6), st.integers(10**3, 10**7))
+    def test_reciprocal_of_resistance(self, k, thickness, distance):
+        eff = conduction_efficiency(k, metres(distance * thickness, 2), metres(distance))
+        # the in-plane resistance of a silicon cell `distance` nm wide and
+        # `thickness` nm thick
+        r_lat, _ = one_cell_resistances(distance, thickness, k)
         assert eff == pytest.approx(1.0 / r_lat, rel=1e-12)
 
     def test_farm_segment_lowers_efficiency_vs_series_oracle(self):
@@ -52,14 +54,14 @@ class TestWirelength:
         d = make_design(
             blocks=(block("b", 0, 1.3, 1.6, 0.4, 0.4),),  # center (1.5, 1.8)
             farms=(farm("f", 0.0, 0.0, 0.4, 0.4, clients=("b",)),))  # center (.2, .2)
-        assert wirelength(d) == pytest.approx((1.3 + 1.6) * MM)
+        assert wirelength(d) == metres(mm(1.3) + mm(1.6)) == 2.9e-3
 
     def test_two_clients_sum(self):
         d = make_design(
             blocks=(block("p", 0, 0.8, 1.8, 0.4, 0.2),   # center (1.0, 1.9)
                     block("q", 0, 1.4, 0.8, 0.4, 0.2),), # center (1.6, 0.9)
             farms=(farm("f", 0.0, 0.0, 0.4, 0.4, clients=("p", "q")),))
-        expected = (0.8 + 1.7) * MM + (1.4 + 0.7) * MM
+        expected = 0.8e-3 + 1.7e-3 + 1.4e-3 + 0.7e-3
         assert wirelength(d) == pytest.approx(expected)
 
     def test_translation_invariance(self):
@@ -67,7 +69,7 @@ class TestWirelength:
             return make_design(
                 blocks=(block("b", 0, 0.5 + offset, 0.5, 0.4, 0.4),),
                 farms=(farm("f", 0.0 + offset, 0.0, 0.4, 0.4, clients=("b",)),))
-        assert wirelength(design(0.0)) == pytest.approx(wirelength(design(0.7)))
+        assert wirelength(design(0.0)) == wirelength(design(0.7))
 
     def test_dangling_reference(self):
         d = make_design(farms=(farm("f", 0.0, 0.0, 0.4, 0.4, clients=("nope",)),))
@@ -138,39 +140,39 @@ class TestTotalEfficiency:
         pairs = adjacent_block_pairs(d.floorplan.blocks, d.stack.tech)
         assert len(pairs) == 1
         # shared face 0.4 mm x 10 um thick silicon, centers 0.4 mm apart
-        expected = 149.0 * (0.4 * MM * 10e-6) / (0.4 * MM)
+        expected = 149.0 * (0.4e-3 * 10e-6) / 0.4e-3
         assert total_efficiency(d) == pytest.approx(expected)
 
     def test_farm_in_corridor_lowers_pair_efficiency(self):
-        tech = make_tech(adjacency_window=1.0 * MM)
+        tech = make_tech(adjacency_window=MM)
         blocks = (block("hot", 0, 0.2, 0.8, 0.4, 0.4),
                   block("cold", 0, 1.4, 0.8, 0.4, 0.4))
         blocked = make_design(
             blocks=blocks, tech=tech,
             farms=(farm("f", 0.7, 0.8, 0.4, 0.4, start=0, end=1),))
-        open_corridor = move_farm(blocked, "f", (0.7 * MM, 1.5 * MM))
+        open_corridor = move_farm(blocked, "f", (mm(0.7), mm(1.5)))
         assert total_efficiency(open_corridor) > total_efficiency(blocked)
         # series oracle for the blocked value: the farm covers the whole
         # shared face, so every strip crosses 0.4 mm of it
         table = strip_table(blocked.floorplan.blocks, blocked.stack)
         k_eff = path_conductivity(table, blocked.floorplan.farms)
         assert len(table.pairs) == 1 and len(k_eff) == 4
-        x, crossing = 1.2 * MM, 0.4 * MM
+        x, crossing = 1.2e-3, 0.4e-3
         k_oracle = x / (crossing / 0.5 + (x - crossing) / 149.0)
         assert k_eff == pytest.approx([k_oracle] * 4, rel=1e-12)
 
     def test_landing_layer_farm_does_not_block(self):
         blocks = (block("a", 1, 0.2, 0.8, 0.4, 0.4),
                   block("b", 1, 1.4, 0.8, 0.4, 0.4))
-        d = make_design(blocks=blocks, tech=make_tech(adjacency_window=1.0 * MM),
+        d = make_design(blocks=blocks, tech=make_tech(adjacency_window=MM),
                         farms=(farm("f", 0.7, 0.8, 0.4, 0.4, start=0, end=1),))
-        pure = 149.0 * (0.4 * MM * 10e-6) / (1.2 * MM)
+        pure = 149.0 * (0.4e-3 * 10e-6) / 1.2e-3
         assert total_efficiency(d) == pytest.approx(pure)
 
     def test_area_term_stable_under_interior_move(self, two_layer_design):
         d = two_layer_design
         before = floorplan_area(d.floorplan)
-        moved = move_farm(d, "bus", (1.0 * MM, 0.4 * MM))
+        moved = move_farm(d, "bus", (MM, mm(0.4)))
         assert floorplan_area(moved.floorplan) == before
 
     @pytest.mark.parametrize("name", ["tenths", "blockage"])
@@ -211,7 +213,7 @@ class TestCalibratedWeights:
         d = make_design(blocks=(block("hot", 0, 0.2, 0.8, 0.4, 0.4, power=1.0),
                                 block("cold", 0, 0.8, 0.8, 0.4, 0.4)),
                         farms=(farm("f", 0.1, 0.1, 0.4, 0.4, clients=("hot",)),),
-                        tech=make_tech(adjacency_window=1.0 * MM))
+                        tech=make_tech(adjacency_window=MM))
         grid = grid_for(d.stack)
         field = solve_design(d, grid)
         w = CostWeights.calibrated(d, field)
@@ -236,7 +238,7 @@ class TestCalibratedWeights:
         wl_w = anchor / (0.01 * wl0) if wl0 > 0 else 0.0
         x0, y0, x1, y1 = d.floorplan.bounding_box
         assert CostWeights.calibrated(d, field) == CostWeights(
-            area_w, -1.0, area_w * (tech.footprint_width * tech.footprint_height), wl_w,
+            area_w, -1.0, area_w * metres(tech.footprint_width * tech.footprint_height, 2), wl_w,
             (x1 - x0) / (y1 - y0) if y1 - y0 > 0 else 1.0)
 
 
@@ -261,7 +263,7 @@ def batch_wirelength(design):
         for client in f.clients:
             cx, cy = centers[client]
             total += abs(fx - cx) + abs(fy - cy)
-    return total
+    return metres(total)
 
 
 def batch_area(design):
@@ -269,7 +271,7 @@ def batch_area(design):
     fp = design.floorplan
     rects = [(e.x, e.y, e.x + e.width, e.y + e.height) for e in fp.blocks + fp.farms]
     x0, y0 = min(r[0] for r in rects), min(r[1] for r in rects)
-    return (max(r[2] for r in rects) - x0) * (max(r[3] for r in rects) - y0)
+    return metres((max(r[2] for r in rects) - x0) * (max(r[3] for r in rects) - y0), 2)
 
 
 WEIGHTS = CostWeights(area=1e3, efficiency=-1.0, ratio=1e-6, wirelength=0.5)
@@ -325,7 +327,7 @@ class TestPerFarmRows:
                            clients=(f"w{start}", f"e{min(start + extra, 2)}"))
                       for i, (ix, iy, height, start, extra, k) in enumerate(specs))
         design = make_design(blocks=blocks, farms=farms, num_layers=3,
-                             tech=make_tech(adjacency_window=2.0 * MM))
+                             tech=make_tech(adjacency_window=2 * MM))
         expected = batch_efficiency(design), batch_cost(design)
         ev = Evaluator(design, grid_for(design.stack), WEIGHTS)
         for _ in range(2):   # the first call fills the context's memos, the second reads them

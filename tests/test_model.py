@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -11,19 +10,19 @@ import numpy as np
 from tsvplan.anneal import Evaluator, gen_move
 from tsvplan.metrics import CostWeights
 from tsvplan.model import (Block, Floorplan, Material, TsvFarm, _place_farm, farm_neighbours,
-                           farm_overlap, fixed_conflict, legal_origins, move_farm,
+                           farm_overlap, farm_shape, fixed_conflict, legal_origins, move_farm,
                            origin_lattice, rects_overlap, reshape_farm,
                            validate)
 from tsvplan.thermal import grid_for
 
-from conftest import MM, SHIPPED, UM, block, farm, make_design, make_tech, shipped_design
+from conftest import MM, SHIPPED, UM, block, farm, make_design, make_tech, mm, shipped_design
 
 
 def rect_intersects(a, b):
     # independent oracle: closed-interval test with strict interior overlap
     ix = min(a[2], b[2]) - max(a[0], b[0])
     iy = min(a[3], b[3]) - max(a[1], b[1])
-    return ix > 1e-12 and iy > 1e-12
+    return ix > 0 and iy > 0
 
 
 NAN = float("nan")
@@ -63,7 +62,7 @@ BAD_NUMBERS = {
     "k-farm-max-inf": (_tech(k_farm_max=float("inf")), "k-farm-range"),
     "aspect-ratio-zero": (_tech(aspect_ratios=(0.0, 1.0)), "aspect-ratios-positive"),
     "aspect-ratio-nan": (_tech(aspect_ratios=(1.0, NAN)), "aspect-ratios-positive"),
-    "bond-thickness-negative": (_tech(bond_thickness=-5e-6), "bond-thickness-range"),
+    "bond-thickness-negative": (_tech(bond_thickness=-5 * UM), "bond-thickness-range"),
     "bond-thickness-nan": (_tech(bond_thickness=NAN), "bond-thickness-range"),
     "bond-conductivity-zero": (_tech(bond_conductivity=0.0), "bond-conductivity-positive"),
     "bond-conductivity-negative": (_tech(bond_conductivity=-0.29),
@@ -72,7 +71,7 @@ BAD_NUMBERS = {
                               "bond-conductivity-positive"),
     "leakage-tref-negative": (_tech(leakage_tref=-5.0), "leakage-tref-positive"),
     "leakage-tref-nan": (_tech(leakage_tref=NAN), "leakage-tref-positive"),
-    "adjacency-window-negative": (_tech(adjacency_window=-1e-3), "adjacency-window-positive"),
+    "adjacency-window-negative": (_tech(adjacency_window=-MM), "adjacency-window-positive"),
     "adjacency-window-nan": (_tech(adjacency_window=NAN), "adjacency-window-positive"),
     "material-nan": (lambda d: dataclasses.replace(d, materials=(Material("silicon", NAN),)),
                      "conductivity-positive"),
@@ -113,10 +112,13 @@ class TestValidate:
         assert "no-overlap" in rules
 
     def test_area_conservation_flagged(self):
-        bad = dataclasses.replace(farm("f", 0.5, 0.5, 0.4, 0.4),
-                                  area=0.4 * 0.4 * MM * MM * 1.001)
-        d = make_design(farms=(bad,))
-        assert any(v.rule == "area-conserved" for v in validate(d))
+        good = farm("f", 0.5, 0.5, 0.4, 0.4)
+        # w * h may miss the area by farm_shape's rounding, half a nm per side
+        slack = (good.width + good.height) // 2
+        for area, conserved in ((good.area + slack, True), (good.area - slack, True),
+                                (good.area + slack + 1, False), (good.area * 1001 // 1000, False)):
+            d = make_design(farms=(dataclasses.replace(good, area=area),))
+            assert any(v.rule == "area-conserved" for v in validate(d)) is not conserved
 
     def test_wellformed_design_is_clean(self, two_layer_design):
         d = two_layer_design
@@ -144,24 +146,26 @@ class TestValidate:
         assert any(v.rule == "aspect-ratio-candidate" for v in validate(d))
 
     def test_bad_layer_thickness_flagged(self):
-        d = make_design(thickness=5e-6)
+        d = make_design(thickness=5 * UM)
         assert any(v.rule == "layer-thickness-range" for v in validate(d))
+        assert validate(make_design(thickness=10 * UM)) == []
+        assert validate(make_design(thickness=800 * UM)) == []
+        assert any(v.rule == "layer-thickness-range"
+                   for v in validate(make_design(thickness=800 * UM + 1)))
 
 
 class TestReshape:
     def test_square_ratio(self):
         d = make_design(farms=(farm("f", 0.5, 0.5, 0.4, 0.4),))
         out = reshape_farm(d, "f", 1.0).floorplan.farm("f")
-        assert out.width == pytest.approx(0.4 * MM)
-        assert out.height == pytest.approx(0.4 * MM)
+        assert (out.width, out.height) == (mm(0.4), mm(0.4))
 
     def test_ratio_four(self):
         # area 4 mm^2, ratio 4 -> 4 mm x 1 mm
         tech = make_tech(footprint_width=4 * MM, footprint_height=4 * MM)
         d = make_design(farms=(farm("f", 0.0, 0.0, 2.0, 2.0),), tech=tech)
         out = reshape_farm(d, "f", 4.0).floorplan.farm("f")
-        assert out.width == pytest.approx(4.0 * MM, rel=1e-12)
-        assert out.height == pytest.approx(1.0 * MM, rel=1e-12)
+        assert (out.width, out.height) == (4 * MM, MM)
 
     def test_footprint_exit_rejected(self):
         # 4 mm wide result does not fit a 3 mm footprint
@@ -179,7 +183,7 @@ class TestReshape:
     def test_anchor_is_lower_left(self):
         d = make_design(farms=(farm("f", 0.3, 0.7, 0.4, 0.4),))
         out = reshape_farm(d, "f", 4.0).floorplan.farm("f")
-        assert (out.x, out.y) == (0.3 * MM, 0.7 * MM)
+        assert (out.x, out.y) == (mm(0.3), mm(0.7))
 
     @given(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]))
     def test_reshape_round_trip(self, ratio):
@@ -190,43 +194,42 @@ class TestReshape:
         except InvalidMoveError:
             return
         back = reshape_farm(there, "f", original.aspect_ratio).floorplan.farm("f")
-        assert back.width == pytest.approx(original.width, rel=1e-12)
-        assert back.height == pytest.approx(original.height, rel=1e-12)
+        assert (back.width, back.height) == (original.width, original.height)
 
 
 class TestMove:
     def test_move_into_whitespace(self):
         d = make_design(farms=(farm("f", 0.5, 0.5, 0.4, 0.4),))
-        out = move_farm(d, "f", (1.2 * MM, 1.2 * MM)).floorplan.farm("f")
-        assert (out.x, out.y) == (1.2 * MM, 1.2 * MM)
-        assert validate(move_farm(d, "f", (1.2 * MM, 1.2 * MM))) == []
+        out = move_farm(d, "f", (mm(1.2), mm(1.2))).floorplan.farm("f")
+        assert (out.x, out.y) == (mm(1.2), mm(1.2))
+        assert validate(move_farm(d, "f", (mm(1.2), mm(1.2)))) == []
 
     def test_move_onto_macro_rejected(self):
         d = make_design(blocks=(block("m", 0, 1.0, 1.0, 0.6, 0.6),),
                         farms=(farm("f", 0.1, 0.1, 0.4, 0.4),))
         with pytest.raises(InvalidMoveError):
-            move_farm(d, "f", (1.1 * MM, 1.1 * MM))
+            move_farm(d, "f", (mm(1.1), mm(1.1)))
 
     def test_prism_rule_rejects_upper_layer_conflict(self):
         # legal on layer 0 but an obstacle sits on layer 1: prism must reject
         d = make_design(blocks=(block("obstacle", 1, 1.0, 1.0, 0.6, 0.6),),
                         farms=(farm("f", 0.1, 0.1, 0.4, 0.4, start=0, end=1),))
         with pytest.raises(InvalidMoveError):
-            move_farm(d, "f", (1.1 * MM, 1.1 * MM))
+            move_farm(d, "f", (mm(1.1), mm(1.1)))
         # same target with a farm that does not span layer 1 is fine
         d2 = make_design(blocks=(block("obstacle", 1, 1.0, 1.0, 0.6, 0.6),),
                          farms=(farm("f", 0.1, 0.1, 0.4, 0.4, start=0, end=0),))
-        assert move_farm(d2, "f", (1.1 * MM, 1.1 * MM))
+        assert move_farm(d2, "f", (mm(1.1), mm(1.1)))
 
     def test_out_of_footprint_rejected(self):
         d = make_design(farms=(farm("f", 0.5, 0.5, 0.4, 0.4),))
         with pytest.raises(InvalidMoveError):
-            move_farm(d, "f", (1.9 * MM, 0.0))
+            move_farm(d, "f", (mm(1.9), 0))
 
     def test_touching_edges_are_legal(self):
         d = make_design(blocks=(block("m", 0, 1.0, 1.0, 0.6, 0.6),),
                         farms=(farm("f", 0.1, 0.1, 0.4, 0.4),))
-        out = move_farm(d, "f", (0.6 * MM, 1.0 * MM))
+        out = move_farm(d, "f", (mm(0.6), MM))
         assert validate(out) == []
 
 
@@ -252,7 +255,7 @@ def test_accepted_operations_keep_design_valid(ops):
         except InvalidMoveError:
             continue
         assert validate(d) == []
-    assert sum(f.area for f in d.floorplan.farms) == pytest.approx(total_area, rel=1e-12)
+    assert sum(f.area for f in d.floorplan.farms) == total_area
     # prism property: every spanned layer sees the identical rectangle
     for f in d.floorplan.farms:
         rects = {f.rect for layer in range(f.start_layer, f.end_layer + 1)}
@@ -261,10 +264,12 @@ def test_accepted_operations_keep_design_valid(ops):
 
 def test_rects_overlap_matches_oracle():
     cases = [
-        ((0, 0, 1, 1), (0.5, 0, 1.5, 1)),
-        ((0, 0, 1, 1), (1.0, 0, 2.0, 1)),   # touching
-        ((0, 0, 1, 1), (2.0, 2.0, 3.0, 3.0)),
-        ((0, 0, 2, 2), (0.5, 0.5, 1.0, 1.0)),  # containment
+        ((0, 0, 2, 2), (1, 0, 3, 2)),
+        ((0, 0, 2, 2), (2, 0, 4, 2)),   # touching
+        ((0, 0, 2, 2), (2, 2, 3, 3)),   # touching at a corner
+        ((0, 0, 2, 2), (4, 4, 6, 6)),
+        ((0, 0, 4, 4), (1, 1, 2, 2)),   # containment
+        ((0, 0, 2, 2), (1, 1, 3, 3)),   # one nanometre square in common
     ]
     for a, b in cases:
         assert rects_overlap(a, b) == rect_intersects(a, b)
@@ -289,8 +294,7 @@ def legal_by_full_scan(design, index, rect):
     stack, fp = design.stack, design.floorplan
     farm = fp.farms[index]
     w, h = stack.footprint
-    tol = 1e-12 * max(w, h)
-    if not (rect[0] >= -tol and rect[1] >= -tol and rect[2] <= w + tol and rect[3] <= h + tol):
+    if not (rect[0] >= 0 and rect[1] >= 0 and rect[2] <= w and rect[3] <= h):
         return False
     for layer in range(farm.start_layer, farm.end_layer + 1):
         occupants = [b.rect for b in fp.blocks if b.layer == layer]
@@ -322,7 +326,7 @@ def test_move_farm_reports_fixed_conflict_then_farm_overlap(name, seed, data):
     for _ in range(data.draw(st.integers(0, 40), label="walk")):   # a random state
         state, _, _ = gen_move(ev, state, list(range(len(state))), rng)
     design = ev.design_of(state)
-    half = design.stack.tech.grid_cell / 2
+    half = design.stack.tech.grid_cell // 2
     sides = st.sampled_from(["none", "east", "west", "north", "south"])
     # every farm, placed next to every farm: on the half-cell lattice around
     # it, or abutting it exactly on one side
@@ -352,10 +356,10 @@ def test_fixed_conflict_names_the_first_block_layer_by_layer():
     d = make_design(blocks=(block("upper", 1, 0.8, 0.8, 0.4, 0.4),
                             block("lower", 0, 0.9, 0.9, 0.4, 0.4),
                             block("lower2", 0, 0.6, 0.6, 0.4, 0.4)))
-    rect = (0.8 * MM, 0.8 * MM, 1.2 * MM, 1.2 * MM)
+    rect = (mm(0.8), mm(0.8), mm(1.2), mm(1.2))
     assert fixed_conflict(d.stack, d.floorplan.blocks, 0, 1, rect) == "overlaps lower on layer 0"
     assert fixed_conflict(d.stack, d.floorplan.blocks, 1, 1, rect) == "overlaps upper on layer 1"
-    assert fixed_conflict(d.stack, d.floorplan.blocks, 0, 1, (1.8 * MM, 0.0, 2.2 * MM, 0.4 * MM)) \
+    assert fixed_conflict(d.stack, d.floorplan.blocks, 0, 1, (mm(1.8), 0, mm(2.2), mm(0.4))) \
         == "leaves footprint"
 
 
@@ -391,18 +395,18 @@ def test_memoized_legality_matches_a_full_scan(name, data):
         kind = data.draw(st.sampled_from(["grid", "touch", "edge", "reshape"]), label="kind")
         if kind == "reshape":   # anchored at the lower-left, as reshape_farm does
             ratio = data.draw(st.sampled_from(design.stack.tech.aspect_ratios))
-            width, height = math.sqrt(farm.area * ratio), math.sqrt(farm.area / ratio)
+            width, height = farm_shape(farm.area, ratio)
             x, y = farm.x, farm.y
         elif kind == "touch":   # abut a block on one side, or share its edge
             b = data.draw(st.sampled_from(design.floorplan.blocks))
             x = data.draw(st.sampled_from([b.x - width, b.x, b.x + b.width]))
             y = data.draw(st.sampled_from([b.y - height, b.y, b.y + b.height]))
         elif kind == "edge":    # origins on and just past the footprint's edges
-            x = data.draw(st.sampled_from([0.0, fw - width, fw - width + cell, -cell]))
-            y = data.draw(st.sampled_from([0.0, fh - height, fh - height + cell, -cell]))
+            x = data.draw(st.sampled_from([0, fw - width, fw - width + 1, -1, -cell]))
+            y = data.draw(st.sampled_from([0, fh - height, fh - height + 1, -1, -cell]))
         else:
-            x = data.draw(st.integers(0, int(fw / cell))) * cell
-            y = data.draw(st.integers(0, int(fh / cell))) * cell
+            x = data.draw(st.integers(0, fw // cell)) * cell
+            y = data.draw(st.integers(0, fh // cell)) * cell
         rect = (x, y, x + width, y + height)
         # the same rectangle for each farm of the same shape, whose span may differ
         same_shape = [k for k, f in enumerate(design.floorplan.farms)
@@ -427,7 +431,7 @@ def test_origin_raster_equals_the_scalar_check(name, cell):
     design = shipped_design(name)
     stack, fp = design.stack, design.floorplan
     # a raster depends on the farm's span and shape only
-    shapes = {(f.start_layer, f.end_layer, math.sqrt(f.area * r), math.sqrt(f.area / r)): f
+    shapes = {(f.start_layer, f.end_layer, *farm_shape(f.area, r)): f
               for f in fp.farms for r in stack.tech.aspect_ratios}
     legal = illegal = 0
     for (_, _, width, height), f in shapes.items():
@@ -447,10 +451,10 @@ def test_origin_raster_equals_the_scalar_check(name, cell):
 @given(st.data())
 def test_origin_raster_equals_the_scalar_check_on_random_floorplans(data):
     """The same comparison on random footprints, cells, shapes and blocks,
-    with lengths that are not exact multiples of the cell in binary."""
-    cell = data.draw(st.sampled_from([100 * UM, 9.999999999999999e-05, 25 * UM, 1e-4 / 3]))
+    with lengths that are not multiples of the cell."""
+    cell = data.draw(st.sampled_from([100 * UM, 25 * UM, 33_333, 7]))
     side = data.draw(st.integers(2, 24)) * cell
-    length = st.builds(lambda n, d: n * cell / d, st.integers(1, 12), st.sampled_from([1, 2, 3]))
+    length = st.builds(lambda n, d: n * cell // d, st.integers(1, 12), st.sampled_from([1, 2, 3]))
     blocks = tuple(
         Block(f"b{i}", data.draw(st.integers(0, 1)), data.draw(length), data.draw(length),
               data.draw(length), data.draw(length))
@@ -458,7 +462,7 @@ def test_origin_raster_equals_the_scalar_check_on_random_floorplans(data):
     start = data.draw(st.integers(0, 1))
     end = data.draw(st.integers(start, 1))
     width, height = data.draw(length), data.draw(length)
-    f = TsvFarm("f", 0.0, 0.0, width, height, start, end, 0.5, 173.0, width * height)
+    f = TsvFarm("f", 0, 0, width, height, start, end, 0.5, 173.0, width * height)
     design = make_design(blocks=blocks, farms=(f,),
                          tech=make_tech(footprint_width=side, footprint_height=side,
                                         grid_cell=cell))

@@ -1,11 +1,10 @@
 """The tables a run computes once from its fixed blocks, against what they
 replace: the move table kept or built for each state against one built
-from every farm's groups, reshape legality read from legal_origins' rasters
-against fixed_conflict, and the blocks' cell weights and power raster
-against the per-call formulas. Each must give the same floats; a work-count
-guard pins how much of that work a fixed-seed run does."""
+from every farm's groups, each farm's reshape options against
+fixed_conflict, and the blocks' cell weights and power raster against the
+per-call formulas. Each must give the same values; a work-count guard pins
+how much of that work a fixed-seed run does."""
 
-import math
 import random
 from itertools import accumulate
 
@@ -16,13 +15,13 @@ import tsvplan.anneal as anneal
 import tsvplan.model as model
 import tsvplan.thermal as thermal
 from tsvplan.anneal import AnnealConfig, Evaluator, gen_move, optimize_stack
-from tsvplan.model import Floorplan, fixed_conflict, origin_lattice
+from tsvplan.model import Floorplan, farm_shape, fixed_conflict, origin_lattice
 from tsvplan.thermal import (LeakageOperator, block_cell_weights, build_network,
                              couple_leakage, field_stats, grid_for, rasterize, system_matrix)
 
 from conftest import SHIPPED, shipped_design
 
-CELLS = {"100um": None, "50um": 50e-6, "25um": 25e-6}   # None: the design's grid_cell
+CELLS = {"100um": None, "50um": 50_000, "25um": 25_000}   # nm; None: the design's grid_cell
 
 
 def _scratch_table(ev, state, eligible):
@@ -70,31 +69,36 @@ def test_a_move_table_equals_one_built_from_every_farms_groups(name, cell):
 @pytest.mark.parametrize("cell", CELLS.values(), ids=CELLS.keys())
 @pytest.mark.parametrize("name", SHIPPED)
 def test_reshape_legality_agrees_with_fixed_conflict(name, cell):
-    # every farm, every configured ratio, at lattice anchors (all of them at
+    # every farm, in each configured shape, at lattice anchors (all of them at
     # 100 um, a seeded sample and the lattice's far edges below), anchors one
-    # step past those edges, and off-lattice anchors, the farm's own among them
+    # step past those edges, and off-lattice anchors, the farm's own among
+    # them: its reshape options are the other shapes, anchored there, that
+    # fixed_conflict passes
     design = shipped_design(name)
     grid = grid_for(design.stack, cell)
     ev, step = Evaluator(design, grid), grid.cell_size
     stack, blocks, pick = design.stack, design.floorplan.blocks, random.Random(11)
     checked = {True: 0, False: 0}
-    for farm in design.floorplan.farms:
+    for index, farm in enumerate(design.floorplan.farms):
         start, end = farm.start_layer, farm.end_layer
-        for ratio in stack.tech.aspect_ratios:
-            width, height = math.sqrt(farm.area * ratio), math.sqrt(farm.area / ratio)
+        shapes = [farm_shape(farm.area, r) for r in stack.tech.aspect_ratios]
+        for width, height in shapes:
             nx, ny = origin_lattice(stack, width, height, step)
             points = [(ix, iy) for ix in range(nx + 1) for iy in range(ny + 1)]
             if cell is not None:
                 points = pick.sample(points, 150) + [(ix, iy) for ix in (nx - 1, nx)
                                                      for iy in (0, ny - 1, ny)]
             anchors = [(ix * step, iy * step) for ix, iy in points]
-            anchors += [(x + step / 3, y) for x, y in anchors[:40]]
-            anchors += [(farm.x, farm.y), (farm.x, farm.y + step / 7)]
+            anchors += [(x + step // 3, y) for x, y in anchors[:40]]
+            anchors += [(farm.x, farm.y), (farm.x, farm.y + step // 7)]
+            others = [s for s in shapes if s != (width, height)]
             for x, y in anchors:
-                expected = fixed_conflict(stack, blocks, start, end,
-                                          (x, y, x + width, y + height)) is None
-                assert ev._fits(x, y, width, height, start, end) == expected, (farm.name, x, y)
-                checked[expected] += 1
+                legal = [(x, y, w, h) for w, h in others
+                         if fixed_conflict(stack, blocks, start, end, (x, y, x + w, y + h)) is None]
+                groups = ev._farm_moves(ev.place(index, (x, y, width, height)), 0.5)
+                assert [g.options for g in groups if g.kind == "reshape"] == (
+                    [legal] if legal else []), (farm.name, x, y)
+                checked[len(legal) == len(others)] += 1
     assert checked[True] and checked[False]
 
 
@@ -146,11 +150,11 @@ def test_block_rasters_equal_the_per_call_formulas(name, cell):
 
 def test_a_run_computes_what_the_blocks_fix_once(monkeypatch):
     """Work counts of a seed-1 multicore run at max_moves=20. Before the
-    per-run tables: 560 TsvFarm.placed calls (532 of them for priced rows),
-    114 block_cell_weights calls (2 solves x 30 and 3 summaries x 18) and
-    382 fixed_conflict calls (191 groups x 2 reshapes). One raster took 18
-    block_cell_weights calls, one per block, before blocks of one rectangle
-    shared an entry."""
+    per-run tables: 560 TsvFarm.placed calls (532 of them for priced rows)
+    and 114 block_cell_weights calls (2 solves x 30 and 3 summaries x 18).
+    One raster took 18 block_cell_weights calls, one per block, before
+    blocks of one rectangle shared an entry. Each farm's move groups check
+    its 2 reshapes with fixed_conflict, exact in integers."""
     counts = dict.fromkeys(("placed", "block_cell_weights", "fixed_conflict"), 0)
 
     def counted(name, inner):
@@ -166,7 +170,5 @@ def test_a_run_computes_what_the_blocks_fix_once(monkeypatch):
     result = optimize_stack(shipped_design("multicore"), AnnealConfig(seed=1, max_moves=20))
     assert (len(result.trace.moves), result.evaluations) == (1720, 1922)
     # 4 designs built for 2 solves and 2 snapshots, x 7 farms; one raster of
-    # 18 blocks on 11 distinct rectangles; 13 groups anchored off the
-    # lattice, x 2 reshapes, and 16 reshapes anchored past the edge of their
-    # shape's lattice
-    assert counts == {"placed": 28, "block_cell_weights": 11, "fixed_conflict": 42}
+    # 18 blocks on 11 distinct rectangles; 187 groups x 2 reshapes
+    assert counts == {"placed": 28, "block_cell_weights": 11, "fixed_conflict": 374}

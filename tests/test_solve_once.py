@@ -126,14 +126,16 @@ def test_a_run_keeps_no_field_after_its_result_is_dropped():
 # 4,096 cells a plane: fields moved by at most 1.2e-10 K, and the moves,
 # draws, acceptances and best floorplans stayed. And when the V-cycle's
 # smoothed levels went to float32: fields moved by at most 1.4e-10 K, and the
-# moves, draws, acceptances and best floorplans stayed.
+# moves, draws, acceptances and best floorplans stayed. And when lengths became
+# whole nanometres: the grid cell is exactly 100 um, not 9.999999999999999e-05 m,
+# so the lattice, the prices and so the trajectory changed.
 GOLDEN_CLI_OPTIMIZE = (
-    "64f32a374414b109cbb8e4ce63538cefd63c137914af63f3b66cc1ab0f19928b",
-    "c38515fcc09bbe5f084c87ee816462f7d65189a6381e6bc275d5e87e33ade92f",
+    "4e0c541f2cb7d757462f65531bc2f4f6290ad88d28b3c11cf6ed736dd5834a4c",
+    "565584fa64b9a138ab75834ee81fdb00f0b970d71ed9e482ecc3841f7d24cfaa",
 )
 GOLDEN_SWEEP_LAYERS = (
-    "206454fc9089e42f5cc26fb3378ee641381e6e060b4a861f0de1765db98391c9",
-    "d9b1b690aac91a6285269397fe1f9cf32f03561f0333c573562516e53792ae8a",
+    "26d9153baca2b51348bb0a42537991b6120bb8e6bb370a51f2940b4d79022bc6",
+    "b2a036748fac7b0eead6654c605caf1a764a814f89023feeab2ead4d51055622",
 )
 
 
@@ -195,18 +197,20 @@ def test_cli_optimize_matches_optimize_stack(monkeypatch, tmp_path, options):
 # analyze's stdout without its "wrote" lines, and the SHA-256 of its map files
 # in name order, recorded while the leakage coefficient still reached the solve
 # as an override parameter. The leaky one was re-recorded when the leakage
-# fixed point became one solve of G_eff, which lands 0.002 K closer to it.
+# fixed point became one solve of G_eff, which lands 0.002 K closer to it. Both
+# maps were re-recorded when lengths became whole nanometres: the header reads
+# cell_size_m 0.0001, and the fields moved by at most 1.6e-12 K.
 GOLDEN_ANALYZE = {
     (): ([
         "peakT 404.0710 K  avgT 328.7655 K  hottest cpu (389.7441 K)",
         "layer 0: avg 328.7643 K  peak 404.0710 K",
         "layer 1: avg 328.7667 K  peak 403.9698 K",
-    ], "4c6bca6586012184712a8bfa26de6c13899b80570b66547e4f163bc357880cda"),
+    ], "c713cd0c466b3840ed894ea469e98576add794b2a72947268f54a8d993e5b044"),
     ("--leakage-lambda", "0"): ([
         "peakT 381.6173 K  avgT 323.2013 K  hottest cpu (370.4118 K)",
         "layer 0: avg 323.2000 K  peak 381.6173 K",
         "layer 1: avg 323.2026 K  peak 381.5381 K",
-    ], "35dc83d176f59c00b3f73f77d1dd6aa4452981a940609e879f96a2c42bb2d3d6"),
+    ], "32ce49e41d99c43f4884c093305e793a94fae6f4bb38715e09a9147009d18f23"),
 }
 
 

@@ -11,6 +11,7 @@ from tsvplan.anneal import AnnealConfig, FlowConfig, optimize_stack
 from tsvplan.errors import InvalidMoveError
 from tsvplan.metrics import total_efficiency
 from tsvplan.model import move_farm, reshape_farm
+from tsvplan.units import metres
 
 from conftest import SHIPPED, shipped_design, split_digests
 
@@ -39,13 +40,14 @@ def oracle_pairs(design):
 
 
 def oracle_strip_k(design, a, b, axis, line):
-    """Series conductivity of one strip, walking the farms one by one."""
+    """Series conductivity of one strip, walking the farms one by one, and
+    the strip's path length, in m."""
     k_si = design.stack.layers[a.layer].material.conductivity
     if axis == "x":
         lo, hi = sorted((a.center[0], b.center[0]))
     else:
         lo, hi = sorted((a.center[1], b.center[1]))
-    distance = hi - lo
+    distance = metres(hi - lo)
     crossing = farm_length = 0.0
     for farm in design.floorplan.farms:
         if not farm.blocks_laterally(a.layer):
@@ -60,6 +62,7 @@ def oracle_strip_k(design, a, b, axis, line):
                 continue
             seg = min(hi, fy1) - max(lo, fy0)
         if seg > 0:
+            seg = metres(seg)
             crossing += seg / farm.k_lateral
             farm_length += seg
     return distance / (crossing + (distance - farm_length) / k_si), distance
@@ -74,12 +77,12 @@ def oracle_pair(design, a, b, axis):
     else:
         span_lo, span_hi = max(ax0, bx0), min(ax1, bx1)
     shared = span_hi - span_lo
-    count = max(1, int(math.ceil(shared / design.stack.tech.grid_cell - 1e-9)))
+    count = math.ceil(shared / design.stack.tech.grid_cell)   # exact on these integers
     width = shared / count
     total = 0.0
     for i in range(count):
         k_eff, distance = oracle_strip_k(design, a, b, axis, span_lo + (i + 0.5) * width)
-        total += k_eff * (width * thickness) / distance
+        total += k_eff * metres(width * thickness, 2) / distance
     return total
 
 
@@ -95,31 +98,21 @@ def strip_lines(design, a, b, axis):
         span_lo, span_hi = max(ay0, by0), min(ay1, by1)
     else:
         span_lo, span_hi = max(ax0, bx0), min(ax1, bx1)
-    count = max(1, int(math.ceil((span_hi - span_lo) / design.stack.tech.grid_cell - 1e-9)))
+    count = math.ceil((span_hi - span_lo) / design.stack.tech.grid_cell)
     width = (span_hi - span_lo) / count
     return [span_lo + (i + 0.5) * width for i in range(count)]
 
 
-def ending_at(line, size):
-    """A start whose start + size lands exactly on line, if an ulp step finds one."""
-    start = line - size
-    for _ in range(4):
-        if start + size == line:
-            break
-        start = math.nextafter(start, math.inf if start + size < line else -math.inf)
-    return start
-
-
 def drawn_origin(design, farm, kind, pick, fx, fy):
     """A random origin (kind 1, snapped to half cells when pick is odd) or one
-    that puts the farm's near (pick even) or far edge exactly on a strip's
-    centre line (kind 2)."""
+    that puts the farm's near (pick even) or far edge on a strip's centre
+    line (kind 2), exactly where the line is a whole nanometre."""
     fw, fh = design.stack.footprint
     if kind == 1:
-        x, y = fx * (fw - farm.width), fy * (fh - farm.height)
+        x, y = round(fx * (fw - farm.width)), round(fy * (fh - farm.height))
         if pick % 2:
-            half = design.stack.tech.grid_cell / 2
-            x, y = math.floor(x / half) * half, math.floor(y / half) * half
+            half = design.stack.tech.grid_cell // 2
+            x, y = x // half * half, y // half * half
         return x, y
     pairs = oracle_pairs(design)
     a, b, axis = pairs[pick % len(pairs)]
@@ -127,11 +120,11 @@ def drawn_origin(design, farm, kind, pick, fx, fy):
     line = lines[min(int(fx * len(lines)), len(lines) - 1)]
     if axis == "x":
         lo, hi = sorted((a.center[0], b.center[0]))
-        y = ending_at(line, farm.height) if pick % 2 else line
-        return lo + fy * (hi - lo) - farm.width / 2, y
+        y = round(line) - farm.height if pick % 2 else round(line)
+        return round(lo + fy * (hi - lo) - farm.width / 2), y
     lo, hi = sorted((a.center[1], b.center[1]))
-    x = ending_at(line, farm.width) if pick % 2 else line
-    return x, lo + fy * (hi - lo) - farm.height / 2
+    x = round(line) - farm.width if pick % 2 else round(line)
+    return x, round(lo + fy * (hi - lo) - farm.height / 2)
 
 
 # (farm draw, kind: 0 reshape / 1 random move / 2 move onto a strip line,
@@ -168,10 +161,11 @@ def test_table_matches_scalar_walk_over_random_moves(name, moves):
 # and when every solve took the V-cycle, which moved fields by at most
 # 8.3e-11 K and kept every move, draw, acceptance and the best floorplan;
 # and when the V-cycle's smoothed levels went to float32, which moved fields
-# by at most 1.4e-10 K and kept the same.
+# by at most 1.4e-10 K and kept the same; and when lengths became whole
+# nanometres, which made the grid cell exactly 100 um and changed the moves.
 GOLDEN_TRACE_SHA256 = (
-    "65e829b6939cda885c5aecd64c29789ebe04389a790e3ea82565566fa636225d",
-    "963b3f382fc70083dfa36d2aa666f2adb9d7b6cffbb61005c70a3d5f449314e4",
+    "7cd6d26f6c672e20ed2f239451625caa3b23ee27d4837ae4b56aeb0b1f748871",
+    "078230ba3591a67f6d67be602b812eb564eae4c21470acad6176234529ac653f",
 )
 
 

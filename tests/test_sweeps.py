@@ -94,15 +94,15 @@ class TestWithMemoryLayers:
         with pytest.raises(GridError, match="grid cells"):
             with_memory_layers(d, 4)
         # cells twice as wide: a quarter of the cells per layer
-        assert with_memory_layers(d, 15, 200e-6).stack.num_layers == 16
+        assert with_memory_layers(d, 15, 200_000).stack.num_layers == 16
         with pytest.raises(GridError, match="grid cells"):
-            with_memory_layers(d, 16, 200e-6)
+            with_memory_layers(d, 16, 200_000)
 
         # a sweep checks each count at its run's cell size
         def reached(*args, **kwargs):
             raise SolverError("past the limit")
         monkeypatch.setattr(sweeps, "optimize_stack", reached)
-        statuses = [point.status for cell in (None, 200e-6) for point in
+        statuses = [point.status for cell in (None, 200_000) for point in
                     run_sweep(d, "layers", [15], AnnealConfig(), FlowConfig(cell_size=cell))]
         assert "grid cells" in statuses[0] and statuses[1] == "error: past the limit"
 

@@ -25,7 +25,7 @@ from tsvplan.thermal import (COARSE_SOLVE_MAX_UNKNOWNS, RESIDUAL_RTOL,
                              block_cell_weights, build_network, couple_leakage,
                              field_stats, grid_for, rasterize, solve_design,
                              solve_steady_state, system_matrix)
-from conftest import (MM, SHIPPED, UM, block, csr_reference, farm, make_design, make_tech,
+from conftest import (MM, SHIPPED, UM, block, csr_reference, farm, make_design, make_tech, mm,
                       one_cell_resistances, shipped_design)
 
 AMBIENT = 298.15
@@ -101,43 +101,43 @@ class TestRasterize:
 class TestResistance:
     def test_zero_thickness(self):
         with np.errstate(divide="ignore"):   # the in-plane section is zero
-            _, r_vert = one_cell_resistances(1e-4, 0.0, 149.0)
+            _, r_vert = one_cell_resistances(100 * UM, 0, 149.0)
         assert r_vert == 0.0
 
     def test_silicon_slab(self):
         # 100 um span, silicon, 1e-9 m^2 section
-        r_lat, _ = one_cell_resistances(1e-4, 1e-5, 149.0)
+        r_lat, _ = one_cell_resistances(100 * UM, 10 * UM, 149.0)
         assert r_lat == pytest.approx(671.1409395973154)
 
     def test_doubling_area_halves_resistance(self):
-        r1, _ = one_cell_resistances(1e-4, 1e-5, 149.0)
-        r2, _ = one_cell_resistances(1e-4, 2e-5, 149.0)
+        r1, _ = one_cell_resistances(100 * UM, 10 * UM, 149.0)
+        r2, _ = one_cell_resistances(100 * UM, 20 * UM, 149.0)
         assert r2 == pytest.approx(r1 / 2)
 
 
 class TestCompositeResistance:
     def test_pure_farm_cell(self):
-        r, _ = one_cell_resistances(1e-4, 1e-5, 149.0, farm_fraction=1.0, k_farm=2.75)
+        r, _ = one_cell_resistances(100 * UM, 10 * UM, 149.0, farm_fraction=1.0, k_farm=2.75)
         assert r == pytest.approx(36363.636363636364)
 
     def test_pure_silicon_cell_reduces_to_slab(self):
-        r, _ = one_cell_resistances(1e-4, 1e-5, 149.0, farm_fraction=0.0, k_farm=2.75)
+        r, _ = one_cell_resistances(100 * UM, 10 * UM, 149.0, farm_fraction=0.0, k_farm=2.75)
         assert r == pytest.approx(671.1409395973154)
 
     def test_mixed_lateral_cell(self):
-        r, _ = one_cell_resistances(1e-4, 1e-5, 149.0, farm_fraction=0.4, k_farm=2.75)
+        r, _ = one_cell_resistances(100 * UM, 10 * UM, 149.0, farm_fraction=0.4, k_farm=2.75)
         assert r == pytest.approx(92027.65914175311)
 
     def test_mixed_vertical_cell(self):
         # 10 um thick layer, 100 um cell, tungsten vias
-        _, r = one_cell_resistances(1e-4, 1e-5, 149.0, farm_fraction=0.4, k_metal=173.0)
+        _, r = one_cell_resistances(100 * UM, 10 * UM, 149.0, farm_fraction=0.4, k_metal=173.0)
         assert r == pytest.approx(25.636549378645047)
 
 
 # ------------------------------------------------------------ build_network
 
 def _single_cell_network(g_ambient):
-    grid = GridSpec(1, 1, 1e-4, 1)
+    grid = GridSpec(1, 1, 100 * UM, 1)
     return ConductanceNetwork(
         grid,
         g_x=np.zeros((1, 1, 0)), g_y=np.zeros((1, 0, 1)),
@@ -146,7 +146,7 @@ def _single_cell_network(g_ambient):
 
 
 def _stacked_pair_network(g_z, g_ambient):
-    grid = GridSpec(1, 1, 1e-4, 2)
+    grid = GridSpec(1, 1, 100 * UM, 2)
     return ConductanceNetwork(
         grid,
         g_x=np.zeros((2, 1, 0)), g_y=np.zeros((2, 0, 1)),
@@ -160,7 +160,7 @@ class TestBuildNetwork:
         grid = grid_for(d.stack)
         occ = rasterize(d, grid)
         net = build_network(occ, grid, d.stack)
-        r_cell, _ = one_cell_resistances(1e-4, 10 * UM, 149.0)
+        r_cell, _ = one_cell_resistances(100 * UM, 10 * UM, 149.0)
         assert net.g_x == pytest.approx(np.full_like(net.g_x, 1.0 / r_cell))
 
     def test_matrix_symmetric_for_random_occupancy(self):
@@ -170,7 +170,7 @@ class TestBuildNetwork:
             f = farm("f", float(x), float(y), 0.3, 0.3, start=0, end=1,
                      k_lat=float(rng.uniform(0.5, 5.0)))
             d = make_design(farms=(f,))
-            grid = grid_for(d.stack, 2e-4)
+            grid = grid_for(d.stack, 200 * UM)
             net = build_network(rasterize(d, grid), grid, d.stack)
             m = csr_reference(net)
             assert (m - m.T).nnz == 0
@@ -186,7 +186,7 @@ class TestBuildNetwork:
         rng = np.random.default_rng(seed)
         g = lambda *shape: rng.uniform(1e-4, 1.0, shape)
         net = ConductanceNetwork(
-            GridSpec(cols, rows, 1e-4, layers), g_x=g(layers, rows, cols - 1),
+            GridSpec(cols, rows, 100 * UM, layers), g_x=g(layers, rows, cols - 1),
             g_y=g(layers, rows - 1, cols), g_z=g(layers - 1, rows, cols),
             g_ambient=g(rows, cols))
         operator, reference = system_matrix(net), csr_reference(net)
@@ -240,7 +240,7 @@ class TestSolve:
     def test_matches_dense_oracle_on_small_grids(self):
         rng = np.random.default_rng(3)
         for trial in range(10):
-            grid = GridSpec(6, 6, 1e-4, 2)
+            grid = GridSpec(6, 6, 100 * UM, 2)
             net = ConductanceNetwork(
                 grid,
                 g_x=rng.uniform(1e-4, 1e-2, (2, 6, 5)),
@@ -283,8 +283,8 @@ class TestSolve:
     def test_grid_refinement_consistency(self):
         # smooth fixture: broad block, peak moves < 2% of the rise on refinement
         d = make_design(blocks=(block("b", 0, 0.6, 0.6, 0.8, 0.8, power=1.0),))
-        coarse = solve_design(d, grid_for(d.stack, 2e-4))
-        fine = solve_design(d, grid_for(d.stack, 1e-4))
+        coarse = solve_design(d, grid_for(d.stack, 200 * UM))
+        fine = solve_design(d, grid_for(d.stack, 100 * UM))
         rise_c = coarse.peak - AMBIENT
         rise_f = fine.peak - AMBIENT
         assert abs(rise_f - rise_c) / rise_c < 0.02
@@ -354,7 +354,7 @@ def test_swapping_identical_farms_leaves_the_field(name):
 def rasterized_designs(draw):
     """A random design on the 2 x 2 mm fixture footprint, its grid and a start."""
     layers = draw(st.integers(1, 3))
-    cell = draw(st.sampled_from([1e-4, 2e-4, 2.5e-4]))
+    cell = draw(st.sampled_from([100 * UM, 200 * UM, 250 * UM]))
     size = st.floats(0.05, 0.9)
     blocks = []
     for i in range(draw(st.integers(0, 3))):
@@ -404,14 +404,14 @@ class TestInlineConjugateGradients:
     @pytest.mark.parametrize("leakage", [0.0, 0.02])
     def test_non_finite_power_fails_at_once(self, watts, leakage):
         # 3,200 unknowns: a 320,000-step budget
-        _assert_non_finite_power_fails_at_once(watts, leakage, cell=5e-5)
+        _assert_non_finite_power_fails_at_once(watts, leakage, cell=50 * UM)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("watts", [float("nan"), float("inf")])
     @pytest.mark.parametrize("leakage", [0.0, 0.02])
     def test_non_finite_power_fails_fast_at_25um(self, watts, leakage):
         # an 80 x 80 plane: a V-cycle of three smoothed levels, not two
-        _assert_non_finite_power_fails_at_once(watts, leakage, cell=2.5e-5)
+        _assert_non_finite_power_fails_at_once(watts, leakage, cell=25 * UM)
 
 
 def _assert_non_finite_power_fails_at_once(watts, leakage, cell):
@@ -436,7 +436,7 @@ def random_network(layers, rows, cols, seed, strong_z, patch):
     g_x[:, y0:y1, max(x0 - 1, 0):x1] /= 300.0
     g_y[:, max(y0 - 1, 0):y1, x0:x1] /= 300.0
     g_z = g(layers - 1, rows, cols, low=-1.0 if strong_z else -4.0)
-    return ConductanceNetwork(GridSpec(cols, rows, 1e-4, layers), g_x=g_x, g_y=g_y,
+    return ConductanceNetwork(GridSpec(cols, rows, 100 * UM, layers), g_x=g_x, g_y=g_y,
                               g_z=g_z, g_ambient=g(rows, cols))
 
 
@@ -510,7 +510,7 @@ class TestMultigrid:
     # a column at about 19,000 K, 2e-8 K from the dense solve, whose own error
     # eps cond_inf(G) ||T||_inf is 1.4e-7 K
     @example(net=ConductanceNetwork(
-        GridSpec(1, 1, 1e-4, 5), g_x=np.zeros((5, 1, 0)), g_y=np.zeros((5, 0, 1)),
+        GridSpec(1, 1, 100 * UM, 5), g_x=np.zeros((5, 1, 0)), g_y=np.zeros((5, 0, 1)),
         g_z=np.array([1.7546263805505059e-04, 1.1353808798581187e-02,
                       9.7541100204715078e-04, 2.8049310351501955e-01]).reshape(4, 1, 1),
         g_ambient=np.array([[0.00014583212332070885]])), seed=42911)
@@ -538,7 +538,7 @@ class TestMultigrid:
         assert layers * rows * cols <= COARSE_SOLVE_MAX_UNKNOWNS
         rng = np.random.default_rng(layers * rows * cols)
         g = lambda *shape: rng.uniform(1e-3, 1e-1, shape)
-        net = ConductanceNetwork(GridSpec(cols, rows, 1e-4, layers),
+        net = ConductanceNetwork(GridSpec(cols, rows, 100 * UM, layers),
                                  g_x=g(layers, rows, cols - 1), g_y=g(layers, rows - 1, cols),
                                  g_z=g(layers - 1, rows, cols), g_ambient=g(rows, cols))
         power = rng.uniform(0.0, 0.01, (layers, rows, cols))
@@ -556,7 +556,7 @@ class TestMultigrid:
         rows = 65
         rng = np.random.default_rng(rows)
         g = lambda *shape: rng.uniform(1e-3, 1e-1, shape)
-        net = ConductanceNetwork(GridSpec(64, rows, 1e-4, 2), g_x=g(2, rows, 63),
+        net = ConductanceNetwork(GridSpec(64, rows, 100 * UM, 2), g_x=g(2, rows, 63),
                                  g_y=g(2, rows - 1, 64), g_z=g(1, rows, 64),
                                  g_ambient=g(rows, 64))
         power = rng.uniform(0.0, 0.01, (2, rows, 64))
@@ -610,7 +610,7 @@ class TestMultigrid:
     @pytest.mark.parametrize("name", SHIPPED)
     def test_energy_balance_at_25um(self, name):
         design = shipped_design(name)
-        grid = grid_for(design.stack, 25e-6)
+        grid = grid_for(design.stack, 25 * UM)
         occ = rasterize(design, grid)
         net = build_network(occ, grid, design.stack)
         field = solve_steady_state(net, occ.power, design.stack.tech.ambient)
@@ -625,7 +625,7 @@ class TestMultigrid:
                                         shipped_design("multicore")],
                              ids=["corememory-4-memory-layers", "multicore-leakage"])
     def test_energy_balance_of_the_largest_solves_at_25um(self, design):
-        grid = grid_for(design.stack, 25e-6)
+        grid = grid_for(design.stack, 25 * UM)
         net = build_network(rasterize(design, grid), grid, design.stack)
         field = couple_leakage(design, grid).field
         assert field.iterations <= 20
@@ -646,10 +646,10 @@ class TestMultigrid:
         # corememory under 4 memory layers at 25 um, 46,080 unknowns; a
         # warm-up solve fills the run's block raster first, as a run's first
         # solve does
-        design = with_memory_layers(shipped_design("corememory"), 4, 25e-6)
+        design = with_memory_layers(shipped_design("corememory"), 4, 25 * UM)
         if coeff is not None:
             design = with_leakage_coeff(design, coeff)
-        grid = grid_for(design.stack, 25e-6)
+        grid = grid_for(design.stack, 25 * UM)
         couple_leakage(design, grid)
         tracemalloc.start()
         try:
@@ -666,7 +666,7 @@ class TestMultigrid:
 def leaky_designs(draw):
     """A random design with one to three leaky blocks, and its grid."""
     layers = draw(st.integers(1, 3))
-    cell = draw(st.sampled_from([1e-4, 2e-4, 2.5e-4]))
+    cell = draw(st.sampled_from([100 * UM, 200 * UM, 250 * UM]))
     size = st.floats(0.1, 0.9)
     blocks = []
     for i in range(draw(st.integers(1, 3))):
@@ -772,7 +772,7 @@ class TestCoupleLeakage:
     def test_agrees_with_bisection_oracle_on_reduced_system(self):
         # single block covering the whole 2x2x1 grid: one unknown, its avg T
         lam, t_ref = 0.05, 298.15
-        tech = make_tech(footprint_width=0.2 * MM, footprint_height=0.2 * MM,
+        tech = make_tech(footprint_width=mm(0.2), footprint_height=mm(0.2),
                          leakage_coeff=lam, package_resistance=50.0)
         d = make_design(blocks=(block("b", 0, 0.0, 0.0, 0.2, 0.2,
                                       power=1.0, leakage=0.2),),
@@ -986,9 +986,13 @@ def test_grid_must_tile_footprint():
     from tsvplan.errors import GridError
     d = make_design()
     with pytest.raises(GridError):
-        grid_for(d.stack, 3e-4)  # 2 mm / 0.3 mm is not integral
+        grid_for(d.stack, 300 * UM)  # 2 mm / 0.3 mm is not integral
     with pytest.raises(GridError):
         grid_for(d.stack, float("nan"))
+    # a cell size in float metres, as lengths were once held, is not whole nanometres
+    for cell in (1e-4, 100_000.0):
+        with pytest.raises(GridError, match="positive whole nanometres"):
+            grid_for(d.stack, cell)
 
 
 def test_a_grid_over_the_cell_limit_is_a_grid_error(monkeypatch):
@@ -1001,6 +1005,6 @@ def test_a_grid_over_the_cell_limit_is_a_grid_error(monkeypatch):
     with pytest.raises(GridError, match="grid cells"):
         grid_for(d.stack, 50 * UM)
     monkeypatch.undo()
-    for cell in (0.01 * UM, 1e-320):   # 2e11 cells a layer; 2 mm / 1e-320 m overflows
+    for cell in (10, 1):   # 4e10 and 4e12 cells a layer
         with pytest.raises(GridError, match="grid cells"):
             grid_for(d.stack, cell)

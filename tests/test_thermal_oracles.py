@@ -20,7 +20,8 @@ from tsvplan.model import Block, Design, Floorplan, Layer, Material, Stack, TsvF
 from tsvplan.thermal import (ConductanceNetwork, GridSpec, block_cell_weights, block_raster,
                              build_network, cell_resistances, coarsen, couple_leakage, grid_for,
                              rasterize, system_matrix)
-from conftest import MM, SHIPPED, SILICON, UM, block, farm, make_tech, shipped_design
+from tsvplan.units import metres
+from conftest import SHIPPED, SILICON, UM, block, farm, make_tech, mm, shipped_design
 
 
 def same_bits(a, b) -> bool:
@@ -32,34 +33,29 @@ def same_bits(a, b) -> bool:
 # ---------------------------------------------------------------- references
 
 def full_plane_overlap(lo, hi, cell, n):
-    edges = np.arange(n + 1) * cell
-    return np.clip(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0, None)
+    """rect lo..hi's overlap with each of n cells, in integer nm."""
+    edges = [i * cell for i in range(n + 1)]
+    return np.array([max(min(b, hi) - max(a, lo), 0) for a, b in zip(edges, edges[1:])],
+                    dtype=float)
 
 
 def full_plane_rasterize(design, grid):
     """rasterize, with every farm's areas computed over the whole plane."""
     shape = (grid.num_layers, grid.cells_y, grid.cells_x)
-    farm_fraction, lateral_fraction, k_farm, k_metal, best_area = (np.zeros(shape)
-                                                                   for _ in range(5))
+    farm_area, lateral_area, k_farm, k_metal, best_area = (np.zeros(shape) for _ in range(5))
     for f in design.floorplan.farms:
         areas = np.outer(full_plane_overlap(f.rect[1], f.rect[3], grid.cell_size, grid.cells_y),
                          full_plane_overlap(f.rect[0], f.rect[2], grid.cell_size, grid.cells_x))
-        frac = areas / grid.cell_size ** 2
         for layer in range(f.start_layer, f.end_layer + 1):
-            farm_fraction[layer] += frac
+            farm_area[layer] += areas
             if f.blocks_laterally(layer):
-                lateral_fraction[layer] += frac
+                lateral_area[layer] += areas
             take = areas > best_area[layer]
             best_area[layer][take] = areas[take]
             k_farm[layer][take] = f.k_lateral
             k_metal[layer][take] = f.k_metal
-    np.clip(farm_fraction, 0.0, 1.0, out=farm_fraction)
-    np.clip(lateral_fraction, 0.0, 1.0, out=lateral_fraction)
-    farm_fraction[farm_fraction < 1e-12] = 0.0
-    farm_fraction[farm_fraction > 1 - 1e-12] = 1.0
-    lateral_fraction[lateral_fraction < 1e-12] = 0.0
-    lateral_fraction[lateral_fraction > 1 - 1e-12] = 1.0
-    lateral_fraction = np.minimum(lateral_fraction, farm_fraction)
+    farm_fraction = np.minimum(farm_area / grid.cell_size ** 2, 1.0)
+    lateral_fraction = np.minimum(lateral_area / grid.cell_size ** 2, 1.0)
     return thermal.CellOccupancy(farm_fraction, lateral_fraction, k_farm, k_metal,
                                  block_raster(design.floorplan.blocks, grid).power)
 
@@ -80,10 +76,10 @@ def full_plane_series_terms(fraction, k, span, area):
 
 def full_plane_cell_resistances(occ, grid, stack):
     """cell_resistances, with the series terms of every cell of every layer."""
-    cell = grid.cell_size
+    cell = metres(grid.cell_size)
     r_lat, r_vert = np.zeros_like(occ.farm_fraction), np.zeros_like(occ.farm_fraction)
     for layer in stack.layers:
-        t, k_si, i = layer.thickness, layer.material.conductivity, layer.index
+        t, k_si, i = metres(layer.thickness), layer.material.conductivity, layer.index
         eta_l, eta_v = occ.lateral_fraction[i], occ.farm_fraction[i]
         r_lat[i] = (full_plane_series_terms(eta_l, occ.k_farm[i], cell, cell * t)
                     + full_plane_series_terms(1.0 - eta_l, k_si, cell, cell * t))
@@ -98,8 +94,8 @@ def full_plane_network(occ, grid, stack):
     g_y = 2.0 / (r_lat[:, :-1, :] + r_lat[:, 1:, :])
     r_z = 0.5 * (r_vert[:-1] + r_vert[1:])
     if stack.tech.bond_thickness > 0:
-        r_z = r_z + stack.tech.bond_thickness / (stack.tech.bond_conductivity
-                                                 * grid.cell_size ** 2)
+        r_z = r_z + metres(stack.tech.bond_thickness) / (
+            stack.tech.bond_conductivity * metres(grid.cell_size ** 2, 2))
     share = 1.0 / (stack.tech.package_resistance * grid.cells_per_layer)
     return ConductanceNetwork(grid, g_x, g_y, 1.0 / r_z,
                               np.full((grid.cells_y, grid.cells_x), share))
@@ -283,11 +279,11 @@ def farmed_designs(draw):
                           end=draw(st.integers(start, layers - 1)),
                           k_lat=draw(st.sampled_from([0.5, 2.75])),
                           k_met=draw(st.sampled_from([173.0, 400.0]))))
-    thickness = st.sampled_from([10 * UM, 50 * UM, 0.0])
+    thickness = st.sampled_from([10 * UM, 50 * UM, 0])
     materials = st.sampled_from([SILICON, Material("thinned", 120.0)])
     stack = Stack(tuple(Layer(i, draw(thickness), draw(materials)) for i in range(layers)),
-                  make_tech(footprint_width=width * MM, footprint_height=height * MM,
-                            bond_thickness=draw(st.sampled_from([0.0, 5 * UM]))))
+                  make_tech(footprint_width=mm(width), footprint_height=mm(height),
+                            bond_thickness=draw(st.sampled_from([0, 5 * UM]))))
     return Design(stack, Floorplan((), tuple(farms)), materials=(SILICON,))
 
 
@@ -304,8 +300,8 @@ def drawn_blocks(draw):
     nx, ny = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     (x0, x1), (y0, y1) = span(nx), span(ny)
     b = block("b", 0, x0, y0, x1 - x0, y1 - y0)
-    assume(b.width * b.height > 0)   # edges an ulp apart leave no area to divide by
-    return b, GridSpec(nx, ny, lattice * MM, 1)
+    assume(b.width * b.height > 0)   # edges under a nanometre apart leave no area
+    return b, GridSpec(nx, ny, mm(lattice), 1)
 
 
 def quiet_if_zero_thickness(design):
@@ -318,10 +314,11 @@ def quiet_if_zero_thickness(design):
 class TestWindowBuild:
     @settings(max_examples=150, deadline=None)
     @given(design=farmed_designs())
-    @example(design=Design(  # 9 cells of 1e-4 m end at 9.000000000000001e-4 m, so a farm
-        # from 9e-4 m overlaps cell 8 by 1e-19 m: dust that its k_farm and k_metal keep
-        Stack((Layer(0, 10 * UM, SILICON), Layer(1, 10 * UM, SILICON)), make_tech(grid_cell=1e-4)),
-        Floorplan((), (TsvFarm("f", 9e-4, 9e-4, 3e-4, 3e-4, 0, 1, 0.5, 173.0, 9e-8),)),
+    @example(design=Design(  # a farm from the far edge of cell 8 of 9, which it only touches
+        Stack((Layer(0, 10 * UM, SILICON), Layer(1, 10 * UM, SILICON)),
+              make_tech(footprint_width=900 * UM, footprint_height=900 * UM)),
+        Floorplan((), (TsvFarm("f", 900 * UM, 900 * UM, 300 * UM, 300 * UM, 0, 1, 0.5, 173.0,
+                               (300 * UM) ** 2),)),
         materials=(SILICON,)))
     @example(design=Design(  # farms across the footprint's edges and wholly off it
         Stack((Layer(0, 10 * UM, SILICON), Layer(1, 10 * UM, SILICON)), make_tech()),
@@ -330,7 +327,7 @@ class TestWindowBuild:
         materials=(SILICON,)))
     @example(design=Design(  # a farm on every layer of a one-cell-wide plane, landing on the top
         Stack(tuple(Layer(i, 10 * UM, SILICON) for i in range(3)),
-              make_tech(footprint_width=0.1 * MM, footprint_height=0.7 * MM)),
+              make_tech(footprint_width=100 * UM, footprint_height=700 * UM)),
         Floorplan((), (farm("f", 0.0, 0.25, 0.1, 0.3, start=0, end=2),)), materials=(SILICON,)))
     def test_the_build_matches_the_full_plane_one(self, design):
         grid = grid_for(design.stack)
@@ -359,16 +356,15 @@ class TestWindowBuild:
     @settings(max_examples=150, deadline=None)
     @given(drawn=drawn_blocks())
     @example(drawn=(  # the whole footprint, border to border
-        block("b", 0, 0.0, 0.0, 0.9, 0.9), GridSpec(9, 9, 1e-4, 1)))
-    @example(drawn=(  # edge 9 of 1e-4 m cells is 9.000000000000001e-4 m, so a block
-        # from 9e-4 m overlaps cell 8 by 1e-19 m, in the window's widening
-        Block("b", 0, 9e-4, 0.0, 1e-4, 1e-4), GridSpec(10, 1, 1e-4, 1)))
+        block("b", 0, 0.0, 0.0, 0.9, 0.9), GridSpec(9, 9, 100 * UM, 1)))
+    @example(drawn=(  # the last cell of a row, which the block fills edge to edge
+        Block("b", 0, 900 * UM, 0, 100 * UM, 100 * UM), GridSpec(10, 1, 100 * UM, 1)))
     def test_drawn_block_weights_match_the_full_plane_ones(self, drawn):
         b, grid = drawn
         assert same_bits(block_cell_weights(b, grid), full_plane_block_cell_weights(b, grid))
 
     def test_a_zero_thickness_layer_is_infinitely_resistive_in_plane(self):
-        design = Design(Stack((Layer(0, 0.0, SILICON),), make_tech()),
+        design = Design(Stack((Layer(0, 0, SILICON),), make_tech()),
                         Floorplan((), (farm("f", 0.55, 0.55, 0.3, 0.3, start=0, end=0),)),
                         materials=(SILICON,))
         grid = grid_for(design.stack)
@@ -387,7 +383,7 @@ class TestWindowBuild:
         rng = np.random.default_rng(seed)
         g = lambda *shape: rng.uniform(1e-4, 1.0, shape)
         network = ConductanceNetwork(
-            GridSpec(cols, rows, 1e-4, layers), g_x=g(layers, rows, cols - 1),
+            GridSpec(cols, rows, 100 * UM, layers), g_x=g(layers, rows, cols - 1),
             g_y=g(layers, rows - 1, cols), g_z=g(layers - 1, rows, cols), g_ambient=g(rows, cols))
         mine, reference = coarsen(network), reduceat_coarsen(network)
         assert mine.grid == reference.grid
@@ -407,7 +403,7 @@ class TestWindowBuild:
             return series_terms(fraction, k, span, area)
         monkeypatch.setattr(thermal, "_series_terms", counted)
         design = shipped_design("corememory")
-        couple_leakage(design, grid_for(design.stack, 25e-6))
+        couple_leakage(design, grid_for(design.stack, 25 * UM))
         assert sum(evaluated) == 7176
 
 
@@ -416,7 +412,7 @@ class TestWindowBuild:
 def random_odd_network(layers, rows, cols, seed):
     rng = np.random.default_rng(seed)
     g = lambda *shape: rng.uniform(1e-3, 1e-1, shape)
-    return ConductanceNetwork(GridSpec(cols, rows, 1e-4, layers), g_x=g(layers, rows, cols - 1),
+    return ConductanceNetwork(GridSpec(cols, rows, 100 * UM, layers), g_x=g(layers, rows, cols - 1),
                               g_y=g(layers, rows - 1, cols),
                               g_z=g(layers - 1, rows, cols), g_ambient=g(rows, cols))
 

@@ -1,6 +1,7 @@
 """Two-loop placement search: per-layer simulated annealing inside a
-stack-level loop that keeps the floorplan with the best whole-stack average
-temperature.
+stack-level loop that keeps the floorplan with the lowest whole-stack peak
+temperature (the lower average on a tie), the input unless a snapshot is
+cooler.
 
 Blocks never move, so a run's Evaluator holds everything the search never
 changes, and a state is only a tuple of Placements, one per farm in
@@ -27,8 +28,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DesignError
-from .metrics import (CostBreakdown, CostWeights, FarmRow, block_centers, blocked_faces,
-                      face_term, farm_row, floorplan_area, price, strip_table, wirelength)
+from .metrics import (UNWEIGHTED, CostBreakdown, CostWeights, FarmRow, block_centers,
+                      blocked_faces, face_term, farm_row, floorplan_area, price, strip_table,
+                      wirelength)
 from .model import (Design, Floorplan, bounding_box_of, farm_neighbours, farm_overlap,
                     farm_shape, fixed_conflict, legal_origins, origin_lattice)
 from .rng import Pcg64
@@ -108,7 +110,9 @@ class PassRecord(NamedTuple):
 
 class OuterRecord(NamedTuple):
     outer: int
+    stack_peak: float      # the outer's snapshot
     stack_average: float
+    best_peak: float       # the snapshot kept so far, the input first
     best_average: float
 
 
@@ -289,7 +293,8 @@ class Evaluator:
     over is priced again, to the same values); each fills lazily, move
     groups and rasters from the first gen_move on. solve returns a state's
     field on the run's grid; breakdown and cost price a state under weights,
-    which must be set before the first price, and count the evaluations.
+    which must be set before the first price, and count the evaluations;
+    terms prices a state UNWEIGHTED, for calibration, outside both.
     """
 
     def __init__(self, design: Design, grid: GridSpec, weights: CostWeights | None = None):
@@ -337,8 +342,12 @@ class Evaluator:
     def cost(self, state: tuple) -> float:
         return self.breakdown(state).total
 
-    def _price(self, state: tuple) -> CostBreakdown:
-        return price(self.weights, self.table, [p.row for p in state], self.fixed, self._term)
+    def terms(self, state: tuple) -> CostBreakdown:
+        return self._price(state, UNWEIGHTED)
+
+    def _price(self, state: tuple, weights: CostWeights | None = None) -> CostBreakdown:
+        return price(weights or self.weights, self.table, [p.row for p in state],
+                     self.fixed, self._term)
 
     def place(self, index: int, xywh: tuple) -> Placement:
         """The Placement of farm `index` at xywh (x, y, width, height)."""
@@ -464,16 +473,17 @@ def optimize_stack(design: Design, anneal: AnnealConfig = AnnealConfig(),
                    flow: FlowConfig = FlowConfig(),
                    weights: CostWeights | None = None,
                    ratio_target: float | None = None) -> OptimizeResult:
-    """Run the full two-loop flow and return the floorplan with the largest
-    whole-stack average-temperature reduction (the input if nothing improves).
-    Unset weights are calibrated from the input's field; ratio_target,
-    when set, replaces the weights' target bounding ratio."""
+    """Run the full two-loop flow and return the floorplan with the lowest
+    whole-stack peak temperature, the lower average on a tie (the input if
+    no outer snapshot is cooler). Unset weights are calibrated from the
+    input's field and its terms as the run's context prices them;
+    ratio_target, when set, replaces the weights' target bounding ratio."""
     grid = grid_for(design.stack, flow.cell_size)
     evaluator = Evaluator(design, grid)
     current = evaluator.state_of(design)
     before_field = evaluator.solve(current)
     if weights is None:
-        weights = CostWeights.calibrated(design, before_field)
+        weights = CostWeights.calibrated(design, evaluator.terms(current), before_field)
     if ratio_target is not None:
         weights = replace(weights, ratio_target=ratio_target)
     evaluator.weights = weights
@@ -488,9 +498,10 @@ def optimize_stack(design: Design, anneal: AnnealConfig = AnnealConfig(),
             current = layer_pass(current, layer, evaluator, anneal, rng, trace, outer)
         snapshot_design, field = evaluator.design_of(current), evaluator.solve(current)
         snapshot = summarize(snapshot_design, grid, field)
-        if snapshot.average < after.average:
+        if (snapshot.peak, snapshot.average) < (after.peak, after.average):
             best, after, after_field = snapshot_design, snapshot, field
-        trace.outers.append(OuterRecord(outer, snapshot.average, after.average))
+        trace.outers.append(OuterRecord(outer, snapshot.peak, snapshot.average,
+                                        after.peak, after.average))
 
     return OptimizeResult(best, trace, weights, grid, before, after,
                           evaluator.evaluations, before_field, after_field)

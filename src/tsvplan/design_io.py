@@ -352,6 +352,7 @@ def format_trace(trace) -> str:
             f"moves={p.moves} accepted={p.accepted} pre_avg={p.pre_avg!r} "
             f"pre_peak={p.pre_peak!r} post_avg={p.post_avg!r} post_peak={p.post_peak!r}")
     for o in trace.outers:
-        lines.append(f"outer iter={o.outer} stack_avg={o.stack_average!r} "
+        lines.append(f"outer iter={o.outer} stack_peak={o.stack_peak!r} "
+                     f"stack_avg={o.stack_average!r} best_peak={o.best_peak!r} "
                      f"best_avg={o.best_average!r}")
     return "\n".join(lines) + "\n"

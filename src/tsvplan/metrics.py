@@ -48,18 +48,17 @@ class CostWeights:
             raise ValueError("ratio target must be finite and > 0")
 
     @classmethod
-    def calibrated(cls, design: Design, field: TemperatureField) -> "CostWeights":
-        """Derive default weights from the initial state.
+    def calibrated(cls, design: Design, initial: "CostBreakdown",
+                   field: TemperatureField) -> "CostWeights":
+        """Derive default weights from the initial state: the design, its
+        UNWEIGHTED cost breakdown (the fold the search prices) and its field.
 
         The anchor is the efficiency equivalent of one kelvin of average
         temperature at the initial floorplan; a 1% area or wirelength
         increase is priced at that same anchor, so thermal gains cannot buy
         more than a percent-scale overhead. The ratio weight scales the
-        (dimensionless) aspect deviation by the footprint-area cost. f_H,
-        area and wirelength are read from one cost breakdown, the fold the
-        search prices.
+        (dimensionless) aspect deviation by the footprint-area cost.
         """
-        initial = cost(design, UNWEIGHTED)
         f_h, area0, wl0 = initial.efficiency, initial.area, initial.wirelength
         rise = max(field.average - design.stack.tech.ambient, 1.0)
         anchor = f_h / rise if f_h > 0 else 1.0

@@ -232,9 +232,10 @@ def test_criterion_8_exhaustive_oracle():
     grid = grid_for(coarse.stack)  # 20x20 lattice: a few hundred configurations
     assert validate(coarse) == []
 
-    field0 = couple_leakage(coarse, grid).field
-    weights = CostWeights.calibrated(coarse, field0)
-    evaluator = Evaluator(coarse, grid, weights)
+    evaluator = Evaluator(coarse, grid)
+    state0 = evaluator.state_of(coarse)
+    evaluator.weights = CostWeights.calibrated(coarse, evaluator.terms(state0),
+                                               evaluator.solve(state0))
 
     farm0 = coarse.floorplan.farm("bus_e")
     cell = grid.cell_size

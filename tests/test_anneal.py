@@ -508,11 +508,25 @@ class TestOptimizeStack:
         assert result.best is d
         assert result.after.average == pytest.approx(result.before.average)
 
-    def test_returned_average_never_exceeds_input(self):
+    def test_returned_peak_never_exceeds_input(self):
         d = _hotspot_design()
         result = optimize_stack(d, AnnealConfig(seed=5, max_moves=15),
                                 FlowConfig(outer_iterations=1))
-        assert result.after.average <= result.before.average + 1e-12
+        assert result.after.peak <= result.before.peak
+
+    def test_the_coolest_snapshot_is_kept(self):
+        # seed 8's snapshots are cooler on average than the input and hotter
+        # at the peak; the input is the first candidate, so it is kept
+        d = shipped_design("multicore")
+        result = optimize_stack(d, AnnealConfig(seed=8, max_moves=20))
+        candidates = [(result.before.peak, result.before.average)]
+        for o in result.trace.outers:
+            candidates.append((o.stack_peak, o.stack_average))
+            assert (o.best_peak, o.best_average) == min(candidates)
+        assert min(candidates) == (result.after.peak, result.after.average)
+        assert all(o.stack_average < result.before.average < o.stack_peak
+                   for o in result.trace.outers)
+        assert result.best is d
 
     def test_trace_is_bit_identical_for_same_seed(self):
         d = _hotspot_design()

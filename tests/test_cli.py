@@ -189,7 +189,7 @@ class TestOptimize:
         assert (out / "after_layer1.map").exists()
 
         report = json.loads((out / "report.json").read_text())
-        assert report["after"]["average"] <= report["before"]["average"] + 1e-12
+        assert report["after"]["peak"] <= report["before"]["peak"]
         assert report["config"]["seed"] == 7
         assert report["config"]["weights"]["efficiency"] < 0
 
@@ -240,6 +240,45 @@ class TestOptimize:
             "--t-initial", "1e-4", "--t-threshold", "1e-5",
             "--out-dir", str(out)])
         assert result.exit_code == 0, result.output
+
+
+class TestPeakSelection:
+    """A run keeps its coolest floorplan by whole-stack peak, so it never ends
+    hotter than its input: the benchmark's optimize and sweep commands."""
+
+    def _report(self, runner, tmp_path, *args):
+        result = runner.invoke(main, ["optimize", *args, "--out-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        return json.loads((tmp_path / "report.json").read_text())
+
+    def test_multicore_seed_8_does_not_end_hotter(self, runner, tmp_path):
+        report = self._report(runner, tmp_path, str(REPO / "designs" / "multicore.design"),
+                              "--max-moves", "20", "--seed", "8")
+        assert report["after"]["peak"] <= report["before"]["peak"]
+
+    def test_a_leakage_free_blockage_run_lowers_the_peak(self, runner, tmp_path):
+        report = self._report(runner, tmp_path, str(REPO / "designs" / "blockage.design"),
+                              "--seed", "1", "--leakage-lambda", "0")
+        assert report["after"]["peak"] < report["before"]["peak"]
+
+    def test_no_point_of_the_fine_layer_sweep_ends_hotter(self, runner, tmp_path,
+                                                           monkeypatch):
+        import tsvplan.sweeps as sweeps
+        results = []
+        inner = sweeps.optimize_stack
+
+        def captured(*args, **kwargs):
+            results.append(inner(*args, **kwargs))
+            return results[-1]
+        monkeypatch.setattr(sweeps, "optimize_stack", captured)
+        result = runner.invoke(main, [
+            "sweep", str(REPO / "designs" / "corememory.design"), "--axis", "layers",
+            "--values", "1,2,3,4", "--grid-cell", "25um", "--max-moves", "4",
+            "--outer-iters", "1", "--leakage-lambda", "0", "--seed", "1",
+            "--out-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert len(results) == 4
+        assert all(r.after.peak <= r.before.peak for r in results)
 
 
 class TestSweep:

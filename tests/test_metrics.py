@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tsvplan import anneal, metrics
 from tsvplan.anneal import Evaluator, gen_move
-from tsvplan.metrics import (CostWeights, adjacent_block_pairs, combine,
+from tsvplan.metrics import (UNWEIGHTED, CostWeights, adjacent_block_pairs, combine,
                              conduction_efficiency, cost, floorplan_area,
                              pair_efficiency, path_conductivity, ratio_penalty,
                              strip_table, total_efficiency, wirelength)
@@ -216,7 +216,7 @@ class TestCalibratedWeights:
                         tech=make_tech(adjacency_window=MM))
         grid = grid_for(d.stack)
         field = solve_design(d, grid)
-        w = CostWeights.calibrated(d, field)
+        w = CostWeights.calibrated(d, cost(d, UNWEIGHTED), field)
         assert w.efficiency == -1.0
         assert w.area > 0 and w.wirelength > 0
         f_h = total_efficiency(d)
@@ -226,8 +226,8 @@ class TestCalibratedWeights:
 
     @pytest.mark.parametrize("name", SHIPPED)
     def test_equals_the_formula_of_the_separate_terms(self, name):
-        # calibrated reads f_H, area and wirelength from one cost breakdown;
-        # its weights are those of the three terms computed one by one
+        # calibrated reads f_H, area and wirelength from one unweighted cost
+        # breakdown; its weights are those of the three terms computed one by one
         d = shipped_design(name)
         field = solve_design(d, grid_for(d.stack))
         tech = d.stack.tech
@@ -237,7 +237,7 @@ class TestCalibratedWeights:
         area_w = anchor / (0.01 * area0) if area0 > 0 else 0.0
         wl_w = anchor / (0.01 * wl0) if wl0 > 0 else 0.0
         x0, y0, x1, y1 = d.floorplan.bounding_box
-        assert CostWeights.calibrated(d, field) == CostWeights(
+        assert CostWeights.calibrated(d, cost(d, UNWEIGHTED), field) == CostWeights(
             area_w, -1.0, area_w * metres(tech.footprint_width * tech.footprint_height, 2), wl_w,
             (x1 - x0) / (y1 - y0) if y1 - y0 > 0 else 1.0)
 

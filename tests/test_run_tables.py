@@ -1,10 +1,12 @@
 """The tables a run computes once from its fixed blocks, against what they
 replace: the move table kept or built for each state against one built
 from every farm's groups, each farm's reshape options against
-fixed_conflict, and the blocks' cell weights and power raster against the
-per-call formulas. Each must give the same values; a work-count guard pins
-how much of that work a fixed-seed run does."""
+fixed_conflict, the blocks' cell weights and power raster against the
+per-call formulas, and the input's terms that calibrate the weights against
+cost(design, UNWEIGHTED). Each must give the same values; a work-count guard
+pins how much of that work a fixed-seed run does."""
 
+import dataclasses
 import random
 from itertools import accumulate
 
@@ -12,9 +14,11 @@ import numpy as np
 import pytest
 
 import tsvplan.anneal as anneal
+import tsvplan.metrics as metrics
 import tsvplan.model as model
 import tsvplan.thermal as thermal
-from tsvplan.anneal import AnnealConfig, Evaluator, gen_move, optimize_stack
+from tsvplan.anneal import AnnealConfig, Evaluator, FlowConfig, gen_move, optimize_stack
+from tsvplan.metrics import UNWEIGHTED, CostWeights, cost
 from tsvplan.model import Floorplan, farm_shape, fixed_conflict, origin_lattice
 from tsvplan.thermal import (LeakageOperator, block_cell_weights, build_network,
                              couple_leakage, field_stats, grid_for, rasterize, system_matrix)
@@ -148,14 +152,36 @@ def test_block_rasters_equal_the_per_call_formulas(name, cell):
     assert (stats.hottest_block, stats.hottest_block_avg) == (hottest, averages[hottest])
 
 
+@pytest.mark.parametrize("leakage", [None, 0.0], ids=["leakage", "no-leakage"])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_calibration_reads_the_runs_own_terms(name, leakage):
+    # the run prices its input's terms from its own tables, without counting
+    # an evaluation or keeping a breakdown, to the bits of cost(design, UNWEIGHTED)
+    design = shipped_design(name)
+    if leakage is not None:
+        tech = dataclasses.replace(design.stack.tech, leakage_coeff=leakage)
+        design = dataclasses.replace(design, stack=dataclasses.replace(design.stack, tech=tech))
+    ev = Evaluator(design, grid_for(design.stack))
+    terms = ev.terms(ev.state_of(design))
+    assert terms == cost(design, UNWEIGHTED)
+    assert (ev.evaluations, ev._priced) == (0, {})
+    result = optimize_stack(design, AnnealConfig(seed=1, max_moves=1),
+                            FlowConfig(outer_iterations=1))
+    assert result.weights == CostWeights.calibrated(design, cost(design, UNWEIGHTED),
+                                                    result.before_field)
+
+
 def test_a_run_computes_what_the_blocks_fix_once(monkeypatch):
     """Work counts of a seed-1 multicore run at max_moves=20. Before the
     per-run tables: 560 TsvFarm.placed calls (532 of them for priced rows)
     and 114 block_cell_weights calls (2 solves x 30 and 3 summaries x 18).
     One raster took 18 block_cell_weights calls, one per block, before
     blocks of one rectangle shared an entry. Each farm's move groups check
-    its 2 reshapes with fixed_conflict, exact in integers."""
-    counts = dict.fromkeys(("placed", "block_cell_weights", "fixed_conflict"), 0)
+    its 2 reshapes with fixed_conflict, exact in integers. The strip table
+    was built twice, once more to calibrate the weights, before calibration
+    read the run's own terms."""
+    counts = dict.fromkeys(("placed", "block_cell_weights", "fixed_conflict",
+                            "strip_table"), 0)
 
     def counted(name, inner):
         def call(*args):
@@ -166,9 +192,13 @@ def test_a_run_computes_what_the_blocks_fix_once(monkeypatch):
     monkeypatch.setattr(thermal, "block_cell_weights",
                         counted("block_cell_weights", thermal.block_cell_weights))
     monkeypatch.setattr(anneal, "fixed_conflict", counted("fixed_conflict", fixed_conflict))
+    tables = counted("strip_table", metrics.strip_table)
+    for module in (anneal, metrics):
+        monkeypatch.setattr(module, "strip_table", tables)
     thermal.block_raster.cache_clear()
     result = optimize_stack(shipped_design("multicore"), AnnealConfig(seed=1, max_moves=20))
     assert (len(result.trace.moves), result.evaluations) == (1720, 1922)
     # 4 designs built for 2 solves and 2 snapshots, x 7 farms; one raster of
     # 18 blocks on 11 distinct rectangles; 187 groups x 2 reshapes
-    assert counts == {"placed": 28, "block_cell_weights": 11, "fixed_conflict": 374}
+    assert counts == {"placed": 28, "block_cell_weights": 11, "fixed_conflict": 374,
+                      "strip_table": 1}

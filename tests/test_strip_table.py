@@ -162,9 +162,11 @@ def test_table_matches_scalar_walk_over_random_moves(name, moves):
 # 8.3e-11 K and kept every move, draw, acceptance and the best floorplan;
 # and when the V-cycle's smoothed levels went to float32, which moved fields
 # by at most 1.4e-10 K and kept the same; and when lengths became whole
-# nanometres, which made the grid cell exactly 100 um and changed the moves.
+# nanometres, which made the grid cell exactly 100 um and changed the moves;
+# and when the stack loop began to keep the coolest snapshot by peak, whose
+# outer line now carries the peaks (the moves, passes and `after` stayed).
 GOLDEN_TRACE_SHA256 = (
-    "7cd6d26f6c672e20ed2f239451625caa3b23ee27d4837ae4b56aeb0b1f748871",
+    "7a365c829f378ef59e3df50b71dd97473e948408a63fe882d8a17dde5f850c0c",
     "078230ba3591a67f6d67be602b812eb564eae4c21470acad6176234529ac653f",
 )
 

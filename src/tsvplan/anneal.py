@@ -4,12 +4,13 @@ temperature (the lower average on a tie), the input unless a snapshot is
 cooler.
 
 Blocks never move, so a run's Evaluator holds everything the search never
-changes, and a state is only a tuple of Placements, one per farm in
-floorplan order. The Evaluator makes one per farm and rectangle (x, y,
-width, height), so equal states share them and the memos key a state by
-identity. Layer passes and the stack-level loop carry states; the Evaluator
-solves each distinct state once and keeps its field for the run. A Design
-is built from a state only to solve, summarize or write it.
+changes, and a state is only a tuple of metrics.FarmRows, one per farm in
+floorplan order, each holding its rect in corners (x0, y0, x1, y1). The
+Evaluator interns one row per farm index and rect, so equal states share
+them and the memos key a state by identity. Layer passes and the
+stack-level loop carry states; the Evaluator solves each distinct state once
+and keeps its field for the run. A Design is built from a state only to
+solve, summarize or write it.
 
 The annealing chain is sequential by nature; all randomness flows from one
 PCG64 stream seeded from the config (tsvplan.rng, numpy's default_rng stream
@@ -140,33 +141,23 @@ def accept(delta_cost: float, temperature: float, rng,
     return draw < math.exp(-delta_cost / temperature), draw
 
 
-class Placement:
-    """Farm `index` at xywh (x, y, width, height), with its rect (x0, y0,
-    x1, y1), as a TsvFarm's, and its cost row. An Evaluator makes one per
-    (index, xywh), so it hashes and compares by identity."""
-
-    __slots__ = ("index", "xywh", "rect", "row")
-
-    def __init__(self, index: int, xywh: tuple, row: FarmRow):
-        self.index, self.xywh, self.rect, self.row = index, xywh, row.rect, row
-
-
 class MoveGroup(NamedTuple):
     """The block-legal candidates of one (farm, move kind) in one state."""
 
     index: int                # the farm's index in the floorplan
     kind: str                 # reshape | move
-    options: Sequence         # reshape: (x, y, width, height); move: flat origins ix * ny + iy
+    options: Sequence         # reshape: rects (x0, y0, x1, y1); move: flat origins ix * ny + iy
     mass: float               # (1/n) (1/2) len(options) / all options of the kind
     lattice: tuple = ()       # move: (ny, cell, width, height)
 
     def option(self, j: int) -> tuple:
-        """Option j as a candidate (x, y, width, height), drawn uniformly."""
+        """Option j as a candidate rect (x0, y0, x1, y1), drawn uniformly."""
         if self.kind == "reshape":
             return self.options[j]
         ny, cell, width, height = self.lattice
         ix, iy = divmod(int(self.options[j]), ny)
-        return ix * cell, iy * cell, width, height
+        x, y = ix * cell, iy * cell
+        return x, y, x + width, y + height
 
 
 def gen_move(context: "Evaluator", state: tuple, eligible: Sequence[int],
@@ -193,14 +184,12 @@ def gen_move(context: "Evaluator", state: tuple, eligible: Sequence[int],
     total, last = cumulative[-1], len(groups) - 1
     for _ in range(RETRY_CAP):
         group = groups[min(bisect_right(cumulative, rng.random() * total), last)]
-        xywh = group.option(rng.integers(len(group.options)))
-        x, y, width, height = xywh
+        rect = group.option(rng.integers(len(group.options)))
         index = group.index
-        if group.kind == "move" and xywh == state[index].xywh:
+        if group.kind == "move" and rect == state[index].rect:
             continue
-        if farm_overlap(context.neighbours[index], state,
-                        (x, y, x + width, y + height)) is None:
-            return (state[:index] + (context.place(index, xywh),) + state[index + 1:],
+        if farm_overlap(context.neighbours[index], state, rect) is None:
+            return (state[:index] + (context.place(index, rect),) + state[index + 1:],
                     group.kind, context.farms[index].name)
     return state, "null", None
 
@@ -284,11 +273,12 @@ class Evaluator:
     the stack and blocks, the f_H strip table, the blocks' bounding box and
     centres, and each farm's fixed fields, blocked faces, same-layer
     neighbours and farm_shapes (the blocks' cell weights and power raster are
-    thermal.block_raster's, built by the first solve). It memoizes what
-    depends on the farm rectangles: the Placement of each (farm index,
-    xywh), the field and the cost of each state, each Placement's move
-    groups, each blocked pair's term and legal_origins' rasters, and keeps
-    the last move_table. Every memo is read and filled only through
+    thermal.block_raster's, built by the first solve). A state is a tuple of
+    the rows it interns, one metrics.FarmRow per (farm index, rect), the
+    rect in corners (x0, y0, x1, y1). It memoizes what depends on the farm
+    rectangles: those rows, the field and the cost of each state, each
+    row's move groups, each blocked pair's term and legal_origins' rasters,
+    and keeps the last move_table. Every memo is read and filled only through
     _recall, which bounds it by MEMO_ENTRIES (a state placed after a start
     over is priced again, to the same values); each fills lazily, move
     groups and rasters from the first gen_move on. solve returns a state's
@@ -312,19 +302,19 @@ class Evaluator:
         self.evaluations = 0
         self._fields: dict = {}    # state -> read-only TemperatureField
         self._priced: dict = {}    # state -> CostBreakdown
-        self._rows: dict = {}      # (index, xywh) -> Placement
+        self._rows: dict = {}      # (index, rect) -> FarmRow
         self._terms: dict = {}     # a blocked pair's hits -> its term
-        self._groups: dict = {}    # (Placement, weight) -> [MoveGroup]
+        self._groups: dict = {}    # (FarmRow, weight) -> [MoveGroup]
         self._origins: dict = {}   # (width, height, start, end) -> legal_origins
         # the last move_table: state, eligible, (groups, cumulative masses)
         self._table: tuple = (None, None, ([], []))
 
     def state_of(self, design: Design) -> tuple:
-        return tuple([self.place(k, (f.x, f.y, f.width, f.height))
-                      for k, f in enumerate(design.floorplan.farms)])
+        return tuple([self.place(k, f.rect) for k, f in enumerate(design.floorplan.farms)])
 
     def design_of(self, state: tuple) -> Design:
-        farms = tuple(f.placed(*p.xywh) for f, p in zip(self.farms, state))
+        farms = tuple(f.placed(x0, y0, x1 - x0, y1 - y0)
+                      for f, (x0, y0, x1, y1) in zip(self.farms, (row.rect for row in state)))
         return self.design.with_floorplan(Floorplan(self.design.floorplan.blocks, farms))
 
     def solve(self, state: tuple) -> TemperatureField:
@@ -343,22 +333,20 @@ class Evaluator:
         return self.breakdown(state).total
 
     def terms(self, state: tuple) -> CostBreakdown:
-        return self._price(state, UNWEIGHTED)
+        return price(UNWEIGHTED, self.table, state, self.fixed, self._term)
 
-    def _price(self, state: tuple, weights: CostWeights | None = None) -> CostBreakdown:
-        return price(weights or self.weights, self.table, [p.row for p in state],
-                     self.fixed, self._term)
+    def _price(self, state: tuple) -> CostBreakdown:
+        return price(self.weights, self.table, state, self.fixed, self._term)
 
-    def place(self, index: int, xywh: tuple) -> Placement:
-        """The Placement of farm `index` at xywh (x, y, width, height)."""
-        return _recall(self._rows, (index, xywh), self._placement, index, xywh)
+    def place(self, index: int, rect: tuple) -> FarmRow:
+        """The interned row of farm `index` at rect (x0, y0, x1, y1)."""
+        return _recall(self._rows, (index, rect), self._placement, index, rect)
 
-    def _placement(self, index: int, xywh: tuple) -> Placement:
-        return Placement(index, xywh, farm_row(self.table, self.centers, self.farms[index],
-                                               self.faces[index], xywh))
+    def _placement(self, index: int, rect: tuple) -> FarmRow:
+        return farm_row(self.table, self.centers, self.farms[index], self.faces[index], rect)
 
-    def _term(self, pair: int, hits: tuple) -> float:
-        return _recall(self._terms, hits, face_term, self.table.faces[pair], hits)
+    def _term(self, face, hits: tuple) -> float:
+        return _recall(self._terms, hits, face_term, face, hits)
 
     def move_table(self, state: tuple,
                    eligible: Sequence[int]) -> tuple[list[MoveGroup], list[float]]:
@@ -372,12 +360,12 @@ class Evaluator:
         weight = 0.5 / len(eligible)
         groups = [group for index in eligible
                   for group in _recall(self._groups, (state[index], weight),
-                                       self._farm_moves, state[index], weight)]
+                                       self._farm_moves, index, state[index], weight)]
         table = groups, list(accumulate(g.mass for g in groups))
         self._table = (state, eligible, table)
         return table
 
-    def _farm_moves(self, placement: Placement, weight: float) -> list[MoveGroup]:
+    def _farm_moves(self, index: int, row: FarmRow, weight: float) -> list[MoveGroup]:
         """One farm's groups, each of mass weight * options / all options.
 
         A reshape's options are the configured ratios' farm_shapes other
@@ -386,12 +374,13 @@ class Evaluator:
         origins of legal_origins. Kinds without options are left out.
         Neither depends on the other farms.
         """
-        index, (x, y, width, height) = placement.index, placement.xywh
+        x, y, x1, y1 = row.rect
+        width, height = x1 - x, y1 - y
         farm, stack, cell = self.farms[index], self.design.stack, self.grid.cell_size
         start, end, blocks = farm.start_layer, farm.end_layer, self.design.floorplan.blocks
         shapes = [shape for shape in self.shapes[index] if shape != (width, height)]
-        legal = [(x, y, w, h) for w, h in shapes
-                 if fixed_conflict(stack, blocks, start, end, (x, y, x + w, y + h)) is None]
+        legal = [rect for rect in [(x, y, x + w, y + h) for w, h in shapes]
+                 if fixed_conflict(stack, blocks, start, end, rect) is None]
         groups = [MoveGroup(index, "reshape", legal, weight * len(legal) / len(shapes))
                   ] if legal else []
         flat = _recall(self._origins, (width, height, start, end), legal_origins,
@@ -483,7 +472,7 @@ def optimize_stack(design: Design, anneal: AnnealConfig = AnnealConfig(),
     current = evaluator.state_of(design)
     before_field = evaluator.solve(current)
     if weights is None:
-        weights = CostWeights.calibrated(design, evaluator.terms(current), before_field)
+        weights = CostWeights.calibrated(design, evaluator.terms(current), before_field.average)
     if ratio_target is not None:
         weights = replace(weights, ratio_target=ratio_target)
     evaluator.weights = weights

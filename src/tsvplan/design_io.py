@@ -12,6 +12,7 @@ in the tables _TECH and _ROWS, which parse_design and emit_design both read.
 
 from __future__ import annotations
 
+import codecs
 import dataclasses
 import json
 from pathlib import Path
@@ -108,14 +109,15 @@ def _write_rows(section: str, items) -> list[str]:
 
 def parse_design(source: str | Path, text: str | None = None,
                  check: bool = True) -> Design:
-    """Parse a design file (UTF-8 text) into a validated model.
+    """Parse a design file (UTF-8 text, a leading byte-order mark ignored)
+    into a validated model.
 
     Raises ParseError with (line, message) pairs on any syntax, unit, or
     reference problem; with check=True a structurally invalid model also
     raises DesignError listing the violations.
     """
     if text is None:
-        data = Path(source).read_bytes()
+        data = Path(source).read_bytes().removeprefix(codecs.BOM_UTF8)
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -156,13 +158,9 @@ def parse_design(source: str | Path, text: str | None = None,
 
     tech_kv: dict[str, tuple[int, str]] = {}
     for lineno, tok in rows["tech"]:
-        if "=" not in tok:
-            errors.append((lineno, "tech line needs: key = value"))
-            continue
-        eq = tok.index("=")
-        key = " ".join(tok[:eq])
-        value = " ".join(tok[eq + 1:])
-        if not key or not value:
+        key, eq, value = " ".join(tok).partition("=")
+        key, value = key.strip(), value.strip()
+        if not (eq and key and value):
             errors.append((lineno, "tech line needs: key = value"))
             continue
         if key in tech_kv:

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import DesignError
 from .model import (Block, Design, Floorplan, Stack, TechnologyParams, TsvFarm,
                     bounding_box_of)
-from .thermal import TemperatureField
 from .units import metres
 
 
@@ -49,9 +48,10 @@ class CostWeights:
 
     @classmethod
     def calibrated(cls, design: Design, initial: "CostBreakdown",
-                   field: TemperatureField) -> "CostWeights":
+                   average: float) -> "CostWeights":
         """Derive default weights from the initial state: the design, its
-        UNWEIGHTED cost breakdown (the fold the search prices) and its field.
+        UNWEIGHTED cost breakdown (the fold the search prices) and its solved
+        average temperature, K.
 
         The anchor is the efficiency equivalent of one kelvin of average
         temperature at the initial floorplan; a 1% area or wirelength
@@ -60,7 +60,7 @@ class CostWeights:
         (dimensionless) aspect deviation by the footprint-area cost.
         """
         f_h, area0, wl0 = initial.efficiency, initial.area, initial.wirelength
-        rise = max(field.average - design.stack.tech.ambient, 1.0)
+        rise = max(average - design.stack.tech.ambient, 1.0)
         anchor = f_h / rise if f_h > 0 else 1.0
         area_w = anchor / (0.01 * area0) if area0 > 0 else 0.0
         wl_w = anchor / (0.01 * wl0) if wl0 > 0 else 0.0
@@ -246,10 +246,11 @@ def face_term(face: _Face, hits: tuple) -> float:
     return term
 
 
-def fold_efficiency(table: StripTable, hits_by_farm, term=None) -> float:
+def fold_efficiency(table: StripTable, hits_by_farm, term) -> float:
     """f_H from each farm's farm_hits, in floorplan order, bit for bit
     pair_efficiency over path_conductivity. A pair no farm blocks takes its
-    farm-free term, a blocked one term(pair, its hits), face_term by default."""
+    farm-free term, a blocked one term(its face, its hits): face_term, or a
+    memo of it."""
     if not table.pairs:
         return 0.0
     blocked: dict[int, tuple] = {}
@@ -258,7 +259,7 @@ def fold_efficiency(table: StripTable, hits_by_farm, term=None) -> float:
             blocked[hit[0]] = blocked.get(hit[0], ()) + (hit,)
     terms = list(table.free)
     for p, hits in blocked.items():
-        terms[p] = term(p, hits) if term else face_term(table.faces[p], hits)
+        terms[p] = term(table.faces[p], hits)
     # a left fold in pair order keeps f_H bit-stable (3.12's sum() compensates,
     # and may differ by an ulp); 0.0 adds no bit to the positive first term
     total = 0.0
@@ -341,35 +342,38 @@ def combine(weights: CostWeights, area: float, efficiency: float, ratio: float,
     return CostBreakdown(area, efficiency, ratio, wirelength_m, total)
 
 
-class FarmRow(NamedTuple):
-    """What one farm, in its rectangle, adds to the cost terms."""
+class FarmRow:
+    """What one farm, in its rect (x0, y0, x1, y1), adds to the cost terms:
+    its farm_hits, for f_H, and its client_terms, for the wirelength. A
+    search context makes one per farm and rect, so a row hashes and compares
+    by identity."""
 
-    rect: tuple     # (x0, y0, x1, y1), for the bounding box
-    hits: tuple     # farm_hits, for f_H
-    wires: tuple    # client_terms, for the wirelength
+    __slots__ = ("rect", "hits", "wires")
+
+    def __init__(self, rect: tuple, hits: tuple, wires: tuple):
+        self.rect, self.hits, self.wires = rect, hits, wires
 
 
 def farm_row(table: StripTable, centers: dict, farm: TsvFarm, faces: tuple,
              rect: tuple) -> FarmRow:
-    """The row of a farm, its fixed fields and blocked_faces, in rect (x, y,
-    width, height); the farm's own rectangle is not read."""
-    x, y, width, height = rect
-    box = (x, y, x + width, y + height)
-    return FarmRow(box, farm_hits(table, faces, farm.k_lateral, box),
-                   client_terms(centers, farm, (x + width / 2, y + height / 2)))
+    """The row of a farm, its fixed fields and blocked_faces, in rect (x0,
+    y0, x1, y1); the farm's own rectangle is not read."""
+    x0, y0, x1, y1 = rect
+    return FarmRow(rect, farm_hits(table, faces, farm.k_lateral, rect),
+                   client_terms(centers, farm, ((x0 + x1) / 2, (y0 + y1) / 2)))
 
 
 def price(weights: CostWeights, table: StripTable, rows, fixed: list,
-          term=None) -> CostBreakdown:
+          term) -> CostBreakdown:
     """All four objective terms and their weighted total, folded from each
     farm's row in floorplan order and the fixed blocks' rects (or their
     bounding box); term as in fold_efficiency."""
-    rects, hits, wires = zip(*rows) if rows else ((), (), ())
-    rects += tuple(fixed)
+    rects = [row.rect for row in rows] + fixed
     box = bounding_box_of(rects)
-    return combine(weights, _box_area(box), fold_efficiency(table, hits, term),
+    return combine(weights, _box_area(box),
+                   fold_efficiency(table, [row.hits for row in rows], term),
                    _box_penalty(box, bool(rects), weights.ratio_target),
-                   _fold_wirelength(wires))
+                   _fold_wirelength([row.wires for row in rows]))
 
 
 def cost(design: Design, weights: CostWeights) -> CostBreakdown:
@@ -378,6 +382,5 @@ def cost(design: Design, weights: CostWeights) -> CostBreakdown:
     table = strip_table(fp.blocks, design.stack)
     centers = block_centers(fp.blocks)
     return price(weights, table,
-                 [farm_row(table, centers, f, blocked_faces(table, f),
-                           (f.x, f.y, f.width, f.height)) for f in fp.farms],
-                 [b.rect for b in fp.blocks])
+                 [farm_row(table, centers, f, blocked_faces(table, f), f.rect) for f in fp.farms],
+                 [b.rect for b in fp.blocks], face_term)

@@ -235,7 +235,7 @@ def test_criterion_8_exhaustive_oracle():
     evaluator = Evaluator(coarse, grid)
     state0 = evaluator.state_of(coarse)
     evaluator.weights = CostWeights.calibrated(coarse, evaluator.terms(state0),
-                                               evaluator.solve(state0))
+                                               evaluator.solve(state0).average)
 
     farm0 = coarse.floorplan.farm("bus_e")
     cell = grid.cell_size
@@ -246,7 +246,8 @@ def test_criterion_8_exhaustive_oracle():
         width, height = farm_shape(farm0.area, ratio)
         for ix in range((fw - width) // cell + 1):
             for iy in range((fh - height) // cell + 1):
-                state = (evaluator.place(0, (ix * cell, iy * cell, width, height)),)
+                x, y = ix * cell, iy * cell
+                state = (evaluator.place(0, (x, y, x + width, y + height)),)
                 if validate(evaluator.design_of(state)):
                     continue
                 configs += 1

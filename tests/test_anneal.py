@@ -178,7 +178,7 @@ class TestGenMove:
             ny, cell, _, _ = groups[g].lattice
             assert f.x % cell == 0 and f.y % cell == 0
             j = int(groups[g].options.searchsorted(f.x // cell * ny + f.y // cell))
-            assert groups[g].option(j) == (f.x, f.y, f.width, f.height)
+            assert groups[g].option(j) == f.rect
             # every proposal draws that lattice point
             low = cumulative[g - 1] if g else 0.0
             mid = (low + cumulative[g]) / 2 / cumulative[-1]
@@ -203,7 +203,7 @@ class TestGenMove:
         for _ in range(50):
             out, kind, _ = gen_move(ev, ev.state_of(d), [0], rng)
             if kind == "move":
-                x, y, _, _ = out[0].xywh
+                x, y, _, _ = out[0].rect
                 assert type(x) is int and type(y) is int
                 assert x % cell == 0 and y % cell == 0
 
@@ -313,11 +313,11 @@ def table_law(ev, state, eligible):
     for group in groups:
         f = design.floorplan.farms[group.index]
         for j in range(len(group.options)):
-            x, y, width, height = group.option(j)
-            if group.kind == "move" and (x, y) == (f.x, f.y):
+            x0, y0, x1, y1 = group.option(j)
+            if group.kind == "move" and (x0, y0) == (f.x, f.y):
                 continue
             try:
-                candidate = _place_farm(design, group.index, x, y, width, height)
+                candidate = _place_farm(design, group.index, x0, y0, x1 - x0, y1 - y0)
             except InvalidMoveError:
                 continue
             law[group.kind, f.name, candidate.floorplan.farms[group.index].rect] += \
@@ -388,7 +388,7 @@ class TestSaPlacement:
         trace = RunTrace()
 
         def cost_fn(state):
-            x, y, _, _ = state[0].xywh
+            x, y, _, _ = state[0].rect
             return abs(x - mm(1.2)) + abs(y - mm(0.2))
 
         def propose(state, rng):
@@ -415,7 +415,7 @@ class TestSaPlacement:
         rng = np.random.default_rng(0)
 
         def cost_fn(state):
-            return abs(state[0].xywh[0] - mm(0.8))
+            return abs(state[0].rect[0] - mm(0.8))
 
         def propose(state, r):
             return gen_move(ev, state, [0], r)
@@ -687,17 +687,17 @@ class TestEvaluatorMemo:
         made = []
         inner = anneal.farm_row
 
-        def counted(table, centers, farm, faces, xywh):
-            made.append((farm.name, xywh))
-            return inner(table, centers, farm, faces, xywh)
+        def counted(table, centers, farm, faces, rect):
+            made.append((farm.name, rect))
+            return inner(table, centers, farm, faces, rect)
         monkeypatch.setattr(anneal, "farm_row", counted)
         design = shipped_design("multicore")
-        met = {(f.name, (f.x, f.y, f.width, f.height)) for f in design.floorplan.farms}
+        met = {(f.name, f.rect) for f in design.floorplan.farms}
         move = anneal.gen_move
 
         def recorded(context, state, eligible, rng):
             out = move(context, state, eligible, rng)
-            met.update((f.name, p.xywh) for f, p, q in zip(context.farms, out[0], state)
+            met.update((f.name, p.rect) for f, p, q in zip(context.farms, out[0], state)
                        if p is not q)
             return out
         monkeypatch.setattr(anneal, "gen_move", recorded)

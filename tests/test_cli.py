@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import subprocess
@@ -442,16 +443,29 @@ def test_bad_commands_and_paths_are_data_errors(runner, args):
     assert runner.invoke(main, args).exit_code == 1
 
 
-@pytest.mark.parametrize("data, line", [
-    (b"\xff\xfe[tech]\n", 1), (TINY_OPT.encode().replace(b"[blocks]", b"[blocks] # \xe9"), 16)],
-    ids=["first-line", "comment"])
-def test_a_design_that_is_not_utf8_is_a_data_error(runner, tmp_path, data, line):
+LATIN1_COMMENT = TINY_OPT.encode().replace(b"[blocks]", b"[blocks] # \xe9")
+
+
+@pytest.mark.parametrize("data, line, byte", [
+    (b"\xff\xfe[tech]\n", 1, 0xff), (LATIN1_COMMENT, 16, 0xe9),
+    (codecs.BOM_UTF8 + LATIN1_COMMENT, 16, 0xe9)],
+    ids=["first-line", "comment", "comment-after-byte-order-mark"])
+def test_a_design_that_is_not_utf8_is_a_data_error(runner, tmp_path, data, line, byte):
     path = tmp_path / "latin1.design"
     path.write_bytes(data)
     result = runner.invoke(main, ["check", str(path)])
     assert result.exit_code == 1, result.output
-    assert f"data error: line {line}: not UTF-8 text: byte 0x" in result.output
+    assert f"data error: line {line}: not UTF-8 text: byte 0x{byte:02x} " in result.output
     assert "Traceback" not in result.output
+
+
+def test_a_leading_byte_order_mark_is_ignored(runner, tmp_path):
+    shipped = REPO / "designs" / "blockage.design"
+    path = tmp_path / "bom.design"
+    path.write_bytes(codecs.BOM_UTF8 + shipped.read_bytes())
+    result = runner.invoke(main, ["check", str(path)])
+    assert result.exit_code == 0, result.output
+    assert parse_design(path) == parse_design(shipped)
 
 
 @pytest.mark.parametrize("command, options", [

@@ -275,6 +275,11 @@ PARSE_BRANCHES = {
     "tech-line-without-value": (
         "ambient = 25 C", "ambient = 25 C\nleakage_coeff =",
         [("leakage_coeff =", "tech line needs: key = value")]),
+    # a tech line splits at its first =, whatever the spaces around it
+    "tech-key=value": ("ambient = 25 C", "ambient=25 C", []),
+    "tech-key =value": ("ambient = 25 C", "ambient =25 C", []),
+    "tech-key= value": ("ambient = 25 C", "ambient= 25 C", []),
+    "tech-key = value": ("ambient = 25 C", "  ambient   =   25   C  ", []),
     "tech-missing-required-key": (
         "ambient = 25 C\n", "", [(0, "missing required tech key 'ambient'")]),
     "tech-required-key-with-bad-value-counts-as-present": (

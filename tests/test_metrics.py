@@ -216,7 +216,7 @@ class TestCalibratedWeights:
                         tech=make_tech(adjacency_window=MM))
         grid = grid_for(d.stack)
         field = solve_design(d, grid)
-        w = CostWeights.calibrated(d, cost(d, UNWEIGHTED), field)
+        w = CostWeights.calibrated(d, cost(d, UNWEIGHTED), field.average)
         assert w.efficiency == -1.0
         assert w.area > 0 and w.wirelength > 0
         f_h = total_efficiency(d)
@@ -237,7 +237,7 @@ class TestCalibratedWeights:
         area_w = anchor / (0.01 * area0) if area0 > 0 else 0.0
         wl_w = anchor / (0.01 * wl0) if wl0 > 0 else 0.0
         x0, y0, x1, y1 = d.floorplan.bounding_box
-        assert CostWeights.calibrated(d, cost(d, UNWEIGHTED), field) == CostWeights(
+        assert CostWeights.calibrated(d, cost(d, UNWEIGHTED), field.average) == CostWeights(
             area_w, -1.0, area_w * metres(tech.footprint_width * tech.footprint_height, 2), wl_w,
             (x1 - x0) / (y1 - y0) if y1 - y0 > 0 else 1.0)
 

@@ -31,7 +31,7 @@ CELLS = {"100um": None, "50um": 50_000, "25um": 25_000}   # nm; None: the design
 def _scratch_table(ev, state, eligible):
     """gen_move's groups and cumulative masses, built from every farm's groups."""
     weight = 0.5 / len(eligible)
-    groups = [g for index in eligible for g in ev._farm_moves(state[index], weight)]
+    groups = [g for index in eligible for g in ev._farm_moves(index, state[index], weight)]
     return groups, list(accumulate(g.mass for g in groups))
 
 
@@ -97,9 +97,9 @@ def test_reshape_legality_agrees_with_fixed_conflict(name, cell):
             anchors += [(farm.x, farm.y), (farm.x, farm.y + step // 7)]
             others = [s for s in shapes if s != (width, height)]
             for x, y in anchors:
-                legal = [(x, y, w, h) for w, h in others
+                legal = [(x, y, x + w, y + h) for w, h in others
                          if fixed_conflict(stack, blocks, start, end, (x, y, x + w, y + h)) is None]
-                groups = ev._farm_moves(ev.place(index, (x, y, width, height)), 0.5)
+                groups = ev._farm_moves(index, ev.place(index, (x, y, x + width, y + height)), 0.5)
                 assert [g.options for g in groups if g.kind == "reshape"] == (
                     [legal] if legal else []), (farm.name, x, y)
                 checked[len(legal) == len(others)] += 1
@@ -168,7 +168,7 @@ def test_calibration_reads_the_runs_own_terms(name, leakage):
     result = optimize_stack(design, AnnealConfig(seed=1, max_moves=1),
                             FlowConfig(outer_iterations=1))
     assert result.weights == CostWeights.calibrated(design, cost(design, UNWEIGHTED),
-                                                    result.before_field)
+                                                    result.before_field.average)
 
 
 def test_a_run_computes_what_the_blocks_fix_once(monkeypatch):

@@ -60,6 +60,24 @@ def test_a_stale_import_and_an_unread_private_name_are_caught(tmp_path):
         test_every_private_name_is_referenced(path)
 
 
+def _imported_modules(path):
+    """The module of every import in the file, relative ones with their dots."""
+    modules = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+    return modules
+
+
+def test_metrics_does_not_import_the_solver():
+    # the cost terms are priced from rectangles alone; calibration takes the
+    # input's solved average temperature as a number
+    modules = _imported_modules(Path(tsvplan.__file__).parent / "metrics.py")
+    assert ".thermal" not in modules and "tsvplan.thermal" not in modules
+
+
 # Every length is whole nanometres, so model.py and anneal.py hold no length
 # tolerance. A 1e-9 or 1e-12 literal may stay only where it bounds another
 # quantity; each such bound is named here with the function it sits in, and

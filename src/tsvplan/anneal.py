@@ -43,6 +43,13 @@ RETRY_CAP = 50     # proposals gen_move redraws before it returns a null move
 # a cost change within a few ulps of the current cost is a tie, taken as 0
 TIE_RTOL = 4 * np.finfo(float).eps
 MEMO_ENTRIES = 4096  # in each of an Evaluator's memos; a full memo starts over
+# temperature steps x max_moves of one layer pass: about a minute of moves at
+# the proxy objective's ~20,000 moves/s, and 189x the longest schedule a study
+# or test runs (cooling 0.9 from t0 to t0 * 1e-3 is 66 steps, of 80 moves)
+MAX_PASS_MOVES = 1_000_000
+# stack-level iterations of a run: 50x the default of 2; each outer adds a
+# pass per layer and a snapshot to the report, so a run stays bounded
+MAX_OUTER_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -83,6 +90,8 @@ class FlowConfig:
     def __post_init__(self):
         if not self.outer_iterations >= 1:
             raise ValueError("outer_iterations must be >= 1")
+        if self.outer_iterations > MAX_OUTER_ITERATIONS:
+            raise ValueError(f"outer_iterations must be <= {MAX_OUTER_ITERATIONS}")
 
 
 class MoveRecord(NamedTuple):
@@ -160,11 +169,11 @@ class MoveGroup(NamedTuple):
         return x, y, x + width, y + height
 
 
-def gen_move(context: "Evaluator", state: tuple, eligible: Sequence[int],
+def gen_move(context: "Evaluator", state: tuple, layer: int,
              rng) -> tuple[tuple, str, str | None]:
-    """Draw one legal candidate state: a farm of `eligible` (farm indices)
-    reshaped to another configured ratio, anchored at its lower left, or
-    relocated to a grid-aligned origin.
+    """Draw one legal candidate state: a farm that starts on `layer`
+    (context.movable[layer]) reshaped to another configured ratio, anchored
+    at its lower left, or relocated to a grid-aligned origin.
 
     The candidate's law is that of drawing a farm uniformly, then reshape or
     relocate with probability 1/2 each, then a ratio or lattice origin
@@ -174,11 +183,9 @@ def gen_move(context: "Evaluator", state: tuple, eligible: Sequence[int],
     an option within it. A candidate that overlaps another farm, or a
     relocation onto the farm's own origin, redraws the whole proposal; only a
     legal candidate is placed. After RETRY_CAP proposals, or at once when
-    the state has no candidate, the state itself is returned as a null move.
+    the layer has no candidate, the state itself is returned as a null move.
     """
-    if not eligible:
-        return state, "null", None
-    groups, cumulative = context.move_table(state, eligible)
+    groups, cumulative = context.move_table(state, layer)
     if not groups:
         return state, "null", None
     total, last = cumulative[-1], len(groups) - 1
@@ -224,7 +231,9 @@ def sa_placement(state, cost_fn, propose, config: AnnealConfig, rng,
 
     cost_fn maps a legal state to a scalar; propose(state, rng) yields
     (candidate, kind, farm). Temperature cools geometrically after each
-    batch of max_moves candidates until it falls below the threshold.
+    batch of max_moves candidates until it falls below the threshold. A
+    schedule of more than MAX_PASS_MOVES candidates is a DesignError, raised
+    before the first.
     """
     current_cost = cost_fn(state)
     t0 = config.t_initial
@@ -237,9 +246,19 @@ def sa_placement(state, cost_fn, propose, config: AnnealConfig, rng,
         raise DesignError(f"--t-threshold {threshold:g} must be below the calibrated "
                           f"t_initial {t0:g}; lower it or set --t-initial")
 
+    steps, temperature = 0, t0
+    while temperature > threshold:
+        temperature *= config.cooling
+        steps += 1
+        if steps * config.max_moves > MAX_PASS_MOVES:
+            raise DesignError(f"--cooling {config.cooling}, --t-threshold {threshold:g} and "
+                              f"--max-moves {config.max_moves} make a layer pass of over "
+                              f"{MAX_PASS_MOVES:,} moves from t_initial {t0:g}; lower "
+                              f"--cooling or --max-moves, or raise --t-threshold")
+
     best, best_cost = state, current_cost
     temperature = t0
-    while temperature > threshold:
+    for _ in range(steps):
         for _ in range(config.max_moves):
             candidate, kind, farm = propose(state, rng)
             candidate_cost = current_cost if kind == "null" else cost_fn(candidate)
@@ -271,17 +290,18 @@ class Evaluator:
 
     It holds what the search never changes, as per-run tables built here:
     the stack and blocks, the f_H strip table, the blocks' bounding box and
-    centres, and each farm's fixed fields, blocked faces, same-layer
-    neighbours and farm_shapes (the blocks' cell weights and power raster are
+    centres, each layer's movable farms (the farms that start on it), and
+    each farm's fixed fields, blocked faces, same-layer neighbours and
+    farm_shapes (the blocks' cell weights and power raster are
     thermal.block_raster's, built by the first solve). A state is a tuple of
     the rows it interns, one metrics.FarmRow per (farm index, rect), the
     rect in corners (x0, y0, x1, y1). It memoizes what depends on the farm
     rectangles: those rows, the field and the cost of each state, each
-    row's move groups, each blocked pair's term and legal_origins' rasters,
-    and keeps the last move_table. Every memo is read and filled only through
-    _recall, which bounds it by MEMO_ENTRIES (a state placed after a start
-    over is priced again, to the same values); each fills lazily, move
-    groups and rasters from the first gen_move on. solve returns a state's
+    (state, layer)'s move table, each row's move groups, each blocked pair's
+    term and legal_origins' rasters. Every memo is read and filled only
+    through _recall, which bounds it by MEMO_ENTRIES (a state placed after a
+    start over is priced again, to the same values); each fills lazily, move
+    tables, groups and rasters from the first gen_move on. solve returns a state's
     field on the run's grid; breakdown and cost price a state under weights,
     which must be set before the first price, and count the evaluations;
     terms prices a state UNWEIGHTED, for calibration, outside both.
@@ -297,6 +317,8 @@ class Evaluator:
         self.shapes = [[farm_shape(f.area, r) for r in design.stack.tech.aspect_ratios]
                        for f in fp.farms]
         self.centers = block_centers(fp.blocks)
+        self.movable = [[k for k, f in enumerate(fp.farms) if f.start_layer == layer]
+                        for layer in range(design.stack.num_layers)]
         # min and max are exact: the blocks' box prices like all their rects
         self.fixed = [bounding_box_of([b.rect for b in fp.blocks])] if fp.blocks else []
         self.evaluations = 0
@@ -304,10 +326,9 @@ class Evaluator:
         self._priced: dict = {}    # state -> CostBreakdown
         self._rows: dict = {}      # (index, rect) -> FarmRow
         self._terms: dict = {}     # a blocked pair's hits -> its term
-        self._groups: dict = {}    # (FarmRow, weight) -> [MoveGroup]
+        self._tables: dict = {}    # (state, layer) -> (groups, cumulative masses)
+        self._groups: dict = {}    # FarmRow -> [MoveGroup]
         self._origins: dict = {}   # (width, height, start, end) -> legal_origins
-        # the last move_table: state, eligible, (groups, cumulative masses)
-        self._table: tuple = (None, None, ([], []))
 
     def state_of(self, design: Design) -> tuple:
         return tuple([self.place(k, f.rect) for k, f in enumerate(design.floorplan.farms)])
@@ -348,25 +369,21 @@ class Evaluator:
     def _term(self, face, hits: tuple) -> float:
         return _recall(self._terms, hits, face_term, face, hits)
 
-    def move_table(self, state: tuple,
-                   eligible: Sequence[int]) -> tuple[list[MoveGroup], list[float]]:
-        """gen_move's groups in one state, each eligible farm's memoized groups
-        in eligible order, and their cumulative masses. Kept for the last
-        (state, eligible) objects, since a rejected candidate leaves the state
-        as it is."""
-        last, known, table = self._table
-        if last is state and known is eligible:
-            return table
-        weight = 0.5 / len(eligible)
-        groups = [group for index in eligible
-                  for group in _recall(self._groups, (state[index], weight),
-                                       self._farm_moves, index, state[index], weight)]
-        table = groups, list(accumulate(g.mass for g in groups))
-        self._table = (state, eligible, table)
-        return table
+    def move_table(self, state: tuple, layer: int) -> tuple[list[MoveGroup], list[float]]:
+        """gen_move's groups on one layer in one state, each movable farm's
+        memoized groups in floorplan order, and their cumulative masses; empty
+        on a layer where no farm starts."""
+        return _recall(self._tables, (state, layer), self._move_table, state, layer)
 
-    def _farm_moves(self, index: int, row: FarmRow, weight: float) -> list[MoveGroup]:
-        """One farm's groups, each of mass weight * options / all options.
+    def _move_table(self, state: tuple, layer: int) -> tuple[list[MoveGroup], list[float]]:
+        groups = [group for index in self.movable[layer]
+                  for group in _recall(self._groups, state[index], self._farm_moves,
+                                       index, state[index])]
+        return groups, list(accumulate(g.mass for g in groups))
+
+    def _farm_moves(self, index: int, row: FarmRow) -> list[MoveGroup]:
+        """One farm's groups, each of mass weight * options / all options,
+        where weight is 1/2 over the number of farms movable on its layer.
 
         A reshape's options are the configured ratios' farm_shapes other
         than the farm's own sides whose rectangle, anchored at the farm's
@@ -378,6 +395,7 @@ class Evaluator:
         width, height = x1 - x, y1 - y
         farm, stack, cell = self.farms[index], self.design.stack, self.grid.cell_size
         start, end, blocks = farm.start_layer, farm.end_layer, self.design.floorplan.blocks
+        weight = 0.5 / len(self.movable[start])
         shapes = [shape for shape in self.shapes[index] if shape != (width, height)]
         legal = [rect for rect in [(x, y, x + w, y + h) for w, h in shapes]
                  if fixed_conflict(stack, blocks, start, end, rect) is None]
@@ -438,20 +456,20 @@ def layer_pass(state: tuple, layer: int, evaluator: Evaluator,
     """Anneal the farms that start on one layer; identity pass when none do.
     Returns the best state seen, the input itself when none beats it. The
     record reads the fields of the input and of the returned state."""
-    eligible = [k for k, f in enumerate(evaluator.farms) if f.start_layer == layer]
+    movable = evaluator.movable[layer]
     pre = evaluator.solve(state)
     best = state
     moves_before = len(trace.moves)
-    if eligible:
+    if movable:
         def propose(candidate, r):
-            return gen_move(evaluator, candidate, eligible, r)
+            return gen_move(evaluator, candidate, layer, r)
 
         best, _ = sa_placement(state, evaluator.cost, propose, config, rng,
                                trace, outer=outer, layer=layer)
     new_moves = trace.moves[moves_before:]
     post = evaluator.solve(best)
     trace.passes.append(PassRecord(
-        outer, layer, len(eligible), len(new_moves),
+        outer, layer, len(movable), len(new_moves),
         sum(1 for m in new_moves if m.accepted),
         float(pre.t[layer].mean()), float(pre.t[layer].max()),
         float(post.t[layer].mean()), float(post.t[layer].max())))

@@ -257,7 +257,7 @@ def test_criterion_8_exhaustive_oracle():
     assert configs <= 10_000
 
     def propose(state, rng):
-        return gen_move(evaluator, state, [0], rng)
+        return gen_move(evaluator, state, farm0.start_layer, rng)
 
     trace = RunTrace()
     _, sa_cost = sa_placement(evaluator.state_of(coarse), evaluator.cost, propose,

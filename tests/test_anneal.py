@@ -10,7 +10,7 @@ from tsvplan import anneal
 from tsvplan.anneal import (RETRY_CAP, AnnealConfig, Evaluator, FlowConfig, RunTrace,
                             accept, calibrate_t_initial, gen_move, layer_pass,
                             optimize_stack, sa_placement)
-from tsvplan.errors import InvalidMoveError
+from tsvplan.errors import DesignError, InvalidMoveError
 from tsvplan.metrics import CostWeights, cost
 from tsvplan.model import _place_farm, farm_shape, move_farm, reshape_farm, validate
 from tsvplan.thermal import grid_for, solve_design
@@ -96,6 +96,23 @@ class TestAccept:
         assert all(m.accepted and m.draw is None and m.delta_cost > 0 for m in trace.moves)
         assert best is d and best_cost == 0.1 + 0.2
 
+    def test_a_pass_over_the_move_cap_is_refused_before_its_first_move(self, monkeypatch):
+        # t0 1 cooling 0.85 to 0.5 is 5 temperatures of 3 moves: 15 moves
+        proposed = []
+
+        def propose(state, rng):
+            proposed.append(state)
+            return state, "null", None
+
+        cfg = AnnealConfig(t_initial=1.0, t_threshold=0.5, max_moves=3)
+        monkeypatch.setattr(anneal, "MAX_PASS_MOVES", 14)
+        with pytest.raises(DesignError, match="make a layer pass of over 14 moves"):
+            sa_placement("s", lambda state: 0.0, propose, cfg, NoDrawRng())
+        assert proposed == []
+        monkeypatch.setattr(anneal, "MAX_PASS_MOVES", 15)
+        sa_placement("s", lambda state: 0.0, propose, cfg, NoDrawRng())
+        assert len(proposed) == 15
+
     def test_calibration_ignores_ties(self):
         d = make_design(farms=(farm("f", 0.8, 0.8, 0.4, 0.4),))
         cost = 2.5
@@ -116,9 +133,10 @@ class TestGenMove:
         return make_design(farms=(farm("f", 0.8, 0.8, 0.4, 0.4),))
 
     def _draw(self, design, rng):
-        """One gen_move of farm 0 from design's state, read back as a Design."""
+        """One gen_move on layer 0, where only farm 0 starts, from design's
+        state, read back as a Design."""
         ev = context(design)
-        out, kind, name = gen_move(ev, ev.state_of(design), [0], rng)
+        out, kind, name = gen_move(ev, ev.state_of(design), 0, rng)
         return ev.design_of(out), kind, name
 
     def test_low_draw_takes_reshape_branch(self):
@@ -149,7 +167,9 @@ class TestGenMove:
         assert (f.width, f.height) == farm_shape(f.area, 0.5) == (282_843, 565_685)
 
     def test_farm_overlap_redraws_the_whole_proposal(self):
-        d = make_design(farms=(farm("f", 0.8, 0.8, 0.4, 0.4), farm("g", 0.0, 0.0, 0.4, 0.4)))
+        # g starts on layer 1, so only f moves on layer 0, and g is in its way
+        d = make_design(farms=(farm("f", 0.8, 0.8, 0.4, 0.4),
+                               farm("g", 0.0, 0.0, 0.4, 0.4, start=1)))
         rng = ScriptedRng([1 * 17 + 1, 2 * 17 + 9], [0.7, 0.9])   # (1, 1) overlaps g
         out, kind, name = self._draw(d, rng)
         assert (kind, name) == ("move", "f") and rng.exhausted
@@ -161,7 +181,7 @@ class TestGenMove:
         ev = context(d)
         state = ev.state_of(d)
         rng = ScriptedRng([8 * 17 + 8] * RETRY_CAP, [0.9] * RETRY_CAP)
-        out, kind, name = gen_move(ev, state, [0], rng)
+        out, kind, name = gen_move(ev, state, 0, rng)
         assert (out, kind, name) == (state, "null", None) and rng.exhausted
 
     @pytest.mark.parametrize("name", SHIPPED)
@@ -173,8 +193,9 @@ class TestGenMove:
         ev = context(d)
         state = ev.state_of(d)
         for index, f in enumerate(d.floorplan.farms):
-            groups, cumulative = ev.move_table(state, [index])
-            g = next(g for g, group in enumerate(groups) if group.kind == "move")
+            groups, cumulative = ev.move_table(state, f.start_layer)
+            g = next(g for g, group in enumerate(groups)
+                     if group.index == index and group.kind == "move")
             ny, cell, _, _ = groups[g].lattice
             assert f.x % cell == 0 and f.y % cell == 0
             j = int(groups[g].options.searchsorted(f.x // cell * ny + f.y // cell))
@@ -183,7 +204,7 @@ class TestGenMove:
             low = cumulative[g - 1] if g else 0.0
             mid = (low + cumulative[g]) / 2 / cumulative[-1]
             rng = ScriptedRng([j] * RETRY_CAP, [mid] * RETRY_CAP)
-            assert gen_move(ev, state, [index], rng) == (state, "null", None)
+            assert gen_move(ev, state, f.start_layer, rng) == (state, "null", None)
             assert rng.exhausted
 
     def test_an_off_lattice_origin_stays_until_the_farm_moves(self):
@@ -201,7 +222,7 @@ class TestGenMove:
         rng = np.random.default_rng(5)
         cell = d.stack.tech.grid_cell
         for _ in range(50):
-            out, kind, _ = gen_move(ev, ev.state_of(d), [0], rng)
+            out, kind, _ = gen_move(ev, ev.state_of(d), 0, rng)
             if kind == "move":
                 x, y, _, _ = out[0].rect
                 assert type(x) is int and type(y) is int
@@ -214,16 +235,18 @@ class TestGenMove:
         d = make_design(farms=(farm("f", 0.0, 0.0, 0.4, 0.4),), tech=tech)
         ev = context(d)
         state = ev.state_of(d)
-        out, kind, name = gen_move(ev, state, [0], np.random.default_rng(0))
+        out, kind, name = gen_move(ev, state, 0, np.random.default_rng(0))
         assert kind == "null" and name is None
         assert out is state
 
     def test_no_eligible_farms(self):
-        d = self._design()
+        # a layer where no farm starts has an empty table: a null move, without a draw
+        d = self._design()   # f starts on layer 0 of 2
         ev = context(d)
         state = ev.state_of(d)
-        out, kind, _ = gen_move(ev, state, [], np.random.default_rng(0))
-        assert kind == "null" and out is state
+        assert ev.movable == [[0], []]
+        assert ev.move_table(state, 1) == ([], [])
+        assert gen_move(ev, state, 1, NoDrawRng()) == (state, "null", None)
 
     def test_candidates_always_legal(self):
         d = make_design(
@@ -233,23 +256,46 @@ class TestGenMove:
         state = ev.state_of(d)
         rng = np.random.default_rng(11)
         for _ in range(200):
-            state, kind, _ = gen_move(ev, state, [0, 1], rng)
+            state, kind, _ = gen_move(ev, state, 0, rng)
             assert validate(ev.design_of(state)) == []
 
     def test_a_farm_back_on_its_rectangle_reuses_its_groups(self):
         d = make_design(farms=(farm("f", 0.8, 0.8, 0.4, 0.4), farm("g", 0.0, 0.0, 0.4, 0.4)))
         ev = context(d)
-        groups, _ = ev.move_table(ev.state_of(d), [0, 1])
+        groups, _ = ev.move_table(ev.state_of(d), 0)
         away = move_farm(d, "f", (mm(1.2), mm(1.2)))
-        ev.move_table(ev.state_of(away), [0, 1])
+        ev.move_table(ev.state_of(away), 0)
         entries = len(ev._groups)
         back = ev.state_of(move_farm(away, "f", (mm(0.8), mm(0.8))))
         assert back == ev.state_of(d) and back is not ev.state_of(d)
         assert all(p is q for p, q in zip(back, ev.state_of(d)))
-        again, _ = ev.move_table(back, [0, 1])
+        again, _ = ev.move_table(back, 0)
         assert len(ev._groups) == entries
         assert len(again) == len(groups)
         assert all(a is b for a, b in zip(again, groups))
+
+    def test_a_state_and_layer_seen_before_read_their_table(self, monkeypatch):
+        # a rejected candidate leaves the state as it is and a pass hands its
+        # best state on, so a table is asked for again, out of order; neither
+        # it nor a farm's groups are built twice
+        built = defaultdict(list)
+
+        def counted(name, inner):
+            def build(self, *args):
+                built[name].append(args)
+                return inner(self, *args)
+            return build
+        for name in ("_move_table", "_farm_moves"):
+            monkeypatch.setattr(Evaluator, name, counted(name, getattr(Evaluator, name)))
+        d = _law_design()   # f and g start on layer 0, h on layer 1
+        ev = context(d)
+        states = [ev.state_of(d), ev.state_of(move_farm(d, "f", (mm(0.2), mm(1.0))))]
+        tables = {(k, layer): ev.move_table(state, layer)
+                  for k, state in enumerate(states) for layer in (0, 1)}
+        assert len(built["_move_table"]) == 4 and len(built["_farm_moves"]) == 4
+        for k, layer in [(1, 1), (0, 0), (1, 0), (0, 1), (0, 0)]:
+            assert ev.move_table(states[k], layer) is tables[k, layer]
+        assert len(built["_move_table"]) == 4 and len(built["_farm_moves"]) == 4
 
 
 def _law_design():
@@ -267,14 +313,16 @@ def _normalized(law):
     return {key: mass / total for key, mass in law.items()}
 
 
-def rejection_law(design, eligible, cell):
-    """The law of a legal candidate under the rejection sampler: a farm
-    uniformly, reshape or relocate with probability 1/2, then a ratio other
-    than the farm's own or a lattice origin uniformly, redrawn until legal
-    and moving the farm. Keys are (kind, farm, new rectangle)."""
+def rejection_law(design, layer, cell):
+    """The law of a legal candidate under the rejection sampler on one layer:
+    a farm that starts there uniformly, reshape or relocate with probability
+    1/2, then a ratio other than the farm's own or a lattice origin uniformly,
+    redrawn until legal and moving the farm. Keys are (kind, farm, new
+    rectangle)."""
     law = defaultdict(float)
     fw, fh = design.stack.footprint
-    for name in eligible:
+    movable = [f.name for f in design.floorplan.farms if f.start_layer == layer]
+    for name in movable:
         f = design.floorplan.farm(name)
         ratios = [r for r in design.stack.tech.aspect_ratios
                   if farm_shape(f.area, r) != (f.width, f.height)]
@@ -284,7 +332,7 @@ def rejection_law(design, eligible, cell):
             except InvalidMoveError:
                 continue
             law["reshape", name, candidate.floorplan.farm(name).rect] += \
-                1 / len(eligible) / 2 / len(ratios)
+                1 / len(movable) / 2 / len(ratios)
         nx = (fw - f.width) // cell + 1
         ny = (fh - f.height) // cell + 1
         for ix in range(nx):
@@ -297,16 +345,16 @@ def rejection_law(design, eligible, cell):
                 except InvalidMoveError:
                     continue
                 law["move", name, candidate.floorplan.farm(name).rect] += \
-                    1 / len(eligible) / 2 / (nx * ny)
+                    1 / len(movable) / 2 / (nx * ny)
     return _normalized(law)
 
 
-def table_law(ev, state, eligible):
+def table_law(ev, state, layer):
     """The same law read from the context's move_table: each option of a
     group has the group's mass over its option count; proposals that overlap
     a farm or do not move it are redrawn, so the law is renormalized over the
     rest."""
-    groups, cumulative = ev.move_table(state, eligible)
+    groups, cumulative = ev.move_table(state, layer)
     assert cumulative == list(accumulate(g.mass for g in groups))
     design = ev.design_of(state)
     law = defaultdict(float)
@@ -327,37 +375,37 @@ def table_law(ev, state, eligible):
 
 class TestCandidateLaw:
     def test_table_law_equals_the_rejection_law(self):
+        # passes of 2 farms (f and g, on layer 0) and of 1 (h, on layer 1)
         d = _law_design()
         ev = context(d)
+        assert ev.movable == [[0, 1], [2]]
         rng = np.random.default_rng(3)
-        for eligible in (["f", "g", "h"], ["f", "g"], ["h"]):
-            indices = [d.floorplan.farm_index(name) for name in eligible]
+        for layer in (0, 1):
             state = ev.state_of(d)
             for _ in range(6):   # several states along a chain
-                expected = rejection_law(ev.design_of(state), eligible,
-                                         ev.grid.cell_size)
-                got = table_law(ev, state, indices)
+                expected = rejection_law(ev.design_of(state), layer, ev.grid.cell_size)
+                got = table_law(ev, state, layer)
                 assert got.keys() == expected.keys()
                 assert all(abs(got[k] - p) <= 1e-12 for k, p in expected.items())
-                state, kind, _ = gen_move(ev, state, indices, rng)
+                state, kind, _ = gen_move(ev, state, layer, rng)
                 assert kind != "null"
 
     def test_gen_move_draws_by_the_law(self):
         d = _law_design()
         ev = context(d)
-        marginal = defaultdict(float)
-        for (kind, name, _), p in rejection_law(d, ["f", "g", "h"],
-                                                ev.grid.cell_size).items():
-            marginal[kind, name] += p
         rng = np.random.default_rng(17)
         draws = 3000
-        counts = defaultdict(int)
-        for _ in range(draws):
-            _, kind, name = gen_move(ev, ev.state_of(d), [0, 1, 2], rng)
-            counts[kind, name] += 1
-        assert counts.keys() == marginal.keys()
-        for key, p in marginal.items():
-            assert abs(counts[key] / draws - p) <= 4 * math.sqrt(p * (1 - p) / draws)
+        for layer in (0, 1):
+            marginal = defaultdict(float)
+            for (kind, name, _), p in rejection_law(d, layer, ev.grid.cell_size).items():
+                marginal[kind, name] += p
+            counts = defaultdict(int)
+            for _ in range(draws):
+                _, kind, name = gen_move(ev, ev.state_of(d), layer, rng)
+                counts[kind, name] += 1
+            assert counts.keys() == marginal.keys()
+            for key, p in marginal.items():
+                assert abs(counts[key] / draws - p) <= 4 * math.sqrt(p * (1 - p) / draws)
 
 
 class TestSaPlacement:
@@ -373,7 +421,7 @@ class TestSaPlacement:
             return 7.0
 
         def propose(state, rng):
-            return gen_move(ev, state, [0], rng)
+            return gen_move(ev, state, 0, rng)
 
         cfg = AnnealConfig(t_initial=1.0, t_threshold=0.5, max_moves=5, seed=0)
         best, best_cost = sa_placement(start, cost_fn, propose, cfg,
@@ -392,7 +440,7 @@ class TestSaPlacement:
             return abs(x - mm(1.2)) + abs(y - mm(0.2))
 
         def propose(state, rng):
-            return gen_move(ev, state, [0], rng)
+            return gen_move(ev, state, 0, rng)
 
         cfg = AnnealConfig(t_initial=1e-3, t_threshold=1e-6, cooling=0.7,
                            max_moves=10, seed=0)
@@ -418,7 +466,7 @@ class TestSaPlacement:
             return abs(state[0].rect[0] - mm(0.8))
 
         def propose(state, r):
-            return gen_move(ev, state, [0], r)
+            return gen_move(ev, state, 0, r)
 
         t0 = calibrate_t_initial(start, cost_fn, propose, rng, cost_fn(start))
         assert t0 > 0
@@ -443,6 +491,9 @@ class TestSaPlacement:
             AnnealConfig(max_moves=0)
         with pytest.raises(ValueError):
             FlowConfig(outer_iterations=0)
+        FlowConfig(outer_iterations=anneal.MAX_OUTER_ITERATIONS)
+        with pytest.raises(ValueError, match="outer_iterations must be <= 100"):
+            FlowConfig(outer_iterations=anneal.MAX_OUTER_ITERATIONS + 1)
 
     def test_seed_is_taken_as_an_integer(self):
         # rejected at construction, not by the generator after the first solve
@@ -677,9 +728,9 @@ class TestEvaluatorMemo:
         assert len(calls["_price"]) == result.evaluations == 1922
         candidates = len(kinds) - kinds.count("null")
         assert len(calls["_placement"]) == len(design.floorplan.farms) + candidates
-        # the memos of the placements, terms, move groups and rasters are hit too
-        assert all(any(calls[name])
-                   for name in ("_placement", "face_term", "_farm_moves", "legal_origins"))
+        # the memos of the placements, terms, move tables and groups and rasters are hit too
+        assert all(any(calls[name]) for name in ("_placement", "face_term", "_move_table",
+                                                 "_farm_moves", "legal_origins"))
 
     def test_each_placement_is_made_once(self, monkeypatch):
         # a seed-1 multicore run builds one cost row per distinct (farm,
@@ -695,8 +746,8 @@ class TestEvaluatorMemo:
         met = {(f.name, f.rect) for f in design.floorplan.farms}
         move = anneal.gen_move
 
-        def recorded(context, state, eligible, rng):
-            out = move(context, state, eligible, rng)
+        def recorded(context, state, layer, rng):
+            out = move(context, state, layer, rng)
             met.update((f.name, p.rect) for f, p, q in zip(context.farms, out[0], state)
                        if p is not q)
             return out
@@ -710,8 +761,8 @@ class TestEvaluatorMemo:
         ev = context(d)
         assert ev.design_of(ev.state_of(d)) == d
         state, rng = ev.state_of(d), np.random.default_rng(1)
-        for _ in range(20):
-            state, _, _ = gen_move(ev, state, list(range(len(state))), rng)
+        for _ in range(20):   # every shipped farm starts on layer 0
+            state, _, _ = gen_move(ev, state, 0, rng)
             assert ev.state_of(ev.design_of(state)) == state
 
 

@@ -85,7 +85,7 @@ def test_every_candidate_goes_through_the_module_gen_move(monkeypatch):
 
     def counted(context, *args):
         if not calls:
-            assert not context._origins and not context._groups
+            assert not context._origins and not context._groups and not context._tables
         calls.append(args)
         return inner(context, *args)
 

@@ -410,6 +410,37 @@ def test_bad_cli_numbers_are_data_errors(runner, tmp_path, args, message):
     assert not (tmp_path / "out").exists()
 
 
+# schedules that would run for hours: millions of temperature steps, a
+# billion moves a step, a billion outer iterations; each is refused before
+# the first move, the last before any solve
+@pytest.mark.parametrize("options, message", [
+    (["--cooling", "0.9999999", "--t-initial", "1", "--t-threshold", "0.5", "--max-moves", "1"],
+     "--cooling 0.9999999, --t-threshold 0.5 and --max-moves 1 make a layer pass of over "
+     "1,000,000 moves"),
+    (["--max-moves", "1000000000"], "--max-moves 1000000000 make a layer pass of over"),
+    (["--outer-iters", "1000000000"], "outer_iterations must be <= 100"),
+], ids=["cooling", "max-moves", "outer-iters"])
+def test_an_unbounded_run_is_a_data_error(runner, tmp_path, options, message):
+    start = time.monotonic()
+    result = runner.invoke(main, ["optimize", str(REPO / "designs" / "blockage.design"),
+                                  *options, "--out-dir", str(tmp_path / "out")])
+    assert time.monotonic() - start < 10
+    assert result.exit_code == 1, result.output
+    assert "data error: " in result.output and message in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_sweep_fails_each_point_whose_pass_is_unbounded(runner, tmp_path):
+    out = tmp_path / "sweep"
+    result = runner.invoke(main, ["sweep", str(REPO / "designs" / "blockage.design"),
+                                  "--axis", "k_farm", "--values", "0.5,1",
+                                  "--max-moves", "1000000000", "--out-dir", str(out)])
+    assert result.exit_code == 2, result.output
+    statuses = [p["status"] for p in json.loads((out / "sweep.json").read_text())["points"]]
+    assert len(statuses) == 2
+    assert all(s.startswith("error: ") and "make a layer pass of over" in s for s in statuses)
+
+
 @pytest.mark.parametrize("args, message", [
     (["analyze", "--leakage-lambda", "abc"], "'abc' is not a valid float"),
     (["optimize", "--leakage-lambda", "abc"], "'abc' is not a valid float"),

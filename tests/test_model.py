@@ -323,8 +323,9 @@ def test_move_farm_reports_fixed_conflict_then_farm_overlap(name, seed, data):
     ev = Evaluator(design, grid_for(design.stack), CostWeights(0.0, -1.0, 0.0, 0.0))
     state = ev.state_of(design)
     rng = np.random.default_rng(seed)
-    for _ in range(data.draw(st.integers(0, 40), label="walk")):   # a random state
-        state, _, _ = gen_move(ev, state, list(range(len(state))), rng)
+    layers = [layer for layer, movable in enumerate(ev.movable) if movable]
+    for step in range(data.draw(st.integers(0, 40), label="walk")):   # a random state
+        state, _, _ = gen_move(ev, state, layers[step % len(layers)], rng)
     design = ev.design_of(state)
     half = design.stack.tech.grid_cell // 2
     sides = st.sampled_from(["none", "east", "west", "north", "south"])

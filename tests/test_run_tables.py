@@ -1,10 +1,10 @@
 """The tables a run computes once from its fixed blocks, against what they
-replace: the move table kept or built for each state against one built
-from every farm's groups, each farm's reshape options against
-fixed_conflict, the blocks' cell weights and power raster against the
-per-call formulas, and the input's terms that calibrate the weights against
-cost(design, UNWEIGHTED). Each must give the same values; a work-count guard
-pins how much of that work a fixed-seed run does."""
+replace: the move table memoized for each state and layer against one
+built from the groups of every farm that starts there, each farm's reshape
+options against fixed_conflict, the blocks' cell weights and power raster
+against the per-call formulas, and the input's terms that calibrate the
+weights against cost(design, UNWEIGHTED). Each must give the same values;
+work-count guards pin how much of that work a fixed-seed run does."""
 
 import dataclasses
 import random
@@ -28,10 +28,12 @@ from conftest import SHIPPED, shipped_design
 CELLS = {"100um": None, "50um": 50_000, "25um": 25_000}   # nm; None: the design's grid_cell
 
 
-def _scratch_table(ev, state, eligible):
-    """gen_move's groups and cumulative masses, built from every farm's groups."""
-    weight = 0.5 / len(eligible)
-    groups = [g for index in eligible for g in ev._farm_moves(index, state[index], weight)]
+def _scratch_table(ev, state, layer):
+    """gen_move's groups on layer and their cumulative masses, built from the
+    groups of every farm that starts there."""
+    movable = [k for k, f in enumerate(ev.farms) if f.start_layer == layer]
+    assert ev.movable[layer] == movable
+    groups = [g for index in movable for g in ev._farm_moves(index, state[index])]
     return groups, list(accumulate(g.mass for g in groups))
 
 
@@ -45,29 +47,25 @@ def _same_groups(got, expected):
 @pytest.mark.parametrize("cell", CELLS.values(), ids=CELLS.keys())
 @pytest.mark.parametrize("name", SHIPPED)
 def test_a_move_table_equals_one_built_from_every_farms_groups(name, cell):
-    # a seeded walk that, like a layer pass handing on its best state, jumps
-    # back to an earlier state every few steps; then the same states under
-    # another eligible list, which rebuilds the table
+    # a seeded walk on layer 0, where every shipped farm starts, that, like a
+    # layer pass handing on its best state, jumps back to an earlier state
+    # every few steps; each state's table on every layer, layer 1's empty
     design = shipped_design(name)
     ev = Evaluator(design, grid_for(design.stack, cell))
     state = ev.state_of(design)
-    eligible = list(range(len(state)))
     rng, pick, seen = np.random.default_rng(5), random.Random(5), [state]
     for step in range(60 if cell is None else 30):
         if step % 7 == 6:
             state = pick.choice(seen)
         else:
-            state, _, _ = gen_move(ev, state, eligible, rng)
+            state, _, _ = gen_move(ev, state, 0, rng)
             seen.append(state)
-        groups, cumulative = ev.move_table(state, eligible)
-        expected_groups, expected_cumulative = _scratch_table(ev, state, eligible)
-        _same_groups(groups, expected_groups)
-        assert cumulative == expected_cumulative
-    for others in (eligible[1:], eligible[::2]):
-        groups, cumulative = ev.move_table(state, others)
-        expected_groups, expected_cumulative = _scratch_table(ev, state, others)
-        _same_groups(groups, expected_groups)
-        assert cumulative == expected_cumulative
+        for layer in range(design.stack.num_layers):
+            groups, cumulative = ev.move_table(state, layer)
+            expected_groups, expected_cumulative = _scratch_table(ev, state, layer)
+            _same_groups(groups, expected_groups)
+            assert cumulative == expected_cumulative
+            assert bool(groups) == (layer == 0)
 
 
 @pytest.mark.parametrize("cell", CELLS.values(), ids=CELLS.keys())
@@ -99,7 +97,7 @@ def test_reshape_legality_agrees_with_fixed_conflict(name, cell):
             for x, y in anchors:
                 legal = [(x, y, x + w, y + h) for w, h in others
                          if fixed_conflict(stack, blocks, start, end, (x, y, x + w, y + h)) is None]
-                groups = ev._farm_moves(index, ev.place(index, (x, y, x + width, y + height)), 0.5)
+                groups = ev._farm_moves(index, ev.place(index, (x, y, x + width, y + height)))
                 assert [g.options for g in groups if g.kind == "reshape"] == (
                     [legal] if legal else []), (farm.name, x, y)
                 checked[len(legal) == len(others)] += 1
@@ -202,3 +200,23 @@ def test_a_run_computes_what_the_blocks_fix_once(monkeypatch):
     # 18 blocks on 11 distinct rectangles; 187 groups x 2 reshapes
     assert counts == {"placed": 28, "block_cell_weights": 11, "fixed_conflict": 374,
                       "strip_table": 1}
+
+
+def test_each_state_and_layer_builds_its_move_table_once(monkeypatch):
+    """A seed-1 multicore run at max_moves=20 builds each move table, and each
+    farm row's groups, once. Before tables were memoized per state and layer,
+    a last-table cache built 648 tables, 208 of them again for a state and
+    layer it had built before."""
+    built = {"_move_table": [], "_farm_moves": []}
+
+    def counted(name, inner):
+        def build(self, *args):
+            built[name].append(args)
+            return inner(self, *args)
+        return build
+    for name in built:
+        monkeypatch.setattr(Evaluator, name, counted(name, getattr(Evaluator, name)))
+    optimize_stack(shipped_design("multicore"), AnnealConfig(seed=1, max_moves=20))
+    tables, groups = built["_move_table"], built["_farm_moves"]
+    assert len(tables) == len(set(tables)) == 440
+    assert len(groups) == len(set(groups))
